@@ -30,7 +30,7 @@ from .config import ConfigError, RunConfig
 from .density import DensityError
 from .drive import DriveError, coord_names
 from .expr import ExpressionError
-from .forms import FormError, KForm, multi_indices
+from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
 from .synth import (
     FieldSolution,
@@ -103,19 +103,9 @@ def _outdir(args, cfg: RunConfig) -> str:
     return out
 
 
-def _mask_predicate(expr_text: Optional[str], dim: int):
-    """Config mask expressions keep points where the value is positive."""
-    if not expr_text:
-        return None
-    from . import expr as exprmod
-
-    e = exprmod.parse(expr_text, coord_names(dim))
-
-    def predicate(points: np.ndarray) -> np.ndarray:
-        jets = exprmod.eval_jets(e, points)
-        return ~jets.bad & (jets.val > 0.0)
-
-    return predicate
+def _workers(threads: int, npoints: int) -> int:
+    """Synthesis threads for --threads N: at most one per core and one per point."""
+    return min(threads, os.cpu_count() or 1, npoints)
 
 
 def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int) -> FieldSolution:
@@ -125,11 +115,12 @@ def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int) -> FieldSoluti
         raise ConfigError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
-    if threads <= 1:
+    workers = _workers(threads, grid.npoints())
+    if workers <= 1:
         return synthesize(model, d, policy, grid, tol=tol)
     pts = grid.points()
-    blocks = np.array_split(np.arange(pts.shape[0]), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    blocks = np.array_split(np.arange(pts.shape[0]), workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(
             lambda idx: synthesize_at_points(model, d, policy, pts[idx], tol=tol), blocks))
     return FieldSolution(
@@ -224,8 +215,7 @@ def cmd_singular(args) -> int:
     return EXIT_OK
 
 
-def _witness_for(cfg: RunConfig, sol: FieldSolution):
-    choice = cfg.frobenius.get("witness", "auto")
+def _witness_for(choice: str, sol: FieldSolution):
     d = sol.drive
     if choice == "auto":
         if isinstance(d, drivemod.Scalar2D):
@@ -252,11 +242,12 @@ def cmd_frobenius(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     grid = cfgmod.build_grid(cfg)
+    fs = cfgmod.frobenius_section(cfg, grid.dim)
     sol = _synth_solution(cfg, grid, args.threads)
     if not (sol.branch_id != 0).any():
         print(_empty_message(sol), file=sys.stderr)
         return EXIT_EMPTY
-    wit = _witness_for(cfg, sol)
+    wit = _witness_for(fs["witness"], sol)
     curl = frobmod.curl_residual_grid(wit)
     n = grid.dim
     names = (list(coord_names(n)) + [f"G{i+1}" for i in range(n)]
@@ -272,14 +263,11 @@ def cmd_frobenius(args) -> int:
         "max_solvability_residual": _nanmax(wit.solvability_residual),
         "max_curl_residual": _nanmax(curl),
     }
-    if cfg.frobenius.get("recover_eta", False):
-        mask_pred = _mask_predicate(cfg.frobenius.get("mask"), n)
-        mask = mask_pred(sol.points).reshape(grid.shape()) if mask_pred else None
-        anchor = cfg.frobenius.get("anchor")
+    if fs["recover_eta"]:
+        mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
         try:
-            rec = frobmod.recover_eta(
-                wit, anchor=tuple(anchor) if anchor else None, mask=mask,
-                tol_conservative=float(cfg.frobenius.get("tol_conservative", 1e-6)))
+            rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=mask,
+                                      tol_conservative=fs["tol_conservative"])
         except FrobeniusError as exc:
             _write_json(os.path.join(out, "frobenius.json"), summary)
             print(f"eta recovery failed: {exc}", file=sys.stderr)
@@ -304,41 +292,9 @@ def _nanmax(arr) -> Optional[float]:
     return float(finite.max()) if finite.size else None
 
 
-def _build_form(cfg: RunConfig, dim_hint: Optional[int] = None) -> tuple:
-    sec = cfg.forms
-    if "n" not in sec or "k" not in sec:
-        raise ConfigError("forms.n and forms.k are required")
-    n, k = int(sec["n"]), int(sec["k"])
-    if dim_hint is not None and n != dim_hint:
-        raise ConfigError(f"forms.n = {n} does not match the grid dimension {dim_hint}")
-    coeffs = sec.get("coeffs")
-    if not isinstance(coeffs, dict) or not coeffs:
-        raise ConfigError("forms.coeffs must be a non-empty object of multi-index keys")
-    deg = n - k - 1
-    parsed = {}
-    for key, val in coeffs.items():
-        digits = str(key)
-        if digits in ("", "0"):
-            idx = ()
-        else:
-            if not digits.isdigit():
-                raise ConfigError(f"forms.coeffs key must be digits like '13', got {key!r}")
-            idx = tuple(int(c) for c in digits)
-        parsed[idx] = val
-    try:
-        f = KForm(n=n, k=deg, coeffs={
-            idx: _parse_coeff(val, n, sec.get("params") or {}) for idx, val in parsed.items()})
-    except (FormError, ExpressionError, ValueError) as exc:
-        raise ConfigError(f"forms: {exc}") from exc
-    return f, k, dict(sec.get("params") or {})
-
-
-def _parse_coeff(val, n, params):
-    from . import expr as exprmod
-
-    if isinstance(val, str):
-        return exprmod.parse(val, coord_names(n), tuple(params))
-    return exprmod.parse(repr(float(val)), coord_names(n), tuple(params))
+# The forms builder lives in config; perfbench/setup_probe.py and
+# perfbench/tracer.py reach it through this module-level name.
+_build_form = cfgmod.build_form
 
 
 def cmd_forms(args) -> int:
@@ -398,7 +354,8 @@ def cmd_verify(args) -> int:
     vs = cfgmod.verify_section(cfg)
     levels = max(1, args.levels)
     grids = [_refined(base, 2 ** i) for i in range(levels)]
-    mask_pred = _mask_predicate(vs.get("mask"), base.dim)
+    mask_pred = cfgmod.mask_predicate(vs.get("mask"), base.dim)
+    fs = cfgmod.frobenius_section(cfg, base.dim)
 
     reports = []
     energy_value = None
@@ -422,17 +379,11 @@ def cmd_verify(args) -> int:
             if kind == "minor":
                 return verifymod.minor_residual(sol, extra_bad=extra_bad_on(grid))
             if kind == "frobenius":
-                wit = _witness_for(cfg, sol)
-                return verifymod.frobenius_residual(sol, wit)
+                return verifymod.frobenius_residual(sol, _witness_for(fs["witness"], sol))
             if kind == "exactness":
-                wit = _witness_for(cfg, sol)
-                mask = None
-                fm = _mask_predicate(cfg.frobenius.get("mask"), grid.dim)
-                if fm is not None:
-                    mask = fm(sol.points).reshape(grid.shape())
-                rec = frobmod.recover_eta(
-                    wit, mask=mask,
-                    tol_conservative=float(cfg.frobenius.get("tol_conservative", 1e-6)))
+                wit = _witness_for(fs["witness"], sol)
+                mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
+                rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
                 return verifymod.exactness_residual(sol, rec.eta, system=wit.kind)
             if kind == "codifferential":
                 model = cfgmod.build_model(cfg)
@@ -480,7 +431,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--levels", metavar="K", type=int, default=1,
                    help="refinement levels for convergence studies")
     p.add_argument("--threads", metavar="N", type=int, default=1,
-                   help="worker threads for point-parallel synthesis")
+                   help="worker threads for point-parallel synthesis (at most one per core)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.handler(args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

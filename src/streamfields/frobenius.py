@@ -4,12 +4,14 @@ For minor-type systems the witness satisfies d_i w_j - d_j w_i = G_i w_j -
 G_j w_i; for divergence-type (gradient-drive) systems it satisfies div w =
 G . w.  Both are assembled from the drive-level least-squares witness
 g = M a / |a|^2 (M_ij = d_i a_j - d_j a_i) plus the chain-rule term
--grad log rho(psi(xi)).  Residuals here are analytic (jet-based); the verify
-module redoes them with finite differences.
+-grad log rho(psi(xi)).  The defining defects here are analytic (jet-based);
+the verify module redoes them with finite differences.
 
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
 breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
+The curl gate and that post-check take fourth-order central differences from
+the finite-difference core shared with the verify module.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .density import DensityModel
 from .drive import DriveField, GradientDrive, RawField, Scalar2D, SkewMatrix, drive_batch
 from .synth import FieldSolution, GridSpec, Tolerances, synthesize_at_points
+from .verify import closure_residual, curl_max, interior
 
 
 class FrobeniusError(ValueError):
@@ -43,7 +46,6 @@ class FrobeniusWitness:
     grid: Optional[GridSpec] = None
     curl_residual: Optional[np.ndarray] = None  # filled by curl_residual_grid
     eta: Optional[np.ndarray] = None
-    gauge_H: Optional[np.ndarray] = None  # never constructed, reported only
 
 
 def _core(model: DensityModel, d: DriveField, sol: FieldSolution, pts: np.ndarray, kind: str):
@@ -62,8 +64,7 @@ def _core(model: DensityModel, d: DriveField, sol: FieldSolution, pts: np.ndarra
         if kind == "minor":
             M = np.swapaxes(jac, 1, 2) - jac  # M[i][j] = d_i a_j - d_j a_i
             g = np.einsum("nij,nj->ni", M, a) / xi[:, None]
-            wedge_g = g[:, :, None] * a[:, None, :] - g[:, None, :] * a[:, :, None]
-            solvability = _max_minor(M - wedge_g)
+            solvability = _max_minor(M - _wedge(g, a))
         else:
             div_a = np.trace(jac, axis1=1, axis2=2)
             g = (div_a / xi)[:, None] * a
@@ -93,33 +94,32 @@ def _max_minor(mat: np.ndarray) -> np.ndarray:
     return np.abs(mat[:, iu[0], iu[1]]).max(axis=1)
 
 
-def _minor_curl_of_w(jac, rho_c, glr, w):
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u ^ v)[:, i, j] = u_i v_j - u_j v_i as an antisymmetric stack."""
+    return u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]
+
+
+def _defect(kind: str, core: tuple, G) -> np.ndarray:
+    """Analytic defining defect of a candidate witness G at the points of
+    `core` (the output of _core): max |(curl w - G ^ w)_ij| for minor
+    systems, |div w - G . w| for divergence systems; NaN where undefined."""
+    _, a, jac, _, w, rho_c, glr, _, _, _, _, defined = core
+    G = np.asarray(G, dtype=float)
     with np.errstate(all="ignore"):
-        M = np.swapaxes(jac, 1, 2) - jac
-        curl_w = M / rho_c[:, None, None]
-        wedge = glr[:, :, None] * w[:, None, :] - glr[:, None, :] * w[:, :, None]
-        return curl_w - wedge  # (d_i w_j - d_j w_i) as an antisymmetric stack
+        if kind == "minor":
+            curl_w = (np.swapaxes(jac, 1, 2) - jac) / rho_c[:, None, None] - _wedge(glr, w)
+            defect = _max_minor(curl_w - _wedge(G, w))
+        else:
+            div_w = (np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,ni->n", a, glr)) / rho_c
+            defect = np.abs(div_w - np.einsum("ni,ni->n", G, w))
+    return np.where(defined, defect, np.nan)
 
 
 def minor_defect_with(model: DensityModel, d: DriveField, sol: FieldSolution,
                       G_values: np.ndarray, points: Optional[np.ndarray] = None) -> np.ndarray:
     """Analytic minor defect of an externally supplied candidate witness."""
     pts = sol.points if points is None else np.asarray(points, dtype=float)
-    _, a, jac, xi, w, rho_c, glr, g, G, G1, solv, defined = _core(model, d, sol, pts, "minor")
-    C = _minor_curl_of_w(jac, rho_c, glr, w)
-    Gv = np.asarray(G_values, dtype=float)
-    wedge_G = Gv[:, :, None] * w[:, None, :] - Gv[:, None, :] * w[:, :, None]
-    return np.where(defined, _max_minor(C - wedge_G), np.nan)
-
-
-def divergence_defect_with(model: DensityModel, d: DriveField, sol: FieldSolution,
-                           G_values: np.ndarray, points: Optional[np.ndarray] = None) -> np.ndarray:
-    pts = sol.points if points is None else np.asarray(points, dtype=float)
-    _, a, jac, xi, w, rho_c, glr, g, G, G1, solv, defined = _core(model, d, sol, pts, "divergence")
-    with np.errstate(all="ignore"):
-        div_w = (np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,ni->n", a, glr)) / rho_c
-        dot = np.einsum("ni,ni->n", np.asarray(G_values, dtype=float), w)
-    return np.where(defined, np.abs(div_w - dot), np.nan)
+    return _defect("minor", _core(model, d, sol, pts, "minor"), G_values)
 
 
 def _build(model, d, sol, points, kind) -> FrobeniusWitness:
@@ -131,15 +131,8 @@ def _build(model, d, sol, points, kind) -> FrobeniusWitness:
         if pts.ndim == 1:
             pts = pts[None, :]
         grid = None
-    _, a, jac, xi, w, rho_c, glr, g, G, G1, solv, defined = _core(model, d, sol, pts, kind)
-    if kind == "minor":
-        C = _minor_curl_of_w(jac, rho_c, glr, w)
-        wedge_G = G[:, :, None] * w[:, None, :] - G[:, None, :] * w[:, :, None]
-        defect = np.where(defined, _max_minor(C - wedge_G), np.nan)
-    else:
-        with np.errstate(all="ignore"):
-            div_w = (np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,ni->n", a, glr)) / rho_c
-            defect = np.where(defined, np.abs(div_w - np.einsum("ni,ni->n", G, w)), np.nan)
+    core = _core(model, d, sol, pts, kind)
+    G, G1, solv, defined = core[8:]
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
         qpts = np.asarray(qpts, dtype=float)
@@ -148,7 +141,7 @@ def _build(model, d, sol, points, kind) -> FrobeniusWitness:
 
     return FrobeniusWitness(
         kind=kind, points=pts, G=G, G1=G1,
-        defining_residual=defect, solvability_residual=solv,
+        defining_residual=_defect(kind, core, G), solvability_residual=solv,
         defined=defined, solution=sol, evaluator=evaluator, grid=grid,
     )
 
@@ -183,42 +176,15 @@ def witness_gradient(model: DensityModel, d: DriveField, sol: FieldSolution,
 # conservativity and integrating factor
 
 
-def _stencil_4th(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order central derivative; NaN where the 5-point stencil leaves the grid."""
-    out = np.full_like(values, np.nan)
-    sl = [slice(None)] * values.ndim
-
-    def shifted(k):
-        s = list(sl)
-        s[axis] = slice(2 + k, values.shape[axis] - 2 + k or None)
-        return values[tuple(s)]
-
-    interior = list(sl)
-    interior[axis] = slice(2, -2)
-    out[tuple(interior)] = (
-        -shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)
-    ) / (12.0 * h)
-    return out
-
-
 def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
     """Max |d_i G_j - d_j G_i| per node by 4th-order differences (grid witnesses)."""
     if witness.grid is None:
         raise FrobeniusError("curl residual needs a grid-backed witness")
     grid = witness.grid
-    shape = grid.shape()
-    n = grid.dim
-    h = grid.spacing()
-    comps = [witness.G[:, k].reshape(shape) for k in range(n)]
-    res = np.zeros(shape)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dGj_di = _stencil_4th(comps[j], i, h[i])
-            dGi_dj = _stencil_4th(comps[i], j, h[j])
-            with np.errstate(all="ignore"):
-                res = np.maximum(res, np.abs(dGj_di - dGi_dj))
-    witness.curl_residual = res
-    return res
+    comps = [witness.G[:, k].reshape(grid.shape()) for k in range(grid.dim)]
+    with np.errstate(all="ignore"):
+        witness.curl_residual = curl_max(comps, grid.spacing(), 4)
+    return witness.curl_residual
 
 
 def _edge_integrals(evaluator, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -259,7 +225,7 @@ def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
 
     if witness.curl_residual is None:
         curl_residual_grid(witness)
-    gate_vals = np.where(_erode(mask, 2), witness.curl_residual, np.nan)
+    gate_vals = np.where(interior(mask, 2), witness.curl_residual, np.nan)
     if not np.isfinite(gate_vals).any():
         raise FrobeniusError("no interior nodes with a full curl stencil inside the mask")
     gate = float(np.nanmax(gate_vals))
@@ -323,22 +289,6 @@ def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
                          post_residual=post, mask=mask)
     witness.eta = eta
     return result
-
-
-def _erode(mask: np.ndarray, width: int) -> np.ndarray:
-    out = mask.copy()
-    for axis in range(mask.ndim):
-        for step in range(1, width + 1):
-            for sgn in (1, -1):
-                out &= np.roll(mask, sgn * step, axis=axis)
-    # roll wraps around; kill the borders it contaminates
-    for axis in range(mask.ndim):
-        sl = [slice(None)] * mask.ndim
-        sl[axis] = slice(0, width)
-        out[tuple(sl)] = False
-        sl[axis] = slice(-width, None)
-        out[tuple(sl)] = False
-    return out
 
 
 def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray,
@@ -424,30 +374,9 @@ def _rect_masked_ok(mask, corners, ax1, ax2) -> bool:
 def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,
                     eta: np.ndarray) -> float:
     """Max curl (minor kind) or divergence (divergence kind) of e^(-eta) w."""
-    shape = grid.shape()
-    n = grid.dim
-    h = grid.spacing()
     sol = witness.solution
     if sol.grid is None or sol.grid != grid:
         raise FrobeniusError("post-check needs the witness solution on the same grid")
-    scale = np.exp(-eta)
-    comps = [(sol.w[:, k].reshape(shape)) * scale for k in range(n)]
-    ok = _erode(mask & np.isfinite(eta), 2)
-    worst = 0.0
-    with np.errstate(all="ignore"):
-        if witness.kind == "minor":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d1 = _stencil_4th(comps[j], i, h[i])
-                    d2 = _stencil_4th(comps[i], j, h[j])
-                    vals = np.abs(d1 - d2)[ok]
-                    if vals.size:
-                        worst = max(worst, float(np.nanmax(vals)))
-        else:
-            div = np.zeros(shape)
-            for i in range(n):
-                div += np.where(np.isfinite(eta), _stencil_4th(comps[i], i, h[i]), np.nan)
-            vals = np.abs(div)[ok]
-            if vals.size:
-                worst = max(worst, float(np.nanmax(vals)))
-    return worst
+    ok = interior(mask & np.isfinite(eta), 2)
+    vals = closure_residual(sol.w, eta, witness.kind, grid.spacing(), 4)[ok]
+    return max(0.0, float(np.nanmax(vals))) if vals.size else 0.0

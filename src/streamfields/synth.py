@@ -15,7 +15,7 @@ import numpy as np
 
 from . import expr as exprmod
 from .density import DensityModel, PhiBranch
-from .drive import DriveField, drive_at, drive_batch
+from .drive import DriveField, drive_batch
 
 
 class SynthError(ValueError):
@@ -332,14 +332,3 @@ def synthesize_point(model: DensityModel, d: DriveField, policy: BranchPolicy,
         branch_id=int(sol.branch_id[0]),
         flags=int(sol.flags[0]),
     )
-
-
-def normalized_field(d: DriveField, point: Sequence[float]) -> Optional[np.ndarray]:
-    """Unit drive direction a/|a| (sign convention +); None where |a| = 0."""
-    s = drive_at(d, point)
-    if not s.defined:
-        return None
-    norm = float(np.sqrt(s.xi))
-    if norm == 0.0:
-        return None
-    return s.a / norm

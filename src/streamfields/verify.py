@@ -1,25 +1,31 @@
 """Finite-difference residuals, convergence fits, and energy quadrature.
 
-All residuals use second-order central differences on the uniform grid; nodes
-without a full stencil of clean neighbors are masked, never one-sided.  The
-mask is exactly the union of singular flags (nonphysical-branch markers are
-informational, not singular) dilated by one stencil width, plus the boundary.
-Reductions are numpy sums in fixed index order, so reports are deterministic.
+The package's one finite-difference core lives here (`stencil`, `curl_max`,
+`divergence`, `closure_residual`, `interior`) and is shared with frobenius.
+The residuals here use second-order central differences on the uniform grid;
+frobenius uses fourth order for its conservative curl gate and eta post-check.
+Nodes without a full stencil of clean neighbors are masked, never one-sided.
+The mask is exactly the union of singular flags (nonphysical-branch markers
+are informational, not singular) dilated by one stencil width, plus the
+boundary.  Reductions are numpy sums in fixed index order, so reports are
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .density import DensityModel
 from .forms import (FormSolution, FormValues, codifferential_sign, hodge_star,
                     insert_sign, multi_indices)
-from .frobenius import FrobeniusWitness
 from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec,
                     synthesize_at_points)
+
+if TYPE_CHECKING:  # frobenius imports this module; the witness is an annotation only
+    from .frobenius import FrobeniusWitness
 
 
 class VerifyError(ValueError):
@@ -51,7 +57,7 @@ class ResidualReport:
         }
 
 
-def _dilate(mask: np.ndarray, width: int = 1) -> np.ndarray:
+def _dilate(mask: np.ndarray, width: int) -> np.ndarray:
     """Grow the excluded set by `width` nodes along each axis."""
     out = mask.copy()
     for axis in range(mask.ndim):
@@ -65,7 +71,7 @@ def _dilate(mask: np.ndarray, width: int = 1) -> np.ndarray:
     return out
 
 
-def _border(shape, width: int = 1) -> np.ndarray:
+def _border(shape, width: int) -> np.ndarray:
     out = np.zeros(shape, dtype=bool)
     for axis in range(len(shape)):
         sl = [slice(None)] * len(shape)
@@ -76,25 +82,76 @@ def _border(shape, width: int = 1) -> np.ndarray:
     return out
 
 
-def _excluded(solution: FieldSolution, grid: GridSpec, extra_bad: Optional[np.ndarray] = None) -> np.ndarray:
-    shape = grid.shape()
+def interior(ok: np.ndarray, width: int) -> np.ndarray:
+    """Nodes of `ok` whose neighbors up to `width` steps along every axis are
+    on the grid and in `ok`: where a central stencil of that half-width is clean."""
+    return ~(_dilate(~ok, width) | _border(ok.shape, width))
+
+
+def _excluded(solution, grid: GridSpec, extra_bad: Optional[np.ndarray] = None) -> np.ndarray:
     flagged = (solution.flags & MASK_BITS) != 0
     bad = flagged | ~solution.defined
     if extra_bad is not None:
         bad = bad | extra_bad
-    return _dilate(bad.reshape(shape), 1) | _border(shape, 1)
+    return ~interior(~bad.reshape(grid.shape()), 1)
 
 
-def _central(fieldvals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.full_like(fieldvals, np.nan)
-    sl_p = [slice(None)] * fieldvals.ndim
-    sl_m = [slice(None)] * fieldvals.ndim
-    sl_c = [slice(None)] * fieldvals.ndim
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(0, -2)
-    sl_c[axis] = slice(1, -1)
-    out[tuple(sl_c)] = (fieldvals[tuple(sl_p)] - fieldvals[tuple(sl_m)]) / (2.0 * h)
+def stencil(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+    """Central derivative of order 2 or 4 along `axis`; NaN within order/2
+    nodes of either end, where the stencil leaves the grid."""
+    r = order // 2
+    n = values.shape[axis]
+
+    def at(k):  # the nodes k steps along the axis from each interior node
+        sl = [slice(None)] * values.ndim
+        sl[axis] = slice(r + k, max(n - r + k, 0))
+        return tuple(sl)
+
+    out = np.full_like(values, np.nan)
+    if order == 2:
+        out[at(0)] = (values[at(1)] - values[at(-1)]) / (2.0 * h)
+    elif order == 4:
+        out[at(0)] = (-values[at(2)] + 8.0 * values[at(1)] - 8.0 * values[at(-1)]
+                      + values[at(-2)]) / (12.0 * h)
+    else:
+        raise ValueError(f"stencil order must be 2 or 4, got {order}")
     return out
+
+
+def curls(comps: Sequence[np.ndarray], h, order: int):
+    """Yield (i, j, d_i c_j - d_j c_i) for every pair i < j of grid components."""
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            yield i, j, stencil(comps[j], i, h[i], order) - stencil(comps[i], j, h[j], order)
+
+
+def curl_max(comps: Sequence[np.ndarray], h, order: int) -> np.ndarray:
+    """Max over i < j of |d_i c_j - d_j c_i| per node (NaN where a stencil is missing)."""
+    worst = np.zeros(comps[0].shape)
+    for _, _, curl in curls(comps, h, order):
+        worst = np.maximum(worst, np.abs(curl))
+    return worst
+
+
+def divergence(comps: Sequence[np.ndarray], h, order: int) -> np.ndarray:
+    """Sum of d_i c_i over the grid components, one axis at a time."""
+    div = np.zeros(comps[0].shape)
+    for i, comp in enumerate(comps):
+        div = div + stencil(comp, i, h[i], order)
+    return div
+
+
+def closure_residual(w: np.ndarray, eta: np.ndarray, system: str, h, order: int) -> np.ndarray:
+    """|curl| (minor systems) or |div| (divergence systems) of e^(-eta) w per
+    node; `eta` is grid-shaped and `w` holds one row per node."""
+    with np.errstate(all="ignore"):
+        scale = np.exp(-eta)
+        comps = [w[:, i].reshape(eta.shape) * scale for i in range(w.shape[1])]
+        if system == "minor":
+            return curl_max(comps, h, order)
+        if system == "divergence":
+            return np.abs(divergence(comps, h, order))
+    raise VerifyError(f"unknown system kind {system!r}")
 
 
 def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarray) -> ResidualReport:
@@ -119,20 +176,20 @@ def _grid_of(solution: FieldSolution, grid: Optional[GridSpec]) -> GridSpec:
     return grid
 
 
+def _rho_w(solution: FieldSolution, model: Optional[DensityModel], grid: GridSpec) -> list:
+    """Grid components of rho(Q) w."""
+    model = model or solution.model
+    with np.errstate(all="ignore"):
+        u = model.rho(solution.Q)[:, None] * solution.w
+    return [u[:, i].reshape(grid.shape()) for i in range(grid.dim)]
+
+
 def divergence_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
                         grid: Optional[GridSpec] = None,
                         extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Central-difference divergence of rho(Q) w."""
-    model = model or solution.model
     grid = _grid_of(solution, grid)
-    shape = grid.shape()
-    h = grid.spacing()
-    n = grid.dim
-    with np.errstate(all="ignore"):
-        u = model.rho(solution.Q)[:, None] * solution.w
-    div = np.zeros(shape)
-    for i in range(n):
-        div = div + _central(u[:, i].reshape(shape), i, h[i])
+    div = divergence(_rho_w(solution, model, grid), grid.spacing(), 2)
     return _report("DivergenceOfRhoW", grid, div, _excluded(solution, grid, extra_bad))
 
 
@@ -140,19 +197,8 @@ def minor_residual(solution: FieldSolution, model: Optional[DensityModel] = None
                    grid: Optional[GridSpec] = None,
                    extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Max 2x2 minor |d_i(rho w_j) - d_j(rho w_i)| by central differences."""
-    model = model or solution.model
     grid = _grid_of(solution, grid)
-    shape = grid.shape()
-    h = grid.spacing()
-    n = grid.dim
-    with np.errstate(all="ignore"):
-        u = model.rho(solution.Q)[:, None] * solution.w
-    comps = [u[:, i].reshape(shape) for i in range(n)]
-    worst = np.zeros(shape)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mij = _central(comps[j], i, h[i]) - _central(comps[i], j, h[j])
-            worst = np.maximum(worst, np.abs(mij))
+    worst = curl_max(_rho_w(solution, model, grid), grid.spacing(), 2)
     return _report("MinorSystemOfRhoW", grid, worst, _excluded(solution, grid, extra_bad))
 
 
@@ -163,25 +209,18 @@ def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
     grid = _grid_of(solution, grid)
     shape = grid.shape()
     h = grid.spacing()
-    n = grid.dim
     if witness.G.shape[0] != solution.points.shape[0]:
         raise VerifyError("witness and solution are not aligned on the same points")
-    comps = [solution.w[:, i].reshape(shape) for i in range(n)]
-    G = witness.G
-    w = solution.w
+    G, w = witness.G, solution.w
+    comps = [w[:, i].reshape(shape) for i in range(grid.dim)]
     with np.errstate(all="ignore"):
         if witness.kind == "minor":
             worst = np.zeros(shape)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    lhs = _central(comps[j], i, h[i]) - _central(comps[i], j, h[j])
-                    rhs = (G[:, i] * w[:, j] - G[:, j] * w[:, i]).reshape(shape)
-                    worst = np.maximum(worst, np.abs(lhs - rhs))
+            for i, j, curl in curls(comps, h, 2):
+                wedge = (G[:, i] * w[:, j] - G[:, j] * w[:, i]).reshape(shape)
+                worst = np.maximum(worst, np.abs(curl - wedge))
         else:
-            div = np.zeros(shape)
-            for i in range(n):
-                div = div + _central(comps[i], i, h[i])
-            worst = np.abs(div - np.einsum("ni,ni->n", G, w).reshape(shape))
+            worst = np.abs(divergence(comps, h, 2) - np.einsum("ni,ni->n", G, w).reshape(shape))
     excluded = _excluded(solution, grid, extra_bad=~witness.defined)
     return _report("FrobeniusDefect", grid, worst, excluded)
 
@@ -191,26 +230,8 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray,
     """Closure of the rescaled field: curl of e^(-eta) w for minor systems,
     divergence of e^(-eta) w for divergence systems."""
     grid = _grid_of(solution, grid)
-    shape = grid.shape()
-    h = grid.spacing()
-    n = grid.dim
-    eta = np.asarray(eta, dtype=float).reshape(shape)
-    with np.errstate(all="ignore"):
-        scale = np.exp(-eta)
-        comps = [solution.w[:, i].reshape(shape) * scale for i in range(n)]
-        if system == "minor":
-            worst = np.zeros(shape)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    worst = np.maximum(worst, np.abs(
-                        _central(comps[j], i, h[i]) - _central(comps[i], j, h[j])))
-        elif system == "divergence":
-            worst = np.zeros(shape)
-            for i in range(n):
-                worst = worst + _central(comps[i], i, h[i])
-            worst = np.abs(worst)
-        else:
-            raise VerifyError(f"unknown system kind {system!r}")
+    eta = np.asarray(eta, dtype=float).reshape(grid.shape())
+    worst = closure_residual(solution.w, eta, system, grid.spacing(), 2)
     excluded = _excluded(solution, grid, extra_bad=~np.isfinite(eta).reshape(-1))
     return _report("ExactnessDefect", grid, worst, excluded)
 
@@ -232,7 +253,7 @@ def codifferential_residual(fsol: FormSolution, grid: GridSpec) -> ResidualRepor
         for i in range(1, n + 1):
             new, sgn = insert_sign(i, key)
             if sgn:
-                d_coeffs[new] = d_coeffs[new] + sgn * _central(v, i - 1, h[i - 1])
+                d_coeffs[new] = d_coeffs[new] + sgn * stencil(v, i - 1, h[i - 1], 2)
     dsf = FormValues(n=n, k=n - k + 1,
                      coeffs={key: vals.reshape(-1) for key, vals in d_coeffs.items()},
                      grads=None, bad=fsol.omega.bad)
@@ -241,9 +262,7 @@ def codifferential_residual(fsol: FormSolution, grid: GridSpec) -> ResidualRepor
     worst = np.zeros(shape)
     for key, vals in result.coeffs.items():
         worst = np.maximum(worst, np.abs(sgn * vals.reshape(shape)))
-    flagged = (fsol.flags & MASK_BITS) != 0
-    excluded = _dilate((flagged | ~fsol.defined).reshape(shape), 1) | _border(shape, 1)
-    return _report("CodifferentialDefect", grid, worst, excluded)
+    return _report("CodifferentialDefect", grid, worst, _excluded(fsol, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from streamfields import GridSpec, config as cfgmod, synthesize
-from streamfields.cli import main
+from streamfields.cli import _workers, main
 
 
 def run_cfg(tmp_path, cfg_dict, command="synth", extra=()):
@@ -43,6 +44,40 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     assert main(["synth", "--example", "no-such-example",
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("example, command, section, key, value", [
+    ("shallow-vortex", "synth", "tol", "eps_rho", "abc"),
+    ("extremal-patching-study", "synth", "policy", "branch", "x"),
+    ("caustic-tau1", "synth", "density", "tau", "abc"),
+    ("unit-density", "verify", "verify", "threshold", "abc"),
+    ("shallow-annulus-eta", "frobenius", "frobenius", "tol_conservative", "abc"),
+    ("shallow-annulus-eta", "frobenius", "frobenius", "anchor", 5),
+    ("shallow-annulus-eta", "frobenius", "frobenius", "mask", 3),
+    ("form-21", "forms", "forms", "n", "abc"),
+    ("unit-density", "synth", "output", "csv", True),
+])
+def test_malformed_config_values_exit_2(tmp_path, capsys, example, command, section, key, value):
+    cfg = copy.deepcopy(cfgmod.EXAMPLES[example])
+    cfg.setdefault(section, {})[key] = value
+    cfg["grid"]["cells"] = [8] * len(cfg["grid"]["cells"])
+    code, _ = run_cfg(tmp_path, cfg, command=command)
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_threads_below_one_exit_2(tmp_path, capsys):
+    assert main(["synth", "--example", "unit-density", "--out", str(tmp_path / "o"),
+                 "--threads", "0"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_worker_count_is_capped_by_cores_and_points():
+    cores = os.cpu_count() or 1
+    assert _workers(1, 1000) == 1
+    assert _workers(10 ** 6, 10 ** 9) == cores
+    assert _workers(10 ** 6, 2) == min(2, cores)
+    assert _workers(3, 10 ** 9) == min(3, cores)
 
 
 def test_exit_code_on_empty_image(tmp_path, capsys):

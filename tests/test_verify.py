@@ -240,3 +240,84 @@ def test_report_json_round_trip():
     assert set(d) == {"kind", "h", "max_norm", "l2_norm", "masked_fraction", "order"}
     assert d["kind"] == "DivergenceOfRhoW"
     assert d["h"] == pytest.approx(2.2 / 32)
+
+
+# ---------------------------------------------------------------------------
+# the shared finite-difference core
+
+
+def _random_poly(rng, dim, degree):
+    """A polynomial of degree <= `degree` in each coordinate, with its gradient."""
+    exps = np.stack(np.meshgrid(*[np.arange(degree + 1)] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+    coef = rng.normal(size=len(exps))
+
+    def value(x):
+        return sum(c * np.prod([x[k] ** e[k] for k in range(dim)], axis=0)
+                   for c, e in zip(coef, exps))
+
+    def partial(x, axis):
+        out = np.zeros_like(x[0])
+        for c, e in zip(coef, exps):
+            if e[axis] == 0:
+                continue
+            term = c * e[axis] * x[axis] ** (e[axis] - 1)
+            for k in range(dim):
+                if k != axis:
+                    term = term * x[k] ** e[k]
+            out = out + term
+        return out
+
+    return value, partial
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("cells", [(9, 12), (7, 8, 10), (2, 9)])
+def test_stencil_is_exact_on_polynomials_of_its_order(rng, order, cells):
+    """Order 2 differentiates quadratics exactly and order 4 quartics, along
+    every axis; the order/2 nodes at each end have no stencil and are NaN
+    (on a 3-node axis that is every node for order 4)."""
+    from streamfields.verify import stencil
+
+    dim = len(cells)
+    grid = GridSpec((-0.9,) * dim, tuple(0.7 + 0.1 * k for k in range(dim)), cells)
+    x = np.meshgrid(*grid.axes(), indexing="ij")
+    value, partial = _random_poly(rng, dim, order)
+    f = value(x)
+    r = order // 2
+    for axis in range(dim):
+        got = stencil(f, axis, grid.spacing()[axis], order)
+        inner = [slice(None)] * dim
+        inner[axis] = slice(r, -r)
+        want = partial(x, axis)
+        np.testing.assert_allclose(got[tuple(inner)], want[tuple(inner)], rtol=0, atol=1e-10)
+        assert np.isfinite(got[tuple(inner)]).all()
+        margin = np.moveaxis(got, axis, 0)
+        assert np.isnan(margin[:r]).all() and np.isnan(margin[-r:]).all()
+
+
+def _erode_reference(mask, width):
+    """The roll-based erosion that `interior` replaced, kept as its oracle."""
+    out = mask.copy()
+    for axis in range(mask.ndim):
+        for step in range(1, width + 1):
+            for sgn in (1, -1):
+                out &= np.roll(mask, sgn * step, axis=axis)
+    # roll wraps around; kill the borders it contaminates
+    for axis in range(mask.ndim):
+        sl = [slice(None)] * mask.ndim
+        sl[axis] = slice(0, width)
+        out[tuple(sl)] = False
+        sl[axis] = slice(-width, None)
+        out[tuple(sl)] = False
+    return out
+
+
+@pytest.mark.parametrize("shape", [(23, 17), (9, 10, 11)])
+@pytest.mark.parametrize("width", [1, 2])
+def test_interior_matches_the_roll_erosion(rng, shape, width):
+    from streamfields.verify import interior
+
+    for density in (0.6, 0.9, 0.98):
+        mask = rng.uniform(size=shape) < density
+        np.testing.assert_array_equal(interior(mask, width), _erode_reference(mask, width))
