@@ -4,6 +4,12 @@ Subcommands: synth, singular, frobenius, forms, verify.  Every run is driven
 by a JSON config (--config PATH) or a built-in example (--example NAME) and
 writes plot-ready CSV / JSON artifacts into --out.  All numeric output uses 17
 significant digits and fixed row/column order, so reruns are byte-identical.
+CSV files are written in blocks of CSV_BLOCK_ROWS rows, and each distinct value
+of a column is formatted once per block; the bytes are the same as formatting
+every cell on its own.
+
+`verify --levels K` is refused (exit 2) when the finest grid of the study
+would have more than MAX_VERIFY_NODES nodes, and K < 1 is refused everywhere.
 
 Exit codes: 0 success, 2 config error, 3 synthesis found no admissible
 points, 4 a verification threshold or conservative gate was breached.
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -50,27 +57,42 @@ EXIT_THRESHOLD = 4
 _CONFIG_ERRORS = (ConfigError, DensityError, DriveError, SynthError, ExpressionError, FormError)
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+# Rows per block of a CSV file: a block's strings are built in memory and
+# written with one call, so the writer holds at most one block at a time.
+CSV_BLOCK_ROWS = 1 << 16
+
+
+def _column_text(kind: str, col) -> list:
+    """One block of a column as strings; each distinct value is formatted once.
+
+    Floats are told apart by their bit pattern, not by value: np.unique on
+    values merges -0.0 with 0.0, which "%.17g" prints as "-0" and "0".
+    """
+    if kind == "str":
+        return col
+    if kind == "float":
+        keys = np.asarray(col, dtype=np.float64).view(np.int64)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        text = ["%.17g" % v for v in uniq.view(np.float64).tolist()]
+    else:
+        uniq, inv = np.unique(np.asarray(col), return_inverse=True)
+        text = [str(int(v)) for v in uniq.tolist()]
+    return np.array(text, dtype=object)[inv].tolist()
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
-    """Columns are (kind, array) with kind in {float, int, str}."""
+    """Columns are (kind, array) with kind in {float, int, str}.
+
+    Floats are written with "%.17g", ints with str(int(v)) and strings as
+    they are, one row per line, in blocks of CSV_BLOCK_ROWS rows.
+    """
     n = len(columns[0][1])
-    out = [",".join(header)]
-    for i in range(n):
-        parts = []
-        for kind, col in columns:
-            v = col[i]
-            if kind == "float":
-                parts.append(_fmt(v))
-            elif kind == "int":
-                parts.append(str(int(v)))
-            else:
-                parts.append(str(v))
-        out.append(",".join(parts))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n)
+            texts = [_column_text(kind, col[start:stop]) for kind, col in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -148,18 +170,21 @@ def _empty_message(sol: FieldSolution) -> str:
     )
 
 
+def _tail_columns(sol) -> tuple:
+    """The Q, regime, branch and flags columns that field.csv and forms.csv end
+    with, for a FieldSolution or a FormSolution."""
+    regimes = np.array(REGIME_NAMES, dtype=object)[sol.regime].tolist()
+    return ["Q", "regime", "branch", "flags"], [
+        ("float", sol.Q), ("str", regimes), ("int", sol.branch_id), ("int", sol.flags)]
+
+
 def _field_columns(sol: FieldSolution) -> tuple:
     n = sol.points.shape[1]
-    names = list(coord_names(n)) + [f"w{i+1}" for i in range(n)] + ["Q", "regime", "branch", "flags"]
+    tail_names, tail_cols = _tail_columns(sol)
+    names = list(coord_names(n)) + [f"w{i+1}" for i in range(n)] + tail_names
     cols = _float_cols(sol.points, coord_names(n))
     cols += [("float", sol.w[:, i]) for i in range(n)]
-    cols += [
-        ("float", sol.Q),
-        ("str", [REGIME_NAMES[r] for r in sol.regime]),
-        ("int", sol.branch_id),
-        ("int", sol.flags),
-    ]
-    return names, cols
+    return names, cols + tail_cols
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +329,11 @@ def cmd_forms(args) -> int:
     model = cfgmod.build_model(cfg)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
-    f, k, params = _build_form(cfg, grid.dim)
+    f, _, params, box = _build_form(cfg, grid.dim)
     pts = grid.points()
     if cfg.forms.get("closed", False):
-        box = cfg.forms.get("box") or (grid.lo, grid.hi)
-        fsol = formsmod.synthesize_form_closed(model, f, policy, pts, box, tol=tol, params=params)
+        fsol = formsmod.synthesize_form_closed(model, f, policy, pts, box or (grid.lo, grid.hi),
+                                               tol=tol, params=params)
     else:
         fsol = formsmod.synthesize_form(model, f, policy, pts, tol=tol, params=params)
     if not (fsol.branch_id != 0).any():
@@ -323,14 +348,8 @@ def cmd_forms(args) -> int:
         label = "".join(str(i) for i in idx) or "0"
         names.append(f"omega_{label}")
         cols.append(("float", fsol.omega.coeffs.get(idx, np.zeros(pts.shape[0]))))
-    names += ["Q", "regime", "branch", "flags"]
-    cols += [
-        ("float", fsol.Q),
-        ("str", [REGIME_NAMES[r] for r in fsol.regime]),
-        ("int", fsol.branch_id),
-        ("int", fsol.flags),
-    ]
-    _write_csv(os.path.join(out, "forms.csv"), names, cols)
+    tail_names, tail_cols = _tail_columns(fsol)
+    _write_csv(os.path.join(out, "forms.csv"), names + tail_names, cols + tail_cols)
 
     if cfg.forms.get("gamma", False):
         gw = formsmod.gamma_witness(model, f, fsol)
@@ -343,6 +362,11 @@ def cmd_forms(args) -> int:
     return EXIT_OK
 
 
+# Nodes the finest grid of a `verify --levels K` study may have: over four
+# times the 97^3 = 912,673 nodes of a 3D shipped example at --levels 3.
+MAX_VERIFY_NODES = 1 << 22
+
+
 def _refined(grid: GridSpec, factor: int) -> GridSpec:
     return GridSpec(lo=grid.lo, hi=grid.hi, cells=tuple(c * factor for c in grid.cells))
 
@@ -352,7 +376,13 @@ def cmd_verify(args) -> int:
     out = _outdir(args, cfg)
     base = cfgmod.build_grid(cfg)
     vs = cfgmod.verify_section(cfg)
-    levels = max(1, args.levels)
+    levels = args.levels
+    # Counted before any grid is built; an exponent of 64 already exceeds the
+    # budget, so capping it keeps a huge K cheap to reject.
+    finest = math.prod(c * 2 ** min(levels - 1, 64) + 1 for c in base.cells)
+    if finest > MAX_VERIFY_NODES:
+        raise ConfigError(f"--levels {levels} asks for a finest grid of more than "
+                          f"{MAX_VERIFY_NODES} nodes")
     grids = [_refined(base, 2 ** i) for i in range(levels)]
     mask_pred = cfgmod.mask_predicate(vs.get("mask"), base.dim)
     fs = cfgmod.frobenius_section(cfg, base.dim)
@@ -389,7 +419,7 @@ def cmd_verify(args) -> int:
                 model = cfgmod.build_model(cfg)
                 policy = cfgmod.build_policy(cfg, grid.dim)
                 tol = cfgmod.build_tol(cfg)
-                f, _, params = _build_form(cfg, grid.dim)
+                f, _, params, _ = _build_form(cfg, grid.dim)
                 fsol = formsmod.synthesize_form(model, f, policy, grid.points(),
                                                 tol=tol, params=params)
                 return verifymod.codifferential_residual(fsol, grid)
@@ -429,7 +459,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="built-in example name (see README for the list)")
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
     p.add_argument("--levels", metavar="K", type=int, default=1,
-                   help="refinement levels for convergence studies")
+                   help="refinement levels for convergence studies (verify; the finest "
+                        f"grid may have at most {MAX_VERIFY_NODES} nodes)")
     p.add_argument("--threads", metavar="N", type=int, default=1,
                    help="worker threads for point-parallel synthesis (at most one per core)")
 
@@ -458,6 +489,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        if args.levels < 1:
+            raise ConfigError(f"--levels must be at least 1, got {args.levels}")
         return args.handler(args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

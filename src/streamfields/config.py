@@ -205,8 +205,24 @@ def build_tol(cfg: RunConfig) -> Tolerances:
         return Tolerances(**{k: float(v) for k, v in cfg.tol.items()})
 
 
+def _form_box(box, n: int):
+    """forms.box as (lo, hi): two points of dimension n with lo < hi; None if unset."""
+    if not box:
+        return None
+    try:
+        lo, hi = (tuple(float(v) for v in corner) for corner in box)
+    except (TypeError, ValueError):
+        lo = hi = ()
+    if len(lo) != n or len(hi) != n or not all(
+            float("-inf") < a < b < float("inf") for a, b in zip(lo, hi)):
+        raise ConfigError(
+            f"forms.box must be [lo, hi], two points of dimension {n} with lo < hi, got {box!r}")
+    return lo, hi
+
+
 def build_form(cfg: RunConfig, dim: int) -> tuple:
-    """The forms section as (drive form of degree n - k - 1, k, params)."""
+    """The forms section as (drive form of degree n - k - 1, k, params, box),
+    with box = (lo, hi) of the closure check, or None when unset."""
     sec = cfg.forms
     if "n" not in sec or "k" not in sec:
         raise ConfigError("forms.n and forms.k are required")
@@ -229,7 +245,8 @@ def build_form(cfg: RunConfig, dim: int) -> tuple:
                 idx = tuple(int(c) for c in digits)
             text = val if isinstance(val, str) else repr(float(val))
             parsed[idx] = exprmod.parse(text, drivemod.coord_names(n), tuple(params))
-        return formsmod.KForm(n=n, k=n - k - 1, coeffs=parsed), k, params
+        form = formsmod.KForm(n=n, k=n - k - 1, coeffs=parsed)
+    return form, k, params, _form_box(sec.get("box"), n)
 
 
 def verify_section(cfg: RunConfig) -> dict:

@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from streamfields import GridSpec, config as cfgmod, synthesize
-from streamfields.cli import _workers, main
+from streamfields import cli
+from streamfields.cli import _workers, _write_csv, main
 
 
 def run_cfg(tmp_path, cfg_dict, command="synth", extra=()):
@@ -55,6 +57,7 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     ("shallow-annulus-eta", "frobenius", "frobenius", "anchor", 5),
     ("shallow-annulus-eta", "frobenius", "frobenius", "mask", 3),
     ("form-21", "forms", "forms", "n", "abc"),
+    ("form-21", "forms", "forms", "box", 5),
     ("unit-density", "synth", "output", "csv", True),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, example, command, section, key, value):
@@ -66,10 +69,71 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, example, command, sect
     assert "config error:" in capsys.readouterr().err
 
 
+# a closed 1-form on the form-21 grid: d(x2 dx1 + x1 dx2) = 0
+CLOSED_FORM = {"n": 2, "k": 0, "coeffs": {"1": "x2", "2": "x1"}, "closed": True}
+
+
+@pytest.mark.parametrize("box, code, used", [
+    (None, 0, ((0.2, 0.2), (0.8, 0.8))),
+    ([[0.3, 0.25], [0.7, 0.75]], 0, ((0.3, 0.25), (0.7, 0.75))),
+    (5, 2, None),
+    ([[0.3, 0.25], [0.7]], 2, None),
+    ([[0.3, 0.25, 0.1], [0.7, 0.75, 0.9]], 2, None),
+    ([[0.7, 0.25], [0.3, 0.75]], 2, None),
+    ([[0.3, float("nan")], [0.7, 0.75]], 2, None),
+    ([["a", 0.25], [0.7, 0.75]], 2, None),
+], ids=["unset", "valid", "scalar", "short-corner", "wrong-dimension", "lo-above-hi",
+        "nan", "text"])
+def test_forms_box_is_checked_before_the_closure_check(tmp_path, capsys, monkeypatch,
+                                                       box, code, used):
+    seen = []
+    closed = cli.formsmod.synthesize_form_closed
+
+    def spy(model, alpha, policy, pts, box, **kw):
+        seen.append(tuple(tuple(float(v) for v in corner) for corner in box))
+        return closed(model, alpha, policy, pts, box, **kw)
+
+    monkeypatch.setattr(cli.formsmod, "synthesize_form_closed", spy)
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21"])
+    cfg["forms"] = dict(CLOSED_FORM, **({} if box is None else {"box": box}))
+    cfg["grid"]["cells"] = [8, 8]
+    assert run_cfg(tmp_path, cfg, command="forms")[0] == code
+    if code == 2:
+        assert "config error: forms.box" in capsys.readouterr().err
+        assert seen == []
+    else:
+        assert seen == [used]
+
+
 def test_threads_below_one_exit_2(tmp_path, capsys):
     assert main(["synth", "--example", "unit-density", "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_levels_below_one_exit_2(tmp_path, capsys, levels):
+    assert main(["synth", "--example", "unit-density", "--out", str(tmp_path / "o"),
+                 "--levels", levels]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_levels_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, monkeypatch):
+    def no_synthesis(*args):
+        raise AssertionError("a grid was synthesized")
+
+    monkeypatch.setattr(cli, "_synth_solution", no_synthesis)
+    monkeypatch.setattr(GridSpec, "points", no_synthesis)
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--example", "unit-density", "--out", str(tmp_path / "o"),
+                     "--levels", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_worker_count_is_capped_by_cores_and_points():
@@ -244,3 +308,73 @@ def test_command_line_entry_points(tmp_path):
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "synth" in proc.stdout
+
+
+def _write_csv_per_cell(path, header, columns):
+    """The row-by-row writer that formats every cell on its own: the oracle
+    for the block writer."""
+    n = len(columns[0][1])
+    out = [",".join(header)]
+    for i in range(n):
+        parts = []
+        for kind, col in columns:
+            v = col[i]
+            if kind == "float":
+                parts.append("%.17g" % float(v))
+            elif kind == "int":
+                parts.append(str(int(v)))
+            else:
+                parts.append(str(v))
+        out.append(",".join(parts))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.5e-310,
+                  -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+def _mixed_columns(n, seed=7):
+    rng = np.random.default_rng(seed)
+    special = np.resize(SPECIAL_FLOATS, n)
+    coords = np.linspace(-1.0, 1.0, 9)[rng.integers(0, 9, n)]
+    ints = np.array([-2 ** 63, 2 ** 63 - 1, -1, 0, 7, 10 ** 12])[rng.integers(0, 6, n)]
+    return ["a", "b", "c", "mask", "branch", "big", "regime"], [
+        ("float", special),
+        ("float", coords),
+        ("float", rng.standard_normal(n)),
+        ("int", rng.random(n) < 0.5),
+        ("int", rng.integers(-2, 3, n).astype(np.int32)),
+        ("int", ints),
+        ("str", [("elliptic", "sonic", "undefined")[i] for i in rng.integers(0, 3, n)]),
+    ]
+
+
+def _sonic_columns():
+    # sonic.csv passes Python lists of ints and floats
+    return ["segment", "x", "y"], [("int", [0, 0, 0, 1, 1]),
+                                   ("float", [0.5, -0.0, 0.0, 1e-300, 0.5]),
+                                   ("float", [1.0, 2.0, 1.0, float("nan"), -7.25])]
+
+
+@pytest.mark.parametrize("block_rows, table", [
+    (None, lambda: _mixed_columns(0)),
+    (None, lambda: _mixed_columns(1)),
+    (None, _sonic_columns),
+    (7, lambda: _mixed_columns(7)),
+    (7, lambda: _mixed_columns(7 * 5 + 3)),
+    (None, lambda: _mixed_columns(cli.CSV_BLOCK_ROWS + 1234)),
+], ids=["zero-rows", "one-row", "python-lists", "one-full-block", "blocks-then-partial",
+        "default-blocks-then-partial"])
+def test_block_writer_matches_the_per_cell_writer(tmp_path, monkeypatch, block_rows, table):
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    header, columns = table()
+    _write_csv(str(tmp_path / "block.csv"), header, columns)
+    _write_csv_per_cell(str(tmp_path / "cell.csv"), header, columns)
+    got = (tmp_path / "block.csv").read_bytes()
+    assert got == (tmp_path / "cell.csv").read_bytes()
+    assert got.count(b"\n") == len(columns[0][1]) + 1
+    if not len(columns[0][1]):
+        assert got == (",".join(header) + "\n").encode()
+

@@ -2,11 +2,11 @@
 
 perfbench/reference.json records, for every benchmark op, the exit code, the
 sha256 of each data artifact and the numbers of each JSON artifact, taken
-from the unchanged source.  These tests rerun the ops whose numbers come from
-the finite-difference core and the witness defects (the shipped-grid
-`frobenius` runs with and without eta recovery, and `verify` on every
-example) and compare them with the benchmark's own rule, `check_op`.  The
-reference file is only read.
+from the unchanged source.  These tests rerun every shipped-grid op of the
+benchmark (`synth`, `singular`, `frobenius` and `verify` on every example, and
+`forms` on form-21), so every CSV the writer produces and every number of the
+finite-difference core and the witness defects is pinned, and compare them
+with the benchmark's own rule, `check_op`.  The reference file is only read.
 """
 
 import importlib.util
@@ -27,8 +27,8 @@ Op = bench.wl.Op
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 
-OPS = [Op("frobenius", "shallow-annulus-eta"), Op("frobenius", "born-infeld-fund")] + [
-    Op("verify", name) for name in bench.wl.EXAMPLES]
+OPS = [Op(sub, name) for sub in ("synth", "singular", "frobenius", "verify")
+       for name in bench.wl.EXAMPLES] + [Op("forms", "form-21")]
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.key)
