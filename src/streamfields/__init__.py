@@ -4,18 +4,12 @@ witnesses, k-form reductions, and finite-difference verification."""
 from .density import (
     DensityError,
     DensityModel,
-    ImageRangeError,
     Interval,
     PhiBranch,
-    QDomainError,
     born_infeld,
-    branches,
     caustic,
     custom,
     extremal,
-    invert_phi,
-    phi,
-    phi_prime,
     shallow_water,
 )
 from .drive import (
@@ -26,7 +20,6 @@ from .drive import (
     SkewMatrix,
     coord_names,
     coulomb,
-    drive_at,
     drive_batch,
     gradient_drive,
     radial_class,
@@ -56,7 +49,6 @@ from .synth import (
     single_branch,
     synthesize,
     synthesize_at_points,
-    synthesize_point,
 )
 from .singular import SingularError, SingularReport, classify, classify_solution, sonic_contour
 from .frobenius import (

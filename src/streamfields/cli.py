@@ -121,7 +121,12 @@ def _load_config(args) -> RunConfig:
 
 def _outdir(args, cfg: RunConfig) -> str:
     out = args.out or cfg.output.get("dir", "out")
-    os.makedirs(out, exist_ok=True)
+    if not isinstance(out, str):
+        raise ConfigError(f"output.dir must be a directory path, got {out!r}")
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
     return out
 
 
@@ -401,34 +406,35 @@ def cmd_verify(args) -> int:
             return None
         return ~mask_pred(grid.points())
 
-    def make_maker(kind: str):
-        def make(grid: GridSpec):
-            sol = sol_on(grid)
-            if kind == "divergence":
-                return verifymod.divergence_residual(sol, extra_bad=extra_bad_on(grid))
-            if kind == "minor":
-                return verifymod.minor_residual(sol, extra_bad=extra_bad_on(grid))
-            if kind == "frobenius":
-                return verifymod.frobenius_residual(sol, _witness_for(fs["witness"], sol))
-            if kind == "exactness":
-                wit = _witness_for(fs["witness"], sol)
-                mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
-                rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
-                return verifymod.exactness_residual(sol, rec.eta, system=wit.kind)
-            if kind == "codifferential":
-                model = cfgmod.build_model(cfg)
-                policy = cfgmod.build_policy(cfg, grid.dim)
-                tol = cfgmod.build_tol(cfg)
-                f, _, params, _ = _build_form(cfg, grid.dim)
-                fsol = formsmod.synthesize_form(model, f, policy, grid.points(),
-                                                tol=tol, params=params)
-                return verifymod.codifferential_residual(fsol, grid)
-            raise ConfigError(f"unknown residual kind {kind!r}")
+    def exactness(grid: GridSpec):
+        sol = sol_on(grid)
+        wit = _witness_for(fs["witness"], sol)
+        mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
+        rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
+        return verifymod.exactness_residual(sol, rec.eta, system=wit.kind)
 
-        return make
+    def codifferential(grid: GridSpec):
+        model = cfgmod.build_model(cfg)
+        policy = cfgmod.build_policy(cfg, grid.dim)
+        tol = cfgmod.build_tol(cfg)
+        f, _, params, _ = _build_form(cfg, grid.dim)
+        fsol = formsmod.synthesize_form(model, f, policy, grid.points(), tol=tol, params=params)
+        return verifymod.codifferential_residual(fsol, grid)
+
+    # residual kind -> residual report on one grid; config.verify_section has
+    # already rejected every other kind
+    residual_on = {
+        "divergence": lambda grid: verifymod.divergence_residual(
+            sol_on(grid), extra_bad=extra_bad_on(grid)),
+        "minor": lambda grid: verifymod.minor_residual(sol_on(grid), extra_bad=extra_bad_on(grid)),
+        "frobenius": lambda grid: verifymod.frobenius_residual(
+            sol_on(grid), _witness_for(fs["witness"], sol_on(grid))),
+        "exactness": exactness,
+        "codifferential": codifferential,
+    }
 
     for kind in vs["residuals"]:
-        make = make_maker(kind)
+        make = residual_on[kind]
         if levels > 1:
             reports.append(verifymod.convergence_study(make, grids))
         else:

@@ -94,7 +94,7 @@ def _malformed(section: str):
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -115,8 +115,8 @@ def build_model(cfg: RunConfig) -> densmod.DensityModel:
                 raise ConfigError("density.tau is required for the caustic model")
             return densmod.caustic(float(sec["tau"]))
         if kind == "custom":
-            if "rho" not in sec:
-                raise ConfigError("density.rho is required for a custom model")
+            if not isinstance(sec.get("rho"), str):
+                raise ConfigError("density.rho is required for a custom model, as an expression string")
             kwargs: dict = {}
             if "q_min" in sec:
                 kwargs["q_min"] = float(sec["q_min"])
@@ -146,6 +146,8 @@ def build_drive(cfg: RunConfig):
             return drivemod.scalar_drive(_need(sec, "drive", "f"), params)
         if kind == "skew":
             entries = _need(sec, "drive", "entries")
+            if not isinstance(entries, Mapping):
+                raise ConfigError("drive.entries must be an object of two-digit keys like '12'")
             parsed = {}
             for key, val in entries.items():
                 digits = str(key)
@@ -156,12 +158,12 @@ def build_drive(cfg: RunConfig):
         if kind == "gradient":
             return drivemod.gradient_drive(int(_need(sec, "drive", "dim")), _need(sec, "drive", "f"), params)
         if kind == "raw":
-            box = _need(sec, "drive", "box")
+            dim = int(_need(sec, "drive", "dim"))
             return drivemod.raw_drive(
-                int(_need(sec, "drive", "dim")),
+                dim,
                 _need(sec, "drive", "components"),
                 _need(sec, "drive", "closure"),
-                (tuple(box[0]), tuple(box[1])),
+                _box(_need(sec, "drive", "box"), dim, "drive.box"),
                 params,
             )
     raise ConfigError(f"unknown drive.kind {kind!r}")
@@ -205,18 +207,16 @@ def build_tol(cfg: RunConfig) -> Tolerances:
         return Tolerances(**{k: float(v) for k, v in cfg.tol.items()})
 
 
-def _form_box(box, n: int):
-    """forms.box as (lo, hi): two points of dimension n with lo < hi; None if unset."""
-    if not box:
-        return None
+def _box(box, n: int, key: str):
+    """The box `key` as (lo, hi): two finite points of dimension n with lo < hi."""
     try:
         lo, hi = (tuple(float(v) for v in corner) for corner in box)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         lo = hi = ()
     if len(lo) != n or len(hi) != n or not all(
             float("-inf") < a < b < float("inf") for a, b in zip(lo, hi)):
         raise ConfigError(
-            f"forms.box must be [lo, hi], two points of dimension {n} with lo < hi, got {box!r}")
+            f"{key} must be [lo, hi], two points of dimension {n} with lo < hi, got {box!r}")
     return lo, hi
 
 
@@ -246,7 +246,8 @@ def build_form(cfg: RunConfig, dim: int) -> tuple:
             text = val if isinstance(val, str) else repr(float(val))
             parsed[idx] = exprmod.parse(text, drivemod.coord_names(n), tuple(params))
         form = formsmod.KForm(n=n, k=n - k - 1, coeffs=parsed)
-    return form, k, params, _form_box(sec.get("box"), n)
+    box = sec.get("box")
+    return form, k, params, _box(box, n, "forms.box") if box else None
 
 
 def verify_section(cfg: RunConfig) -> dict:

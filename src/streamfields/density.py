@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,14 +20,6 @@ from . import expr as exprmod
 
 class DensityError(ValueError):
     pass
-
-
-class QDomainError(DensityError):
-    """Q outside the admissible domain of rho."""
-
-
-class ImageRangeError(DensityError):
-    """xi outside the image of the selected branch."""
 
 
 @dataclass(frozen=True)
@@ -48,12 +40,6 @@ class Interval:
             hi_ok = hi_ok | (np.abs(x - self.hi) <= hi_snap)
         return lo_ok & hi_ok & ~np.isnan(x)
 
-    def contains(self, x: float, snap: float = 0.0) -> bool:
-        return bool(self.contains_array(np.asarray([float(x)]), snap, snap)[0])
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def __str__(self) -> str:
         return f"{'[' if self.lo_closed else '('}{self.lo:g}, {self.hi:g}{']' if self.hi_closed else ')'}"
 
@@ -67,7 +53,6 @@ class PhiBranch:
     orientation: str  # "type1" (phi' > 0, elliptic) or "type2" (phi' < 0, hyperbolic)
     q_interval: Interval
     image: Interval
-    inverse_kind: str
     nonphysical: bool = False
     # snapping is only sound where the matching Q endpoint is finite
     snap_lo: bool = False
@@ -140,33 +125,6 @@ class DensityModel:
         return list(self.branch_list)
 
 
-def phi(model: DensityModel, Q: float) -> float:
-    """Q rho^2(Q) at a scalar Q; raises QDomainError outside the domain."""
-    if not bool(model.in_domain(np.asarray([Q]))[0]):
-        raise QDomainError(f"Q={Q!r} outside the density domain of {model.kind}")
-    return float(model.phi(np.asarray([Q]))[0])
-
-
-def phi_prime(model: DensityModel, Q: float) -> float:
-    """phi'(Q) = rho(rho + 2 Q rho'); NaN where rho or rho' is undefined."""
-    if not bool(model.in_domain(np.asarray([Q]))[0]):
-        raise QDomainError(f"Q={Q!r} outside the density domain of {model.kind}")
-    return float(model.phi_prime(np.asarray([Q]))[0])
-
-
-def branches(model: DensityModel) -> list[PhiBranch]:
-    return model.branches()
-
-
-def invert_phi(branch: PhiBranch, xi: float) -> float:
-    q = branch.psi(np.asarray([float(xi)]))
-    if np.isnan(q[0]):
-        raise ImageRangeError(
-            f"xi={xi!r} outside image {branch.image} of branch {branch.index} ({branch.label})"
-        )
-    return float(q[0])
-
-
 # ---------------------------------------------------------------------------
 # built-in models
 
@@ -188,7 +146,6 @@ def extremal(kind: str = "extremal") -> DensityModel:
         orientation="type1",
         q_interval=Interval(0.0, 1.0, True, False),
         image=Interval(0.0, _INF, True, False),
-        inverse_kind="analytic_extremal_space",
         psi_fn=lambda xi: xi / (xi + 1.0),
     )
     b2 = PhiBranch(
@@ -197,7 +154,6 @@ def extremal(kind: str = "extremal") -> DensityModel:
         orientation="type2",
         q_interval=Interval(1.0, _INF, False, False),
         image=Interval(1.0, _INF, False, False),
-        inverse_kind="analytic_extremal_time",
         psi_fn=lambda xi: xi / (xi - 1.0),
     )
     return DensityModel(
@@ -258,7 +214,6 @@ def shallow_water() -> DensityModel:
         orientation="type1",
         q_interval=Interval(0.0, 2.0 / 3.0, True, False),
         image=Interval(0.0, SHALLOW_FOLD_XI, True, False),
-        inverse_kind="cubic_shallow_1",
         snap_hi=True,
         psi_fn=lambda xi: _shallow_trig_root(xi, 2),
     )
@@ -268,7 +223,6 @@ def shallow_water() -> DensityModel:
         orientation="type2",
         q_interval=Interval(2.0 / 3.0, 2.0, False, False),
         image=Interval(0.0, SHALLOW_FOLD_XI, False, False),
-        inverse_kind="cubic_shallow_2",
         snap_lo=True,
         snap_hi=True,
         psi_fn=lambda xi: _shallow_trig_root(xi, 1),
@@ -279,7 +233,6 @@ def shallow_water() -> DensityModel:
         orientation="type1",
         q_interval=Interval(2.0, _INF, False, False),
         image=Interval(0.0, _INF, False, False),
-        inverse_kind="cubic_shallow_3",
         nonphysical=True,
         snap_lo=True,
         psi_fn=_shallow_root_upper,
@@ -313,7 +266,6 @@ def caustic(tau: float) -> DensityModel:
         orientation="type1",
         q_interval=Interval(t2, _INF, True, False),
         image=Interval(0.0, _INF, True, False),
-        inverse_kind="analytic_caustic_shadow",
         psi_fn=lambda xi: xi + t2,
     )
     # the image is taken closed at tau^2: psi -> 0 there and w = 0 by the
@@ -324,7 +276,6 @@ def caustic(tau: float) -> DensityModel:
         orientation="type2",
         q_interval=Interval(0.0, t2, False, True),
         image=Interval(0.0, t2, True, True),
-        inverse_kind="analytic_caustic_light",
         psi_fn=lambda xi: t2 - xi,
     )
     return DensityModel(
@@ -595,7 +546,6 @@ def _detect_branches(qs, dphi, rvals, phi_arr, dphi_arr, open_end: bool, name: s
                 orientation="type1" if increasing else "type2",
                 q_interval=Interval(qa, qb, lo_c, hi_c),
                 image=image,
-                inverse_kind="numeric",
                 nonphysical=bool(np.isfinite(rho_mid) and rho_mid < 0.0),
                 snap_lo=np.isfinite(image.lo) and np.isfinite(qb if not increasing else qa),
                 snap_hi=np.isfinite(image.hi) and np.isfinite(qa if not increasing else qb),

@@ -153,16 +153,6 @@ class DriveBatch:
     bad: np.ndarray
 
 
-@dataclass
-class DriveSample:
-    a: np.ndarray
-    xi: float
-    jacobian: np.ndarray
-    grad_xi: np.ndarray
-    laplacian_f: Optional[float]
-    defined: bool
-
-
 def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d.dim:
@@ -215,19 +205,6 @@ def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
     xi = np.einsum("ni,ni->n", a, a)
     grad_xi = 2.0 * np.einsum("nij,ni->nj", jac, a)
     return DriveBatch(a=a, xi=xi, jac=jac, grad_xi=grad_xi, laplacian_f=lap, bad=bad)
-
-
-def drive_at(d: DriveField, point: Sequence[float]) -> DriveSample:
-    batch = drive_batch(d, np.asarray(point, dtype=float)[None, :])
-    has_lap = isinstance(d, (Scalar2D, GradientDrive))
-    return DriveSample(
-        a=batch.a[0].copy(),
-        xi=float(batch.xi[0]),
-        jacobian=batch.jac[0].copy(),
-        grad_xi=batch.grad_xi[0].copy(),
-        laplacian_f=float(batch.laplacian_f[0]) if has_lap else None,
-        defined=not bool(batch.bad[0]),
-    )
 
 
 def range_sigma(d: DriveField, grid) -> Interval:

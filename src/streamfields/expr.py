@@ -76,15 +76,6 @@ class Expression:
         return to_string(self)
 
 
-@dataclass
-class Jet2:
-    """Second-order jet: value, gradient and (symmetric) Hessian at a point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
 class JetBatch:
     """Jets over N points: val (N,), grad (N,m), hess (N,m,m), bad (N,)."""
 
@@ -449,14 +440,6 @@ def eval_jets(e: Expression, points: np.ndarray, params: Optional[Mapping[str, f
         out.bad |= ~np.isfinite(out.grad).all(axis=1)
         out.bad |= ~np.isfinite(out.hess).all(axis=(1, 2))
     return out
-
-
-def eval_jet2(e: Expression, point: Sequence[float], params: Optional[Mapping[str, float]] = None) -> Optional[Jet2]:
-    """Evaluate at one point; returns None where the expression is undefined."""
-    jets = eval_jets(e, np.asarray(point, dtype=float)[None, :], params)
-    if jets.bad[0]:
-        return None
-    return Jet2(float(jets.val[0]), jets.grad[0].copy(), jets.hess[0].copy())
 
 
 def eval_values(e: Expression, points: np.ndarray, params: Optional[Mapping[str, float]] = None) -> np.ndarray:

@@ -89,12 +89,6 @@ class FormValues:
     grads: Optional[dict]  # multi-index -> (N, n) coefficient gradients
     bad: np.ndarray
 
-    def norm_sq(self) -> np.ndarray:
-        out = np.zeros(self.bad.shape)
-        for vals in self.coeffs.values():
-            out = out + vals ** 2
-        return out
-
     def as_matrix(self) -> np.ndarray:
         """(N, C(n,k)) coefficient matrix, columns in lexicographic index order."""
         keys = multi_indices(self.n, self.k)

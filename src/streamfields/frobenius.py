@@ -45,7 +45,6 @@ class FrobeniusWitness:
     evaluator: Callable[[np.ndarray], np.ndarray]  # points -> G rows
     grid: Optional[GridSpec] = None
     curl_residual: Optional[np.ndarray] = None  # filled by curl_residual_grid
-    eta: Optional[np.ndarray] = None
 
 
 def _core(model: DensityModel, d: DriveField, sol: FieldSolution, pts: np.ndarray, kind: str):
@@ -285,10 +284,8 @@ def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
         )
 
     post = _post_exactness(witness, grid, mask, eta)
-    result = EtaRecovery(eta=eta, anchor=start, curl_gate=gate, loop_max=loop_max,
-                         post_residual=post, mask=mask)
-    witness.eta = eta
-    return result
+    return EtaRecovery(eta=eta, anchor=start, curl_gate=gate, loop_max=loop_max,
+                       post_residual=post, mask=mask)
 
 
 def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray,

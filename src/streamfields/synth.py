@@ -9,7 +9,7 @@ bitset of singular/admissibility flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -154,18 +154,6 @@ class FieldSolution:
     @property
     def defined(self) -> np.ndarray:
         return np.isfinite(self.w).all(axis=1)
-
-    def regime_names(self) -> np.ndarray:
-        return np.asarray(REGIME_NAMES, dtype=object)[self.regime]
-
-
-@dataclass
-class PointRecord:
-    w: np.ndarray
-    Q: float
-    regime: str
-    branch_id: int
-    flags: int
 
 
 def _branch_snap(b: PhiBranch, tol: Tolerances) -> float:
@@ -321,14 +309,3 @@ def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
         raise SynthError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     return synthesize_at_points(model, d, policy, grid.points(), tol=tol, grid=grid)
 
-
-def synthesize_point(model: DensityModel, d: DriveField, policy: BranchPolicy,
-                     point: Sequence[float], tol: Optional[Tolerances] = None) -> PointRecord:
-    sol = synthesize_at_points(model, d, policy, np.asarray(point, dtype=float)[None, :], tol=tol)
-    return PointRecord(
-        w=sol.w[0].copy(),
-        Q=float(sol.Q[0]),
-        regime=REGIME_NAMES[sol.regime[0]],
-        branch_id=int(sol.branch_id[0]),
-        flags=int(sol.flags[0]),
-    )

@@ -105,6 +105,126 @@ def test_forms_box_is_checked_before_the_closure_check(tmp_path, capsys, monkeyp
         assert seen == [used]
 
 
+# Tiny-grid base configs for the config probe: (subcommand, config, the keys it
+# reads).  Every key of config._KEYS is read by at least one base.
+_PROBE_GRID = {"lo": [0.2, 0.2], "hi": [0.8, 0.8], "cells": [4, 4]}
+_PROBE_SCALAR = {"kind": "scalar", "f": "x1^2 * x2^3 / 8", "params": {}}
+PROBE_BASES = {
+    "synth": ("synth", {
+        "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
+        "policy": {"mode": "prefer_type1", "allow_nonphysical": False},
+        "tol": {"eps_phi_prime": 1e-6, "eps_rho": 1e-6, "eps_grad": 1e-8, "q_zero": 1e-12,
+                "rho_zero": 1e-12, "xi_snap": 1e-12},
+        "output": {"dir": "out", "json": True},
+    }, ("density.kind", "drive.kind", "drive.f", "drive.params", "grid.lo", "grid.hi",
+        "grid.cells", "policy.mode", "policy.allow_nonphysical", "tol.eps_phi_prime",
+        "tol.eps_rho", "tol.eps_grad", "tol.q_zero", "tol.rho_zero", "tol.xi_snap",
+        "output.dir", "output.json")),
+    "caustic": ("synth", {
+        "density": {"kind": "caustic", "tau": 1.0}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
+    }, ("density.tau",)),
+    "custom": ("synth", {
+        "density": {"kind": "custom", "rho": "1", "q_min": 0.0, "q_max": 16.0, "name": "unit"},
+        "drive": {"kind": "gradient", "dim": 2, "f": "x1"}, "grid": _PROBE_GRID,
+    }, ("density.rho", "density.q_min", "density.q_max", "density.name", "drive.dim")),
+    "builtin": ("synth", {
+        "density": {"kind": "shallow_water"},
+        "drive": {"kind": "builtin", "name": "shallow_vortex", "R": 1.0}, "grid": _PROBE_GRID,
+    }, ("drive.name", "drive.R")),
+    "skew": ("synth", {
+        "density": {"kind": "shallow_water"},
+        "drive": {"kind": "skew", "dim": 3, "entries": {"12": "x3 / 4", "23": "x1 / 4"}},
+        "grid": {"lo": [0.2, 0.2, 0.2], "hi": [0.8, 0.8, 0.8], "cells": [2, 2, 2]},
+    }, ("drive.entries", "drive.dim")),
+    "raw": ("synth", {
+        "density": {"kind": "shallow_water"},
+        "drive": {"kind": "raw", "dim": 2, "components": ["-x2 / 4", "x1 / 4"],
+                  "closure": "divergence_free", "box": [[0.2, 0.2], [0.8, 0.8]], "params": {}},
+        "grid": _PROBE_GRID,
+    }, ("drive.components", "drive.closure", "drive.box", "drive.dim", "drive.params")),
+    "single": ("synth", {
+        "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
+        "policy": {"mode": "single_branch", "branch": 1},
+    }, ("policy.branch",)),
+    "region": ("synth", {
+        "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
+        "policy": {"mode": "region_map", "regions": [["0.5 - x1", 1]], "default": 1},
+    }, ("policy.regions", "policy.default")),
+    "frobenius": ("frobenius", {
+        "density": {"kind": "shallow_water"},
+        "drive": {"kind": "builtin", "name": "shallow_vortex", "R": 1.0},
+        "grid": {"lo": [-1.35, -1.35], "hi": [1.35, 1.35], "cells": [48, 48]},
+        "policy": {"mode": "prefer_type2", "allow_nonphysical": True},
+        "tol": {"eps_phi_prime": 1e-3},
+        "frobenius": {"witness": "2d", "recover_eta": True, "anchor": [1.1, 0.0],
+                      "mask": "(x1^2 + x2^2 - 1) * (1.8 - x1^2 - x2^2)",
+                      "tol_conservative": 1e-3},
+    }, ("frobenius.witness", "frobenius.recover_eta", "frobenius.anchor",
+        "frobenius.tol_conservative", "frobenius.mask")),
+    "forms": ("forms", {
+        "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
+        "forms": dict(CLOSED_FORM, params={}, box=[[0.2, 0.2], [0.8, 0.8]], gamma=True),
+    }, ("forms.n", "forms.k", "forms.coeffs", "forms.params", "forms.closed", "forms.box",
+        "forms.gamma")),
+    "verify": ("verify", {
+        "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
+        "verify": {"residuals": ["divergence"], "threshold": 1.0, "energy": True,
+                   "mask": "1"},
+    }, ("verify.residuals", "verify.threshold", "verify.energy", "verify.mask")),
+}
+# json.dump writes Infinity and NaN as json.load reads them
+PROBE_VALUES = (None, float("inf"), float("nan"), "abc", [], [[0, 0]], {}, True)
+PROBE_CASES = [(base, key) for base, (_, _, keys) in PROBE_BASES.items() for key in keys]
+
+
+def _probe(tmp_path, command, cfg):
+    """Run one config through main; the exit code, or the exception that escaped."""
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    try:
+        return main([command, "--config", "cfg.json"])
+    except (Exception, SystemExit) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_config_probe_covers_every_key_and_every_base_runs(tmp_path, monkeypatch, capsys):
+    covered = {key for _, key in PROBE_CASES}
+    assert covered == {f"{sec}.{key}" for sec, keys in cfgmod._KEYS.items() for key in keys}
+    monkeypatch.chdir(tmp_path)
+    for name, (command, cfg, _) in PROBE_BASES.items():
+        assert _probe(tmp_path, command, cfg) == 0, name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("base, key", PROBE_CASES, ids=[f"{b}-{k}" for b, k in PROBE_CASES])
+def test_config_probe_every_value_of_every_key_exits_cleanly(tmp_path, monkeypatch, capsys,
+                                                            base, key):
+    command, cfg, _ = PROBE_BASES[base]
+    section, name = key.split(".")
+    monkeypatch.chdir(tmp_path)
+    bad = []
+    for value in PROBE_VALUES:
+        probe = copy.deepcopy(cfg)
+        probe.setdefault(section, {})[name] = value
+        outcome = _probe(tmp_path, command, probe)
+        if outcome not in (0, 2, 3, 4):
+            bad.append(f"{json.dumps(value)}: {outcome}")
+    capsys.readouterr()
+    assert bad == []
+
+
+def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["unit-density"])
+    for out in ("", str(taken)):
+        cfg["output"]["dir"] = out
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "config error:" in capsys.readouterr().err
+    assert main(["synth", "--example", "unit-density", "--out", str(taken)]) == 2
+    assert "config error: cannot create output directory" in capsys.readouterr().err
+
+
 def test_threads_below_one_exit_2(tmp_path, capsys):
     assert main(["synth", "--example", "unit-density", "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2

@@ -7,7 +7,6 @@ from streamfields import (
     DriveError,
     coord_names,
     coulomb,
-    drive_at,
     drive_batch,
     gradient_drive,
     radial_class,
@@ -140,11 +139,12 @@ def test_radial_class_builds_scalar_drive():
         radial_class("x1", "x1^2")
 
 
-def test_drive_at_single_point():
+def test_drive_batch_single_point():
     d = scalar_drive("x1*x2")
-    s = drive_at(d, [2.0, 3.0])
-    np.testing.assert_allclose(s.a, [-2.0, 3.0])
-    assert s.xi == pytest.approx(13.0)
+    batch = drive_batch(d, np.array([2.0, 3.0])[None])
+    np.testing.assert_allclose(batch.a[0], [-2.0, 3.0])
+    assert batch.xi[0] == pytest.approx(13.0)
+    assert not batch.bad[0]
 
 
 def test_undefined_points_marked_bad():

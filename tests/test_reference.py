@@ -37,3 +37,36 @@ def test_artifacts_match_the_benchmark_reference(op, tmp_path, capsys):
     rc = main(op.argv(out))
     capsys.readouterr()
     assert bench.check_op(op, rc, out, REFERENCE) == []
+
+
+# One op per subcommand, small enough for tier-1, that together reach the
+# traced witness, eta, forms, singular-set and residual layers.
+TRACED_OPS = [Op("synth", "unit-density"), Op("singular", "caustic-tau1"),
+              Op("frobenius", "shallow-annulus-eta"), Op("forms", "form-21"),
+              Op("verify", "born-infeld-fund")]
+
+
+def test_traced_ops_match_the_reference_and_the_tracer_restores_every_name(tmp_path, capsys):
+    """`perfbench/run.py --trace 1` wraps library names by namespace: a deleted
+    name breaks `install`, a wrapper whose counter no longer fits its call
+    breaks an op, and `uninstall` must leave every name as the library's own."""
+    from streamfields import cli
+    from tracer import Tracer, summarize
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert not tracer.restored()
+        results = [bench.run_op(cli, op, str(tmp_path / str(i)), tracer, i)
+                   for i, op in enumerate(TRACED_OPS)]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.restored()
+    for i, (op, (_, rc, _)) in enumerate(zip(TRACED_OPS, results)):
+        assert bench.check_op(op, rc, str(tmp_path / str(i)), REFERENCE) == [], op.key
+    layers = summarize(tracer.spans)
+    for name in ("synth.synthesize", "singular.classify_solution", "frobenius.witness",
+                 "frobenius.recover_eta", "forms.gamma_witness", "verify.residual",
+                 "cli.write_csv", "density.psi", "expr.eval_jets"):
+        assert layers[name]["calls"] > 0, name

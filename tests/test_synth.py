@@ -26,7 +26,6 @@ from streamfields import (
     single_branch,
     synthesize,
     synthesize_at_points,
-    synthesize_point,
 )
 
 
@@ -201,13 +200,19 @@ def test_grid_dimension_mismatch_raises():
         synthesize(m, d, prefer_type1(), GridSpec((0, 0), (1, 1), (4, 4)))
 
 
-def test_synthesize_point_matches_batch():
+def test_one_row_matches_the_same_row_of_a_batch(rng):
     m = shallow_water()
     d = shallow_vortex(1.0)
-    rec = synthesize_point(m, d, prefer_type1(), [0.3, 0.2])
-    sol = synthesize_at_points(m, d, prefer_type1(), np.array([[0.3, 0.2]]))
-    np.testing.assert_array_equal(rec.w, sol.w[0])
-    assert rec.Q == sol.Q[0]
+    pts = np.vstack([rng.uniform(-1.2, 1.2, (40, 2)), [[0.3, 0.2]]])
+    batch = synthesize_at_points(m, d, prefer_type1(), pts)
+    for i in (0, 17, len(pts) - 1):
+        one = synthesize_at_points(m, d, prefer_type1(), pts[i][None])
+        np.testing.assert_array_equal(one.w[0], batch.w[i])
+        np.testing.assert_array_equal(one.Q[0], batch.Q[i])
+        np.testing.assert_array_equal(one.xi[0], batch.xi[i])
+        assert one.regime[0] == batch.regime[i]
+        assert one.branch_id[0] == batch.branch_id[i]
+        assert one.flags[0] == batch.flags[i]
 
 
 def test_determinism_bitwise(rng):
