@@ -28,8 +28,10 @@ from streamfields import (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=int, default=192, help="coarsest cells per axis")
-    ap.add_argument("--levels", type=int, default=3, help="refinement levels")
+    ap.add_argument("--levels", type=int, default=3, help="refinement levels (at least 3)")
     args = ap.parse_args()
+    if args.levels < 3:
+        ap.error(f"--levels must be at least 3 for the order fit, got {args.levels}")
 
     model = extremal()
     d = radial_log()

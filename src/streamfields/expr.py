@@ -2,9 +2,17 @@
 
 Expressions are written over declared coordinate variables (``x1..x4``, with
 ``x``/``y``/``z`` accepted as aliases for the first three) or over ``Q`` for
-density laws, plus named parameters bound at evaluation time.  Evaluation
-produces value, gradient and Hessian simultaneously via hyper-dual ("jet")
-arithmetic, either at a single point or vectorized over a batch of points.
+density laws, plus named parameters bound at evaluation time.  ``parse``
+refuses expressions nested deeper than ``MAX_DEPTH`` levels.
+
+``eval_jets`` lowers an expression once to a flat tape with one entry per
+distinct ``(op, child entries)``, so a repeated subexpression is computed
+once.  The tape runs over blocks of ``BLOCK_ROWS`` points.  Each entry holds
+a hyper-dual ("jet") value for the block, stored component-major: value
+(B,), gradient (m, B) and the upper triangle of the symmetric Hessian
+(m(m+1)/2, B).  Every rule keeps the terms of the hyper-dual formula and
+their order, so a point's jet does not depend on the block it falls in
+(only the sign of a NaN may, as in any numpy loop).
 Domain failures (``log`` of a nonpositive number, division by zero, ``abs``
 differentiated at zero, ...) mark the affected points undefined instead of
 raising.
@@ -12,8 +20,11 @@ raising.
 
 from __future__ import annotations
 
+import math
 import re
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -22,6 +33,15 @@ FUNCTIONS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs")
 
 # x/y/z are interchangeable with the numbered coordinate names.
 ALIASES = {"x": "x1", "y": "x2", "z": "x3"}
+
+# Deepest expression parse accepts: tree levels, and open parentheses, calls,
+# unary minuses and exponents.  Keeps every recursive walk of a tree (the
+# parser, to_string, substitute, dataclass equality) far inside Python's
+# recursion limit.
+MAX_DEPTH = 100
+
+# Points per pass through the tape: one block's jets stay in cache.
+BLOCK_ROWS = 2**13
 
 
 class ExpressionError(ValueError):
@@ -75,6 +95,10 @@ class Expression:
     def __str__(self) -> str:
         return to_string(self)
 
+    @cached_property
+    def _tape(self) -> list:
+        return _lower(self.root)
+
 
 class JetBatch:
     """Jets over N points: val (N,), grad (N,m), hess (N,m,m), bad (N,)."""
@@ -118,7 +142,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive-descent parser: ^ (right assoc) > unary minus > * / > + -."""
+    """Recursive-descent parser: ^ (right assoc) > unary minus > * / > + -.
+
+    Each rule returns ``(node, depth)``.  ``nesting`` counts the open
+    parentheses, calls, unary minuses and exponents on the way down, so the
+    parser's own recursion stops at MAX_DEPTH as well as the tree's depth.
+    """
 
     def __init__(self, text: str, variables: Sequence[str], parameters: Sequence[str]):
         self.text = text
@@ -126,6 +155,7 @@ class _Parser:
         self.pos = 0
         self.variables = tuple(variables)
         self.parameters = tuple(parameters)
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -141,52 +171,66 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}", off)
         return self.advance()
 
+    @staticmethod
+    def bounded(depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return depth
+
     def parse(self) -> Node:
-        node = self.sum()
+        node, _ = self.sum()
         kind, value, off = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected trailing input {value!r}", off)
         return node
 
-    def sum(self) -> Node:
-        node = self.term()
+    def sum(self) -> tuple[Node, int]:
+        node, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, off = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = Binary(value, node, self.term())
+                right, rdepth = self.term()
+                node, depth = Binary(value, node, right), self.bounded(1 + max(depth, rdepth), off)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, depth = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, off = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = Binary(value, node, self.factor())
+                right, rdepth = self.factor()
+                node, depth = Binary(value, node, right), self.bounded(1 + max(depth, rdepth), off)
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> Node:
-        kind, value, _ = self.peek()
+    def factor(self) -> tuple[Node, int]:
+        kind, value, off = self.peek()
+        self.nesting = self.bounded(self.nesting + 1, off)
         if kind == "op" and value == "-":
             self.advance()
-            return Unary("neg", self.factor())
-        return self.power()
+            arg, depth = self.factor()
+            node, depth = Unary("neg", arg), self.bounded(depth + 1, off)
+        else:
+            node, depth = self.power()
+        self.nesting -= 1
+        return node, depth
 
-    def power(self) -> Node:
-        base = self.atom()
-        kind, value, _ = self.peek()
+    def power(self) -> tuple[Node, int]:
+        base, depth = self.atom()
+        kind, value, off = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return Binary("^", base, self.factor())
-        return base
+            exponent, edepth = self.factor()
+            return Binary("^", base, exponent), self.bounded(1 + max(depth, edepth), off)
+        return base, depth
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         kind, value, off = self.advance()
         if kind == "num":
-            return Const(float(value))
+            return Const(float(value)), 1
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
@@ -196,14 +240,14 @@ class _Parser:
                 ck, cv, coff = self.peek()
                 if ck == "op" and cv == ")":
                     raise ExpressionError("empty function argument", coff)
-                arg = self.sum()
+                arg, depth = self.sum()
                 self.expect_op(")")
-                return Unary(value, arg)
-            return self.resolve_name(value, off)
+                return Unary(value, arg), self.bounded(depth + 1, off)
+            return self.resolve_name(value, off), 1
         if kind == "op" and value == "(":
-            node = self.sum()
+            inner = self.sum()
             self.expect_op(")")
-            return node
+            return inner
         raise ExpressionError(f"unexpected token {value!r}" if value else "unexpected end of input", off)
 
     def resolve_name(self, name: str, off: int) -> Node:
@@ -228,7 +272,7 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def _emit(node: Node, parent_prec: int) -> str:
     if isinstance(node, Const):
-        text = repr(node.value)
+        text = repr(node.value) if node.value != math.inf else "1e999"
         return f"({text})" if node.value < 0 and parent_prec > 1 else text
     if isinstance(node, Var):
         return node.name
@@ -241,9 +285,10 @@ def _emit(node: Node, parent_prec: int) -> str:
             return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
         return f"{node.op}({_emit(node.arg, 0)})"
     prec = _PRECEDENCE[node.op]
-    # Emit non-associative operands one level tighter so evaluation order survives.
+    # Emit the operand on the side the parser does not group one level tighter,
+    # so the tree survives: floating-point + and * are not associative either.
     left = _emit(node.left, prec if node.op != "^" else prec + 1)
-    right = _emit(node.right, prec + 1 if node.op in "-/" else prec)
+    right = _emit(node.right, prec + 1 if node.op != "^" else prec)
     text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
     return f"({text})" if prec < parent_prec else text
 
@@ -269,164 +314,229 @@ def substitute(e: Expression, name: str, replacement: Expression) -> Expression:
     return Expression(walk(e.root), replacement.variables, params)
 
 
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return _contains_var(node.arg)
-    if isinstance(node, Binary):
-        return _contains_var(node.left) or _contains_var(node.right)
-    return False
+_LEAVES = ("const", "var", "param")
 
 
-def _const_batch(n: int, m: int, value) -> JetBatch:
-    return JetBatch(
-        np.full(n, value, dtype=float),
-        np.zeros((n, m)),
-        np.zeros((n, m, m)),
-        np.zeros(n, dtype=bool),
-    )
+def _lower(root: Node) -> list:
+    """Post-order tape of ``root``: one ``(op, a, b)`` entry per distinct op
+    and child entries, children first and the root last.  A leaf carries its
+    constant's bits, variable index or parameter name in ``a``.  The walk
+    keeps its own stack and keys nodes by identity, so neither the walk nor
+    the hashing recurses through the tree."""
+    code: list = []
+    varying: list = []
+    entry: dict = {}
+    done: dict = {}
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        if not ready and isinstance(node, (Unary, Binary)):
+            stack.append((node, True))
+            children = (node.arg,) if isinstance(node, Unary) else (node.right, node.left)
+            stack += [(child, False) for child in children]
+            continue
+        if isinstance(node, Const):
+            # by bit pattern, so 0.0 and -0.0 stay two entries
+            op, var = ("const", struct.pack("<d", node.value), None), False
+        elif isinstance(node, Var):
+            op, var = ("var", node.index, None), True
+        elif isinstance(node, Param):
+            op, var = ("param", node.name, None), False
+        elif isinstance(node, Unary):
+            a = done[id(node.arg)]
+            op, var = (node.op, a, None), varying[a]
+        else:
+            a, b = done[id(node.left)], done[id(node.right)]
+            name = node.op if node.op != "^" else ("pow_var" if varying[b] else "pow_const")
+            op, var = (name, a, b), varying[a] or varying[b]
+        if op not in entry:
+            entry[op] = len(code)
+            code.append(op)
+            varying.append(var)
+        done[id(node)] = entry[op]
+    return code
 
 
-def _outer_sym(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
-    return ga[:, :, None] * gb[:, None, :] + gb[:, :, None] * ga[:, None, :]
+def _leaf_jets(code: list, params: Mapping[str, float], rows: int, m: int) -> dict:
+    """Jets of the leaf entries over ``rows`` points.  Constants and parameters
+    are full arrays with zero derivatives; a variable's value is filled in per
+    block.  Parameters are looked up in tape order."""
+    zero_grad, zero_tri = np.zeros((m, rows)), np.zeros((m * (m + 1) // 2, rows))
+    ok = np.zeros(rows, dtype=bool)
+    leaves = {}
+    for i, (op, a, _) in enumerate(code):
+        if op == "const":
+            leaves[i] = (np.full(rows, struct.unpack("<d", a)[0]), zero_grad, zero_tri, ok)
+        elif op == "param":
+            if a not in params:
+                raise KeyError(f"unbound parameter {a!r}")
+            leaves[i] = (np.full(rows, float(params[a])), zero_grad, zero_tri, ok)
+        elif op == "var":
+            unit = np.zeros((m, rows))
+            unit[a] = 1.0
+            leaves[i] = (None, unit, zero_tri, ok)
+    return leaves
 
 
-def _chain(u: JetBatch, val, d1, d2, bad_extra=None) -> JetBatch:
-    grad = d1[:, None] * u.grad
-    hess = d1[:, None, None] * u.hess + d2[:, None, None] * (u.grad[:, :, None] * u.grad[:, None, :])
-    bad = u.bad.copy()
-    if bad_extra is not None:
-        bad |= bad_extra
-    return JetBatch(val, grad, hess, bad)
+def _tri(ga, gb):
+    """Upper triangle of the outer product ga_i gb_j, row by row."""
+    m = ga.shape[0]
+    out = np.empty((m * (m + 1) // 2, ga.shape[1]))
+    k = 0
+    for i in range(m):
+        np.multiply(ga[i], gb[i:], out=out[k:k + m - i])
+        k += m - i
+    return out
 
 
-def _eval(node: Node, pts: np.ndarray, params: Mapping[str, float]) -> JetBatch:
-    n, m = pts.shape
-    if isinstance(node, Const):
-        return _const_batch(n, m, node.value)
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise KeyError(f"unbound parameter {node.name!r}")
-        return _const_batch(n, m, float(params[node.name]))
-    if isinstance(node, Var):
-        out = _const_batch(n, m, 0.0)
-        out.val = pts[:, node.index].astype(float, copy=True)
-        out.grad[:, node.index] = 1.0
+def _outer(ga, gb):
+    """Upper triangle of ga gb^T + gb ga^T."""
+    out = _tri(ga, gb)
+    out += _tri(gb, ga)
+    return out
+
+
+def _through(u, val, d1, d2, bad):
+    """Jet of f(u) from f(u), f'(u) and f''(u)."""
+    g, h = u[1], u[2]
+    gg = _tri(g, g)
+    np.multiply(d2, gg, out=gg)
+    hess = d1 * h
+    hess += gg
+    return val, d1 * g, hess, u[3] if bad is None else u[3] | bad
+
+
+def _moving(u):
+    """Points where any first or second derivative of u is nonzero (and none is NaN)."""
+    return np.abs(u[1]).sum(axis=0) + np.abs(u[2]).sum(axis=0) > 0.0
+
+
+def _unary(op: str, u):
+    v = u[0]
+    if op == "neg":
+        return -v, -u[1], -u[2], u[3]
+    if op == "sin":
+        return _through(u, np.sin(v), np.cos(v), -np.sin(v), None)
+    if op == "cos":
+        return _through(u, np.cos(v), -np.sin(v), -np.cos(v), None)
+    if op == "exp":
+        ev = np.exp(v)
+        return _through(u, ev, ev, ev, None)
+    if op == "log":
+        return _through(u, np.log(v), 1.0 / v, -1.0 / v**2, v <= 0.0)
+    if op == "sqrt":
+        bad = v < 0.0
+        # sqrt(0) is fine only where the argument is locally constant.
+        at_zero = v == 0.0
+        moving = _moving(u)
+        bad = bad | (at_zero & moving)
+        sv = np.sqrt(np.where(v < 0, np.nan, v))
+        out = _through(u, sv, 0.5 / sv, -0.25 / (sv * v), bad)
+        still = at_zero & ~moving
+        if np.any(still):
+            out[1][:, still] = 0.0
+            out[2][:, still] = 0.0
         return out
-    if isinstance(node, Unary):
-        u = _eval(node.arg, pts, params)
-        if node.op == "neg":
-            return JetBatch(-u.val, -u.grad, -u.hess, u.bad)
-        if node.op == "sin":
-            return _chain(u, np.sin(u.val), np.cos(u.val), -np.sin(u.val))
-        if node.op == "cos":
-            return _chain(u, np.cos(u.val), -np.sin(u.val), -np.cos(u.val))
-        if node.op == "exp":
-            ev = np.exp(u.val)
-            return _chain(u, ev, ev, ev)
-        if node.op == "log":
-            bad = u.val <= 0.0
-            return _chain(u, np.log(u.val), 1.0 / u.val, -1.0 / u.val**2, bad)
-        if node.op == "sqrt":
-            bad = u.val < 0.0
-            # sqrt(0) is fine only where the argument is locally constant.
-            at_zero = u.val == 0.0
-            moving = np.abs(u.grad).sum(axis=1) + np.abs(u.hess).sum(axis=(1, 2)) > 0.0
-            bad = bad | (at_zero & moving)
-            sv = np.sqrt(np.where(u.val < 0, np.nan, u.val))
-            d1 = 0.5 / sv
-            d2 = -0.25 / (sv * u.val)
-            out = _chain(u, sv, d1, d2, bad)
-            if np.any(at_zero & ~moving):
-                idx = at_zero & ~moving
-                out.grad[idx] = 0.0
-                out.hess[idx] = 0.0
-            return out
-        if node.op == "abs":
-            bad = u.val == 0.0
-            s = np.sign(u.val)
-            return _chain(u, np.abs(u.val), s, np.zeros(n), bad)
-        raise AssertionError(node.op)
-    # Binary
-    a = _eval(node.left, pts, params)
-    if node.op == "^":
-        return _pow(a, node, pts, params)
-    b = _eval(node.right, pts, params)
-    bad = a.bad | b.bad
-    if node.op == "+":
-        return JetBatch(a.val + b.val, a.grad + b.grad, a.hess + b.hess, bad)
-    if node.op == "-":
-        return JetBatch(a.val - b.val, a.grad - b.grad, a.hess - b.hess, bad)
-    if node.op == "*":
-        val = a.val * b.val
-        grad = a.val[:, None] * b.grad + b.val[:, None] * a.grad
-        hess = a.val[:, None, None] * b.hess + b.val[:, None, None] * a.hess + _outer_sym(a.grad, b.grad)
-        return JetBatch(val, grad, hess, bad)
-    if node.op == "/":
-        bad = bad | (b.val == 0.0)
-        val = a.val / b.val
-        grad = (a.grad - val[:, None] * b.grad) / b.val[:, None]
-        hess = (a.hess - val[:, None, None] * b.hess - _outer_sym(grad, b.grad)) / b.val[:, None, None]
-        return JetBatch(val, grad, hess, bad)
-    raise AssertionError(node.op)
+    if op == "abs":
+        return _through(u, np.abs(v), np.sign(v), np.zeros(v.shape[0]), v == 0.0)
+    raise AssertionError(op)
 
 
-def _pow(a: JetBatch, node: Binary, pts: np.ndarray, params: Mapping[str, float]) -> JetBatch:
-    b = _eval(node.right, pts, params)
-    if not _contains_var(node.right):
-        # Constant exponent: power rule covers negative bases for integer p.
-        p = b.val
-        p0 = p.flat[0] if p.size else 0.0
-        if p0 == 0.0:
-            out = _const_batch(*pts.shape, 1.0)
-            out.bad |= a.bad
-            return out
-        if p0 == 1.0:
-            return a
-        integral = float(p0).is_integer()
-        bad = a.bad.copy()
-        if not integral:
-            bad |= a.val < 0.0
-        val = np.power(np.abs(a.val), p) if integral else np.power(np.where(a.val < 0, np.nan, a.val), p)
-        if integral:
-            val = val * np.where((a.val < 0) & (int(p0) % 2 == 1), -1.0, 1.0)
-        at_zero = a.val == 0.0
-        if np.any(at_zero):
-            bad |= at_zero & (p <= 0)
-            if p0 < 2.0 and p0 != 1.0 and p0 > 0:
-                moving = np.abs(a.grad).sum(axis=1) + np.abs(a.hess).sum(axis=(1, 2)) > 0.0
-                bad |= at_zero & moving
-        with np.errstate(all="ignore"):
-            d1 = p * _signed_pow(a.val, p - 1.0, integral)
-            d2 = p * (p - 1.0) * _signed_pow(a.val, p - 2.0, integral)
-            d1 = np.where(at_zero & (p >= 2.0), 0.0, d1)
-            d2 = np.where(at_zero & (p >= 3.0), 0.0, d2)
-            d2 = np.where(at_zero & (p == 2.0), 2.0, d2)
-        return _chain(a, val, d1, d2, bad)
-    # Variable exponent: a^b = exp(b log a), requires a > 0.
-    bad = a.bad | b.bad | (a.val <= 0.0)
-    with np.errstate(all="ignore"):
-        la = np.log(np.where(a.val <= 0, np.nan, a.val))
-        val = np.exp(b.val * la)
-        ga = a.grad / a.val[:, None]
-        gl = b.grad * la[:, None] + b.val[:, None] * ga
-        hl = (
-            b.hess * la[:, None, None]
-            + _outer_sym(b.grad, ga)
-            + b.val[:, None, None] * (a.hess / a.val[:, None, None] - ga[:, :, None] * ga[:, None, :])
-        )
-        grad = val[:, None] * gl
-        hess = val[:, None, None] * (hl + gl[:, :, None] * gl[:, None, :])
-    return JetBatch(val, grad, hess, bad)
+def _binary(op: str, a, b):
+    if op == "pow_const":
+        return _pow_const(a, b[0])
+    av, ag, ah, ak = a
+    bv, bg, bh, bk = b
+    bad = ak | bk
+    if op == "+":
+        return av + bv, ag + bg, ah + bh, bad
+    if op == "-":
+        return av - bv, ag - bg, ah - bh, bad
+    if op == "*":
+        grad = av * bg
+        grad += bv * ag
+        hess = av * bh
+        hess += bv * ah
+        hess += _outer(ag, bg)
+        return av * bv, grad, hess, bad
+    if op == "/":
+        bad |= bv == 0.0
+        val = av / bv
+        grad = val * bg
+        np.subtract(ag, grad, out=grad)
+        grad /= bv
+        hess = val * bh
+        np.subtract(ah, hess, out=hess)
+        hess -= _outer(grad, bg)
+        hess /= bv
+        return val, grad, hess, bad
+    if op == "pow_var":
+        # a^b = exp(b log a), requires a > 0.
+        bad |= av <= 0.0
+        la = np.log(np.where(av <= 0, np.nan, av))
+        val = np.exp(bv * la)
+        ga = ag / av
+        gl = bg * la + bv * ga
+        hl = bh * la + _outer(bg, ga) + bv * (ah / av - _tri(ga, ga))
+        return val, val * gl, val * (hl + _tri(gl, gl)), bad
+    raise AssertionError(op)
 
 
-def _signed_pow(base: np.ndarray, p: np.ndarray, integral: bool) -> np.ndarray:
+def _pow_const(a, p):
+    """a^p for an exponent without variables (``p`` is its full array, one
+    value throughout): the power rule, with negative bases allowed for
+    integral p.  Sign flips are applied only for odd powers and the at-zero
+    fixes only where a is zero; a factor of 1.0 or a select of nothing changes
+    no bit, so skipping them is exact."""
+    av, ak = a[0], a[3]
+    p0 = float(p[0])
+    if p0 == 0.0:
+        return np.full(av.shape[0], 1.0), np.zeros(a[1].shape), np.zeros(a[2].shape), ak
+    if p0 == 1.0:
+        return a
+    integral = p0.is_integer()
+    bad = ak.copy()
+    if not integral:
+        bad |= av < 0.0
+    val = _signed_pow(av, p, p0, integral)
+    d1 = p * _signed_pow(av, p - 1.0, p0 - 1.0, integral)
+    d2 = p * (p - 1.0) * _signed_pow(av, p - 2.0, p0 - 2.0, integral)
+    at_zero = av == 0.0
+    if np.any(at_zero):
+        bad |= at_zero & (p <= 0)
+        if 0 < p0 < 2.0:
+            bad |= at_zero & _moving(a)
+        d1 = np.where(at_zero & (p >= 2.0), 0.0, d1)
+        d2 = np.where(at_zero & (p >= 3.0), 0.0, d2)
+        d2 = np.where(at_zero & (p == 2.0), 2.0, d2)
+    return _through(a, val, d1, d2, bad)
+
+
+def _signed_pow(base: np.ndarray, p: np.ndarray, p0: float, integral: bool) -> np.ndarray:
+    """base^p, NaN for negative base unless p is integral, negative for odd p
+    and negative base; ``p`` holds p0 throughout."""
     if not integral:
         return np.power(np.where(base < 0, np.nan, base), p)
     mag = np.power(np.abs(base), p)
-    odd = np.mod(np.abs(p), 2.0) == 1.0
-    return mag * np.where((base < 0) & odd, -1.0, 1.0)
+    return mag * np.where(base < 0, -1.0, 1.0) if abs(p0) % 2.0 == 1.0 else mag
+
+
+def _run(code: list, leaves: dict, pts: np.ndarray) -> tuple:
+    """Jet of the tape's root over one block of points."""
+    rows = pts.shape[0]
+    slots: list = []
+    for i, (op, a, b) in enumerate(code):
+        if op in _LEAVES:
+            val, grad, tri, ok = leaves[i]
+            val = pts[:, a].copy() if op == "var" else val[:rows]
+            slots.append((val, grad[:, :rows], tri[:, :rows], ok[:rows]))
+        elif b is None:
+            slots.append(_unary(op, slots[a]))
+        else:
+            slots.append(_binary(op, slots[a], slots[b]))
+    return slots[-1]
 
 
 def eval_jets(e: Expression, points: np.ndarray, params: Optional[Mapping[str, float]] = None) -> JetBatch:
@@ -434,11 +544,26 @@ def eval_jets(e: Expression, points: np.ndarray, params: Optional[Mapping[str, f
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(e.variables):
         raise ValueError(f"expected points of shape (N, {len(e.variables)})")
+    n, m = pts.shape
+    rows = max(1, min(n, BLOCK_ROWS))
+    leaves = _leaf_jets(e._tape, params or {}, rows, m)
+    # the packed upper-triangle row of each dense Hessian entry (i, j)
+    ti, tj = np.triu_indices(m)
+    packed = np.empty((m, m), dtype=np.intp)
+    packed[ti, tj] = packed[tj, ti] = np.arange(ti.size)
+    out = JetBatch(np.empty(n), np.empty((n, m)), np.empty((n, m, m)), np.empty(n, dtype=bool))
     with np.errstate(all="ignore"):
-        out = _eval(e.root, pts, params or {})
-        out.bad = out.bad | ~np.isfinite(out.val)
-        out.bad |= ~np.isfinite(out.grad).all(axis=1)
-        out.bad |= ~np.isfinite(out.hess).all(axis=(1, 2))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            val, grad, tri, bad = _run(e._tape, leaves, pts[block])
+            out.val[block] = val
+            out.grad[block] = grad.T
+            out.hess[block] = tri[packed].transpose(2, 0, 1)
+            # IEEE + and * commute, so the triangle is finite iff the full Hessian is.
+            bad = bad | ~np.isfinite(val)
+            bad |= ~np.isfinite(grad).all(axis=0)
+            bad |= ~np.isfinite(tri).all(axis=0)
+            out.bad[block] = bad
     return out
 
 

@@ -212,6 +212,36 @@ def test_config_probe_every_value_of_every_key_exits_cleanly(tmp_path, monkeypat
     assert bad == []
 
 
+DEEP_EXPRESSIONS = {
+    "3000-term-sum": " + ".join(["x1"] * 3000),
+    "3000-unary-minuses": "-" * 3000 + "x1",
+    "3000-nested-parentheses": "(" * 3000 + "x1" + ")" * 3000,
+}
+
+
+@pytest.mark.parametrize("text", DEEP_EXPRESSIONS.values(), ids=DEEP_EXPRESSIONS.keys())
+def test_config_probe_deep_drive_expression_exits_2(tmp_path, monkeypatch, capsys, text):
+    command, cfg, _ = PROBE_BASES["synth"]
+    probe = copy.deepcopy(cfg)
+    probe["drive"]["f"] = text
+    monkeypatch.chdir(tmp_path)
+    assert _probe(tmp_path, command, probe) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
+def test_patching_convergence_refuses_fewer_than_three_levels():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "patching_convergence.py"),
+         "--base", "8", "--levels", "2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "--levels must be at least 3" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory")

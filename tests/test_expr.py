@@ -122,3 +122,402 @@ def test_round_trip_through_str(p, x):
     v1 = expr.eval_jets(e, np.array([[x]]), {"p": p}).val[0]
     v2 = expr.eval_jets(e2, np.array([[x]]), {"p": p}).val[0]
     assert v1 == pytest.approx(v2, rel=1e-14, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The recursive evaluator the tape replaced, kept as the oracle: it walks the
+# tree on every call and builds dense (N, m, m) Hessians at every node.  The
+# tape must agree with it bit for bit (int64 views) on every input.
+
+
+def _oracle_const(n, m, value):
+    return expr.JetBatch(np.full(n, value, dtype=float), np.zeros((n, m)), np.zeros((n, m, m)),
+                         np.zeros(n, dtype=bool))
+
+
+def _oracle_outer_sym(ga, gb):
+    return ga[:, :, None] * gb[:, None, :] + gb[:, :, None] * ga[:, None, :]
+
+
+def _oracle_chain(u, val, d1, d2, bad_extra=None):
+    grad = d1[:, None] * u.grad
+    hess = d1[:, None, None] * u.hess + d2[:, None, None] * (u.grad[:, :, None] * u.grad[:, None, :])
+    bad = u.bad.copy()
+    if bad_extra is not None:
+        bad |= bad_extra
+    return expr.JetBatch(val, grad, hess, bad)
+
+
+def _oracle_contains_var(node):
+    if isinstance(node, expr.Var):
+        return True
+    if isinstance(node, expr.Unary):
+        return _oracle_contains_var(node.arg)
+    if isinstance(node, expr.Binary):
+        return _oracle_contains_var(node.left) or _oracle_contains_var(node.right)
+    return False
+
+
+def _oracle_signed_pow(base, p, integral):
+    if not integral:
+        return np.power(np.where(base < 0, np.nan, base), p)
+    mag = np.power(np.abs(base), p)
+    odd = np.mod(np.abs(p), 2.0) == 1.0
+    return mag * np.where((base < 0) & odd, -1.0, 1.0)
+
+
+def _oracle_eval(node, pts, params):
+    n, m = pts.shape
+    if isinstance(node, expr.Const):
+        return _oracle_const(n, m, node.value)
+    if isinstance(node, expr.Param):
+        if node.name not in params:
+            raise KeyError(f"unbound parameter {node.name!r}")
+        return _oracle_const(n, m, float(params[node.name]))
+    if isinstance(node, expr.Var):
+        out = _oracle_const(n, m, 0.0)
+        out.val = pts[:, node.index].astype(float, copy=True)
+        out.grad[:, node.index] = 1.0
+        return out
+    if isinstance(node, expr.Unary):
+        u = _oracle_eval(node.arg, pts, params)
+        if node.op == "neg":
+            return expr.JetBatch(-u.val, -u.grad, -u.hess, u.bad)
+        if node.op == "sin":
+            return _oracle_chain(u, np.sin(u.val), np.cos(u.val), -np.sin(u.val))
+        if node.op == "cos":
+            return _oracle_chain(u, np.cos(u.val), -np.sin(u.val), -np.cos(u.val))
+        if node.op == "exp":
+            ev = np.exp(u.val)
+            return _oracle_chain(u, ev, ev, ev)
+        if node.op == "log":
+            bad = u.val <= 0.0
+            return _oracle_chain(u, np.log(u.val), 1.0 / u.val, -1.0 / u.val**2, bad)
+        if node.op == "sqrt":
+            bad = u.val < 0.0
+            at_zero = u.val == 0.0
+            moving = np.abs(u.grad).sum(axis=1) + np.abs(u.hess).sum(axis=(1, 2)) > 0.0
+            bad = bad | (at_zero & moving)
+            sv = np.sqrt(np.where(u.val < 0, np.nan, u.val))
+            d1 = 0.5 / sv
+            d2 = -0.25 / (sv * u.val)
+            out = _oracle_chain(u, sv, d1, d2, bad)
+            if np.any(at_zero & ~moving):
+                idx = at_zero & ~moving
+                out.grad[idx] = 0.0
+                out.hess[idx] = 0.0
+            return out
+        if node.op == "abs":
+            bad = u.val == 0.0
+            s = np.sign(u.val)
+            return _oracle_chain(u, np.abs(u.val), s, np.zeros(n), bad)
+        raise AssertionError(node.op)
+    a = _oracle_eval(node.left, pts, params)
+    if node.op == "^":
+        return _oracle_pow(a, node, pts, params)
+    b = _oracle_eval(node.right, pts, params)
+    bad = a.bad | b.bad
+    if node.op == "+":
+        return expr.JetBatch(a.val + b.val, a.grad + b.grad, a.hess + b.hess, bad)
+    if node.op == "-":
+        return expr.JetBatch(a.val - b.val, a.grad - b.grad, a.hess - b.hess, bad)
+    if node.op == "*":
+        val = a.val * b.val
+        grad = a.val[:, None] * b.grad + b.val[:, None] * a.grad
+        hess = (a.val[:, None, None] * b.hess + b.val[:, None, None] * a.hess
+                + _oracle_outer_sym(a.grad, b.grad))
+        return expr.JetBatch(val, grad, hess, bad)
+    if node.op == "/":
+        bad = bad | (b.val == 0.0)
+        val = a.val / b.val
+        grad = (a.grad - val[:, None] * b.grad) / b.val[:, None]
+        hess = (a.hess - val[:, None, None] * b.hess - _oracle_outer_sym(grad, b.grad)) / b.val[:, None, None]
+        return expr.JetBatch(val, grad, hess, bad)
+    raise AssertionError(node.op)
+
+
+def _oracle_pow(a, node, pts, params):
+    b = _oracle_eval(node.right, pts, params)
+    if not _oracle_contains_var(node.right):
+        p = b.val
+        p0 = p.flat[0] if p.size else 0.0
+        if p0 == 0.0:
+            out = _oracle_const(*pts.shape, 1.0)
+            out.bad |= a.bad
+            return out
+        if p0 == 1.0:
+            return a
+        integral = float(p0).is_integer()
+        bad = a.bad.copy()
+        if not integral:
+            bad |= a.val < 0.0
+        val = np.power(np.abs(a.val), p) if integral else np.power(np.where(a.val < 0, np.nan, a.val), p)
+        if integral:
+            val = val * np.where((a.val < 0) & (int(p0) % 2 == 1), -1.0, 1.0)
+        at_zero = a.val == 0.0
+        if np.any(at_zero):
+            bad |= at_zero & (p <= 0)
+            if p0 < 2.0 and p0 != 1.0 and p0 > 0:
+                moving = np.abs(a.grad).sum(axis=1) + np.abs(a.hess).sum(axis=(1, 2)) > 0.0
+                bad |= at_zero & moving
+        with np.errstate(all="ignore"):
+            d1 = p * _oracle_signed_pow(a.val, p - 1.0, integral)
+            d2 = p * (p - 1.0) * _oracle_signed_pow(a.val, p - 2.0, integral)
+            d1 = np.where(at_zero & (p >= 2.0), 0.0, d1)
+            d2 = np.where(at_zero & (p >= 3.0), 0.0, d2)
+            d2 = np.where(at_zero & (p == 2.0), 2.0, d2)
+        return _oracle_chain(a, val, d1, d2, bad)
+    bad = a.bad | b.bad | (a.val <= 0.0)
+    with np.errstate(all="ignore"):
+        la = np.log(np.where(a.val <= 0, np.nan, a.val))
+        val = np.exp(b.val * la)
+        ga = a.grad / a.val[:, None]
+        gl = b.grad * la[:, None] + b.val[:, None] * ga
+        hl = (
+            b.hess * la[:, None, None]
+            + _oracle_outer_sym(b.grad, ga)
+            + b.val[:, None, None] * (a.hess / a.val[:, None, None] - ga[:, :, None] * ga[:, None, :])
+        )
+        grad = val[:, None] * gl
+        hess = val[:, None, None] * (hl + gl[:, :, None] * gl[:, None, :])
+    return expr.JetBatch(val, grad, hess, bad)
+
+
+def oracle_jets(e, points, params=None):
+    pts = np.asarray(points, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _oracle_eval(e.root, pts, params or {})
+        out.bad = out.bad | ~np.isfinite(out.val)
+        out.bad |= ~np.isfinite(out.grad).all(axis=1)
+        out.bad |= ~np.isfinite(out.hess).all(axis=(1, 2))
+    return out
+
+
+def _bits(x):
+    """int64 view with every NaN as the one np.nan: numpy's loops give a NaN
+    the sign of either operand depending on whether the element falls in the
+    vector body or the scalar tail, so NaN bits follow the array position,
+    not the formula (and callers replace values at bad points with NaN)."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+def assert_same_bits(got, want, label=""):
+    for name in ("val", "grad", "hess"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.dtype == w.dtype == np.float64, (label, name)
+        np.testing.assert_array_equal(_bits(g), _bits(w), err_msg=f"{label} {name}")
+    assert got.bad.dtype == want.bad.dtype == np.bool_, label
+    np.testing.assert_array_equal(got.bad, want.bad, err_msg=f"{label} bad")
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, -3.0, np.inf, -np.inf, np.nan,
+                    5e-324, -1e-300, 1e300, -1e300])
+
+
+def sample_points(rng, n, lo, hi, special_share=0.2):
+    """Uniform points in [lo, hi] with about special_share of the coordinates
+    replaced by signed zeros, integers, halves, infinities, NaN and extremes."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    pts = rng.uniform(lo, hi, size=(n, lo.size))
+    pick = rng.random(pts.shape) < special_share
+    pts[pick] = rng.choice(SPECIAL, size=int(pick.sum()))
+    return pts
+
+
+def shipped_expressions():
+    """(label, Expression, params, lo, hi): every expression the built-in
+    examples evaluate (drives, region predicates, masks, form coefficients,
+    density laws), the built-in drive library, and one radial_class composition."""
+    from streamfields import config, drive
+
+    found = {}
+
+    def add(label, e, params, lo, hi):
+        found.setdefault((expr.to_string(e), e.variables), (label, e, dict(params), lo, hi))
+
+    for name in sorted(config.EXAMPLES):
+        cfg = config.example_config(name)
+        grid = config.build_grid(cfg)
+        lo, hi = grid.lo, grid.hi
+        dim = len(lo)
+        d = config.build_drive(cfg)
+        drive_exprs = {"f": getattr(d, "f", None),
+                       **{f"skew{k}": v for k, v in getattr(d, "entries", {}).items()},
+                       **{f"alpha{i}": v for i, v in enumerate(getattr(d, "alpha", ()))}}
+        for key, e in drive_exprs.items():
+            if e is not None:
+                add(f"{name}:drive.{key}", e, d.params, lo, hi)
+        policy = config.build_policy(cfg, dim)
+        for i, (pred, _) in enumerate(policy.regions):
+            add(f"{name}:region{i}", pred, policy.params, lo, hi)
+        for section in ("frobenius", "verify"):
+            text = getattr(cfg, section).get("mask")
+            if text:
+                add(f"{name}:{section}.mask", expr.parse(text, drive.coord_names(dim)), {}, lo, hi)
+        if cfg.forms:
+            form, _, params, _ = config.build_form(cfg, dim)
+            for key, e in form.coeffs.items():
+                add(f"{name}:forms{key}", e, params, lo, hi)
+        if cfg.density.get("rho"):
+            q_max = cfg.density.get("q_max", 4.0)
+            add(f"{name}:density.rho", expr.parse(cfg.density["rho"], ("Q",)), {}, (0.0,), (q_max,))
+    box2, box3 = ((-2.0, -2.0), (2.0, 2.0)), ((-2.0,) * 3, (2.0,) * 3)
+    add("RADIAL_LOG_F", drive.radial_log().f, {}, *box2)
+    add("SHALLOW_VORTEX_F", drive.shallow_vortex(4.0).f, {"R": 4.0}, *box2)
+    add("COULOMB_F", drive.coulomb().f, {}, *box3)
+    add("radial_class", drive.radial_class("log(t) * sqrt(t)", "x^2 + 4*y^2").f, {}, *box2)
+    return list(found.values())
+
+
+SHIPPED = shipped_expressions()
+
+
+def edge_expressions(m):
+    """Domain edges over m variables: a is x1, b is the last variable."""
+    names = tuple(f"x{i + 1}" for i in range(m))
+    a, b = names[0], names[-1]
+    texts = [
+        f"sqrt({a})", f"abs({a})", f"log({a})", f"sqrt({a}*{b})", f"sqrt({a}^2)", f"sqrt(0*{a})",
+        f"sqrt({a} - {a})", f"abs({a} - {a})", f"log({a} - {a})", f"-sqrt(-{b})",
+        f"{a}^0", f"{a}^1", f"{a}^2", f"{a}^3", f"{a}^-1", f"{a}^-2", f"{a}^0.5", f"{a}^1.5",
+        f"{a}^2.5", f"{a}^-0.5", f"(0*{a})^0.5", f"(0*{a})^1.5", f"(0*{a})^-1", f"({a}-{a})^2",
+        f"(-2)^{a}", f"{a}^{b}", f"{a}^({b}/2)", f"(1+{a}^2)^{b}", f"2^{a}^{b}",
+        f"{a}/0", f"0/{a}", f"{a}/{b}", f"{a}/({a}-{a})", f"-{a}/{b}^2",
+        f"p^{a}", f"{a}^p", f"p*{a} + {b}/p", f"sqrt(p + {a})", f"log(p)*{b}",
+        f"exp({a})*sin({b})/cos({a})", f"--{a}*-{b}", f"exp(-{a}^2 - {b}^2)",
+        " * ".join(names) + f" + sin({' + '.join(names)})",
+        f"sqrt({' + '.join(n + '^2' for n in names)})",
+    ]
+    return [expr.parse(t, names, ("p",)) for t in texts]
+
+
+EDGE_PARAMS = (2.0, 0.5, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 3.0)
+SMALL_BLOCK = 61
+SIZES = (0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 7)
+
+
+@pytest.mark.parametrize("label, e, params, lo, hi", SHIPPED, ids=[s[0] for s in SHIPPED])
+def test_tape_matches_the_recursive_oracle_on_shipped_expressions(monkeypatch, label, e, params, lo, hi):
+    monkeypatch.setattr(expr, "BLOCK_ROWS", SMALL_BLOCK)
+    rng = np.random.default_rng(7)
+    for n in SIZES:
+        pts = sample_points(rng, n, lo, hi)
+        assert_same_bits(expr.eval_jets(e, pts, params), oracle_jets(e, pts, params), f"{label} N={n}")
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_tape_matches_the_recursive_oracle_on_domain_edges(monkeypatch, m):
+    monkeypatch.setattr(expr, "BLOCK_ROWS", SMALL_BLOCK)
+    rng = np.random.default_rng(11 + m)
+    for e in edge_expressions(m):
+        for p in EDGE_PARAMS:
+            for n in SIZES:
+                pts = sample_points(rng, n, [-3.0] * m, [3.0] * m, special_share=0.4)
+                assert_same_bits(expr.eval_jets(e, pts, {"p": p}), oracle_jets(e, pts, {"p": p}),
+                                 f"{expr.to_string(e)} p={p} N={n}")
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_tape_matches_the_recursive_oracle_at_the_default_block_size(m):
+    B = expr.BLOCK_ROWS
+    rng = np.random.default_rng(23 + m)
+    exprs = [s[1:3] for s in SHIPPED if len(s[1].variables) == m and not s[0].endswith("mask")]
+    exprs += [(e, {"p": 0.5}) for e in edge_expressions(m)[::7]]
+    for e, params in exprs:
+        for n in (B - 1, B, B + 1, 3 * B + 7):
+            pts = sample_points(rng, n, [-2.0] * m, [2.0] * m, special_share=0.05)
+            assert_same_bits(expr.eval_jets(e, pts, params), oracle_jets(e, pts, params),
+                             f"{expr.to_string(e)} N={n}")
+
+
+def test_tape_computes_each_repeated_subexpression_once():
+    from streamfields.drive import RADIAL_LOG_F
+
+    code = expr.parse(RADIAL_LOG_F, X2)._tape
+    ops = [op for op, _, _ in code]
+    assert ops.count("sqrt") == 1
+    assert ops.count("abs") == 1
+    assert len(code) == len(set(code))
+
+
+def test_constants_keep_the_sign_of_zero_apart():
+    product = expr.Binary("*", expr.Const(-0.0), expr.Var(0, "x1"))
+    e = expr.Expression(expr.Binary("+", expr.Const(0.0), product), ("x1",))
+    assert sum(op == "const" for op, _, _ in e._tape) == 2
+    pts = np.array([[2.0], [-2.0]])
+    assert_same_bits(expr.eval_jets(e, pts), oracle_jets(e, pts))
+
+
+def test_unbound_parameter_raises_in_evaluation_order():
+    e = expr.parse("x1 + b*a", ("x1",), ("a", "b"))
+    with pytest.raises(KeyError, match="'b'"):
+        expr.eval_jets(e, np.zeros((0, 1)))
+    with pytest.raises(KeyError, match="'a'"):
+        expr.eval_jets(e, np.zeros((3, 1)), {"b": 1.0})
+
+
+def test_parse_bounds_the_depth_of_deep_expressions():
+    limit = expr.MAX_DEPTH
+    for shape in (lambda k: "-" * k + "x1",
+                  lambda k: " + ".join(["x1"] * (k + 1)),
+                  lambda k: "(" * k + "x1" + ")" * k,
+                  lambda k: "sin(" * k + "x1" + ")" * k,
+                  lambda k: "x1^" * k + "2"):
+        expr.parse(shape(limit - 1), X2)
+        for k in (limit, 200, 3000):
+            with pytest.raises(expr.ExpressionError, match="nested deeper than"):
+                expr.parse(shape(k), X2)
+
+
+# ---------------------------------------------------------------------------
+# property tests: random trees through to_string -> parse, and arbitrary text
+
+
+def _trees(m):
+    names = tuple(f"x{i + 1}" for i in range(m))
+    leaves = st.one_of(
+        st.sampled_from([expr.Var(i, name) for i, name in enumerate(names)]),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]).map(expr.Const),
+        st.floats(0.0, 1e6, allow_nan=False).map(lambda v: expr.Const(abs(v))),
+        st.just(expr.Param("p")),
+    )
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(expr.Unary, st.sampled_from(expr.FUNCTIONS), kids),
+        st.builds(expr.Binary, st.sampled_from("+-*/^"), kids, kids),
+    ), max_leaves=10)
+
+
+@st.composite
+def _tree_cases(draw):
+    m = draw(st.integers(1, 4))
+    root = draw(_trees(m))
+    coords = st.one_of(st.sampled_from(list(SPECIAL)), st.floats(-4.0, 4.0, allow_nan=False))
+    pts = draw(st.lists(st.lists(coords, min_size=m, max_size=m), min_size=1, max_size=12))
+    p = draw(st.one_of(st.sampled_from(EDGE_PARAMS), st.floats(-4.0, 4.0, allow_nan=False)))
+    return root, tuple(f"x{i + 1}" for i in range(m)), np.array(pts, dtype=float), p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tree_cases())
+def test_random_trees_round_trip_and_match_the_oracle(case):
+    root, names, pts, p = case
+    text = expr.to_string(expr.Expression(root, names, ("p",)))
+    e = expr.parse(text, names, ("p",))
+    assert e.root == root
+    assert_same_bits(expr.eval_jets(e, pts, {"p": p}), oracle_jets(e, pts, {"p": p}), text)
+
+
+_EXPR_ALPHABET = "x1234yzpQ.eE+-*/^() sincoexplgqrtab_0"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.text(alphabet=_EXPR_ALPHABET, max_size=40), st.text(max_size=20)))
+def test_parse_of_arbitrary_text_raises_only_expression_error(text):
+    try:
+        e = expr.parse(text, ("x1", "x2"), ("p",))
+    except expr.ExpressionError:
+        return
+    again = expr.parse(expr.to_string(e), ("x1", "x2"), ("p",))
+    assert again.root == e.root
+    pts = np.array([[0.5, -1.0], [0.0, 2.0]])
+    assert_same_bits(expr.eval_jets(e, pts, {"p": 1.5}), oracle_jets(e, pts, {"p": 1.5}), text)
