@@ -77,7 +77,7 @@ def main() -> None:
     asol = synthesize_at_points(model, d, prefer_type1(), apts,
                                 tol=Tolerances(eps_phi_prime=1e-3))
     t = (apts ** 2).sum(axis=1)
-    defect = minor_defect_with(model, d, asol, 2.0 * apts / t[:, None])
+    defect = minor_defect_with(asol, 2.0 * apts / t[:, None])
     print(f"witness defect for G = (2x/t, 2y/t) on t in [{t.min():.3f}, {t.max():.3f}]: "
           f"{np.nanmax(defect):.3e}")
 

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -39,14 +38,9 @@ from .drive import DriveError, coord_names
 from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
-from .synth import (
-    FieldSolution,
-    GridSpec,
-    REGIME_NAMES,
-    SynthError,
-    synthesize,
-    synthesize_at_points,
-)
+from .synth import FieldSolution, GridSpec, REGIME_NAMES, SynthError, synthesize
+# Not called here; perfbench/tracer.py wraps this module-level name.
+from .synth import synthesize_at_points  # noqa: F401
 from .verify import VerifyError
 
 EXIT_OK = 0
@@ -142,23 +136,7 @@ def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int) -> FieldSoluti
         raise ConfigError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
-    workers = _workers(threads, grid.npoints())
-    if workers <= 1:
-        return synthesize(model, d, policy, grid, tol=tol)
-    pts = grid.points()
-    blocks = np.array_split(np.arange(pts.shape[0]), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda idx: synthesize_at_points(model, d, policy, pts[idx], tol=tol), blocks))
-    return FieldSolution(
-        grid=grid, model=model, drive=d, policy=policy, tol=tol, points=pts,
-        w=np.concatenate([p.w for p in parts], axis=0),
-        Q=np.concatenate([p.Q for p in parts]),
-        xi=np.concatenate([p.xi for p in parts]),
-        regime=np.concatenate([p.regime for p in parts]),
-        branch_id=np.concatenate([p.branch_id for p in parts]),
-        flags=np.concatenate([p.flags for p in parts]),
-    )
+    return synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
 
 
 def _empty_message(sol: FieldSolution) -> str:
@@ -260,11 +238,11 @@ def _witness_for(choice: str, sol: FieldSolution):
         else:
             choice = "nd"
     if choice == "2d":
-        return frobmod.witness_2d(sol.model, d, sol)
+        return frobmod.witness_2d(sol)
     if choice == "nd":
-        return frobmod.witness_nd(sol.model, d, sol)
+        return frobmod.witness_nd(sol)
     if choice == "gradient":
-        return frobmod.witness_gradient(sol.model, d, sol)
+        return frobmod.witness_gradient(sol)
     raise ConfigError(f"unknown frobenius.witness {choice!r}")
 
 
@@ -311,6 +289,7 @@ def cmd_frobenius(args) -> int:
             "curl_gate": float(rec.curl_gate),
             "loop_max": float(rec.loop_max),
             "post_residual": float(rec.post_residual),
+            "unreached": rec.unreached,
         }
     _write_json(os.path.join(out, "frobenius.json"), summary)
     return EXIT_OK

@@ -294,7 +294,9 @@ def _emit(node: Node, parent_prec: int) -> str:
 
 
 def to_string(e: Expression) -> str:
-    """Pretty-print; re-parsing the result evaluates identically."""
+    """Pretty-print.  Re-parsing the text of a tree that `parse` made gives the
+    same tree.  No text parses to a negative `Const`: one built in code comes
+    back as ``neg(...)``, whose derivatives may carry -0.0 where it had 0.0."""
     return _emit(e.root, 0)
 
 

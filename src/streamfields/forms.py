@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as exprmod
 from .density import DensityModel
 from .drive import coord_names
-from .synth import BranchPolicy, Tolerances, _assemble
+from .synth import BranchPolicy, Tolerances, _assemble, log_rho_gradient
 
 
 class FormError(ValueError):
@@ -368,12 +368,9 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
         defect[p] = float(np.linalg.norm(A[p] @ sol_p - b[p]))
         rank_def[p] = rank < min(n, nrows)
 
-    Q = sol.Q
     rho_c = sol.rho_c
-    phi_p = model.phi_prime(Q)
-    rho_p = model.rho_prime(Q)
+    glr, rho_usable = log_rho_gradient(model, sol.Q, rho_c, sol.grad_xi, tol)
     with np.errstate(all="ignore"):
-        glr = (rho_p / (rho_c * phi_p))[:, None] * sol.grad_xi
         Gamma = Gamma1 - glr
         # d(omega) = [d*df - dlogrho ^ *df] / rho, then compare with Gamma ^ omega
         d_omega = {}
@@ -384,14 +381,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
         fro = np.zeros(npts)
         for key in d_omega:
             fro = np.maximum(fro, np.abs(d_omega[key] - wedge_gam.coeffs[key]))
-    defined = (
-        usable
-        & np.isfinite(Gamma).all(axis=1)
-        & np.isfinite(rho_c)
-        & (np.abs(rho_c) >= tol.rho_zero)
-        & np.isfinite(phi_p)
-        & (np.abs(phi_p) >= tol.eps_phi_prime)
-    )
+    defined = usable & np.isfinite(Gamma).all(axis=1) & rho_usable
     Gamma[~defined] = np.nan
     fro = np.where(defined, fro, np.nan)
     defect = np.where(usable, defect, np.nan)

@@ -7,6 +7,11 @@ g = M a / |a|^2 (M_ij = d_i a_j - d_j a_i) plus the chain-rule term
 -grad log rho(psi(xi)).  The defining defects here are analytic (jet-based);
 the verify module redoes them with finite differences.
 
+A witness reads Q and the branch from the FieldSolution it is given and
+evaluates the drive once more on its points, for the jacobian; at other points
+(explicit ones, or the Gauss points of eta recovery) it synthesizes first, so
+the drive is evaluated twice per point.
+
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
 breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
@@ -22,9 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .density import DensityModel
-from .drive import DriveField, GradientDrive, RawField, Scalar2D, SkewMatrix, drive_batch
-from .synth import FieldSolution, GridSpec, Tolerances, synthesize_at_points
+from .drive import DriveBatch, GradientDrive, RawField, Scalar2D, drive_batch
+from .synth import FieldSolution, GridSpec, log_rho_gradient, synthesize_at_points
 from .verify import closure_residual, curl_max, interior
 
 
@@ -47,18 +51,24 @@ class FrobeniusWitness:
     curl_residual: Optional[np.ndarray] = None  # filled by curl_residual_grid
 
 
-def _core(model: DensityModel, d: DriveField, sol: FieldSolution, pts: np.ndarray, kind: str):
+def _at(sol: FieldSolution, points: Optional[np.ndarray]) -> tuple:
+    """The solution and the drive batch at `points`; None means the points of
+    `sol` itself, where only the drive is evaluated again."""
+    if points is None:
+        return sol, drive_batch(sol.drive, sol.points)
+    pts = np.asarray(points, dtype=float)
+    local = synthesize_at_points(sol.model, sol.drive, sol.policy, pts, tol=sol.tol)
+    return local, drive_batch(sol.drive, pts)
+
+
+def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> tuple:
+    """Witness terms at the points of `sol`: Q and branch come from `sol`, the
+    drive and its jacobian from `batch`, evaluated at the same points."""
     tol = sol.tol
-    local = synthesize_at_points(model, d, sol.policy, pts, tol=tol)
-    batch = drive_batch(d, pts)
     a, jac, xi = batch.a, batch.jac, batch.xi
-    Q = local.Q
-    rho_c = model.rho(Q)
-    rho_p = model.rho_prime(Q)
-    phi_p = model.phi_prime(Q)
+    rho_c = sol.model.rho(sol.Q)
+    glr, usable = log_rho_gradient(sol.model, sol.Q, rho_c, batch.grad_xi, tol)
     with np.errstate(all="ignore"):
-        # grad log rho(psi(xi)) by the chain rule through the branch inverse
-        glr = (rho_p / (rho_c * phi_p))[:, None] * batch.grad_xi
         w = a / rho_c[:, None]
         if kind == "minor":
             M = np.swapaxes(jac, 1, 2) - jac  # M[i][j] = d_i a_j - d_j a_i
@@ -72,11 +82,8 @@ def _core(model: DensityModel, d: DriveField, sol: FieldSolution, pts: np.ndarra
         G1 = -g
     defined = (
         ~batch.bad
-        & (local.branch_id != 0)
-        & np.isfinite(rho_c)
-        & (np.abs(rho_c) >= tol.rho_zero)
-        & np.isfinite(phi_p)
-        & (np.abs(phi_p) >= tol.eps_phi_prime)
+        & (sol.branch_id != 0)
+        & usable
         & (np.sqrt(np.maximum(xi, 0.0)) > tol.eps_grad)
         & np.isfinite(glr).all(axis=1)
     )
@@ -84,7 +91,7 @@ def _core(model: DensityModel, d: DriveField, sol: FieldSolution, pts: np.ndarra
     for arr in (G, G1, glr, w):
         arr[bad] = np.nan
     solvability = np.where(defined, solvability, np.nan)
-    return local, a, jac, xi, w, rho_c, glr, g, G, G1, solvability, defined
+    return a, jac, w, rho_c, glr, G, G1, solvability, defined
 
 
 def _max_minor(mat: np.ndarray) -> np.ndarray:
@@ -102,7 +109,7 @@ def _defect(kind: str, core: tuple, G) -> np.ndarray:
     """Analytic defining defect of a candidate witness G at the points of
     `core` (the output of _core): max |(curl w - G ^ w)_ij| for minor
     systems, |div w - G . w| for divergence systems; NaN where undefined."""
-    _, a, jac, _, w, rho_c, glr, _, _, _, _, defined = core
+    a, jac, w, rho_c, glr, _, _, _, defined = core
     G = np.asarray(G, dtype=float)
     with np.errstate(all="ignore"):
         if kind == "minor":
@@ -114,61 +121,53 @@ def _defect(kind: str, core: tuple, G) -> np.ndarray:
     return np.where(defined, defect, np.nan)
 
 
-def minor_defect_with(model: DensityModel, d: DriveField, sol: FieldSolution,
-                      G_values: np.ndarray, points: Optional[np.ndarray] = None) -> np.ndarray:
+def minor_defect_with(sol: FieldSolution, G_values: np.ndarray,
+                      points: Optional[np.ndarray] = None) -> np.ndarray:
     """Analytic minor defect of an externally supplied candidate witness."""
-    pts = sol.points if points is None else np.asarray(points, dtype=float)
-    return _defect("minor", _core(model, d, sol, pts, "minor"), G_values)
+    return _defect("minor", _core("minor", *_at(sol, points)), G_values)
 
 
-def _build(model, d, sol, points, kind) -> FrobeniusWitness:
-    if points is None:
-        pts = sol.points
-        grid = sol.grid
-    else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        grid = None
-    core = _core(model, d, sol, pts, kind)
-    G, G1, solv, defined = core[8:]
+def _build(sol: FieldSolution, points, kind: str) -> FrobeniusWitness:
+    if points is not None:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+    local, batch = _at(sol, points)
+    core = _core(kind, local, batch)
+    G, G1, solv, defined = core[5:]
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
-        qpts = np.asarray(qpts, dtype=float)
-        out = _core(model, d, sol, qpts, kind)
-        return out[8]  # G
+        return _core(kind, *_at(sol, qpts))[5]  # G
 
     return FrobeniusWitness(
-        kind=kind, points=pts, G=G, G1=G1,
+        kind=kind, points=local.points, G=G, G1=G1,
         defining_residual=_defect(kind, core, G), solvability_residual=solv,
-        defined=defined, solution=sol, evaluator=evaluator, grid=grid,
+        defined=defined, solution=sol, evaluator=evaluator,
+        grid=sol.grid if points is None else None,
     )
 
 
-def witness_2d(model: DensityModel, d: DriveField, sol: FieldSolution,
-               points: Optional[np.ndarray] = None) -> FrobeniusWitness:
+def witness_2d(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
     """Minor-system witness in the plane (scalar stream or raw divergence-free)."""
+    d = sol.drive
     if not (isinstance(d, Scalar2D) or (isinstance(d, RawField) and d.closure_mode == "divergence_free")):
         raise FrobeniusError("witness_2d needs a scalar stream drive or a divergence-free raw drive")
     if d.dim != 2:
         raise FrobeniusError("witness_2d is 2D only; use witness_nd")
-    return _build(model, d, sol, points, "minor")
+    return _build(sol, points, "minor")
 
 
-def witness_nd(model: DensityModel, d: DriveField, sol: FieldSolution,
-               points: Optional[np.ndarray] = None) -> FrobeniusWitness:
+def witness_nd(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
     """Minor-system witness in any dimension via the least-squares ansatz."""
-    if isinstance(d, GradientDrive):
+    if isinstance(sol.drive, GradientDrive):
         raise FrobeniusError("gradient drives use witness_gradient (divergence-type system)")
-    return _build(model, d, sol, points, "minor")
+    return _build(sol, points, "minor")
 
 
-def witness_gradient(model: DensityModel, d: DriveField, sol: FieldSolution,
-                     points: Optional[np.ndarray] = None) -> FrobeniusWitness:
+def witness_gradient(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
     """Divergence-type witness for curl-free drives: div w = G . w."""
+    d = sol.drive
     if not (isinstance(d, GradientDrive) or (isinstance(d, RawField) and d.closure_mode == "curl_free")):
         raise FrobeniusError("witness_gradient needs a gradient drive or a curl-free raw drive")
-    return _build(model, d, sol, points, "divergence")
+    return _build(sol, points, "divergence")
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +204,7 @@ class EtaRecovery:
     loop_max: float
     post_residual: float
     mask: np.ndarray
+    unreached: int  # masked nodes outside the anchor's component; eta is NaN there
 
 
 def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
@@ -285,7 +285,7 @@ def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
 
     post = _post_exactness(witness, grid, mask, eta)
     return EtaRecovery(eta=eta, anchor=start, curl_gate=gate, loop_max=loop_max,
-                       post_residual=post, mask=mask)
+                       post_residual=post, mask=mask, unreached=int((mask & ~seen).sum()))
 
 
 def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray,

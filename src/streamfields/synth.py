@@ -8,6 +8,7 @@ bitset of singular/admissibility flags.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -304,8 +305,34 @@ def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolic
 
 
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
-               grid: GridSpec, tol: Optional[Tolerances] = None) -> FieldSolution:
+               grid: GridSpec, tol: Optional[Tolerances] = None,
+               workers: int = 1) -> FieldSolution:
+    """Synthesize on every grid node; with workers > 1, in that many blocks on
+    a thread pool, joined in node order (no node's result depends on its block)."""
     if grid.dim != d.dim:
         raise SynthError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
-    return synthesize_at_points(model, d, policy, grid.points(), tol=tol, grid=grid)
+    pts = grid.points()
+    if workers <= 1:
+        return synthesize_at_points(model, d, policy, pts, tol=tol, grid=grid)
+    tol = tol or Tolerances()
+    blocks = np.array_split(np.arange(pts.shape[0]), workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(
+            lambda idx: synthesize_at_points(model, d, policy, pts[idx], tol=tol), blocks))
+    joined = {name: np.concatenate([getattr(p, name) for p in parts])
+              for name in ("w", "Q", "xi", "regime", "branch_id", "flags")}
+    return FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol,
+                         points=pts, **joined)
 
+
+def log_rho_gradient(model: DensityModel, Q: np.ndarray, rho_c: np.ndarray,
+                     grad_xi: np.ndarray, tol: Tolerances) -> tuple:
+    """grad log rho(psi(xi)) = rho' / (rho phi') grad xi, by the chain rule
+    through the branch inverse, with the mask of points where the caller's
+    rho(Q) and phi'(Q) are finite and clear of their zero tolerances."""
+    phi_p = model.phi_prime(Q)
+    with np.errstate(all="ignore"):
+        glr = (model.rho_prime(Q) / (rho_c * phi_p))[:, None] * grad_xi
+    usable = (np.isfinite(rho_c) & (np.abs(rho_c) >= tol.rho_zero)
+              & np.isfinite(phi_p) & (np.abs(phi_p) >= tol.eps_phi_prime))
+    return glr, usable

@@ -228,7 +228,7 @@ def test_criterion_05_shallow_vortex_three_branches():
             asol = synthesize_at_points(model, d, prefer_type1(), apts, tol=WTOL)
             t = (apts ** 2).sum(axis=1)
             G_true = 2.0 * apts / t[:, None]
-            defect = minor_defect_with(model, d, asol, G_true)
+            defect = minor_defect_with(asol, G_true)
             assert np.nanmax(defect) < 1e-9
 
         # erratum: the rescaled G = (2x/t, 2y/t)/sqrt(R) fails at t=1 for R=4
@@ -237,7 +237,7 @@ def test_criterion_05_shallow_vortex_three_branches():
         th = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         cpts = np.stack([np.cos(th), np.sin(th)], axis=1)
         csol = synthesize_at_points(model, d, prefer_type1(), cpts, tol=WTOL)
-        bad = minor_defect_with(model, d, csol, 2.0 * cpts / math.sqrt(R))
+        bad = minor_defect_with(csol, 2.0 * cpts / math.sqrt(R))
         bound = 0.5 * abs(2.0 / math.sqrt(R) - 2.0 / R)
         assert np.nanmin(bad) >= bound - 1e-12
 
@@ -301,7 +301,7 @@ def test_criterion_07_born_infeld_fundamental():
             s = synthesize_at_points(m, d, single_branch(2), p)
             assert np.linalg.norm(s.w[0]) > 100.0
 
-        wit = witness_gradient(m, d, plus)
+        wit = witness_gradient(plus)
         assert np.nanmax(wit.defining_residual) < 1e-8
 
 
@@ -406,7 +406,7 @@ def test_criterion_10_integrating_factor_on_annulus():
         d = shallow_vortex(1.0)
         grid = GridSpec((-1.35, -1.35), (1.35, 1.35), (96, 96))
         sol = synthesize(m, d, prefer_type2(allow_nonphysical=True), grid, tol=WTOL)
-        wit = witness_2d(m, d, sol)
+        wit = witness_2d(sol)
         t = (sol.points ** 2).sum(axis=1).reshape(grid.shape())
         mask = (t >= 1.0) & (t <= 1.8)
         rec = recover_eta(wit, mask=mask)

@@ -340,7 +340,9 @@ def test_summary_json_when_enabled(tmp_path):
     assert summary["regimes"]["elliptic"] == summary["points"]
 
 
-def test_rerun_and_threads_are_byte_identical(tmp_path):
+def test_rerun_and_threads_are_byte_identical(tmp_path, monkeypatch):
+    # two cores at least, so --threads 2 splits the grid on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     outs = []
     for sub, extra in (("a", ()), ("b", ()), ("c", ("--threads", "4"))):
         out = tmp_path / sub
@@ -348,6 +350,20 @@ def test_rerun_and_threads_are_byte_identical(tmp_path):
                      *extra]) == 0
         outs.append((out / "field.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+    # the witness reads Q and branch from a solution that may be built in blocks
+    for command, example, names in (
+            ("frobenius", "shallow-annulus-eta", ("witness.csv", "eta.csv", "frobenius.json")),
+            ("synth", "born-infeld-fund", ("field.csv",))):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{example}-{threads}"
+            assert main([command, "--example", example, "--out", str(out),
+                         "--threads", threads]) == 0
+            outs.append([(out / name).read_bytes() for name in names])
+        assert outs[0] == outs[1], example
+    summary = json.loads((tmp_path / "shallow-annulus-eta-1" / "frobenius.json").read_text())
+    assert summary["eta"]["unreached"] == 0
 
 
 def test_every_builtin_example_synthesizes(tmp_path):
@@ -403,6 +419,7 @@ def test_frobenius_artifacts_with_eta(tmp_path):
     assert eta["curl_gate"] < 1e-6
     assert eta["loop_max"] < 1e-5
     assert eta["post_residual"] < 1e-4
+    assert eta["unreached"] == 0
 
 
 def test_forms_artifacts(tmp_path):

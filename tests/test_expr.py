@@ -507,6 +507,27 @@ def test_random_trees_round_trip_and_match_the_oracle(case):
     assert_same_bits(expr.eval_jets(e, pts, {"p": p}), oracle_jets(e, pts, {"p": p}), text)
 
 
+def test_to_string_round_trips_parsed_trees_but_not_negative_constants():
+    """`parse` reads "-1.0*x1" as neg(1.0) times x1, and that tree prints and
+    parses back to itself.  A Const(-1.0) built in code prints as "(-1.0)*x1",
+    comes back as neg(1.0), and its Hessian then reads -0.0 instead of 0.0."""
+    pts = np.array([[2.0]])
+    parsed = expr.parse("-1.0*x1", ("x1",))
+    again = expr.parse(expr.to_string(parsed), ("x1",))
+    assert again.root == parsed.root
+    assert_same_bits(expr.eval_jets(again, pts), expr.eval_jets(parsed, pts), "parsed")
+
+    built = expr.Expression(expr.Binary("*", expr.Const(-1.0), expr.Var(0, "x1")), ("x1",))
+    text = expr.to_string(built)
+    back = expr.parse(text, ("x1",))
+    assert text == "(-1.0)*x1"
+    assert back.root == parsed.root != built.root
+    jb, jr = expr.eval_jets(built, pts), expr.eval_jets(back, pts)
+    assert jb.val[0] == jr.val[0] == -2.0 and jb.grad[0, 0] == jr.grad[0, 0] == -1.0
+    assert jb.hess[0, 0, 0] == jr.hess[0, 0, 0] == 0.0
+    assert not np.signbit(jb.hess[0, 0, 0]) and np.signbit(jr.hess[0, 0, 0])
+
+
 _EXPR_ALPHABET = "x1234yzpQ.eE+-*/^() sincoexplgqrtab_0"
 
 

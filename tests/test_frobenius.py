@@ -42,7 +42,7 @@ def test_vortex_witness_matches_log_gradient(rng):
         d = shallow_vortex(R)
         pts = annulus_points(rng, 400, 0.35 * np.sqrt(R), 0.7 * np.sqrt(R))
         sol = synthesize_at_points(m, d, prefer_type1(), pts, tol=WTOL)
-        wit = witness_2d(m, d, sol)
+        wit = witness_2d(sol)
         t = (pts**2).sum(axis=1)
         want = 2.0 * pts / t[:, None]
         ok = wit.defined
@@ -58,7 +58,7 @@ def test_vortex_witness_independent_of_R_and_branch(rng):
     d = shallow_vortex(R)
     pts = annulus_points(rng, 300, 1.05 * np.sqrt(2 * R / 3), 0.95 * np.sqrt(2 * R))
     sol = synthesize_at_points(m, d, prefer_type2(), pts, tol=WTOL)
-    wit = witness_2d(m, d, sol)
+    wit = witness_2d(sol)
     t = (pts**2).sum(axis=1)
     ok = wit.defined
     assert ok.sum() > 200
@@ -77,13 +77,13 @@ def test_rescaled_candidate_fails_by_a_computable_margin(rng):
     sol = synthesize_at_points(m, d, prefer_type1(), pts, tol=WTOL)
     t = (pts**2).sum(axis=1)
     G_bad = 2.0 * pts / (t * np.sqrt(R))[:, None]
-    defect = minor_defect_with(m, d, sol, G_bad)
+    defect = minor_defect_with(sol, G_bad)
     bound = 0.5 * abs(2.0 / np.sqrt(R) - 2.0 / R)
     assert np.nanmax(defect) >= bound
     assert np.nanmax(defect) == pytest.approx(0.5, abs=1e-9)
     # while the true G passes at the same points
     G_good = 2.0 * pts / t[:, None]
-    assert np.nanmax(minor_defect_with(m, d, sol, G_good)) < 1e-9
+    assert np.nanmax(minor_defect_with(sol, G_good)) < 1e-9
 
 
 def test_2d_scalar_reduction_is_exact(rng):
@@ -95,7 +95,7 @@ def test_2d_scalar_reduction_is_exact(rng):
     m = extremal()
     pts = rng.uniform(0.2, 1.0, (200, 2))
     sol = synthesize_at_points(m, d, single_branch(1), pts, tol=WTOL)
-    wit = witness_2d(m, d, sol)
+    wit = witness_2d(sol)
     batch = drive_batch(d, pts)
     grad_f = np.stack([batch.a[:, 1], -batch.a[:, 0]], axis=1)
     g = batch.laplacian_f[:, None] * grad_f / batch.xi[:, None]
@@ -110,7 +110,7 @@ def test_born_infeld_fundamental_witness_closed_form(rng):
     d = coulomb()
     rng_pts = rng.uniform(0.7, 1.5, (200, 3))
     sol = synthesize_at_points(m, d, single_branch(1), rng_pts, tol=WTOL)
-    wit = witness_gradient(m, d, sol)
+    wit = witness_gradient(sol)
     r2 = (rng_pts**2).sum(axis=1)
     want = 2.0 * rng_pts / (r2 * (1.0 + r2**2))[:, None]
     ok = wit.defined
@@ -120,7 +120,7 @@ def test_born_infeld_fundamental_witness_closed_form(rng):
 
     inner = rng.uniform(0.25, 0.45, (150, 3))
     sol2 = synthesize_at_points(m, d, single_branch(2), inner, tol=WTOL)
-    wit2 = witness_gradient(m, d, sol2)
+    wit2 = witness_gradient(sol2)
     r2 = (inner**2).sum(axis=1)
     want2 = 2.0 * inner / (r2 * (1.0 - r2**2))[:, None]
     ok2 = wit2.defined
@@ -134,7 +134,7 @@ def test_axisymmetric_3d_solvability_is_tiny(rng):
     d = gradient_drive(3, "1/sqrt(x1^2 + x2^2 + x3^2)")
     pts = rng.uniform(0.6, 1.4, (100, 3))
     sol = synthesize_at_points(m, d, single_branch(1), pts, tol=WTOL)
-    wit = witness_gradient(m, d, sol)
+    wit = witness_gradient(sol)
     assert np.nanmax(wit.solvability_residual) < 1e-12
 
 
@@ -151,7 +151,7 @@ def test_abc_flow_has_genuine_obstruction(rng):
     m = extremal()
     pts = np.random.default_rng(11).uniform(0.5, 5.5, (300, 3))
     sol = synthesize_at_points(m, d, single_branch(1), pts, tol=WTOL)
-    wit = witness_nd(m, d, sol)
+    wit = witness_nd(sol)
     assert np.nanmax(wit.solvability_residual) > 1.0
 
 
@@ -160,7 +160,7 @@ def annulus_witness(cells=312, lim=1.35, tol=WTOL):
     d = shallow_vortex(1.0)
     g = GridSpec((-lim, -lim), (lim, lim), (cells, cells))
     sol = synthesize(m, d, prefer_type2(allow_nonphysical=True), g, tol=tol)
-    wit = witness_2d(m, d, sol)
+    wit = witness_2d(sol)
     pts = sol.points
     t = (pts**2).sum(axis=1).reshape(g.shape())
     mask = (t >= 1.0) & (t <= 1.8)
@@ -178,6 +178,23 @@ def test_recover_eta_on_the_shooting_annulus():
     t = (pts**2).sum(axis=-1)
     dev = rec.eta[rec.mask] - np.log(t[rec.mask])
     assert dev.max() - dev.min() < 1e-8
+
+
+def test_recover_eta_counts_the_nodes_it_cannot_reach():
+    """The spanning tree grows from one anchor, so a mask of two disjoint
+    annuli leaves the component without the anchor at eta = NaN, and says how
+    many nodes that is."""
+    wit, g, _ = annulus_witness(cells=96)
+    pts = g.points().reshape(g.shape() + (2,))
+    t = (pts**2).sum(axis=-1)
+    inner = (t >= 1.0) & (t <= 1.3)
+    outer = (t >= 1.5) & (t <= 1.8)
+    for anchor in (None, (1.05, 0.0), (1.3, 0.0)):
+        rec = recover_eta(wit, mask=inner | outer, anchor=anchor)
+        other = outer if inner[rec.anchor] else inner
+        assert rec.unreached == (rec.mask & other).sum() > 0
+        assert np.isnan(rec.eta[other]).all()
+        assert np.isfinite(rec.eta[rec.mask & ~other]).all()
 
 
 def test_recover_eta_deterministic():
@@ -234,7 +251,7 @@ def test_zero_witness_recovers_constant_eta():
     d = gradient_drive(2, "x1 + 2*x2")
     g = GridSpec((0.0, 0.0), (1.0, 1.0), (24, 24))
     sol = synthesize(m, d, prefer_type1(), g)
-    wit = witness_gradient(m, d, sol)
+    wit = witness_gradient(sol)
     rec = recover_eta(wit)
     assert np.nanmax(np.abs(wit.G)) == 0.0
     assert np.nanmax(np.abs(rec.eta)) == 0.0

@@ -122,7 +122,7 @@ def test_frobenius_residual_order_two():
 
     def make(grid):
         sol = synthesize(model, d, policy, grid)
-        wit = witness_2d(model, d, sol, sol.points)
+        wit = witness_2d(sol, sol.points)
         return frobenius_residual(sol, wit)
 
     grids = [GridSpec((0.2, 0.2), (0.6, 0.6), (c, c)) for c in (48, 96, 192)]
