@@ -48,7 +48,8 @@ EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 EXIT_THRESHOLD = 4
 
-_CONFIG_ERRORS = (ConfigError, DensityError, DriveError, SynthError, ExpressionError, FormError)
+_CONFIG_ERRORS = (ConfigError, DensityError, DriveError, SynthError, ExpressionError, FormError,
+                  frobmod.WitnessMismatch)
 
 
 # Rows per block of a CSV file: a block's strings are built in memory and
@@ -114,9 +115,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _outdir(args, cfg: RunConfig) -> str:
-    out = args.out or cfg.output.get("dir", "out")
-    if not isinstance(out, str):
-        raise ConfigError(f"output.dir must be a directory path, got {out!r}")
+    out = args.out or cfgmod.output_dir(cfg)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -129,11 +128,16 @@ def _workers(threads: int, npoints: int) -> int:
     return min(threads, os.cpu_count() or 1, npoints)
 
 
-def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int) -> FieldSolution:
+def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
+                    witness: Optional[str] = None) -> FieldSolution:
+    """The configured field on `grid`; a frobenius.witness choice passed as
+    `witness` is checked against the drive before anything is synthesized."""
     model = cfgmod.build_model(cfg)
     d = cfgmod.build_drive(cfg)
     if grid.dim != d.dim:
         raise ConfigError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
+    if witness is not None:
+        frobmod.resolve_witness(witness, d)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
     return synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
@@ -184,7 +188,7 @@ def cmd_synth(args) -> int:
         return EXIT_EMPTY
     names, cols = _field_columns(sol)
     _write_csv(os.path.join(out, "field.csv"), names, cols)
-    if cfg.output.get("json", False):
+    if cfgmod.flag(cfg, "output.json"):
         counts = {REGIME_NAMES[k]: int((sol.regime == k).sum()) for k in range(4)}
         _write_json(os.path.join(out, "summary.json"), {
             "points": int(sol.points.shape[0]),
@@ -224,26 +228,9 @@ def cmd_singular(args) -> int:
 
 
 def _witness_for(choice: str, sol: FieldSolution):
-    d = sol.drive
-    if choice == "auto":
-        if isinstance(d, drivemod.Scalar2D):
-            choice = "2d"
-        elif isinstance(d, drivemod.GradientDrive):
-            choice = "gradient"
-        elif isinstance(d, drivemod.RawField):
-            if d.closure_mode == "curl_free":
-                choice = "gradient"
-            else:
-                choice = "2d" if d.dim == 2 else "nd"
-        else:
-            choice = "nd"
-    if choice == "2d":
-        return frobmod.witness_2d(sol)
-    if choice == "nd":
-        return frobmod.witness_nd(sol)
-    if choice == "gradient":
-        return frobmod.witness_gradient(sol)
-    raise ConfigError(f"unknown frobenius.witness {choice!r}")
+    build = {"2d": frobmod.witness_2d, "nd": frobmod.witness_nd,
+             "gradient": frobmod.witness_gradient}
+    return build[frobmod.resolve_witness(choice, sol.drive)](sol)
 
 
 def cmd_frobenius(args) -> int:
@@ -251,7 +238,7 @@ def cmd_frobenius(args) -> int:
     out = _outdir(args, cfg)
     grid = cfgmod.build_grid(cfg)
     fs = cfgmod.frobenius_section(cfg, grid.dim)
-    sol = _synth_solution(cfg, grid, args.threads)
+    sol = _synth_solution(cfg, grid, args.threads, witness=fs["witness"])
     if not (sol.branch_id != 0).any():
         print(_empty_message(sol), file=sys.stderr)
         return EXIT_EMPTY
@@ -306,20 +293,28 @@ def _nanmax(arr) -> Optional[float]:
 _build_form = cfgmod.build_form
 
 
-def cmd_forms(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    grid = cfgmod.build_grid(cfg)
+def _form_solution(cfg: RunConfig, grid: GridSpec) -> tuple:
+    """The forms section synthesized on `grid`, as (the config's form, its
+    FormSolution).  A closed form (forms.closed) is the raw form itself, checked
+    for closure on forms.box, or on the grid's box when that is unset."""
     model = cfgmod.build_model(cfg)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
     f, _, params, box = _build_form(cfg, grid.dim)
     pts = grid.points()
-    if cfg.forms.get("closed", False):
-        fsol = formsmod.synthesize_form_closed(model, f, policy, pts, box or (grid.lo, grid.hi),
-                                               tol=tol, params=params)
-    else:
-        fsol = formsmod.synthesize_form(model, f, policy, pts, tol=tol, params=params)
+    if cfgmod.flag(cfg, "forms.closed"):
+        return f, formsmod.synthesize_form_closed(model, f, policy, pts, box or (grid.lo, grid.hi),
+                                                  tol=tol, params=params)
+    return f, formsmod.synthesize_form(model, f, policy, pts, tol=tol, params=params)
+
+
+def cmd_forms(args) -> int:
+    cfg = _load_config(args)
+    out = _outdir(args, cfg)
+    grid = cfgmod.build_grid(cfg)
+    gamma = cfgmod.flag(cfg, "forms.gamma")
+    f, fsol = _form_solution(cfg, grid)
+    pts = fsol.points
     if not (fsol.branch_id != 0).any():
         print("form synthesis produced no admissible points: sampled |df|^2 misses "
               "every admitted branch image Im(phi)", file=sys.stderr)
@@ -335,8 +330,8 @@ def cmd_forms(args) -> int:
     tail_names, tail_cols = _tail_columns(fsol)
     _write_csv(os.path.join(out, "forms.csv"), names + tail_names, cols + tail_cols)
 
-    if cfg.forms.get("gamma", False):
-        gw = formsmod.gamma_witness(model, f, fsol)
+    if gamma:
+        gw = formsmod.gamma_witness(fsol.model, f, fsol)
         gnames = list(coord_names(n)) + [f"Gamma{i+1}" for i in range(n)] + [
             "defect", "frobenius_defect"]
         gcols = _float_cols(pts, coord_names(n))
@@ -370,6 +365,7 @@ def cmd_verify(args) -> int:
     grids = [_refined(base, 2 ** i) for i in range(levels)]
     mask_pred = cfgmod.mask_predicate(vs.get("mask"), base.dim)
     fs = cfgmod.frobenius_section(cfg, base.dim)
+    witness = fs["witness"] if {"frobenius", "exactness"} & set(vs["residuals"]) else None
 
     reports = []
     energy_value = None
@@ -377,7 +373,7 @@ def cmd_verify(args) -> int:
 
     def sol_on(grid: GridSpec) -> FieldSolution:
         if grid.cells not in sol_cache:
-            sol_cache[grid.cells] = _synth_solution(cfg, grid, args.threads)
+            sol_cache[grid.cells] = _synth_solution(cfg, grid, args.threads, witness)
         return sol_cache[grid.cells]
 
     def extra_bad_on(grid: GridSpec):
@@ -392,14 +388,6 @@ def cmd_verify(args) -> int:
         rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind)
 
-    def codifferential(grid: GridSpec):
-        model = cfgmod.build_model(cfg)
-        policy = cfgmod.build_policy(cfg, grid.dim)
-        tol = cfgmod.build_tol(cfg)
-        f, _, params, _ = _build_form(cfg, grid.dim)
-        fsol = formsmod.synthesize_form(model, f, policy, grid.points(), tol=tol, params=params)
-        return verifymod.codifferential_residual(fsol, grid)
-
     # residual kind -> residual report on one grid; config.verify_section has
     # already rejected every other kind
     residual_on = {
@@ -409,7 +397,8 @@ def cmd_verify(args) -> int:
         "frobenius": lambda grid: verifymod.frobenius_residual(
             sol_on(grid), _witness_for(fs["witness"], sol_on(grid))),
         "exactness": exactness,
-        "codifferential": codifferential,
+        "codifferential": lambda grid: verifymod.codifferential_residual(
+            _form_solution(cfg, grid)[1], grid),
     }
 
     for kind in vs["residuals"]:

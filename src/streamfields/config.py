@@ -98,6 +98,24 @@ def _malformed(section: str):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def flag(cfg: RunConfig, key: str) -> bool:
+    """The boolean config key `key` ("section.name"), false when unset; only
+    JSON true and false are accepted."""
+    section, name = key.split(".")
+    val = getattr(cfg, section).get(name, False)
+    if not isinstance(val, bool):
+        raise ConfigError(f"{key} must be true or false, got {val!r}")
+    return val
+
+
+def output_dir(cfg: RunConfig) -> str:
+    """output.dir, "out" when unset."""
+    out = cfg.output.get("dir", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"output.dir must be a directory path, got {out!r}")
+    return out
+
+
 def build_model(cfg: RunConfig) -> densmod.DensityModel:
     sec = cfg.density
     kind = sec.get("kind")
@@ -188,7 +206,7 @@ def build_grid(cfg: RunConfig) -> GridSpec:
 def build_policy(cfg: RunConfig, dim: int) -> BranchPolicy:
     sec = cfg.policy
     mode = sec.get("mode", "prefer_type1")
-    allow = bool(sec.get("allow_nonphysical", False))
+    allow = flag(cfg, "policy.allow_nonphysical")
     with _malformed("policy"):
         if mode == "prefer_type1":
             return prefer_type1(allow)
@@ -259,7 +277,7 @@ def verify_section(cfg: RunConfig) -> dict:
     if bad:
         raise ConfigError(f"verify.residuals: unknown kind(s) {', '.join(map(repr, bad))}")
     sec["residuals"] = list(residuals)
-    sec["energy"] = bool(sec.get("energy", False))
+    sec["energy"] = flag(cfg, "verify.energy")
     return sec
 
 
@@ -268,7 +286,7 @@ def frobenius_section(cfg: RunConfig, dim: int) -> dict:
     mask as a predicate (or None)."""
     sec = dict(cfg.frobenius)
     sec.setdefault("witness", "auto")
-    sec["recover_eta"] = bool(sec.get("recover_eta", False))
+    sec["recover_eta"] = flag(cfg, "frobenius.recover_eta")
     anchor = sec.get("anchor")
     with _malformed("frobenius"):
         sec["anchor"] = tuple(float(v) for v in anchor) if anchor else None

@@ -4,6 +4,12 @@ A k-form is stored by its coefficients over strictly increasing multi-indices
 (1-based).  The metric is Euclidean with orientation dx_1 ^ ... ^ dx_n, so the
 Hodge star is pure sign bookkeeping.  Synthesis mirrors the vector module:
 omega = *df / rho(psi(|df|^2)) with the same branch policies and flag bits.
+
+One sign table serves the whole algebra: `_wedge_sum` builds
+sum_I sum_i T_I[:, i] dx_i ^ dx_I through `insert_sign`, and d (T the
+coefficient gradients, or Hessians one order up), the wedge with a 1-form,
+the Gamma witness's matrix and, through `codifferential`, the verify module's
+finite-difference codifferential are all that one sum.
 """
 
 from __future__ import annotations
@@ -96,8 +102,7 @@ class FormValues:
         return np.stack(cols, axis=1) if cols else np.zeros((self.bad.shape[0], 0))
 
 
-def evaluate_form(form: KForm, points: np.ndarray, params: Optional[dict] = None,
-                  with_grads: bool = True) -> FormValues:
+def evaluate_form(form: KForm, points: np.ndarray, params: Optional[dict] = None) -> FormValues:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -118,24 +123,32 @@ def evaluate_form(form: KForm, points: np.ndarray, params: Optional[dict] = None
         g = jet.grad.copy()
         g[jet.bad] = np.nan
         grads[key] = g
-    return FormValues(n=form.n, k=form.k, coeffs=coeffs,
-                      grads=grads if with_grads else None, bad=bad)
+    return FormValues(n=form.n, k=form.k, coeffs=coeffs, grads=grads, bad=bad)
+
+
+def _wedge_sum(n: int, k: int, terms: dict, shape: tuple) -> dict:
+    """Coefficients of the (k+1)-form sum_I sum_i T_I[:, i] dx_i ^ dx_I.
+
+    `terms` maps each k-index I to T_I, whose axis 1 is the direction i; each
+    output coefficient has `shape`.  Keys are taken in stored order and i
+    ascending, summed from zeros; a sign of +-1 multiplies exactly, so every
+    caller rounds as a loop written out by hand would.
+    """
+    out = {key: np.zeros(shape) for key in multi_indices(n, k + 1)}
+    for key, term in terms.items():
+        for i in range(1, n + 1):
+            new, sgn = insert_sign(i, key)
+            if sgn:
+                out[new] = out[new] + sgn * term[:, i - 1]
+    return out
 
 
 def _d_values(values: FormValues) -> FormValues:
     if values.grads is None:
         raise FormError("exterior derivative needs coefficient gradients")
     n, k = values.n, values.k
-    if k >= n:
-        return FormValues(n=n, k=k + 1, coeffs={}, grads=None, bad=values.bad)
-    npts = values.bad.shape[0]
-    out = {key: np.zeros(npts) for key in multi_indices(n, k + 1)}
-    for key, grad in values.grads.items():
-        for i in range(1, n + 1):
-            new, sgn = insert_sign(i, key)
-            if sgn:
-                out[new] = out[new] + sgn * grad[:, i - 1]
-    return FormValues(n=n, k=k + 1, coeffs=out, grads=None, bad=values.bad)
+    coeffs = _wedge_sum(n, k, values.grads, values.bad.shape)
+    return FormValues(n=n, k=k + 1, coeffs=coeffs, grads=None, bad=values.bad)
 
 
 def exterior_d(form: Union[KForm, FormValues], points: Optional[np.ndarray] = None,
@@ -157,16 +170,11 @@ def exterior_d(form: Union[KForm, FormValues], points: Optional[np.ndarray] = No
     if k >= n:
         return FormValues(n=n, k=k + 1, coeffs={}, grads=None, bad=np.zeros(npts, dtype=bool))
     bad = np.zeros(npts, dtype=bool)
-    out = {key: np.zeros(npts) for key in multi_indices(n, k + 1)}
-    outg = {key: np.zeros((npts, n)) for key in multi_indices(n, k + 1)}
-    for key, e in form.coeffs.items():
-        jet = exprmod.eval_jets(e, pts, params or {})
+    jets = {key: exprmod.eval_jets(e, pts, params or {}) for key, e in form.coeffs.items()}
+    for jet in jets.values():
         bad |= jet.bad
-        for i in range(1, n + 1):
-            new, sgn = insert_sign(i, key)
-            if sgn:
-                out[new] = out[new] + sgn * jet.grad[:, i - 1]
-                outg[new] = outg[new] + sgn * jet.hess[:, i - 1, :]
+    out = _wedge_sum(n, k, {key: jet.grad for key, jet in jets.items()}, (npts,))
+    outg = _wedge_sum(n, k, {key: jet.hess for key, jet in jets.items()}, (npts, n))
     for key in out:
         out[key][bad] = np.nan
         outg[key][bad] = np.nan
@@ -196,17 +204,17 @@ def codifferential_sign(n: int, k: int) -> int:
 
 def codifferential(form: Union[KForm, FormValues], points: Optional[np.ndarray] = None,
                    params: Optional[dict] = None) -> FormValues:
-    """delta = (-1)^(n(k+1)+1) * d * on k-forms (k >= 1)."""
-    if isinstance(form, FormValues):
-        k, n = form.k, form.n
-        starred = hodge_star(form)
-    else:
-        k, n = form.k, form.n
-        starred = hodge_star(evaluate_form(form, points, params))
-    if k < 1:
+    """delta = (-1)^(n(k+1)+1) * d * on k-forms (k >= 1).
+
+    Numeric values need coefficient gradients; they may be analytic (a symbolic
+    form is evaluated with its jets) or finite differences, as in the verify
+    module's codifferential residual.
+    """
+    if form.k < 1:
         raise FormError("codifferential lowers degree; needs k >= 1")
-    result = hodge_star(_d_values(starred))
-    sgn = codifferential_sign(n, k)
+    values = form if isinstance(form, FormValues) else evaluate_form(form, points, params)
+    result = hodge_star(_d_values(hodge_star(values)))
+    sgn = codifferential_sign(values.n, values.k)
     for key in result.coeffs:
         result.coeffs[key] = sgn * result.coeffs[key]
     return result
@@ -215,16 +223,9 @@ def codifferential(form: Union[KForm, FormValues], points: Optional[np.ndarray] 
 def wedge_1form(gamma: np.ndarray, beta: FormValues) -> FormValues:
     """(gamma ^ beta) for a numeric 1-form gamma given as (N, n) rows."""
     n, k = beta.n, beta.k
-    if k >= n:
-        return FormValues(n=n, k=k, coeffs={}, grads=None, bad=beta.bad)
-    npts = beta.bad.shape[0]
-    out = {key: np.zeros(npts) for key in multi_indices(n, k + 1)}
-    for key, vals in beta.coeffs.items():
-        for i in range(1, n + 1):
-            new, sgn = insert_sign(i, key)
-            if sgn:
-                out[new] = out[new] + sgn * gamma[:, i - 1] * vals
-    return FormValues(n=n, k=k + 1, coeffs=out, grads=None, bad=beta.bad)
+    terms = {key: gamma * vals[:, None] for key, vals in beta.coeffs.items()}
+    coeffs = _wedge_sum(n, k, terms, beta.bad.shape)
+    return FormValues(n=n, k=k + 1, coeffs=coeffs, grads=None, bad=beta.bad)
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +340,15 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     The wedge system is solvable exactly for k in {1, n-1}; for intermediate k
     the residual norm is reported as the obstruction measure.
     """
-    n, k = sol.n, sol.k
+    n = sol.n
     star_df = sol.star_df
     d_star = sol.d_star_df
     pts = sol.points
     npts = pts.shape[0]
-    rows = multi_indices(n, k + 1)
-    nrows = len(rows)
 
-    A = np.zeros((npts, nrows, n))
-    for key, vals in star_df.coeffs.items():
-        for i in range(1, n + 1):
-            new, sgn = insert_sign(i, key)
-            if sgn:
-                A[:, rows.index(new), i - 1] += sgn * vals
-    b = np.stack([d_star.coeffs[r] for r in rows], axis=1) if nrows else np.zeros((npts, 0))
+    # column j of the wedge system is dx_j ^ *df
+    A = np.stack([wedge_1form(e_j, star_df).as_matrix() for e_j in np.eye(n)], axis=2)
+    b = d_star.as_matrix()
 
     Gamma1 = np.full((npts, n), np.nan)
     defect = np.full(npts, np.nan)
@@ -366,7 +361,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
         sol_p, _, rank, _ = np.linalg.lstsq(A[p], b[p], rcond=None)
         Gamma1[p] = sol_p
         defect[p] = float(np.linalg.norm(A[p] @ sol_p - b[p]))
-        rank_def[p] = rank < min(n, nrows)
+        rank_def[p] = rank < min(A.shape[1:])
 
     rho_c = sol.rho_c
     glr, rho_usable = log_rho_gradient(model, sol.Q, rho_c, sol.grad_xi, tol)

@@ -5,7 +5,8 @@ G_j w_i; for divergence-type (gradient-drive) systems it satisfies div w =
 G . w.  Both are assembled from the drive-level least-squares witness
 g = M a / |a|^2 (M_ij = d_i a_j - d_j a_i) plus the chain-rule term
 -grad log rho(psi(xi)).  The defining defects here are analytic (jet-based);
-the verify module redoes them with finite differences.
+the verify module redoes them with finite differences.  Which witness suits
+which drive type is decided once, in `_fits`, for "auto" and for every check.
 
 A witness reads Q and the branch from the FieldSolution it is given and
 evaluates the drive once more on its points, for the jacobian; at other points
@@ -145,28 +146,52 @@ def _build(sol: FieldSolution, points, kind: str) -> FrobeniusWitness:
     )
 
 
+# The witnesses besides "auto", which takes the first one that suits the drive.
+WITNESSES = ("2d", "gradient", "nd")
+
+
+class WitnessMismatch(FrobeniusError):
+    """A witness asked of a drive type it does not apply to (a config error)."""
+
+
+def _fits(witness: str, d) -> bool:
+    """The drive-type rules: which drives each witness applies to."""
+    if witness == "2d":
+        return d.dim == 2 and (isinstance(d, Scalar2D) or (
+            isinstance(d, RawField) and d.closure_mode == "divergence_free"))
+    if witness == "gradient":
+        return isinstance(d, GradientDrive) or (
+            isinstance(d, RawField) and d.closure_mode == "curl_free")
+    return witness == "nd" and not isinstance(d, GradientDrive)
+
+
+def resolve_witness(choice: str, d) -> str:
+    """The witness `choice` for drive `d`, with "auto" resolved; WitnessMismatch
+    when the drive's type does not admit it."""
+    fits = [w for w in WITNESSES if _fits(w, d)]
+    if choice == "auto":
+        return fits[0]
+    if choice not in fits:
+        raise WitnessMismatch(f"witness {choice!r} does not apply to a {type(d).__name__} "
+                              f"drive of dimension {d.dim}; use {' or '.join(fits)}")
+    return choice
+
+
 def witness_2d(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
     """Minor-system witness in the plane (scalar stream or raw divergence-free)."""
-    d = sol.drive
-    if not (isinstance(d, Scalar2D) or (isinstance(d, RawField) and d.closure_mode == "divergence_free")):
-        raise FrobeniusError("witness_2d needs a scalar stream drive or a divergence-free raw drive")
-    if d.dim != 2:
-        raise FrobeniusError("witness_2d is 2D only; use witness_nd")
+    resolve_witness("2d", sol.drive)
     return _build(sol, points, "minor")
 
 
 def witness_nd(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
     """Minor-system witness in any dimension via the least-squares ansatz."""
-    if isinstance(sol.drive, GradientDrive):
-        raise FrobeniusError("gradient drives use witness_gradient (divergence-type system)")
+    resolve_witness("nd", sol.drive)
     return _build(sol, points, "minor")
 
 
 def witness_gradient(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
     """Divergence-type witness for curl-free drives: div w = G . w."""
-    d = sol.drive
-    if not (isinstance(d, GradientDrive) or (isinstance(d, RawField) and d.closure_mode == "curl_free")):
-        raise FrobeniusError("witness_gradient needs a gradient drive or a curl-free raw drive")
+    resolve_witness("gradient", sol.drive)
     return _build(sol, points, "divergence")
 
 
@@ -312,10 +337,9 @@ def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray,
         i3[ax2] += d2
         if i1[ax1] >= shape[ax1] or i2[ax2] >= shape[ax2]:
             continue
-        corners = [i0, tuple(i1), tuple(i2), tuple(i3)]
-        if not _rect_masked_ok(mask, corners, ax1, ax2):
+        path = _rect_unit_edges([i0, tuple(i1), tuple(i2), tuple(i3)], ax1, ax2)
+        if not all(mask[p] for p, _ in path):  # each boundary node starts one edge
             continue
-        path = _rect_unit_edges(corners, ax1, ax2)
         starts = np.array([nodes[p] for p, _ in path])
         ends = np.array([nodes[q] for _, q in path])
         vals = _edge_integrals(evaluator, starts, ends)
@@ -344,28 +368,6 @@ def _rect_unit_edges(corners, ax1, ax2):
     march(i2, ax1, i3[ax1])
     march(i3, ax2, i0[ax2])
     return path
-
-
-def _rect_masked_ok(mask, corners, ax1, ax2) -> bool:
-    i0, i1, i2, i3 = corners
-    idx = list(i0)
-    for k in range(i0[ax1], i1[ax1] + 1):
-        idx[ax1] = k
-        idx[ax2] = i0[ax2]
-        if not mask[tuple(idx)]:
-            return False
-        idx[ax2] = i3[ax2]
-        if not mask[tuple(idx)]:
-            return False
-    for k in range(i0[ax2], i3[ax2] + 1):
-        idx[ax2] = k
-        idx[ax1] = i0[ax1]
-        if not mask[tuple(idx)]:
-            return False
-        idx[ax1] = i1[ax1]
-        if not mask[tuple(idx)]:
-            return False
-    return True
 
 
 def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,

@@ -8,7 +8,9 @@ Nodes without a full stencil of clean neighbors are masked, never one-sided.
 The mask is exactly the union of singular flags (nonphysical-branch markers
 are informational, not singular) dilated by one stencil width, plus the
 boundary.  Reductions are numpy sums in fixed index order, so reports are
-deterministic.
+deterministic.  The codifferential residual hands central differences to
+`forms.codifferential` as coefficient gradients, so it applies the forms
+module's one sign table (`forms._wedge_sum`) and has none of its own.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .density import DensityModel
-from .forms import (FormSolution, FormValues, codifferential_sign, hodge_star,
-                    insert_sign, multi_indices)
+from .forms import FormSolution, FormValues, codifferential
 from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec,
                     synthesize_at_points)
 
@@ -237,31 +238,20 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray,
 
 
 def codifferential_residual(fsol: FormSolution, grid: GridSpec) -> ResidualReport:
-    """Finite-difference codifferential of rho(Q) omega, coefficientwise."""
+    """Codifferential of rho(Q) omega, coefficientwise: forms.codifferential
+    with central-difference coefficient gradients."""
     shape = grid.shape()
     h = grid.spacing()
-    n, k = fsol.n, fsol.k
-    if k < 1:
-        raise VerifyError("codifferential residual needs k >= 1")
     with np.errstate(all="ignore"):
         coeffs = {key: fsol.rho_c * vals for key, vals in fsol.omega.coeffs.items()}
-    # delta = sign * (star d star); d by central differences on each coefficient
-    starred = hodge_star(FormValues(n=n, k=k, coeffs=coeffs, grads=None, bad=fsol.omega.bad))
-    d_coeffs = {key: np.zeros(shape) for key in multi_indices(n, n - k + 1)}
-    for key, vals in starred.coeffs.items():
-        v = vals.reshape(shape)
-        for i in range(1, n + 1):
-            new, sgn = insert_sign(i, key)
-            if sgn:
-                d_coeffs[new] = d_coeffs[new] + sgn * stencil(v, i - 1, h[i - 1], 2)
-    dsf = FormValues(n=n, k=n - k + 1,
-                     coeffs={key: vals.reshape(-1) for key, vals in d_coeffs.items()},
-                     grads=None, bad=fsol.omega.bad)
-    result = hodge_star(dsf)
-    sgn = codifferential_sign(n, k)
+    grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], 2).reshape(-1)
+                            for i in range(fsol.n)], axis=1)
+             for key, vals in coeffs.items()}
+    delta = codifferential(FormValues(n=fsol.n, k=fsol.k, coeffs=coeffs, grads=grads,
+                                      bad=fsol.omega.bad))
     worst = np.zeros(shape)
-    for key, vals in result.coeffs.items():
-        worst = np.maximum(worst, np.abs(sgn * vals.reshape(shape)))
+    for vals in delta.coeffs.values():
+        worst = np.maximum(worst, np.abs(vals.reshape(shape)))
     return _report("CodifferentialDefect", grid, worst, _excluded(fsol, grid))
 
 

@@ -59,6 +59,13 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     ("form-21", "forms", "forms", "n", "abc"),
     ("form-21", "forms", "forms", "box", 5),
     ("unit-density", "synth", "output", "csv", True),
+    # booleans take JSON true/false only; a string is not read as its truthiness
+    ("unit-density", "synth", "output", "json", "false"),
+    ("form-21", "forms", "forms", "gamma", "no"),
+    ("form-21", "forms", "forms", "closed", 0),
+    ("shallow-vortex", "synth", "policy", "allow_nonphysical", "false"),
+    ("unit-density", "verify", "verify", "energy", "true"),
+    ("shallow-annulus-eta", "frobenius", "frobenius", "recover_eta", 1),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, example, command, section, key, value):
     cfg = copy.deepcopy(cfgmod.EXAMPLES[example])
@@ -103,6 +110,41 @@ def test_forms_box_is_checked_before_the_closure_check(tmp_path, capsys, monkeyp
         assert seen == []
     else:
         assert seen == [used]
+
+
+def test_verify_checks_the_closed_form_that_forms_writes(tmp_path, capsys):
+    # alpha = d(x1^2 x2^3 / 8): forms synthesizes omega from alpha itself, and
+    # so must verify's codifferential residual
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21"])
+    cfg["forms"] = {"n": 2, "k": 0, "closed": True,
+                    "coeffs": {"1": "x1 * x2^3 / 4", "2": "3 * x1^2 * x2^2 / 8"}}
+    code, out = run_cfg(tmp_path, cfg, command="forms")
+    assert code == 0
+    assert read_csv(out / "forms.csv")[0][2:4] == ["omega_1", "omega_2"]
+    code, out = run_cfg(tmp_path, cfg, command="verify")
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())["reports"][0]
+    assert report["kind"] == "CodifferentialDefect"
+    assert 1e-5 < report["max_norm"] < 1e-4
+
+
+@pytest.mark.parametrize("example, command, witness", [
+    ("shallow-vortex", "frobenius", "gradient"),
+    ("born-infeld-fund", "frobenius", "2d"),
+    ("shallow-vortex", "frobenius", "curl"),
+    ("born-infeld-fund", "verify", "nd"),
+])
+def test_witness_that_does_not_fit_the_drive_exits_2_before_synthesis(
+        tmp_path, capsys, monkeypatch, example, command, witness):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized before the witness was checked")
+
+    monkeypatch.setattr(cli, "synthesize", no_synthesis)
+    cfg = copy.deepcopy(cfgmod.EXAMPLES[example])
+    cfg["frobenius"] = {"witness": witness}
+    cfg["verify"] = {"residuals": ["divergence", "frobenius"]}
+    assert run_cfg(tmp_path, cfg, command=command)[0] == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 # Tiny-grid base configs for the config probe: (subcommand, config, the keys it
@@ -166,6 +208,12 @@ PROBE_BASES = {
         "forms": dict(CLOSED_FORM, params={}, box=[[0.2, 0.2], [0.8, 0.8]], gamma=True),
     }, ("forms.n", "forms.k", "forms.coeffs", "forms.params", "forms.closed", "forms.box",
         "forms.gamma")),
+    "verify-forms": ("verify", {
+        "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
+        "forms": {"n": 2, "k": 0, "closed": True, "params": {}, "box": [[0.2, 0.2], [0.8, 0.8]],
+                  "coeffs": {"1": "x1 * x2^3 / 4", "2": "3 * x1^2 * x2^2 / 8"}},
+        "verify": {"residuals": ["codifferential"], "threshold": 1.0},
+    }, ("forms.n", "forms.k", "forms.coeffs", "forms.params", "forms.closed", "forms.box")),
     "verify": ("verify", {
         "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
         "verify": {"residuals": ["divergence"], "threshold": 1.0, "energy": True,

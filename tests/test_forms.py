@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from streamfields import (
     FormError,
     FormValues,
+    GridSpec,
     Tolerances,
     codifferential,
     codifferential_sign,
@@ -34,6 +36,7 @@ from streamfields import (
     witness_2d,
 )
 from streamfields import expr as exprmod
+from streamfields import verify as verifymod
 
 
 def _parity_by_det(seq):
@@ -272,3 +275,212 @@ def test_wedge_with_same_one_form_twice_kills(n, k, seed):
     twice = wedge_1form(g, wedge_1form(g, beta))
     for col in twice.coeffs.values():
         assert np.abs(col).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the sign-table kernel against the loops it replaced, written out by hand
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.uint64)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+def _oracle_d_values(values):
+    n, k = values.n, values.k
+    out = {key: np.zeros(values.bad.shape[0]) for key in multi_indices(n, k + 1)}
+    for key, grad in values.grads.items():
+        for i in range(1, n + 1):
+            new, sgn = insert_sign(i, key)
+            if sgn:
+                out[new] = out[new] + sgn * grad[:, i - 1]
+    return out
+
+
+def _oracle_exterior_d(form, pts):
+    n, k = form.n, form.k
+    npts = pts.shape[0]
+    bad = np.zeros(npts, dtype=bool)
+    out = {key: np.zeros(npts) for key in multi_indices(n, k + 1)}
+    outg = {key: np.zeros((npts, n)) for key in multi_indices(n, k + 1)}
+    for key, e in form.coeffs.items():
+        jet = exprmod.eval_jets(e, pts, {})
+        bad |= jet.bad
+        for i in range(1, n + 1):
+            new, sgn = insert_sign(i, key)
+            if sgn:
+                out[new] = out[new] + sgn * jet.grad[:, i - 1]
+                outg[new] = outg[new] + sgn * jet.hess[:, i - 1, :]
+    for key in out:
+        out[key][bad] = np.nan
+        outg[key][bad] = np.nan
+    return out, outg
+
+
+def _oracle_wedge_1form(gamma, beta):
+    n, k = beta.n, beta.k
+    out = {key: np.zeros(beta.bad.shape[0]) for key in multi_indices(n, k + 1)}
+    for key, vals in beta.coeffs.items():
+        for i in range(1, n + 1):
+            new, sgn = insert_sign(i, key)
+            if sgn:
+                out[new] = out[new] + sgn * gamma[:, i - 1] * vals
+    return out
+
+
+def _oracle_gamma_system(star_df, d_star):
+    n, k = star_df.n, star_df.k
+    npts = star_df.bad.shape[0]
+    rows = multi_indices(n, k + 1)
+    A = np.zeros((npts, len(rows), n))
+    for key, vals in star_df.coeffs.items():
+        for i in range(1, n + 1):
+            new, sgn = insert_sign(i, key)
+            if sgn:
+                A[:, rows.index(new), i - 1] += sgn * vals
+    b = np.stack([d_star.coeffs[r] for r in rows], axis=1) if rows else np.zeros((npts, 0))
+    return A, b
+
+
+def _oracle_codifferential_residual(fsol, grid):
+    shape, h = grid.shape(), grid.spacing()
+    n, k = fsol.n, fsol.k
+    with np.errstate(all="ignore"):
+        coeffs = {key: fsol.rho_c * vals for key, vals in fsol.omega.coeffs.items()}
+    starred = hodge_star(FormValues(n=n, k=k, coeffs=coeffs, grads=None, bad=fsol.omega.bad))
+    d_coeffs = {key: np.zeros(shape) for key in multi_indices(n, n - k + 1)}
+    for key, vals in starred.coeffs.items():
+        v = vals.reshape(shape)
+        for i in range(1, n + 1):
+            new, sgn = insert_sign(i, key)
+            if sgn:
+                d_coeffs[new] = d_coeffs[new] + sgn * verifymod.stencil(v, i - 1, h[i - 1], 2)
+    dsf = FormValues(n=n, k=n - k + 1,
+                     coeffs={key: vals.reshape(-1) for key, vals in d_coeffs.items()},
+                     grads=None, bad=fsol.omega.bad)
+    result = hodge_star(dsf)
+    sgn = codifferential_sign(n, k)
+    worst = np.zeros(shape)
+    for vals in result.coeffs.values():
+        worst = np.maximum(worst, np.abs(sgn * vals.reshape(shape)))
+    return verifymod._report("CodifferentialDefect", grid, worst, verifymod._excluded(fsol, grid))
+
+
+def _awkward(rng, shape):
+    """Normal samples with NaN, 0.0 and -0.0 planted among them."""
+    out = rng.standard_normal(shape)
+    flat = out.reshape(-1)
+    picks = rng.permutation(flat.size)[:3 * max(1, flat.size // 10)]
+    thirds = np.array_split(picks, 3)
+    flat[thirds[0]] = np.nan
+    flat[thirds[1]] = 0.0
+    flat[thirds[2]] = -0.0
+    return out
+
+
+DEGREES = [(n, k) for n in range(2, 5) for k in range(0, n + 1)]
+
+
+@pytest.mark.parametrize("n, k", DEGREES)
+def test_kernel_d_of_values_matches_the_hand_loop(rng, n, k):
+    npts = 40
+    values = FormValues(n=n, k=k, coeffs={key: _awkward(rng, npts) for key in multi_indices(n, k)},
+                        grads={key: _awkward(rng, (npts, n)) for key in multi_indices(n, k)},
+                        bad=np.zeros(npts, dtype=bool))
+    got = exterior_d(values)
+    want = _oracle_d_values(values)
+    assert got.k == k + 1
+    assert list(got.coeffs) == list(want)
+    for key in want:
+        assert _same_bits(got.coeffs[key], want[key])
+
+
+@pytest.mark.parametrize("n, k", DEGREES)
+def test_kernel_symbolic_d_matches_the_hand_loop(rng, n, k):
+    # poles and branch cuts of log, sqrt and 1/x at 0, -0.0 and below 0
+    pts = rng.uniform(-1.0, 1.0, (30, n))
+    pts[:4] = 0.0
+    pts[4:8] = -0.0
+    pts[8:12, 0] = 0.0
+    texts = ["log(x1) * x2", "sqrt(x2) + x1^3", "1 / x1 - x2^2", "x1 * x2 * sin(x2)",
+             "exp(x1) / x2"]
+    keys = multi_indices(n, k)
+    form = kform(n, k, {key: texts[j % len(texts)] for j, key in enumerate(keys)})
+    got = exterior_d(form, pts)
+    assert got.k == k + 1
+    if k == n:
+        assert got.coeffs == {}
+        return
+    want, wantg = _oracle_exterior_d(form, pts)
+    assert list(got.coeffs) == list(want)
+    for key in want:
+        assert _same_bits(got.coeffs[key], want[key])
+        assert _same_bits(got.grads[key], wantg[key])
+
+
+@pytest.mark.parametrize("n, k", DEGREES)
+def test_kernel_wedge_matches_the_hand_loop(rng, n, k):
+    npts = 40
+    beta = FormValues(n=n, k=k, coeffs={key: _awkward(rng, npts) for key in multi_indices(n, k)},
+                      grads=None, bad=np.zeros(npts, dtype=bool))
+    gamma = _awkward(rng, (npts, n))
+    got = wedge_1form(gamma, beta)
+    want = _oracle_wedge_1form(gamma, beta)
+    assert got.k == k + 1
+    assert list(got.coeffs) == list(want)
+    for key in want:
+        assert _same_bits(got.coeffs[key], want[key])
+
+
+def test_wedge_and_d_of_a_top_form_have_degree_n_plus_one(rng):
+    for n in range(2, 5):
+        top = multi_indices(n, n)
+        beta = FormValues(n=n, k=n, coeffs={top[0]: rng.standard_normal(5)}, grads=None,
+                          bad=np.zeros(5, dtype=bool))
+        wedged = wedge_1form(rng.standard_normal((5, n)), beta)
+        assert wedged.k == n + 1
+        assert wedged.coeffs == {}
+        assert wedged.as_matrix().shape == (5, 0)
+        pts = rng.uniform(0.2, 0.8, (5, n))
+        assert exterior_d(kform(n, n, {top[0]: "x1 * x2"}), pts).k == n + 1
+        assert exterior_d(evaluate_form(kform(n, n, {top[0]: "x1"}), pts)).k == n + 1
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 5) for k in range(0, n)])
+def test_kernel_gamma_system_matches_the_hand_loop(rng, n, k):
+    # the witness solves only at points where *df is defined; there the
+    # columns dx_j ^ *df and the right side d*df are the old matrix, bit for bit
+    npts = 40
+    bad = np.zeros(npts, dtype=bool)
+    bad[:5] = True
+    coeffs = {}
+    for key in multi_indices(n, k):
+        vals = _awkward(rng, npts)
+        vals[5:] = np.where(np.isnan(vals[5:]), -0.0, vals[5:])
+        vals[bad] = np.nan
+        coeffs[key] = vals
+    star_df = FormValues(n=n, k=k, coeffs=coeffs, grads=None, bad=bad)
+    d_star = FormValues(n=n, k=k + 1, bad=bad, grads=None,
+                        coeffs={key: _awkward(rng, npts) for key in multi_indices(n, k + 1)})
+    A_old, b_old = _oracle_gamma_system(star_df, d_star)
+    A_new = np.stack([wedge_1form(e_j, star_df).as_matrix() for e_j in np.eye(n)], axis=2)
+    assert _same_bits(A_new[~bad], A_old[~bad])
+    assert _same_bits(d_star.as_matrix(), b_old)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 5) for k in range(1, n + 1)])
+def test_codifferential_residual_matches_the_hand_loop(rng, n, k):
+    grid = GridSpec((0.0,) * n, (1.0,) * n, ({2: 16, 3: 8, 4: 5}[n],) * n)
+    npts = grid.npoints()
+    omega = FormValues(n=n, k=k, grads=None, bad=np.zeros(npts, dtype=bool),
+                       coeffs={key: _awkward(rng, npts) for key in multi_indices(n, k)})
+    rho_c = np.abs(_awkward(rng, npts)) + 0.5
+    defined = rng.random(npts) > 0.05
+    fsol = SimpleNamespace(n=n, k=k, omega=omega, rho_c=rho_c, defined=defined,
+                           flags=np.zeros(npts, dtype=np.int64))
+    got = verifymod.codifferential_residual(fsol, grid)
+    want = _oracle_codifferential_residual(fsol, grid)
+    assert got.to_json_dict() == want.to_json_dict()

@@ -19,12 +19,14 @@ from streamfields import (
     shallow_vortex,
     shallow_water,
     single_branch,
+    skew_drive,
     synthesize,
     synthesize_at_points,
     witness_2d,
     witness_gradient,
     witness_nd,
 )
+from streamfields.frobenius import WitnessMismatch, resolve_witness
 
 WTOL = Tolerances(eps_phi_prime=1e-3)
 
@@ -256,3 +258,27 @@ def test_zero_witness_recovers_constant_eta():
     assert np.nanmax(np.abs(wit.G)) == 0.0
     assert np.nanmax(np.abs(rec.eta)) == 0.0
     assert rec.post_residual < 1e-12
+
+
+def test_witness_choice_follows_the_drive_type():
+    box2 = ((0.2, 0.2), (0.8, 0.8))
+    box3 = ((0.2, 0.2, 0.2), (0.8, 0.8, 0.8))
+    # drive -> the witnesses it admits; "auto" takes the first
+    cases = [
+        (scalar_drive("x1^2 * x2"), ["2d", "nd"]),
+        (gradient_drive(2, "x1 * x2"), ["gradient"]),
+        (coulomb(), ["gradient"]),
+        (skew_drive(3, {(1, 2): "x3 / 4", (2, 3): "x1 / 4"}), ["nd"]),
+        (raw_drive(2, ["-x2", "x1"], "divergence_free", box2), ["2d", "nd"]),
+        (raw_drive(2, ["x1", "x2"], "curl_free", box2), ["gradient", "nd"]),
+        (raw_drive(3, ["x2", "x3", "x1"], "divergence_free", box3), ["nd"]),
+    ]
+    for d, admitted in cases:
+        assert resolve_witness("auto", d) == admitted[0]
+        for choice in ("2d", "gradient", "nd", "curl"):
+            if choice in admitted:
+                assert resolve_witness(choice, d) == choice
+            else:
+                with pytest.raises(WitnessMismatch, match="does not apply"):
+                    resolve_witness(choice, d)
+    assert issubclass(WitnessMismatch, FrobeniusError)
