@@ -8,8 +8,9 @@ CSV files are written in blocks of CSV_BLOCK_ROWS rows, and each distinct value
 of a column is formatted once per block; the bytes are the same as formatting
 every cell on its own.
 
-`verify --levels K` is refused (exit 2) when the finest grid of the study
-would have more than MAX_VERIFY_NODES nodes, and K < 1 is refused everywhere.
+A grid with more than config.MAX_GRID_NODES nodes is refused (exit 2) by every
+subcommand, and so is a `verify --levels K` study whose finest grid would have
+more; K < 1 is refused everywhere.
 
 Exit codes: 0 success, 2 config error, 3 synthesis found no admissible
 points, 4 a verification threshold or conservative gate was breached.
@@ -341,11 +342,6 @@ def cmd_forms(args) -> int:
     return EXIT_OK
 
 
-# Nodes the finest grid of a `verify --levels K` study may have: over four
-# times the 97^3 = 912,673 nodes of a 3D shipped example at --levels 3.
-MAX_VERIFY_NODES = 1 << 22
-
-
 def _refined(grid: GridSpec, factor: int) -> GridSpec:
     return GridSpec(lo=grid.lo, hi=grid.hi, cells=tuple(c * factor for c in grid.cells))
 
@@ -359,9 +355,9 @@ def cmd_verify(args) -> int:
     # Counted before any grid is built; an exponent of 64 already exceeds the
     # budget, so capping it keeps a huge K cheap to reject.
     finest = math.prod(c * 2 ** min(levels - 1, 64) + 1 for c in base.cells)
-    if finest > MAX_VERIFY_NODES:
+    if finest > cfgmod.MAX_GRID_NODES:
         raise ConfigError(f"--levels {levels} asks for a finest grid of more than "
-                          f"{MAX_VERIFY_NODES} nodes")
+                          f"{cfgmod.MAX_GRID_NODES} nodes")
     grids = [_refined(base, 2 ** i) for i in range(levels)]
     mask_pred = cfgmod.mask_predicate(vs.get("mask"), base.dim)
     fs = cfgmod.frobenius_section(cfg, base.dim)
@@ -434,7 +430,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
     p.add_argument("--levels", metavar="K", type=int, default=1,
                    help="refinement levels for convergence studies (verify; the finest "
-                        f"grid may have at most {MAX_VERIFY_NODES} nodes)")
+                        f"grid may have at most {cfgmod.MAX_GRID_NODES} nodes)")
     p.add_argument("--threads", metavar="N", type=int, default=1,
                    help="worker threads for point-parallel synthesis (at most one per core)")
 

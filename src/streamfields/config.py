@@ -8,6 +8,7 @@ silently running with defaults.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
@@ -193,14 +194,22 @@ def _need(sec: Mapping[str, Any], where: str, key: str):
     return sec[key]
 
 
+# Nodes any grid may have, the finest of a `verify --levels K` study included:
+# over four times the 97^3 = 912,673 nodes of a 3D shipped example at --levels 3.
+MAX_GRID_NODES = 1 << 22
+
+
 def build_grid(cfg: RunConfig) -> GridSpec:
     sec = cfg.grid
     for key in ("lo", "hi", "cells"):
         _need(sec, "grid", key)
     try:
-        return GridSpec(lo=tuple(sec["lo"]), hi=tuple(sec["hi"]), cells=tuple(sec["cells"]))
+        grid = GridSpec(lo=tuple(sec["lo"]), hi=tuple(sec["hi"]), cells=tuple(sec["cells"]))
     except Exception as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    if math.prod(grid.shape()) > MAX_GRID_NODES:
+        raise ConfigError(f"grid: cells {list(grid.cells)} give more than {MAX_GRID_NODES} nodes")
+    return grid
 
 
 def build_policy(cfg: RunConfig, dim: int) -> BranchPolicy:

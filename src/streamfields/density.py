@@ -5,6 +5,13 @@ its Q-interval, its image, and an inverse psi.  Increasing pieces (type1) give
 the elliptic regime, decreasing pieces (type2) the hyperbolic one.  Built-in
 models ship exact analytic inverses; custom densities get branches detected by
 sign-sampling phi' and inverted numerically (bisection plus Newton polish).
+
+Custom branch detection is one sweep over the sample signs of phi': runs of
+defined phi' come from the edges of the defined mask, and a branch ends where a
+sample's sign differs from the last nonzero sign before it in its run.  A
+phi' sample within rounding of its two terms (PHI_PRIME_NOISE) counts as zero,
+a piece of fewer than 8 samples or with no nonzero sample is no branch, and a
+density left with no branch is refused (DensityError).
 """
 
 from __future__ import annotations
@@ -291,29 +298,21 @@ def caustic(tau: float) -> DensityModel:
 # ---------------------------------------------------------------------------
 # custom densities: expression-backed rho with numeric branch machinery
 
+SAMPLES_PER_DECADE = 4096
+# |phi'| at or below this many ulps of rho (|rho| + |2 Q rho'|) is rounding
+PHI_PRIME_NOISE = 16.0 * np.finfo(float).eps
 
-def _bisect_scalar(fn, a: float, b: float, fa: float, fb: float) -> float:
-    for _ in range(200):
+
+def _bisect(side, a: float, b: float, steps: int) -> float:
+    # side(m) > 0: m replaces a; side(m) < 0: m replaces b; 0: stop
+    for _ in range(steps):
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
-        fm = fn(m)
-        if not np.isfinite(fm):
+        s = side(m)
+        if s == 0:
             break
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
-
-
-def _bisect_defined(defined_fn, a: float, b: float) -> float:
-    # a defined, b not: localize the definedness boundary
-    for _ in range(120):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if defined_fn(m):
+        if s > 0:
             a = m
         else:
             b = m
@@ -370,7 +369,6 @@ def custom(
     q_min: float = 0.0,
     q_max: Optional[float] = None,
     name: str = "custom",
-    samples_per_decade: int = 4096,
 ) -> DensityModel:
     """Density from an expression in Q; branches found by sampling phi' signs."""
     try:
@@ -412,12 +410,16 @@ def custom(
 
     _spot_check_c1(rho_and_prime, q_min, horizon, name)
 
-    qs = _sample_grid(q_min, horizon, samples_per_decade)
+    qs = _sample_grid(q_min, horizon, SAMPLES_PER_DECADE)
+    rvals, rp = rho_and_prime(qs)
     with np.errstate(all="ignore"):
-        dphi = dphi_arr(qs)
-        rvals, _ = rho_and_prime(qs)
+        slope = 2.0 * qs * rp
+        dphi = rvals * (rvals + slope)  # dphi_arr(qs), bit for bit
+        # phi' within rounding of its two terms has no sign
+        noise = np.abs(dphi) <= PHI_PRIME_NOISE * np.abs(rvals) * (np.abs(rvals) + np.abs(slope))
+    sign = np.where(np.isfinite(dphi), np.sign(np.where(noise, 0.0, dphi)), np.nan)
     branch_list = _detect_branches(
-        qs, dphi, rvals, phi_arr, dphi_arr,
+        qs, sign, rvals, phi_arr, dphi_arr,
         open_end=(q_max is None), name=name,
     )
     domain_hi = _INF if q_max is None else float(q_max)
@@ -458,70 +460,62 @@ def _spot_check_c1(rho_and_prime, q_min: float, horizon: float, name: str) -> No
         )
 
 
-def _detect_branches(qs, dphi, rvals, phi_arr, dphi_arr, open_end: bool, name: str):
-    defined = np.isfinite(dphi)
+def _detect_branches(qs, sign, rvals, phi_arr, dphi_arr, open_end: bool, name: str):
+    defined = ~np.isnan(sign)
     if not np.any(defined):
         raise DensityError(f"custom density {name!r}: phi' undefined at every sample")
 
-    def dphi_scalar(q):
+    def dphi1(q):
         return float(dphi_arr(np.asarray([q]))[0])
 
-    def defined_scalar(q):
-        return bool(np.isfinite(dphi_arr(np.asarray([q]))[0]))
+    def edge(a, b):
+        # a defined, b not: localize the definedness boundary
+        return _bisect(lambda m: 1 if np.isfinite(dphi1(m)) else -1, a, b, 120)
 
-    # split sample indices into maximal runs of defined phi'
-    runs = []
-    start = None
-    for i, d in enumerate(defined):
-        if d and start is None:
-            start = i
-        elif not d and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(qs) - 1))
+    def root(i):
+        a_neg = sign[i] < 0.0
+
+        def side(m):
+            f = dphi1(m)
+            return 0 if not np.isfinite(f) else (1 if (f < 0.0) == a_neg else -1)
+
+        return _bisect(side, qs[i], qs[i + 1], 200)
+
+    # maximal runs [r0, r1] of defined phi'
+    step = np.diff(defined.astype(np.int8), prepend=0, append=0)
+    runs = zip(np.flatnonzero(step == 1).tolist(), (np.flatnonzero(step == -1) - 1).tolist())
+    # held[i]: the last nonzero sign at or before sample i in its run, 0 if none
+    s = np.nan_to_num(sign)
+    last = np.maximum.accumulate(np.where(sign != 0.0, np.arange(len(qs)), -1))
+    held = np.where(last >= 0, s[last], 0.0)
+    # phi' changes sign between samples i and i+1
+    splits = np.flatnonzero(held[:-1] * s[1:] < 0.0)
 
     pieces = []  # (qa, qb, lo_closed, hi_closed, sign)
     for r0, r1 in runs:
         if r1 - r0 < 8:
             continue
-        lo_q = qs[r0]
-        lo_closed = r0 == 0
-        if r0 > 0:
-            lo_q = _bisect_defined(defined_scalar, qs[r0], qs[r0 - 1])
-            lo_closed = False
-        seg_start = lo_q
-        seg_sign = math.copysign(1.0, dphi[r0]) if dphi[r0] != 0.0 else 0.0
-        count = 0
-        for i in range(r0, r1):
-            s_next = math.copysign(1.0, dphi[i + 1]) if dphi[i + 1] != 0.0 else 0.0
-            count += 1
-            if s_next != 0.0 and seg_sign == 0.0:
-                seg_sign = s_next
-            elif s_next != 0.0 and s_next != seg_sign:
-                root = _bisect_scalar(dphi_scalar, qs[i], qs[i + 1], dphi[i], dphi[i + 1])
-                if count >= 8:
-                    pieces.append((seg_start, root, lo_closed and seg_start == qs[r0], False, seg_sign))
-                seg_start, seg_sign, lo_closed, count = root, s_next, False, 0
-        hi_q = qs[r1]
-        hi_closed = r1 == len(qs) - 1 and not open_end
-        if r1 < len(qs) - 1:
-            hi_q = _bisect_defined(defined_scalar, qs[r1], qs[r1 + 1])
-            hi_closed = False
-        if count >= 8:
-            pieces.append((seg_start, hi_q if not (r1 == len(qs) - 1 and open_end) else _INF,
-                           lo_closed, hi_closed if not (r1 == len(qs) - 1 and open_end) else False,
-                           seg_sign))
+        cut = splits[np.searchsorted(splits, r0):np.searchsorted(splits, r1)]
+        at_end = r1 == len(qs) - 1
+        lo_q = qs[r0] if r0 == 0 else edge(qs[r0], qs[r0 - 1])
+        hi_q = (_INF if open_end else qs[r1]) if at_end else edge(qs[r1], qs[r1 + 1])
+        ends = [lo_q] + [root(i) for i in cut] + [hi_q]
+        # samples per piece, and its sign (0: no nonzero phi' sample, refused)
+        counts = np.diff(np.concatenate(([r0 - 1], cut, [r1 - 1])))
+        signs = held[np.append(cut, r1)]
+        for j in np.flatnonzero((counts >= 8) & (signs != 0.0)).tolist():
+            pieces.append((ends[j], ends[j + 1], j == 0 and r0 == 0,
+                           j == len(cut) and at_end and not open_end, signs[j]))
 
     if not pieces:
         raise DensityError(
             f"custom density {name!r}: no sign-definite phi' interval found at "
-            f"{len(qs)} samples; refine sampling or fix the density"
+            f"{len(qs)} samples; fix the density"
         )
 
     out = []
-    for idx, (qa, qb, lo_c, hi_c, sign) in enumerate(pieces, start=1):
-        increasing = sign > 0.0
+    for idx, (qa, qb, lo_c, hi_c, piece_sign) in enumerate(pieces, start=1):
+        increasing = piece_sign > 0.0
         fa = float(phi_arr(np.asarray([qa]))[0])
         if not np.isfinite(fa):
             fa = float(phi_arr(np.asarray([qa + 1e-12 * max(1.0, abs(qa))]))[0])

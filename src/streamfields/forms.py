@@ -295,26 +295,25 @@ def synthesize_form(model: DensityModel, f: KForm, policy: BranchPolicy,
 
 def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPolicy,
                            points: np.ndarray, box, tol: Optional[Tolerances] = None,
-                           params: Optional[dict] = None, closure_tol: float = 1e-8,
-                           samples: int = 1000, seed: int = 91) -> FormSolution:
+                           params: Optional[dict] = None) -> FormSolution:
     """Same synthesis from a raw (n-k)-form alpha, after checking d(alpha) = 0."""
     tol = tol or Tolerances()
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     lo, hi = (np.asarray(v, dtype=float) for v in box)
-    rng = np.random.default_rng(seed)
-    probe = lo + (hi - lo) * rng.random((samples, alpha.n))
+    rng = np.random.default_rng(91)
+    probe = lo + (hi - lo) * rng.random((1000, alpha.n))
     da = exterior_d(alpha, probe, params)
     worst = 0.0
     for vals in da.coeffs.values():
         good = vals[~da.bad]
         if good.size:
             worst = max(worst, float(np.abs(good).max()))
-    if (~da.bad).sum() < samples // 10:
+    if (~da.bad).sum() < 100:
         raise FormError("closure check: form undefined on most of the box")
-    if worst > closure_tol:
-        raise FormError(f"form is not closed: max |d alpha| = {worst:.3e} > {closure_tol:.1e}")
+    if worst > 1e-8:
+        raise FormError(f"form is not closed: max |d alpha| = {worst:.3e} > 1.0e-08")
     av = evaluate_form(alpha, pts, params)
     return _synthesize_from_star(model, policy, tol, pts, hodge_star(av))
 

@@ -232,10 +232,9 @@ class EtaRecovery:
     unreached: int  # masked nodes outside the anchor's component; eta is NaN there
 
 
-def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
-                anchor: Optional[tuple] = None, mask: Optional[np.ndarray] = None,
-                tol_conservative: float = 1e-6, seed: int = 404) -> EtaRecovery:
-    grid = grid or witness.grid
+def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
+                mask: Optional[np.ndarray] = None, tol_conservative: float = 1e-6) -> EtaRecovery:
+    grid = witness.grid
     if grid is None:
         raise FrobeniusError("recover_eta needs a grid")
     shape = grid.shape()
@@ -301,7 +300,7 @@ def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
         for (p, q), inc in zip(tree, increments):
             eta[q] = eta[p] + inc
 
-    loop_max = _loop_check(witness.evaluator, grid, mask, nodes, seed=seed)
+    loop_max = _loop_check(witness.evaluator, grid, mask, nodes)
     if loop_max > 10.0 * tol_conservative:
         raise FrobeniusError(
             f"path dependence detected: rectangle loop integral {loop_max:.3e} "
@@ -313,15 +312,15 @@ def recover_eta(witness: FrobeniusWitness, grid: Optional[GridSpec] = None,
                        post_residual=post, mask=mask, unreached=int((mask & ~seen).sum()))
 
 
-def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray,
-                seed: int, n_loops: int = 20) -> float:
-    rng = np.random.default_rng(seed)
+def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray) -> float:
+    """Largest |loop integral| over up to 20 random masked grid rectangles."""
+    rng = np.random.default_rng(404)
     shape = grid.shape()
     n = grid.dim
     worst = 0.0
     found = 0
     for _ in range(600):
-        if found >= n_loops:
+        if found >= 20:
             break
         i0 = tuple(int(rng.integers(0, s)) for s in shape)
         if not mask[i0]:
@@ -374,8 +373,6 @@ def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,
                     eta: np.ndarray) -> float:
     """Max curl (minor kind) or divergence (divergence kind) of e^(-eta) w."""
     sol = witness.solution
-    if sol.grid is None or sol.grid != grid:
-        raise FrobeniusError("post-check needs the witness solution on the same grid")
     ok = interior(mask & np.isfinite(eta), 2)
     vals = closure_residual(sol.w, eta, witness.kind, grid.spacing(), 4)[ok]
     return max(0.0, float(np.nanmax(vals))) if vals.size else 0.0

@@ -170,11 +170,10 @@ def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarra
     )
 
 
-def _grid_of(solution: FieldSolution, grid: Optional[GridSpec]) -> GridSpec:
-    grid = grid or solution.grid
-    if grid is None:
+def _grid_of(solution: FieldSolution) -> GridSpec:
+    if solution.grid is None:
         raise VerifyError("solution is not grid-backed")
-    return grid
+    return solution.grid
 
 
 def _rho_w(solution: FieldSolution, model: Optional[DensityModel], grid: GridSpec) -> list:
@@ -186,28 +185,25 @@ def _rho_w(solution: FieldSolution, model: Optional[DensityModel], grid: GridSpe
 
 
 def divergence_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                        grid: Optional[GridSpec] = None,
                         extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Central-difference divergence of rho(Q) w."""
-    grid = _grid_of(solution, grid)
+    grid = _grid_of(solution)
     div = divergence(_rho_w(solution, model, grid), grid.spacing(), 2)
     return _report("DivergenceOfRhoW", grid, div, _excluded(solution, grid, extra_bad))
 
 
 def minor_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                   grid: Optional[GridSpec] = None,
                    extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Max 2x2 minor |d_i(rho w_j) - d_j(rho w_i)| by central differences."""
-    grid = _grid_of(solution, grid)
+    grid = _grid_of(solution)
     worst = curl_max(_rho_w(solution, model, grid), grid.spacing(), 2)
     return _report("MinorSystemOfRhoW", grid, worst, _excluded(solution, grid, extra_bad))
 
 
-def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
-                       grid: Optional[GridSpec] = None) -> ResidualReport:
+def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness) -> ResidualReport:
     """Frobenius defect with finite-difference derivatives of w and the
     witness's G: minor systems compare curls, divergence systems divergences."""
-    grid = _grid_of(solution, grid)
+    grid = _grid_of(solution)
     shape = grid.shape()
     h = grid.spacing()
     if witness.G.shape[0] != solution.points.shape[0]:
@@ -227,10 +223,10 @@ def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
 
 
 def exactness_residual(solution: FieldSolution, eta: np.ndarray,
-                       system: str = "minor", grid: Optional[GridSpec] = None) -> ResidualReport:
+                       system: str = "minor") -> ResidualReport:
     """Closure of the rescaled field: curl of e^(-eta) w for minor systems,
     divergence of e^(-eta) w for divergence systems."""
-    grid = _grid_of(solution, grid)
+    grid = _grid_of(solution)
     eta = np.asarray(eta, dtype=float).reshape(grid.shape())
     worst = closure_residual(solution.w, eta, system, grid.spacing(), 2)
     excluded = _excluded(solution, grid, extra_bad=~np.isfinite(eta).reshape(-1))
@@ -370,11 +366,11 @@ def _cumulative(xs: np.ndarray, seg, base: float = 0.0, split: Optional[float] =
     return out.reshape(xs.shape)
 
 
-def energy(model: DensityModel, solution: FieldSolution, grid: Optional[GridSpec] = None,
+def energy(model: DensityModel, solution: FieldSolution,
            mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """Midpoint quadrature of e(Q) over cells; the field is re-synthesized at
     cell centers, and cells whose center is flagged or excluded contribute 0."""
-    grid = _grid_of(solution, grid)
+    grid = _grid_of(solution)
     h = grid.spacing()
     axes = [0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()]
     mesh = np.meshgrid(*axes, indexing="ij")

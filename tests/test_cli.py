@@ -334,6 +334,37 @@ def test_levels_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, mo
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("command", ["synth", "singular", "frobenius", "forms", "verify"])
+def test_grid_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, monkeypatch, command):
+    def no_synthesis(*args):
+        raise AssertionError("a grid was synthesized")
+
+    monkeypatch.setattr(cli, "_synth_solution", no_synthesis)
+    monkeypatch.setattr(GridSpec, "points", no_synthesis)
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21" if command == "forms" else "unit-density"])
+    cfg["grid"]["cells"] = [10 ** 6, 10 ** 6]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"more than {cfgmod.MAX_GRID_NODES} nodes" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_grid_at_the_node_budget_is_built():
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["unit-density"])
+    cfg["grid"]["cells"] = [2047, 2047]  # 2048^2 = MAX_GRID_NODES nodes
+    grid = cfgmod.build_grid(cfgmod.parse_config(cfg))
+    assert grid.npoints() == cfgmod.MAX_GRID_NODES
+    cfg["grid"]["cells"] = [2047, 2048]
+    with pytest.raises(cfgmod.ConfigError):
+        cfgmod.build_grid(cfgmod.parse_config(cfg))
+
+
 def test_worker_count_is_capped_by_cores_and_points():
     cores = os.cpu_count() or 1
     assert _workers(1, 1000) == 1

@@ -170,3 +170,245 @@ def test_extremal_phi_prime_sign_matches_type(q):
     m = extremal()
     assert m.phi_prime(q) > 0  # type1 region
     assert m.phi_prime(q + 1.0 + 0.5) < 0 or m.phi_prime(q + 1.0 + 0.5) != 0
+
+
+# ---------------------------------------------------------------------------
+# custom-density branch detection against the per-sample state machine it
+# replaced (kept verbatim below as the oracle)
+
+
+def _oracle_bisect_scalar(fn, a, b, fa, fb):
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        fm = fn(m)
+        if not np.isfinite(fm):
+            break
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return 0.5 * (a + b)
+
+
+def _oracle_bisect_defined(defined_fn, a, b):
+    for _ in range(120):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        if defined_fn(m):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _oracle_detect_branches(qs, dphi, rvals, phi_arr, dphi_arr, open_end, name):
+    import math
+
+    from streamfields.density import Interval, PhiBranch, _numeric_inverse
+
+    _INF = math.inf
+    defined = np.isfinite(dphi)
+    if not np.any(defined):
+        raise DensityError(f"custom density {name!r}: phi' undefined at every sample")
+
+    def dphi_scalar(q):
+        return float(dphi_arr(np.asarray([q]))[0])
+
+    def defined_scalar(q):
+        return bool(np.isfinite(dphi_arr(np.asarray([q]))[0]))
+
+    runs = []
+    start = None
+    for i, d in enumerate(defined):
+        if d and start is None:
+            start = i
+        elif not d and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(qs) - 1))
+
+    pieces = []
+    for r0, r1 in runs:
+        if r1 - r0 < 8:
+            continue
+        lo_q = qs[r0]
+        lo_closed = r0 == 0
+        if r0 > 0:
+            lo_q = _oracle_bisect_defined(defined_scalar, qs[r0], qs[r0 - 1])
+            lo_closed = False
+        seg_start = lo_q
+        seg_sign = math.copysign(1.0, dphi[r0]) if dphi[r0] != 0.0 else 0.0
+        count = 0
+        for i in range(r0, r1):
+            s_next = math.copysign(1.0, dphi[i + 1]) if dphi[i + 1] != 0.0 else 0.0
+            count += 1
+            if s_next != 0.0 and seg_sign == 0.0:
+                seg_sign = s_next
+            elif s_next != 0.0 and s_next != seg_sign:
+                root = _oracle_bisect_scalar(dphi_scalar, qs[i], qs[i + 1], dphi[i], dphi[i + 1])
+                if count >= 8:
+                    pieces.append((seg_start, root, lo_closed and seg_start == qs[r0], False, seg_sign))
+                seg_start, seg_sign, lo_closed, count = root, s_next, False, 0
+        hi_q = qs[r1]
+        hi_closed = r1 == len(qs) - 1 and not open_end
+        if r1 < len(qs) - 1:
+            hi_q = _oracle_bisect_defined(defined_scalar, qs[r1], qs[r1 + 1])
+            hi_closed = False
+        if count >= 8:
+            pieces.append((seg_start, hi_q if not (r1 == len(qs) - 1 and open_end) else _INF,
+                           lo_closed, hi_closed if not (r1 == len(qs) - 1 and open_end) else False,
+                           seg_sign))
+
+    if not pieces:
+        raise DensityError(f"custom density {name!r}: no sign-definite phi' interval found")
+
+    out = []
+    for idx, (qa, qb, lo_c, hi_c, sign) in enumerate(pieces, start=1):
+        increasing = sign > 0.0
+        fa = float(phi_arr(np.asarray([qa]))[0])
+        if not np.isfinite(fa):
+            fa = float(phi_arr(np.asarray([qa + 1e-12 * max(1.0, abs(qa))]))[0])
+        if np.isfinite(qb):
+            fb = float(phi_arr(np.asarray([qb]))[0])
+            if not np.isfinite(fb):
+                fb = float(phi_arr(np.asarray([qb - 1e-12 * max(1.0, abs(qb))]))[0])
+        else:
+            fb = _INF if increasing else 0.0
+        im_lo, im_hi = (fa, fb) if increasing else (fb, fa)
+        image = Interval(
+            im_lo, im_hi,
+            lo_closed=(lo_c if increasing else hi_c) and np.isfinite(im_lo),
+            hi_closed=(hi_c if increasing else lo_c) and np.isfinite(im_hi),
+        )
+        mid = qa + 0.5 * (min(qb, qa + 10.0) - qa)
+        rho_mid = rvals[np.searchsorted(qs, mid).clip(0, len(qs) - 1)]
+        out.append(
+            PhiBranch(
+                index=idx,
+                label=f"numeric_{idx}",
+                orientation="type1" if increasing else "type2",
+                q_interval=Interval(qa, qb, lo_c, hi_c),
+                image=image,
+                nonphysical=bool(np.isfinite(rho_mid) and rho_mid < 0.0),
+                snap_lo=np.isfinite(image.lo) and np.isfinite(qb if not increasing else qa),
+                snap_hi=np.isfinite(image.hi) and np.isfinite(qa if not increasing else qb),
+                psi_fn=_numeric_inverse(phi_arr, dphi_arr, qa, qb, increasing),
+            )
+        )
+    return out
+
+
+def _oracle_custom_branches(rho_expr, q_min=0.0, q_max=None):
+    """The branches the sample-by-sample detector finds for custom(rho_expr)."""
+    from streamfields import expr as exprmod
+    from streamfields.density import _sample_grid
+
+    e = exprmod.parse(rho_expr, ("Q",))
+
+    def rho_and_prime(q):
+        jets = exprmod.eval_jets(e, q.reshape(-1, 1))
+        r = np.where(jets.bad, np.nan, jets.val)
+        rp = np.where(jets.bad, np.nan, jets.grad[:, 0])
+        return r.reshape(q.shape), rp.reshape(q.shape)
+
+    def phi_arr(q):
+        q = np.asarray(q, dtype=float)
+        r, _ = rho_and_prime(q)
+        with np.errstate(all="ignore"):
+            return q * r * r
+
+    def dphi_arr(q):
+        q = np.asarray(q, dtype=float)
+        r, rp = rho_and_prime(q)
+        with np.errstate(all="ignore"):
+            return r * (r + 2.0 * q * rp)
+
+    qs = _sample_grid(q_min, q_max if q_max is not None else 1e6, 4096)
+    with np.errstate(all="ignore"):
+        dphi = dphi_arr(qs)
+        rvals, _ = rho_and_prime(qs)
+    return _oracle_detect_branches(qs, dphi, rvals, phi_arr, dphi_arr,
+                                   open_end=q_max is None, name="oracle")
+
+
+# (rho, q_min, q_max): folds, exact zeros of phi' (first, last and a whole
+# stretch of samples), undefined gaps and short defined runs, q_min > 0, open
+# and closed ends, ~30-branch oscillations, definedness edges near Q = 0, and
+# phi = (Q-1)^3/3 - d (Q-1)^2/2 + 1, whose piece between the roots 1 and 1 + d
+# of phi' spans 8 samples (kept) at d = 0.0036 and 7 (dropped) at d = 0.0030
+ORACLE_LAWS = [
+    ("sqrt(((Q-1)^3/3 - 0.0036*(Q-1)^2/2 + 1)/Q)", 0.1, 4.0),
+    ("sqrt(((Q-1)^3/3 - 0.0030*(Q-1)^2/2 + 1)/Q)", 0.1, 4.0),
+    ("1", 0.0, 16.0),
+    ("1", 0.0, None),
+    ("1 - Q/2", 0.0, 16.0),
+    ("1 - Q/2", 0.0, None),
+    ("1 - Q/2", 0.0, 2.0),
+    ("1 - Q/2", 0.5, 8.0),
+    ("1 - Q", 0.0, 1.0),
+    ("Q", 0.0, 5.0),
+    ("Q - 1", 1.0, 9.0),
+    ("(abs(1 - Q) + 1 - Q)/2 + (abs(Q - 2) + Q - 2)/2", 0.0, 6.0),
+    ("1/sqrt(abs(1 - Q))", 0.0, None),
+    ("sqrt(abs(1 - 2.25/Q))", 0.0, 20.0),
+    ("sqrt((Q - 1)*(Q - 2))", 0.0, 10.0),
+    ("sqrt(-(Q - 1)*(Q - 1.002)*(Q - 2)*(Q - 3))", 0.0, 10.0),
+    ("sqrt(1 - Q)", 0.0, None),
+    ("log(Q - 1)", 0.0, 30.0),
+    ("log(Q)", 0.0, 10.0),
+    ("1/Q", 0.0, 10.0),
+    ("sqrt(Q)", 0.0, 10.0),
+    ("exp(-Q)", 0.0, None),
+    ("exp(Q)", 0.0, None),
+    ("1/sqrt(1 + Q) + Q/10", 0.1, None),
+    ("cos(Q)", 0.0, 12.0),
+    ("2 + sin(Q)", 0.0, 100.0),
+    ("2 + sin(3*Q)", 0.2, 30.0),
+    ("Q^2 - 3*Q + 1", 0.0, 8.0),
+]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _same_interval(a, b):
+    return (_bits([a.lo, a.hi]) == _bits([b.lo, b.hi])
+            and bool(a.lo_closed) is bool(b.lo_closed) and bool(a.hi_closed) is bool(b.hi_closed))
+
+
+@pytest.mark.parametrize("rho,q_min,q_max", ORACLE_LAWS, ids=lambda v: str(v))
+def test_custom_branches_match_the_per_sample_oracle_bit_for_bit(rho, q_min, q_max):
+    got = custom(rho, q_min=q_min, q_max=q_max).branches()
+    want = _oracle_custom_branches(rho, q_min, q_max)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.index, g.label, g.orientation) == (w.index, w.label, w.orientation)
+        assert _same_interval(g.q_interval, w.q_interval)
+        assert _same_interval(g.image, w.image)
+        assert (bool(g.nonphysical), bool(g.snap_lo), bool(g.snap_hi)) == (
+            bool(w.nonphysical), bool(w.snap_lo), bool(w.snap_hi))
+        hi = w.image.hi if np.isfinite(w.image.hi) else w.image.lo + 10.0 * (1.0 + abs(w.image.lo))
+        xi = np.linspace(w.image.lo, hi, 257)
+        assert _bits(g.psi(xi)) == _bits(w.psi(xi))
+
+
+def test_oracle_laws_cover_the_cases_they_name():
+    by_law = {(r, lo, hi): _oracle_custom_branches(r, lo, hi) for r, lo, hi in ORACLE_LAWS}
+    counts = [len(bs) for bs in by_law.values()]
+    assert max(counts) >= 30  # oscillating law
+    ivs = [b.q_interval for bs in by_law.values() for b in bs]
+    assert any(not iv.lo_closed and 0.0 < iv.lo < 1e-40 for iv in ivs)  # log(Q) edge near 0
+    assert any(np.isinf(iv.hi) for iv in ivs) and any(iv.hi_closed for iv in ivs)
+    assert any(b.nonphysical for bs in by_law.values() for b in bs)
+    assert counts[:2] == [3, 2]  # the 8-sample piece is a branch, the 7-sample one is not
+
+
+def test_custom_phi_prime_of_pure_rounding_noise_is_refused():
+    # rho = Q^(-1/2) makes phi = 1: every phi' sample is rounding noise
+    with pytest.raises(DensityError, match="no sign-definite"):
+        custom("1/sqrt(Q)", q_max=10.0)
