@@ -24,7 +24,6 @@ from .drive import (
     gradient_drive,
     radial_class,
     radial_log,
-    range_sigma,
     raw_drive,
     scalar_drive,
     shallow_vortex,

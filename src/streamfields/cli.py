@@ -13,7 +13,10 @@ subcommand, and so is a `verify --levels K` study whose finest grid would have
 more; K < 1 is refused everywhere.
 
 Exit codes: 0 success, 2 config error, 3 synthesis found no admissible
-points, 4 a verification threshold or conservative gate was breached.
+points, 4 a verification threshold or conservative gate was breached.  A
+subcommand returns EXIT_OK or raises: a config error, or an _Exit that carries
+its code and reason.  `main` is the only place that prints a reason (to
+stderr) and picks the exit code.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import config as cfgmod
-from . import drive as drivemod
 from . import forms as formsmod
 from . import frobenius as frobmod
 from . import singular as singmod
@@ -39,7 +41,8 @@ from .drive import DriveError, coord_names
 from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
-from .synth import FieldSolution, GridSpec, REGIME_NAMES, SynthError, synthesize
+from .synth import (FLAG_DRIVE_UNDEFINED, FieldSolution, GridSpec, REGIME_NAMES, SynthError,
+                    synthesize)
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
 from .verify import VerifyError
@@ -51,6 +54,14 @@ EXIT_THRESHOLD = 4
 
 _CONFIG_ERRORS = (ConfigError, DensityError, DriveError, SynthError, ExpressionError, FormError,
                   frobmod.WitnessMismatch)
+
+
+class _Exit(Exception):
+    """An outcome other than success: `main` prints the reason and returns the code."""
+
+    def __init__(self, code: int, reason: str):
+        super().__init__(reason)
+        self.code = code
 
 
 # Rows per block of a CSV file: a block's strings are built in memory and
@@ -97,31 +108,34 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _float_cols(arr2d: np.ndarray, names: list) -> list:
-    return [("float", arr2d[:, i]) for i in range(len(names))]
+def _write_table(out: str, name: str, points: np.ndarray, triples: list) -> None:
+    """Write out/name: the coordinate columns of `points`, then one column per
+    (header, kind, column) triple."""
+    coords = [(c, "float", points[:, i]) for i, c in enumerate(coord_names(points.shape[1]))]
+    cols = coords + triples
+    _write_csv(os.path.join(out, name), [c[0] for c in cols], [c[1:] for c in cols])
 
 
 # ---------------------------------------------------------------------------
 # shared build steps
 
 
-def _load_config(args) -> RunConfig:
+def _setup(args) -> tuple:
+    """(config, output directory, grid) of a subcommand; the directory is made here."""
     if args.config and args.example:
         raise ConfigError("pass either --config or --example, not both")
     if args.config:
-        return cfgmod.load_config(args.config)
-    if args.example:
-        return cfgmod.example_config(args.example)
-    raise ConfigError("one of --config PATH or --example NAME is required")
-
-
-def _outdir(args, cfg: RunConfig) -> str:
+        cfg = cfgmod.load_config(args.config)
+    elif args.example:
+        cfg = cfgmod.example_config(args.example)
+    else:
+        raise ConfigError("one of --config PATH or --example NAME is required")
     out = args.out or cfgmod.output_dir(cfg)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
-    return out
+    return cfg, out, cfgmod.build_grid(cfg)
 
 
 def _workers(threads: int, npoints: int) -> int:
@@ -132,47 +146,32 @@ def _workers(threads: int, npoints: int) -> int:
 def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
                     witness: Optional[str] = None) -> FieldSolution:
     """The configured field on `grid`; a frobenius.witness choice passed as
-    `witness` is checked against the drive before anything is synthesized."""
+    `witness` is checked against the drive before anything is synthesized.
+    Exit 3 when no point is admitted, with the sampled range of xi = |a|^2."""
     model = cfgmod.build_model(cfg)
     d = cfgmod.build_drive(cfg)
-    if grid.dim != d.dim:
-        raise ConfigError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     if witness is not None:
         frobmod.resolve_witness(witness, d)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
-    return synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
+    sol = synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
+    if not (sol.branch_id != 0).any():
+        xi = sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0]
+        sampled = (f"[{xi.min():.6g}, {xi.max():.6g}]" if xi.size
+                   else "(drive undefined at every grid point)")
+        images = "; ".join(
+            f"branch {b.index} ({b.label}): {b.image}" for b in sol.model.branches())
+        raise _Exit(EXIT_EMPTY, "synthesis produced no admissible points: sampled drive range "
+                    f"Sigma_f = {sampled} misses every admitted branch image Im(phi): {images}")
+    return sol
 
 
-def _empty_message(sol: FieldSolution) -> str:
-    try:
-        rng = drivemod.range_sigma(sol.drive, sol.grid)
-        sampled = f"[{rng.lo:.6g}, {rng.hi:.6g}]"
-    except DriveError:
-        sampled = "(drive undefined at every grid point)"
-    images = "; ".join(
-        f"branch {b.index} ({b.label}): {b.image}" for b in sol.model.branches())
-    return (
-        "synthesis produced no admissible points: sampled drive range "
-        f"Sigma_f = {sampled} misses every admitted branch image Im(phi): {images}"
-    )
-
-
-def _tail_columns(sol) -> tuple:
+def _tail_columns(sol) -> list:
     """The Q, regime, branch and flags columns that field.csv and forms.csv end
     with, for a FieldSolution or a FormSolution."""
     regimes = np.array(REGIME_NAMES, dtype=object)[sol.regime].tolist()
-    return ["Q", "regime", "branch", "flags"], [
-        ("float", sol.Q), ("str", regimes), ("int", sol.branch_id), ("int", sol.flags)]
-
-
-def _field_columns(sol: FieldSolution) -> tuple:
-    n = sol.points.shape[1]
-    tail_names, tail_cols = _tail_columns(sol)
-    names = list(coord_names(n)) + [f"w{i+1}" for i in range(n)] + tail_names
-    cols = _float_cols(sol.points, coord_names(n))
-    cols += [("float", sol.w[:, i]) for i in range(n)]
-    return names, cols + tail_cols
+    return [("Q", "float", sol.Q), ("regime", "str", regimes), ("branch", "int", sol.branch_id),
+            ("flags", "int", sol.flags)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +179,10 @@ def _field_columns(sol: FieldSolution) -> tuple:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    grid = cfgmod.build_grid(cfg)
+    cfg, out, grid = _setup(args)
     sol = _synth_solution(cfg, grid, args.threads)
-    if not (sol.branch_id != 0).any():
-        print(_empty_message(sol), file=sys.stderr)
-        return EXIT_EMPTY
-    names, cols = _field_columns(sol)
-    _write_csv(os.path.join(out, "field.csv"), names, cols)
+    _write_table(out, "field.csv", sol.points,
+                 [(f"w{i+1}", "float", sol.w[:, i]) for i in range(grid.dim)] + _tail_columns(sol))
     if cfgmod.flag(cfg, "output.json"):
         counts = {REGIME_NAMES[k]: int((sol.regime == k).sum()) for k in range(4)}
         _write_json(os.path.join(out, "summary.json"), {
@@ -200,31 +194,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    grid = cfgmod.build_grid(cfg)
+    cfg, out, grid = _setup(args)
     sol = _synth_solution(cfg, grid, args.threads)
-    if not (sol.branch_id != 0).any():
-        print(_empty_message(sol), file=sys.stderr)
-        return EXIT_EMPTY
     report = singmod.classify_solution(sol)
-    n = grid.dim
-    names = list(coord_names(n)) + ["outside", "gamma0", "gammas", "gammainf", "gammag"]
-    cols = _float_cols(sol.points, coord_names(n))
-    for mask in (report.omega_f_complement, report.gamma_0, report.gamma_s,
-                 report.gamma_inf, report.gamma_g):
-        cols.append(("int", mask.reshape(-1).astype(int)))
-    _write_csv(os.path.join(out, "masks.csv"), names, cols)
-    if n == 2:
-        seg_col, x_col, y_col = [], [], []
-        for sid, poly in enumerate(report.sonic_contour):
-            for x, y in poly:
-                seg_col.append(sid)
-                x_col.append(x)
-                y_col.append(y)
-        _write_csv(os.path.join(out, "sonic.csv"),
-                   ["segment", "x", "y"],
-                   [("int", seg_col), ("float", x_col), ("float", y_col)])
+    masks = (("outside", report.omega_f_complement), ("gamma0", report.gamma_0),
+             ("gammas", report.gamma_s), ("gammainf", report.gamma_inf),
+             ("gammag", report.gamma_g))
+    _write_table(out, "masks.csv", sol.points,
+                 [(name, "int", mask.reshape(-1).astype(int)) for name, mask in masks])
+    if grid.dim == 2:
+        polys = report.sonic_contour
+        xy = np.concatenate([np.reshape(p, (-1, 2)) for p in polys] or [np.empty((0, 2))])
+        seg = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
+        _write_csv(os.path.join(out, "sonic.csv"), ["segment", "x", "y"],
+                   [("int", seg), ("float", xy[:, 0]), ("float", xy[:, 1])])
     return EXIT_OK
 
 
@@ -235,23 +218,15 @@ def _witness_for(choice: str, sol: FieldSolution):
 
 
 def cmd_frobenius(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    grid = cfgmod.build_grid(cfg)
+    cfg, out, grid = _setup(args)
     fs = cfgmod.frobenius_section(cfg, grid.dim)
     sol = _synth_solution(cfg, grid, args.threads, witness=fs["witness"])
-    if not (sol.branch_id != 0).any():
-        print(_empty_message(sol), file=sys.stderr)
-        return EXIT_EMPTY
     wit = _witness_for(fs["witness"], sol)
     curl = frobmod.curl_residual_grid(wit)
-    n = grid.dim
-    names = (list(coord_names(n)) + [f"G{i+1}" for i in range(n)]
-             + ["defect", "curl_defect"])
-    cols = _float_cols(sol.points, coord_names(n))
-    cols += [("float", wit.G[:, i]) for i in range(n)]
-    cols += [("float", wit.defining_residual), ("float", curl.reshape(-1))]
-    _write_csv(os.path.join(out, "witness.csv"), names, cols)
+    _write_table(out, "witness.csv", sol.points,
+                 [(f"G{i+1}", "float", wit.G[:, i]) for i in range(grid.dim)]
+                 + [("defect", "float", wit.defining_residual),
+                    ("curl_defect", "float", curl.reshape(-1))])
 
     summary = {
         "kind": wit.kind,
@@ -266,12 +241,8 @@ def cmd_frobenius(args) -> int:
                                       tol_conservative=fs["tol_conservative"])
         except FrobeniusError as exc:
             _write_json(os.path.join(out, "frobenius.json"), summary)
-            print(f"eta recovery failed: {exc}", file=sys.stderr)
-            return EXIT_THRESHOLD
-        eta_names = list(coord_names(n)) + ["eta"]
-        eta_cols = _float_cols(sol.points, coord_names(n))
-        eta_cols.append(("float", rec.eta.reshape(-1)))
-        _write_csv(os.path.join(out, "eta.csv"), eta_names, eta_cols)
+            raise _Exit(EXIT_THRESHOLD, f"eta recovery failed: {exc}") from exc
+        _write_table(out, "eta.csv", sol.points, [("eta", "float", rec.eta.reshape(-1))])
         summary["eta"] = {
             "anchor": [float(v) for v in rec.anchor],
             "curl_gate": float(rec.curl_gate),
@@ -297,48 +268,39 @@ _build_form = cfgmod.build_form
 def _form_solution(cfg: RunConfig, grid: GridSpec) -> tuple:
     """The forms section synthesized on `grid`, as (the config's form, its
     FormSolution).  A closed form (forms.closed) is the raw form itself, checked
-    for closure on forms.box, or on the grid's box when that is unset."""
+    for closure on forms.box, or on the grid's box when that is unset.  Exit 3
+    when no point is admitted."""
     model = cfgmod.build_model(cfg)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
     f, _, params, box = _build_form(cfg, grid.dim)
     pts = grid.points()
     if cfgmod.flag(cfg, "forms.closed"):
-        return f, formsmod.synthesize_form_closed(model, f, policy, pts, box or (grid.lo, grid.hi),
-                                                  tol=tol, params=params)
-    return f, formsmod.synthesize_form(model, f, policy, pts, tol=tol, params=params)
+        fsol = formsmod.synthesize_form_closed(model, f, policy, pts, box or (grid.lo, grid.hi),
+                                               tol=tol, params=params)
+    else:
+        fsol = formsmod.synthesize_form(model, f, policy, pts, tol=tol, params=params)
+    if not (fsol.branch_id != 0).any():
+        raise _Exit(EXIT_EMPTY, "form synthesis produced no admissible points: sampled |df|^2 "
+                    "misses every admitted branch image Im(phi)")
+    return f, fsol
 
 
 def cmd_forms(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    grid = cfgmod.build_grid(cfg)
+    cfg, out, grid = _setup(args)
     gamma = cfgmod.flag(cfg, "forms.gamma")
     f, fsol = _form_solution(cfg, grid)
-    pts = fsol.points
-    if not (fsol.branch_id != 0).any():
-        print("form synthesis produced no admissible points: sampled |df|^2 misses "
-              "every admitted branch image Im(phi)", file=sys.stderr)
-        return EXIT_EMPTY
-    n = grid.dim
-    idxs = multi_indices(n, fsol.k)
-    names = list(coord_names(n))
-    cols = _float_cols(pts, coord_names(n))
-    for idx in idxs:
-        label = "".join(str(i) for i in idx) or "0"
-        names.append(f"omega_{label}")
-        cols.append(("float", fsol.omega.coeffs.get(idx, np.zeros(pts.shape[0]))))
-    tail_names, tail_cols = _tail_columns(fsol)
-    _write_csv(os.path.join(out, "forms.csv"), names + tail_names, cols + tail_cols)
-
+    zeros = np.zeros(fsol.points.shape[0])
+    _write_table(out, "forms.csv", fsol.points,
+                 [(f"omega_{''.join(map(str, idx)) or '0'}", "float",
+                   fsol.omega.coeffs.get(idx, zeros)) for idx in multi_indices(grid.dim, fsol.k)]
+                 + _tail_columns(fsol))
     if gamma:
         gw = formsmod.gamma_witness(fsol.model, f, fsol)
-        gnames = list(coord_names(n)) + [f"Gamma{i+1}" for i in range(n)] + [
-            "defect", "frobenius_defect"]
-        gcols = _float_cols(pts, coord_names(n))
-        gcols += [("float", gw.Gamma[:, i]) for i in range(n)]
-        gcols += [("float", gw.defect), ("float", gw.frobenius_defect)]
-        _write_csv(os.path.join(out, "gamma.csv"), gnames, gcols)
+        _write_table(out, "gamma.csv", fsol.points,
+                     [(f"Gamma{i+1}", "float", gw.Gamma[:, i]) for i in range(grid.dim)]
+                     + [("defect", "float", gw.defect),
+                        ("frobenius_defect", "float", gw.frobenius_defect)])
     return EXIT_OK
 
 
@@ -347,9 +309,7 @@ def _refined(grid: GridSpec, factor: int) -> GridSpec:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    base = cfgmod.build_grid(cfg)
+    cfg, out, base = _setup(args)
     vs = cfgmod.verify_section(cfg)
     levels = args.levels
     # Counted before any grid is built; an exponent of 64 already exceeds the
@@ -382,7 +342,8 @@ def cmd_verify(args) -> int:
         wit = _witness_for(fs["witness"], sol)
         mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
         rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
-        return verifymod.exactness_residual(sol, rec.eta, system=wit.kind)
+        return verifymod.exactness_residual(sol, rec.eta, system=wit.kind,
+                                            extra_bad=extra_bad_on(grid))
 
     # residual kind -> residual report on one grid; config.verify_section has
     # already rejected every other kind
@@ -391,10 +352,10 @@ def cmd_verify(args) -> int:
             sol_on(grid), extra_bad=extra_bad_on(grid)),
         "minor": lambda grid: verifymod.minor_residual(sol_on(grid), extra_bad=extra_bad_on(grid)),
         "frobenius": lambda grid: verifymod.frobenius_residual(
-            sol_on(grid), _witness_for(fs["witness"], sol_on(grid))),
+            sol_on(grid), _witness_for(fs["witness"], sol_on(grid)), extra_bad=extra_bad_on(grid)),
         "exactness": exactness,
         "codifferential": lambda grid: verifymod.codifferential_residual(
-            _form_solution(cfg, grid)[1], grid),
+            _form_solution(cfg, grid)[1], grid, extra_bad=extra_bad_on(grid)),
     }
 
     for kind in vs["residuals"]:
@@ -409,14 +370,17 @@ def cmd_verify(args) -> int:
         energy_value = verifymod.energy(sol.model, sol, mask=mask_pred)
 
     threshold = vs["threshold"]
-    passed = all(np.isfinite(r.max_norm) and r.max_norm < threshold for r in reports)
+    breached = [r for r in reports if not (np.isfinite(r.max_norm) and r.max_norm < threshold)]
     _write_json(os.path.join(out, "report.json"), {
         "reports": [r.to_json_dict() for r in reports],
         "energy": energy_value,
         "threshold": threshold,
-        "passed": bool(passed),
+        "passed": not breached,
     })
-    return EXIT_OK if passed else EXIT_THRESHOLD
+    if breached:
+        kinds = ", ".join(f"{r.kind} (max_norm {r.max_norm:.6g})" for r in breached)
+        raise _Exit(EXIT_THRESHOLD, f"verification threshold {threshold:g} breached by {kinds}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +427,15 @@ def main(argv: Optional[list] = None) -> int:
             raise ConfigError(f"--levels must be at least 1, got {args.levels}")
         return args.handler(args)
     except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        outcome = _Exit(EXIT_CONFIG, f"config error: {exc}")
     except VerifyError as exc:
-        print(f"verification could not run: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        outcome = _Exit(EXIT_CONFIG, f"verification could not run: {exc}")
     except FrobeniusError as exc:
-        print(f"integrability check failed: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
+        outcome = _Exit(EXIT_THRESHOLD, f"integrability check failed: {exc}")
+    except _Exit as exc:
+        outcome = exc
+    print(outcome, file=sys.stderr)
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -248,8 +248,10 @@ def _box(box, n: int, key: str):
 
 
 def build_form(cfg: RunConfig, dim: int) -> tuple:
-    """The forms section as (drive form of degree n - k - 1, k, params, box),
-    with box = (lo, hi) of the closure check, or None when unset."""
+    """The forms section as (drive form, k, params, box), with box = (lo, hi)
+    of the closure check, or None when unset.  k is the degree of omega: the
+    drive form is alpha of degree n - k with forms.closed, else the stream
+    form f of degree n - k - 1."""
     sec = cfg.forms
     if "n" not in sec or "k" not in sec:
         raise ConfigError("forms.n and forms.k are required")
@@ -272,7 +274,8 @@ def build_form(cfg: RunConfig, dim: int) -> tuple:
                 idx = tuple(int(c) for c in digits)
             text = val if isinstance(val, str) else repr(float(val))
             parsed[idx] = exprmod.parse(text, drivemod.coord_names(n), tuple(params))
-        form = formsmod.KForm(n=n, k=n - k - 1, coeffs=parsed)
+        form = formsmod.KForm(n=n, k=n - k - (0 if flag(cfg, "forms.closed") else 1),
+                              coeffs=parsed)
     box = sec.get("box")
     return form, k, params, _box(box, n, "forms.box") if box else None
 

@@ -473,7 +473,9 @@ def _detect_branches(qs, sign, rvals, phi_arr, dphi_arr, open_end: bool, name: s
         return _bisect(lambda m: 1 if np.isfinite(dphi1(m)) else -1, a, b, 120)
 
     def root(i):
-        a_neg = sign[i] < 0.0
+        # the held sign of the piece that ends at the split; sign[i] would count
+        # a phi' of exactly 0 at sample i as positive and overshoot the root
+        a_neg = held[i] < 0.0
 
         def side(m):
             f = dphi1(m)

@@ -17,7 +17,6 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import expr as exprmod
-from .density import Interval
 
 
 class DriveError(ValueError):
@@ -202,15 +201,6 @@ def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
     xi = np.einsum("ni,ni->n", a, a)
     grad_xi = 2.0 * np.einsum("nij,ni->nj", jac, a)
     return DriveBatch(a=a, xi=xi, jac=jac, grad_xi=grad_xi, laplacian_f=lap, bad=bad)
-
-
-def range_sigma(d: DriveField, grid) -> Interval:
-    """Sampled [min, max] of xi = |a|^2 over the grid's defined points."""
-    batch = drive_batch(d, grid.points())
-    xi = batch.xi[~batch.bad]
-    if xi.size == 0:
-        raise DriveError("drive undefined at every grid point; no xi range available")
-    return Interval(float(xi.min()), float(xi.max()), True, True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ The residuals here use second-order central differences on the uniform grid;
 frobenius uses fourth order for its conservative curl gate and eta post-check.
 Nodes without a full stencil of clean neighbors are masked, never one-sided.
 The mask is exactly the union of singular flags (nonphysical-branch markers
-are informational, not singular) dilated by one stencil width, plus the
-boundary.  Reductions are numpy sums in fixed index order, so reports are
-deterministic.  The codifferential residual hands central differences to
-`forms.codifferential` as coefficient gradients, so it applies the forms
-module's one sign table (`forms._wedge_sum`) and has none of its own.
+are informational, not singular) and every residual's `extra_bad` nodes,
+dilated by one stencil width, plus the boundary.  Reductions are numpy sums
+in fixed index order, so reports are deterministic.  The codifferential
+residual hands central differences to `forms.codifferential` as coefficient
+gradients, so it applies the forms module's one sign table
+(`forms._wedge_sum`) and has none of its own.
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ def interior(ok: np.ndarray, width: int) -> np.ndarray:
     return ~(_dilate(~ok, width) | _border(ok.shape, width))
 
 
-def _excluded(solution, grid: GridSpec, extra_bad: Optional[np.ndarray] = None) -> np.ndarray:
+def _excluded(solution, grid: GridSpec, *extra_bad: Optional[np.ndarray]) -> np.ndarray:
     flagged = (solution.flags & MASK_BITS) != 0
     bad = flagged | ~solution.defined
-    if extra_bad is not None:
-        bad = bad | extra_bad
+    for extra in extra_bad:
+        if extra is not None:
+            bad = bad | extra
     return ~interior(~bad.reshape(grid.shape()), 1)
 
 
@@ -200,7 +202,8 @@ def minor_residual(solution: FieldSolution, model: Optional[DensityModel] = None
     return _report("MinorSystemOfRhoW", grid, worst, _excluded(solution, grid, extra_bad))
 
 
-def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness) -> ResidualReport:
+def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
+                       extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Frobenius defect with finite-difference derivatives of w and the
     witness's G: minor systems compare curls, divergence systems divergences."""
     grid = _grid_of(solution)
@@ -218,22 +221,23 @@ def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness) -> Re
                 worst = np.maximum(worst, np.abs(curl - wedge))
         else:
             worst = np.abs(divergence(comps, h, 2) - np.einsum("ni,ni->n", G, w).reshape(shape))
-    excluded = _excluded(solution, grid, extra_bad=~witness.defined)
+    excluded = _excluded(solution, grid, ~witness.defined, extra_bad)
     return _report("FrobeniusDefect", grid, worst, excluded)
 
 
-def exactness_residual(solution: FieldSolution, eta: np.ndarray,
-                       system: str = "minor") -> ResidualReport:
+def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "minor",
+                       extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Closure of the rescaled field: curl of e^(-eta) w for minor systems,
     divergence of e^(-eta) w for divergence systems."""
     grid = _grid_of(solution)
     eta = np.asarray(eta, dtype=float).reshape(grid.shape())
     worst = closure_residual(solution.w, eta, system, grid.spacing(), 2)
-    excluded = _excluded(solution, grid, extra_bad=~np.isfinite(eta).reshape(-1))
+    excluded = _excluded(solution, grid, ~np.isfinite(eta).reshape(-1), extra_bad)
     return _report("ExactnessDefect", grid, worst, excluded)
 
 
-def codifferential_residual(fsol: FormSolution, grid: GridSpec) -> ResidualReport:
+def codifferential_residual(fsol: FormSolution, grid: GridSpec,
+                            extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Codifferential of rho(Q) omega, coefficientwise: forms.codifferential
     with central-difference coefficient gradients."""
     shape = grid.shape()
@@ -248,7 +252,7 @@ def codifferential_residual(fsol: FormSolution, grid: GridSpec) -> ResidualRepor
     worst = np.zeros(shape)
     for vals in delta.coeffs.values():
         worst = np.maximum(worst, np.abs(vals.reshape(shape)))
-    return _report("CodifferentialDefect", grid, worst, _excluded(fsol, grid))
+    return _report("CodifferentialDefect", grid, worst, _excluded(fsol, grid, extra_bad))
 
 
 # ---------------------------------------------------------------------------

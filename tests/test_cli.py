@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import json
@@ -77,7 +78,7 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, example, command, sect
 
 
 # a closed 1-form on the form-21 grid: d(x2 dx1 + x1 dx2) = 0
-CLOSED_FORM = {"n": 2, "k": 0, "coeffs": {"1": "x2", "2": "x1"}, "closed": True}
+CLOSED_FORM = {"n": 2, "k": 1, "coeffs": {"1": "x2", "2": "x1"}, "closed": True}
 
 
 @pytest.mark.parametrize("box, code, used", [
@@ -116,7 +117,7 @@ def test_verify_checks_the_closed_form_that_forms_writes(tmp_path, capsys):
     # alpha = d(x1^2 x2^3 / 8): forms synthesizes omega from alpha itself, and
     # so must verify's codifferential residual
     cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21"])
-    cfg["forms"] = {"n": 2, "k": 0, "closed": True,
+    cfg["forms"] = {"n": 2, "k": 1, "closed": True,
                     "coeffs": {"1": "x1 * x2^3 / 4", "2": "3 * x1^2 * x2^2 / 8"}}
     code, out = run_cfg(tmp_path, cfg, command="forms")
     assert code == 0
@@ -210,7 +211,7 @@ PROBE_BASES = {
         "forms.gamma")),
     "verify-forms": ("verify", {
         "density": {"kind": "shallow_water"}, "drive": _PROBE_SCALAR, "grid": _PROBE_GRID,
-        "forms": {"n": 2, "k": 0, "closed": True, "params": {}, "box": [[0.2, 0.2], [0.8, 0.8]],
+        "forms": {"n": 2, "k": 1, "closed": True, "params": {}, "box": [[0.2, 0.2], [0.8, 0.8]],
                   "coeffs": {"1": "x1 * x2^3 / 4", "2": "3 * x1^2 * x2^2 / 8"}},
         "verify": {"residuals": ["codifferential"], "threshold": 1.0},
     }, ("forms.n", "forms.k", "forms.coeffs", "forms.params", "forms.closed", "forms.box")),
@@ -373,18 +374,124 @@ def test_worker_count_is_capped_by_cores_and_points():
     assert _workers(3, 10 ** 9) == min(3, cores)
 
 
+# |a|^2 of the ring drive on this box lies below the image (1, inf) of branch 2
+EMPTY_IMAGE = {
+    "density": {"kind": "extremal"},
+    "drive": {"kind": "builtin", "name": "radial_log"},
+    "grid": {"lo": [3.0, 3.0], "hi": [4.0, 4.0], "cells": [8, 8]},
+    "policy": {"mode": "single_branch", "branch": 2},
+}
+
+
 def test_exit_code_on_empty_image(tmp_path, capsys):
-    cfg = {
-        "density": {"kind": "extremal"},
-        "drive": {"kind": "builtin", "name": "radial_log"},
-        "grid": {"lo": [3.0, 3.0], "hi": [4.0, 4.0], "cells": [8, 8]},
-        "policy": {"mode": "single_branch", "branch": 2},
-    }
-    code, out = run_cfg(tmp_path, cfg)
+    code, out = run_cfg(tmp_path, EMPTY_IMAGE)
     assert code == 3
     err = capsys.readouterr().err
     assert "Sigma_f" in err and "Im(phi)" in err
     assert not (out / "field.csv").exists()
+
+
+def _example(name, cells, **sections):
+    """A built-in example on a grid of `cells` per axis, with whole sections replaced."""
+    cfg = copy.deepcopy(cfgmod.EXAMPLES[name])
+    cfg["grid"]["cells"] = [cells] * len(cfg["grid"]["cells"])
+    cfg.update(copy.deepcopy(sections))
+    return cfg
+
+
+_BRANCH_2 = {"mode": "single_branch", "branch": 2}
+# |df|^2 < 1 on the form-21 box, below the image of extremal branch 2
+_EMPTY_FORM = _example("form-21", 8, density={"kind": "extremal"}, policy=_BRANCH_2)
+# without its frobenius.mask the witness is not conservative across the fold
+# circles (max curl residual 3.848e1 here, 3.476e3 on the shipped grid)
+_ANNULUS_UNMASKED = _example("shallow-annulus-eta", 64, verify={"residuals": ["exactness"]})
+del _ANNULUS_UNMASKED["frobenius"]["mask"]
+
+# id: (command, config, exit code, stderr fragment, the files written)
+EXIT_CASES = {
+    "synth-empty": ("synth", EMPTY_IMAGE, 3, "synthesis produced no admissible", set()),
+    "singular-empty": ("singular", EMPTY_IMAGE, 3, "Sigma_f", set()),
+    "frobenius-empty": ("frobenius", EMPTY_IMAGE, 3, "Sigma_f", set()),
+    "verify-empty": ("verify", EMPTY_IMAGE, 3, "Sigma_f", set()),
+    "forms-empty": ("forms", _EMPTY_FORM, 3, "form synthesis produced no admissible", set()),
+    "verify-codifferential-empty": (
+        "verify", _EMPTY_FORM, 3, "form synthesis produced no admissible", set()),
+    # xi = |a|^2 = 1 at every node, just outside the open image (1, inf)
+    "synth-sigma-range-over-grid": ("synth", {
+        "density": {"kind": "extremal"}, "drive": {"kind": "scalar", "f": "x1"},
+        "grid": {"lo": [0, 0], "hi": [1, 1], "cells": [4, 4]}, "policy": _BRANCH_2,
+    }, 3, "Sigma_f = [1, 1] misses", set()),
+    "verify-gate": (
+        "verify", _example("shallow-vortex", 16, verify={"threshold": 1e-20}), 4,
+        "verification threshold 1e-20 breached by DivergenceOfRhoW (max_norm ", {"report.json"}),
+    "verify-exactness-not-conservative": (
+        "verify", _ANNULUS_UNMASKED, 4, "integrability check failed: witness not conservative",
+        set()),
+    "verify-mask-excludes-every-node": (
+        "verify", _example("unit-density", 8, verify={"mask": "-1"}), 2,
+        "verification could not run: DivergenceOfRhoW: fewer than 3", set()),
+    "frobenius-eta-not-conservative": (
+        "frobenius", _ANNULUS_UNMASKED, 4, "eta recovery failed: witness not conservative",
+        {"witness.csv", "frobenius.json"}),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES.values(), ids=EXIT_CASES.keys())
+def test_exit_code_and_reason(tmp_path, capsys, case):
+    command, cfg, want, fragment, written = case
+    code, out = run_cfg(tmp_path, cfg, command=command)
+    err = capsys.readouterr().err
+    assert (code, err.count("\n")) == (want, 1), err
+    assert fragment in err
+    assert set(os.listdir(out)) == written
+    if command == "verify" and written:
+        assert json.loads((out / "report.json").read_text())["passed"] is False
+
+
+def test_only_main_prints_a_reason_or_returns_a_failure_code():
+    """Subcommands raise every outcome but success; main alone turns it into
+    the reason on stderr and the exit code."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    sites = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                sites.append(f"{fn.name}:{node.lineno} print")
+            if isinstance(node, ast.Return) and node.value is not None:
+                sites += [f"{fn.name}:{node.lineno} return {name.id}"
+                          for name in ast.walk(node.value) if isinstance(name, ast.Name)
+                          and name.id.startswith("EXIT_") and name.id != "EXIT_OK"]
+    assert sites == []
+
+
+def test_verify_mask_applies_to_every_residual_kind(tmp_path, capsys):
+    # the FD stencils straddle the branch-2/branch-3 seam outside the annulus;
+    # verify.mask keeps them out of the Frobenius defect too (48.4 unmasked)
+    ann = cfgmod.EXAMPLES["shallow-annulus-eta"]
+    cfg = _example("shallow-annulus-eta", 64, verify={
+        "residuals": ["frobenius", "exactness"], "mask": ann["frobenius"]["mask"]})
+    code, out = run_cfg(tmp_path, cfg, command="verify")
+    frob, exact = json.loads((out / "report.json").read_text())["reports"]
+    assert frob["kind"] == "FrobeniusDefect" and frob["max_norm"] < 1e-10
+    # the exactness residual already skips nodes where eta is not recovered
+    assert exact["kind"] == "ExactnessDefect"
+    assert frob["masked_fraction"] == exact["masked_fraction"]
+    # O(h^2) truncation error of e^(-eta) w, above the default threshold 1e-6
+    assert code == 4
+    assert "breached by ExactnessDefect" in capsys.readouterr().err
+
+
+def test_closed_form_k_is_the_degree_of_omega(tmp_path):
+    # alpha = x1 x2 dx1 ^ dx2 is a closed 2-form, so omega = *alpha / rho is a 0-form
+    cfg = _example("form-21", 8, forms={"n": 2, "k": 0, "closed": True,
+                                        "coeffs": {"12": "x1 * x2"}})
+    code, out = run_cfg(tmp_path, cfg, command="forms")
+    assert code == 0
+    assert read_csv(out / "forms.csv")[0][2] == "omega_0"
 
 
 def test_field_csv_schema_and_exact_roundtrip(tmp_path):

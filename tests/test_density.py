@@ -249,7 +249,7 @@ def _oracle_detect_branches(qs, dphi, rvals, phi_arr, dphi_arr, open_end, name):
             if s_next != 0.0 and seg_sign == 0.0:
                 seg_sign = s_next
             elif s_next != 0.0 and s_next != seg_sign:
-                root = _oracle_bisect_scalar(dphi_scalar, qs[i], qs[i + 1], dphi[i], dphi[i + 1])
+                root = _oracle_bisect_scalar(dphi_scalar, qs[i], qs[i + 1], seg_sign, dphi[i + 1])
                 if count >= 8:
                     pieces.append((seg_start, root, lo_closed and seg_start == qs[r0], False, seg_sign))
                 seg_start, seg_sign, lo_closed, count = root, s_next, False, 0
@@ -412,3 +412,14 @@ def test_custom_phi_prime_of_pure_rounding_noise_is_refused():
     # rho = Q^(-1/2) makes phi = 1: every phi' sample is rounding noise
     with pytest.raises(DensityError, match="no sign-definite"):
         custom("1/sqrt(Q)", q_max=10.0)
+
+
+def test_custom_branch_ends_at_the_root_of_phi_prime_not_past_it():
+    # phi = Q rho^2 is flat (phi' = 0) on [1, 2] and rises beyond 2: the type2
+    # branch from the fold at 1/3 runs into the flat stretch and must end
+    # where phi' is still 0, not at a sample past Q = 2 where phi' > 0
+    model = custom("(abs(1 - Q) + 1 - Q)/2 + (abs(Q - 2) + Q - 2)/2", q_max=6.0)
+    (branch,) = [b for b in model.branches() if b.orientation == "type2"]
+    hi = branch.q_interval.hi
+    assert hi <= 2.0
+    assert model.phi_prime(np.array([hi]))[0] <= 0.0

@@ -11,13 +11,11 @@ from streamfields import (
     gradient_drive,
     radial_class,
     radial_log,
-    range_sigma,
     raw_drive,
     scalar_drive,
     shallow_vortex,
     skew_drive,
 )
-from streamfields.synth import GridSpec
 from conftest import fd_value_grad_hess
 
 
@@ -152,13 +150,6 @@ def test_undefined_points_marked_bad():
     batch = drive_batch(d, np.array([[-1.0, 0.0], [1.0, 0.0]]))
     assert batch.bad[0] and not batch.bad[1]
     assert np.isnan(batch.a[0]).all()
-
-
-def test_range_sigma_over_grid():
-    d = scalar_drive("x1")
-    g = GridSpec((0, 0), (1, 1), (4, 4))
-    iv = range_sigma(d, g)
-    assert iv.lo == pytest.approx(1.0) and iv.hi == pytest.approx(1.0)
 
 
 @settings(max_examples=30, deadline=None)
