@@ -22,6 +22,7 @@ stderr) and picks the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -155,15 +156,20 @@ def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
     sol = synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
-    if not (sol.branch_id != 0).any():
-        xi = sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0]
-        sampled = (f"[{xi.min():.6g}, {xi.max():.6g}]" if xi.size
-                   else "(drive undefined at every grid point)")
-        images = "; ".join(
-            f"branch {b.index} ({b.label}): {b.image}" for b in sol.model.branches())
-        raise _Exit(EXIT_EMPTY, "synthesis produced no admissible points: sampled drive range "
-                    f"Sigma_f = {sampled} misses every admitted branch image Im(phi): {images}")
+    _require_admitted(sol, "synthesis", "drive range Sigma_f")
     return sol
+
+
+def _require_admitted(sol, what: str, sampled: str) -> None:
+    """Exit 3 when no point of `sol` (a FieldSolution or a FormSolution) is
+    admitted, with the sampled range of its xi and every branch image."""
+    if (sol.branch_id != 0).any():
+        return
+    xi = sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0]
+    span = f"[{xi.min():.6g}, {xi.max():.6g}]" if xi.size else "(drive undefined at every grid point)"
+    images = "; ".join(f"branch {b.index} ({b.label}): {b.image}" for b in sol.model.branches())
+    raise _Exit(EXIT_EMPTY, f"{what} produced no admissible points: sampled {sampled} = {span} "
+                f"misses every admitted branch image Im(phi): {images}")
 
 
 def _tail_columns(sol) -> list:
@@ -275,14 +281,13 @@ def _form_solution(cfg: RunConfig, grid: GridSpec) -> tuple:
     tol = cfgmod.build_tol(cfg)
     f, _, params, box = _build_form(cfg, grid.dim)
     pts = grid.points()
-    if cfgmod.flag(cfg, "forms.closed"):
+    closed = cfgmod.flag(cfg, "forms.closed")
+    if closed:
         fsol = formsmod.synthesize_form_closed(model, f, policy, pts, box or (grid.lo, grid.hi),
                                                tol=tol, params=params)
     else:
         fsol = formsmod.synthesize_form(model, f, policy, pts, tol=tol, params=params)
-    if not (fsol.branch_id != 0).any():
-        raise _Exit(EXIT_EMPTY, "form synthesis produced no admissible points: sampled |df|^2 "
-                    "misses every admitted branch image Im(phi)")
+    _require_admitted(fsol, "form synthesis", "|alpha|^2" if closed else "|df|^2")
     return f, fsol
 
 
@@ -325,12 +330,15 @@ def cmd_verify(args) -> int:
 
     reports = []
     energy_value = None
-    sol_cache: dict = {}
 
+    # one solution and at most one witness per grid, shared by every residual kind
+    @functools.cache
     def sol_on(grid: GridSpec) -> FieldSolution:
-        if grid.cells not in sol_cache:
-            sol_cache[grid.cells] = _synth_solution(cfg, grid, args.threads, witness)
-        return sol_cache[grid.cells]
+        return _synth_solution(cfg, grid, args.threads, witness)
+
+    @functools.cache
+    def witness_on(grid: GridSpec):
+        return _witness_for(fs["witness"], sol_on(grid))
 
     def extra_bad_on(grid: GridSpec):
         if mask_pred is None:
@@ -338,8 +346,7 @@ def cmd_verify(args) -> int:
         return ~mask_pred(grid.points())
 
     def exactness(grid: GridSpec):
-        sol = sol_on(grid)
-        wit = _witness_for(fs["witness"], sol)
+        sol, wit = sol_on(grid), witness_on(grid)
         mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
         rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind,
@@ -352,7 +359,7 @@ def cmd_verify(args) -> int:
             sol_on(grid), extra_bad=extra_bad_on(grid)),
         "minor": lambda grid: verifymod.minor_residual(sol_on(grid), extra_bad=extra_bad_on(grid)),
         "frobenius": lambda grid: verifymod.frobenius_residual(
-            sol_on(grid), _witness_for(fs["witness"], sol_on(grid)), extra_bad=extra_bad_on(grid)),
+            sol_on(grid), witness_on(grid), extra_bad=extra_bad_on(grid)),
         "exactness": exactness,
         "codifferential": lambda grid: verifymod.codifferential_residual(
             _form_solution(cfg, grid)[1], grid, extra_bad=extra_bad_on(grid)),

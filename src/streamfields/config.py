@@ -70,7 +70,18 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
     if extra:
         raise ConfigError(f"unknown config section(s): {', '.join(extra)}")
     sections = {name: _check_keys(name, data.get(name, {})) for name in _SECTIONS}
+    for name, sec in sections.items():
+        for key, val in sec.items():
+            _check_finite(f"{name}.{key}", val)
     return RunConfig(**sections)
+
+
+def _check_finite(where: str, val) -> None:
+    """json.load reads NaN, Infinity and 1e999; no key accepts them, at any depth."""
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{where} must hold finite numbers, got {val!r}")
+    for item in val.values() if isinstance(val, Mapping) else val if isinstance(val, list) else ():
+        _check_finite(where, item)
 
 
 def load_config(path: str) -> RunConfig:

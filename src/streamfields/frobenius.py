@@ -9,9 +9,10 @@ the verify module redoes them with finite differences.  Which witness suits
 which drive type is decided once, in `_fits`, for "auto" and for every check.
 
 A witness reads Q and the branch from the FieldSolution it is given and
-evaluates the drive once more on its points, for the jacobian; at other points
-(explicit ones, or the Gauss points of eta recovery) it synthesizes first, so
-the drive is evaluated twice per point.
+evaluates the drive once more on its points, for the jacobian.  Off the grid
+(the Gauss points of eta recovery and its loop check) one synthesis hands Q,
+the branch and its drive batch to the witness, so each point costs one drive
+evaluation.
 
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
@@ -29,7 +30,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .drive import DriveBatch, GradientDrive, RawField, Scalar2D, drive_batch
-from .synth import FieldSolution, GridSpec, log_rho_gradient, synthesize_at_points
+from .synth import FieldSolution, GridSpec, _solve, log_rho_gradient
+# Not called here; perfbench/tracer.py wraps this module-level name.
+from .synth import synthesize_at_points  # noqa: F401
 from .verify import closure_residual, curl_max, interior
 
 
@@ -40,7 +43,6 @@ class FrobeniusError(ValueError):
 @dataclass(eq=False)
 class FrobeniusWitness:
     kind: str  # "minor" or "divergence"
-    points: np.ndarray
     G: np.ndarray
     G1: np.ndarray
     defining_residual: np.ndarray  # analytic defect per point (NaN undefined)
@@ -48,18 +50,7 @@ class FrobeniusWitness:
     defined: np.ndarray
     solution: FieldSolution
     evaluator: Callable[[np.ndarray], np.ndarray]  # points -> G rows
-    grid: Optional[GridSpec] = None
     curl_residual: Optional[np.ndarray] = None  # filled by curl_residual_grid
-
-
-def _at(sol: FieldSolution, points: Optional[np.ndarray]) -> tuple:
-    """The solution and the drive batch at `points`; None means the points of
-    `sol` itself, where only the drive is evaluated again."""
-    if points is None:
-        return sol, drive_batch(sol.drive, sol.points)
-    pts = np.asarray(points, dtype=float)
-    local = synthesize_at_points(sol.model, sol.drive, sol.policy, pts, tol=sol.tol)
-    return local, drive_batch(sol.drive, pts)
 
 
 def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> tuple:
@@ -122,27 +113,21 @@ def _defect(kind: str, core: tuple, G) -> np.ndarray:
     return np.where(defined, defect, np.nan)
 
 
-def minor_defect_with(sol: FieldSolution, G_values: np.ndarray,
-                      points: Optional[np.ndarray] = None) -> np.ndarray:
+def minor_defect_with(sol: FieldSolution, G_values: np.ndarray) -> np.ndarray:
     """Analytic minor defect of an externally supplied candidate witness."""
-    return _defect("minor", _core("minor", *_at(sol, points)), G_values)
+    return _defect("minor", _core("minor", sol, drive_batch(sol.drive, sol.points)), G_values)
 
 
-def _build(sol: FieldSolution, points, kind: str) -> FrobeniusWitness:
-    if points is not None:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-    local, batch = _at(sol, points)
-    core = _core(kind, local, batch)
+def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
+    core = _core(kind, sol, drive_batch(sol.drive, sol.points))
     G, G1, solv, defined = core[5:]
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
-        return _core(kind, *_at(sol, qpts))[5]  # G
+        return _core(kind, *_solve(sol.model, sol.drive, sol.policy, qpts, sol.tol))[5]  # G
 
     return FrobeniusWitness(
-        kind=kind, points=local.points, G=G, G1=G1,
-        defining_residual=_defect(kind, core, G), solvability_residual=solv,
-        defined=defined, solution=sol, evaluator=evaluator,
-        grid=sol.grid if points is None else None,
+        kind=kind, G=G, G1=G1, defining_residual=_defect(kind, core, G),
+        solvability_residual=solv, defined=defined, solution=sol, evaluator=evaluator,
     )
 
 
@@ -177,22 +162,22 @@ def resolve_witness(choice: str, d) -> str:
     return choice
 
 
-def witness_2d(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
+def witness_2d(sol: FieldSolution) -> FrobeniusWitness:
     """Minor-system witness in the plane (scalar stream or raw divergence-free)."""
     resolve_witness("2d", sol.drive)
-    return _build(sol, points, "minor")
+    return _build(sol, "minor")
 
 
-def witness_nd(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
+def witness_nd(sol: FieldSolution) -> FrobeniusWitness:
     """Minor-system witness in any dimension via the least-squares ansatz."""
     resolve_witness("nd", sol.drive)
-    return _build(sol, points, "minor")
+    return _build(sol, "minor")
 
 
-def witness_gradient(sol: FieldSolution, points: Optional[np.ndarray] = None) -> FrobeniusWitness:
+def witness_gradient(sol: FieldSolution) -> FrobeniusWitness:
     """Divergence-type witness for curl-free drives: div w = G . w."""
     resolve_witness("gradient", sol.drive)
-    return _build(sol, points, "divergence")
+    return _build(sol, "divergence")
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +186,20 @@ def witness_gradient(sol: FieldSolution, points: Optional[np.ndarray] = None) ->
 
 def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
     """Max |d_i G_j - d_j G_i| per node by 4th-order differences (grid witnesses)."""
-    if witness.grid is None:
+    grid = witness.solution.grid
+    if grid is None:
         raise FrobeniusError("curl residual needs a grid-backed witness")
-    grid = witness.grid
     comps = [witness.G[:, k].reshape(grid.shape()) for k in range(grid.dim)]
     with np.errstate(all="ignore"):
         witness.curl_residual = curl_max(comps, grid.spacing(), 4)
     return witness.curl_residual
 
 
-def _edge_integrals(evaluator, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Two-point Gauss-Legendre quadrature of G . dl along segments, batched."""
+def _edge_integrals(evaluator, nodes: np.ndarray, edges: list) -> np.ndarray:
+    """Two-point Gauss-Legendre quadrature of G . dl along grid edges, batched:
+    `edges` holds (p, q) multi-index pairs into `nodes` (grid shape + (n,))."""
+    seg = nodes[tuple(np.moveaxis(np.array(edges), -1, 0))]  # (E, 2, n)
+    starts, ends = seg[:, 0], seg[:, 1]
     mid = 0.5 * (starts + ends)
     half = 0.5 * (ends - starts)
     off = half / np.sqrt(3.0)
@@ -234,7 +222,7 @@ class EtaRecovery:
 
 def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
                 mask: Optional[np.ndarray] = None, tol_conservative: float = 1e-6) -> EtaRecovery:
-    grid = witness.grid
+    grid = witness.solution.grid
     if grid is None:
         raise FrobeniusError("recover_eta needs a grid")
     shape = grid.shape()
@@ -294,9 +282,7 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
     eta = np.full(shape, np.nan)
     eta[start] = 0.0
     if tree:
-        starts = np.array([nodes[p] for p, _ in tree])
-        ends = np.array([nodes[q] for _, q in tree])
-        increments = _edge_integrals(witness.evaluator, starts, ends)
+        increments = _edge_integrals(witness.evaluator, nodes, tree)
         for (p, q), inc in zip(tree, increments):
             eta[q] = eta[p] + inc
 
@@ -328,20 +314,12 @@ def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray) 
         ax1, ax2 = (0, 1) if n == 2 else tuple(sorted(rng.choice(n, size=2, replace=False)))
         d1 = int(rng.integers(1, max(2, shape[ax1] // 3)))
         d2 = int(rng.integers(1, max(2, shape[ax2] // 3)))
-        i1 = list(i0)
-        i1[ax1] += d1
-        i2 = list(i1)
-        i2[ax2] += d2
-        i3 = list(i0)
-        i3[ax2] += d2
-        if i1[ax1] >= shape[ax1] or i2[ax2] >= shape[ax2]:
+        if i0[ax1] + d1 >= shape[ax1] or i0[ax2] + d2 >= shape[ax2]:
             continue
-        path = _rect_unit_edges([i0, tuple(i1), tuple(i2), tuple(i3)], ax1, ax2)
+        path = _rect_unit_edges(i0, ax1, d1, ax2, d2)
         if not all(mask[p] for p, _ in path):  # each boundary node starts one edge
             continue
-        starts = np.array([nodes[p] for p, _ in path])
-        ends = np.array([nodes[q] for _, q in path])
-        vals = _edge_integrals(evaluator, starts, ends)
+        vals = _edge_integrals(evaluator, nodes, path)
         if not np.isfinite(vals).all():
             continue
         worst = max(worst, abs(float(vals.sum())))
@@ -349,23 +327,16 @@ def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray) 
     return worst
 
 
-def _rect_unit_edges(corners, ax1, ax2):
-    """Unit grid edges tracing the rectangle boundary once around."""
-    i0, i1, i2, i3 = corners
-    path = []
-
-    def march(frm, axis, upto):
-        idx = list(frm)
-        while idx[axis] != upto:
+def _rect_unit_edges(i0, ax1, d1, ax2, d2):
+    """Unit grid edges tracing the rectangle with corner i0 and sides d1 along
+    ax1 and d2 along ax2 once around: up ax1, up ax2, back down ax1, down ax2."""
+    path, idx = [], list(i0)
+    for axis, step, count in ((ax1, 1, d1), (ax2, 1, d2), (ax1, -1, d1), (ax2, -1, d2)):
+        for _ in range(count):
             nxt = list(idx)
-            nxt[axis] += 1 if upto > idx[axis] else -1
+            nxt[axis] += step
             path.append((tuple(idx), tuple(nxt)))
             idx = nxt
-
-    march(i0, ax1, i1[ax1])
-    march(i1, ax2, i2[ax2])
-    march(i2, ax1, i3[ax1])
-    march(i3, ax2, i0[ax2])
     return path
 
 

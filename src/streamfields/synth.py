@@ -290,9 +290,9 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
     return w, Q, regime, sel, flags
 
 
-def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolicy,
-                         points: np.ndarray, tol: Optional[Tolerances] = None,
-                         grid: Optional[GridSpec] = None) -> FieldSolution:
+def _solve(model: DensityModel, d: DriveField, policy: BranchPolicy, points: np.ndarray,
+           tol: Optional[Tolerances] = None, grid: Optional[GridSpec] = None) -> tuple:
+    """(the FieldSolution at `points`, the DriveBatch it was synthesized from)."""
     tol = tol or Tolerances()
     pts = np.asarray(points, dtype=float)
     batch = drive_batch(d, pts)
@@ -301,7 +301,13 @@ def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolic
     return FieldSolution(
         grid=grid, model=model, drive=d, policy=policy, tol=tol, points=pts,
         w=w, Q=Q, xi=batch.xi, regime=regime, branch_id=sel, flags=flags,
-    )
+    ), batch
+
+
+def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolicy,
+                         points: np.ndarray, tol: Optional[Tolerances] = None,
+                         grid: Optional[GridSpec] = None) -> FieldSolution:
+    return _solve(model, d, policy, points, tol, grid)[0]
 
 
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,

@@ -56,6 +56,8 @@ class ResidualReport:
             "l2_norm": self.l2_norm,
             "masked_fraction": self.masked_fraction,
             "order": self.order,
+            "convergence": [list(lv) for lv in self.convergence] if self.convergence else None,
+            "at_floor": self.at_floor,
         }
 
 

@@ -2,6 +2,7 @@ import ast
 import copy
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamfields import GridSpec, config as cfgmod, synthesize
 from streamfields import cli
@@ -255,10 +257,101 @@ def test_config_probe_every_value_of_every_key_exits_cleanly(tmp_path, monkeypat
         probe = copy.deepcopy(cfg)
         probe.setdefault(section, {})[name] = value
         outcome = _probe(tmp_path, command, probe)
-        if outcome not in (0, 2, 3, 4):
+        # a non-finite number is a config error wherever it stands
+        if outcome not in ((2,) if _nonfinite(value) else (0, 2, 3, 4)):
             bad.append(f"{json.dumps(value)}: {outcome}")
     capsys.readouterr()
     assert bad == []
+
+
+def _nonfinite(value) -> bool:
+    """Whether a JSON value holds NaN or an infinity at any depth."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return any(_nonfinite(item) for item in items)
+
+
+# (base, key, the value as JSON text): non-finite numbers nested in a list, and
+# the literal 1e999, which json.load reads as infinity
+NONFINITE_TEXT = [
+    ("frobenius", "frobenius.anchor", "[NaN, 0.0]"),
+    ("synth", "grid.lo", "[NaN, 0.2]"),
+    ("synth", "grid.hi", "[0.8, 1e999]"),
+    ("synth", "tol.eps_rho", "1e999"),
+    ("forms", "forms.box", "[[0.2, 0.2], [0.8, -1e999]]"),
+    ("verify", "verify.threshold", "1e999"),
+    ("frobenius", "frobenius.tol_conservative", "NaN"),
+]
+
+
+@pytest.mark.parametrize("base, key, text", NONFINITE_TEXT,
+                         ids=[f"{b}-{k}-{t}" for b, k, t in NONFINITE_TEXT])
+def test_config_probe_nested_and_literal_nonfinite_numbers_exit_2(tmp_path, monkeypatch, capsys,
+                                                                  base, key, text):
+    command, cfg, _ = PROBE_BASES[base]
+    section, name = key.split(".")
+    probe = copy.deepcopy(cfg)
+    probe[section][name] = "@"
+    (tmp_path / "cfg.json").write_text(json.dumps(probe).replace('"@"', text))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", "cfg.json"]) == 2
+    assert f"config error: {key} must hold finite numbers" in capsys.readouterr().err
+
+
+def _fuzz_values() -> dict:
+    """Values for the whole-config fuzz, per key: every value a probe base
+    holds, and the other choices of the string-valued switches."""
+    values: dict = {}
+    for _, cfg, _ in PROBE_BASES.values():
+        for section, body in cfg.items():
+            for key, value in body.items():
+                values.setdefault(f"{section}.{key}", []).append(value)
+    for key, more in {
+        "density.kind": ["shallow_water", "extremal", "born_infeld", "caustic", "custom"],
+        "drive.kind": ["builtin", "scalar", "skew", "gradient", "raw"],
+        "drive.name": ["radial_log", "coulomb"],
+        "grid.cells": [[3, 5], [2, 2, 2]],
+        "policy.mode": ["prefer_type2", "single_branch", "region_map"],
+        "policy.branch": [2, 3],
+        "frobenius.witness": ["auto", "nd", "gradient"],
+        "verify.residuals": [["minor"], ["frobenius", "exactness"], ["codifferential"]],
+    }.items():
+        values[key] += more
+    return values
+
+
+FUZZ_VALUES = _fuzz_values()
+FUZZ_KEYS = sorted(f"{sec}.{key}" for sec, keys in cfgmod._KEYS.items() for key in keys)
+
+
+@st.composite
+def whole_configs(draw):
+    """(subcommand, config): a probe base that runs, with up to four keys of
+    config._KEYS, in any section, set to a well-formed value or a malformed one."""
+    command, cfg, _ = draw(st.sampled_from(list(PROBE_BASES.values())))
+    cfg = copy.deepcopy(cfg)
+    for key in draw(st.lists(st.sampled_from(FUZZ_KEYS), max_size=4, unique=True)):
+        section, name = key.split(".")
+        good = st.sampled_from(FUZZ_VALUES[key])
+        value = draw(st.one_of(good, good, good, st.sampled_from(PROBE_VALUES)))
+        cfg.setdefault(section, {})[name] = copy.deepcopy(value)
+    commands = (command, "synth", "singular", "frobenius", "forms", "verify")
+    return draw(st.sampled_from(commands)), cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=whole_configs())
+def test_whole_config_fuzz_exits_cleanly(tmp_path_factory, case):
+    command, cfg = case
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        outcome = _probe(tmp_path, command, cfg)
+    finally:
+        os.chdir(cwd)
+    assert outcome in ((2,) if _nonfinite(cfg) else (0, 2, 3, 4)), (command, cfg)
 
 
 DEEP_EXPRESSIONS = {
@@ -414,6 +507,11 @@ EXIT_CASES = {
     "frobenius-empty": ("frobenius", EMPTY_IMAGE, 3, "Sigma_f", set()),
     "verify-empty": ("verify", EMPTY_IMAGE, 3, "Sigma_f", set()),
     "forms-empty": ("forms", _EMPTY_FORM, 3, "form synthesis produced no admissible", set()),
+    # |alpha|^2 = (x1^2 + x2^2) / 16 < 1 on the box: the range names what was sampled
+    "forms-closed-empty": ("forms", _example(
+        "form-21", 8, density={"kind": "extremal"}, policy=_BRANCH_2,
+        forms={"n": 2, "k": 1, "closed": True, "coeffs": {"1": "x2 / 4", "2": "x1 / 4"}}),
+        3, "sampled |alpha|^2 = [", set()),
     "verify-codifferential-empty": (
         "verify", _EMPTY_FORM, 3, "form synthesis produced no admissible", set()),
     # xi = |a|^2 = 1 at every node, just outside the open image (1, inf)
@@ -643,8 +741,34 @@ def test_verify_convergence_levels(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--example", "extremal-patching-study", "--out", str(out),
                  "--levels", "3"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert 1.7 < report["reports"][0]["order"] < 2.2
+    report = json.loads((out / "report.json").read_text())["reports"][0]
+    assert 1.7 < report["order"] < 2.2
+    # the study behind the order, coarse to fine, ends at the reported grid
+    rows = report["convergence"]
+    assert [h for h, _ in rows] == pytest.approx([rows[0][0] / 2 ** i for i in range(3)])
+    assert rows[-1] == [report["h"], report["max_norm"]]
+    assert report["at_floor"] is False
+
+
+def test_verify_builds_one_witness_per_level(tmp_path, capsys, monkeypatch):
+    built = []
+    witness_2d = cli.frobmod.witness_2d
+
+    def counted(sol):
+        built.append(sol.grid)
+        return witness_2d(sol)
+
+    monkeypatch.setattr(cli.frobmod, "witness_2d", counted)
+    cfg = _example("shallow-annulus-eta", 64, verify={
+        "residuals": ["frobenius", "exactness"],
+        "mask": cfgmod.EXAMPLES["shallow-annulus-eta"]["frobenius"]["mask"]})
+    code, out = run_cfg(tmp_path, cfg, command="verify", extra=("--levels", "3"))
+    capsys.readouterr()
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    assert [r["kind"] for r in reports] == ["FrobeniusDefect", "ExactnessDefect"]
+    assert all(len(r["convergence"]) == 3 for r in reports)
+    assert [g.cells for g in built] == [(64, 64), (128, 128), (256, 256)]
+    assert code in (0, 4)
 
 
 def test_command_line_entry_points(tmp_path):

@@ -220,7 +220,7 @@ def test_gamma_matches_vector_witness_2d():
 
     d = scalar_drive(text)
     vsol = synthesize_at_points(model, d, policy, pts)
-    vw = witness_2d(vsol, pts)
+    vw = witness_2d(vsol)
 
     ok = gw.defined & np.isfinite(vw.G).all(axis=1)
     assert ok.sum() > 150

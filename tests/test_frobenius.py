@@ -207,11 +207,35 @@ def test_recover_eta_deterministic():
     assert r1.curl_gate == r2.curl_gate and r1.loop_max == r2.loop_max
 
 
+def test_eta_recovery_evaluates_the_drive_once_per_quadrature_point(monkeypatch):
+    """The Gauss and loop-rectangle points are synthesized once, and the
+    witness reads the drive batch that synthesis evaluated."""
+    from streamfields import frobenius as frobmod, synth as synthmod
+
+    wit, g, mask = annulus_witness(cells=96)
+    requested, received = [], []
+    for module in (synthmod, frobmod):
+        def counted(d, points, real=module.drive_batch):
+            requested.append(len(points))
+            return real(d, points)
+        monkeypatch.setattr(module, "drive_batch", counted)
+    evaluator = wit.evaluator
+
+    def counting(points):
+        received.append(len(points))
+        return evaluator(points)
+
+    wit.evaluator = counting
+    recover_eta(wit, mask=mask)
+    assert sum(requested) == sum(received) > 0
+
+
 def test_non_conservative_witness_is_rejected():
     """A manufactured swirl G fails the conservative gate with a located
     error instead of silently integrating."""
     wit, g, mask = annulus_witness(cells=96)
-    swirl = 0.5 * np.stack([-wit.points[:, 1], wit.points[:, 0]], axis=1)
+    pts = wit.solution.points
+    swirl = 0.5 * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
     wit.G = wit.G + swirl  # curl(swirl) = 1 everywhere
     wit.curl_residual = None
     with pytest.raises(FrobeniusError, match="conservative"):
@@ -229,7 +253,7 @@ def test_multivalued_witness_shows_up_in_post_residual():
         return 0.5 * np.stack([-pts[:, 1], pts[:, 0]], axis=1) / t[:, None]
 
     base = wit.evaluator
-    wit.G = wit.G + swirl_at(wit.points)
+    wit.G = wit.G + swirl_at(wit.solution.points)
     wit.evaluator = lambda pts: base(pts) + swirl_at(pts)
     wit.curl_residual = None
     rec = recover_eta(wit, mask=mask)

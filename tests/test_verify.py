@@ -122,7 +122,7 @@ def test_frobenius_residual_order_two():
 
     def make(grid):
         sol = synthesize(model, d, policy, grid)
-        wit = witness_2d(sol, sol.points)
+        wit = witness_2d(sol)
         return frobenius_residual(sol, wit)
 
     grids = [GridSpec((0.2, 0.2), (0.6, 0.6), (c, c)) for c in (48, 96, 192)]
@@ -236,7 +236,9 @@ def test_report_json_round_trip():
     model, sol, grid = vortex_solution(cells=32)
     rep = divergence_residual(sol)
     d = rep.to_json_dict()
-    assert set(d) == {"kind", "h", "max_norm", "l2_norm", "masked_fraction", "order"}
+    assert set(d) == {"kind", "h", "max_norm", "l2_norm", "masked_fraction", "order",
+                      "convergence", "at_floor"}
+    assert (d["convergence"], d["at_floor"]) == (None, False)  # one grid, no study
     assert d["kind"] == "DivergenceOfRhoW"
     assert d["h"] == pytest.approx(2.2 / 32)
 
