@@ -23,6 +23,8 @@ from streamfields import (
     synthesize,
     synthesize_at_points,
 )
+from streamfields.config import MAX_GRID_NODES
+from streamfields.verify import VerifyError
 
 
 def main() -> None:
@@ -32,6 +34,10 @@ def main() -> None:
     args = ap.parse_args()
     if args.levels < 3:
         ap.error(f"--levels must be at least 3 for the order fit, got {args.levels}")
+    # an exponent of 64 already exceeds the budget, so capping it keeps a huge --levels cheap
+    if args.base < 2 or (args.base * 2 ** min(args.levels - 1, 64) + 1) ** 2 > MAX_GRID_NODES:
+        ap.error(f"--base must be at least 2, and the finest grid may have at most "
+                 f"{MAX_GRID_NODES} nodes; got --base {args.base} --levels {args.levels}")
 
     model = extremal()
     d = radial_log()
@@ -44,7 +50,10 @@ def main() -> None:
     for g in grids:
         sol = synthesize(model, d, policy, g)
         r = np.sqrt((sol.points ** 2).sum(axis=1))
-        rep = divergence_residual(sol, extra_bad=r <= 1.35)  # keep the far field
+        try:
+            rep = divergence_residual(sol, extra_bad=r <= 1.35)  # keep the far field
+        except VerifyError as exc:
+            ap.error(f"--base {args.base} is too coarse for the far-field residual: {exc}")
         levels.append((g.spacing()[0], rep.max_norm))
         print(f"  {g.cells[0]:>4d} cells  h = {g.spacing()[0]:.5f}  "
               f"max |div(rho w)| = {rep.max_norm:.4e}")

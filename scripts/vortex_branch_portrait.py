@@ -27,6 +27,7 @@ from streamfields import (
     synthesize,
     synthesize_at_points,
 )
+from streamfields.config import MAX_GRID_NODES
 
 BRANCH_NAMES = {0: "undefined", 1: "tranquil", 2: "shooting", 3: "over-speed"}
 
@@ -37,6 +38,12 @@ def main() -> None:
     ap.add_argument("--cells", type=int, default=96, help="grid cells per axis")
     ap.add_argument("--out", default=None, help="optional CSV path for the field")
     args = ap.parse_args()
+    # past these bounds the box or the witness annulus overflows or underflows
+    if not 1e-100 <= args.R <= 1e100:
+        ap.error(f"--R must lie in [1e-100, 1e100], got {args.R}")
+    if args.cells < 2 or (args.cells + 1) ** 2 > MAX_GRID_NODES:
+        ap.error(f"--cells must be at least 2, and the grid may have at most {MAX_GRID_NODES} "
+                 f"nodes; got {args.cells}")
 
     R, cells = args.R, args.cells
     lim = 1.05 * math.sqrt(2.0 * R)  # just past the outer zero circle t = 2R
@@ -59,7 +66,7 @@ def main() -> None:
 
     rep = classify(model, d, policy, grid)
     r_fold, r_zero = math.sqrt(2 * R / 3), math.sqrt(2 * R)
-    verts = np.concatenate([np.asarray(p) for p in rep.sonic_contour], axis=0)
+    verts = np.concatenate([np.asarray(p) for p in rep.sonic_contour] or [np.empty((0, 2))])
     rv = np.sqrt((verts ** 2).sum(axis=1))
     split = 0.5 * (r_fold + r_zero)
     h = 2 * lim / cells

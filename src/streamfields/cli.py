@@ -131,7 +131,7 @@ def _setup(args) -> tuple:
         cfg = cfgmod.example_config(args.example)
     else:
         raise ConfigError("one of --config PATH or --example NAME is required")
-    out = args.out or cfgmod.output_dir(cfg)
+    out = args.out or cfgmod.output_section(cfg)["dir"]
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -189,7 +189,7 @@ def cmd_synth(args) -> int:
     sol = _synth_solution(cfg, grid, args.threads)
     _write_table(out, "field.csv", sol.points,
                  [(f"w{i+1}", "float", sol.w[:, i]) for i in range(grid.dim)] + _tail_columns(sol))
-    if cfgmod.flag(cfg, "output.json"):
+    if cfgmod.output_section(cfg)["json"]:
         counts = {REGIME_NAMES[k]: int((sol.regime == k).sum()) for k in range(4)}
         _write_json(os.path.join(out, "summary.json"), {
             "points": int(sol.points.shape[0]),
@@ -272,36 +272,35 @@ _build_form = cfgmod.build_form
 
 
 def _form_solution(cfg: RunConfig, grid: GridSpec) -> tuple:
-    """The forms section synthesized on `grid`, as (the config's form, its
+    """The forms section synthesized on `grid`, as (its config.FormSpec, its
     FormSolution).  A closed form (forms.closed) is the raw form itself, checked
     for closure on forms.box, or on the grid's box when that is unset.  Exit 3
     when no point is admitted."""
     model = cfgmod.build_model(cfg)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
-    f, _, params, box = _build_form(cfg, grid.dim)
+    spec = _build_form(cfg, grid.dim)
     pts = grid.points()
-    closed = cfgmod.flag(cfg, "forms.closed")
-    if closed:
-        fsol = formsmod.synthesize_form_closed(model, f, policy, pts, box or (grid.lo, grid.hi),
-                                               tol=tol, params=params)
+    if spec.closed:
+        fsol = formsmod.synthesize_form_closed(model, spec.form, policy, pts,
+                                               spec.box or (grid.lo, grid.hi), tol=tol,
+                                               params=spec.params)
     else:
-        fsol = formsmod.synthesize_form(model, f, policy, pts, tol=tol, params=params)
-    _require_admitted(fsol, "form synthesis", "|alpha|^2" if closed else "|df|^2")
-    return f, fsol
+        fsol = formsmod.synthesize_form(model, spec.form, policy, pts, tol=tol, params=spec.params)
+    _require_admitted(fsol, "form synthesis", "|alpha|^2" if spec.closed else "|df|^2")
+    return spec, fsol
 
 
 def cmd_forms(args) -> int:
     cfg, out, grid = _setup(args)
-    gamma = cfgmod.flag(cfg, "forms.gamma")
-    f, fsol = _form_solution(cfg, grid)
+    spec, fsol = _form_solution(cfg, grid)
     zeros = np.zeros(fsol.points.shape[0])
     _write_table(out, "forms.csv", fsol.points,
                  [(f"omega_{''.join(map(str, idx)) or '0'}", "float",
                    fsol.omega.coeffs.get(idx, zeros)) for idx in multi_indices(grid.dim, fsol.k)]
                  + _tail_columns(fsol))
-    if gamma:
-        gw = formsmod.gamma_witness(fsol.model, f, fsol)
+    if spec.gamma:
+        gw = formsmod.gamma_witness(fsol.model, spec.form, fsol)
         _write_table(out, "gamma.csv", fsol.points,
                      [(f"Gamma{i+1}", "float", gw.Gamma[:, i]) for i in range(grid.dim)]
                      + [("defect", "float", gw.defect),
@@ -324,7 +323,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--levels {levels} asks for a finest grid of more than "
                           f"{cfgmod.MAX_GRID_NODES} nodes")
     grids = [_refined(base, 2 ** i) for i in range(levels)]
-    mask_pred = cfgmod.mask_predicate(vs.get("mask"), base.dim)
+    mask_pred = cfgmod.mask_predicate(vs["mask"], base.dim)
     fs = cfgmod.frobenius_section(cfg, base.dim)
     witness = fs["witness"] if {"frobenius", "exactness"} & set(vs["residuals"]) else None
 
@@ -352,7 +351,7 @@ def cmd_verify(args) -> int:
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind,
                                             extra_bad=extra_bad_on(grid))
 
-    # residual kind -> residual report on one grid; config.verify_section has
+    # residual kind -> residual report on one grid; the config schema has
     # already rejected every other kind
     residual_on = {
         "divergence": lambda grid: verifymod.divergence_residual(

@@ -1,17 +1,19 @@
 """Run configuration: JSON schema, validation, and built-in example registry.
 
-A run config is a plain JSON object with one section per concern.  Parsing is
-strict: unknown sections or keys are rejected so typos fail loudly instead of
-silently running with defaults.
+A run config is a plain JSON object with one section per concern.  `_SCHEMA`
+gives every key its type, and `parse_config` checks every value against it
+once: unknown sections or keys are rejected so typos fail loudly, no string
+stands for a number, and JSON null reads as unset.  The section builders read
+the typed values; an unset key that a builder needs is a ConfigError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+import sys
+from dataclasses import field, fields, make_dataclass
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from . import density as densmod
 from . import drive as drivemod
@@ -24,64 +26,165 @@ class ConfigError(ValueError):
     pass
 
 
-_SECTIONS = ("density", "drive", "grid", "policy", "tol", "frobenius", "forms", "verify", "output")
+# ---------------------------------------------------------------------------
+# schema
+#
+# A reader takes a JSON value and the key it stands at ("section.name") and
+# returns the typed value.  It raises TypeError when the value is not of its
+# type, and a ConfigError of its own for a NaN or an infinity.
 
-_KEYS = {
-    "density": {"kind", "tau", "rho", "q_min", "q_max", "name"},
-    "drive": {"kind", "name", "R", "f", "dim", "entries", "components", "closure", "box", "params"},
-    "grid": {"lo", "hi", "cells"},
-    "policy": {"mode", "branch", "regions", "default", "allow_nonphysical"},
-    "tol": {"eps_phi_prime", "eps_rho", "eps_grad", "q_zero", "rho_zero", "xi_snap"},
-    "frobenius": {"witness", "recover_eta", "anchor", "tol_conservative", "mask"},
-    "forms": {"n", "k", "coeffs", "params", "closed", "box", "gamma"},
-    "verify": {"residuals", "threshold", "energy", "mask"},
-    "output": {"dir", "json"},
-}
+
+def _number(v, where: str) -> float:
+    if type(v) not in (int, float):
+        raise TypeError
+    if not abs(v) <= sys.float_info.max:  # NaN, an infinity, or an integer too large for a float
+        raise ConfigError(f"{where} must hold finite numbers, got {v!r}")
+    return float(v)
+
+
+def _fits(ok: Callable) -> Callable:
+    """Reader of a value that `ok` accepts, as it is."""
+    def read(v, where: str):
+        if not ok(v):
+            raise TypeError
+        return v
+    return read
+
+
+# type(v) is int: a boolean is not an integer
+_integer, _string = _fits(lambda v: type(v) is int), _fits(lambda v: type(v) is str)
+_digits = _fits(lambda v: type(v) is str and v.isascii() and v.isdigit())
+
+
+def _list(item: Callable, nonempty: bool = False) -> Callable:
+    def read(v, where: str) -> tuple:
+        if type(v) not in (list, tuple) or (nonempty and not v):
+            raise TypeError
+        return tuple(item(x, where) for x in v)
+    return read
+
+
+def _pair(first: Callable, second: Callable) -> Callable:
+    def read(v, where: str) -> tuple:
+        if type(v) not in (list, tuple) or len(v) != 2:
+            raise TypeError
+        return first(v[0], where), second(v[1], where)
+    return read
+
+
+def _object(item: Callable, key: Callable = _string, nonempty: bool = False) -> Callable:
+    def read(v, where: str) -> dict:
+        if not isinstance(v, Mapping) or (nonempty and not v):
+            raise TypeError
+        return {key(k, where): item(x, where) for k, x in v.items()}
+    return read
+
+
+def _index(size: Optional[int] = None) -> Callable:
+    """Reader of a multi-index key: digits like '13' for (1, 3), and '' or '0'
+    for the empty index; `size` digits exactly, when given."""
+    def read(key, where: str) -> tuple:
+        idx = () if key in ("", "0") else tuple(map(int, _digits(key, where)))
+        if size not in (None, len(idx)):
+            raise TypeError
+        return idx
+    return read
+
+
+class _Type(NamedTuple):
+    what: str  # the type, as config error messages name it
+    read: Callable
+
 
 _RESIDUAL_KINDS = ("divergence", "minor", "frobenius", "exactness", "codifferential")
 
+NUMBER = _Type("a number", _number)
+INTEGER = _Type("an integer", _integer)
+SWITCH = _Type("true or false", _fits(lambda v: type(v) is bool))
+STRING = _Type("a string", _string)
+EXPRESSION = _Type("an expression string", _string)
+POINT = _Type("a point, a non-empty list of numbers", _list(_number, nonempty=True))
+BOX = _Type("a box [lo, hi] of two points", _pair(POINT.read, POINT.read))
+PARAMS = _Type("an object of numbers", _object(_number))
 
-@dataclass(frozen=True)
-class RunConfig:
-    density: dict = field(default_factory=dict)
-    drive: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
-    policy: dict = field(default_factory=dict)
-    tol: dict = field(default_factory=dict)
-    frobenius: dict = field(default_factory=dict)
-    forms: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+_SCHEMA = {
+    "density": {"kind": STRING, "tau": NUMBER, "rho": EXPRESSION, "q_min": NUMBER,
+                "q_max": NUMBER, "name": STRING},
+    "drive": {
+        "kind": STRING, "name": STRING, "R": NUMBER, "f": EXPRESSION, "dim": INTEGER,
+        "entries": _Type("an object of expression strings keyed by two digits like '12'",
+                         _object(_string, key=_index(2))),
+        "components": _Type("a list of expression strings", _list(_string)),
+        "closure": STRING, "box": BOX, "params": PARAMS,
+    },
+    "grid": {"lo": POINT, "hi": POINT,
+             "cells": _Type("a non-empty list of integers", _list(_integer, nonempty=True))},
+    "policy": {
+        "mode": STRING, "branch": INTEGER, "default": INTEGER, "allow_nonphysical": SWITCH,
+        "regions": _Type("a list of [expression string, integer] pairs",
+                         _list(_pair(_string, _integer))),
+    },
+    "tol": dict.fromkeys((f.name for f in fields(Tolerances)), NUMBER),
+    "frobenius": {"witness": STRING, "recover_eta": SWITCH, "anchor": POINT,
+                  "tol_conservative": NUMBER, "mask": EXPRESSION},
+    "forms": {
+        "n": INTEGER, "k": INTEGER, "params": PARAMS, "closed": SWITCH, "box": BOX,
+        "gamma": SWITCH,
+        # a number coefficient is read as the expression that prints it
+        "coeffs": _Type("a non-empty object of expression strings or numbers keyed by digits "
+                        "like '13'", _object(lambda v, where: v if type(v) is str
+                                             else repr(_number(v, where)),
+                                             key=_index(), nonempty=True)),
+    },
+    "verify": {
+        "residuals": _Type(f"a non-empty list of residual kinds ({', '.join(_RESIDUAL_KINDS)})",
+                           _list(_fits(lambda v: v in _RESIDUAL_KINDS), nonempty=True)),
+        "threshold": NUMBER, "energy": SWITCH, "mask": EXPRESSION,
+    },
+    "output": {"dir": STRING, "json": SWITCH},
+}
 
 
-def _check_keys(section: str, data: Mapping[str, Any]) -> dict:
+class Section(dict):
+    """A parsed config section, key -> typed value; sec[key] of an unset key is a ConfigError."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"{self.name}.{key} is required")
+
+
+# one field per section; parse_config fills each with a Section
+RunConfig = make_dataclass("RunConfig", [(s, dict, field(default_factory=dict)) for s in _SCHEMA],
+                           frozen=True)
+
+
+def _read_section(name: str, data: Mapping[str, Any]) -> Section:
     if not isinstance(data, Mapping):
-        raise ConfigError(f"section {section!r} must be an object")
-    extra = sorted(set(data) - _KEYS[section])
+        raise ConfigError(f"section {name!r} must be an object")
+    types = _SCHEMA[name]
+    extra = sorted(set(data) - set(types))
     if extra:
-        raise ConfigError(f"unknown key(s) in section {section!r}: {', '.join(extra)}")
-    return dict(data)
+        raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(extra)}")
+    sec = Section(name)
+    for key, val in data.items():
+        if val is not None:
+            try:
+                sec[key] = types[key].read(val, f"{name}.{key}")
+            except TypeError:
+                raise ConfigError(f"{name}.{key} must be {types[key].what}, got {val!r}") from None
+    return sec
 
 
 def parse_config(data: Mapping[str, Any]) -> RunConfig:
     if not isinstance(data, Mapping):
         raise ConfigError("config root must be a JSON object")
-    extra = sorted(set(data) - set(_SECTIONS))
+    extra = sorted(set(data) - set(_SCHEMA))
     if extra:
         raise ConfigError(f"unknown config section(s): {', '.join(extra)}")
-    sections = {name: _check_keys(name, data.get(name, {})) for name in _SECTIONS}
-    for name, sec in sections.items():
-        for key, val in sec.items():
-            _check_finite(f"{name}.{key}", val)
-    return RunConfig(**sections)
-
-
-def _check_finite(where: str, val) -> None:
-    """json.load reads NaN, Infinity and 1e999; no key accepts them, at any depth."""
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{where} must hold finite numbers, got {val!r}")
-    for item in val.values() if isinstance(val, Mapping) else val if isinstance(val, list) else ():
-        _check_finite(where, item)
+    return RunConfig(**{name: _read_section(name, data.get(name, {})) for name in _SCHEMA})
 
 
 def load_config(path: str) -> RunConfig:
@@ -99,110 +202,45 @@ def load_config(path: str) -> RunConfig:
 # section builders
 
 
-@contextmanager
-def _malformed(section: str):
-    """Report a value of the wrong type or form in `section` as a ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-
-
-def flag(cfg: RunConfig, key: str) -> bool:
-    """The boolean config key `key` ("section.name"), false when unset; only
-    JSON true and false are accepted."""
-    section, name = key.split(".")
-    val = getattr(cfg, section).get(name, False)
-    if not isinstance(val, bool):
-        raise ConfigError(f"{key} must be true or false, got {val!r}")
-    return val
-
-
-def output_dir(cfg: RunConfig) -> str:
-    """output.dir, "out" when unset."""
-    out = cfg.output.get("dir", "out")
-    if not isinstance(out, str):
-        raise ConfigError(f"output.dir must be a directory path, got {out!r}")
-    return out
+def output_section(cfg: RunConfig) -> dict:
+    """output.dir ("out" when unset) and output.json (false when unset)."""
+    return {"dir": cfg.output.get("dir", "out"), "json": cfg.output.get("json", False)}
 
 
 def build_model(cfg: RunConfig) -> densmod.DensityModel:
     sec = cfg.density
-    kind = sec.get("kind")
-    if kind is None:
-        raise ConfigError("density.kind is required")
-    with _malformed("density"):
-        if kind == "shallow_water":
-            return densmod.shallow_water()
-        if kind == "extremal":
-            return densmod.extremal()
-        if kind == "born_infeld":
-            return densmod.born_infeld()
-        if kind == "caustic":
-            if "tau" not in sec:
-                raise ConfigError("density.tau is required for the caustic model")
-            return densmod.caustic(float(sec["tau"]))
-        if kind == "custom":
-            if not isinstance(sec.get("rho"), str):
-                raise ConfigError("density.rho is required for a custom model, as an expression string")
-            kwargs: dict = {}
-            if "q_min" in sec:
-                kwargs["q_min"] = float(sec["q_min"])
-            if sec.get("q_max") is not None:
-                kwargs["q_max"] = float(sec["q_max"])
-            if "name" in sec:
-                kwargs["name"] = str(sec["name"])
-            return densmod.custom(sec["rho"], **kwargs)
+    kind = sec["kind"]
+    if kind in ("shallow_water", "extremal", "born_infeld"):  # models without parameters
+        return getattr(densmod, kind)()
+    if kind == "caustic":
+        return densmod.caustic(sec["tau"])
+    if kind == "custom":
+        optional = {k: sec[k] for k in ("q_min", "q_max", "name") if k in sec}
+        return densmod.custom(sec["rho"], **optional)
     raise ConfigError(f"unknown density.kind {kind!r}")
 
 
 def build_drive(cfg: RunConfig):
     sec = cfg.drive
-    kind = sec.get("kind")
-    params = sec.get("params") or {}
-    with _malformed("drive"):
-        if kind == "builtin":
-            name = sec.get("name")
-            if name == "radial_log":
-                return drivemod.radial_log()
-            if name == "shallow_vortex":
-                return drivemod.shallow_vortex(float(sec.get("R", 1.0)))
-            if name == "coulomb":
-                return drivemod.coulomb()
-            raise ConfigError(f"unknown builtin drive {name!r}")
-        if kind == "scalar":
-            return drivemod.scalar_drive(_need(sec, "drive", "f"), params)
-        if kind == "skew":
-            entries = _need(sec, "drive", "entries")
-            if not isinstance(entries, Mapping):
-                raise ConfigError("drive.entries must be an object of two-digit keys like '12'")
-            parsed = {}
-            for key, val in entries.items():
-                digits = str(key)
-                if len(digits) != 2 or not digits.isdigit():
-                    raise ConfigError(f"skew entry key must be two digits like '12', got {key!r}")
-                parsed[(int(digits[0]), int(digits[1]))] = val
-            return drivemod.skew_drive(int(_need(sec, "drive", "dim")), parsed, params)
-        if kind == "gradient":
-            return drivemod.gradient_drive(int(_need(sec, "drive", "dim")), _need(sec, "drive", "f"), params)
-        if kind == "raw":
-            dim = int(_need(sec, "drive", "dim"))
-            return drivemod.raw_drive(
-                dim,
-                _need(sec, "drive", "components"),
-                _need(sec, "drive", "closure"),
-                _box(_need(sec, "drive", "box"), dim, "drive.box"),
-                params,
-            )
+    kind = sec["kind"]
+    params = sec.get("params", {})
+    if kind == "builtin":
+        builtins = {"radial_log": drivemod.radial_log, "coulomb": drivemod.coulomb,
+                    "shallow_vortex": lambda: drivemod.shallow_vortex(sec.get("R", 1.0))}
+        if sec["name"] not in builtins:
+            raise ConfigError(f"unknown builtin drive {sec['name']!r}")
+        return builtins[sec["name"]]()
+    if kind == "scalar":
+        return drivemod.scalar_drive(sec["f"], params)
+    if kind == "skew":
+        return drivemod.skew_drive(sec["dim"], sec["entries"], params)
+    if kind == "gradient":
+        return drivemod.gradient_drive(sec["dim"], sec["f"], params)
+    if kind == "raw":
+        dim = sec["dim"]
+        return drivemod.raw_drive(dim, sec["components"], sec["closure"],
+                                  _box(sec["box"], dim, "drive.box"), params)
     raise ConfigError(f"unknown drive.kind {kind!r}")
-
-
-def _need(sec: Mapping[str, Any], where: str, key: str):
-    if key not in sec:
-        raise ConfigError(f"{where}.{key} is required")
-    return sec[key]
 
 
 # Nodes any grid may have, the finest of a `verify --levels K` study included:
@@ -212,12 +250,7 @@ MAX_GRID_NODES = 1 << 22
 
 def build_grid(cfg: RunConfig) -> GridSpec:
     sec = cfg.grid
-    for key in ("lo", "hi", "cells"):
-        _need(sec, "grid", key)
-    try:
-        grid = GridSpec(lo=tuple(sec["lo"]), hi=tuple(sec["hi"]), cells=tuple(sec["cells"]))
-    except Exception as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    grid = GridSpec(lo=sec["lo"], hi=sec["hi"], cells=sec["cells"])
     if math.prod(grid.shape()) > MAX_GRID_NODES:
         raise ConfigError(f"grid: cells {list(grid.cells)} give more than {MAX_GRID_NODES} nodes")
     return grid
@@ -226,106 +259,72 @@ def build_grid(cfg: RunConfig) -> GridSpec:
 def build_policy(cfg: RunConfig, dim: int) -> BranchPolicy:
     sec = cfg.policy
     mode = sec.get("mode", "prefer_type1")
-    allow = flag(cfg, "policy.allow_nonphysical")
-    with _malformed("policy"):
-        if mode == "prefer_type1":
-            return prefer_type1(allow)
-        if mode == "prefer_type2":
-            return prefer_type2(allow)
-        if mode == "single_branch":
-            return single_branch(int(_need(sec, "policy", "branch")), allow)
-        if mode == "region_map":
-            regions = [(str(pred), int(bid)) for pred, bid in _need(sec, "policy", "regions")]
-            return region_map(regions, int(_need(sec, "policy", "default")), dim=dim, allow_nonphysical=allow)
+    allow = sec.get("allow_nonphysical", False)
+    if mode in ("prefer_type1", "prefer_type2"):
+        return (prefer_type1 if mode == "prefer_type1" else prefer_type2)(allow)
+    if mode == "single_branch":
+        return single_branch(sec["branch"], allow)
+    if mode == "region_map":
+        return region_map(sec["regions"], sec["default"], dim=dim, allow_nonphysical=allow)
     raise ConfigError(f"unknown policy.mode {mode!r}")
 
 
 def build_tol(cfg: RunConfig) -> Tolerances:
-    with _malformed("tol"):
-        return Tolerances(**{k: float(v) for k, v in cfg.tol.items()})
+    return Tolerances(**cfg.tol)
 
 
-def _box(box, n: int, key: str):
-    """The box `key` as (lo, hi): two finite points of dimension n with lo < hi."""
-    try:
-        lo, hi = (tuple(float(v) for v in corner) for corner in box)
-    except (TypeError, ValueError, OverflowError):
-        lo = hi = ()
-    if len(lo) != n or len(hi) != n or not all(
-            float("-inf") < a < b < float("inf") for a, b in zip(lo, hi)):
+def _box(box: tuple, n: int, key: str) -> tuple:
+    """The box `key`, (lo, hi) as the schema read it, once both have dimension n and lo < hi."""
+    lo, hi = box
+    if len(lo) != n or len(hi) != n or not all(a < b for a, b in zip(lo, hi)):
         raise ConfigError(
             f"{key} must be [lo, hi], two points of dimension {n} with lo < hi, got {box!r}")
-    return lo, hi
+    return box
 
 
-def build_form(cfg: RunConfig, dim: int) -> tuple:
-    """The forms section as (drive form, k, params, box), with box = (lo, hi)
-    of the closure check, or None when unset.  k is the degree of omega: the
-    drive form is alpha of degree n - k with forms.closed, else the stream
-    form f of degree n - k - 1."""
+# The forms section.  `form` is the drive form: alpha of degree n - k when
+# `closed`, else the stream form f of degree n - k - 1, where k (forms.k) is the
+# degree of omega.  `box` = (lo, hi) of the closure check, None when unset.
+FormSpec = NamedTuple("FormSpec", [("form", formsmod.KForm), ("params", dict),
+                                   ("box", Optional[tuple]), ("closed", bool), ("gamma", bool)])
+
+
+def build_form(cfg: RunConfig, dim: int) -> FormSpec:
     sec = cfg.forms
-    if "n" not in sec or "k" not in sec:
-        raise ConfigError("forms.n and forms.k are required")
-    coeffs = sec.get("coeffs")
-    if not isinstance(coeffs, dict) or not coeffs:
-        raise ConfigError("forms.coeffs must be a non-empty object of multi-index keys")
-    with _malformed("forms"):
-        params = dict(sec.get("params") or {})
-        n, k = int(sec["n"]), int(sec["k"])
-        if n != dim:
-            raise ConfigError(f"forms.n = {n} does not match the grid dimension {dim}")
-        parsed = {}
-        for key, val in coeffs.items():
-            digits = str(key)
-            if digits in ("", "0"):
-                idx = ()
-            else:
-                if not digits.isdigit():
-                    raise ConfigError(f"forms.coeffs key must be digits like '13', got {key!r}")
-                idx = tuple(int(c) for c in digits)
-            text = val if isinstance(val, str) else repr(float(val))
-            parsed[idx] = exprmod.parse(text, drivemod.coord_names(n), tuple(params))
-        form = formsmod.KForm(n=n, k=n - k - (0 if flag(cfg, "forms.closed") else 1),
-                              coeffs=parsed)
+    n, k, params = sec["n"], sec["k"], sec.get("params", {})
+    if n != dim:
+        raise ConfigError(f"forms.n = {n} does not match the grid dimension {dim}")
+    names = drivemod.coord_names(n)
+    coeffs = {idx: exprmod.parse(text, names, tuple(params)) for idx, text in sec["coeffs"].items()}
+    closed = sec.get("closed", False)
     box = sec.get("box")
-    return form, k, params, _box(box, n, "forms.box") if box else None
+    return FormSpec(formsmod.KForm(n=n, k=n - k - (0 if closed else 1), coeffs=coeffs), params,
+                    box and _box(box, n, "forms.box"), closed, sec.get("gamma", False))
 
 
 def verify_section(cfg: RunConfig) -> dict:
-    sec = dict(cfg.verify)
-    residuals = sec.get("residuals", ["divergence"])
-    with _malformed("verify"):
-        bad = [r for r in residuals if r not in _RESIDUAL_KINDS]
-        sec["threshold"] = float(sec.get("threshold", 1e-6))
-    if bad:
-        raise ConfigError(f"verify.residuals: unknown kind(s) {', '.join(map(repr, bad))}")
-    sec["residuals"] = list(residuals)
-    sec["energy"] = flag(cfg, "verify.energy")
-    return sec
+    """The verify section with its defaults; the mask is an expression string or None."""
+    sec = cfg.verify
+    return {"residuals": sec.get("residuals", ("divergence",)),
+            "threshold": sec.get("threshold", 1e-6), "energy": sec.get("energy", False),
+            "mask": sec.get("mask")}
 
 
 def frobenius_section(cfg: RunConfig, dim: int) -> dict:
-    """The frobenius section with its defaults, the anchor as a point and the
-    mask as a predicate (or None)."""
-    sec = dict(cfg.frobenius)
-    sec.setdefault("witness", "auto")
-    sec["recover_eta"] = flag(cfg, "frobenius.recover_eta")
+    """The frobenius section with its defaults, and the mask as a predicate (or None)."""
+    sec = cfg.frobenius
     anchor = sec.get("anchor")
-    with _malformed("frobenius"):
-        sec["anchor"] = tuple(float(v) for v in anchor) if anchor else None
-        sec["tol_conservative"] = float(sec.get("tol_conservative", 1e-6))
-    if sec["anchor"] is not None and len(sec["anchor"]) != dim:
+    if anchor is not None and len(anchor) != dim:
         raise ConfigError(f"frobenius.anchor must have {dim} coordinates")
-    sec["mask"] = mask_predicate(sec.get("mask"), dim)
-    return sec
+    return {"witness": sec.get("witness", "auto"), "recover_eta": sec.get("recover_eta", False),
+            "anchor": anchor, "tol_conservative": sec.get("tol_conservative", 1e-6),
+            "mask": mask_predicate(sec.get("mask"), dim)}
 
 
-def mask_predicate(expr_text, dim: int):
+def mask_predicate(expr_text: Optional[str], dim: int):
     """Config mask expressions keep points where the value is positive."""
     if not expr_text:
         return None
-    if not isinstance(expr_text, str):
-        raise ConfigError(f"mask must be an expression string, got {expr_text!r}")
     e = exprmod.parse(expr_text, drivemod.coord_names(dim))
 
     def predicate(points):

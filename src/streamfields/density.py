@@ -405,8 +405,9 @@ def custom(
     if q_min < 0.0:
         raise DensityError("q_min must be >= 0")
     horizon = q_max if q_max is not None else 1e6
-    if not horizon > q_min:
-        raise DensityError("q_max must exceed q_min")
+    # the sampler spans decades from min(1e-6, horizon * 1e-6) up to the horizon
+    if not (horizon > q_min and 1e-300 < horizon < 1e300):
+        raise DensityError(f"q_max must exceed q_min and lie in (1e-300, 1e300), got {horizon!r}")
 
     _spot_check_c1(rho_and_prime, q_min, horizon, name)
 

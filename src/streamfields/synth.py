@@ -61,8 +61,8 @@ class GridSpec:
         cells = tuple(int(c) for c in self.cells)
         if not (len(lo) == len(hi) == len(cells)):
             raise SynthError("grid lo/hi/cells must have equal lengths")
-        if any(a >= b for a, b in zip(lo, hi)):
-            raise SynthError("grid requires lo < hi componentwise")
+        if not all(a < b and b - a < float("inf") for a, b in zip(lo, hi)):
+            raise SynthError("grid requires lo < hi componentwise, with a finite extent hi - lo")
         if any(c < 2 for c in cells):
             raise SynthError("grid requires at least 2 cells per axis")
         object.__setattr__(self, "lo", lo)
@@ -200,6 +200,7 @@ def _select_branches(model: DensityModel, policy: BranchPolicy, pts: np.ndarray,
     if policy.mode == "region_map":
         if policy.default_id is None:
             raise SynthError("region_map policy needs a default branch id")
+        _resolve_branch(model, policy, policy.default_id)
         choice = np.full(xi.shape[0], policy.default_id, dtype=np.int32)
         assigned = np.zeros(xi.shape[0], dtype=bool)
         for pred, bid in policy.regions:
@@ -208,7 +209,6 @@ def _select_branches(model: DensityModel, policy: BranchPolicy, pts: np.ndarray,
             m = ~assigned & (vals > 0.0)
             choice[m] = bid
             assigned |= m
-        _resolve_branch(model, policy, policy.default_id)
         for bid in np.unique(choice):
             b = _resolve_branch(model, policy, int(bid))
             lanes = usable & (choice == bid) & b.admits(xi, _branch_snap(b, tol))

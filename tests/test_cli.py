@@ -69,11 +69,37 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     ("shallow-vortex", "synth", "policy", "allow_nonphysical", "false"),
     ("unit-density", "verify", "verify", "energy", "true"),
     ("shallow-annulus-eta", "frobenius", "frobenius", "recover_eta", 1),
+    # no string or boolean stands for a number, and no float for an integer
+    ("unit-density", "verify", "verify", "threshold", "inf"),
+    ("unit-density", "verify", "verify", "threshold", True),
+    ("unit-density", "synth", "grid", "lo", ["nan", 0]),
+    ("unit-density", "synth", "grid", "cells", [16.7, 16]),
+    ("unit-density", "synth", "tol", "eps_rho", "nan"),
+    ("unit-density", "synth", "tol", "eps_rho", False),
+    ("caustic-tau1", "synth", "density", "tau", "1"),
+    ("shallow-vortex-r4", "synth", "drive", "R", "4"),
+    ("unit-density", "synth", "drive", "dim", 2.0),
+    ("extremal-patching-study", "synth", "policy", "branch", 1.7),
+    ("form-21", "forms", "forms", "n", 2.5),
+    ("shallow-annulus-eta", "frobenius", "frobenius", "tol_conservative", "nan"),
+    # key None: the value is the whole section
+    ("caustic-tau1", "synth", "drive", None,
+     {"kind": "scalar", "f": "a * x1^2 * x2^3", "params": {"a": "2"}}),
+    ("caustic-tau1", "synth", "drive", None,
+     {"kind": "scalar", "f": "a * x1^2 * x2^3", "params": {"a": "nan"}}),
+    # finite corners whose extent hi - lo overflows
+    ("unit-density", "synth", "grid", None, {"lo": [-1e308, 0], "hi": [1e308, 1], "cells": [8, 8]}),
+    # a verify run that checks nothing, or a string for the list of kinds
+    ("shallow-vortex", "verify", "verify", "residuals", []),
+    ("unit-density", "verify", "verify", "residuals", "minor"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, example, command, section, key, value):
     cfg = copy.deepcopy(cfgmod.EXAMPLES[example])
-    cfg.setdefault(section, {})[key] = value
     cfg["grid"]["cells"] = [8] * len(cfg["grid"]["cells"])
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg.setdefault(section, {})[key] = value
     code, _ = run_cfg(tmp_path, cfg, command=command)
     assert code == 2
     assert "config error:" in capsys.readouterr().err
@@ -151,7 +177,7 @@ def test_witness_that_does_not_fit_the_drive_exits_2_before_synthesis(
 
 
 # Tiny-grid base configs for the config probe: (subcommand, config, the keys it
-# reads).  Every key of config._KEYS is read by at least one base.
+# reads).  Every key of config._SCHEMA is read by at least one base.
 _PROBE_GRID = {"lo": [0.2, 0.2], "hi": [0.8, 0.8], "cells": [4, 4]}
 _PROBE_SCALAR = {"kind": "scalar", "f": "x1^2 * x2^3 / 8", "params": {}}
 PROBE_BASES = {
@@ -223,9 +249,12 @@ PROBE_BASES = {
                    "mask": "1"},
     }, ("verify.residuals", "verify.threshold", "verify.energy", "verify.mask")),
 }
-# json.dump writes Infinity and NaN as json.load reads them
-PROBE_VALUES = (None, float("inf"), float("nan"), "abc", [], [[0, 0]], {}, True)
+# json.dump writes Infinity and NaN as json.load reads them; 10 ** 30, 1e308
+# and 5e-324 sit at the ends of the integer and float ranges
+PROBE_VALUES = (None, float("inf"), float("nan"), "abc", [], [[0, 0]], {}, True, 10 ** 30, 1e308,
+                5e-324)
 PROBE_CASES = [(base, key) for base, (_, _, keys) in PROBE_BASES.items() for key in keys]
+SCHEMA_KEYS = sorted(f"{sec}.{key}" for sec, types in cfgmod._SCHEMA.items() for key in types)
 
 
 def _probe(tmp_path, command, cfg):
@@ -239,10 +268,58 @@ def _probe(tmp_path, command, cfg):
 
 def test_config_probe_covers_every_key_and_every_base_runs(tmp_path, monkeypatch, capsys):
     covered = {key for _, key in PROBE_CASES}
-    assert covered == {f"{sec}.{key}" for sec, keys in cfgmod._KEYS.items() for key in keys}
+    assert covered == set(SCHEMA_KEYS)
     monkeypatch.chdir(tmp_path)
     for name, (command, cfg, _) in PROBE_BASES.items():
         assert _probe(tmp_path, command, cfg) == 0, name
+    capsys.readouterr()
+
+
+def test_every_schema_key_is_read_by_some_builder(tmp_path, monkeypatch, capsys):
+    """No dead keys: running the probe bases reads every key of the schema."""
+    read = set()
+
+    class Recording(cfgmod.Section):
+        def __getitem__(self, key):
+            read.add(f"{self.name}.{key}")
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(f"{self.name}.{key}")
+            return super().get(key, default)
+
+        # a dict subclass with its own __iter__ is unpacked by f(**section)
+        # through __getitem__, so those reads are recorded too
+        def __iter__(self):
+            return super().__iter__()
+
+    monkeypatch.setattr(cfgmod, "Section", Recording)
+    monkeypatch.chdir(tmp_path)
+    for name, (command, cfg, _) in PROBE_BASES.items():
+        assert _probe(tmp_path, command, cfg) == 0, name
+    capsys.readouterr()
+    assert sorted(read) == SCHEMA_KEYS
+
+
+def test_integer_numbers_and_null_keys_are_read_as_before(tmp_path, capsys):
+    # a JSON integer where a number belongs reads as that float: same bytes
+    floats, ints = _example("shallow-vortex", 8), _example("shallow-vortex", 8)
+    floats["verify"]["threshold"] = 1.0
+    ints["drive"]["R"] = 1
+    ints["verify"]["threshold"] = 1
+    outs = []
+    for cfg in (floats, ints):
+        code, out = run_cfg(tmp_path, cfg, command="verify")
+        assert code == 0
+        outs.append((out / "report.json").read_bytes())
+        assert run_cfg(tmp_path, cfg)[0] == 0
+        outs.append((out / "field.csv").read_bytes())
+    assert outs[:2] == outs[2:]
+    # null is unset: density.q_max null is an open-ended custom density
+    cfg = _example("unit-density", 8)
+    cfg["density"]["q_max"] = None
+    assert cfgmod.build_model(cfgmod.parse_config(cfg)).branches()[0].q_interval.hi == math.inf
+    assert run_cfg(tmp_path, cfg)[0] == 0
     capsys.readouterr()
 
 
@@ -322,16 +399,15 @@ def _fuzz_values() -> dict:
 
 
 FUZZ_VALUES = _fuzz_values()
-FUZZ_KEYS = sorted(f"{sec}.{key}" for sec, keys in cfgmod._KEYS.items() for key in keys)
 
 
 @st.composite
 def whole_configs(draw):
     """(subcommand, config): a probe base that runs, with up to four keys of
-    config._KEYS, in any section, set to a well-formed value or a malformed one."""
+    config._SCHEMA, in any section, set to a well-formed value or a malformed one."""
     command, cfg, _ = draw(st.sampled_from(list(PROBE_BASES.values())))
     cfg = copy.deepcopy(cfg)
-    for key in draw(st.lists(st.sampled_from(FUZZ_KEYS), max_size=4, unique=True)):
+    for key in draw(st.lists(st.sampled_from(SCHEMA_KEYS), max_size=4, unique=True)):
         section, name = key.split(".")
         good = st.sampled_from(FUZZ_VALUES[key])
         value = draw(st.one_of(good, good, good, st.sampled_from(PROBE_VALUES)))
@@ -371,17 +447,48 @@ def test_config_probe_deep_drive_expression_exits_2(tmp_path, monkeypatch, capsy
     assert "nested deeper than" in capsys.readouterr().err
 
 
-def test_patching_convergence_refuses_fewer_than_three_levels():
+def _run_script(name, *flags):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "patching_convergence.py"),
-         "--base", "8", "--levels", "2"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, os.path.join(root, "scripts", name), *flags],
+                          capture_output=True, text=True, env=env)
+
+
+def test_patching_convergence_refuses_fewer_than_three_levels():
+    proc = _run_script("patching_convergence.py", "--base", "8", "--levels", "2")
     assert proc.returncode == 2
     assert "--levels must be at least 3" in proc.stderr
     assert proc.stdout == ""
+
+
+# (script, flags, the stderr fragment of a refusal or None for a run that succeeds)
+SCRIPT_CASES = {
+    "portrait-tiny": ("vortex_branch_portrait.py", ("--cells", "2"), None),
+    "portrait-small": ("vortex_branch_portrait.py", ("--R", "4", "--cells", "8"), None),
+    "portrait-R-zero": ("vortex_branch_portrait.py", ("--R", "0"), "--R must lie in"),
+    "portrait-R-huge": ("vortex_branch_portrait.py", ("--R", "1e308"), "--R must lie in"),
+    "portrait-one-cell": ("vortex_branch_portrait.py", ("--cells", "1"), "--cells must be at least 2"),
+    "portrait-over-budget": ("vortex_branch_portrait.py", ("--cells", "100000"),
+                             f"at most {cfgmod.MAX_GRID_NODES} nodes"),
+    "patching-small": ("patching_convergence.py", ("--base", "8", "--levels", "3"), None),
+    "patching-one-cell": ("patching_convergence.py", ("--base", "1"), "--base must be at least 2"),
+    "patching-too-coarse": ("patching_convergence.py", ("--base", "4"), "too coarse"),
+    "patching-over-budget": ("patching_convergence.py", ("--base", "8", "--levels", "12"),
+                             f"at most {cfgmod.MAX_GRID_NODES} nodes"),
+}
+
+
+@pytest.mark.parametrize("case", SCRIPT_CASES.values(), ids=SCRIPT_CASES.keys())
+def test_scripts_run_small_and_refuse_bad_flags_up_front(case):
+    script, flags, refusal = case
+    proc = _run_script(script, *flags)
+    if refusal is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout
+    else:
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and refusal in proc.stderr
 
 
 def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys):

@@ -355,9 +355,9 @@ def shipped_expressions():
             if text:
                 add(f"{name}:{section}.mask", expr.parse(text, drive.coord_names(dim)), {}, lo, hi)
         if cfg.forms:
-            form, _, params, _ = config.build_form(cfg, dim)
-            for key, e in form.coeffs.items():
-                add(f"{name}:forms{key}", e, params, lo, hi)
+            spec = config.build_form(cfg, dim)
+            for key, e in spec.form.coeffs.items():
+                add(f"{name}:forms{key}", e, spec.params, lo, hi)
         if cfg.density.get("rho"):
             q_max = cfg.density.get("q_max", 4.0)
             add(f"{name}:density.rho", expr.parse(cfg.density["rho"], ("Q",)), {}, (0.0,), (q_max,))
