@@ -18,6 +18,7 @@ from streamfields import (
     divergence_residual,
     extremal,
     fit_order,
+    nested_index,
     radial_log,
     region_map,
     synthesize,
@@ -45,10 +46,14 @@ def main() -> None:
 
     grids = [GridSpec((-1.8, -1.8), (1.8, 1.8), (args.base * 2 ** i,) * 2)
              for i in range(args.levels)]
+    # synthesis is pointwise: each coarser level is read off the finest one,
+    # unless its nodes are not finest nodes bit for bit
+    finest = synthesize(model, d, policy, grids[-1])
     print("divergence residual outside r = 1.35:")
     levels = []
     for g in grids:
-        sol = synthesize(model, d, policy, g)
+        idx = nested_index(g, finest.grid)
+        sol = synthesize(model, d, policy, g) if idx is None else finest.restricted(g, idx)
         r = np.sqrt((sol.points ** 2).sum(axis=1))
         try:
             rep = divergence_residual(sol, extra_bad=r <= 1.35)  # keep the far field

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
 from .synth import (FLAG_DRIVE_UNDEFINED, FieldSolution, GridSpec, REGIME_NAMES, SynthError,
-                    synthesize)
+                    nested_index, synthesize)
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
 from .verify import VerifyError
@@ -140,22 +140,28 @@ def _setup(args) -> tuple:
 
 
 def _workers(threads: int, npoints: int) -> int:
-    """Synthesis threads for --threads N: at most one per core and one per point."""
-    return min(threads, os.cpu_count() or 1, npoints)
+    """Synthesis threads for --threads N: at most one per core this process may
+    run on (its CPU affinity where the platform reports one) and one per point."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(threads, cores or 1, npoints)
 
 
 def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
                     witness: Optional[str] = None) -> FieldSolution:
-    """The configured field on `grid`; a frobenius.witness choice passed as
-    `witness` is checked against the drive before anything is synthesized.
-    Exit 3 when no point is admitted, with the sampled range of xi = |a|^2."""
+    """The configured field on `grid`, not yet checked by _field_admitted; a
+    frobenius.witness choice passed as `witness` is checked against the drive
+    before anything is synthesized."""
     model = cfgmod.build_model(cfg)
     d = cfgmod.build_drive(cfg)
     if witness is not None:
         frobmod.resolve_witness(witness, d)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
-    sol = synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
+    return synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
+
+
+def _field_admitted(sol: FieldSolution) -> FieldSolution:
+    """`sol`; exit 3 when no point is admitted, with the sampled range of xi = |a|^2."""
     _require_admitted(sol, "synthesis", "drive range Sigma_f")
     return sol
 
@@ -186,7 +192,7 @@ def _tail_columns(sol) -> list:
 
 def cmd_synth(args) -> int:
     cfg, out, grid = _setup(args)
-    sol = _synth_solution(cfg, grid, args.threads)
+    sol = _field_admitted(_synth_solution(cfg, grid, args.threads))
     _write_table(out, "field.csv", sol.points,
                  [(f"w{i+1}", "float", sol.w[:, i]) for i in range(grid.dim)] + _tail_columns(sol))
     if cfgmod.output_section(cfg)["json"]:
@@ -201,7 +207,7 @@ def cmd_synth(args) -> int:
 
 def cmd_singular(args) -> int:
     cfg, out, grid = _setup(args)
-    sol = _synth_solution(cfg, grid, args.threads)
+    sol = _field_admitted(_synth_solution(cfg, grid, args.threads))
     report = singmod.classify_solution(sol)
     masks = (("outside", report.omega_f_complement), ("gamma0", report.gamma_0),
              ("gammas", report.gamma_s), ("gammainf", report.gamma_inf),
@@ -226,7 +232,7 @@ def _witness_for(choice: str, sol: FieldSolution):
 def cmd_frobenius(args) -> int:
     cfg, out, grid = _setup(args)
     fs = cfgmod.frobenius_section(cfg, grid.dim)
-    sol = _synth_solution(cfg, grid, args.threads, witness=fs["witness"])
+    sol = _field_admitted(_synth_solution(cfg, grid, args.threads, witness=fs["witness"]))
     wit = _witness_for(fs["witness"], sol)
     curl = frobmod.curl_residual_grid(wit)
     _write_table(out, "witness.csv", sol.points,
@@ -273,9 +279,9 @@ _build_form = cfgmod.build_form
 
 def _form_solution(cfg: RunConfig, grid: GridSpec) -> tuple:
     """The forms section synthesized on `grid`, as (its config.FormSpec, its
-    FormSolution).  A closed form (forms.closed) is the raw form itself, checked
-    for closure on forms.box, or on the grid's box when that is unset.  Exit 3
-    when no point is admitted."""
+    FormSolution), not yet checked by _form_admitted.  A closed form
+    (forms.closed) is the raw form itself, checked for closure on forms.box, or
+    on the grid's box when that is unset."""
     model = cfgmod.build_model(cfg)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
@@ -287,13 +293,21 @@ def _form_solution(cfg: RunConfig, grid: GridSpec) -> tuple:
                                                params=spec.params)
     else:
         fsol = formsmod.synthesize_form(model, spec.form, policy, pts, tol=tol, params=spec.params)
-    _require_admitted(fsol, "form synthesis", "|alpha|^2" if spec.closed else "|df|^2")
     return spec, fsol
+
+
+def _form_admitted(form: tuple) -> tuple:
+    """`form`, a (FormSpec, FormSolution) pair; exit 3 when no point of the
+    solution is admitted, with the sampled range of |df|^2, or of |alpha|^2
+    for a closed form."""
+    spec, fsol = form
+    _require_admitted(fsol, "form synthesis", "|alpha|^2" if spec.closed else "|df|^2")
+    return form
 
 
 def cmd_forms(args) -> int:
     cfg, out, grid = _setup(args)
-    spec, fsol = _form_solution(cfg, grid)
+    spec, fsol = _form_admitted(_form_solution(cfg, grid))
     zeros = np.zeros(fsol.points.shape[0])
     _write_table(out, "forms.csv", fsol.points,
                  [(f"omega_{''.join(map(str, idx)) or '0'}", "float",
@@ -312,7 +326,33 @@ def _refined(grid: GridSpec, factor: int) -> GridSpec:
     return GridSpec(lo=grid.lo, hi=grid.hi, cells=tuple(c * factor for c in grid.cells))
 
 
+def _study(grids: list, synth: Callable, restrict: Callable, admitted: Callable) -> Callable:
+    """grid -> admitted(its solution), for the levels of a refinement study.
+
+    Only the finest grid, grids[-1], is synthesized (by `synth`, once).  A
+    coarser level whose nodes nest in it, bit for bit (synth.nested_index), is
+    restrict(finest solution, level grid, node index); any other level is
+    synthesized on its own.  `admitted` runs on each level when the study
+    first asks for it, so an exit 3 names the same level and sampled range as
+    a synthesis per level would."""
+    finest = grids[-1]
+    fine = functools.cache(lambda: synth(finest))
+
+    @functools.cache
+    def on(grid: GridSpec):
+        if grid == finest:
+            return admitted(fine())
+        idx = nested_index(grid, finest)
+        return admitted(synth(grid) if idx is None else restrict(fine(), grid, idx))
+    return on
+
+
 def cmd_verify(args) -> int:
+    """Residual reports (and the energy) on the config's grid, or with
+    --levels K > 1 a refinement study over the grid refined by 1, 2, ...,
+    2^(K-1).  A study synthesizes only its finest grid and reads every coarser
+    level off it (see _study); every residual kind shares one solution per
+    level, and the frobenius and exactness kinds one witness per level."""
     cfg, out, base = _setup(args)
     vs = cfgmod.verify_section(cfg)
     levels = args.levels
@@ -330,10 +370,10 @@ def cmd_verify(args) -> int:
     reports = []
     energy_value = None
 
-    # one solution and at most one witness per grid, shared by every residual kind
-    @functools.cache
-    def sol_on(grid: GridSpec) -> FieldSolution:
-        return _synth_solution(cfg, grid, args.threads, witness)
+    sol_on = _study(grids, lambda grid: _synth_solution(cfg, grid, args.threads, witness),
+                    FieldSolution.restricted, _field_admitted)
+    form_on = _study(grids, lambda grid: _form_solution(cfg, grid),
+                     lambda form, grid, idx: (form[0], form[1].restricted(idx)), _form_admitted)
 
     @functools.cache
     def witness_on(grid: GridSpec):
@@ -361,7 +401,7 @@ def cmd_verify(args) -> int:
             sol_on(grid), witness_on(grid), extra_bad=extra_bad_on(grid)),
         "exactness": exactness,
         "codifferential": lambda grid: verifymod.codifferential_residual(
-            _form_solution(cfg, grid)[1], grid, extra_bad=extra_bad_on(grid)),
+            form_on(grid)[1], grid, extra_bad=extra_bad_on(grid)),
     }
 
     for kind in vs["residuals"]:

@@ -15,7 +15,7 @@ finite-difference codifferential are all that one sum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -100,6 +100,12 @@ class FormValues:
         keys = multi_indices(self.n, self.k)
         cols = [self.coeffs.get(key, np.zeros(self.bad.shape)) for key in keys]
         return np.stack(cols, axis=1) if cols else np.zeros((self.bad.shape[0], 0))
+
+    def restricted(self, idx: np.ndarray) -> "FormValues":
+        """These samples at the points `idx`."""
+        grads = None if self.grads is None else {key: g[idx] for key, g in self.grads.items()}
+        return FormValues(n=self.n, k=self.k, coeffs={key: c[idx] for key, c in self.coeffs.items()},
+                          grads=grads, bad=self.bad[idx])
 
 
 def evaluate_form(form: KForm, points: np.ndarray, params: Optional[dict] = None) -> FormValues:
@@ -255,6 +261,15 @@ class FormSolution:
     def defined(self) -> np.ndarray:
         return ~self.omega.bad & (self.branch_id != 0) & np.isfinite(
             self.omega.as_matrix()).all(axis=1)
+
+    def restricted(self, idx: np.ndarray) -> "FormSolution":
+        """This solution at the points `idx`; bit for bit a synthesis at those
+        points, as synthesis is pointwise (see synth.FieldSolution.restricted)."""
+        return replace(self, points=self.points[idx], omega=self.omega.restricted(idx),
+                       star_df=self.star_df.restricted(idx),
+                       d_star_df=self.d_star_df.restricted(idx), xi=self.xi[idx], Q=self.Q[idx],
+                       rho_c=self.rho_c[idx], grad_xi=self.grad_xi[idx], regime=self.regime[idx],
+                       branch_id=self.branch_id[idx], flags=self.flags[idx])
 
 
 def _synthesize_from_star(model, policy, tol, pts, star_a: FormValues) -> FormSolution:

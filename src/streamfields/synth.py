@@ -3,13 +3,15 @@
 w = a / rho(psi(|a|^2)) wherever rho is usable; where rho(psi) degenerates with
 psi -> 0 the alternate form w = (a/|a|) sqrt(psi) takes over (and yields w = 0
 in the limit).  Every point carries a regime label, the branch used, and a
-bitset of singular/admissibility flags.
+bitset of singular/admissibility flags.  No point's values depend on another
+point, so a solution restricted to the nodes of a coarser grid nested in its
+own (nested_index, FieldSolution.restricted) is that grid's solution.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -91,6 +93,21 @@ class GridSpec:
         return int(np.prod(self.shape()))
 
 
+def nested_index(coarse: GridSpec, fine: GridSpec) -> Optional[np.ndarray]:
+    """The flat indices of `coarse`'s nodes among `fine`'s, in `coarse`'s node
+    order; None unless every coarse axis equals the matching fine axis sliced
+    by a whole step, bit for bit.  linspace makes no promise how it rounds, so
+    nodes that agree only in value do not count."""
+    if coarse.dim != fine.dim or any(f % c for c, f in zip(coarse.cells, fine.cells)):
+        return None
+    steps = [f // c for c, f in zip(coarse.cells, fine.cells)]
+    for step, ca, fa in zip(steps, coarse.axes(), fine.axes()):
+        if not np.array_equal(ca.view(np.int64), fa[::step].view(np.int64)):
+            return None
+    node = np.arange(fine.npoints()).reshape(fine.shape())
+    return node[tuple(slice(None, None, s) for s in steps)].reshape(-1)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     eps_phi_prime: float = 1e-6
@@ -155,6 +172,14 @@ class FieldSolution:
     @property
     def defined(self) -> np.ndarray:
         return np.isfinite(self.w).all(axis=1)
+
+    def restricted(self, grid: GridSpec, idx: np.ndarray) -> "FieldSolution":
+        """This solution at the nodes `idx`, as the solution on `grid`; with
+        idx = nested_index(grid, self.grid) it is, bit for bit, a synthesis
+        on `grid`, since each node's values depend on that node alone."""
+        return replace(self, grid=grid, points=self.points[idx], w=self.w[idx], Q=self.Q[idx],
+                       xi=self.xi[idx], regime=self.regime[idx],
+                       branch_id=self.branch_id[idx], flags=self.flags[idx])
 
 
 def _branch_snap(b: PhiBranch, tol: Tolerances) -> float:

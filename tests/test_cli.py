@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfields import GridSpec, config as cfgmod, synthesize
+from streamfields import GridSpec, config as cfgmod, nested_index, synthesize
 from streamfields import cli
 from streamfields.cli import _workers, _write_csv, main
 
@@ -566,12 +566,20 @@ def test_grid_at_the_node_budget_is_built():
         cfgmod.build_grid(cfgmod.parse_config(cfg))
 
 
-def test_worker_count_is_capped_by_cores_and_points():
-    cores = os.cpu_count() or 1
+def test_worker_count_is_capped_by_cores_and_points(monkeypatch):
+    # the cores this process may run on, not the host's, where the platform says
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert _workers(1, 1000) == 1
-    assert _workers(10 ** 6, 10 ** 9) == cores
-    assert _workers(10 ** 6, 2) == min(2, cores)
-    assert _workers(3, 10 ** 9) == min(3, cores)
+    assert _workers(10 ** 6, 10 ** 9) == 3
+    assert _workers(10 ** 6, 2) == 2
+    assert _workers(3, 10 ** 9) == 3
+    # elsewhere, the host's count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _workers(10 ** 6, 10 ** 9) == 64
+    assert _workers(3, 10 ** 9) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _workers(10 ** 6, 10 ** 9) == 1
 
 
 # |a|^2 of the ring drive on this box lies below the image (1, inf) of branch 2
@@ -733,7 +741,7 @@ def test_summary_json_when_enabled(tmp_path):
 
 def test_rerun_and_threads_are_byte_identical(tmp_path, monkeypatch):
     # two cores at least, so --threads 2 splits the grid on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outs = []
     for sub, extra in (("a", ()), ("b", ()), ("c", ("--threads", "4"))):
         out = tmp_path / sub
@@ -876,6 +884,137 @@ def test_verify_builds_one_witness_per_level(tmp_path, capsys, monkeypatch):
     assert all(len(r["convergence"]) == 3 for r in reports)
     assert [g.cells for g in built] == [(64, 64), (128, 128), (256, 256)]
     assert code in (0, 4)
+
+
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(cfgmod.EXAMPLES))
+def test_restricted_levels_equal_a_synthesis_on_each_level_bit_for_bit(name):
+    """A three-level study reads its coarse levels off the finest synthesis;
+    each must be what a synthesis on that level writes, bit for bit."""
+    cfg = cfgmod.example_config(name)
+    *coarse, finest = [cli._refined(cfgmod.build_grid(cfg), 2 ** i) for i in range(3)]
+    idx = [nested_index(g, finest) for g in coarse]
+    assert all(i is not None for i in idx)
+    if "forms" in cfgmod.EXAMPLES[name]:
+        fine = cli._form_solution(cfg, finest)[1]
+        for g, i in zip(coarse, idx):
+            got, want = fine.restricted(i), cli._form_solution(cfg, g)[1]
+            assert got.omega.coeffs.keys() == want.omega.coeffs.keys()
+            for key, coeff in want.omega.coeffs.items():
+                assert _same_bits(got.omega.coeffs[key], coeff), (g.cells, key)
+            for attr in ("rho_c", "flags", "branch_id"):
+                assert _same_bits(getattr(got, attr), getattr(want, attr)), (g.cells, attr)
+        return
+    model, d = cfgmod.build_model(cfg), cfgmod.build_drive(cfg)
+    policy, tol = cfgmod.build_policy(cfg, finest.dim), cfgmod.build_tol(cfg)
+    direct = [synthesize(model, d, policy, g, tol=tol) for g in coarse]
+    for workers in (1, 2):
+        fine = synthesize(model, d, policy, finest, tol=tol, workers=workers)
+        for g, i, want in zip(coarse, idx, direct):
+            got = fine.restricted(g, i)
+            assert got.grid == g
+            for attr in ("points", "w", "Q", "xi", "regime", "branch_id", "flags"):
+                assert _same_bits(getattr(got, attr), getattr(want, attr)), (workers, g.cells, attr)
+
+
+def _record_syntheses(monkeypatch) -> list:
+    """The grids cli.synthesize is called on, and the point counts of every
+    form synthesis, in call order."""
+    calls = []
+    synth, form = cli.synthesize, cli.formsmod.synthesize_form
+
+    def synth_recorded(model, d, policy, grid, **kwargs):
+        calls.append(grid)
+        return synth(model, d, policy, grid, **kwargs)
+
+    def form_recorded(model, f, policy, points, **kwargs):
+        calls.append(len(points))
+        return form(model, f, policy, points, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize", synth_recorded)
+    monkeypatch.setattr(cli.formsmod, "synthesize_form", form_recorded)
+    return calls
+
+
+def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeypatch):
+    calls = _record_syntheses(monkeypatch)
+    skipped = 0
+    for name in cfgmod.EXAMPLES:
+        calls.clear()
+        assert main(["verify", "--example", name, "--out", str(tmp_path / name),
+                     "--levels", "3"]) in (0, 4)
+        *coarse, finest = [cli._refined(cfgmod.build_grid(cfgmod.example_config(name)), 2 ** i)
+                           for i in range(3)]
+        if "forms" in cfgmod.EXAMPLES[name]:
+            assert calls == [finest.npoints()], name
+        else:
+            assert calls == [finest], name
+            skipped += sum(g.npoints() for g in coarse)
+    capsys.readouterr()
+    # the field nodes of the coarse levels that refine-l3 (verify --levels 3
+    # on every example) no longer synthesizes
+    assert skipped == 891_956
+
+
+def test_verify_study_synthesizes_levels_that_do_not_nest(tmp_path, capsys, monkeypatch):
+    base = _example("extremal-patching-study", 16)
+    axes = GridSpec.axes
+
+    def nudged(self):  # node 4 of the finest axis, a node of both coarse levels, moves one ulp
+        out = axes(self)
+        if self.cells[0] == 64:
+            out[0][4] = np.nextafter(out[0][4], np.inf)
+        return out
+
+    monkeypatch.setattr(GridSpec, "axes", nudged)
+    *coarse, finest = [cli._refined(cfgmod.build_grid(cfgmod.parse_config(base)), 2 ** i)
+                       for i in range(3)]
+    assert [nested_index(g, finest) for g in coarse] == [None, None]
+    calls = _record_syntheses(monkeypatch)
+    (tmp_path / "study").mkdir()
+    code, out = run_cfg(tmp_path / "study", base, command="verify", extra=("--levels", "3"))
+    assert code in (0, 4)
+    assert calls == [*coarse, finest]
+    rows = json.loads((out / "report.json").read_text())["reports"][0]["convergence"]
+    # each coarse row is the report of that level verified on its own
+    for level, cells in enumerate((16, 32)):
+        (tmp_path / str(cells)).mkdir()
+        code, out = run_cfg(tmp_path / str(cells), _example("extremal-patching-study", cells),
+                            command="verify")
+        report = json.loads((out / "report.json").read_text())["reports"][0]
+        assert rows[level] == [report["h"], report["max_norm"]]
+    capsys.readouterr()
+
+
+# |a|^2 = |grad f|^2 exceeds 1, the bottom of extremal branch 2's image, only
+# within about 0.03 of x1 = 0.125: a node of the 8- and 16-cell levels of this
+# study, but not of its 4-cell grid
+_COARSE_EMPTY = {
+    "density": {"kind": "extremal"},
+    "drive": {"kind": "scalar", "f": "2 * x2 * exp(-(x1 - 0.125)^2 / 0.001)"},
+    "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "cells": [4, 4]},
+    "policy": {"mode": "single_branch", "branch": 2},
+    "verify": {"residuals": ["divergence"], "threshold": 1e-8},
+}
+
+
+def test_verify_study_exits_3_on_an_empty_coarse_level_as_its_own_synthesis_would(
+        tmp_path, capsys):
+    finer = dict(_COARSE_EMPTY, grid=dict(_COARSE_EMPTY["grid"], cells=[8, 8]))
+    outcomes = []
+    for sub, cfg, command, extra in (("study", _COARSE_EMPTY, "verify", ("--levels", "3")),
+                                     ("coarse", _COARSE_EMPTY, "synth", ()),
+                                     ("finer", finer, "synth", ())):
+        (tmp_path / sub).mkdir()
+        code, _ = run_cfg(tmp_path / sub, cfg, command=command, extra=extra)
+        outcomes.append((code, capsys.readouterr().err))
+    study, coarse, finer_outcome = outcomes
+    assert finer_outcome == (0, "")
+    assert study == coarse
+    assert study[0] == 3 and "synthesis produced no admissible points" in study[1]
 
 
 def test_command_line_entry_points(tmp_path):

@@ -3,10 +3,11 @@
 perfbench/reference.json records, for every benchmark op, the exit code, the
 sha256 of each data artifact and the numbers of each JSON artifact, taken
 from the unchanged source.  These tests rerun every shipped-grid op of the
-benchmark (`synth`, `singular`, `frobenius` and `verify` on every example, and
-`forms` on form-21), so every CSV the writer produces and every number of the
-finite-difference core and the witness defects is pinned, and compare them
-with the benchmark's own rule, `check_op`.  The reference file is only read.
+benchmark (`synth`, `singular`, `frobenius` and `verify` on every example,
+`forms` on form-21, and the three-level `verify` studies of refine-l3), so
+every CSV the writer produces and every number of the finite-difference core
+and the witness defects is pinned, and compare them with the benchmark's own
+rule, `check_op`.  The reference file is only read.
 """
 
 import importlib.util
@@ -29,6 +30,9 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"
 
 OPS = [Op(sub, name) for sub in ("synth", "singular", "frobenius", "verify")
        for name in bench.wl.EXAMPLES] + [Op("forms", "form-21")]
+# the refine-l3 workload: three-level studies on two threads, whose coarse
+# levels are read off the finest synthesis
+OPS += [Op("verify", name, threads=2, levels=3) for name in bench.wl.EXAMPLES]
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.key)

@@ -17,6 +17,7 @@ from streamfields import (
     caustic,
     extremal,
     gradient_drive,
+    nested_index,
     prefer_type1,
     prefer_type2,
     region_map,
@@ -191,6 +192,18 @@ def test_undefined_drive_flag():
     assert sol.flags[0] & FLAG_DRIVE_UNDEFINED
     assert sol.branch_id[0] == 0
     assert np.isnan(sol.w[0]).all()
+
+
+def test_nested_index_finds_coarse_nodes_and_refuses_grids_that_do_not_nest():
+    fine = GridSpec((0.0, -1.0), (1.0, 2.0), (8, 6))
+    coarse = GridSpec((0.0, -1.0), (1.0, 2.0), (4, 3))
+    idx = nested_index(coarse, fine)
+    assert fine.points()[idx].tobytes() == coarse.points().tobytes()
+    assert np.array_equal(nested_index(fine, fine), np.arange(fine.npoints()))
+    assert nested_index(GridSpec((0.0, -1.0), (1.0, 2.0), (3, 3)), fine) is None  # 8 % 3
+    assert nested_index(GridSpec((0.0, -1.0), (2.0, 2.0), (4, 3)), fine) is None  # other box
+    assert nested_index(GridSpec((0.0,), (1.0,), (4,)), fine) is None  # other dimension
+    assert nested_index(fine, coarse) is None  # finer than the grid it is looked up in
 
 
 def test_grid_dimension_mismatch_raises():
