@@ -25,7 +25,7 @@ from streamfields import (
     synthesize_at_points,
 )
 from streamfields.config import MAX_GRID_NODES
-from streamfields.verify import VerifyError
+from streamfields.verify import FLOOR, VerifyError
 
 
 def main() -> None:
@@ -63,7 +63,12 @@ def main() -> None:
         print(f"  {g.cells[0]:>4d} cells  h = {g.spacing()[0]:.5f}  "
               f"max |div(rho w)| = {rep.max_norm:.4e}")
     order, at_floor = fit_order(levels)
-    print("residuals at rounding floor" if at_floor else f"fitted order: {order:.3f}")
+    if at_floor:
+        print("residuals at rounding floor")
+    elif order is None:
+        print(f"levels straddle the rounding floor ({FLOOR:.0e}): no order fitted")
+    else:
+        print(f"fitted order: {order:.3f}")
 
     print("\none-sided radial derivatives across the seam (direction theta = 0.37):")
     theta = 0.37

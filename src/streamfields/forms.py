@@ -19,6 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
+# np.linalg.lstsq refuses stacked matrices (_assert_2d); the LAPACK gelsd
+# gufunc it calls solves a whole stack in one call.
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from . import expr as exprmod
 from .density import DensityModel
@@ -337,6 +340,35 @@ def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPoli
 # Gamma witness
 
 
+def _gelsd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _least_squares(A: np.ndarray, b: np.ndarray, usable: np.ndarray) -> tuple:
+    """Minimum-norm least squares A[p] x = b[p] at the usable rows, bit for bit
+    np.linalg.lstsq(A[p], b[p], rcond=None) and the norm of its residual, in
+    one gelsd call: (x, residual norm, rank < min(m, n)), NaN/False elsewhere."""
+    npts, m, cols = A.shape
+    x = np.full((npts, cols), np.nan)
+    defect = np.full(npts, np.nan)
+    rank_def = np.zeros(npts, dtype=bool)
+    if not usable.any():
+        return x, defect, rank_def
+    Au, bu = A[usable], b[usable]
+    # lstsq's own rcond and error handling: a failed solve raises LinAlgError
+    with np.errstate(call=_gelsd_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        xu, _, rank, _ = _gelsd(Au, bu[:, :, None], np.finfo(float).eps * max(m, cols),
+                                signature="ddd->ddid")
+    xu = xu[:, :, 0]
+    # a matmul inner product is norm's BLAS dot bit for bit; einsum is not
+    r = (Au @ xu[:, :, None])[:, :, 0] - bu
+    x[usable] = xu
+    defect[usable] = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    rank_def[usable] = rank < min(m, cols)
+    return x, defect, rank_def
+
+
 @dataclass(eq=False)
 class GammaWitness:
     points: np.ndarray
@@ -352,7 +384,13 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     """Gamma = Gamma1 - d log rho with Gamma1 least-squares in d*df = Gamma1 ^ *df.
 
     The wedge system is solvable exactly for k in {1, n-1}; for intermediate k
-    the residual norm is reported as the obstruction measure.
+    the residual norm is reported as the obstruction measure.  All usable
+    points are solved in one batched gelsd call (`_least_squares`), bit for
+    bit the per-point np.linalg.lstsq.  `rank_deficient` depends only on the
+    degree of omega = *df: it is true exactly when omega is a 1-form and
+    n >= 3 (omega itself spans the kernel of Gamma1 -> Gamma1 ^ omega), and
+    otherwise false wherever |df| > eps_grad, except for a decomposable
+    2-form omega in n = 4.
     """
     n = sol.n
     star_df = sol.star_df
@@ -364,18 +402,9 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     A = np.stack([wedge_1form(e_j, star_df).as_matrix() for e_j in np.eye(n)], axis=2)
     b = d_star.as_matrix()
 
-    Gamma1 = np.full((npts, n), np.nan)
-    defect = np.full(npts, np.nan)
-    rank_def = np.zeros(npts, dtype=bool)
     tol = sol.tol
     usable = ~star_df.bad & (sol.xi > tol.eps_grad ** 2)
-    for p in range(npts):
-        if not usable[p]:
-            continue
-        sol_p, _, rank, _ = np.linalg.lstsq(A[p], b[p], rcond=None)
-        Gamma1[p] = sol_p
-        defect[p] = float(np.linalg.norm(A[p] @ sol_p - b[p]))
-        rank_def[p] = rank < min(A.shape[1:])
+    Gamma1, defect, rank_def = _least_squares(A, b, usable)
 
     rho_c = sol.rho_c
     glr, rho_usable = log_rho_gradient(model, sol.Q, rho_c, sol.grad_xi, tol)
@@ -393,6 +422,5 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     defined = usable & np.isfinite(Gamma).all(axis=1) & rho_usable
     Gamma[~defined] = np.nan
     fro = np.where(defined, fro, np.nan)
-    defect = np.where(usable, defect, np.nan)
     return GammaWitness(points=pts, Gamma=Gamma, Gamma1=Gamma1, defect=defect,
                         frobenius_defect=fro, rank_deficient=rank_def, defined=defined)

@@ -17,13 +17,15 @@ evaluation.
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
 breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
+The tree is swept one frontier at a time in array code; it is edge for edge,
+in the same order, the tree of a first-in-first-out queue search, so eta is
+set by one gather-add per layer.
 The curl gate and that post-check take fourth-order central differences from
 the finite-difference core shared with the verify module.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -195,10 +197,10 @@ def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
     return witness.curl_residual
 
 
-def _edge_integrals(evaluator, nodes: np.ndarray, edges: list) -> np.ndarray:
+def _edge_integrals(evaluator, points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Two-point Gauss-Legendre quadrature of G . dl along grid edges, batched:
-    `edges` holds (p, q) multi-index pairs into `nodes` (grid shape + (n,))."""
-    seg = nodes[tuple(np.moveaxis(np.array(edges), -1, 0))]  # (E, 2, n)
+    `edges` holds (p, q) rows of flat node indices into `points` (N, n)."""
+    seg = points[edges]  # (E, 2, n)
     starts, ends = seg[:, 0], seg[:, 1]
     mid = 0.5 * (starts + ends)
     half = 0.5 * (ends - starts)
@@ -226,7 +228,6 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
     if grid is None:
         raise FrobeniusError("recover_eta needs a grid")
     shape = grid.shape()
-    n = grid.dim
     if mask is None:
         mask = witness.defined.reshape(shape)
     else:
@@ -248,45 +249,30 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
             f"at grid node {loc} (x = {pos}); a gauge field H with H ^ w = 0 would be needed"
         )
 
-    axes = grid.axes()
-    nodes = grid.points().reshape(shape + (n,))
+    points = grid.points()
 
     if anchor is None:
         start = tuple(int(i) for i in np.argwhere(mask)[0])
     else:
         cand = np.argwhere(mask)
         target = np.asarray(anchor, dtype=float)
-        pts = nodes[tuple(cand.T)]
+        pts = points[mask.reshape(-1)]  # the rows of cand, in the same C order
         start = tuple(int(i) for i in cand[np.argmin(((pts - target) ** 2).sum(axis=1))])
 
-    # breadth-first spanning tree over masked nodes, then one batched quadrature
-    tree: list = []
-    seen = np.zeros(shape, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        idx = queue.popleft()
-        for axis in range(n):
-            for step in (1, -1):
-                jdx = list(idx)
-                jdx[axis] += step
-                if not (0 <= jdx[axis] < shape[axis]):
-                    continue
-                jdx = tuple(jdx)
-                if seen[jdx] or not mask[jdx]:
-                    continue
-                seen[jdx] = True
-                tree.append((idx, jdx))
-                queue.append(jdx)
+    # a spanning tree over masked nodes, one batched quadrature, then one
+    # gather-add per layer: every parent was set by an earlier layer
+    layers, seen = _spanning_tree(mask, start)
+    eta = np.full(mask.size, np.nan)
+    eta[np.ravel_multi_index(start, shape)] = 0.0
+    if layers:
+        increments = _edge_integrals(witness.evaluator, points, np.concatenate(layers))
+        done = 0
+        for parent, child in (layer.T for layer in layers):
+            eta[child] = eta[parent] + increments[done:done + child.size]
+            done += child.size
+    eta = eta.reshape(shape)
 
-    eta = np.full(shape, np.nan)
-    eta[start] = 0.0
-    if tree:
-        increments = _edge_integrals(witness.evaluator, nodes, tree)
-        for (p, q), inc in zip(tree, increments):
-            eta[q] = eta[p] + inc
-
-    loop_max = _loop_check(witness.evaluator, grid, mask, nodes)
+    loop_max = _loop_check(witness.evaluator, grid, mask, points)
     if loop_max > 10.0 * tol_conservative:
         raise FrobeniusError(
             f"path dependence detected: rectangle loop integral {loop_max:.3e} "
@@ -298,11 +284,51 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
                        post_residual=post, mask=mask, unreached=int((mask & ~seen).sum()))
 
 
-def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray) -> float:
+def _spanning_tree(mask: np.ndarray, start: tuple) -> tuple:
+    """Breadth-first spanning tree of the masked nodes reachable from `start`,
+    swept one frontier at a time: (layers, seen), each layer an (E, 2) array of
+    (parent, child) flat node indices.  A layer visits its nodes in discovery
+    order and each node's neighbours in (axis, +1/-1) order, and the first claim
+    on a node wins, so the edges and their order are a first-in-first-out queue
+    search's.  A False border around the mask keeps every neighbour in range."""
+    shape = mask.shape
+    padded = tuple(s + 2 for s in shape)
+    strides = np.cumprod((1,) + padded[:0:-1])[::-1]
+    offsets = np.array([step * stride for stride in strides for step in (1, -1)])
+    open_ = np.pad(mask, 1).reshape(-1)  # masked and not yet claimed
+    frontier = np.array([np.ravel_multi_index(tuple(i + 1 for i in start), padded)])
+    open_[frontier] = False
+    parents, children = [], []
+    while True:
+        claims = (frontier[:, None] + offsets).reshape(-1)  # node-major, then (axis, step)
+        owners = np.repeat(frontier, offsets.size)
+        ok = open_[claims]
+        claims, owners = claims[ok], owners[ok]
+        if not claims.size:
+            break
+        _, first = np.unique(claims, return_index=True)
+        first.sort()
+        frontier = claims[first]
+        open_[frontier] = False
+        parents.append(owners[first])
+        children.append(frontier)
+    inner = tuple(slice(1, -1) for _ in shape)
+    seen = mask & ~open_.reshape(padded)[inner]
+    layers = []
+    if parents:
+        edges = np.stack([np.concatenate(parents), np.concatenate(children)], axis=1)
+        unpadded = np.stack(np.unravel_index(edges, padded)) - 1
+        flat = np.ravel_multi_index(tuple(unpadded), shape)
+        layers = np.split(flat, np.cumsum([len(c) for c in children])[:-1])
+    return layers, seen
+
+
+def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, points: np.ndarray) -> float:
     """Largest |loop integral| over up to 20 random masked grid rectangles."""
     rng = np.random.default_rng(404)
     shape = grid.shape()
     n = grid.dim
+    flat_mask = mask.reshape(-1)
     worst = 0.0
     found = 0
     for _ in range(600):
@@ -316,10 +342,10 @@ def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray) 
         d2 = int(rng.integers(1, max(2, shape[ax2] // 3)))
         if i0[ax1] + d1 >= shape[ax1] or i0[ax2] + d2 >= shape[ax2]:
             continue
-        path = _rect_unit_edges(i0, ax1, d1, ax2, d2)
-        if not all(mask[p] for p, _ in path):  # each boundary node starts one edge
+        path = _rect_unit_edges(shape, i0, ax1, d1, ax2, d2)
+        if not flat_mask[path[:, 0]].all():  # each boundary node starts one edge
             continue
-        vals = _edge_integrals(evaluator, nodes, path)
+        vals = _edge_integrals(evaluator, points, path)
         if not np.isfinite(vals).all():
             continue
         worst = max(worst, abs(float(vals.sum())))
@@ -327,17 +353,18 @@ def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, nodes: np.ndarray) 
     return worst
 
 
-def _rect_unit_edges(i0, ax1, d1, ax2, d2):
-    """Unit grid edges tracing the rectangle with corner i0 and sides d1 along
-    ax1 and d2 along ax2 once around: up ax1, up ax2, back down ax1, down ax2."""
-    path, idx = [], list(i0)
-    for axis, step, count in ((ax1, 1, d1), (ax2, 1, d2), (ax1, -1, d1), (ax2, -1, d2)):
-        for _ in range(count):
-            nxt = list(idx)
-            nxt[axis] += step
-            path.append((tuple(idx), tuple(nxt)))
-            idx = nxt
-    return path
+def _rect_unit_edges(shape, i0, ax1, d1, ax2, d2):
+    """Unit grid edges, as (p, q) flat node indices, tracing the rectangle with
+    corner i0 and sides d1 along ax1 and d2 along ax2 once around: up ax1, up
+    ax2, back down ax1, down ax2."""
+    steps = np.zeros((2 * (d1 + d2), len(shape)), dtype=np.intp)
+    steps[:d1, ax1] = 1
+    steps[d1:d1 + d2, ax2] = 1
+    steps[d1 + d2:2 * d1 + d2, ax1] = -1
+    steps[2 * d1 + d2:, ax2] = -1
+    ends = np.asarray(i0) + np.cumsum(steps, axis=0)
+    return np.ravel_multi_index(tuple(np.moveaxis(np.stack([ends - steps, ends], axis=1), -1, 0)),
+                                shape)
 
 
 def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,

@@ -264,15 +264,19 @@ FLOOR = 1e-11  # below this the scheme error has hit rounding; no order is fit
 
 
 def fit_order(levels: Sequence[tuple]) -> tuple:
-    """Least-squares slope of log max_norm against log h; (order, at_floor)."""
+    """Least-squares slope of log max_norm against log h; (order, at_floor).
+
+    An order is fit only when every level is at or above FLOOR, and at_floor
+    holds only when every level is below it; levels on both sides of the
+    floor give (None, False)."""
     hs = np.array([lv[0] for lv in levels], dtype=float)
     ms = np.array([lv[1] for lv in levels], dtype=float)
     if len(levels) < 3:
         raise VerifyError("order fit needs at least 3 grid levels")
     if np.all(ms < FLOOR):
         return None, True
-    if np.any(ms <= 0.0):
-        return None, True
+    if np.any(ms < FLOOR):
+        return None, False
     slope = np.polyfit(np.log(hs), np.log(ms), 1)[0]
     return float(slope), False
 

@@ -462,6 +462,14 @@ def test_patching_convergence_refuses_fewer_than_three_levels():
     assert proc.stdout == ""
 
 
+def test_patching_convergence_fits_no_order_across_the_rounding_floor():
+    # the 8-cell level's far-field residual is at rounding level, the finer two are not
+    proc = _run_script("patching_convergence.py", "--base", "8", "--levels", "3")
+    assert proc.returncode == 0
+    assert "levels straddle the rounding floor (1e-11): no order fitted" in proc.stdout
+    assert "fitted order" not in proc.stdout
+
+
 # (script, flags, the stderr fragment of a refusal or None for a run that succeeds)
 SCRIPT_CASES = {
     "portrait-tiny": ("vortex_branch_portrait.py", ("--cells", "2"), None),

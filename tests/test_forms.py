@@ -484,3 +484,92 @@ def test_codifferential_residual_matches_the_hand_loop(rng, n, k):
     got = verifymod.codifferential_residual(fsol, grid)
     want = _oracle_codifferential_residual(fsol, grid)
     assert got.to_json_dict() == want.to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# the batched Gamma solve against the per-point lstsq loop it replaced
+
+
+def _oracle_least_squares(A, b, usable):
+    npts, _, n = A.shape
+    Gamma1 = np.full((npts, n), np.nan)
+    defect = np.full(npts, np.nan)
+    rank_def = np.zeros(npts, dtype=bool)
+    for p in range(npts):
+        if not usable[p]:
+            continue
+        sol_p, _, rank, _ = np.linalg.lstsq(A[p], b[p], rcond=None)
+        Gamma1[p] = sol_p
+        defect[p] = float(np.linalg.norm(A[p] @ sol_p - b[p]))
+        rank_def[p] = rank < min(A.shape[1:])
+    return Gamma1, defect, rank_def
+
+
+def _random_stream_form(rng, n, k):
+    texts = {}
+    for key in multi_indices(n, k):
+        i, j, l = (int(v) for v in rng.integers(1, n + 1, 3))
+        c = rng.uniform(-1.0, 1.0, 3)
+        texts[key] = f"{c[0]:.4f}*x{i}*x{j}^2 + {c[1]:.4f}*x{l} + {c[2]:.4f}*x{j}^3/3"
+    return kform(n, k, texts)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 5) for k in range(0, n)])
+def test_gamma_witness_matches_the_per_point_lstsq(rng, n, k):
+    model = extremal()
+    pts = rng.uniform(0.3, 0.9, (120, n))
+    f = _random_stream_form(rng, n, k)
+    fsol = synthesize_form(model, f, single_branch(1), pts)
+    wit = gamma_witness(model, f, fsol)
+    A = np.stack([wedge_1form(e_j, fsol.star_df).as_matrix() for e_j in np.eye(n)], axis=2)
+    usable = ~fsol.star_df.bad & (fsol.xi > fsol.tol.eps_grad ** 2)
+    assert usable.sum() > 100
+    Gamma1, defect, rank_def = _oracle_least_squares(A, fsol.d_star_df.as_matrix(), usable)
+    assert _same_bits(wit.Gamma1, Gamma1)
+    assert _same_bits(wit.defect, defect)
+    assert np.array_equal(wit.rank_deficient, rank_def)
+    # the rule the gamma_witness docstring states: only a 1-form omega in n >= 3
+    # leaves the wedge system rank deficient (random 2-forms in 4d are not decomposable)
+    assert fsol.k == n - k - 1
+    assert np.array_equal(rank_def[usable], np.full(usable.sum(), fsol.k == 1 and n >= 3))
+
+
+def test_gamma_least_squares_matches_lstsq_on_rank_deficient_and_unusable_rows(rng):
+    from streamfields.forms import _least_squares
+
+    for m, n in [(1, 2), (2, 2), (3, 3), (4, 4), (6, 4), (5, 3)]:
+        A = rng.standard_normal((40, m, n))
+        b = rng.standard_normal((40, m))
+        A[0] = 0.0  # rank 0
+        A[1] = np.outer(rng.standard_normal(m), rng.standard_normal(n))  # rank 1
+        A[2, :, -1] = A[2, :, 0]  # two equal columns
+        A[3, :, 0] = 1e-17 * A[3, :, 1]  # a column below lstsq's rcond
+        b[4] = 0.0
+        b[5] = np.nan  # lstsq returns NaN here without raising
+        usable = rng.random(40) > 0.2
+        usable[:6] = True
+        got = _least_squares(A, b, usable)
+        want = _oracle_least_squares(A, b, usable)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert got[2][0] and (got[2][1] or min(m, n) == 1)
+        assert (got[2][2] and got[2][3]) or m < n
+        none = _least_squares(A, b, np.zeros(40, dtype=bool))
+        assert np.isnan(none[0]).all() and np.isnan(none[1]).all() and not none[2].any()
+        assert none[0].shape == (40, n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gamma_least_squares_raises_on_a_non_finite_matrix_entry_as_lstsq_does(rng, bad):
+    from streamfields.forms import _least_squares
+
+    A = rng.standard_normal((10, 3, 3))
+    b = rng.standard_normal((10, 3))
+    A[7, 1, 2] = bad
+    usable = np.ones(10, dtype=bool)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(A[7], b[7], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        _least_squares(A, b, usable)
+    usable[7] = False  # a point that is not solved cannot fail
+    assert np.isfinite(_least_squares(A, b, usable)[0][usable]).all()

@@ -306,3 +306,115 @@ def test_witness_choice_follows_the_drive_type():
                 with pytest.raises(WitnessMismatch, match="does not apply"):
                     resolve_witness(choice, d)
     assert issubclass(WitnessMismatch, FrobeniusError)
+
+
+# ---------------------------------------------------------------------------
+# the frontier-sweep spanning tree against the queue search it replaced
+
+
+def _oracle_tree(mask, start):
+    """Breadth-first tree by a first-in-first-out queue: (edges, seen)."""
+    from collections import deque
+
+    shape = mask.shape
+    tree = []
+    seen = np.zeros(shape, dtype=bool)
+    seen[start] = True
+    queue = deque([start])
+    while queue:
+        idx = queue.popleft()
+        for axis in range(len(shape)):
+            for step in (1, -1):
+                jdx = list(idx)
+                jdx[axis] += step
+                if not (0 <= jdx[axis] < shape[axis]):
+                    continue
+                jdx = tuple(jdx)
+                if seen[jdx] or not mask[jdx]:
+                    continue
+                seen[jdx] = True
+                tree.append((idx, jdx))
+                queue.append(jdx)
+    flat = np.array([[np.ravel_multi_index(p, shape), np.ravel_multi_index(q, shape)]
+                     for p, q in tree], dtype=np.intp).reshape(-1, 2)
+    return flat, seen
+
+
+def _oracle_eta(witness, rec):
+    """eta by the queue-search tree and one addition per edge, in tree order."""
+    from streamfields.frobenius import _edge_integrals
+
+    edges, seen = _oracle_tree(rec.mask, rec.anchor)
+    eta = np.full(rec.mask.shape, np.nan)
+    eta[rec.anchor] = 0.0
+    flat_eta = eta.reshape(-1)
+    if len(edges):
+        increments = _edge_integrals(witness.evaluator, witness.solution.grid.points(), edges)
+        for (p, q), inc in zip(edges, increments):
+            flat_eta[q] = flat_eta[p] + inc
+    return eta, int((rec.mask & ~seen).sum())
+
+
+def _random_masks(rng, shape):
+    """Random masks of several densities, one cut into pieces by empty planes,
+    and a one-node mask."""
+    masks = [rng.random(shape) < p for p in (0.55, 0.7, 0.9, 1.0)]
+    cut = rng.random(shape) < 0.95
+    for axis, size in enumerate(shape):
+        sl = [slice(None)] * len(shape)
+        sl[axis] = slice(size // 3, size // 3 + 1)
+        cut[tuple(sl)] = False
+    one = np.zeros(shape, dtype=bool)
+    one[tuple(s // 2 for s in shape)] = True
+    return masks + [cut, one]
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (23, 31), (40, 40), (9, 11, 10), (6, 5, 7, 4)])
+def test_spanning_tree_is_the_queue_search_tree_edge_for_edge(shape):
+    from streamfields.frobenius import _spanning_tree
+
+    rng = np.random.default_rng(sum(shape))
+    for mask in _random_masks(rng, shape):
+        cand = np.argwhere(mask)
+        if not len(cand):
+            continue
+        for start in (cand[0], cand[len(cand) // 2], cand[-1]):
+            start = tuple(int(i) for i in start)
+            want, want_seen = _oracle_tree(mask, start)
+            layers, seen = _spanning_tree(mask, start)
+            got = np.concatenate(layers) if layers else np.zeros((0, 2), dtype=np.intp)
+            assert np.array_equal(got, want)
+            assert np.array_equal(seen, want_seen)
+            # every parent of a layer was reached before that layer
+            reached = {np.ravel_multi_index(start, shape)}
+            for layer in layers:
+                assert set(layer[:, 0].tolist()) <= reached
+                reached |= set(layer[:, 1].tolist())
+
+
+def _bi_witness_3d(cells=10):
+    g = GridSpec((0.7, 0.7, 0.7), (1.5, 1.5, 1.5), (cells,) * 3)
+    sol = synthesize(born_infeld(), coulomb(), single_branch(1), g, tol=WTOL)
+    return witness_gradient(sol), g, np.ones(g.shape(), dtype=bool)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_recover_eta_equals_the_queue_search_bit_for_bit(dim):
+    """eta, the anchor and the unreached count are those of the queue-search
+    tree with one addition per edge, on random masks (several components
+    among them) and with and without an anchor point."""
+    wit, g, region = annulus_witness(cells=64) if dim == 2 else _bi_witness_3d()
+    rng = np.random.default_rng(130 + dim)
+    lo, hi = np.asarray(g.lo, dtype=float), np.asarray(g.hi, dtype=float)
+    unreached_counts = []
+    for mask in _random_masks(rng, g.shape())[2:-1]:  # dense enough for a long tree
+        mask &= region
+        for anchor in (None, tuple(lo + (hi - lo) * rng.random(dim))):
+            # a coarse grid: the gate sees the stencil's own error, not the witness's
+            rec = recover_eta(wit, mask=mask, anchor=anchor, tol_conservative=1e-3)
+            want, unreached = _oracle_eta(wit, rec)
+            assert np.array_equal(rec.eta.view(np.uint64), want.view(np.uint64))
+            assert rec.unreached == unreached
+            assert np.isfinite(rec.eta).sum() > 20
+            unreached_counts.append(unreached)
+    assert max(unreached_counts) > 0  # some masks fall apart into several pieces

@@ -54,8 +54,11 @@ def test_fit_order_synthetic():
     order, at_floor = fit_order([(0.1, 1e-14), (0.05, 2e-15), (0.025, 8e-16)])
     assert order is None and at_floor
 
+    # levels on both sides of the floor: no order, and not at the floor either
     order, at_floor = fit_order([(0.1, 1e-3), (0.05, 0.0), (0.025, 1e-5)])
-    assert order is None and at_floor
+    assert (order, at_floor) == (None, False)
+    order, at_floor = fit_order([(0.1, 2.2e-16), (0.05, 0.171), (0.025, 0.141)])
+    assert (order, at_floor) == (None, False)
 
     with pytest.raises(VerifyError):
         fit_order([(0.1, 1.0), (0.05, 0.25)])
