@@ -9,8 +9,8 @@ Usage: python scripts/vortex_branch_portrait.py [--R 4] [--cells 128] [--out fie
 """
 
 import argparse
-import csv
 import math
+import os
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from streamfields import (
     synthesize,
     synthesize_at_points,
 )
+from streamfields.cli import _write_table
 from streamfields.config import MAX_GRID_NODES
 
 BRANCH_NAMES = {0: "undefined", 1: "tranquil", 2: "shooting", 3: "over-speed"}
@@ -89,13 +90,9 @@ def main() -> None:
           f"{np.nanmax(defect):.3e}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x1", "x2", "w1", "w2", "Q", "branch"])
-            for i in range(sol.points.shape[0]):
-                wr.writerow([f"{sol.points[i, 0]:.17g}", f"{sol.points[i, 1]:.17g}",
-                             f"{sol.w[i, 0]:.17g}", f"{sol.w[i, 1]:.17g}",
-                             f"{sol.Q[i]:.17g}", int(sol.branch_id[i])])
+        _write_table(os.path.dirname(args.out), os.path.basename(args.out), sol.points,
+                     [("w1", "float", sol.w[:, 0]), ("w2", "float", sol.w[:, 1]),
+                      ("Q", "float", sol.Q), ("branch", "int", sol.branch_id)])
         print(f"wrote {args.out}")
 
 

@@ -1,6 +1,7 @@
 import ast
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1109,3 +1112,107 @@ def test_block_writer_matches_the_per_cell_writer(tmp_path, monkeypatch, block_r
     if not len(columns[0][1]):
         assert got == (",".join(header) + "\n").encode()
 
+
+FLOAT_ORACLE_CASES = ("random-bits", "near-ties", "powers-of-ten", "switch-points", "subnormal",
+                      "dyadic", "specials")
+
+
+@functools.cache
+def _float_oracle_cases() -> dict:
+    """Named float64 arrays for the array formatter, each with its negatives."""
+    rng = np.random.default_rng(1414)
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # "%g" switches notation at X < -4 and at X >= 17; these and 8 ulps either side
+    switch = [np.array([1e-5, 1e-4, 1e16, 1e17])]
+    for toward in (0.0, np.inf):
+        near = switch[0]
+        for _ in range(8):
+            near = np.nextafter(near, toward)
+            switch.append(near)
+    # near-ties: doubles whose exact decimal is 17 digits, then 49 or 50, then
+    # anything; so the 18th digit on is within 0.01 of the 17th digit's half unit
+    near_ties = []
+    for v in rng.integers(1, 0x7FF0 << 48, 100000, dtype=np.int64).view(np.float64).tolist():
+        num, den = v.as_integer_ratio()
+        k = 16 - Decimal(v).adjusted()
+        num, den = (num * 10 ** k, den) if k >= 0 else (num, den * 10 ** -k)
+        if abs(200 * (num % den) - 100 * den) < 2 * den:
+            near_ties.append(v)
+    # m / 2^j has exact decimal ties at the 17th digit, e.g. 2^-25
+    dyadic = np.ldexp(rng.integers(1, 1 << 20, 4000) | 1, rng.integers(-1074, 1000, 4000))
+    subnormal = rng.integers(1, 1 << 52, 5000, dtype=np.int64).view(np.float64)
+    cases = {
+        "random-bits": rng.integers(0, 1 << 63, 1 << 20, dtype=np.int64).view(np.float64),
+        "near-ties": np.array(near_ties),
+        "powers-of-ten": np.concatenate(
+            [pow10, np.nextafter(pow10, 0.0), np.nextafter(pow10, np.inf)]),
+        "switch-points": np.concatenate(switch),
+        "subnormal": subnormal,
+        "dyadic": np.concatenate([dyadic, np.ldexp(1.0, np.arange(-1074, 1024)),
+                                  np.ldexp(3.0, np.arange(-1074, 1023))]),
+        "specials": np.array([0.0, np.nan, np.inf, 5e-324, np.finfo(np.float64).max,
+                              np.finfo(np.float64).tiny, 0.1, 1 / 3, 2.0 ** -25]),
+    }
+    assert tuple(cases) == FLOAT_ORACLE_CASES
+    return {name: np.concatenate([v, -v]) for name, v in cases.items()}
+
+
+@pytest.mark.parametrize("name", FLOAT_ORACLE_CASES)
+def test_array_formatter_matches_percent_17g(name):
+    values = _float_oracle_cases()[name]
+    assert cli._format_floats(values).tolist() == ["%.17g" % v for v in values.tolist()]
+
+
+def test_array_formatter_sends_few_values_to_python(monkeypatch):
+    """A change that quietly formats everything through Python fails here."""
+    sent = []
+
+    def counted(v):
+        sent.append(v.size)
+        return [None] * v.size
+
+    monkeypatch.setattr(cli, "_percent_17g", counted)
+    values = _float_oracle_cases()["random-bits"]
+    cli._format_floats(values)
+    assert sum(sent) < 0.05 * values.size
+    # a block column of 4096 distinct values takes the array path too
+    sent.clear()
+    cli._column_text("float", np.random.default_rng(3).standard_normal(4096))
+    assert sum(sent) < 0.05 * 4096
+
+
+def test_array_formatter_with_a_double_bound_proves_nothing_and_stays_exact(monkeypatch):
+    # where long double is only a double, no rounding can be proven
+    scales, _, quads = cli._float_tables()
+    monkeypatch.setattr(cli, "_float_tables",
+                        lambda: (scales, cli._error_bound(np.finfo(np.float64).eps), quads))
+    values = np.concatenate([_float_oracle_cases()[name] for name in
+                             ("near-ties", "powers-of-ten", "switch-points", "specials")])
+    ok, _, _ = cli._proven_digits(np.abs(values))
+    assert not ok.any()
+    assert cli._format_floats(values).tolist() == ["%.17g" % v for v in values.tolist()]
+
+
+def test_long_double_powers_of_ten_are_within_half_an_ulp():
+    scales = cli._float_tables()[0]
+    for x, scale in zip(range(cli._X_MIN, cli._X_MAX + 1), scales):
+        exact = Fraction(10) ** (16 - x)
+        if not np.isfinite(scale):  # only past the range of a long double that is a double
+            assert exact > Fraction(*np.finfo(np.longdouble).max.as_integer_ratio())
+            continue
+        half_ulp = Fraction(*np.spacing(scale).as_integer_ratio()) / 2
+        assert abs(Fraction(*scale.as_integer_ratio()) - exact) <= half_ulp, x
+
+
+def test_portrait_script_writes_its_field_with_the_cli_writer(tmp_path):
+    path = tmp_path / "field.csv"
+    proc = _run_script("vortex_branch_portrait.py", "--cells", "8", "--out", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = path.read_bytes()
+    assert b"\r" not in data
+    lines = data.decode().splitlines()
+    assert lines[0] == "x1,x2,w1,w2,Q,branch"
+    assert len(lines) == 1 + 9 * 9
+    for line in lines[1:]:
+        *floats, branch = line.split(",")
+        assert floats == ["%.17g" % float(c) for c in floats] and branch in ("0", "1", "2", "3")

@@ -5,10 +5,10 @@ sha256 of each data artifact and the numbers of each JSON artifact, taken
 from the unchanged source.  These tests rerun every shipped-grid op of the
 benchmark (`synth`, `singular`, `frobenius` and `verify` on every example,
 `forms` on form-21, and the three-level `verify` studies of refine-l3), and
-the two export-513 ops that reach the Gamma witness and eta recovery, so
-every CSV the writer produces and every number of the finite-difference core
-and the witness defects is pinned, and compare them with the benchmark's own
-rule, `check_op`.  The reference file is only read.
+every export-513 op, so every CSV the writer produces (at the shipped grids
+and at 512^2 and 64^3) and every number of the finite-difference core and the
+witness defects is pinned, and compare them with the benchmark's own rule,
+`check_op`.  The reference file is only read.
 """
 
 import importlib.util
@@ -34,9 +34,11 @@ OPS = [Op(sub, name) for sub in ("synth", "singular", "frobenius", "verify")
 # the refine-l3 workload: three-level studies on two threads, whose coarse
 # levels are read off the finest synthesis
 OPS += [Op("verify", name, threads=2, levels=3) for name in bench.wl.EXAMPLES]
-# the export-513 ops that reach the batched Gamma solve and the eta tree at
-# full size, so gamma.csv and eta.csv are pinned there too
-OPS += [Op("forms", "form-21", (256, 256)), Op("frobenius", "shallow-annulus-eta", (512, 512))]
+# every export-513 op: the batched Gamma solve and the eta tree at full size,
+# and the largest field.csv and masks.csv files the float formatter writes
+OPS += [Op("forms", "form-21", (256, 256)), Op("frobenius", "shallow-annulus-eta", (512, 512)),
+        Op("synth", "shallow-vortex", (512, 512)), Op("singular", "shallow-vortex", (512, 512)),
+        Op("synth", "born-infeld-fund", (64, 64, 64))]
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.key)
