@@ -46,14 +46,13 @@ def main() -> None:
 
     grids = [GridSpec((-1.8, -1.8), (1.8, 1.8), (args.base * 2 ** i,) * 2)
              for i in range(args.levels)]
-    # synthesis is pointwise: each coarser level is read off the finest one,
-    # unless its nodes are not finest nodes bit for bit
+    # synthesis is pointwise and the levels nest: each coarser level is read
+    # off the finest one
     finest = synthesize(model, d, policy, grids[-1])
     print("divergence residual outside r = 1.35:")
     levels = []
     for g in grids:
-        idx = nested_index(g, finest.grid)
-        sol = synthesize(model, d, policy, g) if idx is None else finest.restricted(g, idx)
+        sol = finest.restricted(g, nested_index(g, finest.grid))
         r = np.sqrt((sol.points ** 2).sum(axis=1))
         try:
             rep = divergence_residual(sol, extra_bad=r <= 1.35)  # keep the far field

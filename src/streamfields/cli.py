@@ -20,7 +20,8 @@ those of "%.17g" either way.
 
 A grid with more than config.MAX_GRID_NODES nodes is refused (exit 2) by every
 subcommand, and so is a `verify --levels K` study whose finest grid would have
-more; K < 1 is refused everywhere.
+more, or that has K = 2 levels, too few for its order fit; K < 1 is refused
+everywhere.
 
 Exit codes: 0 success, 2 config error, 3 synthesis found no admissible
 points, 4 a verification threshold or conservative gate was breached.  A
@@ -311,7 +312,7 @@ def _workers(threads: int, npoints: int) -> int:
 
 def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
                     witness: Optional[str] = None) -> FieldSolution:
-    """The configured field on `grid`, not yet checked by _field_admitted; a
+    """The configured field on `grid`, not yet checked by _admitted; a
     frobenius.witness choice passed as `witness` is checked against the drive
     before anything is synthesized."""
     model = cfgmod.build_model(cfg)
@@ -323,17 +324,18 @@ def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
     return synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
 
 
-def _field_admitted(sol: FieldSolution) -> FieldSolution:
-    """`sol`; exit 3 when no point is admitted, with the sampled range of xi = |a|^2."""
-    _require_admitted(sol, "synthesis", "drive range Sigma_f")
-    return sol
-
-
-def _require_admitted(sol, what: str, sampled: str) -> None:
-    """Exit 3 when no point of `sol` (a FieldSolution or a FormSolution) is
-    admitted, with the sampled range of its xi and every branch image."""
+def _admitted(sol: FieldSolution) -> FieldSolution:
+    """`sol`; exit 3 when no point is admitted, with the sampled range of its
+    xi and every branch image.  xi is |a|^2 for a field, and for a form
+    |alpha|^2 when its drive is a closed form alpha (of degree n - k), |df|^2
+    otherwise."""
     if (sol.branch_id != 0).any():
-        return
+        return sol
+    if isinstance(sol, formsmod.FormSolution):
+        what = "form synthesis"
+        sampled = "|alpha|^2" if sol.drive.k == sol.n - sol.k else "|df|^2"
+    else:
+        what, sampled = "synthesis", "drive range Sigma_f"
     xi = sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0]
     span = f"[{xi.min():.6g}, {xi.max():.6g}]" if xi.size else "(drive undefined at every grid point)"
     images = "; ".join(f"branch {b.index} ({b.label}): {b.image}" for b in sol.model.branches())
@@ -341,9 +343,9 @@ def _require_admitted(sol, what: str, sampled: str) -> None:
                 f"misses every admitted branch image Im(phi): {images}")
 
 
-def _tail_columns(sol) -> list:
+def _tail_columns(sol: FieldSolution) -> list:
     """The Q, regime, branch and flags columns that field.csv and forms.csv end
-    with, for a FieldSolution or a FormSolution."""
+    with."""
     regimes = np.array(REGIME_NAMES, dtype=object)[sol.regime].tolist()
     return [("Q", "float", sol.Q), ("regime", "str", regimes), ("branch", "int", sol.branch_id),
             ("flags", "int", sol.flags)]
@@ -355,7 +357,7 @@ def _tail_columns(sol) -> list:
 
 def cmd_synth(args) -> int:
     cfg, out, grid = _setup(args)
-    sol = _field_admitted(_synth_solution(cfg, grid, args.threads))
+    sol = _admitted(_synth_solution(cfg, grid, args.threads))
     _write_table(out, "field.csv", sol.points,
                  [(f"w{i+1}", "float", sol.w[:, i]) for i in range(grid.dim)] + _tail_columns(sol))
     if cfgmod.output_section(cfg)["json"]:
@@ -370,7 +372,7 @@ def cmd_synth(args) -> int:
 
 def cmd_singular(args) -> int:
     cfg, out, grid = _setup(args)
-    sol = _field_admitted(_synth_solution(cfg, grid, args.threads))
+    sol = _admitted(_synth_solution(cfg, grid, args.threads))
     report = singmod.classify_solution(sol)
     masks = (("outside", report.omega_f_complement), ("gamma0", report.gamma_0),
              ("gammas", report.gamma_s), ("gammainf", report.gamma_inf),
@@ -395,7 +397,7 @@ def _witness_for(choice: str, sol: FieldSolution):
 def cmd_frobenius(args) -> int:
     cfg, out, grid = _setup(args)
     fs = cfgmod.frobenius_section(cfg, grid.dim)
-    sol = _field_admitted(_synth_solution(cfg, grid, args.threads, witness=fs["witness"]))
+    sol = _admitted(_synth_solution(cfg, grid, args.threads, witness=fs["witness"]))
     wit = _witness_for(fs["witness"], sol)
     curl = frobmod.curl_residual_grid(wit)
     _write_table(out, "witness.csv", sol.points,
@@ -440,41 +442,31 @@ def _nanmax(arr) -> Optional[float]:
 _build_form = cfgmod.build_form
 
 
-def _form_solution(cfg: RunConfig, grid: GridSpec) -> tuple:
-    """The forms section synthesized on `grid`, as (its config.FormSpec, its
-    FormSolution), not yet checked by _form_admitted.  A closed form
-    (forms.closed) is the raw form itself, checked for closure on forms.box, or
-    on the grid's box when that is unset."""
+def _form_solution(cfg: RunConfig, grid: GridSpec,
+                   spec: cfgmod.FormSpec) -> formsmod.FormSolution:
+    """The form `spec` (the config's forms section) synthesized on `grid`, not
+    yet checked by _admitted.  A closed form (forms.closed) is the raw form
+    itself, checked for closure on forms.box, or on the grid's box when that
+    is unset."""
     model = cfgmod.build_model(cfg)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
-    spec = _build_form(cfg, grid.dim)
     pts = grid.points()
     if spec.closed:
-        fsol = formsmod.synthesize_form_closed(model, spec.form, policy, pts,
+        return formsmod.synthesize_form_closed(model, spec.form, policy, pts,
                                                spec.box or (grid.lo, grid.hi), tol=tol,
-                                               params=spec.params)
-    else:
-        fsol = formsmod.synthesize_form(model, spec.form, policy, pts, tol=tol, params=spec.params)
-    return spec, fsol
-
-
-def _form_admitted(form: tuple) -> tuple:
-    """`form`, a (FormSpec, FormSolution) pair; exit 3 when no point of the
-    solution is admitted, with the sampled range of |df|^2, or of |alpha|^2
-    for a closed form."""
-    spec, fsol = form
-    _require_admitted(fsol, "form synthesis", "|alpha|^2" if spec.closed else "|df|^2")
-    return form
+                                               params=spec.params, grid=grid)
+    return formsmod.synthesize_form(model, spec.form, policy, pts, tol=tol, params=spec.params,
+                                    grid=grid)
 
 
 def cmd_forms(args) -> int:
     cfg, out, grid = _setup(args)
-    spec, fsol = _form_admitted(_form_solution(cfg, grid))
-    zeros = np.zeros(fsol.points.shape[0])
+    spec = _build_form(cfg, grid.dim)
+    fsol = _admitted(_form_solution(cfg, grid, spec))
     _write_table(out, "forms.csv", fsol.points,
-                 [(f"omega_{''.join(map(str, idx)) or '0'}", "float",
-                   fsol.omega.coeffs.get(idx, zeros)) for idx in multi_indices(grid.dim, fsol.k)]
+                 [(f"omega_{''.join(map(str, idx)) or '0'}", "float", fsol.w[:, c])
+                  for c, idx in enumerate(multi_indices(grid.dim, fsol.k))]
                  + _tail_columns(fsol))
     if spec.gamma:
         gw = formsmod.gamma_witness(fsol.model, spec.form, fsol)
@@ -489,36 +481,40 @@ def _refined(grid: GridSpec, factor: int) -> GridSpec:
     return GridSpec(lo=grid.lo, hi=grid.hi, cells=tuple(c * factor for c in grid.cells))
 
 
-def _study(grids: list, synth: Callable, restrict: Callable, admitted: Callable) -> Callable:
-    """grid -> admitted(its solution), for the levels of a refinement study.
+def _study(grids: list, synth: Callable) -> Callable:
+    """grid -> its admitted solution, for the levels of a refinement study.
 
-    Only the finest grid, grids[-1], is synthesized (by `synth`, once).  A
-    coarser level whose nodes nest in it, bit for bit (synth.nested_index), is
-    restrict(finest solution, level grid, node index); any other level is
-    synthesized on its own.  `admitted` runs on each level when the study
-    first asks for it, so an exit 3 names the same level and sampled range as
-    a synthesis per level would."""
+    Only the finest grid, grids[-1], is synthesized (by `synth`, once).  Each
+    coarser level refines to it by a power of two, so its nodes are finest
+    nodes bit for bit (synth.nested_index), and the level's solution is the
+    finest one restricted to them.  _admitted runs on each level when the
+    study first asks for it, so an exit 3 names the same level and sampled
+    range as a synthesis per level would."""
     finest = grids[-1]
     fine = functools.cache(lambda: synth(finest))
 
     @functools.cache
     def on(grid: GridSpec):
-        if grid == finest:
-            return admitted(fine())
-        idx = nested_index(grid, finest)
-        return admitted(synth(grid) if idx is None else restrict(fine(), grid, idx))
+        sol = fine()
+        if grid != finest:
+            sol = sol.restricted(grid, nested_index(grid, finest))
+        return _admitted(sol)
     return on
 
 
 def cmd_verify(args) -> int:
     """Residual reports (and the energy) on the config's grid, or with
-    --levels K > 1 a refinement study over the grid refined by 1, 2, ...,
-    2^(K-1).  A study synthesizes only its finest grid and reads every coarser
-    level off it (see _study); every residual kind shares one solution per
-    level, and the frobenius and exactness kinds one witness per level."""
+    --levels K >= 3 a refinement study over the grid refined by 1, 2, ...,
+    2^(K-1); K = 2 is refused, as the order fit needs three levels.  A study
+    synthesizes only its finest grid and reads every coarser level off it
+    (see _study); every residual kind shares one solution per level, and the
+    frobenius and exactness kinds one witness per level."""
     cfg, out, base = _setup(args)
     vs = cfgmod.verify_section(cfg)
     levels = args.levels
+    if levels == 2:
+        raise ConfigError("--levels 2 is too few for a refinement study: the order fit "
+                          "needs at least 3 grid levels")
     # Counted before any grid is built; an exponent of 64 already exceeds the
     # budget, so capping it keeps a huge K cheap to reject.
     finest = math.prod(c * 2 ** min(levels - 1, 64) + 1 for c in base.cells)
@@ -533,10 +529,8 @@ def cmd_verify(args) -> int:
     reports = []
     energy_value = None
 
-    sol_on = _study(grids, lambda grid: _synth_solution(cfg, grid, args.threads, witness),
-                    FieldSolution.restricted, _field_admitted)
-    form_on = _study(grids, lambda grid: _form_solution(cfg, grid),
-                     lambda form, grid, idx: (form[0], form[1].restricted(idx)), _form_admitted)
+    sol_on = _study(grids, lambda grid: _synth_solution(cfg, grid, args.threads, witness))
+    form_on = _study(grids, lambda grid: _form_solution(cfg, grid, _build_form(cfg, grid.dim)))
 
     @functools.cache
     def witness_on(grid: GridSpec):
@@ -564,7 +558,7 @@ def cmd_verify(args) -> int:
             sol_on(grid), witness_on(grid), extra_bad=extra_bad_on(grid)),
         "exactness": exactness,
         "codifferential": lambda grid: verifymod.codifferential_residual(
-            form_on(grid)[1], grid, extra_bad=extra_bad_on(grid)),
+            form_on(grid), extra_bad=extra_bad_on(grid)),
     }
 
     for kind in vs["residuals"]:

@@ -407,7 +407,9 @@ def custom(
     horizon = q_max if q_max is not None else 1e6
     # the sampler spans decades from min(1e-6, horizon * 1e-6) up to the horizon
     if not (horizon > q_min and 1e-300 < horizon < 1e300):
-        raise DensityError(f"q_max must exceed q_min and lie in (1e-300, 1e300), got {horizon!r}")
+        what = "q_max" if q_max is not None else "q_max (unset: the sampler's default horizon 1e6)"
+        raise DensityError(f"{what} must exceed q_min = {q_min!r} and lie in (1e-300, 1e300), "
+                           f"got {horizon!r}")
 
     _spot_check_c1(rho_and_prime, q_min, horizon, name)
 

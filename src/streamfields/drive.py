@@ -42,7 +42,6 @@ def _as_expr(f, dim: int, params: Mapping[str, float]) -> exprmod.Expression:
 class Scalar2D:
     f: exprmod.Expression
     params: dict = field(default_factory=dict)
-    kind: str = field(default="scalar2d", init=False)
     dim: int = field(default=2, init=False)
 
 
@@ -51,7 +50,6 @@ class SkewMatrix:
     dim: int
     entries: dict  # (i, j) with 1 <= i < j <= dim -> Expression
     params: dict = field(default_factory=dict)
-    kind: str = field(default="skew_matrix", init=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +57,6 @@ class GradientDrive:
     dim: int
     f: exprmod.Expression
     params: dict = field(default_factory=dict)
-    kind: str = field(default="gradient", init=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +66,6 @@ class RawField:
     closure_mode: str  # "divergence_free" or "curl_free"
     box: tuple  # (lo vector, hi vector) used for closure validation
     params: dict = field(default_factory=dict)
-    kind: str = field(default="raw", init=False)
 
 
 DriveField = Union[Scalar2D, SkewMatrix, GradientDrive, RawField]

@@ -2,8 +2,10 @@
 
 A k-form is stored by its coefficients over strictly increasing multi-indices
 (1-based).  The metric is Euclidean with orientation dx_1 ^ ... ^ dx_n, so the
-Hodge star is pure sign bookkeeping.  Synthesis mirrors the vector module:
-omega = *df / rho(psi(|df|^2)) with the same branch policies and flag bits.
+Hodge star is pure sign bookkeeping.  Synthesis is the vector module's:
+omega = *df / rho(psi(|df|^2)) with the same branch policies and flag bits,
+and its result, a FormSolution, is a synth.FieldSolution of omega's
+coefficients.
 
 One sign table serves the whole algebra: `_wedge_sum` builds
 sum_I sum_i T_I[:, i] dx_i ^ dx_I through `insert_sign`, and d (T the
@@ -26,7 +28,8 @@ from numpy.linalg._umath_linalg import lstsq as _gelsd
 from . import expr as exprmod
 from .density import DensityModel
 from .drive import coord_names
-from .synth import BranchPolicy, Tolerances, _assemble, log_rho_gradient
+from .synth import (BranchPolicy, FieldSolution, GridSpec, Tolerances, _assemble,
+                    log_rho_gradient)
 
 
 class FormError(ValueError):
@@ -242,83 +245,64 @@ def wedge_1form(gamma: np.ndarray, beta: FormValues) -> FormValues:
 
 
 @dataclass(eq=False)
-class FormSolution:
-    n: int
+class FormSolution(FieldSolution):
+    """A k-form synthesis as a FieldSolution: `w` holds omega's coefficients,
+    its columns in multi_indices(n, k) order, and `drive` the stream form f, or
+    the closed form alpha that stands for df."""
     k: int
-    points: np.ndarray
-    omega: FormValues
-    star_df: FormValues  # with coefficient gradients
-    d_star_df: FormValues
-    xi: np.ndarray
-    Q: np.ndarray
-    rho_c: np.ndarray
-    grad_xi: np.ndarray
-    regime: np.ndarray
-    branch_id: np.ndarray
-    flags: np.ndarray
-    model: DensityModel
-    policy: BranchPolicy
-    tol: Tolerances
+    star_df: FormValues  # *df (or *alpha), with coefficient gradients
 
     @property
-    def defined(self) -> np.ndarray:
-        return ~self.omega.bad & (self.branch_id != 0) & np.isfinite(
-            self.omega.as_matrix()).all(axis=1)
+    def n(self) -> int:
+        return self.points.shape[1]
 
-    def restricted(self, idx: np.ndarray) -> "FormSolution":
-        """This solution at the points `idx`; bit for bit a synthesis at those
-        points, as synthesis is pointwise (see synth.FieldSolution.restricted)."""
-        return replace(self, points=self.points[idx], omega=self.omega.restricted(idx),
-                       star_df=self.star_df.restricted(idx),
-                       d_star_df=self.d_star_df.restricted(idx), xi=self.xi[idx], Q=self.Q[idx],
-                       rho_c=self.rho_c[idx], grad_xi=self.grad_xi[idx], regime=self.regime[idx],
-                       branch_id=self.branch_id[idx], flags=self.flags[idx])
+    @property
+    def omega(self) -> FormValues:
+        coeffs = {key: self.w[:, c] for c, key in enumerate(multi_indices(self.n, self.k))}
+        return FormValues(n=self.n, k=self.k, coeffs=coeffs, grads=None, bad=self.star_df.bad)
+
+    @property
+    def rho_c(self) -> np.ndarray:
+        """rho(Q) where a branch was taken, NaN elsewhere."""
+        return np.where(self.branch_id != 0, self.model.rho(self.Q), np.nan)
+
+    def restricted(self, grid: GridSpec, idx: np.ndarray) -> "FormSolution":
+        return replace(super().restricted(grid, idx), star_df=self.star_df.restricted(idx))
 
 
-def _synthesize_from_star(model, policy, tol, pts, star_a: FormValues) -> FormSolution:
-    n = star_a.n
+def _synthesize_from_star(model, drive: KForm, policy, tol, points, star_a: FormValues,
+                          grid: Optional[GridSpec]) -> FormSolution:
+    """omega = star_a / rho(psi(|star_a|^2)) at `points` (N rows, or one point)."""
+    tol = tol or Tolerances()
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     mat = star_a.as_matrix()
     with np.errstate(all="ignore"):
         xi = np.einsum("nc,nc->n", mat, mat)
-        grad_xi = np.zeros((pts.shape[0], n))
-        for key, vals in star_a.coeffs.items():
-            grad_xi += 2.0 * vals[:, None] * star_a.grads[key]
     lap = np.full(pts.shape[0], np.nan)
     w, Q, regime, sel, flags = _assemble(
         model, policy, tol, pts, mat, xi, star_a.bad, lap)
-    keys = multi_indices(n, star_a.k)
-    coeffs = {key: w[:, c] for c, key in enumerate(keys)}
-    omega = FormValues(n=n, k=star_a.k, coeffs=coeffs, grads=None, bad=star_a.bad)
-    rho_c = np.where(sel != 0, model.rho(Q), np.nan)
     return FormSolution(
-        n=n, k=star_a.k, points=pts, omega=omega, star_df=star_a,
-        d_star_df=_d_values(star_a), xi=xi, Q=Q, rho_c=rho_c, grad_xi=grad_xi,
-        regime=regime, branch_id=sel, flags=flags, model=model, policy=policy, tol=tol,
+        grid=grid, model=model, drive=drive, policy=policy, tol=tol, points=pts, w=w, Q=Q,
+        xi=xi, regime=regime, branch_id=sel, flags=flags, k=star_a.k, star_df=star_a,
     )
 
 
 def synthesize_form(model: DensityModel, f: KForm, policy: BranchPolicy,
                     points: np.ndarray, tol: Optional[Tolerances] = None,
-                    params: Optional[dict] = None) -> FormSolution:
+                    params: Optional[dict] = None,
+                    grid: Optional[GridSpec] = None) -> FormSolution:
     """omega = *df / rho(psi(|df|^2)) for an (n-k-1)-stream form f."""
-    tol = tol or Tolerances()
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     if f.k > f.n - 1:
         raise FormError("stream form must have degree at most n-1")
-    df = exterior_d(f, pts, params)
-    return _synthesize_from_star(model, policy, tol, pts, hodge_star(df))
+    df = exterior_d(f, points, params)
+    return _synthesize_from_star(model, f, policy, tol, points, hodge_star(df), grid)
 
 
 def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPolicy,
                            points: np.ndarray, box, tol: Optional[Tolerances] = None,
-                           params: Optional[dict] = None) -> FormSolution:
+                           params: Optional[dict] = None,
+                           grid: Optional[GridSpec] = None) -> FormSolution:
     """Same synthesis from a raw (n-k)-form alpha, after checking d(alpha) = 0."""
-    tol = tol or Tolerances()
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     lo, hi = (np.asarray(v, dtype=float) for v in box)
     rng = np.random.default_rng(91)
     probe = lo + (hi - lo) * rng.random((1000, alpha.n))
@@ -332,8 +316,8 @@ def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPoli
         raise FormError("closure check: form undefined on most of the box")
     if worst > 1e-8:
         raise FormError(f"form is not closed: max |d alpha| = {worst:.3e} > 1.0e-08")
-    av = evaluate_form(alpha, pts, params)
-    return _synthesize_from_star(model, policy, tol, pts, hodge_star(av))
+    av = evaluate_form(alpha, points, params)
+    return _synthesize_from_star(model, alpha, policy, tol, points, hodge_star(av), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +378,13 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     """
     n = sol.n
     star_df = sol.star_df
-    d_star = sol.d_star_df
+    d_star = _d_values(star_df)
     pts = sol.points
     npts = pts.shape[0]
+    with np.errstate(all="ignore"):
+        grad_xi = np.zeros((npts, n))
+        for key, vals in star_df.coeffs.items():
+            grad_xi += 2.0 * vals[:, None] * star_df.grads[key]
 
     # column j of the wedge system is dx_j ^ *df
     A = np.stack([wedge_1form(e_j, star_df).as_matrix() for e_j in np.eye(n)], axis=2)
@@ -407,7 +395,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     Gamma1, defect, rank_def = _least_squares(A, b, usable)
 
     rho_c = sol.rho_c
-    glr, rho_usable = log_rho_gradient(model, sol.Q, rho_c, sol.grad_xi, tol)
+    glr, rho_usable = log_rho_gradient(model, sol.Q, rho_c, grad_xi, tol)
     with np.errstate(all="ignore"):
         Gamma = Gamma1 - glr
         # d(omega) = [d*df - dlogrho ^ *df] / rho, then compare with Gamma ^ omega

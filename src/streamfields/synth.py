@@ -5,7 +5,9 @@ psi -> 0 the alternate form w = (a/|a|) sqrt(psi) takes over (and yields w = 0
 in the limit).  Every point carries a regime label, the branch used, and a
 bitset of singular/admissibility flags.  No point's values depend on another
 point, so a solution restricted to the nodes of a coarser grid nested in its
-own (nested_index, FieldSolution.restricted) is that grid's solution.
+own (nested_index, FieldSolution.restricted) is that grid's solution.  A grid
+node is lo + i·h with a normal spacing h, so refining a grid by a power of two
+keeps every node bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ class GridSpec:
             raise SynthError("grid requires lo < hi componentwise, with a finite extent hi - lo")
         if any(c < 2 for c in cells):
             raise SynthError("grid requires at least 2 cells per axis")
+        tiny = np.finfo(float).tiny
+        if not all((b - a) / c >= tiny for a, b, c in zip(lo, hi, cells)):
+            raise SynthError(f"grid spacing (hi - lo)/cells must be at least the smallest normal "
+                             f"float, {tiny:.17g}, on every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "cells", cells)
@@ -82,7 +88,15 @@ class GridSpec:
         return (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.cells)
 
     def axes(self) -> list:
-        return [np.linspace(l, h, c + 1) for l, h, c in zip(self.lo, self.hi, self.cells)]
+        """Node i of an axis is lo + i·((hi - lo)/cells) and the last node is
+        hi, the arithmetic of np.linspace.  Halving a normal spacing is exact,
+        so every node of a grid is a node of the grid refined by 2^j."""
+        out = []
+        for l, h, c in zip(self.lo, self.hi, self.cells):
+            ax = l + np.arange(c + 1) * ((h - l) / c)
+            ax[-1] = h
+            out.append(ax)
+        return out
 
     def points(self) -> np.ndarray:
         """All nodes, lexicographic in the multi-index (first axis slowest)."""
@@ -95,15 +109,15 @@ class GridSpec:
 
 def nested_index(coarse: GridSpec, fine: GridSpec) -> Optional[np.ndarray]:
     """The flat indices of `coarse`'s nodes among `fine`'s, in `coarse`'s node
-    order; None unless every coarse axis equals the matching fine axis sliced
-    by a whole step, bit for bit.  linspace makes no promise how it rounds, so
-    nodes that agree only in value do not count."""
-    if coarse.dim != fine.dim or any(f % c for c, f in zip(coarse.cells, fine.cells)):
+    order; None unless both grids span one box, bit for bit (a last node of
+    -0.0 is not one of 0.0), and every fine cell count is the coarse one times
+    a power of two.  Such coarse nodes are fine nodes bit for bit (GridSpec.axes)."""
+    if coarse.dim != fine.dim or (np.array([coarse.lo, coarse.hi]).tobytes()
+                                  != np.array([fine.lo, fine.hi]).tobytes()):
         return None
     steps = [f // c for c, f in zip(coarse.cells, fine.cells)]
-    for step, ca, fa in zip(steps, coarse.axes(), fine.axes()):
-        if not np.array_equal(ca.view(np.int64), fa[::step].view(np.int64)):
-            return None
+    if any(f != s * c or s & (s - 1) for s, c, f in zip(steps, coarse.cells, fine.cells)):
+        return None
     node = np.arange(fine.npoints()).reshape(fine.shape())
     return node[tuple(slice(None, None, s) for s in steps)].reshape(-1)
 
@@ -162,7 +176,7 @@ class FieldSolution:
     policy: BranchPolicy
     tol: Tolerances
     points: np.ndarray  # (N, n)
-    w: np.ndarray  # (N, n), NaN rows where undefined
+    w: np.ndarray  # (N, n), (N, C(n, k)) for a k-form; NaN rows where undefined
     Q: np.ndarray  # (N,)
     xi: np.ndarray  # (N,)
     regime: np.ndarray  # (N,) uint8 codes into REGIME_NAMES

@@ -238,19 +238,21 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "
     return _report("ExactnessDefect", grid, worst, excluded)
 
 
-def codifferential_residual(fsol: FormSolution, grid: GridSpec,
+def codifferential_residual(fsol: FormSolution, *,
                             extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
     """Codifferential of rho(Q) omega, coefficientwise: forms.codifferential
     with central-difference coefficient gradients."""
+    grid = _grid_of(fsol)
     shape = grid.shape()
     h = grid.spacing()
+    omega, rho_c = fsol.omega, fsol.rho_c
     with np.errstate(all="ignore"):
-        coeffs = {key: fsol.rho_c * vals for key, vals in fsol.omega.coeffs.items()}
+        coeffs = {key: rho_c * vals for key, vals in omega.coeffs.items()}
     grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], 2).reshape(-1)
                             for i in range(fsol.n)], axis=1)
              for key, vals in coeffs.items()}
     delta = codifferential(FormValues(n=fsol.n, k=fsol.k, coeffs=coeffs, grads=grads,
-                                      bad=fsol.omega.bad))
+                                      bad=omega.bad))
     worst = np.zeros(shape)
     for vals in delta.coeffs.values():
         worst = np.maximum(worst, np.abs(vals.reshape(shape)))

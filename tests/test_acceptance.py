@@ -391,8 +391,8 @@ def test_criterion_09_forms_reductions():
                           (3,): "x4 + x1*x4^2/5 + x2^2/3"})
 
         def make(grid):
-            fs = synthesize_form(m4, f4, single_branch(1), grid.points())
-            return codifferential_residual(fs, grid)
+            fs = synthesize_form(m4, f4, single_branch(1), grid.points(), grid=grid)
+            return codifferential_residual(fs)
 
         grids = [GridSpec((0.2,) * 4, (0.8,) * 4, (c,) * 4) for c in (8, 16, 32)]
         rep = convergence_study(make, grids)

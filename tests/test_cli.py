@@ -528,7 +528,8 @@ def test_levels_below_one_exit_2(tmp_path, capsys, levels):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_levels_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("levels", ["40", "2"])
+def test_levels_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, monkeypatch, levels):
     def no_synthesis(*args):
         raise AssertionError("a grid was synthesized")
 
@@ -537,7 +538,7 @@ def test_levels_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, mo
     tracemalloc.start()
     try:
         code = main(["verify", "--example", "unit-density", "--out", str(tmp_path / "o"),
-                     "--levels", "40"])
+                     "--levels", levels])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -565,6 +566,25 @@ def test_grid_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, monk
     assert code == 2
     assert f"more than {cfgmod.MAX_GRID_NODES} nodes" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("cells, command, extra", [
+    (8, "synth", ()), (8, "forms", ()), (4, "verify", ("--levels", "3"))])
+def test_grid_with_subnormal_spacing_exits_2_before_any_grid(tmp_path, capsys, monkeypatch,
+                                                             cells, command, extra):
+    """Halving a subnormal spacing is not exact, so such a grid, or a study
+    whose finest grid has one, is refused before anything is synthesized."""
+    def no_synthesis(*args):
+        raise AssertionError("a grid was synthesized")
+
+    monkeypatch.setattr(GridSpec, "points", no_synthesis)
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21" if command == "forms" else "unit-density"])
+    # the x1 spacing is 1e-307/4 = 2.5e-308 at 4 cells, and subnormal at 8 or 16
+    cfg["grid"] = {"lo": [0.0, 0.0], "hi": [1e-307, 1.0], "cells": [cells, cells]}
+    assert GridSpec((0.0, 0.0), (1e-307, 1.0), (4, 4)).spacing()[0] >= np.finfo(float).tiny
+    code, _ = run_cfg(tmp_path, cfg, command=command, extra=extra)
+    assert code == 2
+    assert "smallest normal float" in capsys.readouterr().err
 
 
 def test_grid_at_the_node_budget_is_built():
@@ -910,25 +930,28 @@ def test_restricted_levels_equal_a_synthesis_on_each_level_bit_for_bit(name):
     idx = [nested_index(g, finest) for g in coarse]
     assert all(i is not None for i in idx)
     if "forms" in cfgmod.EXAMPLES[name]:
-        fine = cli._form_solution(cfg, finest)[1]
-        for g, i in zip(coarse, idx):
-            got, want = fine.restricted(i), cli._form_solution(cfg, g)[1]
-            assert got.omega.coeffs.keys() == want.omega.coeffs.keys()
-            for key, coeff in want.omega.coeffs.items():
-                assert _same_bits(got.omega.coeffs[key], coeff), (g.cells, key)
-            for attr in ("rho_c", "flags", "branch_id"):
-                assert _same_bits(getattr(got, attr), getattr(want, attr)), (g.cells, attr)
-        return
-    model, d = cfgmod.build_model(cfg), cfgmod.build_drive(cfg)
-    policy, tol = cfgmod.build_policy(cfg, finest.dim), cfgmod.build_tol(cfg)
-    direct = [synthesize(model, d, policy, g, tol=tol) for g in coarse]
-    for workers in (1, 2):
-        fine = synthesize(model, d, policy, finest, tol=tol, workers=workers)
+        spec = cli._build_form(cfg, finest.dim)
+        direct = [cli._form_solution(cfg, g, spec) for g in coarse]
+        fines = [cli._form_solution(cfg, finest, spec)]
+    else:
+        model, d = cfgmod.build_model(cfg), cfgmod.build_drive(cfg)
+        policy, tol = cfgmod.build_policy(cfg, finest.dim), cfgmod.build_tol(cfg)
+        direct = [synthesize(model, d, policy, g, tol=tol) for g in coarse]
+        fines = [synthesize(model, d, policy, finest, tol=tol, workers=w) for w in (1, 2)]
+    for workers, fine in enumerate(fines, 1):
         for g, i, want in zip(coarse, idx, direct):
             got = fine.restricted(g, i)
-            assert got.grid == g
+            assert got.grid == g and type(got) is type(want)
             for attr in ("points", "w", "Q", "xi", "regime", "branch_id", "flags"):
                 assert _same_bits(getattr(got, attr), getattr(want, attr)), (workers, g.cells, attr)
+            if isinstance(want, cli.formsmod.FormSolution):
+                assert _same_bits(got.rho_c, want.rho_c), g.cells
+                star, want_star = got.star_df, want.star_df
+                assert _same_bits(star.bad, want_star.bad)
+                assert star.coeffs.keys() == want_star.coeffs.keys()
+                for key in want_star.coeffs:
+                    assert _same_bits(star.coeffs[key], want_star.coeffs[key]), (g.cells, key)
+                    assert _same_bits(star.grads[key], want_star.grads[key]), (g.cells, key)
 
 
 def _record_syntheses(monkeypatch) -> list:
@@ -968,36 +991,6 @@ def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeyp
     # the field nodes of the coarse levels that refine-l3 (verify --levels 3
     # on every example) no longer synthesizes
     assert skipped == 891_956
-
-
-def test_verify_study_synthesizes_levels_that_do_not_nest(tmp_path, capsys, monkeypatch):
-    base = _example("extremal-patching-study", 16)
-    axes = GridSpec.axes
-
-    def nudged(self):  # node 4 of the finest axis, a node of both coarse levels, moves one ulp
-        out = axes(self)
-        if self.cells[0] == 64:
-            out[0][4] = np.nextafter(out[0][4], np.inf)
-        return out
-
-    monkeypatch.setattr(GridSpec, "axes", nudged)
-    *coarse, finest = [cli._refined(cfgmod.build_grid(cfgmod.parse_config(base)), 2 ** i)
-                       for i in range(3)]
-    assert [nested_index(g, finest) for g in coarse] == [None, None]
-    calls = _record_syntheses(monkeypatch)
-    (tmp_path / "study").mkdir()
-    code, out = run_cfg(tmp_path / "study", base, command="verify", extra=("--levels", "3"))
-    assert code in (0, 4)
-    assert calls == [*coarse, finest]
-    rows = json.loads((out / "report.json").read_text())["reports"][0]["convergence"]
-    # each coarse row is the report of that level verified on its own
-    for level, cells in enumerate((16, 32)):
-        (tmp_path / str(cells)).mkdir()
-        code, out = run_cfg(tmp_path / str(cells), _example("extremal-patching-study", cells),
-                            command="verify")
-        report = json.loads((out / "report.json").read_text())["reports"][0]
-        assert rows[level] == [report["h"], report["max_norm"]]
-    capsys.readouterr()
 
 
 # |a|^2 = |grad f|^2 exceeds 1, the bottom of extremal branch 2's image, only

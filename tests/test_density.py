@@ -150,6 +150,10 @@ def test_custom_rejects_non_q_expressions():
         custom("1 - x1/2")
     with pytest.raises(DensityError):
         custom("1 - Q/2", q_min=-1.0)
+    # with q_max unset, the refusal names the horizon the sampler put in its place
+    with pytest.raises(DensityError, match=r"unset: the sampler's default horizon 1e6\) must "
+                                           r"exceed q_min = 2000000\.0"):
+        custom("1", q_min=2e6)
 
 
 @settings(max_examples=80, deadline=None)

@@ -204,6 +204,55 @@ def test_nested_index_finds_coarse_nodes_and_refuses_grids_that_do_not_nest():
     assert nested_index(GridSpec((0.0, -1.0), (2.0, 2.0), (4, 3)), fine) is None  # other box
     assert nested_index(GridSpec((0.0,), (1.0,), (4,)), fine) is None  # other dimension
     assert nested_index(fine, coarse) is None  # finer than the grid it is looked up in
+    # 3 divides 6, but a spacing a third as wide need not hit the coarse nodes bit for bit
+    assert nested_index(GridSpec((0.0, -1.0), (1.0, 2.0), (8, 2)), fine) is None
+    # a last node of -0.0 is not one of 0.0
+    assert nested_index(GridSpec((-1.0,), (-0.0,), (2,)), GridSpec((-1.0,), (0.0,), (4,))) is None
+
+
+def _random_box(rng) -> tuple:
+    """lo < hi drawn over the whole float range: magnitudes from 1e-300 to
+    1e300, either sign, and extents from a few ulps of lo up to both ends'
+    own size."""
+    while True:
+        a, b = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300) for _ in range(2))
+        if rng.random() < 0.3:  # a narrow box around a
+            b = a + abs(a) * 10.0 ** rng.uniform(-15, 0)
+        lo, hi = min(a, b), max(a, b)
+        if lo < hi and np.isfinite(hi - lo):
+            return lo, hi
+
+
+def test_grid_axes_are_linspace_bit_for_bit_and_refined_levels_nest():
+    """GridSpec.axes does np.linspace's arithmetic, and every node of a grid is
+    a node of the grid refined by 2^j, bit for bit, on random boxes and cell
+    counts (derandomized), down to a finest spacing of the smallest normal
+    float."""
+    rng = np.random.default_rng(1515)
+    tiny = np.finfo(float).tiny
+    boxes = [(*_random_box(rng), int(rng.integers(2, 200))) for _ in range(3000)]
+    # finest spacings of exactly tiny, and a box one ulp wide
+    boxes += [(0.0, 3 * 16 * tiny, 3), (-2 * 16 * tiny, 0.0, 2), (1.0, np.nextafter(1.0, 2.0), 2)]
+    checked = 0
+    for lo, hi, base in boxes:
+        levels = []
+        for j in range(5):
+            try:
+                levels.append(GridSpec((lo,), (hi,), (base * 2 ** j,)))
+            except SynthError:  # a subnormal spacing
+                assert (hi - lo) / (base * 2 ** j) < tiny
+                break
+        if not levels:
+            continue
+        for g in levels:
+            (ax,) = g.axes()
+            assert ax.tobytes() == np.linspace(lo, hi, g.cells[0] + 1).tobytes()
+        finest = levels[-1]
+        for g in levels:
+            idx = nested_index(g, finest)
+            assert finest.points()[idx].tobytes() == g.points().tobytes(), (lo, hi, g.cells)
+            checked += 1
+    assert checked > 10000
 
 
 def test_grid_dimension_mismatch_raises():

@@ -165,8 +165,8 @@ def test_codifferential_residual_order_two():
     policy = prefer_type1()
 
     def make(grid):
-        fsol = synthesize_form(model, f, policy, grid.points())
-        return codifferential_residual(fsol, grid)
+        fsol = synthesize_form(model, f, policy, grid.points(), grid=grid)
+        return codifferential_residual(fsol)
 
     grids = [GridSpec((0.2, 0.2), (0.8, 0.8), (c, c)) for c in (32, 64, 128)]
     rep = convergence_study(make, grids)
