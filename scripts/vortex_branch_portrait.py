@@ -28,7 +28,7 @@ from streamfields import (
     synthesize_at_points,
 )
 from streamfields.cli import _write_table
-from streamfields.config import MAX_GRID_NODES
+from streamfields.config import MAX_GRID_NODES, ConfigError
 
 BRANCH_NAMES = {0: "undefined", 1: "tranquil", 2: "shooting", 3: "over-speed"}
 
@@ -90,9 +90,12 @@ def main() -> None:
           f"{np.nanmax(defect):.3e}")
 
     if args.out:
-        _write_table(os.path.dirname(args.out), os.path.basename(args.out), sol.points,
-                     [("w1", "float", sol.w[:, 0]), ("w2", "float", sol.w[:, 1]),
-                      ("Q", "float", sol.Q), ("branch", "int", sol.branch_id)])
+        try:
+            _write_table(os.path.dirname(args.out), os.path.basename(args.out), sol.points,
+                         [("w1", "float", sol.w[:, 0]), ("w2", "float", sol.w[:, 1]),
+                          ("Q", "float", sol.Q), ("branch", "int", sol.branch_id)])
+        except ConfigError as exc:
+            ap.error(str(exc))
         print(f"wrote {args.out}")
 
 

@@ -33,6 +33,7 @@ stderr) and picks the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -252,6 +253,17 @@ def _column_text(kind: str, col) -> list:
     return np.array(text, dtype=object)[inv].tolist()
 
 
+@contextlib.contextmanager
+def _written(path: str):
+    """`path` opened for writing text; an OSError from opening or writing it
+    is a config error (exit 2), as an output directory that cannot be made is."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _write_csv(path: str, header: list, columns: list) -> None:
     """Columns are (kind, array) with kind in {float, int, str}.
 
@@ -259,7 +271,7 @@ def _write_csv(path: str, header: list, columns: list) -> None:
     they are, one row per line, in blocks of CSV_BLOCK_ROWS rows.
     """
     n = len(columns[0][1])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _written(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n)
@@ -268,7 +280,7 @@ def _write_csv(path: str, header: list, columns: list) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _written(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -305,7 +317,10 @@ def _setup(args) -> tuple:
 
 def _workers(threads: int, npoints: int) -> int:
     """Synthesis threads for --threads N: at most one per core this process may
-    run on (its CPU affinity where the platform reports one) and one per point."""
+    run on (its CPU affinity where the platform reports one) and one per point.
+    They share the grid's blocks of synth.SYNTH_BLOCK nodes, so a grid of one
+    block runs on the calling thread, and the blocks, hence the bytes, are the
+    same for every N."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(threads, cores or 1, npoints)
 

@@ -21,9 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-# np.linalg.lstsq refuses stacked matrices (_assert_2d); the LAPACK gelsd
-# gufunc it calls solves a whole stack in one call.
-from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from . import expr as exprmod
 from .density import DensityModel
@@ -331,7 +328,8 @@ def _gelsd_failed(err, flag):
 def _least_squares(A: np.ndarray, b: np.ndarray, usable: np.ndarray) -> tuple:
     """Minimum-norm least squares A[p] x = b[p] at the usable rows, bit for bit
     np.linalg.lstsq(A[p], b[p], rcond=None) and the norm of its residual, in
-    one gelsd call: (x, residual norm, rank < min(m, n)), NaN/False elsewhere."""
+    one gelsd call: (x, residual norm, rank < min(m, n)), NaN/False elsewhere.
+    A numpy without the private gelsd name solves point by point with lstsq."""
     npts, m, cols = A.shape
     x = np.full((npts, cols), np.nan)
     defect = np.full(npts, np.nan)
@@ -339,12 +337,21 @@ def _least_squares(A: np.ndarray, b: np.ndarray, usable: np.ndarray) -> tuple:
     if not usable.any():
         return x, defect, rank_def
     Au, bu = A[usable], b[usable]
-    # lstsq's own rcond and error handling: a failed solve raises LinAlgError
-    with np.errstate(call=_gelsd_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        xu, _, rank, _ = _gelsd(Au, bu[:, :, None], np.finfo(float).eps * max(m, cols),
-                                signature="ddd->ddid")
-    xu = xu[:, :, 0]
+    try:
+        # np.linalg.lstsq refuses stacked matrices (_assert_2d); the LAPACK
+        # gelsd gufunc it calls solves a whole stack in one call
+        from numpy.linalg._umath_linalg import lstsq as gelsd
+    except ImportError:
+        solved = [np.linalg.lstsq(Ap, bp, rcond=None) for Ap, bp in zip(Au, bu)]
+        xu = np.stack([s[0] for s in solved])
+        rank = np.array([s[2] for s in solved])
+    else:
+        # lstsq's own rcond and error handling: a failed solve raises LinAlgError
+        with np.errstate(call=_gelsd_failed, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            xu, _, rank, _ = gelsd(Au, bu[:, :, None], np.finfo(float).eps * max(m, cols),
+                                   signature="ddd->ddid")
+        xu = xu[:, :, 0]
     # a matmul inner product is norm's BLAS dot bit for bit; einsum is not
     r = (Au @ xu[:, :, None])[:, :, 0] - bu
     x[usable] = xu

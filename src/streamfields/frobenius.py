@@ -12,7 +12,7 @@ A witness reads Q and the branch from the FieldSolution it is given and
 evaluates the drive once more on its points, for the jacobian.  Off the grid
 (the Gauss points of eta recovery and its loop check) one synthesis hands Q,
 the branch and its drive batch to the witness, so each point costs one drive
-evaluation.
+evaluation; the points go through in blocks of synth.SYNTH_BLOCK.
 
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .drive import DriveBatch, GradientDrive, RawField, Scalar2D, drive_batch
-from .synth import FieldSolution, GridSpec, _solve, log_rho_gradient
+from .synth import FieldSolution, GridSpec, _solve, block_rows, log_rho_gradient
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
 from .verify import closure_residual, curl_max, interior
@@ -125,7 +125,10 @@ def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
     G, G1, solv, defined = core[5:]
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
-        return _core(kind, *_solve(sol.model, sol.drive, sol.policy, qpts, sol.tol))[5]  # G
+        # G, one synthesis block of points at a time
+        return np.concatenate([_core(kind, *_solve(sol.model, sol.drive, sol.policy, qpts[rows],
+                                                   sol.tol))[5]
+                               for rows in block_rows(len(qpts))])
 
     return FrobeniusWitness(
         kind=kind, G=G, G1=G1, defining_residual=_defect(kind, core, G),

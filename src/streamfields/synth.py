@@ -8,6 +8,11 @@ point, so a solution restricted to the nodes of a coarser grid nested in its
 own (nested_index, FieldSolution.restricted) is that grid's solution.  A grid
 node is lo + i·h with a normal spacing h, so refining a grid by a power of two
 keeps every node bit for bit.
+
+For the same reason a grid is synthesized in blocks of SYNTH_BLOCK nodes, one
+after another or on a thread pool, each written into its rows of the full
+solution: every temporary is block-sized, and the partition, and so the
+bytes, do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ from .drive import DriveField, drive_batch
 
 class SynthError(ValueError):
     pass
+
+
+# Nodes per synthesis block: the jets, drive and assembly temporaries of one
+# block, not of the whole grid, are alive at a time (per worker).
+SYNTH_BLOCK = 1 << 16
 
 
 # flag bit order is part of the CSV contract; do not reorder
@@ -185,7 +195,7 @@ class FieldSolution:
 
     @property
     def defined(self) -> np.ndarray:
-        return np.isfinite(self.w).all(axis=1)
+        return finite_rows(self.w)
 
     def restricted(self, grid: GridSpec, idx: np.ndarray) -> "FieldSolution":
         """This solution at the nodes `idx`, as the solution on `grid`; with
@@ -194,6 +204,14 @@ class FieldSolution:
         return replace(self, grid=grid, points=self.points[idx], w=self.w[idx], Q=self.Q[idx],
                        xi=self.xi[idx], regime=self.regime[idx],
                        branch_id=self.branch_id[idx], flags=self.flags[idx])
+
+
+def finite_rows(v: np.ndarray) -> np.ndarray:
+    """np.isfinite(v).all(axis=1), one column at a time: no (N, m) temporary."""
+    ok = np.ones(v.shape[0], dtype=bool)
+    for col in v.T:
+        ok &= np.isfinite(col)
+    return ok
 
 
 def _branch_snap(b: PhiBranch, tol: Tolerances) -> float:
@@ -272,12 +290,10 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
     flags[usable & (sel == 0)] |= FLAG_OUTSIDE_OMEGA
 
     branch_of = {b.index: b for b in model.branches()}
+    present = [branch_of[int(bid)] for bid in np.flatnonzero(np.bincount(sel)) if bid != 0]
     Q = np.full(npts, np.nan)
-    for bid in np.unique(sel):
-        if bid == 0:
-            continue
-        b = branch_of[int(bid)]
-        lanes = sel == bid
+    for b in present:
+        lanes = sel == b.index
         Q[lanes] = b.psi(xi[lanes], _branch_snap(b, tol))
         if b.nonphysical:
             flags[lanes] |= FLAG_NONPHYSICAL_RHO
@@ -290,10 +306,11 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
     rho_c = np.where(on_branch, model.rho(Q), np.nan)
     phi_p = np.where(on_branch, model.phi_prime(Q), np.nan)
 
-    w = np.full((npts, n), np.nan)
     with np.errstate(all="ignore"):
         primary = on_branch & np.isfinite(rho_c) & (np.abs(rho_c) >= tol.rho_zero)
-        w[primary] = a[primary] / rho_c[primary, None]
+        # a whole-block division, then NaN rows: each kept row is a[p] / rho_c[p]
+        w = a / rho_c[:, None]
+        w[~primary] = np.nan
         # rho degenerate but psi -> 0: w = (a/|a|) sqrt(Q), zero in the limit
         alternate = on_branch & ~primary & (Q <= tol.q_zero)
         if np.any(alternate):
@@ -318,13 +335,10 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
     flags[gamma_g] |= FLAG_GAMMA_G
 
     regime = np.zeros(npts, dtype=np.uint8)
-    ok = on_branch & np.isfinite(w).all(axis=1)
-    for bid in np.unique(sel):
-        if bid == 0:
-            continue
-        b = branch_of[int(bid)]
+    ok = on_branch & finite_rows(w)
+    for b in present:  # a demoted branch matches no point here
         code = REGIME_ELLIPTIC if b.elliptic else REGIME_HYPERBOLIC
-        regime[ok & (sel == bid)] = code
+        regime[ok & (sel == b.index)] = code
     regime[ok & sonic] = REGIME_SONIC
     return w, Q, regime, sel, flags
 
@@ -349,25 +363,45 @@ def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolic
     return _solve(model, d, policy, points, tol, grid)[0]
 
 
+def block_rows(npts: int) -> list:
+    """Row slices of SYNTH_BLOCK rows that cover `npts` rows in order; one
+    slice, the whole (possibly empty) range, when npts <= SYNTH_BLOCK."""
+    return [slice(start, start + SYNTH_BLOCK) for start in range(0, max(npts, 1), SYNTH_BLOCK)]
+
+
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
                grid: GridSpec, tol: Optional[Tolerances] = None,
                workers: int = 1) -> FieldSolution:
-    """Synthesize on every grid node; with workers > 1, in that many blocks on
-    a thread pool, joined in node order (no node's result depends on its block)."""
+    """Synthesize on every grid node, one block of SYNTH_BLOCK nodes at a
+    time, each written into its rows of one preallocated solution; with
+    workers > 1 a thread pool runs the same blocks.  A grid of at most one
+    block is one call."""
     if grid.dim != d.dim:
         raise SynthError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     pts = grid.points()
-    if workers <= 1:
+    npts = pts.shape[0]
+    blocks = block_rows(npts)
+    if len(blocks) == 1:
         return synthesize_at_points(model, d, policy, pts, tol=tol, grid=grid)
     tol = tol or Tolerances()
-    blocks = np.array_split(np.arange(pts.shape[0]), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda idx: synthesize_at_points(model, d, policy, pts[idx], tol=tol), blocks))
-    joined = {name: np.concatenate([getattr(p, name) for p in parts])
-              for name in ("w", "Q", "xi", "regime", "branch_id", "flags")}
-    return FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol,
-                         points=pts, **joined)
+    out = FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol, points=pts,
+                        w=np.empty((npts, d.dim)), Q=np.empty(npts), xi=np.empty(npts),
+                        regime=np.empty(npts, dtype=np.uint8),
+                        branch_id=np.empty(npts, dtype=np.int32),
+                        flags=np.empty(npts, dtype=np.int32))
+
+    def solve(rows: slice) -> None:
+        part = synthesize_at_points(model, d, policy, pts[rows], tol=tol)
+        for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
+            getattr(out, name)[rows] = getattr(part, name)
+
+    if workers <= 1:
+        for rows in blocks:
+            solve(rows)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(solve, blocks))  # reading every result re-raises a block's error
+    return out
 
 
 def log_rho_gradient(model: DensityModel, Q: np.ndarray, rho_c: np.ndarray,

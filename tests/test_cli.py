@@ -515,6 +515,23 @@ def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys):
     assert "config error: cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name", [("synth", "field.csv"), ("verify", "report.json")])
+def test_an_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, command, name):
+    (tmp_path / name).mkdir()  # a directory where the artifact belongs
+    assert main([command, "--example", "unit-density", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {str(tmp_path / name)!r}" in err
+    assert "Traceback" not in err
+
+
+def test_portrait_script_refuses_an_out_path_it_cannot_write(tmp_path):
+    path = tmp_path / "missing" / "field.csv"
+    proc = _run_script("vortex_branch_portrait.py", "--cells", "2", "--out", str(path))
+    assert proc.returncode == 2
+    assert f"error: cannot write {str(path)!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not path.parent.exists()
+
+
 def test_threads_below_one_exit_2(tmp_path, capsys):
     assert main(["synth", "--example", "unit-density", "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2

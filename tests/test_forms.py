@@ -575,3 +575,35 @@ def test_gamma_least_squares_raises_on_a_non_finite_matrix_entry_as_lstsq_does(r
         _least_squares(A, b, usable)
     usable[7] = False  # a point that is not solved cannot fail
     assert np.isfinite(_least_squares(A, b, usable)[0][usable]).all()
+
+
+def test_gamma_least_squares_without_the_private_gelsd_name_is_bit_for_bit_the_same(
+        rng, monkeypatch):
+    """A numpy that moves numpy.linalg._umath_linalg.lstsq gets the per-point
+    np.linalg.lstsq loop, with the same bits and the same LinAlgError."""
+    import sys
+
+    from streamfields.forms import _least_squares
+
+    cases = []
+    for m, n in [(1, 2), (3, 3), (6, 4), (5, 3)]:
+        A = rng.standard_normal((30, m, n))
+        b = rng.standard_normal((30, m))
+        A[0] = 0.0
+        A[1, :, -1] = A[1, :, 0]
+        b[2] = np.nan
+        A[3, :, 0] = A[3, :, 1] + 1e-9 * rng.standard_normal(m)  # above lstsq's rcond
+        usable = rng.random(30) > 0.2
+        usable[:4] = True
+        cases.append((A, b, usable, _least_squares(A, b, usable)))
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    with pytest.raises(ImportError):
+        from numpy.linalg._umath_linalg import lstsq  # noqa: F401
+    for A, b, usable, want in cases:
+        got = _least_squares(A, b, usable)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert np.array_equal(got[2], want[2]) and got[2].dtype == want[2].dtype
+    A = rng.standard_normal((10, 3, 3))
+    A[7, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _least_squares(A, rng.standard_normal((10, 3)), np.ones(10, dtype=bool))

@@ -207,6 +207,26 @@ def test_recover_eta_deterministic():
     assert r1.curl_gate == r2.curl_gate and r1.loop_max == r2.loop_max
 
 
+def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypatch):
+    """The field and the Gauss points of eta recovery are synthesized in blocks
+    of synth.SYNTH_BLOCK points; blocks of 7 change no bit of the witness or
+    of eta."""
+    from streamfields import synth as synthmod
+
+    wit, g, mask = annulus_witness(cells=64)
+    want = recover_eta(wit, mask=mask)
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 7)
+    bwit, _, _ = annulus_witness(cells=64)
+    for got, ref in ((bwit.G, wit.G), (bwit.defined, wit.defined), (bwit.solution.w, wit.solution.w)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    got = recover_eta(bwit, mask=mask)
+    assert np.array_equal(got.eta.view(np.uint64), want.eta.view(np.uint64))
+    assert np.isfinite(got.eta).sum() > 1000
+    assert (got.anchor, got.unreached) == (want.anchor, want.unreached)
+    assert (got.curl_gate, got.loop_max, got.post_residual) == \
+        (want.curl_gate, want.loop_max, want.post_residual)
+
+
 def test_eta_recovery_evaluates_the_drive_once_per_quadrature_point(monkeypatch):
     """The Gauss and loop-rectangle points are synthesized once, and the
     witness reads the drive batch that synthesis evaluated."""

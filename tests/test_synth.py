@@ -300,3 +300,82 @@ def test_vortex_field_speed_is_radius_over_sqrtR(t, theta):
     sol = synthesize_at_points(m, d, policy, pts)
     if sol.branch_id[0] != 0:
         assert np.linalg.norm(sol.w[0]) == pytest.approx(r / np.sqrt(R), rel=1e-8, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# block synthesis against one call on the whole grid
+
+PER_POINT = ("points", "w", "Q", "xi", "regime", "branch_id", "flags")
+
+
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block, cells", [(7, 12), (1000, None)])
+def test_block_synthesis_equals_one_call_on_the_whole_grid_bit_for_bit(monkeypatch, block, cells):
+    """Every built-in field example, on its shipped grid with blocks of 1000
+    nodes and on a 12-cell grid with blocks of 7, for one worker and two: each
+    block is written into its own rows and the values do not depend on the
+    partition."""
+    from streamfields import config as cfgmod, synth as synthmod
+
+    split = 0
+    for name, spec in sorted(cfgmod.EXAMPLES.items()):
+        if "forms" in spec:
+            continue
+        cfg = cfgmod.example_config(name)
+        grid = cfgmod.build_grid(cfg)
+        if cells is not None:
+            grid = GridSpec(grid.lo, grid.hi, (cells,) * grid.dim)
+        model, d = cfgmod.build_model(cfg), cfgmod.build_drive(cfg)
+        policy, tol = cfgmod.build_policy(cfg, grid.dim), cfgmod.build_tol(cfg)
+        want = synthesize_at_points(model, d, policy, grid.points(), tol=tol, grid=grid)
+        split += grid.npoints() > block
+        monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
+        for workers in (1, 2):
+            got = synthesize(model, d, policy, grid, tol=tol, workers=workers)
+            assert got.grid == grid and got.tol == tol
+            for attr in PER_POINT:
+                assert _same_bits(getattr(got, attr), getattr(want, attr)), (name, workers, attr)
+        monkeypatch.undo()
+    assert split >= 9  # all but unit-density's 289 nodes at blocks of 1000
+
+
+def test_a_grid_of_one_block_is_one_call(monkeypatch):
+    """A larger grid is cut into the same blocks for any worker count."""
+    from streamfields import synth as synthmod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))
+        return synthesize_at_points(*args, **kwargs)
+
+    monkeypatch.setattr(synthmod, "synthesize_at_points", counted)
+    grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (9, 9))
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 100)
+    for workers in (1, 2):
+        synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
+    assert calls == [100, 100]
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 40)
+    for workers in (1, 2):
+        calls.clear()
+        synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
+        assert sorted(calls) == [20, 40, 40]
+
+
+def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
+    from streamfields import synth as synthmod
+
+    def fails_on_the_tail(model, d, policy, pts, **kwargs):
+        if len(pts) < synthmod.SYNTH_BLOCK:
+            raise SynthError("tail block")
+        return synthesize_at_points(model, d, policy, pts, **kwargs)
+
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 40)
+    monkeypatch.setattr(synthmod, "synthesize_at_points", fails_on_the_tail)
+    grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (9, 9))
+    for workers in (1, 2):
+        with pytest.raises(SynthError, match="tail block"):
+            synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
