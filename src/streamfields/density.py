@@ -11,7 +11,9 @@ defined phi' come from the edges of the defined mask, and a branch ends where a
 sample's sign differs from the last nonzero sign before it in its run.  A
 phi' sample within rounding of its two terms (PHI_PRIME_NOISE) counts as zero,
 a piece of fewer than 8 samples or with no nonzero sample is no branch, and a
-density left with no branch is refused (DensityError).
+density left with no branch is refused (DensityError).  One array bisection
+finds every definedness edge and another every root of phi', so phi' is
+evaluated once per step of the slowest bracket, not once per root.
 """
 
 from __future__ import annotations
@@ -303,19 +305,22 @@ SAMPLES_PER_DECADE = 4096
 PHI_PRIME_NOISE = 16.0 * np.finfo(float).eps
 
 
-def _bisect(side, a: float, b: float, steps: int) -> float:
-    # side(m) > 0: m replaces a; side(m) < 0: m replaces b; 0: stop
+def _bisect(side, a, b, steps: int) -> np.ndarray:
+    """Final midpoints of the brackets [a, b], bisected at once.  side(m, k) is,
+    at the midpoints m of the live brackets k, 1 where m replaces a, -1 where it
+    replaces b, 0 to stop; a bracket also stops when its midpoint is an end."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.arange(a.size)
     for _ in range(steps):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
+        m = 0.5 * (a[live] + b[live])
+        moved = (m != a[live]) & (m != b[live])
+        live, m = live[moved], m[moved]
+        if live.size == 0:
             break
-        s = side(m)
-        if s == 0:
-            break
-        if s > 0:
-            a = m
-        else:
-            b = m
+        s = side(m, live)
+        a[live[s > 0]] = m[s > 0]
+        b[live[s < 0]] = m[s < 0]
+        live = live[s != 0]
     return 0.5 * (a + b)
 
 
@@ -343,22 +348,19 @@ def _numeric_inverse(phi_fn, dphi_fn, qa: float, qb: float, increasing: bool):
                 if not np.any(short):
                     break
                 hi = np.where(short, hi * 2.0, hi)
-        lo0, hi0 = lo.copy(), hi.copy()
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            fm = phi_fn(mid)
-            go_lo = (fm < xi) if increasing else (fm > xi)
-            go_lo &= np.isfinite(fm)
-            lo = np.where(go_lo, mid, lo)
-            hi = np.where(go_lo, hi, mid)
-        q = 0.5 * (lo + hi)
+
+        def side(m, k):  # m replaces lo where phi(m) is finite and short of xi
+            fm = phi_fn(m)
+            return np.where(np.isfinite(fm) & ((fm < xi[k]) if increasing else (fm > xi[k])), 1, -1)
+
+        q = _bisect(side, lo, hi, 48)
         for _ in range(3):
             f = phi_fn(q) - xi
             d = dphi_fn(q)
             with np.errstate(all="ignore"):
                 step = f / d
             step = np.where(np.isfinite(step), step, 0.0)
-            q = np.clip(q - step, lo0, hi0)
+            q = np.clip(q - step, lo, hi)
         return q
 
     return solve
@@ -383,12 +385,6 @@ def custom(
         r = np.where(jets.bad, np.nan, jets.val)
         rp = np.where(jets.bad, np.nan, jets.grad[:, 0])
         return r.reshape(q.shape), rp.reshape(q.shape)
-
-    def rho(q):
-        return rho_and_prime(np.asarray(q, dtype=float))[0]
-
-    def rho_prime(q):
-        return rho_and_prime(np.asarray(q, dtype=float))[1]
 
     def phi_arr(q):
         q = np.asarray(q, dtype=float)
@@ -430,8 +426,8 @@ def custom(
         kind="custom",
         q_domain=(Interval(float(q_min), domain_hi, True, q_max is not None),),
         params={"expr": exprmod.to_string(e), "q_min": float(q_min), "q_max": q_max},
-        rho_fn=rho,
-        rho_prime_fn=rho_prime,
+        rho_fn=lambda q: rho_and_prime(q)[0],
+        rho_prime_fn=lambda q: rho_and_prime(q)[1],
         branch_list=tuple(branch_list),
     )
 
@@ -467,50 +463,53 @@ def _detect_branches(qs, sign, rvals, phi_arr, dphi_arr, open_end: bool, name: s
     defined = ~np.isnan(sign)
     if not np.any(defined):
         raise DensityError(f"custom density {name!r}: phi' undefined at every sample")
+    last = len(qs) - 1
 
-    def dphi1(q):
-        return float(dphi_arr(np.asarray([q]))[0])
-
-    def edge(a, b):
-        # a defined, b not: localize the definedness boundary
-        return _bisect(lambda m: 1 if np.isfinite(dphi1(m)) else -1, a, b, 120)
-
-    def root(i):
-        # the held sign of the piece that ends at the split; sign[i] would count
-        # a phi' of exactly 0 at sample i as positive and overshoot the root
-        a_neg = held[i] < 0.0
-
-        def side(m):
-            f = dphi1(m)
-            return 0 if not np.isfinite(f) else (1 if (f < 0.0) == a_neg else -1)
-
-        return _bisect(side, qs[i], qs[i + 1], 200)
-
-    # maximal runs [r0, r1] of defined phi'
+    # maximal runs [r0, r1] of defined phi', those of at least 8 steps kept
     step = np.diff(defined.astype(np.int8), prepend=0, append=0)
-    runs = zip(np.flatnonzero(step == 1).tolist(), (np.flatnonzero(step == -1) - 1).tolist())
+    r0, r1 = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1
+    r0, r1 = r0[r1 - r0 >= 8], r1[r1 - r0 >= 8]
     # held[i]: the last nonzero sign at or before sample i in its run, 0 if none
     s = np.nan_to_num(sign)
-    last = np.maximum.accumulate(np.where(sign != 0.0, np.arange(len(qs)), -1))
-    held = np.where(last >= 0, s[last], 0.0)
-    # phi' changes sign between samples i and i+1
+    held_at = np.maximum.accumulate(np.where(sign != 0.0, np.arange(len(qs)), -1))
+    held = np.where(held_at >= 0, s[held_at], 0.0)
+    # phi' changes sign between samples i and i+1, inside a kept run (i < r1
+    # of the last kept run starting at or before i; -1 before the first)
     splits = np.flatnonzero(held[:-1] * s[1:] < 0.0)
+    run = np.searchsorted(r0, splits, side="right") - 1
+    cut = splits[splits < np.append(r1, -1)[run]]
+
+    # every definedness edge, bisected from a run's end toward its undefined neighbour
+    lo_edge, hi_edge = r0 > 0, r1 < last
+    edges = _bisect(lambda m, k: np.where(np.isfinite(dphi_arr(m)), 1, -1),
+                    np.concatenate((qs[r0[lo_edge]], qs[r1[hi_edge]])),
+                    np.concatenate((qs[r0[lo_edge] - 1], qs[r1[hi_edge] + 1])), 120)
+    lo_q, hi_q = qs[r0], qs[r1]
+    lo_q[lo_edge], hi_q[hi_edge] = np.split(edges, [lo_edge.sum()])
+    if open_end:
+        hi_q[~hi_edge] = _INF
+
+    # every root of phi', bisected with the held sign of the piece that ends
+    # there (sign[i] would count a phi' of exactly 0 at sample i as positive
+    # and overshoot the root), stopping where phi' is not finite
+    a_neg = held[cut] < 0.0
+
+    def root_side(m, k):
+        f = dphi_arr(m)
+        return np.where(np.isfinite(f), np.where((f < 0.0) == a_neg[k], 1, -1), 0)
+
+    roots = _bisect(root_side, qs[cut], qs[cut + 1], 200)
 
     pieces = []  # (qa, qb, lo_closed, hi_closed, sign)
-    for r0, r1 in runs:
-        if r1 - r0 < 8:
-            continue
-        cut = splits[np.searchsorted(splits, r0):np.searchsorted(splits, r1)]
-        at_end = r1 == len(qs) - 1
-        lo_q = qs[r0] if r0 == 0 else edge(qs[r0], qs[r0 - 1])
-        hi_q = (_INF if open_end else qs[r1]) if at_end else edge(qs[r1], qs[r1 + 1])
-        ends = [lo_q] + [root(i) for i in cut] + [hi_q]
+    for k, (a, b) in enumerate(zip(r0.tolist(), r1.tolist())):
+        j0, j1 = np.searchsorted(cut, (a, b)).tolist()
+        ends = np.concatenate(([lo_q[k]], roots[j0:j1], [hi_q[k]]))
         # samples per piece, and its sign (0: no nonzero phi' sample, refused)
-        counts = np.diff(np.concatenate(([r0 - 1], cut, [r1 - 1])))
-        signs = held[np.append(cut, r1)]
+        counts = np.diff(np.concatenate(([a - 1], cut[j0:j1], [b - 1])))
+        signs = held[np.append(cut[j0:j1], b)]
         for j in np.flatnonzero((counts >= 8) & (signs != 0.0)).tolist():
-            pieces.append((ends[j], ends[j + 1], j == 0 and r0 == 0,
-                           j == len(cut) and at_end and not open_end, signs[j]))
+            pieces.append((ends[j], ends[j + 1], j == 0 and a == 0,
+                           j == j1 - j0 and b == last and not open_end, signs[j]))
 
     if not pieces:
         raise DensityError(
@@ -518,17 +517,20 @@ def _detect_branches(qs, sign, rvals, phi_arr, dphi_arr, open_end: bool, name: s
             f"{len(qs)} samples; fix the density"
         )
 
+    # phi at every piece end in one call, and once more 1e-12 inward at the
+    # finite ends where it is not finite (an open end takes phi's limit below)
+    ends = np.array([p[:2] for p in pieces])
+    f = phi_arr(ends)
+    retry = np.isfinite(ends) & ~np.isfinite(f)
+    if retry.any():
+        inward = np.array([1.0, -1.0]) * 1e-12 * np.maximum(1.0, np.abs(ends))
+        f[retry] = phi_arr(ends[retry] + inward[retry])
+
     out = []
-    for idx, (qa, qb, lo_c, hi_c, piece_sign) in enumerate(pieces, start=1):
+    for idx, ((qa, qb, lo_c, hi_c, piece_sign), (fa, fb)) in enumerate(
+            zip(pieces, f.tolist()), start=1):
         increasing = piece_sign > 0.0
-        fa = float(phi_arr(np.asarray([qa]))[0])
-        if not np.isfinite(fa):
-            fa = float(phi_arr(np.asarray([qa + 1e-12 * max(1.0, abs(qa))]))[0])
-        if np.isfinite(qb):
-            fb = float(phi_arr(np.asarray([qb]))[0])
-            if not np.isfinite(fb):
-                fb = float(phi_arr(np.asarray([qb - 1e-12 * max(1.0, abs(qb))]))[0])
-        else:
+        if not np.isfinite(qb):
             fb = _INF if increasing else 0.0
         im_lo, im_hi = (fa, fb) if increasing else (fb, fa)
         image = Interval(

@@ -163,7 +163,7 @@ def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
         else:
             a = g.copy()
             jac = hess.copy()
-        lap = np.trace(hess, axis1=1, axis2=2)
+        lap = sum((hess[:, i, i] for i in range(n)), 0.0)  # np.trace, bit for bit
         bad = jets.bad.copy()
     elif isinstance(d, SkewMatrix):
         a = np.zeros((npts, n))

@@ -362,7 +362,6 @@ def _least_squares(A: np.ndarray, b: np.ndarray, usable: np.ndarray) -> tuple:
 
 @dataclass(eq=False)
 class GammaWitness:
-    points: np.ndarray
     Gamma: np.ndarray  # (N, n) 1-form coefficients
     Gamma1: np.ndarray
     defect: np.ndarray  # wedge-system residual norm per point
@@ -386,8 +385,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     n = sol.n
     star_df = sol.star_df
     d_star = _d_values(star_df)
-    pts = sol.points
-    npts = pts.shape[0]
+    npts = sol.points.shape[0]
     with np.errstate(all="ignore"):
         grad_xi = np.zeros((npts, n))
         for key, vals in star_df.coeffs.items():
@@ -417,5 +415,5 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     defined = usable & np.isfinite(Gamma).all(axis=1) & rho_usable
     Gamma[~defined] = np.nan
     fro = np.where(defined, fro, np.nan)
-    return GammaWitness(points=pts, Gamma=Gamma, Gamma1=Gamma1, defect=defect,
+    return GammaWitness(Gamma=Gamma, Gamma1=Gamma1, defect=defect,
                         frobenius_defect=fro, rank_deficient=rank_def, defined=defined)

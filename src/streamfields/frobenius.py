@@ -69,7 +69,7 @@ def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> tuple:
             g = np.einsum("nij,nj->ni", M, a) / xi[:, None]
             solvability = _max_minor(M - _wedge(g, a))
         else:
-            div_a = np.trace(jac, axis1=1, axis2=2)
+            div_a = sum((jac[:, i, i] for i in range(a.shape[1])), 0.0)  # np.trace, bit for bit
             g = (div_a / xi)[:, None] * a
             solvability = np.zeros(xi.shape)
         G = g - glr
@@ -110,7 +110,8 @@ def _defect(kind: str, core: tuple, G) -> np.ndarray:
             curl_w = (np.swapaxes(jac, 1, 2) - jac) / rho_c[:, None, None] - _wedge(glr, w)
             defect = _max_minor(curl_w - _wedge(G, w))
         else:
-            div_w = (np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,ni->n", a, glr)) / rho_c
+            div_a = sum((jac[:, i, i] for i in range(a.shape[1])), 0.0)  # np.trace, bit for bit
+            div_w = (div_a - np.einsum("ni,ni->n", a, glr)) / rho_c
             defect = np.abs(div_w - np.einsum("ni,ni->n", G, w))
     return np.where(defined, defect, np.nan)
 

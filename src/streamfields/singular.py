@@ -38,7 +38,6 @@ class SingularError(ValueError):
 @dataclass(eq=False)
 class SingularReport:
     grid: GridSpec
-    tol: Tolerances
     solution: FieldSolution
     omega_f_complement: np.ndarray  # bool masks shaped like the grid
     gamma_0: np.ndarray
@@ -61,7 +60,6 @@ def classify_solution(sol: FieldSolution) -> SingularReport:
     svals = sol.model.phi_prime(sol.Q).reshape(shape)
     report = SingularReport(
         grid=sol.grid,
-        tol=sol.tol,
         solution=sol,
         omega_f_complement=mask(FLAG_OUTSIDE_OMEGA) | mask(FLAG_DRIVE_UNDEFINED),
         gamma_0=mask(FLAG_GAMMA0),

@@ -12,18 +12,20 @@ in fixed index order, so reports are deterministic.  The codifferential
 residual hands central differences to `forms.codifferential` as coefficient
 gradients, so it applies the forms module's one sign table
 (`forms._wedge_sum`) and has none of its own.
+The energy density e(Q) is a closed form for the built-in laws and one
+vectorized Gauss-Kronrod rule over the gaps between the distinct Q for a custom law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .density import DensityModel
 from .forms import FormSolution, FormValues, codifferential
-from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec,
+from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows,
                     synthesize_at_points)
 
 if TYPE_CHECKING:  # frobenius imports this module; the witness is an annotation only
@@ -300,92 +302,84 @@ def convergence_study(make_report: Callable[[GridSpec], ResidualReport],
 # energy
 
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 48) -> float:
-    if a == b:
-        return 0.0
-    fa, fb = fn(a), fn(b)
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+# QUADPACK's 15-point Gauss-Kronrod pair (qk15) on [-1, 1], rounded to float64:
+# the Kronrod nodes x >= 0, the K15 weights and the G7 weights at x[1::2]
+_X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+      0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0, 0.1294849661688697, 0, 0.27970539148927664, 0, 0.3818300505051189, 0, 0.4179591836734694)
+GK_NODES = np.concatenate((np.negative(_X[:7]), _X[::-1]))
+GK_WEIGHTS = np.array([np.concatenate((w[:7], w[::-1])) for w in (_WK, _WG)])  # rows sum to 2.0
+GK_TOL = 1e-14  # relative |K15 - G7| above which a piece is halved
+GK_PASSES = 32  # halving passes
+GK_MIN_SPLITS = 64  # pass p halves at most max(GK_MIN_SPLITS, gaps / 2^p) pieces
 
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-                + recurse(m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 
-    return recurse(a, fa, b, fb, m, fm, whole, tol, depth)
+def _gk15(rho, a: np.ndarray, b: np.ndarray):
+    """K15 of rho on each [a, b] and |K15 - G7|, at most SYNTH_BLOCK intervals a call."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    kg = np.empty((a.size, 2))
+    for rows in block_rows(a.size):
+        f = rho(c[rows, None] + h[rows, None] * GK_NODES)
+        kg[rows] = h[rows, None] * (f[:, None, :] * GK_WEIGHTS).sum(axis=2)
+    kg[h == 0.0] = 0.0  # an empty interval, even where rho is undefined
+    return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
+
+
+def _integrals(rho, floor: float, xs: np.ndarray) -> np.ndarray:
+    """Integral of rho from `floor` to each sorted xs >= floor: GK15 on every gap,
+    pieces halved while |K15 - G7| is above tolerance (largest error first, at
+    most 2 len(xs) + GK_MIN_SPLITS GK_PASSES of them, never a non-finite one)."""
+    a, b, gap = np.concatenate(([floor], xs[:-1])), xs.copy(), np.arange(xs.size)
+    k, err = _gk15(rho, a, b)
+    for p in range(GK_PASSES):
+        # relative to |rho| integrated up to the piece's gap (NaN compares false)
+        scale = np.cumsum(np.bincount(gap, weights=np.abs(k), minlength=xs.size))
+        split = np.flatnonzero(err > GK_TOL * scale[gap])
+        if split.size == 0:
+            break
+        split = split[np.argsort(-err[split], kind="stable")[:max(GK_MIN_SPLITS, xs.size >> p)]]
+        m, hi = 0.5 * (a[split] + b[split]), b[split]
+        ks, es = _gk15(rho, np.append(a[split], m), np.append(m, hi))
+        b[split], k[split], err[split] = m, ks[:split.size], es[:split.size]
+        a, b, gap = np.append(a, m), np.append(b, hi), np.append(gap, gap[split])
+        k, err = np.append(k, ks[split.size:]), np.append(err, es[split.size:])
+    return np.cumsum(np.bincount(gap, weights=k, minlength=xs.size))
 
 
 def energy_density(model: DensityModel, Q: np.ndarray) -> np.ndarray:
-    """e(Q) = (1/2) * integral of rho from 0 to Q, analytic where available."""
-    Q = np.asarray(Q, dtype=float)
-    kind = model.kind
+    """e(Q) = (1/2) * integral of rho from the domain floor to Q.  A custom law's
+    e is NaN below the floor and from the first gap where rho is undefined on."""
+    Q, kind = np.asarray(Q, dtype=float), model.kind
     with np.errstate(all="ignore"):
         if kind == "shallow_water":
             return (Q - Q ** 2 / 4.0) / 2.0
         if kind in ("extremal", "born_infeld"):
             return np.where(Q <= 1.0, 1.0 - np.sqrt(np.maximum(1.0 - Q, 0.0)),
                             1.0 + np.sqrt(np.maximum(Q - 1.0, 0.0)))
-    if kind == "caustic":
-        tau = float(model.params["tau"])
-
-        def seg(u0, u1):
-            if u1 <= u0:
-                return 0.0
-            return _adaptive_simpson(lambda u: np.sqrt(abs(u * u - tau * tau)), u0, u1)
-
-        return _cumulative(np.sqrt(np.maximum(Q, 0.0)), seg, split=tau)
-    # custom densities: integrate rho numerically from the domain floor
-    lo = max(0.0, min(iv.lo for iv in model.q_domain))
-
-    def seg_rho(q0, q1):
-        if q1 <= q0:
-            return 0.0
-        return 0.5 * _adaptive_simpson(lambda s: float(model.rho(np.array([s]))[0]), q0, q1)
-
-    return _cumulative(Q, seg_rho, base=lo)
-
-
-def _cumulative(xs: np.ndarray, seg, base: float = 0.0, split: Optional[float] = None) -> np.ndarray:
-    """Evaluate x -> integral(base..x) for many x by chaining sorted segments."""
-    flat = xs.reshape(-1)
-    out = np.full(flat.shape, np.nan)
-    finite = np.isfinite(flat)
-    if not finite.any():
-        return out.reshape(xs.shape)
-    order = np.argsort(flat[finite])
-    idx = np.nonzero(finite)[0][order]
-    acc = 0.0
-    prev = base
-    for i in idx:
-        x = flat[i]
-        if x < base:
-            out[i] = -seg(x, base) if split is None or not (x < split < base) else \
-                -(seg(x, split) + seg(split, base))
-            continue
-        if split is not None and prev < split < x:
-            acc += seg(prev, split) + seg(split, x)
-        else:
-            acc += seg(prev, x)
-        prev = x
-        out[i] = acc
-    return out.reshape(xs.shape)
+        if kind == "caustic":  # the integral of sqrt(|s^2 - tau^2|) for s from 0 to sqrt(Q)
+            tau, u = float(model.params["tau"]), np.sqrt(np.maximum(Q, 0.0))
+            t2, r, v = tau * tau, np.sqrt(np.abs((u - tau) * (u + tau))), u / tau
+            inside = 0.5 * (u * r + t2 * np.arcsin(np.minimum(v, 1.0)))
+            outside = 0.25 * np.pi * t2 + 0.5 * (u * r - t2 * np.arccosh(np.maximum(v, 1.0)))
+            return np.where(u <= tau, inside, outside)
+        floor = model.q_domain[0].lo  # a custom law's one interval, from q_min >= 0
+        out = np.full(Q.shape, np.nan)
+        ok = np.isfinite(Q) & (Q >= floor)
+        if ok.any():
+            xs, where = np.unique(Q[ok], return_inverse=True)
+            out[ok] = 0.5 * _integrals(model.rho, floor, xs)[where]
+    return out
 
 
 def energy(model: DensityModel, solution: FieldSolution,
            mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """Midpoint quadrature of e(Q) over cells; the field is re-synthesized at
-    cell centers, and cells whose center is flagged or excluded contribute 0."""
+    cell centers, and cells whose center is flagged or excluded contribute 0.
+    A non-finite e(Q) is refused, naming the gap of Q where rho is undefined."""
     grid = _grid_of(solution)
-    h = grid.spacing()
-    axes = [0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()), indexing="ij")
     centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
     cs = synthesize_at_points(solution.model, solution.drive, solution.policy,
                               centers, tol=solution.tol)
@@ -398,4 +392,9 @@ def energy(model: DensityModel, solution: FieldSolution,
     if not model.in_domain(qvals).all():
         raise VerifyError("quadrature hit Q outside the density domain")
     e = energy_density(model, qvals)
-    return float(np.sum(e) * float(np.prod(h)))
+    finite = np.isfinite(e)
+    if not finite.all():
+        lo = qvals[finite].max() if finite.any() else model.q_domain[0].lo
+        raise VerifyError(f"the energy is not finite: rho is undefined or not integrable "
+                          f"somewhere in Q in [{lo:.6g}, {qvals[~finite].min():.6g}]")
+    return float(np.sum(e) * float(np.prod(grid.spacing())))

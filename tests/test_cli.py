@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -881,6 +882,32 @@ def test_forms_artifacts(tmp_path):
     fdef = np.array([float(r[5]) for r in rows])
     assert np.nanmax(defect) < 1e-8
     assert np.nanmax(fdef) < 1e-8
+
+
+def test_verify_energy_where_rho_is_undefined_exits_2_in_bounded_time(tmp_path):
+    # rho = sqrt((Q-1)(Q-2)) is NaN on (1, 2), below every Q of branch 3; the
+    # energy integral from Q = 0 crosses that gap, so the run is refused.  It
+    # runs in a subprocess, so a quadrature that never ends fails the timeout.
+    cfg = {
+        "density": {"kind": "custom", "rho": "sqrt((Q-1)*(Q-2))", "q_max": 10.0},
+        "drive": {"kind": "gradient", "dim": 2, "f": "2*x1"},
+        "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "cells": [8, 8]},
+        "policy": {"mode": "single_branch", "branch": 3},
+        "verify": {"residuals": ["minor"], "threshold": 1.0, "energy": True},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "streamfields.cli", "verify", "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "the energy is not finite" in proc.stderr
+    lo, hi = (float(v) for v in re.search(r"Q in \[(\S+), (\S+)\]", proc.stderr).groups())
+    assert lo <= 1.0 and hi >= 2.0  # the named range holds the gap where rho is NaN
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_verify_report_pass_and_threshold_fail(tmp_path):

@@ -427,3 +427,29 @@ def test_custom_branch_ends_at_the_root_of_phi_prime_not_past_it():
     hi = branch.q_interval.hi
     assert hi <= 2.0
     assert model.phi_prime(np.array([hi]))[0] <= 0.0
+
+
+def test_custom_branch_ends_cost_bisection_steps_not_roots(monkeypatch):
+    """Every root of phi' is bisected in one array bisection (and every
+    definedness edge in another), so ten times the roots cost the same number
+    of jet evaluations: one per step of the slowest bracket."""
+    from streamfields import expr as exprmod
+
+    calls = []
+    eval_jets = exprmod.eval_jets
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eval_jets(*args, **kwargs)
+
+    monkeypatch.setattr(exprmod, "eval_jets", counted)
+    per_law = {}
+    for rho in ("2+sin(3*Q)", "2+sin(30*Q)"):
+        calls.clear()
+        per_law[rho] = (len(custom(rho, q_min=0.2, q_max=30.0).branches()), len(calls))
+    (few, calls_few), (many, calls_many) = per_law.values()
+    assert many >= 9 * few
+    assert calls_many == calls_few
+    # 3 calls to check rho', 1 on the samples, one per bisection step (at most
+    # 200), 1 for phi at the branch ends: fewer than one call per root
+    assert calls_many <= 3 + 1 + 200 + 1 < many

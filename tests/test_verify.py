@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from streamfields import (
+    DensityModel,
     FLAG_NONPHYSICAL_RHO,
     GridSpec,
     MASK_BITS,
@@ -21,6 +22,7 @@ from streamfields import (
     extremal,
     fit_order,
     frobenius_residual,
+    gradient_drive,
     kform,
     minor_residual,
     prefer_type1,
@@ -33,6 +35,7 @@ from streamfields import (
     synthesize_form,
     witness_2d,
 )
+from streamfields.verify import GK_MIN_SPLITS, GK_PASSES
 
 
 def vortex_solution(cells=64, lim=1.1):
@@ -180,19 +183,66 @@ def test_codifferential_residual_order_two():
     (born_infeld(), 1.0, [0.1, 0.5, 1.3, 2.5]),
     (caustic(1.3), 1.69, [0.2, 1.0, 1.69, 2.4, 5.0]),
     (custom("1 - Q/2", q_max=2.0), None, [0.05, 0.3, 0.66, 1.0, 1.7]),
+    (custom("2 + abs(Q - 0.777)", q_max=4.0), 0.777, [0.05, 0.3, 0.66, 1.3, 2.5, 2.5, 0.3]),
+    (custom("abs(Q - 1.2345)", q_max=200.0), 1.2345, [0.2, 3.7, 100.0]),
+    (custom("1/sqrt(1 + Q)", q_max=100.0), None, [1e-3, 0.3, 2.5, 50.0]),
 ])
 def test_energy_density_matches_direct_quadrature(model, kink, qs):
-    """e(Q) = (1/2) * integral of rho(u) du from 0 to Q, checked against an
-    independent adaptive quadrature with integrable endpoint singularities."""
+    """e(Q) = (1/2) * integral of rho(u) du from 0 to Q, to 1e-12 relative,
+    checked against an independent adaptive quadrature with integrable
+    endpoint singularities; the kinked custom laws have their kink inside a
+    gap between the Q values."""
     def rho_scalar(u):
         return float(model.rho(np.array([u]))[0])
 
     got = energy_density(model, np.array(qs, dtype=float))
     for q, g in zip(qs, got):
         pts = [kink] if kink is not None and 0.0 < kink < q else None
-        want, err = integrate.quad(rho_scalar, 0.0, q, points=pts,
-                                   limit=200, epsabs=1e-12)
-        assert abs(g - 0.5 * want) < max(5e-9, 10.0 * err), (model.kind, q)
+        want, _ = integrate.quad(rho_scalar, 0.0, q, points=pts, limit=500,
+                                 epsabs=0.0, epsrel=1e-13)
+        assert abs(g - 0.5 * want) <= 1e-12 * abs(0.5 * want), (model.kind, q)
+
+
+def test_energy_density_is_nan_where_rho_is_undefined():
+    # below the domain floor, and from the first gap on which rho is NaN
+    assert np.isnan(energy_density(custom("1", q_min=1.0, q_max=16.0), [0.5])).all()
+    e = energy_density(custom("sqrt((Q-1)*(Q-2))", q_max=10.0), [0.5, 0.9, 2.5, 3.0, np.inf])
+    assert np.isfinite(e[:2]).all() and np.isnan(e[2:]).all()
+
+
+def test_energy_rho_calls_do_not_grow_with_the_grid(monkeypatch):
+    """The energy evaluates rho in blocks of whole gaps: the same number of
+    calls at 16^2 as at 256^2 cells (the cell-centre synthesis's, then one
+    for the GK15 rule on every gap), and for a kinked law at most one more
+    per halving pass, with the rho points bounded by the distinct Q."""
+    calls, points = [], []
+    rho = DensityModel.rho
+
+    def counted(self, q):
+        calls.append(1)
+        points.append(np.size(q))
+        return rho(self, q)
+
+    monkeypatch.setattr(DensityModel, "rho", counted)
+    d = gradient_drive(2, "0.1*(x1^2 + x2^2)")
+    for law, most in (("1/sqrt(1 + Q)", None), ("2 + abs(Q - 0.0123456)", 3 + GK_PASSES)):
+        model = custom(law, q_max=100.0)
+        per_grid = []
+        for cells in (16, 256):
+            sol = synthesize(model, d, prefer_type1(), GridSpec((0, 0), (1, 1), (cells, cells)))
+            calls.clear()
+            points.clear()
+            energy(model, sol)
+            per_grid.append(len(calls))
+            centres = cells * cells
+            # the centre synthesis reads rho twice at each centre; GK15 reads
+            # 15 nodes per gap and per half of each halved piece
+            halvings = 2 * centres + GK_MIN_SPLITS * GK_PASSES
+            assert sum(points) <= 2 * centres + 15 * (centres + 2 * halvings)
+        if most is None:
+            assert per_grid[0] == per_grid[1]
+        else:
+            assert max(per_grid) <= most
 
 
 def test_energy_against_scipy_double_integral():
