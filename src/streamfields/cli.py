@@ -4,9 +4,10 @@ Subcommands: synth, singular, frobenius, forms, verify.  Every run is driven
 by a JSON config (--config PATH) or a built-in example (--example NAME) and
 writes plot-ready CSV / JSON artifacts into --out.  All numeric output uses 17
 significant digits and fixed row/column order, so reruns are byte-identical.
-CSV files are written in blocks of CSV_BLOCK_ROWS rows, and each distinct value
-of a column is formatted once per block; the bytes are the same as formatting
-every cell on its own.
+CSV files are written in blocks of CSV_BLOCK_ROWS rows.  Each distinct value
+of a column is formatted once per block, with its trailing "," or newline, and
+a block is written with one join of its cells; the bytes are the same as
+formatting every cell on its own.
 
 A float is written as Python's "%.17g" % v writes it.  A block column with at
 least ARRAY_FORMAT_MIN distinct floats formats them with array arithmetic
@@ -124,9 +125,11 @@ def _float_tables() -> tuple:
     return scales, _error_bound(np.finfo(np.longdouble).eps), quads
 
 
-def _percent_17g(v: np.ndarray) -> list:
-    """"%.17g" % x for every float64 x of `v`, one Python format per value."""
-    return ["%.17g" % x for x in v.tolist()]
+def _percent_17g(v: np.ndarray, sep: str) -> list:
+    """"%.17g" % x followed by `sep` for every float64 x of `v`, one Python
+    format per value."""
+    fmt = "%.17g" + sep
+    return [fmt % x for x in v.tolist()]
 
 
 def _proven_digits(a: np.ndarray) -> tuple:
@@ -180,8 +183,9 @@ def _layout_groups(v: np.ndarray) -> tuple:
     return np.flatnonzero(~ok), at[order], key[order], digits
 
 
-def _format_floats(v: np.ndarray) -> np.ndarray:
-    """"%.17g" % x for every float64 x of `v`, as an object array of str.
+def _format_floats(v: np.ndarray, sep: str = "") -> np.ndarray:
+    """"%.17g" % x followed by `sep` for every float64 x of `v`, as an object
+    array of str.
 
     The digits come from _proven_digits; values it cannot prove are formatted
     by Python.  The proven values are laid out in groups of one sign, one
@@ -191,7 +195,7 @@ def _format_floats(v: np.ndarray) -> np.ndarray:
     """
     rest, at, key, digits = _layout_groups(v)
     text = np.empty(v.size, dtype=object)
-    text[rest] = _percent_17g(v[rest])
+    text[rest] = _percent_17g(v[rest], sep)
     if not at.size:
         return text
     strs = []
@@ -206,8 +210,9 @@ def _format_floats(v: np.ndarray) -> np.ndarray:
             parts = [d[:, :x + 1], "." * (l > x), d[:, x + 1:l + 1]]
         else:
             parts = ["0." + "0" * (-x - 1), d[:, :l + 1]]
-        # each row ends in ",", which no formatted float contains
-        strs += _rows_of(["-" * neg, *parts, ","], stop - start).decode("ascii").split(",")[:-1]
+        # each row ends in NUL, which neither a formatted float nor `sep` contains
+        strs += _rows_of(["-" * neg, *parts, sep + "\0"],
+                         stop - start).decode("ascii").split("\0")[:-1]
     text[at] = np.fromiter(strs, dtype=object, count=at.size)
     return text
 
@@ -232,24 +237,25 @@ def _ascii(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8)
 
 
-def _column_text(kind: str, col) -> list:
-    """One block of a column as strings; each distinct value is formatted once.
+def _column_text(kind: str, col, sep: str) -> list:
+    """One block of a column as strings, each followed by `sep`; each distinct
+    value is formatted, and given its separator, once.
 
     Floats are told apart by their bit pattern, not by value: np.unique on
     values merges -0.0 with 0.0, which "%.17g" prints as "-0" and "0".
     """
     if kind == "str":
-        return col
+        return list(map({s: s + sep for s in set(col)}.__getitem__, col))
     if kind == "float":
         keys = np.asarray(col, dtype=np.float64).view(np.int64)
         uniq, inv = np.unique(keys, return_inverse=True)
         values = uniq.view(np.float64)
         if values.size >= ARRAY_FORMAT_MIN:
-            return _format_floats(values)[inv].tolist()
-        text = _percent_17g(values)
+            return _format_floats(values, sep)[inv].tolist()
+        text = _percent_17g(values, sep)
     else:
         uniq, inv = np.unique(np.asarray(col), return_inverse=True)
-        text = [str(int(v)) for v in uniq.tolist()]
+        text = [str(int(v)) + sep for v in uniq.tolist()]
     return np.array(text, dtype=object)[inv].tolist()
 
 
@@ -268,15 +274,20 @@ def _write_csv(path: str, header: list, columns: list) -> None:
     """Columns are (kind, array) with kind in {float, int, str}.
 
     Floats are written with "%.17g", ints with str(int(v)) and strings as
-    they are, one row per line, in blocks of CSV_BLOCK_ROWS rows.
+    they are, one row per line, in blocks of CSV_BLOCK_ROWS rows.  A block's
+    cells, each with its trailing "," or newline, are interleaved row-major
+    into one list and written with one join.
     """
-    n = len(columns[0][1])
+    n, c = len(columns[0][1]), len(columns)
+    seps = [","] * (c - 1) + ["\n"]
     with _written(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n)
-            texts = [_column_text(kind, col[start:stop]) for kind, col in columns]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            cells = [None] * ((stop - start) * c)
+            for j, ((kind, col), sep) in enumerate(zip(columns, seps)):
+                cells[j::c] = _column_text(kind, col[start:stop], sep)
+            fh.write("".join(cells))
 
 
 def _write_json(path: str, obj) -> None:

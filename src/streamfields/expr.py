@@ -7,10 +7,12 @@ refuses expressions nested deeper than ``MAX_DEPTH`` levels.
 
 ``eval_jets`` lowers an expression once to a flat tape with one entry per
 distinct ``(op, child entries)``, so a repeated subexpression is computed
-once.  The tape runs over blocks of ``BLOCK_ROWS`` points.  Each entry holds
-a hyper-dual ("jet") value for the block, stored component-major: value
-(B,), gradient (m, B) and the upper triangle of the symmetric Hessian
-(m(m+1)/2, B).  Every rule keeps the terms of the hyper-dual formula and
+once.  A passive entry, one with no variable below it, is evaluated once per
+call and sliced per block; every other entry runs over blocks of
+``BLOCK_ROWS`` points.  A constant exponent of 0 or 1 makes no ``pow`` call
+(the results are exact: 1, and the base).  Each entry holds a hyper-dual
+("jet") value for the block, stored component-major: value (B,), gradient
+(m, B) and the upper triangle of the symmetric Hessian (m(m+1)/2, B).  Every rule keeps the terms of the hyper-dual formula and
 their order, so a point's jet does not depend on the block it falls in
 (only the sign of a NaN may, as in any numpy loop).
 Domain failures (``log`` of a nonpositive number, division by zero, ``abs``
@@ -316,9 +318,6 @@ def substitute(e: Expression, name: str, replacement: Expression) -> Expression:
     return Expression(walk(e.root), replacement.variables, params)
 
 
-_LEAVES = ("const", "var", "param")
-
-
 def _lower(root: Node) -> list:
     """Post-order tape of ``root``: one ``(op, a, b)`` entry per distinct op
     and child entries, children first and the root last.  A leaf carries its
@@ -361,25 +360,30 @@ def _lower(root: Node) -> list:
     return code
 
 
-def _leaf_jets(code: list, params: Mapping[str, float], rows: int, m: int) -> dict:
-    """Jets of the leaf entries over ``rows`` points.  Constants and parameters
-    are full arrays with zero derivatives; a variable's value is filled in per
-    block.  Parameters are looked up in tape order."""
+def _passive_jets(code: list, params: Mapping[str, float], rows: int, m: int) -> dict:
+    """Jets over ``rows`` points of every passive entry, one with no variable
+    below it, and the derivative parts of the variables, whose values are
+    filled in per block.  A passive entry is the same at every point, so it is
+    evaluated once per call and sliced per block: the same ufuncs on the same
+    inputs, elementwise, so no bit changes.  Parameters are looked up in tape
+    order."""
     zero_grad, zero_tri = np.zeros((m, rows)), np.zeros((m * (m + 1) // 2, rows))
     ok = np.zeros(rows, dtype=bool)
-    leaves = {}
-    for i, (op, a, _) in enumerate(code):
+    jets, variables = {}, {}
+    for i, (op, a, b) in enumerate(code):
         if op == "const":
-            leaves[i] = (np.full(rows, struct.unpack("<d", a)[0]), zero_grad, zero_tri, ok)
+            jets[i] = (np.full(rows, struct.unpack("<d", a)[0]), zero_grad, zero_tri, ok)
         elif op == "param":
             if a not in params:
                 raise KeyError(f"unbound parameter {a!r}")
-            leaves[i] = (np.full(rows, float(params[a])), zero_grad, zero_tri, ok)
+            jets[i] = (np.full(rows, float(params[a])), zero_grad, zero_tri, ok)
         elif op == "var":
             unit = np.zeros((m, rows))
             unit[a] = 1.0
-            leaves[i] = (None, unit, zero_tri, ok)
-    return leaves
+            variables[i] = (None, unit, zero_tri, ok)
+        elif a in jets and (b is None or b in jets):
+            jets[i] = _unary(op, jets[a]) if b is None else _binary(op, jets[a], jets[b])
+    return {**jets, **variables}
 
 
 def _tri(ga, gb):
@@ -518,20 +522,25 @@ def _pow_const(a, p):
 
 def _signed_pow(base: np.ndarray, p: np.ndarray, p0: float, integral: bool) -> np.ndarray:
     """base^p, NaN for negative base unless p is integral, negative for odd p
-    and negative base; ``p`` holds p0 throughout."""
+    and negative base; ``p`` holds p0 throughout.  pow(x, 0) is 1 for every x,
+    NaN included, and pow(|x|, 1) is |x|, so those two make no pow call; a
+    higher power does, since pow(x, 2) and x*x can differ in the last bit."""
     if not integral:
         return np.power(np.where(base < 0, np.nan, base), p)
-    mag = np.power(np.abs(base), p)
+    if p0 == 0.0:
+        return np.ones(base.shape)
+    mag = np.abs(base) if p0 == 1.0 else np.power(np.abs(base), p)
     return mag * np.where(base < 0, -1.0, 1.0) if abs(p0) % 2.0 == 1.0 else mag
 
 
-def _run(code: list, leaves: dict, pts: np.ndarray) -> tuple:
-    """Jet of the tape's root over one block of points."""
+def _run(code: list, passive: dict, pts: np.ndarray) -> tuple:
+    """Jet of the tape's root over one block of points.  No op writes into
+    its input slots, so the passive jets serve every block."""
     rows = pts.shape[0]
     slots: list = []
     for i, (op, a, b) in enumerate(code):
-        if op in _LEAVES:
-            val, grad, tri, ok = leaves[i]
+        if i in passive:
+            val, grad, tri, ok = passive[i]
             val = pts[:, a].copy() if op == "var" else val[:rows]
             slots.append((val, grad[:, :rows], tri[:, :rows], ok[:rows]))
         elif b is None:
@@ -548,16 +557,16 @@ def eval_jets(e: Expression, points: np.ndarray, params: Optional[Mapping[str, f
         raise ValueError(f"expected points of shape (N, {len(e.variables)})")
     n, m = pts.shape
     rows = max(1, min(n, BLOCK_ROWS))
-    leaves = _leaf_jets(e._tape, params or {}, rows, m)
     # the packed upper-triangle row of each dense Hessian entry (i, j)
     ti, tj = np.triu_indices(m)
     packed = np.empty((m, m), dtype=np.intp)
     packed[ti, tj] = packed[tj, ti] = np.arange(ti.size)
     out = JetBatch(np.empty(n), np.empty((n, m)), np.empty((n, m, m)), np.empty(n, dtype=bool))
     with np.errstate(all="ignore"):
+        passive = _passive_jets(e._tape, params or {}, rows, m)
         for start in range(0, n, rows):
             block = slice(start, start + rows)
-            val, grad, tri, bad = _run(e._tape, leaves, pts[block])
+            val, grad, tri, bad = _run(e._tape, passive, pts[block])
             out.val[block] = val
             out.grad[block] = grad.T
             out.hess[block] = tri[packed].transpose(2, 0, 1)

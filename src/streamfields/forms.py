@@ -321,7 +321,7 @@ def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPoli
 # Gamma witness
 
 
-def _gelsd_failed(err, flag):
+def _gelsd_failed(*_):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
@@ -329,7 +329,10 @@ def _least_squares(A: np.ndarray, b: np.ndarray, usable: np.ndarray) -> tuple:
     """Minimum-norm least squares A[p] x = b[p] at the usable rows, bit for bit
     np.linalg.lstsq(A[p], b[p], rcond=None) and the norm of its residual, in
     one gelsd call: (x, residual norm, rank < min(m, n)), NaN/False elsewhere.
-    A numpy without the private gelsd name solves point by point with lstsq."""
+    A numpy without the private gelsd name solves point by point with lstsq.
+    A usable A with a non-finite entry raises LinAlgError before any solve:
+    lstsq raises on a NaN, but an infinite entry sends gelsd into a loop
+    that never ends."""
     npts, m, cols = A.shape
     x = np.full((npts, cols), np.nan)
     defect = np.full(npts, np.nan)
@@ -337,6 +340,8 @@ def _least_squares(A: np.ndarray, b: np.ndarray, usable: np.ndarray) -> tuple:
     if not usable.any():
         return x, defect, rank_def
     Au, bu = A[usable], b[usable]
+    if not np.isfinite(Au).all():
+        _gelsd_failed()
     try:
         # np.linalg.lstsq refuses stacked matrices (_assert_2d); the LAPACK
         # gelsd gufunc it calls solves a whole stack in one call

@@ -376,19 +376,23 @@ def energy_density(model: DensityModel, Q: np.ndarray) -> np.ndarray:
 def energy(model: DensityModel, solution: FieldSolution,
            mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """Midpoint quadrature of e(Q) over cells; the field is re-synthesized at
-    cell centers, and cells whose center is flagged or excluded contribute 0.
-    A non-finite e(Q) is refused, naming the gap of Q where rho is undefined."""
+    cell centers, at most SYNTH_BLOCK centers a call, and cells whose center
+    is flagged or excluded contribute 0.  A non-finite e(Q) is refused,
+    naming the gap of Q where rho is undefined."""
     grid = _grid_of(solution)
     mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()), indexing="ij")
     centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    cs = synthesize_at_points(solution.model, solution.drive, solution.policy,
-                              centers, tol=solution.tol)
-    keep = ((cs.flags & MASK_BITS) == 0) & (cs.branch_id != 0) & np.isfinite(cs.Q)
-    if mask is not None:
-        keep &= np.asarray(mask(centers), dtype=bool)
-    if not keep.any():
+    kept = []
+    for rows in block_rows(len(centers)):
+        cs = synthesize_at_points(solution.model, solution.drive, solution.policy,
+                                  centers[rows], tol=solution.tol)
+        keep = ((cs.flags & MASK_BITS) == 0) & (cs.branch_id != 0) & np.isfinite(cs.Q)
+        if mask is not None:
+            keep &= np.asarray(mask(centers[rows]), dtype=bool)
+        kept.append(cs.Q[keep])
+    qvals = np.concatenate(kept)
+    if not qvals.size:
         raise VerifyError("no usable cells for the energy quadrature")
-    qvals = cs.Q[keep]
     if not model.in_domain(qvals).all():
         raise VerifyError("quadrature hit Q outside the density domain")
     e = energy_density(model, qvals)

@@ -1150,6 +1150,18 @@ def test_block_writer_matches_the_per_cell_writer(tmp_path, monkeypatch, block_r
         assert got == (",".join(header) + "\n").encode()
 
 
+def test_block_writer_on_the_array_path_matches_the_per_cell_writer(tmp_path, monkeypatch):
+    # every float column of every block goes through _format_floats, the
+    # special values (-0.0, NaN, inf) in the last column, before the newline
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 100)
+    monkeypatch.setattr(cli, "ARRAY_FORMAT_MIN", 8)
+    header, columns = _mixed_columns(4 * 100 + 37)
+    header, columns = header[1:] + header[:1], columns[1:] + columns[:1]
+    _write_csv(str(tmp_path / "block.csv"), header, columns)
+    _write_csv_per_cell(str(tmp_path / "cell.csv"), header, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
 FLOAT_ORACLE_CASES = ("random-bits", "near-ties", "powers-of-ten", "switch-points", "subnormal",
                       "dyadic", "specials")
 
@@ -1204,7 +1216,7 @@ def test_array_formatter_sends_few_values_to_python(monkeypatch):
     """A change that quietly formats everything through Python fails here."""
     sent = []
 
-    def counted(v):
+    def counted(v, sep):
         sent.append(v.size)
         return [None] * v.size
 
@@ -1214,7 +1226,7 @@ def test_array_formatter_sends_few_values_to_python(monkeypatch):
     assert sum(sent) < 0.05 * values.size
     # a block column of 4096 distinct values takes the array path too
     sent.clear()
-    cli._column_text("float", np.random.default_rng(3).standard_normal(4096))
+    cli._column_text("float", np.random.default_rng(3).standard_normal(4096), ",")
     assert sum(sent) < 0.05 * 4096
 
 

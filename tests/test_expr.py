@@ -430,6 +430,61 @@ def test_tape_matches_the_recursive_oracle_at_the_default_block_size(m):
                              f"{expr.to_string(e)} N={n}")
 
 
+def _bits_but_nan_sign(x):
+    """int64 view with only the sign of a NaN cleared."""
+    return np.where(np.isnan(x), np.abs(x), x).view(np.int64)
+
+
+@pytest.mark.parametrize("R", (4.0, -1.0, 0.0))
+def test_passive_entries_evaluated_once_per_call_match_any_block_size(monkeypatch, R):
+    """Passive entries, with no variable below them, are evaluated once at the
+    block width and sliced per block: a short block width changes no bit,
+    defined or not (log(-1), sqrt(0) under a moving factor, 1/0)."""
+    texts = ["sqrt(R)*x1 + 4*R*x2 - 2*sqrt(R)", "log(R)*x1^2", "sqrt(R)*sqrt(x1)",
+             "x2/(R - R) + x1", "(R - R)^0*x1 + sqrt(R)^1*x2", "x1^sqrt(R)",
+             "2*sqrt(R) + 4*R", "1/(R - R)"]
+    rng = np.random.default_rng(41)
+    pts = sample_points(rng, 50, [-2.0, -2.0], [2.0, 2.0])
+    for text in texts:
+        e = expr.parse(text, X2, ("R",))
+        whole = expr.eval_jets(e, pts, {"R": R})
+        monkeypatch.setattr(expr, "BLOCK_ROWS", 7)
+        blocked = expr.eval_jets(e, pts, {"R": R})
+        monkeypatch.undo()
+        for name in ("val", "grad", "hess"):
+            np.testing.assert_array_equal(_bits_but_nan_sign(getattr(blocked, name)),
+                                          _bits_but_nan_sign(getattr(whole, name)), err_msg=text)
+        np.testing.assert_array_equal(blocked.bad, whole.bad, err_msg=text)
+
+
+SIGNED_POW_BASES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 2.2e-308, -1.0,
+                             -2.5, 0.5, 3.0, 1.7976931348623157e308, -1.7976931348623157e308,
+                             np.inf, -np.inf, np.nan, -np.nan])
+
+
+@pytest.mark.parametrize("p0", (0.0, 1.0))
+def test_signed_pow_of_exponent_zero_or_one_is_np_power(p0):
+    p = np.full(SIGNED_POW_BASES.size, p0)
+    mag = np.power(np.abs(SIGNED_POW_BASES), p)
+    want = mag * np.where(SIGNED_POW_BASES < 0, -1.0, 1.0) if p0 == 1.0 else mag
+    got = expr._signed_pow(SIGNED_POW_BASES, p, p0, True)
+    np.testing.assert_array_equal(_bits_but_nan_sign(got), _bits_but_nan_sign(want))
+
+
+def test_platform_pow_of_exponent_zero_and_one_is_exact():
+    """The reference hashes were recorded with numpy's pow; _signed_pow gives
+    x^0 and x^1 without it, which matches only where pow is exact there.  A
+    NaN only has to stay a NaN: pow quiets the signaling ones of random bits."""
+    rng = np.random.default_rng(97)
+    y = rng.integers(-2 ** 63, 2 ** 63 - 1, 10 ** 6, dtype=np.int64, endpoint=True).view(np.float64)
+    y[:SIGNED_POW_BASES.size] = SIGNED_POW_BASES
+    with np.errstate(invalid="ignore"):
+        for one in (1.0, np.ones(y.size)):
+            np.testing.assert_array_equal(_bits(np.power(y, one)), _bits(y))
+        for zero in (0.0, np.zeros(y.size)):
+            assert (np.power(y, zero) == 1.0).all()
+
+
 def test_tape_computes_each_repeated_subexpression_once():
     from streamfields.drive import RADIAL_LOG_F
 

@@ -577,6 +577,46 @@ def test_gamma_least_squares_raises_on_a_non_finite_matrix_entry_as_lstsq_does(r
     assert np.isfinite(_least_squares(A, b, usable)[0][usable]).all()
 
 
+_INFINITE_ENTRY_SCRIPT = """
+import sys
+import numpy as np
+from streamfields.forms import _least_squares
+
+rng = np.random.default_rng(5)
+A, b = rng.standard_normal((30, 5, 3)), rng.standard_normal((30, 5))
+A[4, 0, 0] = np.inf
+try:
+    _least_squares(A, b, np.ones(30, dtype=bool))
+except np.linalg.LinAlgError:
+    print("raised")
+A[4, 0, 0], b[4, 0] = 0.5, np.inf
+np.savez(sys.argv[1], A=A, b=b, x=_least_squares(A, b, np.ones(30, dtype=bool))[0])
+"""
+
+
+def test_gamma_least_squares_with_an_infinite_entry_ends_in_bounded_time(tmp_path):
+    # An inf in a 5x3 A sends gelsd, and np.linalg.lstsq, into a loop that
+    # never ends; the solve runs in a subprocess, so a hang fails the timeout.
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "solved.npz"
+    proc = subprocess.run([sys.executable, "-c", _INFINITE_ENTRY_SCRIPT, str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"]
+    # an infinite b is solved as lstsq solves it: row 4 is NaN, every other
+    # row is the per-row lstsq bit for bit
+    got = np.load(out)
+    want = _oracle_least_squares(got["A"], got["b"], np.ones(30, dtype=bool))[0]
+    assert np.isnan(got["x"][4]).all()
+    assert _same_bits(got["x"], want)
+
+
 def test_gamma_least_squares_without_the_private_gelsd_name_is_bit_for_bit_the_same(
         rng, monkeypatch):
     """A numpy that moves numpy.linalg._umath_linalg.lstsq gets the per-point

@@ -276,6 +276,32 @@ def test_energy_mask_and_domain_guard():
         energy(model, sol, mask=lambda pts: np.zeros(pts.shape[0], dtype=bool))
 
 
+def test_energy_synthesizes_the_cell_centres_in_blocks(monkeypatch):
+    """No centre synthesis takes more than SYNTH_BLOCK points, and the
+    blocked energy is bit-equal to the one-call value."""
+    from streamfields import synth
+    from streamfields import verify as verifymod
+
+    cases = [vortex_solution(cells=24, lim=0.7)[:2]]
+    model = custom("1/sqrt(1 + Q)", q_max=100.0)
+    cases.append((model, synthesize(model, gradient_drive(2, "0.1*(x1^2 + x2^2)"),
+                                    prefer_type1(), GridSpec((0, 0), (1, 1), (24, 24)))))
+    half = lambda pts: pts[:, 0] + pts[:, 1] > 0.3  # noqa: E731
+    whole = [energy(model, sol, mask=m) for model, sol in cases for m in (None, half)]
+    sizes = []
+    synthesize_at_points = verifymod.synthesize_at_points
+
+    def recorded(model, d, policy, points, **kw):
+        sizes.append(len(points))
+        return synthesize_at_points(model, d, policy, points, **kw)
+
+    monkeypatch.setattr(verifymod, "synthesize_at_points", recorded)
+    monkeypatch.setattr(synth, "SYNTH_BLOCK", 100)
+    blocked = [energy(model, sol, mask=m) for model, sol in cases for m in (None, half)]
+    assert np.array(blocked).view(np.int64).tolist() == np.array(whole).view(np.int64).tolist()
+    assert max(sizes) == 100 and sum(sizes) == 4 * 24 * 24
+
+
 def test_all_masked_raises():
     model = shallow_water()
     d = scalar_drive("10*x1")  # xi = 100 sits above both physical images
