@@ -123,9 +123,11 @@ class DensityModel:
         with np.errstate(all="ignore"):
             return q * self.rho(q) ** 2
 
-    def phi_prime(self, q) -> np.ndarray:
+    def phi_prime(self, q, r=None) -> np.ndarray:
+        """phi'(Q) = rho (rho + 2 Q rho'); ``r``, if given, is the caller's
+        rho(q), so rho is not evaluated a second time."""
         q = np.asarray(q, dtype=float)
-        r = self.rho(q)
+        r = self.rho(q) if r is None else r
         rp = self.rho_prime(q)
         with np.errstate(all="ignore"):
             return r * (r + 2.0 * q * rp)

@@ -6,12 +6,15 @@ a_i = sum_{j != i} d_j F_ij (divergence-free by construction); a gradient
 drive contributes a = grad f (curl-free); a raw field is taken as given and
 validated against its declared closure at construction.  All evaluation goes
 through second-order jets, so Jacobians, laplacians and grad ||a||^2 are
-analytic, not differenced.
+analytic, not differenced.  A DriveBatch builds its Jacobian and grad ||a||^2
+on first read, from the jets' derivative rows it holds until then:
+synthesis reads neither; the witnesses and the eta evaluator do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -133,16 +136,58 @@ def raw_drive(
     return d
 
 
-@dataclass
 class DriveBatch:
-    """Vectorized samples: a (N,n), xi (N,), jac[r,c]=d_c a_r, grad_xi (N,n)."""
+    """Vectorized samples: a (N,n), xi (N,), laplacian_f (N,) (NaN for kinds
+    without a scalar potential) and bad (N,).  jac[r,c] = d_c a_r (N,n,n) and
+    grad_xi (N,n) are built on first read from the derivative rows the batch
+    holds, which are dropped once jac is built; synthesis reads neither."""
 
-    a: np.ndarray
-    xi: np.ndarray
-    jac: np.ndarray
-    grad_xi: np.ndarray
-    laplacian_f: np.ndarray  # NaN for kinds without a scalar potential
-    bad: np.ndarray
+    def __init__(self, drive: "DriveField", a, xi, laplacian_f, bad, rows):
+        self.a, self.xi, self.laplacian_f, self.bad = a, xi, laplacian_f, bad
+        self._drive, self._rows = drive, rows
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        jac = _jacobian(self._drive, self._rows, self.a.shape[0])
+        self._rows = None
+        if np.any(self.bad):
+            jac[self.bad] = np.nan
+        return jac
+
+    @cached_property
+    def grad_xi(self) -> np.ndarray:
+        return 2.0 * np.einsum("nij,ni->nj", self.jac, self.a)
+
+
+def _jacobian(d: "DriveField", rows: list, npts: int) -> np.ndarray:
+    """d_c a_r from the held rows: the packed Hessian rows of the potential
+    (Scalar2D, GradientDrive) or of each skew entry, or each raw component's
+    gradient rows; entries are combined in the order of the eager formulas."""
+    n = d.dim
+    if isinstance(d, Scalar2D):
+        (h,) = rows  # packed rows (0, 0), (0, 1), (1, 1)
+        jac = np.empty((npts, 2, 2))
+        jac[:, 0, 0] = -h[1]
+        jac[:, 0, 1] = -h[2]
+        jac[:, 1, 0] = h[0]
+        jac[:, 1, 1] = h[1]
+    elif isinstance(d, GradientDrive):
+        (h,) = rows
+        jac = np.empty((npts, n, n))
+        for r in range(n):
+            for c in range(n):
+                jac[:, r, c] = h[exprmod.tri_row(r, c, n)]
+    elif isinstance(d, SkewMatrix):
+        jac = np.zeros((npts, n, n))
+        for (i, j), h in zip(d.entries, rows):
+            for c in range(n):
+                jac[:, i - 1, c] += h[exprmod.tri_row(j - 1, c, n)]
+                jac[:, j - 1, c] -= h[exprmod.tri_row(i - 1, c, n)]
+    else:
+        jac = np.empty((npts, n, n))
+        for r, g in enumerate(rows):
+            jac[:, r, :] = g.T
+    return jac
 
 
 def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
@@ -152,39 +197,30 @@ def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
     npts, n = pts.shape
     if isinstance(d, (Scalar2D, GradientDrive)):
         jets = exprmod.eval_jets(d.f, pts, d.params)
-        g, hess = jets.grad, jets.hess
-        if isinstance(d, Scalar2D):
-            a = np.stack([-g[:, 1], g[:, 0]], axis=1)
-            jac = np.empty((npts, 2, 2))
-            jac[:, 0, 0] = -hess[:, 0, 1]
-            jac[:, 0, 1] = -hess[:, 1, 1]
-            jac[:, 1, 0] = hess[:, 0, 0]
-            jac[:, 1, 1] = hess[:, 0, 1]
-        else:
-            a = g.copy()
-            jac = hess.copy()
-        lap = sum((hess[:, i, i] for i in range(n)), 0.0)  # np.trace, bit for bit
-        bad = jets.bad.copy()
+        g, h = jets.grad_rows, jets.hess_rows
+        a = np.stack([-g[1], g[0]], axis=1) if isinstance(d, Scalar2D) else g.T.copy()
+        # np.trace of the Hessian, bit for bit, from its contiguous diagonal rows
+        lap = sum((h[exprmod.tri_row(i, i, n)] for i in range(n)), 0.0)
+        bad, rows = jets.bad, [h]
     elif isinstance(d, SkewMatrix):
         a = np.zeros((npts, n))
-        jac = np.zeros((npts, n, n))
         bad = np.zeros(npts, dtype=bool)
+        rows = []
         for (i, j), e in d.entries.items():
             jets = exprmod.eval_jets(e, pts, d.params)
-            a[:, i - 1] += jets.grad[:, j - 1]
-            a[:, j - 1] -= jets.grad[:, i - 1]
-            jac[:, i - 1, :] += jets.hess[:, j - 1, :]
-            jac[:, j - 1, :] -= jets.hess[:, i - 1, :]
+            a[:, i - 1] += jets.grad_rows[j - 1]
+            a[:, j - 1] -= jets.grad_rows[i - 1]
+            rows.append(jets.hess_rows)
             bad |= jets.bad
         lap = np.full(npts, np.nan)
     elif isinstance(d, RawField):
         a = np.empty((npts, n))
-        jac = np.empty((npts, n, n))
         bad = np.zeros(npts, dtype=bool)
+        rows = []
         for i, e in enumerate(d.alpha):
             jets = exprmod.eval_jets(e, pts, d.params)
             a[:, i] = jets.val
-            jac[:, i, :] = jets.grad
+            rows.append(jets.grad_rows)
             bad |= jets.bad
         lap = np.full(npts, np.nan)
     else:
@@ -192,11 +228,9 @@ def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
 
     if np.any(bad):
         a[bad] = np.nan
-        jac[bad] = np.nan
         lap[bad] = np.nan
     xi = np.einsum("ni,ni->n", a, a)
-    grad_xi = 2.0 * np.einsum("nij,ni->nj", jac, a)
-    return DriveBatch(a=a, xi=xi, jac=jac, grad_xi=grad_xi, laplacian_f=lap, bad=bad)
+    return DriveBatch(d, a, xi, lap, bad, rows)
 
 
 # ---------------------------------------------------------------------------

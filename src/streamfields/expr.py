@@ -9,12 +9,17 @@ refuses expressions nested deeper than ``MAX_DEPTH`` levels.
 distinct ``(op, child entries)``, so a repeated subexpression is computed
 once.  A passive entry, one with no variable below it, is evaluated once per
 call and sliced per block; every other entry runs over blocks of
-``BLOCK_ROWS`` points.  A constant exponent of 0 or 1 makes no ``pow`` call
-(the results are exact: 1, and the base).  Each entry holds a hyper-dual
-("jet") value for the block, stored component-major: value (B,), gradient
-(m, B) and the upper triangle of the symmetric Hessian (m(m+1)/2, B).  Every rule keeps the terms of the hyper-dual formula and
-their order, so a point's jet does not depend on the block it falls in
-(only the sign of a NaN may, as in any numpy loop).
+``BLOCK_ROWS`` points, and its slot is freed after its last reader on the
+tape.  A constant exponent of 0 or 1 makes no ``pow`` call (the results are
+exact: 1, and the base).  Each entry holds a hyper-dual ("jet") value for the
+block, stored component-major: value (B,), gradient (m, B) and the upper
+triangle of the symmetric Hessian (m(m+1)/2, B).  A ``JetBatch`` keeps the
+same layout over all N points, row-major per component: each block's rows
+are copied into its rows, and the point-major ``grad`` view and dense
+``hess`` are there for the callers that read them.  Every rule keeps the
+terms of the hyper-dual formula and their order, so a point's jet does not
+depend on the block it falls in (only the sign of a NaN may, as in any
+numpy loop).
 Domain failures (``log`` of a nonpositive number, division by zero, ``abs``
 differentiated at zero, ...) mark the affected points undefined instead of
 raising.
@@ -102,16 +107,36 @@ class Expression:
         return _lower(self.root)
 
 
+def tri_row(i: int, j: int, m: int) -> int:
+    """Row of Hessian entry (i, j) among the m(m+1)/2 packed upper-triangle
+    rows: (0, 0), (0, 1), ..., (0, m-1), (1, 1), ..., (m-1, m-1)."""
+    i, j = min(i, j), max(i, j)
+    return i * m - i * (i - 1) // 2 + j - i
+
+
 class JetBatch:
-    """Jets over N points: val (N,), grad (N,m), hess (N,m,m), bad (N,)."""
+    """Jets over N points, component-major: val (N,), gradient rows
+    grad_rows (m, N), packed upper-triangle Hessian rows hess_rows
+    (m(m+1)/2, N, in tri_row order) and bad (N,).  ``grad`` is the (N, m)
+    view of the rows; ``hess`` is the dense (N, m, m) stack, built on read."""
 
-    __slots__ = ("val", "grad", "hess", "bad")
+    __slots__ = ("val", "grad_rows", "hess_rows", "bad")
 
-    def __init__(self, val, grad, hess, bad):
+    def __init__(self, val, grad_rows, hess_rows, bad):
         self.val = val
-        self.grad = grad
-        self.hess = hess
+        self.grad_rows = grad_rows
+        self.hess_rows = hess_rows
         self.bad = bad
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self.grad_rows.T
+
+    @property
+    def hess(self) -> np.ndarray:
+        m = self.grad_rows.shape[0]
+        packed = [[tri_row(i, j, m) for j in range(m)] for i in range(m)]
+        return self.hess_rows[packed].transpose(2, 0, 1)
 
 
 _TOKEN_RE = re.compile(
@@ -493,9 +518,11 @@ def _binary(op: str, a, b):
 def _pow_const(a, p):
     """a^p for an exponent without variables (``p`` is its full array, one
     value throughout): the power rule, with negative bases allowed for
-    integral p.  Sign flips are applied only for odd powers and the at-zero
-    fixes only where a is zero; a factor of 1.0 or a select of nothing changes
-    no bit, so skipping them is exact."""
+    integral p.  The factors p and p(p-1) multiply as the Python floats p0 and
+    p0(p0-1), the same IEEE products as the arrays', and an exponent array is
+    built only for a pow call.  Sign flips are applied only for odd powers and
+    the at-zero fixes only where a is zero; a factor of 1.0 or a select of
+    nothing changes no bit, so skipping them is exact."""
     av, ak = a[0], a[3]
     p0 = float(p[0])
     if p0 == 0.0:
@@ -507,69 +534,101 @@ def _pow_const(a, p):
     if not integral:
         bad |= av < 0.0
     val = _signed_pow(av, p, p0, integral)
-    d1 = p * _signed_pow(av, p - 1.0, p0 - 1.0, integral)
-    d2 = p * (p - 1.0) * _signed_pow(av, p - 2.0, p0 - 2.0, integral)
+    d1 = _signed_pow(av, None, p0 - 1.0, integral)
+    d1 *= p0
+    d2 = _signed_pow(av, None, p0 - 2.0, integral)
+    d2 *= p0 * (p0 - 1.0)
     at_zero = av == 0.0
     if np.any(at_zero):
-        bad |= at_zero & (p <= 0)
-        if 0 < p0 < 2.0:
+        if p0 <= 0:
+            bad |= at_zero
+        elif p0 < 2.0:
             bad |= at_zero & _moving(a)
-        d1 = np.where(at_zero & (p >= 2.0), 0.0, d1)
-        d2 = np.where(at_zero & (p >= 3.0), 0.0, d2)
-        d2 = np.where(at_zero & (p == 2.0), 2.0, d2)
+        if p0 >= 2.0:
+            d1[at_zero] = 0.0
+        if p0 >= 3.0:
+            d2[at_zero] = 0.0
+        elif p0 == 2.0:
+            d2[at_zero] = 2.0
     return _through(a, val, d1, d2, bad)
 
 
-def _signed_pow(base: np.ndarray, p: np.ndarray, p0: float, integral: bool) -> np.ndarray:
-    """base^p, NaN for negative base unless p is integral, negative for odd p
-    and negative base; ``p`` holds p0 throughout.  pow(x, 0) is 1 for every x,
-    NaN included, and pow(|x|, 1) is |x|, so those two make no pow call; a
-    higher power does, since pow(x, 2) and x*x can differ in the last bit."""
+def _signed_pow(base: np.ndarray, p: Optional[np.ndarray], p0: float, integral: bool) -> np.ndarray:
+    """base^p0, NaN for negative base unless p0 is integral, negative for odd
+    p0 and negative base.  ``p`` is the exponent array np.power reads (p0
+    throughout), or None to have it built only where pow is called.  pow(x, 0)
+    is 1 for every x, NaN included, and pow(|x|, 1) is |x|, so those two make
+    no pow call; a higher power does, since pow(x, 2) and x*x can differ in
+    the last bit.  The sign of an odd power is a masked in-place negation."""
+    def exponent():
+        return np.full(base.shape, p0) if p is None else p
+
     if not integral:
-        return np.power(np.where(base < 0, np.nan, base), p)
+        return np.power(np.where(base < 0, np.nan, base), exponent())
     if p0 == 0.0:
         return np.ones(base.shape)
-    mag = np.abs(base) if p0 == 1.0 else np.power(np.abs(base), p)
-    return mag * np.where(base < 0, -1.0, 1.0) if abs(p0) % 2.0 == 1.0 else mag
+    mag = np.abs(base) if p0 == 1.0 else np.power(np.abs(base), exponent())
+    if abs(p0) % 2.0 == 1.0:
+        np.negative(mag, out=mag, where=base < 0)
+    return mag
 
 
-def _run(code: list, passive: dict, pts: np.ndarray) -> tuple:
+def _last_readers(code: list) -> list:
+    """For each step i of the tape, the entries whose last reader is step i:
+    their slots can be released once step i has run.  The root has no reader
+    and is never released."""
+    last = {}
+    for i, (op, a, b) in enumerate(code):
+        if op not in ("const", "param", "var"):
+            last[a] = i
+            if b is not None:
+                last[b] = i
+    release: list = [[] for _ in code]
+    for entry, i in last.items():
+        release[i].append(entry)
+    return release
+
+
+def _run(code: list, passive: dict, pts: np.ndarray, release: list) -> tuple:
     """Jet of the tape's root over one block of points.  No op writes into
-    its input slots, so the passive jets serve every block."""
+    its input slots, so the passive jets serve every block; a slot is dropped
+    after its last reader (``release``, from _last_readers), so only the live
+    entries' jets are held."""
     rows = pts.shape[0]
-    slots: list = []
+    slots: list = [None] * len(code)
     for i, (op, a, b) in enumerate(code):
         if i in passive:
             val, grad, tri, ok = passive[i]
             val = pts[:, a].copy() if op == "var" else val[:rows]
-            slots.append((val, grad[:, :rows], tri[:, :rows], ok[:rows]))
+            slots[i] = (val, grad[:, :rows], tri[:, :rows], ok[:rows])
         elif b is None:
-            slots.append(_unary(op, slots[a]))
+            slots[i] = _unary(op, slots[a])
         else:
-            slots.append(_binary(op, slots[a], slots[b]))
+            slots[i] = _binary(op, slots[a], slots[b])
+        for entry in release[i]:
+            slots[entry] = None
     return slots[-1]
 
 
 def eval_jets(e: Expression, points: np.ndarray, params: Optional[Mapping[str, float]] = None) -> JetBatch:
-    """Evaluate value/gradient/Hessian over an (N, m) batch of points."""
+    """Evaluate value/gradient/Hessian over an (N, m) batch of points.  Each
+    block's component rows are copied into the batch's rows as they are."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(e.variables):
         raise ValueError(f"expected points of shape (N, {len(e.variables)})")
     n, m = pts.shape
     rows = max(1, min(n, BLOCK_ROWS))
-    # the packed upper-triangle row of each dense Hessian entry (i, j)
-    ti, tj = np.triu_indices(m)
-    packed = np.empty((m, m), dtype=np.intp)
-    packed[ti, tj] = packed[tj, ti] = np.arange(ti.size)
-    out = JetBatch(np.empty(n), np.empty((n, m)), np.empty((n, m, m)), np.empty(n, dtype=bool))
+    out = JetBatch(np.empty(n), np.empty((m, n)), np.empty((m * (m + 1) // 2, n)),
+                   np.empty(n, dtype=bool))
+    release = _last_readers(e._tape)
     with np.errstate(all="ignore"):
         passive = _passive_jets(e._tape, params or {}, rows, m)
         for start in range(0, n, rows):
             block = slice(start, start + rows)
-            val, grad, tri, bad = _run(e._tape, passive, pts[block])
+            val, grad, tri, bad = _run(e._tape, passive, pts[block], release)
             out.val[block] = val
-            out.grad[block] = grad.T
-            out.hess[block] = tri[packed].transpose(2, 0, 1)
+            out.grad_rows[:, block] = grad
+            out.hess_rows[:, block] = tri
             # IEEE + and * commute, so the triangle is finite iff the full Hessian is.
             bad = bad | ~np.isfinite(val)
             bad |= ~np.isfinite(grad).all(axis=0)

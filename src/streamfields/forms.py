@@ -357,10 +357,12 @@ def _least_squares(A: np.ndarray, b: np.ndarray, usable: np.ndarray) -> tuple:
             xu, _, rank, _ = gelsd(Au, bu[:, :, None], np.finfo(float).eps * max(m, cols),
                                    signature="ddd->ddid")
         xu = xu[:, :, 0]
-    # a matmul inner product is norm's BLAS dot bit for bit; einsum is not
-    r = (Au @ xu[:, :, None])[:, :, 0] - bu
+    # a matmul inner product is norm's BLAS dot bit for bit; einsum is not.
+    # A b near the double limit may overflow here, as in norm, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (Au @ xu[:, :, None])[:, :, 0] - bu
+        defect[usable] = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
     x[usable] = xu
-    defect[usable] = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
     rank_def[usable] = rank < min(m, cols)
     return x, defect, rank_def
 

@@ -303,8 +303,9 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
     sel[failed] = 0
 
     on_branch = sel != 0
-    rho_c = np.where(on_branch, model.rho(Q), np.nan)
-    phi_p = np.where(on_branch, model.phi_prime(Q), np.nan)
+    rho_q = model.rho(Q)
+    rho_c = np.where(on_branch, rho_q, np.nan)
+    phi_p = np.where(on_branch, model.phi_prime(Q, rho_q), np.nan)
 
     with np.errstate(all="ignore"):
         primary = on_branch & np.isfinite(rho_c) & (np.abs(rho_c) >= tol.rho_zero)

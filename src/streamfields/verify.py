@@ -5,6 +5,9 @@ The package's one finite-difference core lives here (`stencil`, `curl_max`,
 The residuals here use second-order central differences on the uniform grid;
 frobenius uses fourth order for its conservative curl gate and eta post-check.
 Nodes without a full stencil of clean neighbors are masked, never one-sided.
+A stencil writes its differences into its output slice and divides there,
+and divergence and curl accumulate in place, in the terms' order; rho w is
+built one contiguous component at a time.
 The mask is exactly the union of singular flags (nonphysical-branch markers
 are informational, not singular) and every residual's `extra_bad` nodes,
 dilated by one stencil width, plus the boundary.  Reductions are numpy sums
@@ -115,11 +118,19 @@ def stencil(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
         return tuple(sl)
 
     out = np.full_like(values, np.nan)
+    inner = out[at(0)]
+    # written into the output slice in the terms' order, one product temporary
     if order == 2:
-        out[at(0)] = (values[at(1)] - values[at(-1)]) / (2.0 * h)
+        np.subtract(values[at(1)], values[at(-1)], out=inner)
+        inner /= 2.0 * h
     elif order == 4:
-        out[at(0)] = (-values[at(2)] + 8.0 * values[at(1)] - 8.0 * values[at(-1)]
-                      + values[at(-2)]) / (12.0 * h)
+        np.negative(values[at(2)], out=inner)
+        term = np.multiply(values[at(1)], 8.0)
+        inner += term
+        np.multiply(values[at(-1)], 8.0, out=term)
+        inner -= term
+        inner += values[at(-2)]
+        inner /= 12.0 * h
     else:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     return out
@@ -129,14 +140,16 @@ def curls(comps: Sequence[np.ndarray], h, order: int):
     """Yield (i, j, d_i c_j - d_j c_i) for every pair i < j of grid components."""
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            yield i, j, stencil(comps[j], i, h[i], order) - stencil(comps[i], j, h[j], order)
+            curl = stencil(comps[j], i, h[i], order)
+            curl -= stencil(comps[i], j, h[j], order)
+            yield i, j, curl
 
 
 def curl_max(comps: Sequence[np.ndarray], h, order: int) -> np.ndarray:
     """Max over i < j of |d_i c_j - d_j c_i| per node (NaN where a stencil is missing)."""
     worst = np.zeros(comps[0].shape)
     for _, _, curl in curls(comps, h, order):
-        worst = np.maximum(worst, np.abs(curl))
+        np.maximum(worst, np.abs(curl, out=curl), out=worst)
     return worst
 
 
@@ -144,7 +157,7 @@ def divergence(comps: Sequence[np.ndarray], h, order: int) -> np.ndarray:
     """Sum of d_i c_i over the grid components, one axis at a time."""
     div = np.zeros(comps[0].shape)
     for i, comp in enumerate(comps):
-        div = div + stencil(comp, i, h[i], order)
+        div += stencil(comp, i, h[i], order)
     return div
 
 
@@ -186,8 +199,8 @@ def _rho_w(solution: FieldSolution, model: Optional[DensityModel], grid: GridSpe
     """Grid components of rho(Q) w."""
     model = model or solution.model
     with np.errstate(all="ignore"):
-        u = model.rho(solution.Q)[:, None] * solution.w
-    return [u[:, i].reshape(grid.shape()) for i in range(grid.dim)]
+        rho = model.rho(solution.Q)
+        return [(rho * solution.w[:, i]).reshape(grid.shape()) for i in range(grid.dim)]
 
 
 def divergence_residual(solution: FieldSolution, model: Optional[DensityModel] = None,

@@ -16,6 +16,8 @@ from streamfields import (
     shallow_vortex,
     skew_drive,
 )
+from streamfields import drive as drivemod
+from streamfields.expr import eval_jets
 from conftest import fd_value_grad_hess
 
 
@@ -166,3 +168,108 @@ def test_scalar_drive_is_divergence_free(c1, c2, x, y):
     batch = drive_batch(d, np.array([[x, y]]))
     trace = np.trace(batch.jac[0])
     assert trace == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# jac and grad_xi, built on first read, against the eager formulas they replaced
+
+
+def _eager_jac_and_grad_xi(d, pts):
+    """The eager drive_batch body, kept as the oracle: dense point-major jets,
+    NaN rows where the drive is undefined, and grad_xi by the same einsum."""
+    npts, n = pts.shape
+    if isinstance(d, (drivemod.Scalar2D, drivemod.GradientDrive)):
+        jets = eval_jets(d.f, pts, d.params)
+        g, hess = jets.grad, jets.hess
+        if isinstance(d, drivemod.Scalar2D):
+            a = np.stack([-g[:, 1], g[:, 0]], axis=1)
+            jac = np.empty((npts, 2, 2))
+            jac[:, 0, 0] = -hess[:, 0, 1]
+            jac[:, 0, 1] = -hess[:, 1, 1]
+            jac[:, 1, 0] = hess[:, 0, 0]
+            jac[:, 1, 1] = hess[:, 0, 1]
+        else:
+            a = g.copy()
+            jac = hess.copy()
+        bad = jets.bad.copy()
+    elif isinstance(d, drivemod.SkewMatrix):
+        a = np.zeros((npts, n))
+        jac = np.zeros((npts, n, n))
+        bad = np.zeros(npts, dtype=bool)
+        for (i, j), e in d.entries.items():
+            jets = eval_jets(e, pts, d.params)
+            a[:, i - 1] += jets.grad[:, j - 1]
+            a[:, j - 1] -= jets.grad[:, i - 1]
+            jac[:, i - 1, :] += jets.hess[:, j - 1, :]
+            jac[:, j - 1, :] -= jets.hess[:, i - 1, :]
+            bad |= jets.bad
+    else:
+        a = np.empty((npts, n))
+        jac = np.empty((npts, n, n))
+        bad = np.zeros(npts, dtype=bool)
+        for i, e in enumerate(d.alpha):
+            jets = eval_jets(e, pts, d.params)
+            a[:, i] = jets.val
+            jac[:, i, :] = jets.grad
+            bad |= jets.bad
+    a[bad] = np.nan
+    jac[bad] = np.nan
+    return a, jac, 2.0 * np.einsum("nij,ni->nj", jac, a), bad
+
+
+def _all_kinds():
+    """One drive of each kind, with points where it is undefined."""
+    rng = np.random.default_rng(61)
+    planar = rng.uniform(-2.0, 2.0, (300, 2))
+    planar[:40] /= np.hypot(planar[:40, 0], planar[:40, 1])[:, None]  # the unit circle
+    planar[40:45] = 0.0
+    planar[45:48, 1] = np.nan
+    space = rng.uniform(-1.0, 2.0, (300, 3))
+    space[:5] = 0.0
+    space[5:8, 2] = np.inf
+    return [
+        (radial_log(), planar),
+        (shallow_vortex(2.0), planar),
+        (coulomb(), space),
+        (skew_drive(3, {(1, 2): "x3*log(x1)", (1, 3): "sin(x2)*x1^2",
+                        (2, 3): "x1*x2*x3"}), space),
+        (raw_drive(2, ("-x2/(x1^2+x2^2)", "x1/(x1^2+x2^2)"), "divergence_free",
+                   ((0.5, 0.5), (1.5, 1.5))), planar),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_jacobian_and_grad_xi_on_first_read_are_the_eager_formulas(case):
+    d, pts = _all_kinds()[case]
+    a, jac, grad_xi, bad = _eager_jac_and_grad_xi(d, pts)
+    batch = drive_batch(d, pts)
+    assert bad.any() and not bad.all()
+    np.testing.assert_array_equal(batch.bad, bad)
+    for got, want in ((batch.a, a), (batch.jac, jac), (batch.grad_xi, grad_xi)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert batch._rows is None  # the held derivative rows are dropped once jac is built
+    assert batch.jac is batch.jac
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_synthesis_reads_neither_the_jacobian_nor_grad_xi(monkeypatch, case):
+    from streamfields import GridSpec, prefer_type1, shallow_water, synth, synthesize_at_points
+
+    reads = []
+
+    def spy(name):
+        return property(lambda self: reads.append(name))
+
+    d, pts = _all_kinds()[case]
+    monkeypatch.setattr(drivemod.DriveBatch, "jac", spy("jac"))
+    monkeypatch.setattr(drivemod.DriveBatch, "grad_xi", spy("grad_xi"))
+    policy = prefer_type1(allow_nonphysical=True)
+    synthesize_at_points(shallow_water(), d, policy, pts)
+    if d.dim == 2:
+        monkeypatch.setattr(synth, "SYNTH_BLOCK", 100)
+        synth.synthesize(shallow_water(), d, policy, GridSpec((0.2, 0.3), (1.7, 1.9), (20, 20)),
+                         workers=2)
+    assert reads == []
+    drive_batch(d, pts[:3]).jac  # the spy sees a read
+    assert reads == ["jac"]

@@ -1,9 +1,12 @@
+import weakref
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfields import expr
+from streamfields import drive, expr
 from conftest import fd_value_grad_hess
 
 X2 = ("x1", "x2")
@@ -130,8 +133,17 @@ def test_round_trip_through_str(p, x):
 # tape must agree with it bit for bit (int64 views) on every input.
 
 
+@dataclass
+class OracleJets:
+    """The oracle's own point-major jets: val (N,), grad (N, m), hess (N, m, m), bad (N,)."""
+    val: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    bad: np.ndarray
+
+
 def _oracle_const(n, m, value):
-    return expr.JetBatch(np.full(n, value, dtype=float), np.zeros((n, m)), np.zeros((n, m, m)),
+    return OracleJets(np.full(n, value, dtype=float), np.zeros((n, m)), np.zeros((n, m, m)),
                          np.zeros(n, dtype=bool))
 
 
@@ -145,7 +157,7 @@ def _oracle_chain(u, val, d1, d2, bad_extra=None):
     bad = u.bad.copy()
     if bad_extra is not None:
         bad |= bad_extra
-    return expr.JetBatch(val, grad, hess, bad)
+    return OracleJets(val, grad, hess, bad)
 
 
 def _oracle_contains_var(node):
@@ -182,7 +194,7 @@ def _oracle_eval(node, pts, params):
     if isinstance(node, expr.Unary):
         u = _oracle_eval(node.arg, pts, params)
         if node.op == "neg":
-            return expr.JetBatch(-u.val, -u.grad, -u.hess, u.bad)
+            return OracleJets(-u.val, -u.grad, -u.hess, u.bad)
         if node.op == "sin":
             return _oracle_chain(u, np.sin(u.val), np.cos(u.val), -np.sin(u.val))
         if node.op == "cos":
@@ -218,21 +230,21 @@ def _oracle_eval(node, pts, params):
     b = _oracle_eval(node.right, pts, params)
     bad = a.bad | b.bad
     if node.op == "+":
-        return expr.JetBatch(a.val + b.val, a.grad + b.grad, a.hess + b.hess, bad)
+        return OracleJets(a.val + b.val, a.grad + b.grad, a.hess + b.hess, bad)
     if node.op == "-":
-        return expr.JetBatch(a.val - b.val, a.grad - b.grad, a.hess - b.hess, bad)
+        return OracleJets(a.val - b.val, a.grad - b.grad, a.hess - b.hess, bad)
     if node.op == "*":
         val = a.val * b.val
         grad = a.val[:, None] * b.grad + b.val[:, None] * a.grad
         hess = (a.val[:, None, None] * b.hess + b.val[:, None, None] * a.hess
                 + _oracle_outer_sym(a.grad, b.grad))
-        return expr.JetBatch(val, grad, hess, bad)
+        return OracleJets(val, grad, hess, bad)
     if node.op == "/":
         bad = bad | (b.val == 0.0)
         val = a.val / b.val
         grad = (a.grad - val[:, None] * b.grad) / b.val[:, None]
         hess = (a.hess - val[:, None, None] * b.hess - _oracle_outer_sym(grad, b.grad)) / b.val[:, None, None]
-        return expr.JetBatch(val, grad, hess, bad)
+        return OracleJets(val, grad, hess, bad)
     raise AssertionError(node.op)
 
 
@@ -280,7 +292,7 @@ def _oracle_pow(a, node, pts, params):
         )
         grad = val[:, None] * gl
         hess = val[:, None, None] * (hl + gl[:, :, None] * gl[:, None, :])
-    return expr.JetBatch(val, grad, hess, bad)
+    return OracleJets(val, grad, hess, bad)
 
 
 def oracle_jets(e, points, params=None):
@@ -597,3 +609,107 @@ def test_parse_of_arbitrary_text_raises_only_expression_error(text):
     assert again.root == e.root
     pts = np.array([[0.5, -1.0], [0.0, 2.0]])
     assert_same_bits(expr.eval_jets(e, pts, {"p": 1.5}), oracle_jets(e, pts, {"p": 1.5}), text)
+
+
+# ---------------------------------------------------------------------------
+# tape slots released after their last reader
+
+
+def _live_bound(code, passive):
+    """For each computed step i of the tape, the number of earlier computed
+    entries still to be read at step i or later (the root is read at the end)."""
+    last = {len(code) - 1: len(code)}
+    for i, (op, a, b) in enumerate(code):
+        if op not in ("const", "param", "var"):
+            last[a] = i
+            if b is not None:
+                last[b] = i
+    computed = [i for i in range(len(code)) if i not in passive]
+    return {i: sum(1 for j in computed if j < i and last.get(j, -1) >= i) for i in computed}
+
+
+@pytest.mark.parametrize("text, names", [(drive.RADIAL_LOG_F, X2), (drive.COULOMB_F, ("x1", "x2", "x3"))],
+                         ids=["radial_log", "coulomb"])
+def test_run_holds_only_the_live_slots_and_any_block_size_is_the_default_run(monkeypatch, text, names):
+    e = expr.parse(text, names)
+    rng = np.random.default_rng(53)
+    pts = sample_points(rng, 50, [-2.0] * len(names), [2.0] * len(names))
+    whole = expr.eval_jets(e, pts)
+    monkeypatch.setattr(expr, "BLOCK_ROWS", 7)
+    assert_same_bits(expr.eval_jets(e, pts), whole, "BLOCK_ROWS=7")
+    monkeypatch.undo()
+
+    code = e._tape
+    passive = expr._passive_jets(code, {}, pts.shape[0], len(names))
+    bound = _live_bound(code, passive)
+    outputs, held = [], []  # weak references to every computed value array; alive counts
+
+    def spy(fn):
+        def counted(*args):
+            held.append(len({id(r()) for r in outputs if r() is not None}))
+            out = fn(*args)
+            outputs.append(weakref.ref(out[0]))
+            return out
+        return counted
+
+    monkeypatch.setattr(expr, "_unary", spy(expr._unary))
+    monkeypatch.setattr(expr, "_binary", spy(expr._binary))
+    with np.errstate(all="ignore"):
+        root = expr._run(code, passive, pts, expr._last_readers(code))
+    monkeypatch.undo()
+    assert len(held) == len(bound)
+    assert held == [bound[i] for i in sorted(bound)]
+    assert max(held) < len(held) - 2  # far fewer than every earlier entry
+    np.testing.assert_array_equal(_bits(root[0]), _bits(whole.val))
+
+
+# ---------------------------------------------------------------------------
+# _pow_const: Python-float factors against the array-factor formulas
+
+
+def _array_signed_pow(base, p, p0, integral):
+    if not integral:
+        return np.power(np.where(base < 0, np.nan, base), p)
+    if p0 == 0.0:
+        return np.ones(base.shape)
+    mag = np.abs(base) if p0 == 1.0 else np.power(np.abs(base), p)
+    return mag * np.where(base < 0, -1.0, 1.0) if abs(p0) % 2.0 == 1.0 else mag
+
+
+def _array_pow_const(a, p):
+    """The power rule with every factor an array, as before the Python-float factors."""
+    av, ak = a[0], a[3]
+    p0 = float(p[0])
+    integral = p0.is_integer()
+    bad = ak.copy()
+    if not integral:
+        bad |= av < 0.0
+    val = _array_signed_pow(av, p, p0, integral)
+    d1 = p * _array_signed_pow(av, p - 1.0, p0 - 1.0, integral)
+    d2 = p * (p - 1.0) * _array_signed_pow(av, p - 2.0, p0 - 2.0, integral)
+    at_zero = av == 0.0
+    if np.any(at_zero):
+        bad |= at_zero & (p <= 0)
+        if 0 < p0 < 2.0:
+            bad |= at_zero & expr._moving(a)
+        d1 = np.where(at_zero & (p >= 2.0), 0.0, d1)
+        d2 = np.where(at_zero & (p >= 3.0), 0.0, d2)
+        d2 = np.where(at_zero & (p == 2.0), 2.0, d2)
+    return expr._through(a, val, d1, d2, bad)
+
+
+@pytest.mark.parametrize("p0", (-2.5, -2.0, -1.0, 0.5, 1.5, 2.0, 3.0, 4.0))
+def test_pow_const_with_float_factors_is_the_array_factor_formula(p0):
+    bases = np.concatenate((SIGNED_POW_BASES, [-3.0, -0.75, 1e-200, -1e-200, 7.5]))
+    rng = np.random.default_rng(71)
+    n = bases.size
+    grad = rng.standard_normal((2, n))
+    tri = rng.standard_normal((3, n))
+    grad[:, ::3] = tri[:, ::3] = 0.0  # still points, where a zero base is not moving
+    a = (bases, grad, tri, rng.random(n) < 0.1)
+    p = np.full(n, p0)
+    with np.errstate(all="ignore"):
+        got, want = expr._pow_const(a, p), _array_pow_const(a, p)
+    for g, w in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(_bits_but_nan_sign(g), _bits_but_nan_sign(w), err_msg=str(p0))
+    np.testing.assert_array_equal(got[3], want[3])

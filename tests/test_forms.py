@@ -561,6 +561,27 @@ def test_gamma_least_squares_matches_lstsq_on_rank_deficient_and_unusable_rows(r
         assert none[0].shape == (40, n)
 
 
+def test_gamma_least_squares_with_b_near_the_double_limit_warns_nothing(rng):
+    """A usable row whose b is finite but overflows the residual gives the
+    per-point lstsq bits, an infinite defect, and no RuntimeWarning."""
+    import warnings
+
+    from streamfields.forms import _least_squares
+
+    A = rng.standard_normal((6, 5, 3))
+    b = rng.standard_normal((6, 5))
+    b[2, 1] = 1e308
+    usable = np.ones(6, dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _least_squares(A, b, usable)
+    with np.errstate(all="ignore"):
+        want = _oracle_least_squares(A, b, usable)
+    assert np.isinf(got[1][2]) and np.isfinite(np.delete(got[1], 2)).all()
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gamma_least_squares_raises_on_a_non_finite_matrix_entry_as_lstsq_does(rng, bad):
     from streamfields.forms import _least_squares

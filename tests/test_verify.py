@@ -401,3 +401,87 @@ def test_interior_matches_the_roll_erosion(rng, shape, width):
     for density in (0.6, 0.9, 0.98):
         mask = rng.uniform(size=shape) < density
         np.testing.assert_array_equal(interior(mask, width), _erode_reference(mask, width))
+
+
+# ---------------------------------------------------------------------------
+# stencils written into their output, against the expressions they replaced
+
+
+def _old_stencil(values, axis, h, order):
+    r = order // 2
+    n = values.shape[axis]
+
+    def at(k):
+        sl = [slice(None)] * values.ndim
+        sl[axis] = slice(r + k, max(n - r + k, 0))
+        return tuple(sl)
+
+    out = np.full_like(values, np.nan)
+    if order == 2:
+        out[at(0)] = (values[at(1)] - values[at(-1)]) / (2.0 * h)
+    else:
+        out[at(0)] = (-values[at(2)] + 8.0 * values[at(1)] - 8.0 * values[at(-1)]
+                      + values[at(-2)]) / (12.0 * h)
+    return out
+
+
+def _holed_grids(rng, shape, count):
+    """Random grid components with NaN holes, infinities and signed zeros."""
+    comps = []
+    for _ in range(count):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        v[rng.random(shape) < 0.05] = np.nan
+        v[rng.random(shape) < 0.01] = -np.nan
+        v[rng.random(shape) < 0.01] = np.inf
+        v[rng.random(shape) < 0.02] = -0.0
+        comps.append(v)
+    return comps
+
+
+@pytest.mark.parametrize("shape", [(17, 13), (9, 11, 7), (3, 5), (4, 6, 5)])
+def test_stencil_divergence_and_curl_in_place_are_the_old_expressions(shape):
+    from streamfields.verify import curl_max, divergence, stencil
+
+    rng = np.random.default_rng(sum(shape))
+    comps = _holed_grids(rng, shape, len(shape))
+    h = rng.uniform(0.01, 0.2, len(shape))
+    for order in (2, 4):
+        with np.errstate(all="ignore"):
+            for axis in range(len(shape)):
+                got = stencil(comps[0], axis, h[axis], order)
+                want = _old_stencil(comps[0], axis, h[axis], order)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            div = np.zeros(shape)
+            worst = np.zeros(shape)
+            for i in range(len(shape)):
+                div = div + _old_stencil(comps[i], i, h[i], order)
+                for j in range(i + 1, len(shape)):
+                    curl = (_old_stencil(comps[j], i, h[i], order)
+                            - _old_stencil(comps[i], j, h[j], order))
+                    worst = np.maximum(worst, np.abs(curl))
+            np.testing.assert_array_equal(divergence(comps, h, order).view(np.int64),
+                                          div.view(np.int64))
+            np.testing.assert_array_equal(curl_max(comps, h, order).view(np.int64),
+                                          worst.view(np.int64))
+
+
+@pytest.mark.parametrize("cells", [(12, 10), (6, 5, 4)])
+def test_rho_w_by_contiguous_components_is_the_old_product(cells):
+    from streamfields.verify import _rho_w
+
+    dim = len(cells)
+    grid = GridSpec((-1.0,) * dim, (1.0,) * dim, cells)
+    model = born_infeld() if dim == 3 else shallow_water()
+    sol = synthesize(model, coulomb() if dim == 3 else shallow_vortex(1.0),
+                     prefer_type1(allow_nonphysical=True), grid)
+    rng = np.random.default_rng(dim)
+    sol.w[rng.random(sol.w.shape[0]) < 0.1] = np.nan
+    sol.Q[rng.random(sol.Q.shape[0]) < 0.05] = np.nan
+    with np.errstate(all="ignore"):
+        u = model.rho(sol.Q)[:, None] * sol.w
+    want = [u[:, i].reshape(grid.shape()) for i in range(dim)]
+    got = _rho_w(sol, None, grid)
+    assert len(got) == dim
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
