@@ -161,8 +161,8 @@ class DriveBatch:
 
 def _jacobian(d: "DriveField", rows: list, npts: int) -> np.ndarray:
     """d_c a_r from the held rows: the packed Hessian rows of the potential
-    (Scalar2D, GradientDrive) or of each skew entry, or each raw component's
-    gradient rows; entries are combined in the order of the eager formulas."""
+    (Scalar2D, GradientDrive) or of each skew entry, in entry order, or each
+    raw component's gradient rows."""
     n = d.dim
     if isinstance(d, Scalar2D):
         (h,) = rows  # packed rows (0, 0), (0, 1), (1, 1)

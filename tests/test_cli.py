@@ -55,6 +55,27 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_builds_its_argument_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    build = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for sub in ("synth", "verify", "synth"):
+            assert main([sub, "--example", "no-such-example", "--out", str(tmp_path / "o")]) == 2
+        assert main(["verify", "--example", "shallow-vortex", "--levels", "0"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and "no-such-example" in err[0] and "--levels" in err[3]
+
+
 @pytest.mark.parametrize("example, command, section, key, value", [
     ("shallow-vortex", "synth", "tol", "eps_rho", "abc"),
     ("extremal-patching-study", "synth", "policy", "branch", "x"),
