@@ -328,7 +328,7 @@ def mask_predicate(expr_text: Optional[str], dim: int):
     e = exprmod.parse(expr_text, drivemod.coord_names(dim))
 
     def predicate(points):
-        jets = exprmod.eval_jets(e, points)
+        jets = exprmod.eval_jets(e, points, order=0)
         return ~jets.bad & (jets.val > 0.0)
 
     return predicate

@@ -382,13 +382,20 @@ def custom(
     if e.variables != ("Q",):
         raise DensityError("custom density must be an expression in the single variable Q")
 
+    def rho_only(q: np.ndarray):
+        # values only: a kink such as abs(Q - 1) at Q = 1 leaves rho defined
+        jets = exprmod.eval_jets(e, q.reshape(-1, 1), order=0)
+        return np.where(jets.bad, np.nan, jets.val).reshape(q.shape)
+
     def rho_and_prime(q: np.ndarray):
-        jets = exprmod.eval_jets(e, q.reshape(-1, 1))
+        jets = exprmod.eval_jets(e, q.reshape(-1, 1), order=1)
         r = np.where(jets.bad, np.nan, jets.val)
-        rp = np.where(jets.bad, np.nan, jets.grad[:, 0])
+        rp = np.where(jets.bad, np.nan, jets.grad_rows[0])
         return r.reshape(q.shape), rp.reshape(q.shape)
 
     def phi_arr(q):
+        # order 1, as phi': phi's definedness places the branch ends, and a
+        # value-only phi would move the ends at the zeros of a sqrt
         q = np.asarray(q, dtype=float)
         r, _ = rho_and_prime(q)
         with np.errstate(all="ignore"):
@@ -428,7 +435,7 @@ def custom(
         kind="custom",
         q_domain=(Interval(float(q_min), domain_hi, True, q_max is not None),),
         params={"expr": exprmod.to_string(e), "q_min": float(q_min), "q_max": q_max},
-        rho_fn=lambda q: rho_and_prime(q)[0],
+        rho_fn=rho_only,
         rho_prime_fn=lambda q: rho_and_prime(q)[1],
         branch_list=tuple(branch_list),
     )

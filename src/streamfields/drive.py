@@ -5,10 +5,11 @@ a = (-df/dy, df/dx); a skew matrix of stream coefficients contributes
 a_i = sum_{j != i} d_j F_ij (divergence-free by construction); a gradient
 drive contributes a = grad f (curl-free); a raw field is taken as given and
 validated against its declared closure at construction.  All evaluation goes
-through second-order jets, so Jacobians, laplacians and grad ||a||^2 are
-analytic, not differenced.  A DriveBatch builds its Jacobian and grad ||a||^2
-on first read, from the jets' derivative rows it holds until then:
-synthesis reads neither; the witnesses and the eta evaluator do.
+through jets, so Jacobians, laplacians and grad ||a||^2 are analytic, not
+differenced.  An order-2 DriveBatch builds its Jacobian and grad ||a||^2 on
+first read, from the jets' derivative rows it holds until then: the
+witnesses and the eta evaluator read them.  Synthesis reads neither, and
+asks for an order-1 batch, which computes no second derivative.
 """
 
 from __future__ import annotations
@@ -138,16 +139,18 @@ def raw_drive(
 
 class DriveBatch:
     """Vectorized samples: a (N,n), xi (N,), laplacian_f (N,) (NaN for kinds
-    without a scalar potential) and bad (N,).  jac[r,c] = d_c a_r (N,n,n) and
-    grad_xi (N,n) are built on first read from the derivative rows the batch
-    holds, which are dropped once jac is built; synthesis reads neither."""
+    without a scalar potential, and for a batch built below order 2) and bad
+    (N,).  jac[r,c] = d_c a_r (N,n,n) and grad_xi (N,n) are built on first
+    read from the derivative rows an order-2 batch holds, which are dropped
+    once jac is built; synthesis reads neither."""
 
-    def __init__(self, drive: "DriveField", a, xi, laplacian_f, bad, rows):
+    def __init__(self, drive: "DriveField", a, xi, laplacian_f, bad, rows, order: int):
         self.a, self.xi, self.laplacian_f, self.bad = a, xi, laplacian_f, bad
-        self._drive, self._rows = drive, rows
+        self._drive, self._rows, self.order = drive, rows, order
 
     @cached_property
     def jac(self) -> np.ndarray:
+        self._needs_full("jac")
         jac = _jacobian(self._drive, self._rows, self.a.shape[0])
         self._rows = None
         if np.any(self.bad):
@@ -156,7 +159,13 @@ class DriveBatch:
 
     @cached_property
     def grad_xi(self) -> np.ndarray:
+        self._needs_full("grad_xi")
         return 2.0 * np.einsum("nij,ni->nj", self.jac, self.a)
+
+    def _needs_full(self, what: str) -> None:
+        if self.order < 2:
+            raise ValueError(f"{what} needs a drive batch of order 2; this one was built at "
+                             f"order {self.order}")
 
 
 def _jacobian(d: "DriveField", rows: list, npts: int) -> np.ndarray:
@@ -190,39 +199,43 @@ def _jacobian(d: "DriveField", rows: list, npts: int) -> np.ndarray:
     return jac
 
 
-def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
+def drive_batch(d: DriveField, points: np.ndarray, order: int = 2) -> DriveBatch:
+    """a, xi and bad from jets of ``order`` (expr.eval_jets): 2 gives the
+    Laplacian and the Jacobian as well, 1 neither."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d.dim:
         raise DriveError(f"expected points of shape (N, {d.dim})")
+    if order not in (1, 2):
+        raise DriveError(f"drive batch order must be 1 or 2, got {order!r}")
     npts, n = pts.shape
+    lap = np.full(npts, np.nan)
     if isinstance(d, (Scalar2D, GradientDrive)):
-        jets = exprmod.eval_jets(d.f, pts, d.params)
+        jets = exprmod.eval_jets(d.f, pts, d.params, order)
         g, h = jets.grad_rows, jets.hess_rows
         a = np.stack([-g[1], g[0]], axis=1) if isinstance(d, Scalar2D) else g.T.copy()
-        # np.trace of the Hessian, bit for bit, from its contiguous diagonal rows
-        lap = sum((h[exprmod.tri_row(i, i, n)] for i in range(n)), 0.0)
+        if h is not None:
+            # np.trace of the Hessian, bit for bit, from its contiguous diagonal rows
+            lap = sum((h[exprmod.tri_row(i, i, n)] for i in range(n)), 0.0)
         bad, rows = jets.bad, [h]
     elif isinstance(d, SkewMatrix):
         a = np.zeros((npts, n))
         bad = np.zeros(npts, dtype=bool)
         rows = []
         for (i, j), e in d.entries.items():
-            jets = exprmod.eval_jets(e, pts, d.params)
+            jets = exprmod.eval_jets(e, pts, d.params, order)
             a[:, i - 1] += jets.grad_rows[j - 1]
             a[:, j - 1] -= jets.grad_rows[i - 1]
             rows.append(jets.hess_rows)
             bad |= jets.bad
-        lap = np.full(npts, np.nan)
     elif isinstance(d, RawField):
         a = np.empty((npts, n))
         bad = np.zeros(npts, dtype=bool)
         rows = []
         for i, e in enumerate(d.alpha):
-            jets = exprmod.eval_jets(e, pts, d.params)
+            jets = exprmod.eval_jets(e, pts, d.params, order)
             a[:, i] = jets.val
             rows.append(jets.grad_rows)
             bad |= jets.bad
-        lap = np.full(npts, np.nan)
     else:
         raise DriveError(f"unknown drive kind {d!r}")
 
@@ -230,7 +243,7 @@ def drive_batch(d: DriveField, points: np.ndarray) -> DriveBatch:
         a[bad] = np.nan
         lap[bad] = np.nan
     xi = np.einsum("ni,ni->n", a, a)
-    return DriveBatch(d, a, xi, lap, bad, rows)
+    return DriveBatch(d, a, xi, lap, bad, rows if order == 2 else None, order)
 
 
 # ---------------------------------------------------------------------------

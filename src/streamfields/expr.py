@@ -1,4 +1,4 @@
-"""Scalar expression parsing and second-order forward-mode differentiation.
+"""Scalar expression parsing and forward-mode differentiation up to second order.
 
 Expressions are written over declared coordinate variables (``x1..x4``, with
 ``x``/``y``/``z`` accepted as aliases for the first three) or over ``Q`` for
@@ -13,16 +13,33 @@ call and sliced per block; every other entry runs over blocks of
 tape.  A constant exponent of 0 or 1 makes no ``pow`` call (the results are
 exact: 1, and the base).  Each entry holds a hyper-dual ("jet") value for the
 block, stored component-major: value (B,), gradient (m, B) and the upper
-triangle of the symmetric Hessian (m(m+1)/2, B).  A ``JetBatch`` keeps the
+triangle of the symmetric Hessian (m(m+1)/2, B), the last two only up to
+the ``order`` the caller asks for (None above it; truncated Taylor
+propagation).  A ``JetBatch`` keeps the
 same layout over all N points, row-major per component: each block's rows
 are copied into its rows, and the point-major ``grad`` view and dense
 ``hess`` are there for the callers that read them.  Every rule keeps the
 terms of the hyper-dual formula and their order, so a point's jet does not
 depend on the block it falls in (only the sign of a NaN may, as in any
-numpy loop).
-Domain failures (``log`` of a nonpositive number, division by zero, ``abs``
-differentiated at zero, ...) mark the affected points undefined instead of
-raising.
+numpy loop).  No rule reads a part above the one it computes, so the value
+at any order, and the gradient at order 1 wherever order 1 is defined, are
+bit for bit those of order 2.
+
+Domain failures mark the affected points undefined instead of raising.  A
+point is undefined when a part the order computes is not finite, or when
+  - (every order) ``log`` has a nonpositive argument, ``sqrt`` a negative
+    one, ``/`` a zero divisor, ``a^b`` with variables in b a nonpositive
+    base, a non-integral constant power a negative base, or a power p <= 0
+    a zero base;
+  - (order >= 1) ``abs`` has a zero argument;
+  - (order 1) ``sqrt`` or a constant power 0 < p < 2 has a zero argument:
+    whether the argument moves there takes its Hessian to tell;
+  - (order 2) ``sqrt`` or a constant power 0 < p < 2 has a zero argument
+    whose gradient or Hessian is not zero.
+So order 0 is defined wherever order 1 is, and order 1 where order 2 is,
+except at a zero under a root (which a caller can re-evaluate at order 2);
+order 2 is defined where order 1 is, except where only its Hessian is not
+finite.
 """
 
 from __future__ import annotations
@@ -117,8 +134,9 @@ def tri_row(i: int, j: int, m: int) -> int:
 class JetBatch:
     """Jets over N points, component-major: val (N,), gradient rows
     grad_rows (m, N), packed upper-triangle Hessian rows hess_rows
-    (m(m+1)/2, N, in tri_row order) and bad (N,).  ``grad`` is the (N, m)
-    view of the rows; ``hess`` is the dense (N, m, m) stack, built on read."""
+    (m(m+1)/2, N, in tri_row order) and bad (N,); a part above the order the
+    batch was built at is None.  ``grad`` is the (N, m) view of the rows;
+    ``hess`` is the dense (N, m, m) stack, built on read."""
 
     __slots__ = ("val", "grad_rows", "hess_rows", "bad")
 
@@ -129,11 +147,22 @@ class JetBatch:
         self.bad = bad
 
     @property
+    def order(self) -> int:
+        return 0 if self.grad_rows is None else 1 if self.hess_rows is None else 2
+
+    def _needs(self, what: str, order: int) -> None:
+        if self.order < order:
+            raise ValueError(f"{what} needs jets of order {order}; this batch was built at order "
+                             f"{self.order}")
+
+    @property
     def grad(self) -> np.ndarray:
+        self._needs("grad", 1)
         return self.grad_rows.T
 
     @property
     def hess(self) -> np.ndarray:
+        self._needs("hess", 2)
         m = self.grad_rows.shape[0]
         packed = [[tri_row(i, j, m) for j in range(m)] for i in range(m)]
         return self.hess_rows[packed].transpose(2, 0, 1)
@@ -385,14 +414,15 @@ def _lower(root: Node) -> list:
     return code
 
 
-def _passive_jets(code: list, params: Mapping[str, float], rows: int, m: int) -> dict:
+def _passive_jets(code: list, params: Mapping[str, float], rows: int, m: int, order: int) -> dict:
     """Jets over ``rows`` points of every passive entry, one with no variable
     below it, and the derivative parts of the variables, whose values are
     filled in per block.  A passive entry is the same at every point, so it is
     evaluated once per call and sliced per block: the same ufuncs on the same
     inputs, elementwise, so no bit changes.  Parameters are looked up in tape
-    order."""
-    zero_grad, zero_tri = np.zeros((m, rows)), np.zeros((m * (m + 1) // 2, rows))
+    order.  The parts above ``order`` are None."""
+    zero_grad = np.zeros((m, rows)) if order >= 1 else None
+    zero_tri = np.zeros((m * (m + 1) // 2, rows)) if order >= 2 else None
     ok = np.zeros(rows, dtype=bool)
     jets, variables = {}, {}
     for i, (op, a, b) in enumerate(code):
@@ -403,8 +433,10 @@ def _passive_jets(code: list, params: Mapping[str, float], rows: int, m: int) ->
                 raise KeyError(f"unbound parameter {a!r}")
             jets[i] = (np.full(rows, float(params[a])), zero_grad, zero_tri, ok)
         elif op == "var":
-            unit = np.zeros((m, rows))
-            unit[a] = 1.0
+            unit = None
+            if order >= 1:
+                unit = np.zeros((m, rows))
+                unit[a] = 1.0
             variables[i] = (None, unit, zero_tri, ok)
         elif a in jets and (b is None or b in jets):
             jets[i] = _unary(op, jets[a]) if b is None else _binary(op, jets[a], jets[b])
@@ -430,13 +462,20 @@ def _outer(ga, gb):
 
 
 def _through(u, val, d1, d2, bad):
-    """Jet of f(u) from f(u), f'(u) and f''(u)."""
+    """Jet of f(u) from f(u) and the callables d1() = f'(u) and d2() = f''(u),
+    each called only if u carries the derivative part that reads it."""
     g, h = u[1], u[2]
+    bad = u[3] if bad is None else u[3] | bad
+    if g is None:
+        return val, None, None, bad
+    f1 = d1()
+    if h is None:
+        return val, f1 * g, None, bad
     gg = _tri(g, g)
-    np.multiply(d2, gg, out=gg)
-    hess = d1 * h
+    np.multiply(d2(), gg, out=gg)
+    hess = f1 * h
     hess += gg
-    return val, d1 * g, hess, u[3] if bad is None else u[3] | bad
+    return val, f1 * g, hess, bad
 
 
 def _moving(u):
@@ -444,34 +483,45 @@ def _moving(u):
     return np.abs(u[1]).sum(axis=0) + np.abs(u[2]).sum(axis=0) > 0.0
 
 
+def _at_zero_bad(u, at_zero):
+    """Where a zero of u makes a root-like f(u) (sqrt, or a power 0 < p < 2)
+    undefined at the jet's order.  Such an f is differentiable at 0 only
+    where u is locally constant, which takes u's Hessian to tell: order 2
+    refuses the zeros where u moves, order 1 every zero, order 0 none."""
+    if u[1] is None:
+        return np.zeros(at_zero.shape, dtype=bool)
+    return at_zero if u[2] is None else at_zero & _moving(u)
+
+
 def _unary(op: str, u):
     v = u[0]
     if op == "neg":
-        return -v, -u[1], -u[2], u[3]
+        return -v, *(None if x is None else -x for x in u[1:3]), u[3]
     if op == "sin":
-        return _through(u, np.sin(v), np.cos(v), -np.sin(v), None)
+        sv = np.sin(v)
+        return _through(u, sv, lambda: np.cos(v), lambda: -sv, None)
     if op == "cos":
-        return _through(u, np.cos(v), -np.sin(v), -np.cos(v), None)
+        cv = np.cos(v)
+        return _through(u, cv, lambda: -np.sin(v), lambda: -cv, None)
     if op == "exp":
         ev = np.exp(v)
-        return _through(u, ev, ev, ev, None)
+        return _through(u, ev, lambda: ev, lambda: ev, None)
     if op == "log":
-        return _through(u, np.log(v), 1.0 / v, -1.0 / v**2, v <= 0.0)
+        return _through(u, np.log(v), lambda: 1.0 / v, lambda: -1.0 / v**2, v <= 0.0)
     if op == "sqrt":
-        bad = v < 0.0
-        # sqrt(0) is fine only where the argument is locally constant.
         at_zero = v == 0.0
-        moving = _moving(u)
-        bad = bad | (at_zero & moving)
+        refused = _at_zero_bad(u, at_zero)
         sv = np.sqrt(np.where(v < 0, np.nan, v))
-        out = _through(u, sv, 0.5 / sv, -0.25 / (sv * v), bad)
-        still = at_zero & ~moving
-        if np.any(still):
-            out[1][:, still] = 0.0
-            out[2][:, still] = 0.0
+        out = _through(u, sv, lambda: 0.5 / sv, lambda: -0.25 / (sv * v), (v < 0.0) | refused)
+        if u[2] is not None:
+            still = at_zero & ~refused
+            if np.any(still):
+                out[1][:, still] = 0.0
+                out[2][:, still] = 0.0
         return out
     if op == "abs":
-        return _through(u, np.abs(v), np.sign(v), np.zeros(v.shape[0]), v == 0.0)
+        bad = v == 0.0 if u[1] is not None else None
+        return _through(u, np.abs(v), lambda: np.sign(v), lambda: np.zeros(v.shape[0]), bad)
     raise AssertionError(op)
 
 
@@ -481,23 +531,31 @@ def _binary(op: str, a, b):
     av, ag, ah, ak = a
     bv, bg, bh, bk = b
     bad = ak | bk
-    if op == "+":
-        return av + bv, ag + bg, ah + bh, bad
-    if op == "-":
-        return av - bv, ag - bg, ah - bh, bad
+    if op in "+-":
+        f = np.add if op == "+" else np.subtract
+        return f(av, bv), *(None if x is None else f(x, y) for x, y in ((ag, bg), (ah, bh))), bad
     if op == "*":
+        val = av * bv
+        if ag is None:
+            return val, None, None, bad
         grad = av * bg
         grad += bv * ag
+        if ah is None:
+            return val, grad, None, bad
         hess = av * bh
         hess += bv * ah
         hess += _outer(ag, bg)
-        return av * bv, grad, hess, bad
+        return val, grad, hess, bad
     if op == "/":
         bad |= bv == 0.0
         val = av / bv
+        if ag is None:
+            return val, None, None, bad
         grad = val * bg
         np.subtract(ag, grad, out=grad)
         grad /= bv
+        if ah is None:
+            return val, grad, None, bad
         hess = val * bh
         np.subtract(ah, hess, out=hess)
         hess -= _outer(grad, bg)
@@ -508,8 +566,12 @@ def _binary(op: str, a, b):
         bad |= av <= 0.0
         la = np.log(np.where(av <= 0, np.nan, av))
         val = np.exp(bv * la)
+        if ag is None:
+            return val, None, None, bad
         ga = ag / av
         gl = bg * la + bv * ga
+        if ah is None:
+            return val, val * gl, None, bad
         hl = bh * la + _outer(bg, ga) + bv * (ah / av - _tri(ga, ga))
         return val, val * gl, val * (hl + _tri(gl, gl)), bad
     raise AssertionError(op)
@@ -523,34 +585,41 @@ def _pow_const(a, p):
     built only for a pow call.  Sign flips are applied only for odd powers and
     the at-zero fixes only where a is zero; a factor of 1.0 or a select of
     nothing changes no bit, so skipping them is exact."""
-    av, ak = a[0], a[3]
+    av, ag, ah, ak = a
     p0 = float(p[0])
     if p0 == 0.0:
-        return np.full(av.shape[0], 1.0), np.zeros(a[1].shape), np.zeros(a[2].shape), ak
+        return (np.full(av.shape[0], 1.0), *(None if x is None else np.zeros(x.shape) for x in (ag, ah)),
+                ak)
     if p0 == 1.0:
         return a
     integral = p0.is_integer()
     bad = ak.copy()
     if not integral:
         bad |= av < 0.0
-    val = _signed_pow(av, p, p0, integral)
-    d1 = _signed_pow(av, None, p0 - 1.0, integral)
-    d1 *= p0
-    d2 = _signed_pow(av, None, p0 - 2.0, integral)
-    d2 *= p0 * (p0 - 1.0)
     at_zero = av == 0.0
     if np.any(at_zero):
         if p0 <= 0:
             bad |= at_zero
         elif p0 < 2.0:
-            bad |= at_zero & _moving(a)
+            bad |= _at_zero_bad(a, at_zero)
+
+    def d1():
+        d = _signed_pow(av, None, p0 - 1.0, integral)
+        d *= p0
         if p0 >= 2.0:
-            d1[at_zero] = 0.0
+            d[at_zero] = 0.0
+        return d
+
+    def d2():
+        d = _signed_pow(av, None, p0 - 2.0, integral)
+        d *= p0 * (p0 - 1.0)
         if p0 >= 3.0:
-            d2[at_zero] = 0.0
+            d[at_zero] = 0.0
         elif p0 == 2.0:
-            d2[at_zero] = 2.0
-    return _through(a, val, d1, d2, bad)
+            d[at_zero] = 2.0
+        return d
+
+    return _through(a, _signed_pow(av, p, p0, integral), d1, d2, bad)
 
 
 def _signed_pow(base: np.ndarray, p: Optional[np.ndarray], p0: float, integral: bool) -> np.ndarray:
@@ -600,7 +669,7 @@ def _run(code: list, passive: dict, pts: np.ndarray, release: list) -> tuple:
         if i in passive:
             val, grad, tri, ok = passive[i]
             val = pts[:, a].copy() if op == "var" else val[:rows]
-            slots[i] = (val, grad[:, :rows], tri[:, :rows], ok[:rows])
+            slots[i] = (val, *(None if x is None else x[:, :rows] for x in (grad, tri)), ok[:rows])
         elif b is None:
             slots[i] = _unary(op, slots[a])
         else:
@@ -610,34 +679,41 @@ def _run(code: list, passive: dict, pts: np.ndarray, release: list) -> tuple:
     return slots[-1]
 
 
-def eval_jets(e: Expression, points: np.ndarray, params: Optional[Mapping[str, float]] = None) -> JetBatch:
-    """Evaluate value/gradient/Hessian over an (N, m) batch of points.  Each
-    block's component rows are copied into the batch's rows as they are."""
+def eval_jets(e: Expression, points: np.ndarray, params: Optional[Mapping[str, float]] = None,
+              order: int = 2) -> JetBatch:
+    """Evaluate the value, and up to ``order`` (0, 1 or 2) the gradient and
+    Hessian, over an (N, m) batch of points.  Each block's component rows are
+    copied into the batch's rows as they are; the parts above ``order`` are
+    None."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"jet order must be 0, 1 or 2, got {order!r}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(e.variables):
         raise ValueError(f"expected points of shape (N, {len(e.variables)})")
     n, m = pts.shape
     rows = max(1, min(n, BLOCK_ROWS))
-    out = JetBatch(np.empty(n), np.empty((m, n)), np.empty((m * (m + 1) // 2, n)),
-                   np.empty(n, dtype=bool))
+    out = JetBatch(np.empty(n), np.empty((m, n)) if order >= 1 else None,
+                   np.empty((m * (m + 1) // 2, n)) if order >= 2 else None, np.empty(n, dtype=bool))
     release = _last_readers(e._tape)
     with np.errstate(all="ignore"):
-        passive = _passive_jets(e._tape, params or {}, rows, m)
+        passive = _passive_jets(e._tape, params or {}, rows, m, order)
         for start in range(0, n, rows):
             block = slice(start, start + rows)
             val, grad, tri, bad = _run(e._tape, passive, pts[block], release)
             out.val[block] = val
-            out.grad_rows[:, block] = grad
-            out.hess_rows[:, block] = tri
-            # IEEE + and * commute, so the triangle is finite iff the full Hessian is.
             bad = bad | ~np.isfinite(val)
-            bad |= ~np.isfinite(grad).all(axis=0)
-            bad |= ~np.isfinite(tri).all(axis=0)
+            if grad is not None:
+                out.grad_rows[:, block] = grad
+                bad |= ~np.isfinite(grad).all(axis=0)
+            if tri is not None:
+                out.hess_rows[:, block] = tri
+                # IEEE + and * commute, so the triangle is finite iff the full Hessian is.
+                bad |= ~np.isfinite(tri).all(axis=0)
             out.bad[block] = bad
     return out
 
 
 def eval_values(e: Expression, points: np.ndarray, params: Optional[Mapping[str, float]] = None) -> np.ndarray:
-    """Values only (NaN where undefined); cheaper interface for plotting/quadrature."""
-    jets = eval_jets(e, points, params)
+    """Values only (NaN where undefined), from an order-0 pass."""
+    jets = eval_jets(e, points, params, order=0)
     return np.where(jets.bad, np.nan, jets.val)

@@ -126,9 +126,9 @@ def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
     G, G1, solv, defined = core[5:]
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
-        # G, one synthesis block of points at a time
+        # G, one synthesis block of points at a time, from full-order batches (_core reads jac)
         return np.concatenate([_core(kind, *_solve(sol.model, sol.drive, sol.policy, qpts[rows],
-                                                   sol.tol))[5]
+                                                   sol.tol, order=2))[5]
                                for rows in block_rows(len(qpts))])
 
     return FrobeniusWitness(

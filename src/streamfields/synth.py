@@ -13,6 +13,17 @@ For the same reason a grid is synthesized in blocks of SYNTH_BLOCK nodes, one
 after another or on a thread pool, each written into its rows of the full
 solution: every temporary is block-sized, and the partition, and so the
 bytes, do not depend on the worker count.
+
+w needs only the drive a, the first derivatives of its potential, so
+synthesis builds first-order drive jets (drive_batch(..., order=1)) and
+evaluates again at full order only two kinds of points (_solve): those the
+first-order pass leaves undefined, since order 1 refuses every zero under a
+sqrt or a power 0 < p < 2 and only the Hessian tells whether such a zero
+moves; and those with sqrt(xi) < tol.eps_grad, where the gamma_g flag reads
+the Laplacian.  Every other value is the full order's bit for bit, so the
+solution is the full-order one, except at a point whose drive Hessian alone
+is not finite: synthesis keeps it, and the witnesses, which read that
+Hessian, leave it undefined.
 """
 
 from __future__ import annotations
@@ -345,11 +356,23 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
 
 
 def _solve(model: DensityModel, d: DriveField, policy: BranchPolicy, points: np.ndarray,
-           tol: Optional[Tolerances] = None, grid: Optional[GridSpec] = None) -> tuple:
-    """(the FieldSolution at `points`, the DriveBatch it was synthesized from)."""
+           tol: Optional[Tolerances] = None, grid: Optional[GridSpec] = None,
+           order: int = 1) -> tuple:
+    """(the FieldSolution at `points`, the DriveBatch it was synthesized from).
+    Order 2 builds the batch at full order, for a caller that reads its
+    Jacobian.  Order 1 builds a first-order batch and re-evaluates at full
+    order only the rows whose values can differ: those it leaves undefined,
+    where a full-order zero test may still define them, and those with
+    sqrt(xi) < tol.eps_grad, the only rows whose laplacian_f _assemble reads."""
     tol = tol or Tolerances()
     pts = np.asarray(points, dtype=float)
-    batch = drive_batch(d, pts)
+    batch = drive_batch(d, pts, order)
+    if order < 2:
+        redo = np.flatnonzero(batch.bad | (np.sqrt(np.maximum(batch.xi, 0.0)) < tol.eps_grad))
+        if redo.size:
+            full = drive_batch(d, pts[redo], 2)
+            for name in ("a", "xi", "laplacian_f", "bad"):
+                getattr(batch, name)[redo] = getattr(full, name)
     w, Q, regime, sel, flags = _assemble(
         model, policy, tol, pts, batch.a, batch.xi, batch.bad, batch.laplacian_f)
     return FieldSolution(
@@ -409,10 +432,13 @@ def log_rho_gradient(model: DensityModel, Q: np.ndarray, rho_c: np.ndarray,
                      grad_xi: np.ndarray, tol: Tolerances) -> tuple:
     """grad log rho(psi(xi)) = rho' / (rho phi') grad xi, by the chain rule
     through the branch inverse, with the mask of points where the caller's
-    rho(Q) and phi'(Q) are finite and clear of their zero tolerances."""
-    phi_p = model.phi_prime(Q)
+    rho(Q) and phi'(Q) are finite and clear of their zero tolerances.  rho'
+    is evaluated once, and phi' is model.phi_prime(Q) wherever rho_c is
+    rho(Q) (elsewhere rho_c is NaN and the point unusable either way)."""
+    rho_p = model.rho_prime(Q)
     with np.errstate(all="ignore"):
-        glr = (model.rho_prime(Q) / (rho_c * phi_p))[:, None] * grad_xi
+        phi_p = rho_c * (rho_c + 2.0 * Q * rho_p)
+        glr = (rho_p / (rho_c * phi_p))[:, None] * grad_xi
     usable = (np.isfinite(rho_c) & (np.abs(rho_c) >= tol.rho_zero)
               & np.isfinite(phi_p) & (np.abs(phi_p) >= tol.eps_phi_prime))
     return glr, usable

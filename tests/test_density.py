@@ -453,3 +453,24 @@ def test_custom_branch_ends_cost_bisection_steps_not_roots(monkeypatch):
     # 3 calls to check rho', 1 on the samples, one per bisection step (at most
     # 200), 1 for phi at the branch ends: fewer than one call per root
     assert calls_many <= 3 + 1 + 200 + 1 < many
+
+
+def test_custom_rho_reads_values_only_and_rho_prime_first_order_jets(monkeypatch):
+    """rho is an order-0 pass, so a kink leaves it defined; rho' an order-1
+    pass, undefined where the derivative fails."""
+    from streamfields import expr as exprmod
+
+    model = custom("2 + abs(Q - 1)", q_max=4.0)
+    orders = []
+    real = exprmod.eval_jets
+
+    def spy(e, points, params=None, order=2):
+        orders.append(order)
+        return real(e, points, params, order)
+
+    monkeypatch.setattr(exprmod, "eval_jets", spy)
+    q = np.array([0.5, 1.0, 3.0])
+    np.testing.assert_array_equal(model.rho(q), [2.5, 2.0, 4.0])
+    assert orders == [0]
+    np.testing.assert_array_equal(model.rho_prime(q), [-1.0, np.nan, 1.0])
+    assert orders == [0, 1]

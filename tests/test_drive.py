@@ -273,3 +273,23 @@ def test_synthesis_reads_neither_the_jacobian_nor_grad_xi(monkeypatch, case):
     assert reads == []
     drive_batch(d, pts[:3]).jac  # the spy sees a read
     assert reads == ["jac"]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_an_order_one_batch_is_the_full_one_without_its_derivative_parts(case):
+    """a, xi and bad keep their bits at order 1 (no drive here fails only at
+    second order), laplacian_f is NaN, and reading jac or grad_xi raises a
+    ValueError that names the order instead of subscripting None."""
+    d, pts = _all_kinds()[case]
+    full, first = drive_batch(d, pts), drive_batch(d, pts, 1)
+    assert (full.order, first.order) == (2, 1)
+    for name in ("a", "xi", "bad"):
+        np.testing.assert_array_equal(getattr(first, name).view(np.uint8),
+                                      getattr(full, name).view(np.uint8), err_msg=name)
+    assert np.isnan(first.laplacian_f).all()
+    for name in ("jac", "grad_xi"):
+        with pytest.raises(ValueError, match=f"{name} needs a drive batch of order 2; "
+                                             f"this one was built at order 1"):
+            getattr(first, name)
+    with pytest.raises(DriveError, match="order must be 1 or 2"):
+        drive_batch(d, pts, 0)

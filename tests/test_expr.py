@@ -640,7 +640,7 @@ def test_run_holds_only_the_live_slots_and_any_block_size_is_the_default_run(mon
     monkeypatch.undo()
 
     code = e._tape
-    passive = expr._passive_jets(code, {}, pts.shape[0], len(names))
+    passive = expr._passive_jets(code, {}, pts.shape[0], len(names), 2)
     bound = _live_bound(code, passive)
     outputs, held = [], []  # weak references to every computed value array; alive counts
 
@@ -695,7 +695,7 @@ def _array_pow_const(a, p):
         d1 = np.where(at_zero & (p >= 2.0), 0.0, d1)
         d2 = np.where(at_zero & (p >= 3.0), 0.0, d2)
         d2 = np.where(at_zero & (p == 2.0), 2.0, d2)
-    return expr._through(a, val, d1, d2, bad)
+    return expr._through(a, val, lambda: d1, lambda: d2, bad)
 
 
 @pytest.mark.parametrize("p0", (-2.5, -2.0, -1.0, 0.5, 1.5, 2.0, 3.0, 4.0))
@@ -713,3 +713,102 @@ def test_pow_const_with_float_factors_is_the_array_factor_formula(p0):
     for g, w in zip(got[:3], want[:3]):
         np.testing.assert_array_equal(_bits_but_nan_sign(g), _bits_but_nan_sign(w), err_msg=str(p0))
     np.testing.assert_array_equal(got[3], want[3])
+
+
+# ---------------------------------------------------------------------------
+# jets of the order the caller reads
+
+
+def _hess_finite(jets):
+    return np.isfinite(jets.hess_rows).all(axis=0)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_lower_orders_keep_the_value_and_gradient_bits_of_order_two(monkeypatch, m):
+    """Every rule computes its value and gradient without reading a higher
+    part, so order 0 and 1 give order 2's values everywhere and order 1 its
+    gradient wherever order 1 is defined.  Order 1 refuses every zero under a
+    sqrt or a power 0 < p < 2 (the rows the full order decides) and keeps a
+    point where only the Hessian is not finite; order 0 is defined wherever
+    order 1 is."""
+    monkeypatch.setattr(expr, "BLOCK_ROWS", SMALL_BLOCK)
+    rng = np.random.default_rng(83 + m)
+    texts = [expr.to_string(e) for e in edge_expressions(m)]
+    texts += [f"log(x{m})", f"1/x1 + cos(x{m})", f"x1^-3 * exp(x{m}/4)", "x1^1e-300 + x1^2.0",
+              f"abs(x{m} - 1) * sin(x1)", f"(x1 - x{m})^0.75"]
+    roots = ("sqrt", "^0.5", "^1.5", "^0.75", "^(", "^p", "^1e-300")
+    names = tuple(f"x{i + 1}" for i in range(m))
+    for text in texts:
+        e = expr.parse(text, names, ("p",))
+        for p in (2.0, 0.5, -1.0, 0.0, np.nan):
+            pts = sample_points(rng, 3 * SMALL_BLOCK + 7, [-3.0] * m, [3.0] * m, special_share=0.4)
+            j0, j1, j2 = (expr.eval_jets(e, pts, {"p": p}, order=k) for k in (0, 1, 2))
+            assert (j0.order, j1.order, j2.order) == (0, 1, 2)
+            assert j0.grad_rows is None and j0.hess_rows is None and j1.hess_rows is None
+            for j in (j0, j1):
+                np.testing.assert_array_equal(_bits(j.val), _bits(j2.val), err_msg=text)
+            ok = ~j1.bad
+            np.testing.assert_array_equal(_bits(j1.grad_rows[:, ok]), _bits(j2.grad_rows[:, ok]),
+                                          err_msg=text)
+            assert not (j0.bad & ~j1.bad).any(), text
+            assert not (j2.bad & ~j1.bad & _hess_finite(j2)).any(), text
+            if not any(r in text for r in roots):
+                assert not (j1.bad & ~j2.bad).any(), text
+
+
+def test_order_one_leaves_zeros_under_a_root_to_the_full_order():
+    """sqrt(x1^2 + x2^2) has zero gradient at the origin, and only its
+    Hessian shows that the argument moves: order 1 refuses the point, as it
+    does sqrt(0 * x1), which order 2 keeps (the argument is constant)."""
+    at_origin = np.zeros((1, 2))
+    for text, full_bad in (("x1 + sqrt(x1^2 + x2^2)", True), ("(x1^2 + x2^2)^0.75", True),
+                           ("x1^1.5 + x2", True), ("sqrt(0*x1) + x2", False)):
+        e = expr.parse(text, X2)
+        assert [bool(expr.eval_jets(e, at_origin, order=k).bad[0]) for k in (0, 1, 2)] == \
+            [False, True, full_bad], text
+
+
+def test_order_zero_is_defined_where_only_a_derivative_fails():
+    """Values only: abs at 0, sqrt of a moving 0 and a power 0 < p < 2 at 0
+    are defined, and every domain rule of the value itself still holds."""
+    pts = np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]])
+    cases = {  # text: (bad at order 0, bad at order 2)
+        "abs(x1)": ([False, False, False], [True, True, False]),
+        "sqrt(x1^2 + x2^2 - 1)": ([False, False, False], [True, True, True]),
+        "x1^0.5 * x2": ([False, False, True], [True, True, True]),
+        "(x1 + x2 - 1)^1.5": ([False, True, True], [True, True, True]),
+        "log(x1)": ([True, True, True], [True, True, True]),
+        "x2 / x1": ([True, True, False], [True, True, False]),
+        "x1^-0.5": ([True, True, True], [True, True, True]),
+        "x2^x1": ([False, True, True], [False, True, True]),
+    }
+    for text, (bad0, bad2) in cases.items():
+        e = expr.parse(text, X2)
+        j0 = expr.eval_jets(e, pts, order=0)
+        assert (j0.bad.tolist(), expr.eval_jets(e, pts).bad.tolist()) == (bad0, bad2), text
+        np.testing.assert_array_equal(expr.eval_values(e, pts), np.where(bad0, np.nan, j0.val))
+
+
+def test_a_part_not_computed_raises_naming_the_order():
+    e = expr.parse("x1 * x2", X2)
+    pts = np.ones((3, 2))
+    with pytest.raises(ValueError, match="order 0"):
+        expr.eval_jets(e, pts, order=0).grad
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=f"hess needs jets of order 2; .* order {k}"):
+            expr.eval_jets(e, pts, order=k).hess
+    assert expr.eval_jets(e, pts, order=1).grad.shape == (3, 2)
+    with pytest.raises(ValueError, match="jet order must be 0, 1 or 2"):
+        expr.eval_jets(e, pts, order=3)
+
+
+def test_value_only_callers_are_defined_where_only_a_derivative_fails():
+    """Region predicates (eval_values) and config masks read values only."""
+    from streamfields import config
+
+    pts = np.array([[0.0, 0.5], [0.5, 0.0], [-0.5, 0.0]])
+    keep = config.mask_predicate("abs(x1) + sqrt(x2) - 0.25", 2)
+    assert keep(pts).tolist() == [True, True, True]
+    assert config.mask_predicate("log(x1)", 2)(pts + 0.75).tolist() == [False, True, False]
+    vals = expr.eval_values(expr.parse("abs(x1) - sqrt(x2)", X2), pts)
+    assert vals.tolist() == [-np.sqrt(0.5), 0.5, 0.5]

@@ -235,9 +235,9 @@ def test_eta_recovery_evaluates_the_drive_once_per_quadrature_point(monkeypatch)
     wit, g, mask = annulus_witness(cells=96)
     requested, received = [], []
     for module in (synthmod, frobmod):
-        def counted(d, points, real=module.drive_batch):
+        def counted(d, points, order=2, real=module.drive_batch):
             requested.append(len(points))
-            return real(d, points)
+            return real(d, points, order)
         monkeypatch.setattr(module, "drive_batch", counted)
     evaluator = wit.evaluator
 

@@ -379,3 +379,92 @@ def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
     for workers in (1, 2):
         with pytest.raises(SynthError, match="tail block"):
             synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# synthesis from first-order drive jets
+
+
+def _full_order_and_first_order(monkeypatch, model, d, policy, grid, tol=None):
+    """The solution from a full-order batch, and the synthesis path's, with
+    the (order, points) of each drive batch that path made."""
+    from streamfields import synth
+
+    full = synth._solve(model, d, policy, grid.points(), tol, grid, order=2)[0]
+    calls = []
+
+    def spy(d, points, order=2, real=synth.drive_batch):
+        calls.append((order, len(points)))
+        return real(d, points, order)
+
+    monkeypatch.setattr(synth, "drive_batch", spy)
+    got = synthesize(model, d, policy, grid, tol)
+    monkeypatch.undo()
+    return full, got, calls
+
+
+def _assert_same_solution(got, want, label):
+    for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{label}: {name}"
+
+
+def _example_names():
+    from streamfields import config
+    return sorted(config.EXAMPLES)
+
+
+@pytest.mark.parametrize("name", _example_names())
+def test_first_order_synthesis_is_the_full_order_one_on_every_example(monkeypatch, name):
+    from streamfields import config
+
+    cfg = config.example_config(name)
+    grid = config.build_grid(cfg)
+    d = config.build_drive(cfg)
+    full, got, calls = _full_order_and_first_order(
+        monkeypatch, config.build_model(cfg), d, config.build_policy(cfg, grid.dim), grid,
+        config.build_tol(cfg))
+    _assert_same_solution(got, full, name)
+    # every node once at order 1; again at order 2 only the rows that pass
+    # cannot settle: here at most the origin of a vortex grid
+    assert sum(n for order, n in calls if order == 1) == grid.npoints()
+    assert sum(n for order, n in calls if order == 2) <= 1
+
+
+PLANAR = GridSpec((-1.0, -1.0), (1.0, 1.0), (24, 24))  # through the origin and x1 = 0
+
+
+@pytest.mark.parametrize("f, redone", [
+    # zero gradient at the origin, where only order 2 sees the argument move;
+    # a = 0 on the negative x1 axis, where _assemble reads the Laplacian
+    ("x1 + sqrt(x1^2 + x2^2)", 13),
+    ("(x1^2 + x2^2)^0.75", 1),
+    ("abs(x1) * x2", 25),
+    ("log(x1)", 13 * 25),
+    ("x1^2*x2 - x2^3/3 + x1", 0),
+])
+def test_first_order_synthesis_is_the_full_order_one_at_singular_drives(monkeypatch, f, redone):
+    for model, policy in ((shallow_water(), prefer_type1(allow_nonphysical=True)),
+                          (extremal(), prefer_type2()), (caustic(0.5), prefer_type1())):
+        full, got, calls = _full_order_and_first_order(monkeypatch, model, scalar_drive(f),
+                                                       policy, PLANAR)
+        _assert_same_solution(got, full, f"{f} {model.kind}")
+        assert [c for c in calls if c[0] == 2] == ([(2, redone)] if redone else []), f
+    # gradient drive: its full order reads the same potential's Hessian diagonal
+    full, got, _ = _full_order_and_first_order(monkeypatch, shallow_water(), gradient_drive(2, f),
+                                               prefer_type1(allow_nonphysical=True), PLANAR)
+    _assert_same_solution(got, full, f"gradient {f}")
+
+
+def test_first_order_synthesis_is_the_full_order_one_on_skew_and_raw_drives(monkeypatch):
+    from streamfields import raw_drive, skew_drive
+
+    skew = skew_drive(3, {(1, 2): "x3*sqrt(x1^2 + x2^2)", (1, 3): "abs(x2)*x1^2",
+                          (2, 3): "(x1^2 + x3^2)^0.75"})
+    raw = raw_drive(2, ("-x2/(x1^2+x2^2)", "x1/(x1^2+x2^2)"), "divergence_free",
+                    ((0.5, 0.5), (1.5, 1.5)))
+    for d, grid in ((skew, GridSpec((-1.0,) * 3, (1.0,) * 3, (8, 8, 8))), (raw, PLANAR)):
+        full, got, calls = _full_order_and_first_order(
+            monkeypatch, shallow_water(), d, prefer_type1(allow_nonphysical=True), grid)
+        _assert_same_solution(got, full, type(d).__name__)
+        assert calls[0] == (1, grid.npoints()) and 0 < calls[1][1] < grid.npoints() // 4

@@ -186,6 +186,9 @@ def test_codifferential_residual_order_two():
     (custom("2 + abs(Q - 0.777)", q_max=4.0), 0.777, [0.05, 0.3, 0.66, 1.3, 2.5, 2.5, 0.3]),
     (custom("abs(Q - 1.2345)", q_max=200.0), 1.2345, [0.2, 3.7, 100.0]),
     (custom("1/sqrt(1 + Q)", q_max=100.0), None, [1e-3, 0.3, 2.5, 50.0]),
+    # halving the gap [0.66, 1.3] puts a GK15 node on the kink, where rho is
+    # defined though its derivative is not
+    (custom("2 + abs(Q - 1)", q_max=4.0), 1.0, [0.05, 0.3, 0.66, 1.3, 2.5]),
 ])
 def test_energy_density_matches_direct_quadrature(model, kink, qs):
     """e(Q) = (1/2) * integral of rho(u) du from 0 to Q, to 1e-12 relative,
