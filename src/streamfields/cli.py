@@ -327,11 +327,12 @@ def _setup(args) -> tuple:
 
 
 def _workers(threads: int, npoints: int) -> int:
-    """Synthesis threads for --threads N: at most one per core this process may
-    run on (its CPU affinity where the platform reports one) and one per point.
-    They share the grid's blocks of synth.SYNTH_BLOCK nodes, so a grid of one
-    block runs on the calling thread, and the blocks, hence the bytes, are the
-    same for every N."""
+    """Threads for --threads N: at most one per core this process may run on
+    (its CPU affinity where the platform reports one) and one per point.
+    They share a grid's synthesis blocks of synth.SYNTH_BLOCK nodes, and
+    verify's residual slabs of about as many, so a grid of one block runs on
+    the calling thread, and the blocks, hence the bytes, are the same for
+    every N."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(threads, cores or 1, npoints)
 
@@ -562,29 +563,27 @@ def cmd_verify(args) -> int:
     def witness_on(grid: GridSpec):
         return _witness_for(fs["witness"], sol_on(grid))
 
-    def extra_bad_on(grid: GridSpec):
-        if mask_pred is None:
-            return None
-        return ~mask_pred(grid.points())
+    def common(grid: GridSpec) -> dict:
+        """Every residual kind's verify.mask nodes and slab threads on `grid`."""
+        extra_bad = None if mask_pred is None else ~mask_pred(grid.points())
+        return {"extra_bad": extra_bad, "workers": _workers(args.threads, grid.npoints())}
 
     def exactness(grid: GridSpec):
         sol, wit = sol_on(grid), witness_on(grid)
         mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
         rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
-        return verifymod.exactness_residual(sol, rec.eta, system=wit.kind,
-                                            extra_bad=extra_bad_on(grid))
+        return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common(grid))
 
     # residual kind -> residual report on one grid; the config schema has
     # already rejected every other kind
     residual_on = {
-        "divergence": lambda grid: verifymod.divergence_residual(
-            sol_on(grid), extra_bad=extra_bad_on(grid)),
-        "minor": lambda grid: verifymod.minor_residual(sol_on(grid), extra_bad=extra_bad_on(grid)),
+        "divergence": lambda grid: verifymod.divergence_residual(sol_on(grid), **common(grid)),
+        "minor": lambda grid: verifymod.minor_residual(sol_on(grid), **common(grid)),
         "frobenius": lambda grid: verifymod.frobenius_residual(
-            sol_on(grid), witness_on(grid), extra_bad=extra_bad_on(grid)),
+            sol_on(grid), witness_on(grid), **common(grid)),
         "exactness": exactness,
         "codifferential": lambda grid: verifymod.codifferential_residual(
-            form_on(grid), extra_bad=extra_bad_on(grid)),
+            form_on(grid), **common(grid)),
     }
 
     for kind in vs["residuals"]:
@@ -625,7 +624,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="refinement levels for convergence studies (verify; the finest "
                         f"grid may have at most {cfgmod.MAX_GRID_NODES} nodes)")
     p.add_argument("--threads", metavar="N", type=int, default=1,
-                   help="worker threads for point-parallel synthesis (at most one per core)")
+                   help="worker threads for synthesis and verify's residuals (at most one "
+                        "per core)")
 
 
 def build_parser() -> argparse.ArgumentParser:

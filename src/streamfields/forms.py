@@ -126,7 +126,7 @@ def evaluate_form(form: KForm, points: np.ndarray, params: Optional[dict] = None
             coeffs[key] = np.zeros(npts)
             grads[key] = np.zeros((npts, form.n))
             continue
-        jet = exprmod.eval_jets(e, pts, params or {})
+        jet = exprmod.eval_jets(e, pts, params or {}, order=1)
         bad |= jet.bad
         coeffs[key] = np.where(jet.bad, np.nan, jet.val)
         g = jet.grad.copy()
@@ -251,7 +251,7 @@ class FormSolution(FieldSolution):
 
     @property
     def n(self) -> int:
-        return self.points.shape[1]
+        return self.star_df.n
 
     @property
     def omega(self) -> FormValues:
@@ -279,7 +279,7 @@ def _synthesize_from_star(model, drive: KForm, policy, tol, points, star_a: Form
     w, Q, regime, sel, flags = _assemble(
         model, policy, tol, pts, mat, xi, star_a.bad, lap)
     return FormSolution(
-        grid=grid, model=model, drive=drive, policy=policy, tol=tol, points=pts, w=w, Q=Q,
+        grid=grid, model=model, drive=drive, policy=policy, tol=tol, _points=pts, w=w, Q=Q,
         xi=xi, regime=regime, branch_id=sel, flags=flags, k=star_a.k, star_df=star_a,
     )
 
@@ -392,7 +392,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     n = sol.n
     star_df = sol.star_df
     d_star = _d_values(star_df)
-    npts = sol.points.shape[0]
+    npts = sol.xi.shape[0]
     with np.errstate(all="ignore"):
         grad_xi = np.zeros((npts, n))
         for key, vals in star_df.coeffs.items():

@@ -253,7 +253,7 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
             f"at grid node {loc} (x = {pos}); a gauge field H with H ^ w = 0 would be needed"
         )
 
-    points = grid.points()
+    points = witness.solution.points
 
     if anchor is None:
         start = tuple(int(i) for i in np.argwhere(mask)[0])

@@ -10,9 +10,12 @@ node is lo + i·h with a normal spacing h, so refining a grid by a power of two
 keeps every node bit for bit.
 
 For the same reason a grid is synthesized in blocks of SYNTH_BLOCK nodes, one
-after another or on a thread pool, each written into its rows of the full
-solution: every temporary is block-sized, and the partition, and so the
-bytes, do not depend on the worker count.
+after another or on a thread pool (run_blocks), each written into its rows of
+the full solution: every temporary is block-sized, and the partition, and so
+the bytes, do not depend on the worker count.  A block gathers its own nodes
+from the grid's axes, so no (N, n) array of all the nodes is built; a
+solution read off a grid (synthesized in blocks, or restricted to a coarser
+level) builds its `points` from its grid the first time they are read.
 
 w needs only the drive a, the first derivatives of its potential, so
 synthesis builds first-order drive jets (drive_batch(..., order=1)) and
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,8 +142,13 @@ def nested_index(coarse: GridSpec, fine: GridSpec) -> Optional[np.ndarray]:
     steps = [f // c for c, f in zip(coarse.cells, fine.cells)]
     if any(f != s * c or s & (s - 1) for s, c, f in zip(steps, coarse.cells, fine.cells)):
         return None
-    node = np.arange(fine.npoints()).reshape(fine.shape())
-    return node[tuple(slice(None, None, s) for s in steps)].reshape(-1)
+    # each coarse node's flat fine index, summed axis by axis from strided aranges
+    index = np.zeros((), dtype=np.int64)
+    stride = fine.npoints()
+    for size, step in zip(fine.shape(), steps):
+        stride //= size
+        index = index[..., None] + np.arange(0, size, step, dtype=np.int64) * stride
+    return index.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -196,23 +204,35 @@ class FieldSolution:
     drive: DriveField
     policy: BranchPolicy
     tol: Tolerances
-    points: np.ndarray  # (N, n)
     w: np.ndarray  # (N, n), (N, C(n, k)) for a k-form; NaN rows where undefined
     Q: np.ndarray  # (N,)
     xi: np.ndarray  # (N,)
     regime: np.ndarray  # (N,) uint8 codes into REGIME_NAMES
     branch_id: np.ndarray  # (N,) int32, 0 = no branch
     flags: np.ndarray  # (N,) int32 bitset
+    # the (N, n) points it was synthesized at; None on a solution read off a
+    # grid, whose `points` are built from the grid on first read
+    _points: Optional[np.ndarray] = field(default=None, kw_only=True, repr=False)
+
+    @property
+    def points(self) -> np.ndarray:
+        """(N, n) points; a grid-backed solution without them builds them from
+        its grid the first time they are read and keeps them."""
+        if self._points is None:
+            self._points = self.grid.points()
+        return self._points
 
     @property
     def defined(self) -> np.ndarray:
         return finite_rows(self.w)
 
-    def restricted(self, grid: GridSpec, idx: np.ndarray) -> "FieldSolution":
-        """This solution at the nodes `idx`, as the solution on `grid`; with
-        idx = nested_index(grid, self.grid) it is, bit for bit, a synthesis
-        on `grid`, since each node's values depend on that node alone."""
-        return replace(self, grid=grid, points=self.points[idx], w=self.w[idx], Q=self.Q[idx],
+    def restricted(self, grid: Optional[GridSpec], idx) -> "FieldSolution":
+        """This solution at the nodes `idx` (an index array, or a slice, which
+        gives views), as the solution on `grid`; with idx = nested_index(grid,
+        self.grid) it is, bit for bit, a synthesis on `grid`, since each
+        node's values depend on that node alone.  Its points are left to be
+        built from `grid` (None for a block of rows that is no grid's)."""
+        return replace(self, grid=grid, _points=None, w=self.w[idx], Q=self.Q[idx],
                        xi=self.xi[idx], regime=self.regime[idx],
                        branch_id=self.branch_id[idx], flags=self.flags[idx])
 
@@ -376,7 +396,7 @@ def _solve(model: DensityModel, d: DriveField, policy: BranchPolicy, points: np.
     w, Q, regime, sel, flags = _assemble(
         model, policy, tol, pts, batch.a, batch.xi, batch.bad, batch.laplacian_f)
     return FieldSolution(
-        grid=grid, model=model, drive=d, policy=policy, tol=tol, points=pts,
+        grid=grid, model=model, drive=d, policy=policy, tol=tol, _points=pts,
         w=w, Q=Q, xi=batch.xi, regime=regime, branch_id=sel, flags=flags,
     ), batch
 
@@ -393,38 +413,44 @@ def block_rows(npts: int) -> list:
     return [slice(start, start + SYNTH_BLOCK) for start in range(0, max(npts, 1), SYNTH_BLOCK)]
 
 
+def run_blocks(work: Callable, blocks, workers: int) -> None:
+    """work(block) for every block, in order on the calling thread, or with
+    workers > 1 and more than one block on a thread pool; reading every
+    result re-raises a block's error."""
+    if workers <= 1 or len(blocks) <= 1:
+        for block in blocks:
+            work(block)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, blocks))
+
+
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
                grid: GridSpec, tol: Optional[Tolerances] = None,
                workers: int = 1) -> FieldSolution:
     """Synthesize on every grid node, one block of SYNTH_BLOCK nodes at a
     time, each written into its rows of one preallocated solution; with
-    workers > 1 a thread pool runs the same blocks.  A grid of at most one
-    block is one call."""
+    workers > 1 a thread pool runs the same blocks.  A block gathers its
+    nodes from the axes, bit for bit the rows of grid.points(), which is not
+    built here: the solution builds its points on first read."""
     if grid.dim != d.dim:
         raise SynthError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
-    pts = grid.points()
-    npts = pts.shape[0]
-    blocks = block_rows(npts)
-    if len(blocks) == 1:
-        return synthesize_at_points(model, d, policy, pts, tol=tol, grid=grid)
     tol = tol or Tolerances()
-    out = FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol, points=pts,
+    npts, shape, axes = grid.npoints(), grid.shape(), grid.axes()
+    out = FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol,
                         w=np.empty((npts, d.dim)), Q=np.empty(npts), xi=np.empty(npts),
                         regime=np.empty(npts, dtype=np.uint8),
                         branch_id=np.empty(npts, dtype=np.int32),
                         flags=np.empty(npts, dtype=np.int32))
 
     def solve(rows: slice) -> None:
-        part = synthesize_at_points(model, d, policy, pts[rows], tol=tol)
+        node = np.unravel_index(np.arange(*rows.indices(npts)), shape)
+        pts = np.stack([ax[i] for ax, i in zip(axes, node)], axis=1)
+        part = synthesize_at_points(model, d, policy, pts, tol=tol)
         for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
             getattr(out, name)[rows] = getattr(part, name)
 
-    if workers <= 1:
-        for rows in blocks:
-            solve(rows)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve, blocks))  # reading every result re-raises a block's error
+    run_blocks(solve, block_rows(npts), workers)
     return out
 
 

@@ -10,8 +10,14 @@ and divergence and curl accumulate in place, in the terms' order; rho w is
 built one contiguous component at a time.
 The mask is exactly the union of singular flags (nonphysical-branch markers
 are informational, not singular) and every residual's `extra_bad` nodes,
-dilated by one stencil width, plus the boundary.  Reductions are numpy sums
-in fixed index order, so reports are deterministic.  The codifferential
+dilated by one stencil width, plus the boundary.
+Every residual kind runs its kernels in slabs of axis-0 rows (`_slabs`), of
+about SYNTH_BLOCK nodes each, one after another or on the synthesis thread
+pool: a slab reads HALO rows past each end and writes only its own rows of
+one residual array and one mask, so the temporaries are slab-sized and every
+value is the whole grid's, bit for bit, for any slab height or worker count.
+The residuals read no grid points.  Reductions are numpy sums in fixed index
+order over the whole residual, so reports are deterministic.  The codifferential
 residual hands central differences to `forms.codifferential` as coefficient
 gradients, so it applies the forms module's one sign table
 (`forms._wedge_sum`) and has none of its own.
@@ -21,14 +27,16 @@ vectorized Gauss-Kronrod rule over the gaps between the distinct Q for a custom 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
+from . import synth as synthmod
 from .density import DensityModel
 from .forms import FormSolution, FormValues, codifferential
-from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows,
+from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows, run_blocks,
                     synthesize_at_points)
 
 if TYPE_CHECKING:  # frobenius imports this module; the witness is an annotation only
@@ -40,6 +48,8 @@ class VerifyError(ValueError):
 
 
 MASK_BITS = ~FLAG_NONPHYSICAL_RHO  # every flag except the physicality marker
+ORDER = 2  # the residuals' central differences
+HALO = ORDER // 2  # rows a slab reads past each of its ends: the stencil and mask width
 
 
 @dataclass
@@ -97,13 +107,13 @@ def interior(ok: np.ndarray, width: int) -> np.ndarray:
     return ~(_dilate(~ok, width) | _border(ok.shape, width))
 
 
-def _excluded(solution, grid: GridSpec, *extra_bad: Optional[np.ndarray]) -> np.ndarray:
+def _excluded(solution, shape: tuple, *extra_bad: Optional[np.ndarray]) -> np.ndarray:
     flagged = (solution.flags & MASK_BITS) != 0
     bad = flagged | ~solution.defined
     for extra in extra_bad:
         if extra is not None:
-            bad = bad | extra
-    return ~interior(~bad.reshape(grid.shape()), 1)
+            bad |= extra
+    return ~interior(~bad.reshape(shape), 1)
 
 
 def stencil(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
@@ -180,11 +190,12 @@ def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarra
     if n_keep < 3:
         raise VerifyError(f"{kind}: fewer than 3 unmasked interior points")
     vals = residual[keep]
+    max_norm = float(np.abs(vals, out=vals).max())
     return ResidualReport(
         kind=kind,
         h=float(np.max(grid.spacing())),
-        max_norm=float(np.abs(vals).max()),
-        l2_norm=float(np.sqrt(np.mean(vals ** 2))),
+        max_norm=max_norm,
+        l2_norm=float(np.sqrt(np.mean(np.square(vals, out=vals)))),
         masked_fraction=float(1.0 - n_keep / residual.size),
     )
 
@@ -195,83 +206,129 @@ def _grid_of(solution: FieldSolution) -> GridSpec:
     return solution.grid
 
 
-def _rho_w(solution: FieldSolution, model: Optional[DensityModel], grid: GridSpec) -> list:
+def _slabs(kind: str, solution: FieldSolution, kernel: Callable, workers: int,
+           extra_bad: Optional[np.ndarray]) -> ResidualReport:
+    """One residual kind over slabs of axis-0 rows, each of about SYNTH_BLOCK
+    nodes and at least one row, on `workers` threads (synth.run_blocks).
+    `kernel(part, nodes, shape)` returns the residual on the slab's rows and
+    the nodes it leaves undefined (or None): `part` is the solution on the
+    flat nodes `nodes` as views, and `shape` their grid shape.  A slab runs
+    its kernel with HALO more rows on each side inside the grid, enough for
+    the central stencils and the mask's dilation, and keeps its own rows, so
+    every node's residual and mask bit, and the report, are the whole-grid
+    ones for any slab height or worker count."""
+    grid = _grid_of(solution)
+    shape = grid.shape()
+    row = math.prod(shape[1:])
+    height = max(1, synthmod.SYNTH_BLOCK // row)
+    residual = np.empty(shape)
+    excluded = np.empty(shape, dtype=bool)
+
+    def slab(top: int) -> None:
+        end = min(top + height, shape[0])
+        lo, hi = max(top - HALO, 0), min(end + HALO, shape[0])
+        nodes = slice(lo * row, hi * row)
+        sub = (hi - lo,) + shape[1:]
+        part = solution.restricted(None, nodes)
+        values, bad = kernel(part, nodes, sub)
+        own = slice(top - lo, end - lo)
+        residual[top:end] = values[own]
+        extra = None if extra_bad is None else extra_bad[nodes]
+        excluded[top:end] = _excluded(part, sub, bad, extra)[own]
+
+    run_blocks(slab, range(0, shape[0], height), workers)
+    return _report(kind, grid, residual, excluded)
+
+
+def _rho_w(solution: FieldSolution, model: Optional[DensityModel], shape: tuple) -> list:
     """Grid components of rho(Q) w."""
     model = model or solution.model
     with np.errstate(all="ignore"):
         rho = model.rho(solution.Q)
-        return [(rho * solution.w[:, i]).reshape(grid.shape()) for i in range(grid.dim)]
+        return [(rho * solution.w[:, i]).reshape(shape) for i in range(len(shape))]
 
 
 def divergence_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                        extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
+                        extra_bad: Optional[np.ndarray] = None,
+                        workers: int = 1) -> ResidualReport:
     """Central-difference divergence of rho(Q) w."""
-    grid = _grid_of(solution)
-    div = divergence(_rho_w(solution, model, grid), grid.spacing(), 2)
-    return _report("DivergenceOfRhoW", grid, div, _excluded(solution, grid, extra_bad))
+    h = _grid_of(solution).spacing()
+    return _slabs("DivergenceOfRhoW", solution, lambda part, nodes, shape: (
+        divergence(_rho_w(part, model, shape), h, ORDER), None), workers, extra_bad)
 
 
 def minor_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                   extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
+                   extra_bad: Optional[np.ndarray] = None, workers: int = 1) -> ResidualReport:
     """Max 2x2 minor |d_i(rho w_j) - d_j(rho w_i)| by central differences."""
-    grid = _grid_of(solution)
-    worst = curl_max(_rho_w(solution, model, grid), grid.spacing(), 2)
-    return _report("MinorSystemOfRhoW", grid, worst, _excluded(solution, grid, extra_bad))
+    h = _grid_of(solution).spacing()
+    return _slabs("MinorSystemOfRhoW", solution, lambda part, nodes, shape: (
+        curl_max(_rho_w(part, model, shape), h, ORDER), None), workers, extra_bad)
 
 
 def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
-                       extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
+                       extra_bad: Optional[np.ndarray] = None,
+                       workers: int = 1) -> ResidualReport:
     """Frobenius defect with finite-difference derivatives of w and the
     witness's G: minor systems compare curls, divergence systems divergences."""
-    grid = _grid_of(solution)
-    shape = grid.shape()
-    h = grid.spacing()
-    if witness.G.shape[0] != solution.points.shape[0]:
+    h = _grid_of(solution).spacing()
+    if witness.G.shape[0] != solution.w.shape[0]:
         raise VerifyError("witness and solution are not aligned on the same points")
-    G, w = witness.G, solution.w
-    comps = [w[:, i].reshape(shape) for i in range(grid.dim)]
-    with np.errstate(all="ignore"):
-        if witness.kind == "minor":
-            worst = np.zeros(shape)
-            for i, j, curl in curls(comps, h, 2):
-                wedge = (G[:, i] * w[:, j] - G[:, j] * w[:, i]).reshape(shape)
-                worst = np.maximum(worst, np.abs(curl - wedge))
-        else:
-            worst = np.abs(divergence(comps, h, 2) - np.einsum("ni,ni->n", G, w).reshape(shape))
-    excluded = _excluded(solution, grid, ~witness.defined, extra_bad)
-    return _report("FrobeniusDefect", grid, worst, excluded)
+
+    def kernel(part, nodes, shape):
+        G, w = witness.G[nodes], part.w
+        comps = [w[:, i].reshape(shape) for i in range(len(shape))]
+        with np.errstate(all="ignore"):
+            if witness.kind == "minor":
+                worst = np.zeros(shape)
+                for i, j, curl in curls(comps, h, ORDER):
+                    wedge = (G[:, i] * w[:, j] - G[:, j] * w[:, i]).reshape(shape)
+                    worst = np.maximum(worst, np.abs(curl - wedge))
+            else:
+                worst = np.abs(divergence(comps, h, ORDER)
+                               - np.einsum("ni,ni->n", G, w).reshape(shape))
+        return worst, ~witness.defined[nodes]
+
+    return _slabs("FrobeniusDefect", solution, kernel, workers, extra_bad)
 
 
 def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "minor",
-                       extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
+                       extra_bad: Optional[np.ndarray] = None,
+                       workers: int = 1) -> ResidualReport:
     """Closure of the rescaled field: curl of e^(-eta) w for minor systems,
     divergence of e^(-eta) w for divergence systems."""
     grid = _grid_of(solution)
-    eta = np.asarray(eta, dtype=float).reshape(grid.shape())
-    worst = closure_residual(solution.w, eta, system, grid.spacing(), 2)
-    excluded = _excluded(solution, grid, ~np.isfinite(eta).reshape(-1), extra_bad)
-    return _report("ExactnessDefect", grid, worst, excluded)
+    eta = np.asarray(eta, dtype=float).reshape(grid.npoints())
+    h = grid.spacing()
+
+    def kernel(part, nodes, shape):
+        eta_part = eta[nodes]
+        return (closure_residual(part.w, eta_part.reshape(shape), system, h, ORDER),
+                ~np.isfinite(eta_part))
+
+    return _slabs("ExactnessDefect", solution, kernel, workers, extra_bad)
 
 
-def codifferential_residual(fsol: FormSolution, *,
-                            extra_bad: Optional[np.ndarray] = None) -> ResidualReport:
+def codifferential_residual(fsol: FormSolution, *, extra_bad: Optional[np.ndarray] = None,
+                            workers: int = 1) -> ResidualReport:
     """Codifferential of rho(Q) omega, coefficientwise: forms.codifferential
     with central-difference coefficient gradients."""
-    grid = _grid_of(fsol)
-    shape = grid.shape()
-    h = grid.spacing()
-    omega, rho_c = fsol.omega, fsol.rho_c
-    with np.errstate(all="ignore"):
-        coeffs = {key: rho_c * vals for key, vals in omega.coeffs.items()}
-    grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], 2).reshape(-1)
-                            for i in range(fsol.n)], axis=1)
-             for key, vals in coeffs.items()}
-    delta = codifferential(FormValues(n=fsol.n, k=fsol.k, coeffs=coeffs, grads=grads,
-                                      bad=omega.bad))
-    worst = np.zeros(shape)
-    for vals in delta.coeffs.values():
-        worst = np.maximum(worst, np.abs(vals.reshape(shape)))
-    return _report("CodifferentialDefect", grid, worst, _excluded(fsol, grid, extra_bad))
+    h = _grid_of(fsol).spacing()
+
+    def kernel(part, nodes, shape):
+        omega, rho_c = part.omega, part.rho_c
+        with np.errstate(all="ignore"):
+            coeffs = {key: rho_c * vals for key, vals in omega.coeffs.items()}
+        grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], ORDER).reshape(-1)
+                                for i in range(part.n)], axis=1)
+                 for key, vals in coeffs.items()}
+        delta = codifferential(FormValues(n=part.n, k=part.k, coeffs=coeffs, grads=grads,
+                                          bad=omega.bad))
+        worst = np.zeros(shape)
+        for vals in delta.coeffs.values():
+            worst = np.maximum(worst, np.abs(vals.reshape(shape)))
+        return worst, None
+
+    return _slabs("CodifferentialDefect", fsol, kernel, workers, extra_bad)
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,7 @@ def test_levels_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, mo
 
     monkeypatch.setattr(cli, "_synth_solution", no_synthesis)
     monkeypatch.setattr(GridSpec, "points", no_synthesis)
+    monkeypatch.setattr(GridSpec, "axes", no_synthesis)  # a synthesis block's nodes
     tracemalloc.start()
     try:
         code = main(["verify", "--example", "unit-density", "--out", str(tmp_path / "o"),
@@ -593,6 +594,7 @@ def test_grid_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, "_synth_solution", no_synthesis)
     monkeypatch.setattr(GridSpec, "points", no_synthesis)
+    monkeypatch.setattr(GridSpec, "axes", no_synthesis)  # a synthesis block's nodes
     cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21" if command == "forms" else "unit-density"])
     cfg["grid"]["cells"] = [10 ** 6, 10 ** 6]
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -617,6 +619,7 @@ def test_grid_with_subnormal_spacing_exits_2_before_any_grid(tmp_path, capsys, m
         raise AssertionError("a grid was synthesized")
 
     monkeypatch.setattr(GridSpec, "points", no_synthesis)
+    monkeypatch.setattr(GridSpec, "axes", no_synthesis)  # a synthesis block's nodes
     cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21" if command == "forms" else "unit-density"])
     # the x1 spacing is 1e-307/4 = 2.5e-308 at 4 cells, and subnormal at 8 or 16
     cfg["grid"] = {"lo": [0.0, 0.0], "hi": [1e-307, 1.0], "cells": [cells, cells]}
@@ -1038,24 +1041,63 @@ def _record_syntheses(monkeypatch) -> list:
     return calls
 
 
+def _record_points(monkeypatch) -> list:
+    """The grids GridSpec.points builds every node of, in call order."""
+    built = []
+    points = GridSpec.points
+
+    def recorded(grid):
+        built.append(grid)
+        return points(grid)
+
+    monkeypatch.setattr(GridSpec, "points", recorded)
+    return built
+
+
 def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeypatch):
+    """...and builds no level's points, unless a mask predicate reads them
+    (verify.mask, or frobenius.mask for the exactness kind): the solutions
+    build them only when read, and the residuals read none.  A form
+    synthesis evaluates its coefficients at every node of the finest grid."""
     calls = _record_syntheses(monkeypatch)
-    skipped = 0
-    for name in cfgmod.EXAMPLES:
+    built = _record_points(monkeypatch)
+    skipped = unread = 0
+    for name, spec in cfgmod.EXAMPLES.items():
         calls.clear()
+        built.clear()
         assert main(["verify", "--example", name, "--out", str(tmp_path / name),
                      "--levels", "3"]) in (0, 4)
         *coarse, finest = [cli._refined(cfgmod.build_grid(cfgmod.example_config(name)), 2 ** i)
                            for i in range(3)]
-        if "forms" in cfgmod.EXAMPLES[name]:
+        if "forms" in spec:
             assert calls == [finest.npoints()], name
+            assert built == [finest], name
         else:
             assert calls == [finest], name
             skipped += sum(g.npoints() for g in coarse)
+            if "mask" not in spec["verify"] and "exactness" not in spec["verify"]["residuals"]:
+                assert built == [], name
+                unread += 1
     capsys.readouterr()
+    assert unread == 9  # every field example but extremal-patching, which has a verify.mask
     # the field nodes of the coarse levels that refine-l3 (verify --levels 3
     # on every example) no longer synthesizes
     assert skipped == 891_956
+
+
+def test_each_command_builds_a_solutions_points_once(tmp_path, capsys, monkeypatch):
+    """synth, singular and frobenius (witness, eta recovery and every CSV) read
+    one points array, built on first read from the synthesized grid; forms
+    keeps the points its synthesis evaluated at."""
+    built = _record_points(monkeypatch)
+    for name, spec in sorted(cfgmod.EXAMPLES.items()):
+        grid = cfgmod.build_grid(cfgmod.example_config(name))
+        for command in ("forms",) if "forms" in spec else ("synth", "singular", "frobenius"):
+            built.clear()
+            out = tmp_path / f"{command}-{name}"
+            assert main([command, "--example", name, "--out", str(out)]) == 0, (name, command)
+            assert built == [grid], (name, command)
+    capsys.readouterr()
 
 
 # |a|^2 = |grad f|^2 exceeds 1, the bottom of extremal branch 2's image, only

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfields import (
+    FLAG_OUTSIDE_OMEGA,
     FormError,
     FormValues,
     GridSpec,
@@ -367,7 +368,8 @@ def _oracle_codifferential_residual(fsol, grid):
     worst = np.zeros(shape)
     for vals in result.coeffs.values():
         worst = np.maximum(worst, np.abs(sgn * vals.reshape(shape)))
-    return verifymod._report("CodifferentialDefect", grid, worst, verifymod._excluded(fsol, grid))
+    return verifymod._report("CodifferentialDefect", grid, worst,
+                             verifymod._excluded(fsol, grid.shape()))
 
 
 def _awkward(rng, shape):
@@ -476,12 +478,18 @@ def test_kernel_gamma_system_matches_the_hand_loop(rng, n, k):
 def test_codifferential_residual_matches_the_hand_loop(rng, n, k):
     grid = GridSpec((0.0,) * n, (1.0,) * n, ({2: 16, 3: 8, 4: 5}[n],) * n)
     npts = grid.npoints()
-    omega = FormValues(n=n, k=k, grads=None, bad=np.zeros(npts, dtype=bool),
-                       coeffs={key: _awkward(rng, npts) for key in multi_indices(n, k)})
-    rho_c = np.abs(_awkward(rng, npts)) + 0.5
-    defined = rng.random(npts) > 0.05
-    fsol = SimpleNamespace(grid=grid, n=n, k=k, omega=omega, rho_c=rho_c, defined=defined,
-                           flags=np.zeros(npts, dtype=np.int64))
+    # omega's coefficients with signed zeros and, in 2% of the rows, a NaN
+    # hole (an undefined row), and flagged points; rho(Q) = Q, so rho_c is Q
+    w = np.stack([_awkward(rng, npts) for _ in multi_indices(n, k)], axis=1)
+    w[np.isnan(w)] = 0.25
+    w[rng.random(npts) < 0.02, 0] = np.nan
+    flags = np.where(rng.random(npts) > 0.05, 0, FLAG_OUTSIDE_OMEGA).astype(np.int32)
+    fsol = forms.FormSolution(
+        grid=grid, model=SimpleNamespace(rho=lambda q: q), drive=None, policy=None, tol=None,
+        w=w, Q=np.abs(_awkward(rng, npts)) + 0.5, xi=np.zeros(npts),
+        regime=np.zeros(npts, dtype=np.uint8), branch_id=np.ones(npts, dtype=np.int32),
+        flags=flags, k=k, star_df=FormValues(n=n, k=k, coeffs={}, grads=None,
+                                             bad=np.zeros(npts, dtype=bool)))
     got = verifymod.codifferential_residual(fsol)
     want = _oracle_codifferential_residual(fsol, grid)
     assert got.to_json_dict() == want.to_json_dict()

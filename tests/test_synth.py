@@ -210,6 +210,46 @@ def test_nested_index_finds_coarse_nodes_and_refuses_grids_that_do_not_nest():
     assert nested_index(GridSpec((-1.0,), (-0.0,), (2,)), GridSpec((-1.0,), (0.0,), (4,))) is None
 
 
+def _nested_index_by_arange(coarse: GridSpec, fine: GridSpec) -> np.ndarray:
+    """The construction nested_index replaced, kept as its oracle: the flat
+    index of every fine node, strided down to the coarse nodes."""
+    steps = [f // c for c, f in zip(coarse.cells, fine.cells)]
+    node = np.arange(fine.npoints()).reshape(fine.shape())
+    return node[tuple(slice(None, None, s) for s in steps)].reshape(-1)
+
+
+@pytest.mark.parametrize("cells, factors", [
+    ((8, 6), (2, 4)), ((5, 3), (1, 1)),
+    ((3, 4, 2), (1, 2, 8)), ((2, 2, 3), (4, 4, 1)),
+    ((2, 3, 2, 3), (4, 1, 2, 2)), ((3, 2, 2, 2), (2, 2, 2, 2)),
+])
+def test_nested_index_from_strided_aranges_is_the_old_construction(cells, factors):
+    """The per-axis strided aranges give the old full-arange construction's
+    int64 indices bit for bit in 2, 3 and 4 dimensions, and grids that do not
+    nest still give None."""
+    dim = len(cells)
+    lo, hi = tuple(-0.5 - k for k in range(dim)), tuple(0.25 * (k + 1) for k in range(dim))
+    coarse = GridSpec(lo, hi, cells)
+    fine = GridSpec(lo, hi, tuple(c * f for c, f in zip(cells, factors)))
+    got, want = nested_index(coarse, fine), _nested_index_by_arange(coarse, fine)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
+    assert fine.points()[got].tobytes() == coarse.points().tobytes()
+    other = tuple(hi[:-1]) + (np.nextafter(hi[-1], np.inf),)
+    refused = [
+        GridSpec(lo, other, cells),  # another box on the last axis
+        GridSpec(lo[:-1], hi[:-1], cells[:-1]),  # another dimension
+        GridSpec(lo, hi, tuple(2 * c for c in fine.cells[:-1]) + (3 * fine.cells[-1],)),
+        GridSpec(lo, hi, (fine.cells[0] - 1,) + cells[1:]),  # divides no fine count
+    ]
+    for grid in refused:
+        assert nested_index(grid, fine) is None, grid
+    tripled = GridSpec(lo, hi, fine.cells[:-1] + (3 * cells[-1],))
+    assert nested_index(coarse, tripled) is None  # a factor that is not a power of two
+    if any(f > 1 for f in factors):
+        assert nested_index(fine, coarse) is None  # finer than the grid it is looked up in
+
+
 def _random_box(rng) -> tuple:
     """lo < hi drawn over the whole float range: magnitudes from 1e-300 to
     1e300, either sign, and extents from a few ulps of lo up to both ends'

@@ -4,13 +4,16 @@ from scipy import integrate
 
 from streamfields import (
     DensityModel,
+    FLAG_GAMMA_S,
     FLAG_NONPHYSICAL_RHO,
+    FormValues,
     GridSpec,
     MASK_BITS,
     Tolerances,
     VerifyError,
     born_infeld,
     caustic,
+    codifferential,
     codifferential_residual,
     convergence_study,
     coulomb,
@@ -483,8 +486,139 @@ def test_rho_w_by_contiguous_components_is_the_old_product(cells):
     with np.errstate(all="ignore"):
         u = model.rho(sol.Q)[:, None] * sol.w
     want = [u[:, i].reshape(grid.shape()) for i in range(dim)]
-    got = _rho_w(sol, None, grid)
+    got = _rho_w(sol, None, grid.shape())
     assert len(got) == dim
     for g, w in zip(got, want):
         assert g.flags.c_contiguous
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# residuals in row slabs against the kernels run on the whole grid
+
+
+def _whole_grid_residual(kind, sol, extra_bad, witness=None, eta=None):
+    """(residual, excluded) of one kind from the finite-difference kernels on
+    the whole grid at once, as the residual bodies computed them before slabs."""
+    from streamfields.verify import (_excluded, _rho_w, closure_residual, curl_max, curls,
+                                     divergence, stencil)
+
+    grid = sol.grid
+    shape, h = grid.shape(), grid.spacing()
+    bad = None
+    with np.errstate(all="ignore"):
+        if kind == "divergence":
+            res = divergence(_rho_w(sol, None, shape), h, 2)
+        elif kind == "minor":
+            res = curl_max(_rho_w(sol, None, shape), h, 2)
+        elif kind == "frobenius":
+            G, w = witness.G, sol.w
+            comps = [w[:, i].reshape(shape) for i in range(grid.dim)]
+            if witness.kind == "minor":
+                res = np.zeros(shape)
+                for i, j, curl in curls(comps, h, 2):
+                    wedge = (G[:, i] * w[:, j] - G[:, j] * w[:, i]).reshape(shape)
+                    res = np.maximum(res, np.abs(curl - wedge))
+            else:
+                res = np.abs(divergence(comps, h, 2) - np.einsum("ni,ni->n", G, w).reshape(shape))
+            bad = ~witness.defined
+        elif kind == "exactness":
+            res = closure_residual(sol.w, eta.reshape(shape), witness.kind, h, 2)
+            bad = ~np.isfinite(eta)
+        else:
+            coeffs = {key: sol.rho_c * vals for key, vals in sol.omega.coeffs.items()}
+            grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], 2).reshape(-1)
+                                    for i in range(sol.n)], axis=1)
+                     for key, vals in coeffs.items()}
+            delta = codifferential(FormValues(n=sol.n, k=sol.k, coeffs=coeffs, grads=grads,
+                                              bad=sol.omega.bad))
+            res = np.zeros(shape)
+            for vals in delta.coeffs.values():
+                res = np.maximum(res, np.abs(vals.reshape(shape)))
+    return res, _excluded(sol, shape, bad, extra_bad)
+
+
+# (drive, density, policy, box, cells, stream form); the frobenius witness is
+# the first that fits the drive: minor in 2-D, divergence in 3-D and 4-D
+SLAB_CASES = {
+    "2d": (lambda: scalar_drive("exp(x1*x2)/3"), shallow_water, prefer_type1,
+           ((0.2, 0.2), (0.8, 0.8)), (22, 9), "x1^2 * x2^3 / 8"),
+    "2d-shorter-than-a-slab": (lambda: scalar_drive("exp(x1*x2)/3"), shallow_water, prefer_type1,
+                               ((0.2, 0.2), (0.8, 0.8)), (4, 40), "x1^2 * x2^3 / 8"),
+    "3d": (coulomb, born_infeld, lambda: single_branch(1),
+           ((1.1, 0.2, 0.2), (1.9, 0.8, 0.8)), (10, 5, 4), "x1^2*x2/8 + x3^2/10"),
+    "4d": (lambda: gradient_drive(4, "0.1*(x1^2 + x2^2 + x3^2 + x4^2) + 0.05*x1*x2"),
+           shallow_water, prefer_type1, ((0.1,) * 4, (0.9,) * 4), (8, 3, 3, 4),
+           "x1*x2^2/8 + x3*x4/10"),
+}
+
+
+def _holed(sol, rng, edges, row):
+    """Plant NaN rows in w, singular flags and extra_bad nodes at random and
+    on the rows either side of every slab edge in `edges`."""
+    n = sol.w.shape[0]
+    near = np.zeros(n, dtype=bool)
+    for r in edges:
+        for rr in (r - 1, r):
+            near[rr * row + rng.integers(0, row, 2)] = True
+    sol.w[(rng.random(n) < 0.02) | (near & (rng.random(n) < 0.5))] = np.nan
+    sol.flags[(rng.random(n) < 0.02) | (near & (rng.random(n) < 0.5))] |= FLAG_GAMMA_S
+    return (rng.random(n) < 0.02) | (near & (rng.random(n) < 0.5))
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_residual_slabs_are_the_whole_grid_residual_bit_for_bit(monkeypatch, case):
+    """Every residual kind, with slabs of 1, 2 and 7 rows on one and two
+    workers: the residual and the mask the driver hands _report are the
+    whole-grid kernels' byte for byte, and so is the report, with NaN holes,
+    flagged points and extra_bad nodes on the slab edges."""
+    from streamfields import frobenius as frobmod, synth as synthmod
+    from streamfields import verify as verifymod
+
+    make_drive, make_model, make_policy, (lo, hi), cells, stream = SLAB_CASES[case]
+    grid = GridSpec(lo, hi, cells)
+    shape, row = grid.shape(), int(np.prod(grid.shape()[1:]))
+    rng = np.random.default_rng(len(case))
+    d, model, policy = make_drive(), make_model(), make_policy()
+    sol = synthesize(model, d, policy, grid)
+    wit = getattr(frobmod, "witness_" + frobmod.resolve_witness("auto", d))(sol)
+    fsol = synthesize_form(model, kform(grid.dim, 0, {(): stream}), policy, grid.points(),
+                           grid=grid)
+    edges = [r for height in (2, 7) for r in range(height, shape[0], height)]
+    extra = _holed(sol, rng, edges, row)
+    form_extra = _holed(fsol, rng, edges, row)
+    eta = rng.normal(size=grid.npoints())
+    eta[rng.random(eta.size) < 0.03] = np.nan
+    runs = {
+        "divergence": (sol, extra, {}, lambda **kw: divergence_residual(sol, extra_bad=extra, **kw)),
+        "minor": (sol, extra, {}, lambda **kw: minor_residual(sol, extra_bad=extra, **kw)),
+        "frobenius": (sol, extra, {"witness": wit},
+                      lambda **kw: frobenius_residual(sol, wit, extra_bad=extra, **kw)),
+        "exactness": (sol, extra, {"witness": wit, "eta": eta},
+                      lambda **kw: exactness_residual(sol, eta, system=wit.kind, extra_bad=extra,
+                                                      **kw)),
+        "codifferential": (fsol, form_extra, {},
+                           lambda **kw: codifferential_residual(fsol, extra_bad=form_extra, **kw)),
+    }
+    seen = []
+    report = verifymod._report
+
+    def spy(kind, g, residual, excluded):
+        seen.append((residual.copy(), excluded.copy()))
+        return report(kind, g, residual, excluded)
+
+    monkeypatch.setattr(verifymod, "_report", spy)
+    for kind, (s, bad, extra_args, run) in runs.items():
+        want_res, want_exc = _whole_grid_residual(kind, s, bad, **extra_args)
+        want = report("k", grid, want_res.copy(), want_exc).to_json_dict()
+        for height in (1, 2, 7):
+            monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
+            for workers in (1, 2):
+                seen.clear()
+                got = run(workers=workers).to_json_dict()
+                (res, exc), = seen
+                label = (kind, height, workers)
+                assert res.tobytes() == want_res.tobytes(), label
+                assert exc.tobytes() == want_exc.tobytes(), label
+                assert {**got, "kind": "k"} == want, label
+    assert want_exc.any() and not want_exc.all()
