@@ -12,8 +12,8 @@ keeps every node bit for bit.
 For the same reason a grid is synthesized in blocks of SYNTH_BLOCK nodes, one
 after another or on a thread pool (run_blocks), each written into its rows of
 the full solution: every temporary is block-sized, and the partition, and so
-the bytes, do not depend on the worker count.  A block gathers its own nodes
-from the grid's axes, so no (N, n) array of all the nodes is built; a
+the bytes, do not depend on the worker count.  A block builds only its own
+nodes (GridSpec.nodes), so no (N, n) array of all the nodes is built; a
 solution read off a grid (synthesized in blocks, or restricted to a coarser
 level) builds its `points` from its grid the first time they are read.
 
@@ -124,8 +124,19 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All nodes, lexicographic in the multi-index (first axis slowest)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return self.nodes(0, self.npoints())
+
+    def nodes(self, start: int, stop: int) -> np.ndarray:
+        """Nodes start to stop - 1 of points(), bit for bit: each axis's values
+        broadcast into one array over only the first-axis rows they lie in."""
+        shape, dim = self.shape(), self.dim
+        row = self.npoints() // shape[0]
+        first, last = start // row, -(-stop // row)
+        out = np.empty((last - first,) + shape[1:] + (dim,))
+        for i, ax in enumerate(self.axes()):
+            out[..., i] = (ax[first:last] if i == 0 else ax).reshape(
+                [-1 if j == i else 1 for j in range(dim)])
+        return out.reshape(-1, dim)[start - first * row:stop - first * row]
 
     def npoints(self) -> int:
         return int(np.prod(self.shape()))
@@ -430,13 +441,13 @@ def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
                workers: int = 1) -> FieldSolution:
     """Synthesize on every grid node, one block of SYNTH_BLOCK nodes at a
     time, each written into its rows of one preallocated solution; with
-    workers > 1 a thread pool runs the same blocks.  A block gathers its
-    nodes from the axes, bit for bit the rows of grid.points(), which is not
-    built here: the solution builds its points on first read."""
+    workers > 1 a thread pool runs the same blocks.  A block builds only its
+    own nodes (GridSpec.nodes); grid.points() is not built here, and the
+    solution builds its points on first read."""
     if grid.dim != d.dim:
         raise SynthError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     tol = tol or Tolerances()
-    npts, shape, axes = grid.npoints(), grid.shape(), grid.axes()
+    npts = grid.npoints()
     out = FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol,
                         w=np.empty((npts, d.dim)), Q=np.empty(npts), xi=np.empty(npts),
                         regime=np.empty(npts, dtype=np.uint8),
@@ -444,9 +455,8 @@ def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
                         flags=np.empty(npts, dtype=np.int32))
 
     def solve(rows: slice) -> None:
-        node = np.unravel_index(np.arange(*rows.indices(npts)), shape)
-        pts = np.stack([ax[i] for ax, i in zip(axes, node)], axis=1)
-        part = synthesize_at_points(model, d, policy, pts, tol=tol)
+        part = synthesize_at_points(model, d, policy, grid.nodes(*rows.indices(npts)[:2]),
+                                    tol=tol)
         for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
             getattr(out, name)[rows] = getattr(part, name)
 
