@@ -63,8 +63,8 @@ from .frobenius import (
     witness_nd,
 )
 from .forms import (
+    FormDrive,
     FormError,
-    FormSolution,
     FormValues,
     GammaWitness,
     KForm,
@@ -77,6 +77,7 @@ from .forms import (
     insert_sign,
     kform,
     multi_indices,
+    omega_values,
     star_sign,
     synthesize_form,
     synthesize_form_closed,

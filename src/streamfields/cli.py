@@ -338,16 +338,22 @@ def _workers(threads: int, npoints: int) -> int:
 
 
 def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
-                    witness: Optional[str] = None) -> FieldSolution:
-    """The configured field on `grid`, not yet checked by _admitted; a
-    frobenius.witness choice passed as `witness` is checked against the drive
-    before anything is synthesized."""
+                    witness: Optional[str] = None,
+                    form: Optional[cfgmod.FormSpec] = None) -> FieldSolution:
+    """The configured field, or form (the forms section, `form`), on `grid`,
+    not yet checked by _admitted; a frobenius.witness choice `witness` is
+    checked against the drive before anything is synthesized, and a closed
+    form (forms.closed) for closure on forms.box, or else the grid's box."""
     model = cfgmod.build_model(cfg)
-    d = cfgmod.build_drive(cfg)
+    d = cfgmod.build_drive(cfg) if form is None else None
     if witness is not None:
         frobmod.resolve_witness(witness, d)
     policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
+    if form is not None:
+        d = formsmod.FormDrive(form.form, form.params, form.closed)
+        if form.closed:
+            formsmod.check_closed(form.form, form.box or (grid.lo, grid.hi), form.params)
     return synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
 
 
@@ -358,9 +364,9 @@ def _admitted(sol: FieldSolution) -> FieldSolution:
     otherwise."""
     if (sol.branch_id != 0).any():
         return sol
-    if isinstance(sol, formsmod.FormSolution):
+    if isinstance(sol.drive, formsmod.FormDrive):
         what = "form synthesis"
-        sampled = "|alpha|^2" if sol.drive.k == sol.n - sol.k else "|df|^2"
+        sampled = "|alpha|^2" if sol.drive.closed else "|df|^2"
     else:
         what, sampled = "synthesis", "drive range Sigma_f"
     xi = sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0]
@@ -469,31 +475,13 @@ def _nanmax(arr) -> Optional[float]:
 _build_form = cfgmod.build_form
 
 
-def _form_solution(cfg: RunConfig, grid: GridSpec,
-                   spec: cfgmod.FormSpec) -> formsmod.FormSolution:
-    """The form `spec` (the config's forms section) synthesized on `grid`, not
-    yet checked by _admitted.  A closed form (forms.closed) is the raw form
-    itself, checked for closure on forms.box, or on the grid's box when that
-    is unset."""
-    model = cfgmod.build_model(cfg)
-    policy = cfgmod.build_policy(cfg, grid.dim)
-    tol = cfgmod.build_tol(cfg)
-    pts = grid.points()
-    if spec.closed:
-        return formsmod.synthesize_form_closed(model, spec.form, policy, pts,
-                                               spec.box or (grid.lo, grid.hi), tol=tol,
-                                               params=spec.params, grid=grid)
-    return formsmod.synthesize_form(model, spec.form, policy, pts, tol=tol, params=spec.params,
-                                    grid=grid)
-
-
 def cmd_forms(args) -> int:
     cfg, out, grid = _setup(args)
     spec = _build_form(cfg, grid.dim)
-    fsol = _admitted(_form_solution(cfg, grid, spec))
+    fsol = _admitted(_synth_solution(cfg, grid, args.threads, form=spec))
     _write_table(out, "forms.csv", fsol.points,
                  [(f"omega_{''.join(map(str, idx)) or '0'}", "float", fsol.w[:, c])
-                  for c, idx in enumerate(multi_indices(grid.dim, fsol.k))]
+                  for c, idx in enumerate(multi_indices(grid.dim, fsol.drive.k))]
                  + _tail_columns(fsol))
     if spec.gamma:
         gw = formsmod.gamma_witness(fsol.model, spec.form, fsol)
@@ -557,7 +545,8 @@ def cmd_verify(args) -> int:
     energy_value = None
 
     sol_on = _study(grids, lambda grid: _synth_solution(cfg, grid, args.threads, witness))
-    form_on = _study(grids, lambda grid: _form_solution(cfg, grid, _build_form(cfg, grid.dim)))
+    form_on = _study(grids, lambda grid: _synth_solution(cfg, grid, args.threads,
+                                                         form=_build_form(cfg, grid.dim)))
 
     @functools.cache
     def witness_on(grid: GridSpec):

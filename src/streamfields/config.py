@@ -294,7 +294,7 @@ def build_form(cfg: RunConfig, dim: int) -> FormSpec:
     n, k, params = sec["n"], sec["k"], sec.get("params", {})
     if n != dim:
         raise ConfigError(f"forms.n = {n} does not match the grid dimension {dim}")
-    names = drivemod.coord_names(n)
+    names = formsmod.form_names(n)
     coeffs = {idx: exprmod.parse(text, names, tuple(params)) for idx, text in sec["coeffs"].items()}
     closed = sec.get("closed", False)
     box = sec.get("box")

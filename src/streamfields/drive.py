@@ -9,7 +9,8 @@ through jets, so Jacobians, laplacians and grad ||a||^2 are analytic, not
 differenced.  An order-2 DriveBatch builds its Jacobian and grad ||a||^2 on
 first read, from the jets' derivative rows it holds until then: the
 witnesses and the eta evaluator read them.  Synthesis reads neither, and
-asks for an order-1 batch, which computes no second derivative.
+asks for an order-1 batch, which computes no second derivative.  A
+forms.FormDrive (this module cannot import forms) gives *df's coefficients as a.
 """
 
 from __future__ import annotations
@@ -236,6 +237,9 @@ def drive_batch(d: DriveField, points: np.ndarray, order: int = 2) -> DriveBatch
             a[:, i] = jets.val
             rows.append(jets.grad_rows)
             bad |= jets.bad
+    elif hasattr(d, "star"):  # a forms.FormDrive
+        star = d.star(pts, order)
+        a, bad, rows = star.as_matrix(), star.bad, None
     else:
         raise DriveError(f"unknown drive kind {d!r}")
 

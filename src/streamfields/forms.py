@@ -1,11 +1,11 @@
-"""Exterior calculus on boxes in R^n (n <= 4): k-form synthesis and witnesses.
+"""Exterior calculus on boxes in R^n (2 <= n <= 4): k-form synthesis and witnesses.
 
 A k-form is stored by its coefficients over strictly increasing multi-indices
 (1-based).  The metric is Euclidean with orientation dx_1 ^ ... ^ dx_n, so the
-Hodge star is pure sign bookkeeping.  Synthesis is the vector module's:
-omega = *df / rho(psi(|df|^2)) with the same branch policies and flag bits,
-and its result, a FormSolution, is a synth.FieldSolution of omega's
-coefficients.
+Hodge star is pure sign bookkeeping.  Synthesis is the vector module's,
+omega = *df / rho(psi(|df|^2)): a FormDrive is the drive whose a is *df (or
+*alpha for a closed form alpha), so synth.synthesize serves forms unchanged,
+and a form synthesis is a FieldSolution whose `w` holds omega's coefficients.
 
 One sign table serves the whole algebra: `_wedge_sum` builds
 sum_I sum_i T_I[:, i] dx_i ^ dx_I through `insert_sign`, and d (T the
@@ -17,7 +17,8 @@ finite-difference codifferential are all that one sum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -25,12 +26,19 @@ import numpy as np
 from . import expr as exprmod
 from .density import DensityModel
 from .drive import coord_names
-from .synth import (BranchPolicy, FieldSolution, GridSpec, Tolerances, _assemble,
-                    log_rho_gradient)
+from .synth import (FLAG_DRIVE_UNDEFINED, BranchPolicy, FieldSolution, GridSpec, Tolerances,
+                    log_rho_gradient, synthesize_at_points)
 
 
 class FormError(ValueError):
     pass
+
+
+def form_names(n: int) -> tuple:
+    """x1..xn for a form in n = 2, 3 or 4 dimensions."""
+    if not 2 <= n <= 4:
+        raise FormError(f"forms live in 2, 3 or 4 dimensions, got n = {n}")
+    return coord_names(n)
 
 
 def multi_indices(n: int, k: int) -> list:
@@ -68,12 +76,10 @@ class KForm:
     coeffs: dict  # multi-index -> Expression
 
     def __post_init__(self):
-        if not (1 <= self.n <= 4):
-            raise FormError("supported ambient dimensions are 1..4")
+        names = form_names(self.n)
         if not (0 <= self.k <= self.n):
             raise FormError(f"degree {self.k} out of range for n={self.n}")
         valid = set(multi_indices(self.n, self.k))
-        names = coord_names(self.n)
         coeffs = {}
         for key, val in self.coeffs.items():
             key = tuple(int(i) for i in key)
@@ -103,12 +109,6 @@ class FormValues:
         keys = multi_indices(self.n, self.k)
         cols = [self.coeffs.get(key, np.zeros(self.bad.shape)) for key in keys]
         return np.stack(cols, axis=1) if cols else np.zeros((self.bad.shape[0], 0))
-
-    def restricted(self, idx: np.ndarray) -> "FormValues":
-        """These samples at the points `idx`."""
-        grads = None if self.grads is None else {key: g[idx] for key, g in self.grads.items()}
-        return FormValues(n=self.n, k=self.k, coeffs={key: c[idx] for key, c in self.coeffs.items()},
-                          grads=grads, bad=self.bad[idx])
 
 
 def evaluate_form(form: KForm, points: np.ndarray, params: Optional[dict] = None) -> FormValues:
@@ -161,11 +161,11 @@ def _d_values(values: FormValues) -> FormValues:
 
 
 def exterior_d(form: Union[KForm, FormValues], points: Optional[np.ndarray] = None,
-               params: Optional[dict] = None) -> FormValues:
+               params: Optional[dict] = None, order: int = 2) -> FormValues:
     """d of a symbolic form at points, or of numeric values carrying gradients.
 
-    Symbolic input keeps one derivative order in reserve (output gradients come
-    from the coefficient Hessians), so d can be applied once more.
+    Symbolic input at order 2 keeps one derivative order in reserve (gradients
+    from the coefficient Hessians), so d can be applied once more; order 1 has none.
     """
     if isinstance(form, FormValues):
         return _d_values(form)
@@ -179,14 +179,16 @@ def exterior_d(form: Union[KForm, FormValues], points: Optional[np.ndarray] = No
     if k >= n:
         return FormValues(n=n, k=k + 1, coeffs={}, grads=None, bad=np.zeros(npts, dtype=bool))
     bad = np.zeros(npts, dtype=bool)
-    jets = {key: exprmod.eval_jets(e, pts, params or {}) for key, e in form.coeffs.items()}
+    jets = {key: exprmod.eval_jets(e, pts, params or {}, order) for key, e in form.coeffs.items()}
     for jet in jets.values():
         bad |= jet.bad
     out = _wedge_sum(n, k, {key: jet.grad for key, jet in jets.items()}, (npts,))
-    outg = _wedge_sum(n, k, {key: jet.hess for key, jet in jets.items()}, (npts, n))
+    outg = (_wedge_sum(n, k, {key: jet.hess for key, jet in jets.items()}, (npts, n))
+            if order == 2 else None)
     for key in out:
         out[key][bad] = np.nan
-        outg[key][bad] = np.nan
+        if outg is not None:
+            outg[key][bad] = np.nan
     return FormValues(n=n, k=k + 1, coeffs=out, grads=outg, bad=bad)
 
 
@@ -242,64 +244,41 @@ def wedge_1form(gamma: np.ndarray, beta: FormValues) -> FormValues:
 
 
 @dataclass(eq=False)
-class FormSolution(FieldSolution):
-    """A k-form synthesis as a FieldSolution: `w` holds omega's coefficients,
-    its columns in multi_indices(n, k) order, and `drive` the stream form f, or
-    the closed form alpha that stands for df."""
-    k: int
-    star_df: FormValues  # *df (or *alpha), with coefficient gradients
+class FormDrive:
+    """The drive of a k-form synthesis, for drive.drive_batch: *df of the
+    stream form `form`, or with `closed` *alpha of the closed form `form`."""
+    form: KForm
+    params: dict = field(default_factory=dict)
+    closed: bool = False
+    dim: int = field(init=False)  # n
+    k: int = field(init=False)  # the degree of omega
+    columns: int = field(init=False)  # C(n, k), the width of the synthesis's w
 
-    @property
-    def n(self) -> int:
-        return self.star_df.n
+    def __post_init__(self):
+        if not self.closed and self.form.k > self.form.n - 1:
+            raise FormError("stream form must have degree at most n-1")
+        self.dim = self.form.n
+        self.k = self.dim - self.form.k - (0 if self.closed else 1)
+        self.columns = math.comb(self.dim, self.k)
 
-    @property
-    def omega(self) -> FormValues:
-        coeffs = {key: self.w[:, c] for c, key in enumerate(multi_indices(self.n, self.k))}
-        return FormValues(n=self.n, k=self.k, coeffs=coeffs, grads=None, bad=self.star_df.bad)
-
-    @property
-    def rho_c(self) -> np.ndarray:
-        """rho(Q) where a branch was taken, NaN elsewhere."""
-        return np.where(self.branch_id != 0, self.model.rho(self.Q), np.nan)
-
-    def restricted(self, grid: GridSpec, idx: np.ndarray) -> "FormSolution":
-        return replace(super().restricted(grid, idx), star_df=self.star_df.restricted(idx))
-
-
-def _synthesize_from_star(model, drive: KForm, policy, tol, points, star_a: FormValues,
-                          grid: Optional[GridSpec]) -> FormSolution:
-    """omega = star_a / rho(psi(|star_a|^2)) at `points` (N rows, or one point)."""
-    tol = tol or Tolerances()
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    mat = star_a.as_matrix()
-    with np.errstate(all="ignore"):
-        xi = np.einsum("nc,nc->n", mat, mat)
-    lap = np.full(pts.shape[0], np.nan)
-    w, Q, regime, sel, flags = _assemble(
-        model, policy, tol, pts, mat, xi, star_a.bad, lap)
-    return FormSolution(
-        grid=grid, model=model, drive=drive, policy=policy, tol=tol, _points=pts, w=w, Q=Q,
-        xi=xi, regime=regime, branch_id=sel, flags=flags, k=star_a.k, star_df=star_a,
-    )
+    def star(self, points: np.ndarray, order: int = 2) -> FormValues:
+        """*df from jets of `order`, with coefficient gradients at order 2
+        only; *alpha, with gradients, from first-order jets at either order."""
+        if self.closed:
+            return hodge_star(evaluate_form(self.form, points, self.params))
+        return hodge_star(exterior_d(self.form, points, self.params, order))
 
 
-def synthesize_form(model: DensityModel, f: KForm, policy: BranchPolicy,
-                    points: np.ndarray, tol: Optional[Tolerances] = None,
-                    params: Optional[dict] = None,
-                    grid: Optional[GridSpec] = None) -> FormSolution:
-    """omega = *df / rho(psi(|df|^2)) for an (n-k-1)-stream form f."""
-    if f.k > f.n - 1:
-        raise FormError("stream form must have degree at most n-1")
-    df = exterior_d(f, points, params)
-    return _synthesize_from_star(model, f, policy, tol, points, hodge_star(df), grid)
+def omega_values(sol: FieldSolution) -> FormValues:
+    """omega of a form synthesis (its w), bad where its drive is undefined."""
+    n, k = sol.drive.dim, sol.drive.k
+    coeffs = {key: sol.w[:, c] for c, key in enumerate(multi_indices(n, k))}
+    return FormValues(n=n, k=k, coeffs=coeffs, grads=None,
+                      bad=(sol.flags & FLAG_DRIVE_UNDEFINED) != 0)
 
 
-def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPolicy,
-                           points: np.ndarray, box, tol: Optional[Tolerances] = None,
-                           params: Optional[dict] = None,
-                           grid: Optional[GridSpec] = None) -> FormSolution:
-    """Same synthesis from a raw (n-k)-form alpha, after checking d(alpha) = 0."""
+def check_closed(alpha: KForm, box, params: Optional[dict] = None) -> None:
+    """FormError unless d(alpha) = 0, to 1e-8, at seeded points of `box` = (lo, hi)."""
     lo, hi = (np.asarray(v, dtype=float) for v in box)
     rng = np.random.default_rng(91)
     probe = lo + (hi - lo) * rng.random((1000, alpha.n))
@@ -313,8 +292,24 @@ def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPoli
         raise FormError("closure check: form undefined on most of the box")
     if worst > 1e-8:
         raise FormError(f"form is not closed: max |d alpha| = {worst:.3e} > 1.0e-08")
-    av = evaluate_form(alpha, points, params)
-    return _synthesize_from_star(model, alpha, policy, tol, points, hodge_star(av), grid)
+
+
+def synthesize_form(model: DensityModel, f: KForm, policy: BranchPolicy,
+                    points: np.ndarray, tol: Optional[Tolerances] = None,
+                    params: Optional[dict] = None,
+                    grid: Optional[GridSpec] = None) -> FieldSolution:
+    """omega = *df / rho(psi(|df|^2)) for an (n-k-1)-stream form f."""
+    return synthesize_at_points(model, FormDrive(f, dict(params or {})), policy, points, tol, grid)
+
+
+def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPolicy,
+                           points: np.ndarray, box, tol: Optional[Tolerances] = None,
+                           params: Optional[dict] = None,
+                           grid: Optional[GridSpec] = None) -> FieldSolution:
+    """Same synthesis from a raw (n-k)-form alpha, after checking d(alpha) = 0."""
+    check_closed(alpha, box, params)
+    return synthesize_at_points(model, FormDrive(alpha, dict(params or {}), True), policy,
+                                points, tol, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +372,10 @@ class GammaWitness:
     defined: np.ndarray
 
 
-def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitness:
-    """Gamma = Gamma1 - d log rho with Gamma1 least-squares in d*df = Gamma1 ^ *df.
+def gamma_witness(model: DensityModel, f: KForm, sol: FieldSolution) -> GammaWitness:
+    """Gamma = Gamma1 - d log rho with Gamma1 least-squares in d*df = Gamma1 ^ *df,
+    *df evaluated at order 2 from sol.drive, so a point where only a
+    coefficient's Hessian is not finite has no Gamma.
 
     The wedge system is solvable exactly for k in {1, n-1}; for intermediate k
     the residual norm is reported as the obstruction measure.  All usable
@@ -389,8 +386,8 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     otherwise false wherever |df| > eps_grad, except for a decomposable
     2-form omega in n = 4.
     """
-    n = sol.n
-    star_df = sol.star_df
+    n = sol.drive.dim
+    star_df = sol.drive.star(sol.points, 2)
     d_star = _d_values(star_df)
     npts = sol.xi.shape[0]
     with np.errstate(all="ignore"):
@@ -406,7 +403,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
     usable = ~star_df.bad & (sol.xi > tol.eps_grad ** 2)
     Gamma1, defect, rank_def = _least_squares(A, b, usable)
 
-    rho_c = sol.rho_c
+    rho_c = model.rho(sol.Q)
     glr, rho_usable = log_rho_gradient(model, sol.Q, rho_c, grad_xi, tol)
     with np.errstate(all="ignore"):
         Gamma = Gamma1 - glr
@@ -415,7 +412,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FormSolution) -> GammaWitn
         wedge_glr = wedge_1form(glr, star_df)
         for key in d_star.coeffs:
             d_omega[key] = (d_star.coeffs[key] - wedge_glr.coeffs[key]) / rho_c
-        wedge_gam = wedge_1form(Gamma, sol.omega)
+        wedge_gam = wedge_1form(Gamma, omega_values(sol))
         fro = np.zeros(npts)
         for key in d_omega:
             fro = np.maximum(fro, np.abs(d_omega[key] - wedge_gam.coeffs[key]))

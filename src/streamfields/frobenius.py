@@ -27,7 +27,7 @@ the finite-difference core shared with the verify module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,17 +55,24 @@ class FrobeniusWitness:
     curl_residual: Optional[np.ndarray] = None  # filled by curl_residual_grid
 
 
-def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> tuple:
+# The witness terms of _core: glr is grad log rho(psi(xi)); M[i][j] = d_i a_j
+# - d_j a_i (minor kind) or div_a, the jacobian's trace (divergence kind), is set.
+_Core = NamedTuple("_Core", [(name, Optional[np.ndarray]) for name in (
+    "a", "w", "rho_c", "glr", "G", "G1", "solvability", "defined", "M", "div_a")])
+
+
+def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> _Core:
     """Witness terms at the points of `sol`: Q and branch come from `sol`, the
     drive and its jacobian from `batch`, evaluated at the same points."""
     tol = sol.tol
     a, jac, xi = batch.a, batch.jac, batch.xi
     rho_c = sol.model.rho(sol.Q)
     glr, usable = log_rho_gradient(sol.model, sol.Q, rho_c, batch.grad_xi, tol)
+    M = div_a = None
     with np.errstate(all="ignore"):
         w = a / rho_c[:, None]
         if kind == "minor":
-            M = np.swapaxes(jac, 1, 2) - jac  # M[i][j] = d_i a_j - d_j a_i
+            M = np.swapaxes(jac, 1, 2) - jac
             g = np.einsum("nij,nj->ni", M, a) / xi[:, None]
             solvability = _max_minor(M - _wedge(g, a))
         else:
@@ -85,7 +92,7 @@ def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> tuple:
     for arr in (G, G1, glr, w):
         arr[bad] = np.nan
     solvability = np.where(defined, solvability, np.nan)
-    return a, jac, w, rho_c, glr, G, G1, solvability, defined
+    return _Core(a, w, rho_c, glr, G, G1, solvability, defined, M, div_a)
 
 
 def _max_minor(mat: np.ndarray) -> np.ndarray:
@@ -99,21 +106,20 @@ def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]
 
 
-def _defect(kind: str, core: tuple, G) -> np.ndarray:
+def _defect(kind: str, core: _Core, G) -> np.ndarray:
     """Analytic defining defect of a candidate witness G at the points of
-    `core` (the output of _core): max |(curl w - G ^ w)_ij| for minor
-    systems, |div w - G . w| for divergence systems; NaN where undefined."""
-    a, jac, w, rho_c, glr, _, _, _, defined = core
+    `core`: max |(curl w - G ^ w)_ij| for minor systems, |div w - G . w| for
+    divergence systems; NaN where undefined."""
+    a, w, rho_c, glr = core.a, core.w, core.rho_c, core.glr
     G = np.asarray(G, dtype=float)
     with np.errstate(all="ignore"):
         if kind == "minor":
-            curl_w = (np.swapaxes(jac, 1, 2) - jac) / rho_c[:, None, None] - _wedge(glr, w)
+            curl_w = core.M / rho_c[:, None, None] - _wedge(glr, w)
             defect = _max_minor(curl_w - _wedge(G, w))
         else:
-            div_a = sum((jac[:, i, i] for i in range(a.shape[1])), 0.0)  # np.trace, bit for bit
-            div_w = (div_a - np.einsum("ni,ni->n", a, glr)) / rho_c
+            div_w = (core.div_a - np.einsum("ni,ni->n", a, glr)) / rho_c
             defect = np.abs(div_w - np.einsum("ni,ni->n", G, w))
-    return np.where(defined, defect, np.nan)
+    return np.where(core.defined, defect, np.nan)
 
 
 def minor_defect_with(sol: FieldSolution, G_values: np.ndarray) -> np.ndarray:
@@ -123,17 +129,17 @@ def minor_defect_with(sol: FieldSolution, G_values: np.ndarray) -> np.ndarray:
 
 def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
     core = _core(kind, sol, drive_batch(sol.drive, sol.points))
-    G, G1, solv, defined = core[5:]
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
         # G, one synthesis block of points at a time, from full-order batches (_core reads jac)
         return np.concatenate([_core(kind, *_solve(sol.model, sol.drive, sol.policy, qpts[rows],
-                                                   sol.tol, order=2))[5]
+                                                   sol.tol, order=2)).G
                                for rows in block_rows(len(qpts))])
 
     return FrobeniusWitness(
-        kind=kind, G=G, G1=G1, defining_residual=_defect(kind, core, G),
-        solvability_residual=solv, defined=defined, solution=sol, evaluator=evaluator,
+        kind=kind, G=core.G, G1=core.G1, defining_residual=_defect(kind, core, core.G),
+        solvability_residual=core.solvability, defined=core.defined, solution=sol,
+        evaluator=evaluator,
     )
 
 

@@ -7,7 +7,8 @@ bitset of singular/admissibility flags.  No point's values depend on another
 point, so a solution restricted to the nodes of a coarser grid nested in its
 own (nested_index, FieldSolution.restricted) is that grid's solution.  A grid
 node is lo + i·h with a normal spacing h, so refining a grid by a power of two
-keeps every node bit for bit.
+keeps every node bit for bit.  A k-form is synthesized the same way: its
+drive is a forms.FormDrive, whose a (and w) has C(n, k) columns.
 
 For the same reason a grid is synthesized in blocks of SYNTH_BLOCK nodes, one
 after another or on a thread pool (run_blocks), each written into its rows of
@@ -212,7 +213,7 @@ def region_map(regions, default_id: int, dim: int = 2,
 class FieldSolution:
     grid: Optional[GridSpec]
     model: DensityModel
-    drive: DriveField
+    drive: DriveField  # or a forms.FormDrive for a k-form
     policy: BranchPolicy
     tol: Tolerances
     w: np.ndarray  # (N, n), (N, C(n, k)) for a k-form; NaN rows where undefined
@@ -448,8 +449,9 @@ def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
         raise SynthError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     tol = tol or Tolerances()
     npts = grid.npoints()
+    columns = getattr(d, "columns", d.dim)  # C(n, k) for a forms.FormDrive
     out = FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol,
-                        w=np.empty((npts, d.dim)), Q=np.empty(npts), xi=np.empty(npts),
+                        w=np.empty((npts, columns)), Q=np.empty(npts), xi=np.empty(npts),
                         regime=np.empty(npts, dtype=np.uint8),
                         branch_id=np.empty(npts, dtype=np.int32),
                         flags=np.empty(npts, dtype=np.int32))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import synth as synthmod
 from .density import DensityModel
-from .forms import FormSolution, FormValues, codifferential
+from .forms import FormValues, codifferential, omega_values
 from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows, run_blocks,
                     synthesize_at_points)
 
@@ -308,20 +308,20 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "
     return _slabs("ExactnessDefect", solution, kernel, workers, extra_bad)
 
 
-def codifferential_residual(fsol: FormSolution, *, extra_bad: Optional[np.ndarray] = None,
+def codifferential_residual(fsol: FieldSolution, *, extra_bad: Optional[np.ndarray] = None,
                             workers: int = 1) -> ResidualReport:
-    """Codifferential of rho(Q) omega, coefficientwise: forms.codifferential
-    with central-difference coefficient gradients."""
+    """Codifferential of rho(Q) omega, coefficientwise, for a form synthesis:
+    forms.codifferential with central-difference coefficient gradients."""
     h = _grid_of(fsol).spacing()
 
     def kernel(part, nodes, shape):
-        omega, rho_c = part.omega, part.rho_c
+        omega, rho_c = omega_values(part), part.model.rho(part.Q)
         with np.errstate(all="ignore"):
             coeffs = {key: rho_c * vals for key, vals in omega.coeffs.items()}
         grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], ORDER).reshape(-1)
-                                for i in range(part.n)], axis=1)
+                                for i in range(omega.n)], axis=1)
                  for key, vals in coeffs.items()}
-        delta = codifferential(FormValues(n=part.n, k=part.k, coeffs=coeffs, grads=grads,
+        delta = codifferential(FormValues(n=omega.n, k=omega.k, coeffs=coeffs, grads=grads,
                                           bad=omega.bad))
         worst = np.zeros(shape)
         for vals in delta.coeffs.values():

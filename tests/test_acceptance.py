@@ -358,7 +358,8 @@ def test_criterion_09_forms_reductions():
         vsol = synthesize_at_points(m2, scalar_drive(text), prefer_type1(), pts2)
         ok = fsol.defined & vsol.defined
         assert ok.sum() > 900
-        w_form = np.stack([fsol.omega.coeffs[(1,)], fsol.omega.coeffs[(2,)]], axis=1)
+        omega2 = formsmod.omega_values(fsol).coeffs
+        w_form = np.stack([omega2[(1,)], omega2[(2,)]], axis=1)
         assert np.abs(w_form[ok] - vsol.w[ok]).max() < 1e-10
 
         # (n,k) = (3,2): the 2-form carries the gradient-drive field
@@ -369,9 +370,10 @@ def test_criterion_09_forms_reductions():
         v3 = synthesize_at_points(m3, gradient_drive(3, text3), single_branch(1), pts3)
         ok = f3.defined & v3.defined
         assert ok.sum() > 900
-        assert np.abs(f3.omega.coeffs[(2, 3)][ok] - v3.w[ok, 0]).max() < 1e-10
-        assert np.abs(f3.omega.coeffs[(1, 3)][ok] + v3.w[ok, 1]).max() < 1e-10
-        assert np.abs(f3.omega.coeffs[(1, 2)][ok] - v3.w[ok, 2]).max() < 1e-10
+        omega3 = formsmod.omega_values(f3).coeffs
+        assert np.abs(omega3[(2, 3)][ok] - v3.w[ok, 0]).max() < 1e-10
+        assert np.abs(omega3[(1, 3)][ok] + v3.w[ok, 1]).max() < 1e-10
+        assert np.abs(omega3[(1, 2)][ok] - v3.w[ok, 2]).max() < 1e-10
 
         # star involution sign law and d(d(.)) = 0
         for n in range(1, 5):

@@ -148,13 +148,13 @@ CLOSED_FORM = {"n": 2, "k": 1, "coeffs": {"1": "x2", "2": "x1"}, "closed": True}
 def test_forms_box_is_checked_before_the_closure_check(tmp_path, capsys, monkeypatch,
                                                        box, code, used):
     seen = []
-    closed = cli.formsmod.synthesize_form_closed
+    check = cli.formsmod.check_closed
 
-    def spy(model, alpha, policy, pts, box, **kw):
+    def spy(alpha, box, params=None):
         seen.append(tuple(tuple(float(v) for v in corner) for corner in box))
-        return closed(model, alpha, policy, pts, box, **kw)
+        return check(alpha, box, params)
 
-    monkeypatch.setattr(cli.formsmod, "synthesize_form_closed", spy)
+    monkeypatch.setattr(cli.formsmod, "check_closed", spy)
     cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21"])
     cfg["forms"] = dict(CLOSED_FORM, **({} if box is None else {"box": box}))
     cfg["grid"]["cells"] = [8, 8]
@@ -164,6 +164,16 @@ def test_forms_box_is_checked_before_the_closure_check(tmp_path, capsys, monkeyp
         assert seen == []
     else:
         assert seen == [used]
+
+
+def test_forms_in_one_dimension_is_a_forms_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21"])
+    cfg["grid"] = {"lo": [0.2], "hi": [0.8], "cells": [8]}
+    cfg["forms"] = {"n": 1, "k": 0, "coeffs": {"": "x1"}}
+    for command in ("forms", "verify"):
+        assert run_cfg(tmp_path, cfg, command=command)[0] == 2
+        assert capsys.readouterr().err == (
+            "config error: forms live in 2, 3 or 4 dimensions, got n = 1\n")
 
 
 def test_verify_checks_the_closed_form_that_forms_writes(tmp_path, capsys):
@@ -997,47 +1007,37 @@ def test_restricted_levels_equal_a_synthesis_on_each_level_bit_for_bit(name):
     *coarse, finest = [cli._refined(cfgmod.build_grid(cfg), 2 ** i) for i in range(3)]
     idx = [nested_index(g, finest) for g in coarse]
     assert all(i is not None for i in idx)
-    if "forms" in cfgmod.EXAMPLES[name]:
-        spec = cli._build_form(cfg, finest.dim)
-        direct = [cli._form_solution(cfg, g, spec) for g in coarse]
-        fines = [cli._form_solution(cfg, finest, spec)]
-    else:
-        model, d = cfgmod.build_model(cfg), cfgmod.build_drive(cfg)
-        policy, tol = cfgmod.build_policy(cfg, finest.dim), cfgmod.build_tol(cfg)
-        direct = [synthesize(model, d, policy, g, tol=tol) for g in coarse]
-        fines = [synthesize(model, d, policy, finest, tol=tol, workers=w) for w in (1, 2)]
+    spec = cli._build_form(cfg, finest.dim) if "forms" in cfgmod.EXAMPLES[name] else None
+    model, policy = cfgmod.build_model(cfg), cfgmod.build_policy(cfg, finest.dim)
+    d = cfgmod.build_drive(cfg) if spec is None else cli.formsmod.FormDrive(
+        spec.form, spec.params, spec.closed)
+    tol = cfgmod.build_tol(cfg)
+    direct = [synthesize(model, d, policy, g, tol=tol) for g in coarse]
+    fines = [synthesize(model, d, policy, finest, tol=tol, workers=w) for w in (1, 2)]
     for workers, fine in enumerate(fines, 1):
         for g, i, want in zip(coarse, idx, direct):
             got = fine.restricted(g, i)
-            assert got.grid == g and type(got) is type(want)
+            assert got.grid == g and got.drive is want.drive
             for attr in ("points", "w", "Q", "xi", "regime", "branch_id", "flags"):
                 assert _same_bits(getattr(got, attr), getattr(want, attr)), (workers, g.cells, attr)
-            if isinstance(want, cli.formsmod.FormSolution):
-                assert _same_bits(got.rho_c, want.rho_c), g.cells
-                star, want_star = got.star_df, want.star_df
-                assert _same_bits(star.bad, want_star.bad)
-                assert star.coeffs.keys() == want_star.coeffs.keys()
-                for key in want_star.coeffs:
-                    assert _same_bits(star.coeffs[key], want_star.coeffs[key]), (g.cells, key)
-                    assert _same_bits(star.grads[key], want_star.grads[key]), (g.cells, key)
+            if spec is not None:
+                # Gamma evaluates *df from the drive at the level's points
+                got_gw, want_gw = (cli.formsmod.gamma_witness(model, spec.form, s)
+                                   for s in (got, want))
+                for attr in ("Gamma", "defect", "frobenius_defect", "defined"):
+                    assert _same_bits(getattr(got_gw, attr), getattr(want_gw, attr)), g.cells
 
 
 def _record_syntheses(monkeypatch) -> list:
-    """The grids cli.synthesize is called on, and the point counts of every
-    form synthesis, in call order."""
+    """The grids cli.synthesize is called on, in call order."""
     calls = []
-    synth, form = cli.synthesize, cli.formsmod.synthesize_form
+    synth = cli.synthesize
 
     def synth_recorded(model, d, policy, grid, **kwargs):
         calls.append(grid)
         return synth(model, d, policy, grid, **kwargs)
 
-    def form_recorded(model, f, policy, points, **kwargs):
-        calls.append(len(points))
-        return form(model, f, policy, points, **kwargs)
-
     monkeypatch.setattr(cli, "synthesize", synth_recorded)
-    monkeypatch.setattr(cli.formsmod, "synthesize_form", form_recorded)
     return calls
 
 
@@ -1057,8 +1057,8 @@ def _record_points(monkeypatch) -> list:
 def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeypatch):
     """...and builds no level's points, unless a mask predicate reads them
     (verify.mask, or frobenius.mask for the exactness kind): the solutions
-    build them only when read, and the residuals read none.  A form
-    synthesis evaluates its coefficients at every node of the finest grid."""
+    build them only when read, and the residuals read none.  A form is
+    synthesized as a field is, in blocks on the finest grid."""
     calls = _record_syntheses(monkeypatch)
     built = _record_points(monkeypatch)
     skipped = unread = 0
@@ -1069,26 +1069,45 @@ def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeyp
                      "--levels", "3"]) in (0, 4)
         *coarse, finest = [cli._refined(cfgmod.build_grid(cfgmod.example_config(name)), 2 ** i)
                            for i in range(3)]
-        if "forms" in spec:
-            assert calls == [finest.npoints()], name
-            assert built == [finest], name
-        else:
-            assert calls == [finest], name
-            skipped += sum(g.npoints() for g in coarse)
-            if "mask" not in spec["verify"] and "exactness" not in spec["verify"]["residuals"]:
-                assert built == [], name
-                unread += 1
+        assert calls == [finest], name
+        skipped += sum(g.npoints() for g in coarse)
+        if "mask" not in spec["verify"] and "exactness" not in spec["verify"]["residuals"]:
+            assert built == [], name
+            unread += 1
     capsys.readouterr()
-    assert unread == 9  # every field example but extremal-patching, which has a verify.mask
-    # the field nodes of the coarse levels that refine-l3 (verify --levels 3
-    # on every example) no longer synthesizes
-    assert skipped == 891_956
+    assert unread == 10  # every example but extremal-patching, which has a verify.mask
+    # the nodes of the coarse levels that refine-l3 (verify --levels 3 on
+    # every example) does not synthesize: 891,956 field nodes and 5,314 of form-21
+    assert skipped == 897_270
+
+
+def test_a_form_study_evaluates_no_coefficient_on_more_than_a_synthesis_block(
+        tmp_path, capsys, monkeypatch):
+    """verify --levels 3 on form-21 with blocks of 4,096 nodes, a quarter of
+    its finest grid's 16,641: every jet evaluation of a form coefficient
+    (the study's only one) takes at most a block of points, and the blocks
+    cover every node of the finest grid."""
+    from streamfields import expr, synth as synthmod
+
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 4096)
+    sizes = []
+    eval_jets = expr.eval_jets
+
+    def spy(e, points, *args, **kwargs):
+        sizes.append(len(points))
+        return eval_jets(e, points, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "eval_jets", spy)
+    assert main(["verify", "--example", "form-21", "--out", str(tmp_path),
+                 "--levels", "3"]) == 0
+    capsys.readouterr()
+    assert max(sizes) <= 4096 and sum(sizes) >= 129 ** 2
 
 
 def test_each_command_builds_a_solutions_points_once(tmp_path, capsys, monkeypatch):
-    """synth, singular and frobenius (witness, eta recovery and every CSV) read
-    one points array, built on first read from the synthesized grid; forms
-    keeps the points its synthesis evaluated at."""
+    """synth, singular, frobenius (witness, eta recovery and every CSV) and
+    forms (Gamma and both CSVs) read one points array, built on first read
+    from the synthesized grid."""
     built = _record_points(monkeypatch)
     for name, spec in sorted(cfgmod.EXAMPLES.items()):
         grid = cfgmod.build_grid(cfgmod.example_config(name))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from streamfields import (
     FLAG_OUTSIDE_OMEGA,
+    FieldSolution,
+    FormDrive,
     FormError,
     FormValues,
     GridSpec,
@@ -25,6 +27,7 @@ from streamfields import (
     insert_sign,
     kform,
     multi_indices,
+    omega_values,
     prefer_type1,
     scalar_drive,
     shallow_water,
@@ -138,6 +141,9 @@ def test_codifferential_sign_table():
 
 
 def test_form_validation_errors():
+    for n in (0, 1, 5):
+        with pytest.raises(FormError, match="forms live in 2, 3 or 4 dimensions"):
+            kform(n, 0, {})
     with pytest.raises(FormError):
         kform(5, 1, {(1,): "x1"})
     with pytest.raises(FormError):
@@ -164,7 +170,8 @@ def test_reduction_matches_vector_synthesis_2d():
     fsol = synthesize_form(model, kform(2, 0, {(): text}), policy, pts)
     vsol = synthesize_at_points(model, scalar_drive(text), policy, pts)
 
-    w_form = np.stack([fsol.omega.coeffs[(1,)], fsol.omega.coeffs[(2,)]], axis=1)
+    omega = omega_values(fsol)
+    w_form = np.stack([omega.coeffs[(1,)], omega.coeffs[(2,)]], axis=1)
     ok = fsol.defined & vsol.defined
     assert ok.sum() > 200
     assert np.abs(w_form[ok] - vsol.w[ok]).max() == 0.0
@@ -186,10 +193,11 @@ def test_duality_3d_components(rng):
     vsol = synthesize_at_points(model, gradient_drive(3, text), policy, pts)
 
     ok = fsol.defined & vsol.defined
+    omega = omega_values(fsol).coeffs
     assert ok.sum() > 900
-    assert np.abs(fsol.omega.coeffs[(2, 3)][ok] - vsol.w[ok, 0]).max() < 1e-10
-    assert np.abs(fsol.omega.coeffs[(1, 3)][ok] + vsol.w[ok, 1]).max() < 1e-10
-    assert np.abs(fsol.omega.coeffs[(1, 2)][ok] - vsol.w[ok, 2]).max() < 1e-10
+    assert np.abs(omega[(2, 3)][ok] - vsol.w[ok, 0]).max() < 1e-10
+    assert np.abs(omega[(1, 3)][ok] + vsol.w[ok, 1]).max() < 1e-10
+    assert np.abs(omega[(1, 2)][ok] - vsol.w[ok, 2]).max() < 1e-10
 
 
 def test_wedge_system_square_4d(rng):
@@ -261,8 +269,52 @@ def test_closed_form_synthesis_checks_closure(rng):
     fsol = synthesize_form(model, kform(2, 0, {(): "x1^2 * x2^3 / 8"}), policy, pts)
     ok = csol.defined & fsol.defined
     assert ok.sum() > 80
-    for key in csol.omega.coeffs:
-        assert np.abs(csol.omega.coeffs[key][ok] - fsol.omega.coeffs[key][ok]).max() < 1e-12
+    c_omega, f_omega = omega_values(csol).coeffs, omega_values(fsol).coeffs
+    for key in c_omega:
+        assert np.abs(c_omega[key][ok] - f_omega[key][ok]).max() < 1e-12
+
+
+def test_a_node_whose_coefficient_hessian_alone_is_not_finite_is_synthesized_without_gamma():
+    """At x1 = 1e-160 the gradient of x1^3 log|x1| is finite and its Hessian
+    is not: synthesis, at order 1, defines omega there, and Gamma, which
+    reads d*df, does not."""
+    model, policy = shallow_water(), prefer_type1()
+    f = kform(2, 0, {(): "x1^3*log(abs(x1)) + x1/10 + x2/10"})
+    pts = np.array([[1e-160, 0.5], [0.3, 0.5], [0.6, 0.4]])
+    full = hodge_star(exterior_d(f, pts))
+    assert full.bad.tolist() == [True, False, False]
+    assert not hodge_star(exterior_d(f, pts, order=1)).bad.any()
+    fsol = synthesize_form(model, f, policy, pts)
+    gw = gamma_witness(model, f, fsol)
+    assert fsol.defined.all() and fsol.flags.tolist() == [0, 0, 0]
+    assert gw.defined.tolist() == [False, True, True]
+    assert np.isnan(gw.Gamma[0]).all() and np.isfinite(gw.Gamma[1:]).all()
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["stream", "closed"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_form_synthesis_in_blocks_is_the_point_synthesis_bit_for_bit(monkeypatch, rng, n, closed):
+    """synth.synthesize runs a form's drive in blocks of SYNTH_BLOCK nodes, on
+    one worker or two; every array is the whole-grid point synthesis's, for
+    every degree k of omega."""
+    from streamfields import synth as synthmod
+
+    model, policy = extremal(), single_branch(1)
+    grid = GridSpec((0.3,) * n, (0.9,) * n, {2: (6, 5), 3: (3, 4, 3), 4: (2, 3, 2, 3)}[n])
+    for k in range(0, n + 1 if closed else n):
+        # synthesis does not check closure (check_closed does): any alpha will do
+        d = (FormDrive(_random_stream_form(rng, n, n - k), closed=True) if closed
+             else FormDrive(_random_stream_form(rng, n, n - k - 1)))
+        assert (d.dim, d.k, d.columns) == (n, k, math.comb(n, k))
+        want = synthesize_at_points(model, d, policy, grid.points(), grid=grid)
+        assert want.w.shape == (grid.npoints(), d.columns) and (want.branch_id != 0).any()
+        monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 7)
+        for workers in (1, 2):
+            got = synthmod.synthesize(model, d, policy, grid, workers=workers)
+            for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (k, workers, name)
+        monkeypatch.undo()
 
 
 @settings(deadline=None, max_examples=40)
@@ -349,10 +401,14 @@ def _oracle_gamma_system(star_df, d_star):
 
 def _oracle_codifferential_residual(fsol, grid):
     shape, h = grid.shape(), grid.spacing()
-    n, k = fsol.n, fsol.k
+    n, k = grid.dim, fsol.drive.k
+    undefined = np.zeros(grid.npoints(), dtype=bool)
+    # rho(Q) where a branch was taken, NaN elsewhere; omega's coefficients
+    # are the columns of w
+    rho_c = np.where(fsol.branch_id != 0, fsol.model.rho(fsol.Q), np.nan)
     with np.errstate(all="ignore"):
-        coeffs = {key: fsol.rho_c * vals for key, vals in fsol.omega.coeffs.items()}
-    starred = hodge_star(FormValues(n=n, k=k, coeffs=coeffs, grads=None, bad=fsol.omega.bad))
+        coeffs = {key: rho_c * fsol.w[:, c] for c, key in enumerate(multi_indices(n, k))}
+    starred = hodge_star(FormValues(n=n, k=k, coeffs=coeffs, grads=None, bad=undefined))
     d_coeffs = {key: np.zeros(shape) for key in multi_indices(n, n - k + 1)}
     for key, vals in starred.coeffs.items():
         v = vals.reshape(shape)
@@ -362,7 +418,7 @@ def _oracle_codifferential_residual(fsol, grid):
                 d_coeffs[new] = d_coeffs[new] + sgn * verifymod.stencil(v, i - 1, h[i - 1], 2)
     dsf = FormValues(n=n, k=n - k + 1,
                      coeffs={key: vals.reshape(-1) for key, vals in d_coeffs.items()},
-                     grads=None, bad=fsol.omega.bad)
+                     grads=None, bad=undefined)
     result = hodge_star(dsf)
     sgn = codifferential_sign(n, k)
     worst = np.zeros(shape)
@@ -479,17 +535,18 @@ def test_codifferential_residual_matches_the_hand_loop(rng, n, k):
     grid = GridSpec((0.0,) * n, (1.0,) * n, ({2: 16, 3: 8, 4: 5}[n],) * n)
     npts = grid.npoints()
     # omega's coefficients with signed zeros and, in 2% of the rows, a NaN
-    # hole (an undefined row), and flagged points; rho(Q) = Q, so rho_c is Q
+    # hole (an undefined row), and flagged points; rho(Q) = Q, so rho_c is Q.
+    # The drive, a closed (n - k)-form, gives omega's degree k.
     w = np.stack([_awkward(rng, npts) for _ in multi_indices(n, k)], axis=1)
     w[np.isnan(w)] = 0.25
     w[rng.random(npts) < 0.02, 0] = np.nan
     flags = np.where(rng.random(npts) > 0.05, 0, FLAG_OUTSIDE_OMEGA).astype(np.int32)
-    fsol = forms.FormSolution(
-        grid=grid, model=SimpleNamespace(rho=lambda q: q), drive=None, policy=None, tol=None,
+    fsol = FieldSolution(
+        grid=grid, model=SimpleNamespace(rho=lambda q: q),
+        drive=FormDrive(kform(n, n - k, {}), closed=True), policy=None, tol=None,
         w=w, Q=np.abs(_awkward(rng, npts)) + 0.5, xi=np.zeros(npts),
         regime=np.zeros(npts, dtype=np.uint8), branch_id=np.ones(npts, dtype=np.int32),
-        flags=flags, k=k, star_df=FormValues(n=n, k=k, coeffs={}, grads=None,
-                                             bad=np.zeros(npts, dtype=bool)))
+        flags=flags)
     got = verifymod.codifferential_residual(fsol)
     want = _oracle_codifferential_residual(fsol, grid)
     assert got.to_json_dict() == want.to_json_dict()
@@ -530,18 +587,19 @@ def test_gamma_witness_matches_the_per_point_lstsq(rng, n, k):
     f = _random_stream_form(rng, n, k)
     fsol = synthesize_form(model, f, single_branch(1), pts)
     wit = gamma_witness(model, f, fsol)
-    A = np.stack([wedge_1form(e_j, fsol.star_df).as_matrix() for e_j in np.eye(n)], axis=2)
-    usable = ~fsol.star_df.bad & (fsol.xi > fsol.tol.eps_grad ** 2)
+    star_df = hodge_star(exterior_d(f, pts))
+    A = np.stack([wedge_1form(e_j, star_df).as_matrix() for e_j in np.eye(n)], axis=2)
+    usable = ~star_df.bad & (fsol.xi > fsol.tol.eps_grad ** 2)
     assert usable.sum() > 100
-    d_star_df = forms._d_values(fsol.star_df)
+    d_star_df = forms._d_values(star_df)
     Gamma1, defect, rank_def = _oracle_least_squares(A, d_star_df.as_matrix(), usable)
     assert _same_bits(wit.Gamma1, Gamma1)
     assert _same_bits(wit.defect, defect)
     assert np.array_equal(wit.rank_deficient, rank_def)
     # the rule the gamma_witness docstring states: only a 1-form omega in n >= 3
     # leaves the wedge system rank deficient (random 2-forms in 4d are not decomposable)
-    assert fsol.k == n - k - 1
-    assert np.array_equal(rank_def[usable], np.full(usable.sum(), fsol.k == 1 and n >= 3))
+    assert fsol.drive.k == n - k - 1
+    assert np.array_equal(rank_def[usable], np.full(usable.sum(), fsol.drive.k == 1 and n >= 3))
 
 
 def test_gamma_least_squares_matches_lstsq_on_rank_deficient_and_unusable_rows(rng):

@@ -28,6 +28,7 @@ from streamfields import (
     gradient_drive,
     kform,
     minor_residual,
+    multi_indices,
     prefer_type1,
     region_map,
     scalar_drive,
@@ -526,12 +527,16 @@ def _whole_grid_residual(kind, sol, extra_bad, witness=None, eta=None):
             res = closure_residual(sol.w, eta.reshape(shape), witness.kind, h, 2)
             bad = ~np.isfinite(eta)
         else:
-            coeffs = {key: sol.rho_c * vals for key, vals in sol.omega.coeffs.items()}
+            # rho(Q) where a branch was taken, NaN elsewhere; omega's
+            # coefficients are the columns of w
+            n, k = grid.dim, sol.drive.k
+            rho_c = np.where(sol.branch_id != 0, sol.model.rho(sol.Q), np.nan)
+            coeffs = {key: rho_c * sol.w[:, c] for c, key in enumerate(multi_indices(n, k))}
             grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], 2).reshape(-1)
-                                    for i in range(sol.n)], axis=1)
+                                    for i in range(n)], axis=1)
                      for key, vals in coeffs.items()}
-            delta = codifferential(FormValues(n=sol.n, k=sol.k, coeffs=coeffs, grads=grads,
-                                              bad=sol.omega.bad))
+            delta = codifferential(FormValues(n=n, k=k, coeffs=coeffs, grads=grads,
+                                              bad=np.zeros(grid.npoints(), dtype=bool)))
             res = np.zeros(shape)
             for vals in delta.coeffs.values():
                 res = np.maximum(res, np.abs(vals.reshape(shape)))
