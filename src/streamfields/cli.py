@@ -55,8 +55,8 @@ from .drive import DriveError, coord_names
 from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
-from .synth import (FLAG_DRIVE_UNDEFINED, FieldSolution, GridSpec, REGIME_NAMES, SynthError,
-                    nested_index, synthesize)
+from .synth import (FLAG_DRIVE_UNDEFINED, ROW_ARRAYS, FieldSolution, GridSpec, REGIME_NAMES,
+                    SynthError, Synthesis, nested_index, synthesize)
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
 from .verify import VerifyError
@@ -330,20 +330,19 @@ def _workers(threads: int, npoints: int) -> int:
     """Threads for --threads N: at most one per core this process may run on
     (its CPU affinity where the platform reports one) and one per point.
     They share a grid's synthesis blocks of synth.SYNTH_BLOCK nodes, and
-    verify's residual slabs of about as many, so a grid of one block runs on
-    the calling thread, and the blocks, hence the bytes, are the same for
+    verify's bands of residual slabs, at most one band per block, so a grid
+    of one block runs on the calling thread; the bytes are the same for
     every N."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(threads, cores or 1, npoints)
 
 
-def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
-                    witness: Optional[str] = None,
-                    form: Optional[cfgmod.FormSpec] = None) -> FieldSolution:
+def _synthesis(cfg: RunConfig, grid: GridSpec, witness: Optional[str] = None,
+               form: Optional[cfgmod.FormSpec] = None) -> Synthesis:
     """The configured field, or form (the forms section, `form`), on `grid`,
-    not yet checked by _admitted; a frobenius.witness choice `witness` is
-    checked against the drive before anything is synthesized, and a closed
-    form (forms.closed) for closure on forms.box, or else the grid's box."""
+    to be synthesized; a frobenius.witness choice `witness` is checked
+    against the drive, and a closed form (forms.closed) for closure on
+    forms.box, or else the grid's box."""
     model = cfgmod.build_model(cfg)
     d = cfgmod.build_drive(cfg) if form is None else None
     if witness is not None:
@@ -354,22 +353,41 @@ def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
         d = formsmod.FormDrive(form.form, form.params, form.closed)
         if form.closed:
             formsmod.check_closed(form.form, form.box or (grid.lo, grid.hi), form.params)
-    return synthesize(model, d, policy, grid, tol=tol, workers=_workers(threads, grid.npoints()))
+    return Synthesis(grid, model, d, policy, tol)
+
+
+def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
+                    witness: Optional[str] = None,
+                    form: Optional[cfgmod.FormSpec] = None) -> FieldSolution:
+    """_synthesis(cfg, grid, witness, form), synthesized; not yet checked by
+    _admitted."""
+    return _synthesized(_synthesis(cfg, grid, witness, form), threads)
+
+
+def _synthesized(s: Synthesis, threads: int) -> FieldSolution:
+    """`s` run on the --threads pool."""
+    return synthesize(s.model, s.drive, s.policy, s.grid, tol=s.tol,
+                      workers=_workers(threads, s.grid.npoints()))
 
 
 def _admitted(sol: FieldSolution) -> FieldSolution:
-    """`sol`; exit 3 when no point is admitted, with the sampled range of its
-    xi and every branch image.  xi is |a|^2 for a field, and for a form
-    |alpha|^2 when its drive is a closed form alpha (of degree n - k), |df|^2
-    otherwise."""
+    """`sol`; exit 3 when no point is admitted (see _refuse_empty)."""
     if (sol.branch_id != 0).any():
         return sol
+    _refuse_empty(sol, sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0])
+
+
+def _refuse_empty(sol, xi: np.ndarray) -> None:
+    """Exit 3 for the synthesis `sol` (a FieldSolution or a Synthesis), which
+    admitted no point, with the range of xi over `xi`, its values where the
+    drive is defined, and every branch image.  xi is |a|^2 for a field, and
+    for a form |alpha|^2 when its drive is a closed form alpha (of degree
+    n - k), |df|^2 otherwise."""
     if isinstance(sol.drive, formsmod.FormDrive):
         what = "form synthesis"
         sampled = "|alpha|^2" if sol.drive.closed else "|df|^2"
     else:
         what, sampled = "synthesis", "drive range Sigma_f"
-    xi = sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0]
     span = f"[{xi.min():.6g}, {xi.max():.6g}]" if xi.size else "(drive undefined at every grid point)"
     images = "; ".join(f"branch {b.index} ({b.label}): {b.image}" for b in sol.model.branches())
     raise _Exit(EXIT_EMPTY, f"{what} produced no admissible points: sampled {sampled} = {span} "
@@ -496,34 +514,84 @@ def _refined(grid: GridSpec, factor: int) -> GridSpec:
     return GridSpec(lo=grid.lo, hi=grid.hi, cells=tuple(c * factor for c in grid.cells))
 
 
-def _study(grids: list, synth: Callable) -> Callable:
-    """grid -> its admitted solution, for the levels of a refinement study.
+def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callable],
+           kinds: Optional[list]) -> tuple:
+    """(on, report) for a refinement study over `grids`, coarse to fine:
+    on(grid) is the level's solution, checked by _admitted when first asked
+    for, so an exit 3 names the level and sampled range a synthesis per
+    level would; report(kind, grid) is the level's report of `kind`, one of
+    verify.SLAB_KINDS, with the verify.mask predicate `mask`.
 
-    Only the finest grid, grids[-1], is synthesized (by `synth`, once).  Each
-    coarser level refines to it by a power of two, so its nodes are finest
-    nodes bit for bit (synth.nested_index), and the level's solution is the
-    finest one restricted to them.  _admitted runs on each level when the
-    study first asks for it, so an exit 3 names the same level and sampled
-    range as a synthesis per level would."""
+    Only grids[-1] is synthesized, once, from synthesis(grid); the coarser
+    levels refine it by powers of two, so their nodes are finest nodes bit
+    for bit (synth.nested_index).  With kinds None, the finest solution is
+    kept whole and restricted to each level.  Otherwise it is never held:
+    verify.streamed_residuals synthesizes it slab by slab, with each kind's
+    finest residual and mask, and each slab copies its coarser levels' nodes
+    (every 2^j-th row and column) into their solutions and notes whether a
+    node is admitted and the range of xi where the drive is defined, all
+    that _admitted reads; on(grids[-1]) is then the finest Synthesis."""
     finest = grids[-1]
-    fine = functools.cache(lambda: synth(finest))
+
+    @functools.cache
+    def stored() -> FieldSolution:
+        return _synthesized(synthesis(finest), threads)
+
+    @functools.cache
+    def streamed() -> tuple:
+        src = synthesis(finest)
+        levels = {g: src.allocate(g.npoints(), g) for g in grids[:-1]}
+        shape, seen = finest.shape(), []
+
+        def visit(top: int, end: int, part: FieldSolution) -> None:
+            for grid, level in levels.items():
+                step = finest.cells[0] // grid.cells[0]
+                first = -(-top // step) * step
+                at = (slice(first - top, None, step),) + (slice(None, None, step),) * (grid.dim - 1)
+                for name in ROW_ARRAYS:
+                    rows, out = getattr(part, name), getattr(level, name)
+                    tail = rows.shape[1:]
+                    out.reshape(grid.shape() + tail)[first // step:-(-end // step)] = rows.reshape(
+                        (end - top,) + shape[1:] + tail)[at]
+            xi = part.xi[(part.flags & FLAG_DRIVE_UNDEFINED) == 0]
+            seen.append(((part.branch_id != 0).any(), [xi.min(), xi.max()] if xi.size else []))
+
+        reports = verifymod.streamed_residuals(src, kinds, _workers(threads, finest.npoints()),
+                                               mask, visit)
+        admitted = any(a for a, _ in seen)
+        return src, levels, reports, admitted, np.array([v for _, span in seen for v in span])
 
     @functools.cache
     def on(grid: GridSpec):
-        sol = fine()
+        if kinds is None:
+            sol = stored()
+            return _admitted(sol if grid == finest
+                             else sol.restricted(grid, nested_index(grid, finest)))
+        src, levels, _, admitted, xi = streamed()
         if grid != finest:
-            sol = sol.restricted(grid, nested_index(grid, finest))
-        return _admitted(sol)
-    return on
+            return _admitted(levels[grid])
+        if not admitted:
+            _refuse_empty(src, xi)
+        return src
+
+    def report(kind: str, grid: GridSpec) -> verifymod.ResidualReport:
+        sol = on(grid)
+        if grid == finest and kinds is not None:
+            return streamed()[2][kind]()
+        return getattr(verifymod, f"{kind}_residual")(
+            sol, mask=mask, workers=_workers(threads, grid.npoints()))
+    return on, report
 
 
 def cmd_verify(args) -> int:
     """Residual reports (and the energy) on the config's grid, or with
     --levels K >= 3 a refinement study over the grid refined by 1, 2, ...,
     2^(K-1); K = 2 is refused, as the order fit needs three levels.  A study
-    synthesizes only its finest grid and reads every coarser level off it
-    (see _study); every residual kind shares one solution per level, and the
-    frobenius and exactness kinds one witness per level."""
+    synthesizes only its finest grid and reads every coarser level off it,
+    and unless a frobenius or exactness kind needs the finest solution whole,
+    streams the finest level through its residual slabs (see _study); every
+    residual kind shares one solution per level, and the frobenius and
+    exactness kinds one witness per level."""
     cfg, out, base = _setup(args)
     vs = cfgmod.verify_section(cfg)
     levels = args.levels
@@ -539,23 +607,28 @@ def cmd_verify(args) -> int:
     grids = [_refined(base, 2 ** i) for i in range(levels)]
     mask_pred = cfgmod.mask_predicate(vs["mask"], base.dim)
     fs = cfgmod.frobenius_section(cfg, base.dim)
-    witness = fs["witness"] if {"frobenius", "exactness"} & set(vs["residuals"]) else None
+    kinds = list(dict.fromkeys(vs["residuals"]))
+    witness = fs["witness"] if {"frobenius", "exactness"} & set(kinds) else None
 
     reports = []
     energy_value = None
 
-    sol_on = _study(grids, lambda grid: _synth_solution(cfg, grid, args.threads, witness))
-    form_on = _study(grids, lambda grid: _synth_solution(cfg, grid, args.threads,
-                                                         form=_build_form(cfg, grid.dim)))
+    def study(synthesis: Callable, study_kinds: list) -> tuple:
+        streams = set(study_kinds) <= set(verifymod.SLAB_KINDS)
+        return _study(grids, synthesis, args.threads, mask_pred, study_kinds if streams else None)
+
+    sol_on, field_report = study(lambda grid: _synthesis(cfg, grid, witness),
+                                 [k for k in kinds if k != "codifferential"])
+    _, form_report = study(lambda grid: _synthesis(cfg, grid, form=_build_form(cfg, grid.dim)),
+                           ["codifferential"])
 
     @functools.cache
     def witness_on(grid: GridSpec):
         return _witness_for(fs["witness"], sol_on(grid))
 
     def common(grid: GridSpec) -> dict:
-        """Every residual kind's verify.mask nodes and slab threads on `grid`."""
-        extra_bad = None if mask_pred is None else ~mask_pred(grid.points())
-        return {"extra_bad": extra_bad, "workers": _workers(args.threads, grid.npoints())}
+        """Every residual kind's verify.mask predicate and slab threads on `grid`."""
+        return {"mask": mask_pred, "workers": _workers(args.threads, grid.npoints())}
 
     def exactness(grid: GridSpec):
         sol, wit = sol_on(grid), witness_on(grid)
@@ -566,13 +639,12 @@ def cmd_verify(args) -> int:
     # residual kind -> residual report on one grid; the config schema has
     # already rejected every other kind
     residual_on = {
-        "divergence": lambda grid: verifymod.divergence_residual(sol_on(grid), **common(grid)),
-        "minor": lambda grid: verifymod.minor_residual(sol_on(grid), **common(grid)),
+        "divergence": functools.partial(field_report, "divergence"),
+        "minor": functools.partial(field_report, "minor"),
         "frobenius": lambda grid: verifymod.frobenius_residual(
             sol_on(grid), witness_on(grid), **common(grid)),
         "exactness": exactness,
-        "codifferential": lambda grid: verifymod.codifferential_residual(
-            form_on(grid), **common(grid)),
+        "codifferential": functools.partial(form_report, "codifferential"),
     }
 
     for kind in vs["residuals"]:
@@ -583,6 +655,8 @@ def cmd_verify(args) -> int:
             reports.append(make(grids[0]))
 
     if vs["energy"]:
+        # a Synthesis for a streamed study: the energy reads only the grid
+        # and the synthesis settings
         sol = sol_on(grids[-1])
         energy_value = verifymod.energy(sol.model, sol, mask=mask_pred)
 

@@ -6,7 +6,8 @@ G . w.  Both are assembled from the drive-level least-squares witness
 g = M a / |a|^2 (M_ij = d_i a_j - d_j a_i) plus the chain-rule term
 -grad log rho(psi(xi)).  The defining defects here are analytic (jet-based);
 the verify module redoes them with finite differences.  Which witness suits
-which drive type is decided once, in `_fits`, for "auto" and for every check.
+which drive type is decided once, in `_fits`, for "auto" and for every check;
+no witness suits a form's drive (forms.FormDrive).
 
 A witness reads Q and the branch from the FieldSolution it is given and
 evaluates the drive once more on its points, for the jacobian.  Off the grid
@@ -32,6 +33,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .drive import DriveBatch, GradientDrive, RawField, Scalar2D, drive_batch
+from .forms import FormDrive
 from .synth import FieldSolution, GridSpec, _solve, block_rows, log_rho_gradient
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
@@ -159,18 +161,19 @@ def _fits(witness: str, d) -> bool:
     if witness == "gradient":
         return isinstance(d, GradientDrive) or (
             isinstance(d, RawField) and d.closure_mode == "curl_free")
-    return witness == "nd" and not isinstance(d, GradientDrive)
+    return witness == "nd" and not isinstance(d, (GradientDrive, FormDrive))
 
 
 def resolve_witness(choice: str, d) -> str:
     """The witness `choice` for drive `d`, with "auto" resolved; WitnessMismatch
     when the drive's type does not admit it."""
     fits = [w for w in WITNESSES if _fits(w, d)]
-    if choice == "auto":
+    if choice == "auto" and fits:
         return fits[0]
     if choice not in fits:
+        use = f"use {' or '.join(fits)}" if fits else "no witness does"
         raise WitnessMismatch(f"witness {choice!r} does not apply to a {type(d).__name__} "
-                              f"drive of dimension {d.dim}; use {' or '.join(fits)}")
+                              f"drive of dimension {d.dim}; {use}")
     return choice
 
 

@@ -16,7 +16,9 @@ the full solution: every temporary is block-sized, and the partition, and so
 the bytes, do not depend on the worker count.  A block builds only its own
 nodes (GridSpec.nodes), so no (N, n) array of all the nodes is built; a
 solution read off a grid (synthesized in blocks, or restricted to a coarser
-level) builds its `points` from its grid the first time they are read.
+level) builds its `points` from its grid the first time they are read.  A
+Synthesis is what synthesize is given, not yet run: verify synthesizes a
+refinement study's finest grid from one, a slab of rows at a time.
 
 w needs only the drive a, the first derivatives of its potential, so
 synthesis builds first-order drive jets (drive_batch(..., order=1)) and
@@ -209,6 +211,10 @@ def region_map(regions, default_id: int, dim: int = 2,
     )
 
 
+# the per-node arrays of a FieldSolution, one row per node
+ROW_ARRAYS = ("w", "Q", "xi", "regime", "branch_id", "flags")
+
+
 @dataclass(eq=False)
 class FieldSolution:
     grid: Optional[GridSpec]
@@ -244,9 +250,36 @@ class FieldSolution:
         self.grid) it is, bit for bit, a synthesis on `grid`, since each
         node's values depend on that node alone.  Its points are left to be
         built from `grid` (None for a block of rows that is no grid's)."""
-        return replace(self, grid=grid, _points=None, w=self.w[idx], Q=self.Q[idx],
-                       xi=self.xi[idx], regime=self.regime[idx],
-                       branch_id=self.branch_id[idx], flags=self.flags[idx])
+        return replace(self, grid=grid, _points=None,
+                       **{name: getattr(self, name)[idx] for name in ROW_ARRAYS})
+
+    def fill(self, start: int, part: "FieldSolution") -> None:
+        """Write the rows of `part` into this solution's, from row `start` on."""
+        for name in ROW_ARRAYS:
+            getattr(self, name)[start:start + len(part.Q)] = getattr(part, name)
+
+
+@dataclass(frozen=True, eq=False)
+class Synthesis:
+    """A synthesis on `grid` that has not run: what synthesize is given."""
+    grid: GridSpec
+    model: DensityModel
+    drive: DriveField  # or a forms.FormDrive
+    policy: BranchPolicy
+    tol: Tolerances
+
+    def __post_init__(self):
+        if self.grid.dim != self.drive.dim:
+            raise SynthError(f"grid dimension {self.grid.dim} != drive dimension {self.drive.dim}")
+
+    def allocate(self, n: int, grid: Optional[GridSpec] = None) -> FieldSolution:
+        """An unwritten solution of n nodes (on `grid`), whose rows the caller fills."""
+        columns = getattr(self.drive, "columns", self.drive.dim)  # C(n, k) for a forms.FormDrive
+        return FieldSolution(grid=grid, model=self.model, drive=self.drive, policy=self.policy,
+                             tol=self.tol, w=np.empty((n, columns)), Q=np.empty(n),
+                             xi=np.empty(n), regime=np.empty(n, dtype=np.uint8),
+                             branch_id=np.empty(n, dtype=np.int32),
+                             flags=np.empty(n, dtype=np.int32))
 
 
 def finite_rows(v: np.ndarray) -> np.ndarray:
@@ -445,22 +478,13 @@ def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
     workers > 1 a thread pool runs the same blocks.  A block builds only its
     own nodes (GridSpec.nodes); grid.points() is not built here, and the
     solution builds its points on first read."""
-    if grid.dim != d.dim:
-        raise SynthError(f"grid dimension {grid.dim} != drive dimension {d.dim}")
     tol = tol or Tolerances()
     npts = grid.npoints()
-    columns = getattr(d, "columns", d.dim)  # C(n, k) for a forms.FormDrive
-    out = FieldSolution(grid=grid, model=model, drive=d, policy=policy, tol=tol,
-                        w=np.empty((npts, columns)), Q=np.empty(npts), xi=np.empty(npts),
-                        regime=np.empty(npts, dtype=np.uint8),
-                        branch_id=np.empty(npts, dtype=np.int32),
-                        flags=np.empty(npts, dtype=np.int32))
+    out = Synthesis(grid, model, d, policy, tol).allocate(npts, grid)
 
     def solve(rows: slice) -> None:
-        part = synthesize_at_points(model, d, policy, grid.nodes(*rows.indices(npts)[:2]),
-                                    tol=tol)
-        for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
-            getattr(out, name)[rows] = getattr(part, name)
+        start, stop = rows.indices(npts)[:2]
+        out.fill(start, synthesize_at_points(model, d, policy, grid.nodes(start, stop), tol=tol))
 
     run_blocks(solve, block_rows(npts), workers)
     return out

@@ -12,11 +12,17 @@ The mask is exactly the union of singular flags (nonphysical-branch markers
 are informational, not singular) and every residual's `extra_bad` nodes,
 dilated by one stencil width, plus the boundary.
 Every residual kind runs its kernels in slabs of axis-0 rows (`_slabs`), of
-about SYNTH_BLOCK nodes each, one after another or on the synthesis thread
-pool: a slab reads HALO rows past each end and writes only its own rows of
-one residual array and one mask, so the temporaries are slab-sized and every
-value is the whole grid's, bit for bit, for any slab height or worker count.
-The residuals read no grid points.  Reductions are numpy sums in fixed index
+about SYNTH_BLOCK nodes each, walked in order within one band of rows per
+thread of the synthesis pool: a slab reads HALO rows past each end and
+writes only its own rows of one residual array and one mask per kind, so the
+temporaries are slab-sized and every value is the whole grid's, bit for
+bit, for any slab height or worker count.  The rows come from a stored
+solution, or from a synth.Synthesis that has not run (`streamed_residuals`):
+then each band synthesizes its rows as it reaches them, carrying the 2 HALO
+rows consecutive slabs share, so no solution of the grid is ever held and a
+node is synthesized once, or twice within HALO rows of a seam between
+bands.  The residuals read no grid points; the verify.mask predicate is
+evaluated on each slab's nodes.  Reductions are numpy sums in fixed index
 order over the whole residual, so reports are deterministic.  The codifferential
 residual hands central differences to `forms.codifferential` as coefficient
 gradients, so it applies the forms module's one sign table
@@ -27,6 +33,7 @@ vectorized Gauss-Kronrod rule over the gaps between the distinct Q for a custom 
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -36,8 +43,8 @@ import numpy as np
 from . import synth as synthmod
 from .density import DensityModel
 from .forms import FormValues, codifferential, omega_values
-from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows, run_blocks,
-                    synthesize_at_points)
+from .synth import (FLAG_NONPHYSICAL_RHO, ROW_ARRAYS, FieldSolution, GridSpec, Synthesis,
+                    block_rows, run_blocks, synthesize_at_points)
 
 if TYPE_CHECKING:  # frobenius imports this module; the witness is an annotation only
     from .frobenius import FrobeniusWitness
@@ -200,44 +207,95 @@ def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarra
     )
 
 
-def _grid_of(solution: FieldSolution) -> GridSpec:
-    if solution.grid is None:
+def _grid_of(source) -> GridSpec:
+    if source.grid is None:
         raise VerifyError("solution is not grid-backed")
-    return solution.grid
+    return source.grid
 
 
-def _slabs(kind: str, solution: FieldSolution, kernel: Callable, workers: int,
-           extra_bad: Optional[np.ndarray]) -> ResidualReport:
-    """One residual kind over slabs of axis-0 rows, each of about SYNTH_BLOCK
-    nodes and at least one row, on `workers` threads (synth.run_blocks).
-    `kernel(part, nodes, shape)` returns the residual on the slab's rows and
-    the nodes it leaves undefined (or None): `part` is the solution on the
-    flat nodes `nodes` as views, and `shape` their grid shape.  A slab runs
-    its kernel with HALO more rows on each side inside the grid, enough for
-    the central stencils and the mask's dilation, and keeps its own rows, so
-    every node's residual and mask bit, and the report, are the whole-grid
-    ones for any slab height or worker count."""
-    grid = _grid_of(solution)
+def _reader(source, row: int) -> Callable[[int, int], FieldSolution]:
+    """rows(lo, hi): axis-0 rows lo to hi - 1 of `source`, as a solution
+    without a grid.  A FieldSolution gives views of its rows.  A Synthesis
+    writes them into a new window: the rows it shares with the previous
+    window are copied over, and the rest are synthesized, at most SYNTH_BLOCK
+    nodes a synthesize_at_points call, each written as it comes; so for
+    windows that advance down the grid, each row is synthesized once."""
+    if isinstance(source, FieldSolution):
+        return lambda lo, hi: source.restricted(None, slice(lo * row, hi * row))
+    held = None  # the last window: (its first row, its last row + 1, its rows)
+
+    def rows(lo: int, hi: int) -> FieldSolution:
+        nonlocal held
+        n, keep = (hi - lo) * row, 0
+        out = source.allocate(n)
+        if held is not None:
+            first, last, window = held
+            keep = max(last - lo, 0) * row
+            out.fill(0, window.restricted(None, slice((lo - first) * row, (last - first) * row)))
+            held = window = None  # freed before the synthesis temporaries are made
+        for start in range(keep, n, synthmod.SYNTH_BLOCK):
+            stop = min(start + synthmod.SYNTH_BLOCK, n)
+            out.fill(start, synthesize_at_points(
+                source.model, source.drive, source.policy,
+                source.grid.nodes(lo * row + start, lo * row + stop), tol=source.tol))
+        held = (lo, hi, out)
+        return out
+    return rows
+
+
+def _slabs(source, kernels: Sequence[Callable], workers: int,
+           extra_bad: Optional[np.ndarray] = None, mask: Optional[Callable] = None,
+           visit: Optional[Callable] = None) -> list:
+    """(residual, excluded) grid arrays of each kernel over slabs of axis-0
+    rows of `source`, a FieldSolution or a Synthesis (see _reader).
+
+    The rows are cut into min(workers, blocks of SYNTH_BLOCK nodes) bands of
+    equal height, one per thread (synth.run_blocks), and each band into slabs
+    of about SYNTH_BLOCK nodes and at least one row, which it walks in order.
+    `kernel(part, nodes, shape)` returns the residual on a slab's rows and
+    the nodes it leaves undefined (or None): `part` is the source on the flat
+    nodes `nodes`, and `shape` their grid shape.  A slab runs every kernel
+    with HALO more rows on each side inside the grid, enough for the central
+    stencils and the mask's dilation, and keeps its own rows, so every
+    node's residual and mask bit are the whole-grid ones for any slab height
+    or worker count.  A band reads a Synthesis window by window, carrying
+    the 2 HALO rows consecutive windows share, so a node is synthesized
+    once, or twice within HALO rows of a seam between bands.  extra_bad
+    (grid nodes) and the predicate `mask` (False where a node is excluded,
+    as verify.mask) add to each mask; `mask` is evaluated on the nodes each
+    slab reads.  visit(top, end, part), when given, sees every slab's own
+    rows, top to end - 1, as `part`."""
+    grid = _grid_of(source)
     shape = grid.shape()
     row = math.prod(shape[1:])
     height = max(1, synthmod.SYNTH_BLOCK // row)
-    residual = np.empty(shape)
-    excluded = np.empty(shape, dtype=bool)
+    bands = min(workers, len(block_rows(grid.npoints())), shape[0])
+    cuts = [shape[0] * b // bands for b in range(bands + 1)]
+    outs = [(np.empty(shape), np.empty(shape, dtype=bool)) for _ in kernels]
 
-    def slab(top: int) -> None:
-        end = min(top + height, shape[0])
+    def slab(rows: Callable, top: int, end: int) -> None:
         lo, hi = max(top - HALO, 0), min(end + HALO, shape[0])
-        nodes = slice(lo * row, hi * row)
-        sub = (hi - lo,) + shape[1:]
-        part = solution.restricted(None, nodes)
-        values, bad = kernel(part, nodes, sub)
-        own = slice(top - lo, end - lo)
-        residual[top:end] = values[own]
+        nodes, sub = slice(lo * row, hi * row), (hi - lo,) + shape[1:]
+        part, own = rows(lo, hi), slice(top - lo, end - lo)
         extra = None if extra_bad is None else extra_bad[nodes]
-        excluded[top:end] = _excluded(part, sub, bad, extra)[own]
+        masked = None if mask is None else ~np.asarray(mask(grid.nodes(lo * row, hi * row)),
+                                                       dtype=bool)
+        for kernel, (residual, excluded) in zip(kernels, outs):
+            values, bad = kernel(part, nodes, sub)
+            residual[top:end] = values[own]
+            excluded[top:end] = _excluded(part, sub, bad, extra, masked)[own]
+        if visit is not None:
+            visit(top, end, part.restricted(None, slice((top - lo) * row, (end - lo) * row)))
 
-    run_blocks(slab, range(0, shape[0], height), workers)
-    return _report(kind, grid, residual, excluded)
+    def band(b: int) -> None:
+        # one reader a band; each slab's locals, its window among them, go
+        # when it returns, so the reader holds the only window between slabs
+        rows = _reader(source, row)
+        for top in range(cuts[b], cuts[b + 1], height):
+            slab(rows, top, min(top + height, cuts[b + 1]))
+
+    run_blocks(band, range(bands), workers)
+    return outs
 
 
 def _rho_w(solution: FieldSolution, model: Optional[DensityModel], shape: tuple) -> list:
@@ -248,26 +306,88 @@ def _rho_w(solution: FieldSolution, model: Optional[DensityModel], shape: tuple)
         return [(rho * solution.w[:, i]).reshape(shape) for i in range(len(shape))]
 
 
+def _codifferential_kernel(h, model=None) -> Callable:
+    def kernel(part, nodes, shape):
+        omega, rho_c = omega_values(part), part.model.rho(part.Q)
+        with np.errstate(all="ignore"):
+            coeffs = {key: rho_c * vals for key, vals in omega.coeffs.items()}
+        grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], ORDER).reshape(-1)
+                                for i in range(omega.n)], axis=1)
+                 for key, vals in coeffs.items()}
+        delta = codifferential(FormValues(n=omega.n, k=omega.k, coeffs=coeffs, grads=grads,
+                                          bad=omega.bad))
+        worst = np.zeros(shape)
+        for vals in delta.coeffs.values():
+            worst = np.maximum(worst, np.abs(vals.reshape(shape)))
+        return worst, None
+    return kernel
+
+
+# The residual kinds whose kernel reads only its own slab of the solution:
+# kind -> (report kind, kernel(h, model) for grid spacing h and an optional
+# density model that replaces the solution's).
+SLAB_KINDS = {
+    "divergence": ("DivergenceOfRhoW", lambda h, model: lambda part, nodes, shape: (
+        divergence(_rho_w(part, model, shape), h, ORDER), None)),
+    "minor": ("MinorSystemOfRhoW", lambda h, model: lambda part, nodes, shape: (
+        curl_max(_rho_w(part, model, shape), h, ORDER), None)),
+    "codifferential": ("CodifferentialDefect", _codifferential_kernel),
+}
+
+
+def _residual(kind: str, solution: FieldSolution, kernel: Callable, workers: int,
+              extra_bad: Optional[np.ndarray], mask: Optional[Callable]) -> ResidualReport:
+    (residual, excluded), = _slabs(solution, [kernel], workers, extra_bad, mask)
+    return _report(kind, _grid_of(solution), residual, excluded)
+
+
+def _slab_residual(kind: str, solution: FieldSolution, model, extra_bad, workers,
+                   mask) -> ResidualReport:
+    name, kernel = SLAB_KINDS[kind]
+    return _residual(name, solution, kernel(_grid_of(solution).spacing(), model), workers,
+                     extra_bad, mask)
+
+
 def divergence_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                        extra_bad: Optional[np.ndarray] = None,
-                        workers: int = 1) -> ResidualReport:
+                        extra_bad: Optional[np.ndarray] = None, workers: int = 1,
+                        mask: Optional[Callable] = None) -> ResidualReport:
     """Central-difference divergence of rho(Q) w."""
-    h = _grid_of(solution).spacing()
-    return _slabs("DivergenceOfRhoW", solution, lambda part, nodes, shape: (
-        divergence(_rho_w(part, model, shape), h, ORDER), None), workers, extra_bad)
+    return _slab_residual("divergence", solution, model, extra_bad, workers, mask)
 
 
 def minor_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                   extra_bad: Optional[np.ndarray] = None, workers: int = 1) -> ResidualReport:
+                   extra_bad: Optional[np.ndarray] = None, workers: int = 1,
+                   mask: Optional[Callable] = None) -> ResidualReport:
     """Max 2x2 minor |d_i(rho w_j) - d_j(rho w_i)| by central differences."""
-    h = _grid_of(solution).spacing()
-    return _slabs("MinorSystemOfRhoW", solution, lambda part, nodes, shape: (
-        curl_max(_rho_w(part, model, shape), h, ORDER), None), workers, extra_bad)
+    return _slab_residual("minor", solution, model, extra_bad, workers, mask)
+
+
+def codifferential_residual(fsol: FieldSolution, *, extra_bad: Optional[np.ndarray] = None,
+                            workers: int = 1, mask: Optional[Callable] = None) -> ResidualReport:
+    """Codifferential of rho(Q) omega, coefficientwise, for a form synthesis:
+    forms.codifferential with central-difference coefficient gradients."""
+    return _slab_residual("codifferential", fsol, None, extra_bad, workers, mask)
+
+
+def streamed_residuals(source: Synthesis, kinds: Sequence[str], workers: int,
+                       mask: Optional[Callable] = None,
+                       visit: Optional[Callable] = None) -> dict:
+    """kind -> a callable that returns its ResidualReport on source.grid, for
+    every SLAB_KINDS kind of `kinds`, from one pass of _slabs that
+    synthesizes the grid slab by slab and holds no solution of it: only each
+    kind's residual and mask arrays.  The reports are made, and a VerifyError
+    raised, only when called."""
+    grid = source.grid
+    named = [SLAB_KINDS[kind] for kind in kinds]
+    outs = _slabs(source, [kernel(grid.spacing(), None) for _, kernel in named], workers,
+                  mask=mask, visit=visit)
+    return {kind: functools.partial(_report, name, grid, *out)
+            for kind, (name, _), out in zip(kinds, named, outs)}
 
 
 def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
-                       extra_bad: Optional[np.ndarray] = None,
-                       workers: int = 1) -> ResidualReport:
+                       extra_bad: Optional[np.ndarray] = None, workers: int = 1,
+                       mask: Optional[Callable] = None) -> ResidualReport:
     """Frobenius defect with finite-difference derivatives of w and the
     witness's G: minor systems compare curls, divergence systems divergences."""
     h = _grid_of(solution).spacing()
@@ -288,12 +408,12 @@ def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
                                - np.einsum("ni,ni->n", G, w).reshape(shape))
         return worst, ~witness.defined[nodes]
 
-    return _slabs("FrobeniusDefect", solution, kernel, workers, extra_bad)
+    return _residual("FrobeniusDefect", solution, kernel, workers, extra_bad, mask)
 
 
 def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "minor",
-                       extra_bad: Optional[np.ndarray] = None,
-                       workers: int = 1) -> ResidualReport:
+                       extra_bad: Optional[np.ndarray] = None, workers: int = 1,
+                       mask: Optional[Callable] = None) -> ResidualReport:
     """Closure of the rescaled field: curl of e^(-eta) w for minor systems,
     divergence of e^(-eta) w for divergence systems."""
     grid = _grid_of(solution)
@@ -305,30 +425,7 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "
         return (closure_residual(part.w, eta_part.reshape(shape), system, h, ORDER),
                 ~np.isfinite(eta_part))
 
-    return _slabs("ExactnessDefect", solution, kernel, workers, extra_bad)
-
-
-def codifferential_residual(fsol: FieldSolution, *, extra_bad: Optional[np.ndarray] = None,
-                            workers: int = 1) -> ResidualReport:
-    """Codifferential of rho(Q) omega, coefficientwise, for a form synthesis:
-    forms.codifferential with central-difference coefficient gradients."""
-    h = _grid_of(fsol).spacing()
-
-    def kernel(part, nodes, shape):
-        omega, rho_c = omega_values(part), part.model.rho(part.Q)
-        with np.errstate(all="ignore"):
-            coeffs = {key: rho_c * vals for key, vals in omega.coeffs.items()}
-        grads = {key: np.stack([stencil(vals.reshape(shape), i, h[i], ORDER).reshape(-1)
-                                for i in range(omega.n)], axis=1)
-                 for key, vals in coeffs.items()}
-        delta = codifferential(FormValues(n=omega.n, k=omega.k, coeffs=coeffs, grads=grads,
-                                          bad=omega.bad))
-        worst = np.zeros(shape)
-        for vals in delta.coeffs.values():
-            worst = np.maximum(worst, np.abs(vals.reshape(shape)))
-        return worst, None
-
-    return _slabs("CodifferentialDefect", fsol, kernel, workers, extra_bad)
+    return _residual("ExactnessDefect", solution, kernel, workers, extra_bad, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +540,13 @@ def energy_density(model: DensityModel, Q: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy(model: DensityModel, solution: FieldSolution,
+def energy(model: DensityModel, solution,
            mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """Midpoint quadrature of e(Q) over cells; the field is re-synthesized at
     cell centers, at most SYNTH_BLOCK centers a call, and cells whose center
-    is flagged or excluded contribute 0.  A non-finite e(Q) is refused,
-    naming the gap of Q where rho is undefined."""
+    is flagged or excluded contribute 0.  Only the grid and the synthesis
+    settings of `solution`, a FieldSolution or a Synthesis, are read.  A
+    non-finite e(Q) is refused, naming the gap of Q where rho is undefined."""
     grid = _grid_of(solution)
     mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()), indexing="ij")
     centers = np.stack([m.reshape(-1) for m in mesh], axis=1)

@@ -2,6 +2,7 @@ import ast
 import copy
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamfields import GridSpec, config as cfgmod, nested_index, synthesize
 from streamfields import cli
+from streamfields import verify as verifymod
 from streamfields.cli import _workers, _write_csv, main
 
 
@@ -1028,17 +1030,56 @@ def test_restricted_levels_equal_a_synthesis_on_each_level_bit_for_bit(name):
                     assert _same_bits(getattr(got_gw, attr), getattr(want_gw, attr)), g.cells
 
 
-def _record_syntheses(monkeypatch) -> list:
-    """The grids cli.synthesize is called on, in call order."""
-    calls = []
-    synth = cli.synthesize
+def _record_syntheses(monkeypatch) -> tuple:
+    """(calls, points): the grids cli.synthesize is called on, and the points
+    of each verify.synthesize_at_points call, in call order; a None in
+    `points` marks where verify.energy started, whose cell centres follow."""
+    calls, points = [], []
+    synth, at_points, energy = cli.synthesize, verifymod.synthesize_at_points, verifymod.energy
 
     def synth_recorded(model, d, policy, grid, **kwargs):
         calls.append(grid)
         return synth(model, d, policy, grid, **kwargs)
 
+    def at_points_recorded(model, d, policy, pts, **kwargs):
+        points.append(pts)
+        return at_points(model, d, policy, pts, **kwargs)
+
+    def energy_recorded(*args, **kwargs):
+        points.append(None)
+        return energy(*args, **kwargs)
+
     monkeypatch.setattr(cli, "synthesize", synth_recorded)
-    return calls
+    monkeypatch.setattr(verifymod, "synthesize_at_points", at_points_recorded)
+    monkeypatch.setattr(verifymod, "energy", energy_recorded)
+    return calls, points
+
+
+def _before_energy(points: list) -> list:
+    return list(itertools.takewhile(lambda pts: pts is not None, points))
+
+
+def _check_streamed_nodes(points: list, grid: GridSpec, workers: int) -> None:
+    """`points`, a streamed study's synthesize_at_points calls up to the
+    energy's, hold every node of its finest grid `grid` once, and the HALO
+    rows on either side of each seam between its bands once more; no call
+    takes more than a synthesis block.  The bands split the rows evenly,
+    one per worker and at most one per block of nodes."""
+    from streamfields import synth as synthmod
+
+    points = _before_energy(points)
+    assert max(map(len, points)) <= synthmod.SYNTH_BLOCK
+    shape, axis = grid.shape(), grid.axes()[0]
+    pts = np.concatenate(points)
+    rows = np.searchsorted(axis, pts[:, 0])
+    assert np.array_equal(axis[rows], pts[:, 0])
+    bands = min(workers, -(-grid.npoints() // synthmod.SYNTH_BLOCK), shape[0])
+    want = np.ones(shape[0], dtype=np.int64)
+    for cut in (shape[0] * b // bands for b in range(1, bands)):
+        want[max(cut - verifymod.HALO, 0):cut + verifymod.HALO] += 1
+    assert np.array_equal(np.bincount(rows, minlength=shape[0]),
+                          want * (grid.npoints() // shape[0]))
+    assert _same_bits(np.unique(pts, axis=0), grid.nodes(0, grid.npoints()))
 
 
 def _record_points(monkeypatch) -> list:
@@ -1055,30 +1096,94 @@ def _record_points(monkeypatch) -> list:
 
 
 def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeypatch):
-    """...and builds no level's points, unless a mask predicate reads them
-    (verify.mask, or frobenius.mask for the exactness kind): the solutions
-    build them only when read, and the residuals read none.  A form is
-    synthesized as a field is, in blocks on the finest grid."""
-    calls = _record_syntheses(monkeypatch)
+    """...streamed through its residual slabs: every example's residual kinds
+    read only their own slab, so no solution of its finest grid is
+    synthesized whole (cli.synthesize), and on one thread the slabs
+    synthesize the finest nodes once each, in order, a block at a time.  No
+    level's points are built unless the exactness kind's frobenius.mask reads
+    them: verify.mask is evaluated on the nodes each slab reads, and the
+    residuals read no points.  A form is streamed as a field is."""
+    from streamfields import synth as synthmod
+
+    calls, points = _record_syntheses(monkeypatch)
     built = _record_points(monkeypatch)
     skipped = unread = 0
     for name, spec in cfgmod.EXAMPLES.items():
         calls.clear()
+        points.clear()
         built.clear()
         assert main(["verify", "--example", name, "--out", str(tmp_path / name),
                      "--levels", "3"]) in (0, 4)
         *coarse, finest = [cli._refined(cfgmod.build_grid(cfgmod.example_config(name)), 2 ** i)
                            for i in range(3)]
-        assert calls == [finest], name
+        assert calls == [], name
+        streamed = _before_energy(points)
+        assert _same_bits(np.concatenate(streamed), finest.nodes(0, finest.npoints())), name
+        assert max(map(len, streamed)) <= synthmod.SYNTH_BLOCK
         skipped += sum(g.npoints() for g in coarse)
-        if "mask" not in spec["verify"] and "exactness" not in spec["verify"]["residuals"]:
+        if "exactness" not in spec["verify"]["residuals"]:
             assert built == [], name
             unread += 1
     capsys.readouterr()
-    assert unread == 10  # every example but extremal-patching, which has a verify.mask
+    assert unread == 11
     # the nodes of the coarse levels that refine-l3 (verify --levels 3 on
     # every example) does not synthesize: 891,956 field nodes and 5,314 of form-21
     assert skipped == 897_270
+
+
+# base cells per axis of the studies below, in 2-D and in 3-D
+_SHRUNK_CELLS = {2: [8, 6], 3: [4, 3, 4]}
+
+
+@pytest.mark.parametrize("name", sorted(cfgmod.EXAMPLES))
+def test_a_streamed_study_writes_what_the_stored_finest_solution_writes(
+        name, tmp_path, capsys, monkeypatch):
+    """Each example on a small grid, with its finest level streamed through
+    the residual slabs and with the finest solution synthesized whole and
+    kept (cli._study with no kinds): the same exit code, stderr and
+    report.json bytes, at --levels 1 and 3, on one and two workers, for slabs
+    of 1, 2 and 7 rows and for one slab a band.  The streamed study never
+    calls cli.synthesize and synthesizes every finest node once, plus the
+    band seams."""
+    from streamfields import synth as synthmod
+
+    cfg = copy.deepcopy(cfgmod.EXAMPLES[name])
+    cfg["grid"]["cells"] = _SHRUNK_CELLS[len(cfg["grid"]["cells"])]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    base = cfgmod.build_grid(cfgmod.load_config(str(path)))
+    # two workers on any machine, so the bands show on one core too
+    monkeypatch.setattr(cli, "_workers", lambda threads, npoints: min(threads, npoints))
+    calls, points = _record_syntheses(monkeypatch)
+    study = cli._study
+
+    def run(levels: int, threads: int) -> tuple:
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        calls.clear()
+        points.clear()
+        code = main(["verify", "--config", str(path), "--out", str(out), "--levels", str(levels),
+                     "--threads", str(threads)])
+        report = out / "report.json"
+        return code, capsys.readouterr().err, report.read_bytes() if report.exists() else None
+
+    outcomes = set()
+    for levels in (1, 3):
+        finest = cli._refined(base, 2 ** (levels - 1))
+        rows = finest.shape()[0]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_study", lambda grids, synthesis, threads, mask, kinds: study(
+                grids, synthesis, threads, mask, None))
+            want = run(levels, 1)
+        assert calls == [finest]
+        outcomes.add(want[0])
+        for height in (1, 2, 7, -(-rows // 2)):
+            monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * (finest.npoints() // rows))
+            for threads in (1, 2):
+                assert run(levels, threads) == want, (levels, height, threads)
+                assert calls == []
+                _check_streamed_nodes(points, finest, threads)
+    assert outcomes <= {0, 3, 4}, outcomes
 
 
 def test_a_form_study_evaluates_no_coefficient_on_more_than_a_synthesis_block(
@@ -1145,6 +1250,44 @@ def test_verify_study_exits_3_on_an_empty_coarse_level_as_its_own_synthesis_woul
     assert finer_outcome == (0, "")
     assert study == coarse
     assert study[0] == 3 and "synthesis produced no admissible points" in study[1]
+
+
+def test_a_study_streamed_on_more_workers_than_cores_loses_no_row(tmp_path, capsys, monkeypatch):
+    """Four bands on one-row slabs, with the interpreter switching threads
+    as often as it can: every band writes its own rows of the residuals and
+    of the coarser levels, and notes its slabs' admission, so the report is
+    the one-thread report byte for byte."""
+    from streamfields import synth as synthmod
+
+    cfg = _example("extremal-patching", 12)
+    monkeypatch.setattr(cli, "_workers", lambda threads, npoints: min(threads, npoints))
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 12 * 4 + 1)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "4"):
+            (tmp_path / threads).mkdir()
+            code, out = run_cfg(tmp_path / threads, cfg, command="verify",
+                                extra=("--levels", "3", "--threads", threads))
+            reports.append((code, (out / "report.json").read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert reports[0] == reports[1] and reports[0][0] in (0, 4)
+
+
+def test_a_one_level_verify_exits_3_as_synth_does(tmp_path, capsys):
+    """A one-level study streams its only grid; the admission its pass
+    records gives the exit 3 and the sampled range synth gives."""
+    outcomes = []
+    for command in ("verify", "synth"):
+        (tmp_path / command).mkdir()
+        code, _ = run_cfg(tmp_path / command, _COARSE_EMPTY, command=command,
+                          extra=("--levels", "1"))
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 3 and "synthesis produced no admissible points" in outcomes[0][1]
 
 
 def test_command_line_entry_points(tmp_path):

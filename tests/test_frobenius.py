@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from streamfields import (
+    FormDrive,
     FrobeniusError,
     GridSpec,
     Tolerances,
@@ -10,6 +11,7 @@ from streamfields import (
     curl_residual_grid,
     extremal,
     gradient_drive,
+    kform,
     minor_defect_with,
     prefer_type1,
     prefer_type2,
@@ -316,9 +318,14 @@ def test_witness_choice_follows_the_drive_type():
         (raw_drive(2, ["-x2", "x1"], "divergence_free", box2), ["2d", "nd"]),
         (raw_drive(2, ["x1", "x2"], "curl_free", box2), ["gradient", "nd"]),
         (raw_drive(3, ["x2", "x3", "x1"], "divergence_free", box3), ["nd"]),
+        (FormDrive(kform(2, 0, {(): "x1^2*x2^3/8"})), []),
     ]
     for d, admitted in cases:
-        assert resolve_witness("auto", d) == admitted[0]
+        if admitted:
+            assert resolve_witness("auto", d) == admitted[0]
+        else:
+            with pytest.raises(WitnessMismatch, match="does not apply .*; no witness does"):
+                resolve_witness("auto", d)
         for choice in ("2d", "gradient", "nd", "curl"):
             if choice in admitted:
                 assert resolve_witness(choice, d) == choice
@@ -326,6 +333,16 @@ def test_witness_choice_follows_the_drive_type():
                 with pytest.raises(WitnessMismatch, match="does not apply"):
                     resolve_witness(choice, d)
     assert issubclass(WitnessMismatch, FrobeniusError)
+
+
+def test_a_witness_of_a_form_synthesis_is_a_witness_mismatch():
+    """No witness applies to a form's drive: each one refuses a form
+    synthesis with WitnessMismatch, a config error, before reading its drive."""
+    sol = synthesize(shallow_water(), FormDrive(kform(2, 0, {(): "x1^2*x2^3/8"})), prefer_type1(),
+                     GridSpec((0.2, 0.2), (0.6, 0.6), (8, 8)))
+    for witness in (witness_2d, witness_nd, witness_gradient):
+        with pytest.raises(WitnessMismatch, match="FormDrive drive of dimension 2; no witness"):
+            witness(sol)
 
 
 # ---------------------------------------------------------------------------

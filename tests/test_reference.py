@@ -51,10 +51,12 @@ def test_artifacts_match_the_benchmark_reference(op, tmp_path, capsys):
 
 
 # One op per subcommand, small enough for tier-1, that together reach the
-# traced witness, eta, forms, singular-set and residual layers.
+# traced witness, eta, forms, singular-set and residual layers; the verify op
+# is a study, since a study streams its finest level past the residual
+# functions and only its coarser levels call them.
 TRACED_OPS = [Op("synth", "unit-density"), Op("singular", "caustic-tau1"),
               Op("frobenius", "shallow-annulus-eta"), Op("forms", "form-21"),
-              Op("verify", "born-infeld-fund")]
+              Op("verify", "born-infeld-fund", threads=2, levels=3)]
 
 
 def test_traced_ops_match_the_reference_and_the_tracer_restores_every_name(tmp_path, capsys):
