@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -56,7 +57,7 @@ from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
 from .synth import (FLAG_DRIVE_UNDEFINED, ROW_ARRAYS, FieldSolution, GridSpec, REGIME_NAMES,
-                    SynthError, Synthesis, nested_index, synthesize)
+                    SynthError, Synthesis, synthesize)
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
 from .verify import VerifyError
@@ -359,15 +360,11 @@ def _synthesis(cfg: RunConfig, grid: GridSpec, witness: Optional[str] = None,
 def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
                     witness: Optional[str] = None,
                     form: Optional[cfgmod.FormSpec] = None) -> FieldSolution:
-    """_synthesis(cfg, grid, witness, form), synthesized; not yet checked by
-    _admitted."""
-    return _synthesized(_synthesis(cfg, grid, witness, form), threads)
-
-
-def _synthesized(s: Synthesis, threads: int) -> FieldSolution:
-    """`s` run on the --threads pool."""
-    return synthesize(s.model, s.drive, s.policy, s.grid, tol=s.tol,
-                      workers=_workers(threads, s.grid.npoints()))
+    """_synthesis(cfg, grid, witness, form), synthesized on the --threads
+    pool; not yet checked by _admitted."""
+    s = _synthesis(cfg, grid, witness, form)
+    return synthesize(s.model, s.drive, s.policy, grid, tol=s.tol,
+                      workers=_workers(threads, grid.npoints()))
 
 
 def _admitted(sol: FieldSolution) -> FieldSolution:
@@ -515,32 +512,28 @@ def _refined(grid: GridSpec, factor: int) -> GridSpec:
 
 
 def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callable],
-           kinds: Optional[list]) -> tuple:
-    """(on, report) for a refinement study over `grids`, coarse to fine:
-    on(grid) is the level's solution, checked by _admitted when first asked
-    for, so an exit 3 names the level and sampled range a synthesis per
-    level would; report(kind, grid) is the level's report of `kind`, one of
-    verify.SLAB_KINDS, with the verify.mask predicate `mask`.
+           kinds: list) -> tuple:
+    """(on, report) for a refinement study of `kinds` over `grids`, coarse
+    to fine: on(grid) is the level's solution, checked by _admitted when
+    first asked for, so an exit 3 names the level and sampled range a
+    synthesis per level would; report(kind, grid) is the level's report of
+    `kind`, one of verify.SLAB_KINDS, with the verify.mask predicate `mask`.
 
-    Only grids[-1] is synthesized, once, from synthesis(grid); the coarser
-    levels refine it by powers of two, so their nodes are finest nodes bit
-    for bit (synth.nested_index).  With kinds None, the finest solution is
-    kept whole and restricted to each level.  Otherwise it is never held:
-    verify.streamed_residuals synthesizes it slab by slab, with each kind's
-    finest residual and mask, and each slab copies its coarser levels' nodes
-    (every 2^j-th row and column) into their solutions and notes whether a
-    node is admitted and the range of xi where the drive is defined, all
-    that _admitted reads; on(grids[-1]) is then the finest Synthesis."""
+    Only grids[-1] is synthesized, from synthesis(grid), in the one pass of
+    verify.slab_residuals that makes each slab kind's finest report.  Each
+    slab copies its nodes of every coarser level (every 2^j-th row and
+    column: synth.nested_index), and of the finest level too when a kind
+    outside verify.SLAB_KINDS reads it whole, and notes whether a node is
+    admitted and the range of xi where the drive is defined, all that
+    _admitted reads.  on(grids[-1]) is that copy, or else the Synthesis."""
     finest = grids[-1]
-
-    @functools.cache
-    def stored() -> FieldSolution:
-        return _synthesized(synthesis(finest), threads)
+    slab_kinds = [k for k in kinds if k in verifymod.SLAB_KINDS]
+    copied = grids if len(slab_kinds) < len(kinds) else grids[:-1]
 
     @functools.cache
     def streamed() -> tuple:
         src = synthesis(finest)
-        levels = {g: src.allocate(g.npoints(), g) for g in grids[:-1]}
+        levels = {g: src.allocate(g.npoints(), g) for g in copied}
         shape, seen = finest.shape(), []
 
         def visit(top: int, end: int, part: FieldSolution) -> None:
@@ -556,28 +549,29 @@ def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callab
             xi = part.xi[(part.flags & FLAG_DRIVE_UNDEFINED) == 0]
             seen.append(((part.branch_id != 0).any(), [xi.min(), xi.max()] if xi.size else []))
 
-        reports = verifymod.streamed_residuals(src, kinds, _workers(threads, finest.npoints()),
-                                               mask, visit)
+        reports = verifymod.slab_residuals(src, slab_kinds, _workers(threads, finest.npoints()),
+                                           mask=mask, visit=visit)
         admitted = any(a for a, _ in seen)
         return src, levels, reports, admitted, np.array([v for _, span in seen for v in span])
 
     @functools.cache
     def on(grid: GridSpec):
-        if kinds is None:
-            sol = stored()
-            return _admitted(sol if grid == finest
-                             else sol.restricted(grid, nested_index(grid, finest)))
         src, levels, _, admitted, xi = streamed()
         if grid != finest:
             return _admitted(levels[grid])
         if not admitted:
             _refuse_empty(src, xi)
-        return src
+        return levels.get(finest, src)
+
+    @functools.cache
+    def finest_report(kind: str) -> verifymod.ResidualReport:
+        # made once, and the pass's residual and mask arrays of `kind` go
+        return streamed()[2].pop(kind)()
 
     def report(kind: str, grid: GridSpec) -> verifymod.ResidualReport:
         sol = on(grid)
-        if grid == finest and kinds is not None:
-            return streamed()[2][kind]()
+        if grid == finest:  # a copy: convergence_study completes the report it is given
+            return dataclasses.replace(finest_report(kind))
         return getattr(verifymod, f"{kind}_residual")(
             sol, mask=mask, workers=_workers(threads, grid.npoints()))
     return on, report
@@ -587,11 +581,11 @@ def cmd_verify(args) -> int:
     """Residual reports (and the energy) on the config's grid, or with
     --levels K >= 3 a refinement study over the grid refined by 1, 2, ...,
     2^(K-1); K = 2 is refused, as the order fit needs three levels.  A study
-    synthesizes only its finest grid and reads every coarser level off it,
-    and unless a frobenius or exactness kind needs the finest solution whole,
-    streams the finest level through its residual slabs (see _study); every
-    residual kind shares one solution per level, and the frobenius and
-    exactness kinds one witness per level."""
+    synthesizes only its finest grid, streamed through its residual slabs,
+    and copies every coarser level off it, and the finest level too for a
+    frobenius or exactness kind (see _study); every residual kind shares one
+    solution per level, and the frobenius and exactness kinds one witness
+    per level."""
     cfg, out, base = _setup(args)
     vs = cfgmod.verify_section(cfg)
     levels = args.levels
@@ -613,14 +607,12 @@ def cmd_verify(args) -> int:
     reports = []
     energy_value = None
 
-    def study(synthesis: Callable, study_kinds: list) -> tuple:
-        streams = set(study_kinds) <= set(verifymod.SLAB_KINDS)
-        return _study(grids, synthesis, args.threads, mask_pred, study_kinds if streams else None)
-
-    sol_on, field_report = study(lambda grid: _synthesis(cfg, grid, witness),
-                                 [k for k in kinds if k != "codifferential"])
-    _, form_report = study(lambda grid: _synthesis(cfg, grid, form=_build_form(cfg, grid.dim)),
-                           ["codifferential"])
+    sol_on, field_report = _study(grids, lambda grid: _synthesis(cfg, grid, witness),
+                                  args.threads, mask_pred,
+                                  [k for k in kinds if k != "codifferential"])
+    _, form_report = _study(grids, lambda grid: _synthesis(cfg, grid,
+                                                           form=_build_form(cfg, grid.dim)),
+                            args.threads, mask_pred, ["codifferential"])
 
     @functools.cache
     def witness_on(grid: GridSpec):
@@ -655,7 +647,7 @@ def cmd_verify(args) -> int:
             reports.append(make(grids[0]))
 
     if vs["energy"]:
-        # a Synthesis for a streamed study: the energy reads only the grid
+        # the finest Synthesis or its copy: the energy reads only the grid
         # and the synthesis settings
         sol = sol_on(grids[-1])
         energy_value = verifymod.energy(sol.model, sol, mask=mask_pred)

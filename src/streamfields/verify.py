@@ -16,17 +16,18 @@ about SYNTH_BLOCK nodes each, walked in order within one band of rows per
 thread of the synthesis pool: a slab reads HALO rows past each end and
 writes only its own rows of one residual array and one mask per kind, so the
 temporaries are slab-sized and every value is the whole grid's, bit for
-bit, for any slab height or worker count.  The rows come from a stored
-solution, or from a synth.Synthesis that has not run (`streamed_residuals`):
-then each band synthesizes its rows as it reaches them, carrying the 2 HALO
-rows consecutive slabs share, so no solution of the grid is ever held and a
-node is synthesized once, or twice within HALO rows of a seam between
-bands.  The residuals read no grid points; the verify.mask predicate is
-evaluated on each slab's nodes.  Reductions are numpy sums in fixed index
-order over the whole residual, so reports are deterministic.  The codifferential
-residual hands central differences to `forms.codifferential` as coefficient
-gradients, so it applies the forms module's one sign table
-(`forms._wedge_sum`) and has none of its own.
+bit, for any slab height or worker count.  The rows come from a solution,
+or from a synth.Synthesis that has not run (a study's finest level): then
+each band synthesizes its rows as it reaches them, carrying the 2 HALO rows
+consecutive slabs share, so no solution of the grid is ever held and a node
+is synthesized once, or twice within HALO rows of a seam between bands.
+The slab kinds (`slab_residuals`) share one such pass.  The residuals read
+no grid points; the verify.mask predicate is evaluated on each slab's nodes.
+Reductions are numpy sums in fixed index order over the whole residual, so
+reports are deterministic.  The codifferential residual hands central
+differences to `forms.codifferential` as coefficient gradients, so it
+applies the forms module's one sign table (`forms._wedge_sum`) and has none
+of its own.
 The energy density e(Q) is a closed form for the built-in laws and one
 vectorized Gauss-Kronrod rule over the gaps between the distinct Q for a custom law.
 """
@@ -43,8 +44,8 @@ import numpy as np
 from . import synth as synthmod
 from .density import DensityModel
 from .forms import FormValues, codifferential, omega_values
-from .synth import (FLAG_NONPHYSICAL_RHO, ROW_ARRAYS, FieldSolution, GridSpec, Synthesis,
-                    block_rows, run_blocks, synthesize_at_points)
+from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows, run_blocks,
+                    synthesize_at_points)
 
 if TYPE_CHECKING:  # frobenius imports this module; the witness is an annotation only
     from .frobenius import FrobeniusWitness
@@ -263,8 +264,8 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
     once, or twice within HALO rows of a seam between bands.  extra_bad
     (grid nodes) and the predicate `mask` (False where a node is excluded,
     as verify.mask) add to each mask; `mask` is evaluated on the nodes each
-    slab reads.  visit(top, end, part), when given, sees every slab's own
-    rows, top to end - 1, as `part`."""
+    slab reads, when there is a kernel.  visit(top, end, part), when given,
+    sees every slab's own rows, top to end - 1, as `part`."""
     grid = _grid_of(source)
     shape = grid.shape()
     row = math.prod(shape[1:])
@@ -278,8 +279,8 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
         nodes, sub = slice(lo * row, hi * row), (hi - lo,) + shape[1:]
         part, own = rows(lo, hi), slice(top - lo, end - lo)
         extra = None if extra_bad is None else extra_bad[nodes]
-        masked = None if mask is None else ~np.asarray(mask(grid.nodes(lo * row, hi * row)),
-                                                       dtype=bool)
+        masked = None if mask is None or not kernels else ~np.asarray(
+            mask(grid.nodes(lo * row, hi * row)), dtype=bool)
         for kernel, (residual, excluded) in zip(kernels, outs):
             values, bad = kernel(part, nodes, sub)
             residual[top:end] = values[own]
@@ -341,48 +342,42 @@ def _residual(kind: str, solution: FieldSolution, kernel: Callable, workers: int
     return _report(kind, _grid_of(solution), residual, excluded)
 
 
-def _slab_residual(kind: str, solution: FieldSolution, model, extra_bad, workers,
-                   mask) -> ResidualReport:
-    name, kernel = SLAB_KINDS[kind]
-    return _residual(name, solution, kernel(_grid_of(solution).spacing(), model), workers,
-                     extra_bad, mask)
+def slab_residuals(source, kinds: Sequence[str], workers: int,
+                   extra_bad: Optional[np.ndarray] = None, model: Optional[DensityModel] = None,
+                   mask: Optional[Callable] = None, visit: Optional[Callable] = None) -> dict:
+    """kind -> a callable that returns its ResidualReport on source.grid, for
+    every SLAB_KINDS kind of `kinds`, from one pass of _slabs over `source`, a
+    FieldSolution or a Synthesis, which is then synthesized slab by slab and
+    never held whole.  The reports are made, and a VerifyError raised, only
+    when called."""
+    grid = _grid_of(source)
+    named = [SLAB_KINDS[kind] for kind in kinds]
+    outs = _slabs(source, [kernel(grid.spacing(), model) for _, kernel in named], workers,
+                  extra_bad, mask, visit)
+    return {kind: functools.partial(_report, name, grid, *out)
+            for kind, (name, _), out in zip(kinds, named, outs)}
 
 
 def divergence_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
                         extra_bad: Optional[np.ndarray] = None, workers: int = 1,
                         mask: Optional[Callable] = None) -> ResidualReport:
     """Central-difference divergence of rho(Q) w."""
-    return _slab_residual("divergence", solution, model, extra_bad, workers, mask)
+    return slab_residuals(solution, ["divergence"], workers, extra_bad, model, mask)["divergence"]()
 
 
 def minor_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
                    extra_bad: Optional[np.ndarray] = None, workers: int = 1,
                    mask: Optional[Callable] = None) -> ResidualReport:
     """Max 2x2 minor |d_i(rho w_j) - d_j(rho w_i)| by central differences."""
-    return _slab_residual("minor", solution, model, extra_bad, workers, mask)
+    return slab_residuals(solution, ["minor"], workers, extra_bad, model, mask)["minor"]()
 
 
 def codifferential_residual(fsol: FieldSolution, *, extra_bad: Optional[np.ndarray] = None,
                             workers: int = 1, mask: Optional[Callable] = None) -> ResidualReport:
     """Codifferential of rho(Q) omega, coefficientwise, for a form synthesis:
     forms.codifferential with central-difference coefficient gradients."""
-    return _slab_residual("codifferential", fsol, None, extra_bad, workers, mask)
-
-
-def streamed_residuals(source: Synthesis, kinds: Sequence[str], workers: int,
-                       mask: Optional[Callable] = None,
-                       visit: Optional[Callable] = None) -> dict:
-    """kind -> a callable that returns its ResidualReport on source.grid, for
-    every SLAB_KINDS kind of `kinds`, from one pass of _slabs that
-    synthesizes the grid slab by slab and holds no solution of it: only each
-    kind's residual and mask arrays.  The reports are made, and a VerifyError
-    raised, only when called."""
-    grid = source.grid
-    named = [SLAB_KINDS[kind] for kind in kinds]
-    outs = _slabs(source, [kernel(grid.spacing(), None) for _, kernel in named], workers,
-                  mask=mask, visit=visit)
-    return {kind: functools.partial(_report, name, grid, *out)
-            for kind, (name, _), out in zip(kinds, named, outs)}
+    return slab_residuals(fsol, ["codifferential"], workers, extra_bad,
+                          mask=mask)["codifferential"]()
 
 
 def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,

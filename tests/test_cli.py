@@ -1096,34 +1096,45 @@ def _record_points(monkeypatch) -> list:
 
 
 def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeypatch):
-    """...streamed through its residual slabs: every example's residual kinds
-    read only their own slab, so no solution of its finest grid is
-    synthesized whole (cli.synthesize), and on one thread the slabs
-    synthesize the finest nodes once each, in order, a block at a time.  No
-    level's points are built unless the exactness kind's frobenius.mask reads
-    them: verify.mask is evaluated on the nodes each slab reads, and the
-    residuals read no points.  A form is streamed as a field is."""
+    """...streamed through its residual slabs, with every example's residual
+    kinds and with the whole-grid frobenius and exactness kinds: no solution
+    of its finest grid is synthesized whole (cli.synthesize), and on one
+    thread the slabs synthesize the finest nodes once each, in order, a
+    block at a time.  No level's points are built unless the exactness
+    kind's frobenius.mask reads them: verify.mask is evaluated on the nodes
+    each slab reads, and the residuals read no points.  A form is streamed
+    as a field is."""
     from streamfields import synth as synthmod
 
     calls, points = _record_syntheses(monkeypatch)
     built = _record_points(monkeypatch)
-    skipped = unread = 0
-    for name, spec in cfgmod.EXAMPLES.items():
+
+    def study(out: str, cfg, *source: str) -> list:
+        """Check verify --levels 3 of `cfg`; its coarser grids."""
         calls.clear()
         points.clear()
         built.clear()
-        assert main(["verify", "--example", name, "--out", str(tmp_path / name),
-                     "--levels", "3"]) in (0, 4)
-        *coarse, finest = [cli._refined(cfgmod.build_grid(cfgmod.example_config(name)), 2 ** i)
-                           for i in range(3)]
-        assert calls == [], name
+        assert main(["verify", *source, "--out", str(tmp_path / out), "--levels", "3"]) in (0, 4)
+        *coarse, finest = [cli._refined(cfgmod.build_grid(cfg), 2 ** i) for i in range(3)]
+        assert calls == [], out
         streamed = _before_energy(points)
-        assert _same_bits(np.concatenate(streamed), finest.nodes(0, finest.npoints())), name
+        assert _same_bits(np.concatenate(streamed), finest.nodes(0, finest.npoints())), out
         assert max(map(len, streamed)) <= synthmod.SYNTH_BLOCK
-        skipped += sum(g.npoints() for g in coarse)
+        return coarse
+
+    skipped = unread = 0
+    for name, spec in cfgmod.EXAMPLES.items():
+        skipped += sum(g.npoints() for g in study(name, cfgmod.example_config(name),
+                                                  "--example", name))
         if "exactness" not in spec["verify"]["residuals"]:
             assert built == [], name
             unread += 1
+    # test_verify_builds_one_witness_per_level's study
+    path = tmp_path / "whole-grid.json"
+    path.write_text(json.dumps(_example("shallow-annulus-eta", 64, verify={
+        "residuals": ["frobenius", "exactness"],
+        "mask": cfgmod.EXAMPLES["shallow-annulus-eta"]["frobenius"]["mask"]})))
+    study("whole-grid", cfgmod.load_config(str(path)), "--config", str(path))
     capsys.readouterr()
     assert unread == 11
     # the nodes of the coarse levels that refine-l3 (verify --levels 3 on
@@ -1135,27 +1146,57 @@ def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeyp
 _SHRUNK_CELLS = {2: [8, 6], 3: [4, 3, 4]}
 
 
-@pytest.mark.parametrize("name", sorted(cfgmod.EXAMPLES))
+def _direct_study(grids, synthesis, threads, mask, kinds) -> tuple:
+    """cli._study's (on, report), from a synthesis on each level, checked by
+    cli._admitted, and the public residual functions: the reference a
+    streamed study is held to."""
+    @functools.cache
+    def on(grid):
+        s = synthesis(grid)
+        return cli._admitted(synthesize(s.model, s.drive, s.policy, grid, tol=s.tol))
+
+    def report(kind, grid):
+        return getattr(verifymod, f"{kind}_residual")(on(grid), mask=mask)
+    return on, report
+
+
+# the whole-grid kinds beside a slab kind: (example, base cells, verify
+# section); the annulus's eta is recovered, and report.json written, from 64^2
+# cells on (a coarser witness is not conservative: exit 4 before any report)
+_WHOLE_GRID_STUDIES = {
+    "shallow-annulus-eta-whole-grid": ("shallow-annulus-eta", [64, 64], {
+        "residuals": ["divergence", "frobenius", "exactness"], "threshold": 1e-8,
+        "mask": cfgmod.EXAMPLES["shallow-annulus-eta"]["frobenius"]["mask"]}),
+    "born-infeld-fund-whole-grid": ("born-infeld-fund", _SHRUNK_CELLS[3], {
+        "residuals": ["minor", "frobenius"], "threshold": 1e-2}),
+}
+
+
+@pytest.mark.parametrize("name, cells, verify", [
+    *(pytest.param(name, None, None, id=name) for name in sorted(cfgmod.EXAMPLES)),
+    *(pytest.param(*case, id=key) for key, case in _WHOLE_GRID_STUDIES.items())])
 def test_a_streamed_study_writes_what_the_stored_finest_solution_writes(
-        name, tmp_path, capsys, monkeypatch):
+        name, cells, verify, tmp_path, capsys, monkeypatch):
     """Each example on a small grid, with its finest level streamed through
-    the residual slabs and with the finest solution synthesized whole and
-    kept (cli._study with no kinds): the same exit code, stderr and
-    report.json bytes, at --levels 1 and 3, on one and two workers, for slabs
-    of 1, 2 and 7 rows and for one slab a band.  The streamed study never
-    calls cli.synthesize and synthesizes every finest node once, plus the
-    band seams."""
+    the residual slabs and with a solution synthesized whole and kept on
+    every level (_direct_study): the same exit code, stderr and report.json
+    bytes, at --levels 1 and 3, on one and two workers, for slabs of 1, 2
+    and 7 rows and for one slab a band; the whole-grid kinds (frobenius and
+    exactness) read the finest level copied out of the same pass.  The
+    streamed study never calls cli.synthesize and synthesizes every finest
+    node once, plus the band seams."""
     from streamfields import synth as synthmod
 
     cfg = copy.deepcopy(cfgmod.EXAMPLES[name])
-    cfg["grid"]["cells"] = _SHRUNK_CELLS[len(cfg["grid"]["cells"])]
+    cfg["grid"]["cells"] = cells or _SHRUNK_CELLS[len(cfg["grid"]["cells"])]
+    if verify is not None:
+        cfg["verify"] = verify
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     base = cfgmod.build_grid(cfgmod.load_config(str(path)))
     # two workers on any machine, so the bands show on one core too
     monkeypatch.setattr(cli, "_workers", lambda threads, npoints: min(threads, npoints))
     calls, points = _record_syntheses(monkeypatch)
-    study = cli._study
 
     def run(levels: int, threads: int) -> tuple:
         out = tmp_path / "out"
@@ -1172,10 +1213,8 @@ def test_a_streamed_study_writes_what_the_stored_finest_solution_writes(
         finest = cli._refined(base, 2 ** (levels - 1))
         rows = finest.shape()[0]
         with monkeypatch.context() as m:
-            m.setattr(cli, "_study", lambda grids, synthesis, threads, mask, kinds: study(
-                grids, synthesis, threads, mask, None))
+            m.setattr(cli, "_study", _direct_study)
             want = run(levels, 1)
-        assert calls == [finest]
         outcomes.add(want[0])
         for height in (1, 2, 7, -(-rows // 2)):
             monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * (finest.npoints() // rows))
@@ -1184,6 +1223,41 @@ def test_a_streamed_study_writes_what_the_stored_finest_solution_writes(
                 assert calls == []
                 _check_streamed_nodes(points, finest, threads)
     assert outcomes <= {0, 3, 4}, outcomes
+
+
+@pytest.mark.parametrize("name, residuals, sizes", [
+    # each level's frobenius residual, then the energy's cell centres
+    pytest.param("unit-density", ["frobenius"], [9 ** 2, 17 ** 2, 33 ** 2, 32 ** 2],
+                 id="whole-grid-kind"),
+    # the form's codifferential pass, then the energy's cell centres: the
+    # field pass that the energy's admission check runs has no kernel
+    pytest.param("form-21", ["codifferential"], [33 ** 2, 32 ** 2], id="form-energy"),
+])
+def test_a_study_pass_without_a_kernel_evaluates_no_mask(name, residuals, sizes, tmp_path,
+                                                         capsys, monkeypatch):
+    """verify.mask is evaluated on the nodes of each slab that runs a
+    residual kernel, and on the energy's cell centres; never by a pass that
+    only copies levels out of its slabs (whole-grid kinds, or a form
+    config's field energy)."""
+    seen = []
+    predicate = cfgmod.mask_predicate
+
+    def spy(text, dim):
+        pred = predicate(text, dim)
+
+        def counted(points):
+            seen.append(len(points))
+            return pred(points)
+        return counted
+
+    monkeypatch.setattr(cfgmod, "mask_predicate", spy)
+    levels = len(sizes) - 1
+    cfg = _example(name, 32 // 2 ** (levels - 1), verify={
+        "residuals": residuals, "mask": "1", "energy": True, "threshold": 1.0})
+    code, _ = run_cfg(tmp_path, cfg, command="verify", extra=("--levels", str(levels)))
+    capsys.readouterr()
+    assert code == 0
+    assert seen == sizes
 
 
 def test_a_form_study_evaluates_no_coefficient_on_more_than_a_synthesis_block(
@@ -1236,20 +1310,28 @@ _COARSE_EMPTY = {
 }
 
 
+# the residual kinds of the exit-3 studies below: a slab kind, a whole-grid
+# kind, and both, each of which copies the finest level out of the pass
+_EMPTY_STUDY_KINDS = (["divergence"], ["frobenius"], ["divergence", "exactness"])
+
+
 def test_verify_study_exits_3_on_an_empty_coarse_level_as_its_own_synthesis_would(
         tmp_path, capsys):
     finer = dict(_COARSE_EMPTY, grid=dict(_COARSE_EMPTY["grid"], cells=[8, 8]))
     outcomes = []
-    for sub, cfg, command, extra in (("study", _COARSE_EMPTY, "verify", ("--levels", "3")),
-                                     ("coarse", _COARSE_EMPTY, "synth", ()),
-                                     ("finer", finer, "synth", ())):
+    for sub, cfg, command in (("coarse", _COARSE_EMPTY, "synth"), ("finer", finer, "synth")):
         (tmp_path / sub).mkdir()
-        code, _ = run_cfg(tmp_path / sub, cfg, command=command, extra=extra)
+        code, _ = run_cfg(tmp_path / sub, cfg, command=command)
         outcomes.append((code, capsys.readouterr().err))
-    study, coarse, finer_outcome = outcomes
+    coarse, finer_outcome = outcomes
     assert finer_outcome == (0, "")
-    assert study == coarse
-    assert study[0] == 3 and "synthesis produced no admissible points" in study[1]
+    assert coarse[0] == 3 and "synthesis produced no admissible points" in coarse[1]
+    for kinds in _EMPTY_STUDY_KINDS:
+        sub = tmp_path / "-".join(kinds)
+        sub.mkdir()
+        cfg = dict(_COARSE_EMPTY, verify=dict(_COARSE_EMPTY["verify"], residuals=kinds))
+        code, _ = run_cfg(sub, cfg, command="verify", extra=("--levels", "3"))
+        assert (code, capsys.readouterr().err) == coarse, kinds
 
 
 def test_a_study_streamed_on_more_workers_than_cores_loses_no_row(tmp_path, capsys, monkeypatch):
@@ -1279,15 +1361,18 @@ def test_a_study_streamed_on_more_workers_than_cores_loses_no_row(tmp_path, caps
 
 def test_a_one_level_verify_exits_3_as_synth_does(tmp_path, capsys):
     """A one-level study streams its only grid; the admission its pass
-    records gives the exit 3 and the sampled range synth gives."""
-    outcomes = []
-    for command in ("verify", "synth"):
-        (tmp_path / command).mkdir()
-        code, _ = run_cfg(tmp_path / command, _COARSE_EMPTY, command=command,
-                          extra=("--levels", "1"))
-        outcomes.append((code, capsys.readouterr().err))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == 3 and "synthesis produced no admissible points" in outcomes[0][1]
+    records gives the exit 3 and the sampled range synth gives, whatever
+    residual kinds it has."""
+    (tmp_path / "synth").mkdir()
+    code, _ = run_cfg(tmp_path / "synth", _COARSE_EMPTY)
+    want = (code, capsys.readouterr().err)
+    assert want[0] == 3 and "synthesis produced no admissible points" in want[1]
+    for kinds in _EMPTY_STUDY_KINDS:
+        sub = tmp_path / "-".join(kinds)
+        sub.mkdir()
+        cfg = dict(_COARSE_EMPTY, verify=dict(_COARSE_EMPTY["verify"], residuals=kinds))
+        code, _ = run_cfg(sub, cfg, command="verify", extra=("--levels", "1"))
+        assert (code, capsys.readouterr().err) == want, kinds
 
 
 def test_command_line_entry_points(tmp_path):
