@@ -10,6 +10,7 @@ Usage: python scripts/patching_convergence.py [--base 192] [--levels 3]
 
 import argparse
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,14 +19,26 @@ from streamfields import (
     divergence_residual,
     extremal,
     fit_order,
-    nested_index,
     radial_log,
     region_map,
     synthesize,
     synthesize_at_points,
 )
 from streamfields.config import MAX_GRID_NODES
+from streamfields.synth import ROW_ARRAYS
 from streamfields.verify import FLOOR, VerifyError
+
+
+def level(finest, grid):
+    """`finest` at the nodes of the coarser `grid` nested in its grid, its
+    every 2^j-th node per axis, as the solution on `grid`."""
+    step = finest.grid.cells[0] // grid.cells[0]
+
+    def strided(rows):
+        tail = rows.shape[1:]
+        return rows.reshape(finest.grid.shape() + tail)[::step, ::step].reshape((-1,) + tail)
+    return replace(finest, grid=grid, _points=None,
+                   **{name: strided(getattr(finest, name)) for name in ROW_ARRAYS})
 
 
 def main() -> None:
@@ -52,7 +65,7 @@ def main() -> None:
     print("divergence residual outside r = 1.35:")
     levels = []
     for g in grids:
-        sol = finest.restricted(g, nested_index(g, finest.grid))
+        sol = level(finest, g)
         r = np.sqrt((sol.points ** 2).sum(axis=1))
         try:
             rep = divergence_residual(sol, extra_bad=r <= 1.35)  # keep the far field

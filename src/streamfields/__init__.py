@@ -42,7 +42,6 @@ from .synth import (
     GridSpec,
     SynthError,
     Tolerances,
-    nested_index,
     prefer_type1,
     prefer_type2,
     region_map,

@@ -327,15 +327,14 @@ def _setup(args) -> tuple:
     return cfg, out, cfgmod.build_grid(cfg)
 
 
-def _workers(threads: int, npoints: int) -> int:
+def _workers(threads: int) -> int:
     """Threads for --threads N: at most one per core this process may run on
-    (its CPU affinity where the platform reports one) and one per point.
-    They share a grid's synthesis blocks of synth.SYNTH_BLOCK nodes, and
-    verify's bands of residual slabs, at most one band per block, so a grid
-    of one block runs on the calling thread; the bytes are the same for
-    every N."""
+    (its CPU affinity where the platform reports one).  synth.walk runs one
+    band of a grid's rows per thread, and no more bands than the grid has
+    rows or blocks of synth.SYNTH_BLOCK nodes, so a grid of one block runs on
+    the calling thread; the bytes are the same for every N."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(threads, cores or 1, npoints)
+    return min(threads, cores or 1)
 
 
 def _synthesis(cfg: RunConfig, grid: GridSpec, witness: Optional[str] = None,
@@ -364,7 +363,7 @@ def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
     pool; not yet checked by _admitted."""
     s = _synthesis(cfg, grid, witness, form)
     return synthesize(s.model, s.drive, s.policy, grid, tol=s.tol,
-                      workers=_workers(threads, grid.npoints()))
+                      workers=_workers(threads))
 
 
 def _admitted(sol: FieldSolution) -> FieldSolution:
@@ -521,8 +520,8 @@ def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callab
 
     Only grids[-1] is synthesized, from synthesis(grid), in the one pass of
     verify.slab_residuals that makes each slab kind's finest report.  Each
-    slab copies its nodes of every coarser level (every 2^j-th row and
-    column: synth.nested_index), and of the finest level too when a kind
+    slab copies its nodes of every coarser level (its every 2^j-th node per
+    axis: strided slices), and of the finest level too when a kind
     outside verify.SLAB_KINDS reads it whole, and notes whether a node is
     admitted and the range of xi where the drive is defined, all that
     _admitted reads.  on(grids[-1]) is that copy, or else the Synthesis."""
@@ -549,7 +548,7 @@ def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callab
             xi = part.xi[(part.flags & FLAG_DRIVE_UNDEFINED) == 0]
             seen.append(((part.branch_id != 0).any(), [xi.min(), xi.max()] if xi.size else []))
 
-        reports = verifymod.slab_residuals(src, slab_kinds, _workers(threads, finest.npoints()),
+        reports = verifymod.slab_residuals(src, slab_kinds, _workers(threads),
                                            mask=mask, visit=visit)
         admitted = any(a for a, _ in seen)
         return src, levels, reports, admitted, np.array([v for _, span in seen for v in span])
@@ -573,7 +572,7 @@ def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callab
         if grid == finest:  # a copy: convergence_study completes the report it is given
             return dataclasses.replace(finest_report(kind))
         return getattr(verifymod, f"{kind}_residual")(
-            sol, mask=mask, workers=_workers(threads, grid.npoints()))
+            sol, mask=mask, workers=_workers(threads))
     return on, report
 
 
@@ -618,15 +617,14 @@ def cmd_verify(args) -> int:
     def witness_on(grid: GridSpec):
         return _witness_for(fs["witness"], sol_on(grid))
 
-    def common(grid: GridSpec) -> dict:
-        """Every residual kind's verify.mask predicate and slab threads on `grid`."""
-        return {"mask": mask_pred, "workers": _workers(args.threads, grid.npoints())}
+    # every residual kind's verify.mask predicate and slab threads
+    common = {"mask": mask_pred, "workers": _workers(args.threads)}
 
     def exactness(grid: GridSpec):
         sol, wit = sol_on(grid), witness_on(grid)
         mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
         rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
-        return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common(grid))
+        return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common)
 
     # residual kind -> residual report on one grid; the config schema has
     # already rejected every other kind
@@ -634,7 +632,7 @@ def cmd_verify(args) -> int:
         "divergence": functools.partial(field_report, "divergence"),
         "minor": functools.partial(field_report, "minor"),
         "frobenius": lambda grid: verifymod.frobenius_residual(
-            sol_on(grid), witness_on(grid), **common(grid)),
+            sol_on(grid), witness_on(grid), **common),
         "exactness": exactness,
         "codifferential": functools.partial(form_report, "codifferential"),
     }

@@ -4,21 +4,22 @@ w = a / rho(psi(|a|^2)) wherever rho is usable; where rho(psi) degenerates with
 psi -> 0 the alternate form w = (a/|a|) sqrt(psi) takes over (and yields w = 0
 in the limit).  Every point carries a regime label, the branch used, and a
 bitset of singular/admissibility flags.  No point's values depend on another
-point, so a solution restricted to the nodes of a coarser grid nested in its
-own (nested_index, FieldSolution.restricted) is that grid's solution.  A grid
-node is lo + i·h with a normal spacing h, so refining a grid by a power of two
-keeps every node bit for bit.  A k-form is synthesized the same way: its
-drive is a forms.FormDrive, whose a (and w) has C(n, k) columns.
+point, so a solution's every 2^j-th node per axis is the solution on the grid
+2^j times coarser.  A grid node is lo + i·h with a normal spacing h, so
+refining a grid by a power of two keeps every node bit for bit.  A k-form is
+synthesized the same way: its drive is a forms.FormDrive, whose a (and w) has
+C(n, k) columns.
 
-For the same reason a grid is synthesized in blocks of SYNTH_BLOCK nodes, one
-after another or on a thread pool (run_blocks), each written into its rows of
-the full solution: every temporary is block-sized, and the partition, and so
-the bytes, do not depend on the worker count.  A block builds only its own
-nodes (GridSpec.nodes), so no (N, n) array of all the nodes is built; a
-solution read off a grid (synthesized in blocks, or restricted to a coarser
-level) builds its `points` from its grid the first time they are read.  A
-Synthesis is what synthesize is given, not yet run: verify synthesizes a
-refinement study's finest grid from one, a slab of rows at a time.
+For the same reason a grid can be cut anywhere.  It is cut one way (walk):
+its axis-0 rows into equal bands, one per thread, and each band into slabs
+of about SYNTH_BLOCK nodes.  synthesize writes each slab into its rows of
+the full solution, and verify runs its residual kernels slab by slab: every
+temporary is slab-sized, and the bytes do not depend on the worker count.  A
+slab builds only its own nodes (GridSpec.nodes), so no (N, n) array of all
+the nodes is built; a solution read off a grid builds its `points` from its
+grid the first time they are read.  A Synthesis is what synthesize is given,
+not yet run: verify synthesizes a refinement study's finest grid from one, a
+slab of rows at a time.
 
 w needs only the drive a, the first derivatives of its potential, so
 synthesis builds first-order drive jets (drive_batch(..., order=1)) and
@@ -145,26 +146,6 @@ class GridSpec:
         return int(np.prod(self.shape()))
 
 
-def nested_index(coarse: GridSpec, fine: GridSpec) -> Optional[np.ndarray]:
-    """The flat indices of `coarse`'s nodes among `fine`'s, in `coarse`'s node
-    order; None unless both grids span one box, bit for bit (a last node of
-    -0.0 is not one of 0.0), and every fine cell count is the coarse one times
-    a power of two.  Such coarse nodes are fine nodes bit for bit (GridSpec.axes)."""
-    if coarse.dim != fine.dim or (np.array([coarse.lo, coarse.hi]).tobytes()
-                                  != np.array([fine.lo, fine.hi]).tobytes()):
-        return None
-    steps = [f // c for c, f in zip(coarse.cells, fine.cells)]
-    if any(f != s * c or s & (s - 1) for s, c, f in zip(steps, coarse.cells, fine.cells)):
-        return None
-    # each coarse node's flat fine index, summed axis by axis from strided aranges
-    index = np.zeros((), dtype=np.int64)
-    stride = fine.npoints()
-    for size, step in zip(fine.shape(), steps):
-        stride //= size
-        index = index[..., None] + np.arange(0, size, step, dtype=np.int64) * stride
-    return index.reshape(-1)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     eps_phi_prime: float = 1e-6
@@ -244,14 +225,10 @@ class FieldSolution:
     def defined(self) -> np.ndarray:
         return finite_rows(self.w)
 
-    def restricted(self, grid: Optional[GridSpec], idx) -> "FieldSolution":
-        """This solution at the nodes `idx` (an index array, or a slice, which
-        gives views), as the solution on `grid`; with idx = nested_index(grid,
-        self.grid) it is, bit for bit, a synthesis on `grid`, since each
-        node's values depend on that node alone.  Its points are left to be
-        built from `grid` (None for a block of rows that is no grid's)."""
-        return replace(self, grid=grid, _points=None,
-                       **{name: getattr(self, name)[idx] for name in ROW_ARRAYS})
+    def restricted(self, rows: slice) -> "FieldSolution":
+        """Views of this solution's rows `rows`, as a solution on no grid."""
+        return replace(self, grid=None, _points=None,
+                       **{name: getattr(self, name)[rows] for name in ROW_ARRAYS})
 
     def fill(self, start: int, part: "FieldSolution") -> None:
         """Write the rows of `part` into this solution's, from row `start` on."""
@@ -453,40 +430,54 @@ def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolic
 
 
 def block_rows(npts: int) -> list:
-    """Row slices of SYNTH_BLOCK rows that cover `npts` rows in order; one
-    slice, the whole (possibly empty) range, when npts <= SYNTH_BLOCK."""
+    """Row slices of SYNTH_BLOCK rows that cover `npts` rows of a point set
+    in order; one slice, the whole (possibly empty) range, when npts <=
+    SYNTH_BLOCK.  A grid is cut by walk."""
     return [slice(start, start + SYNTH_BLOCK) for start in range(0, max(npts, 1), SYNTH_BLOCK)]
 
 
-def run_blocks(work: Callable, blocks, workers: int) -> None:
-    """work(block) for every block, in order on the calling thread, or with
-    workers > 1 and more than one block on a thread pool; reading every
-    result re-raises a block's error."""
-    if workers <= 1 or len(blocks) <= 1:
-        for block in blocks:
-            work(block)
+def walk(grid: GridSpec, workers: int, band: Callable[[list], None]) -> None:
+    """band(slabs) for each band of `grid`'s axis-0 rows: the one partition
+    of a grid.  The rows are cut into min(workers, blocks of SYNTH_BLOCK
+    nodes, rows) bands of equal height (one for workers < 1, as for 1), and
+    each band into its (top, end) slabs, rows top to end - 1, of about
+    SYNTH_BLOCK nodes and at least one row, in order.  More than one band
+    runs on a thread pool, one band a thread; reading every result
+    re-raises a band's error."""
+    rows, npts = grid.shape()[0], grid.npoints()
+    height = max(1, SYNTH_BLOCK // (npts // rows))
+    bands = min(max(workers, 1), -(-npts // SYNTH_BLOCK), rows)
+    cuts = [rows * b // bands for b in range(bands + 1)]
+    slabs = [[(top, min(top + height, end)) for top in range(start, end, height)]
+             for start, end in zip(cuts, cuts[1:])]
+    if bands == 1:
+        band(slabs[0])
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))
+        with ThreadPoolExecutor(max_workers=bands) as pool:
+            list(pool.map(band, slabs))
 
 
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
                grid: GridSpec, tol: Optional[Tolerances] = None,
                workers: int = 1) -> FieldSolution:
-    """Synthesize on every grid node, one block of SYNTH_BLOCK nodes at a
-    time, each written into its rows of one preallocated solution; with
-    workers > 1 a thread pool runs the same blocks.  A block builds only its
-    own nodes (GridSpec.nodes); grid.points() is not built here, and the
-    solution builds its points on first read."""
+    """Synthesize on every grid node, slab by slab of walk's bands, at most
+    SYNTH_BLOCK nodes a synthesize_at_points call (so a row longer than a
+    block is cut), each written into its rows of one preallocated solution.
+    A slab builds only its own nodes (GridSpec.nodes); grid.points() is not
+    built here, and the solution builds its points on first read."""
     tol = tol or Tolerances()
     npts = grid.npoints()
     out = Synthesis(grid, model, d, policy, tol).allocate(npts, grid)
+    row = npts // grid.shape()[0]
 
-    def solve(rows: slice) -> None:
-        start, stop = rows.indices(npts)[:2]
-        out.fill(start, synthesize_at_points(model, d, policy, grid.nodes(start, stop), tol=tol))
+    def band(slabs: list) -> None:
+        for top, end in slabs:
+            for start in range(top * row, end * row, SYNTH_BLOCK):
+                stop = min(start + SYNTH_BLOCK, end * row)
+                out.fill(start, synthesize_at_points(model, d, policy, grid.nodes(start, stop),
+                                                     tol=tol))
 
-    run_blocks(solve, block_rows(npts), workers)
+    walk(grid, workers, band)
     return out
 
 

@@ -11,16 +11,17 @@ built one contiguous component at a time.
 The mask is exactly the union of singular flags (nonphysical-branch markers
 are informational, not singular) and every residual's `extra_bad` nodes,
 dilated by one stencil width, plus the boundary.
-Every residual kind runs its kernels in slabs of axis-0 rows (`_slabs`), of
-about SYNTH_BLOCK nodes each, walked in order within one band of rows per
-thread of the synthesis pool: a slab reads HALO rows past each end and
-writes only its own rows of one residual array and one mask per kind, so the
-temporaries are slab-sized and every value is the whole grid's, bit for
-bit, for any slab height or worker count.  The rows come from a solution,
-or from a synth.Synthesis that has not run (a study's finest level): then
-each band synthesizes its rows as it reaches them, carrying the 2 HALO rows
-consecutive slabs share, so no solution of the grid is ever held and a node
-is synthesized once, or twice within HALO rows of a seam between bands.
+Every residual kind runs its kernels on the slabs of axis-0 rows that
+synth.walk cuts a grid into, of about SYNTH_BLOCK nodes each, walked in
+order within one band of rows per thread (`_slabs`): a slab reads HALO rows
+past each end and writes only its own rows of one residual array and one
+mask per kind, so the temporaries are slab-sized and every value is the
+whole grid's, bit for bit, for any slab height or worker count.  The rows
+come from a solution, or from a synth.Synthesis that has not run (a study's
+finest level): then each band synthesizes its rows as it reaches them,
+carrying the 2 HALO rows consecutive slabs share, so no solution of the grid
+is ever held and a node is synthesized once, or twice within HALO rows of a
+seam between bands.
 The slab kinds (`slab_residuals`) share one such pass.  The residuals read
 no grid points; the verify.mask predicate is evaluated on each slab's nodes.
 Reductions are numpy sums in fixed index order over the whole residual, so
@@ -44,8 +45,7 @@ import numpy as np
 from . import synth as synthmod
 from .density import DensityModel
 from .forms import FormValues, codifferential, omega_values
-from .synth import (FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows, run_blocks,
-                    synthesize_at_points)
+from .synth import FLAG_NONPHYSICAL_RHO, FieldSolution, GridSpec, block_rows, synthesize_at_points
 
 if TYPE_CHECKING:  # frobenius imports this module; the witness is an annotation only
     from .frobenius import FrobeniusWitness
@@ -222,7 +222,7 @@ def _reader(source, row: int) -> Callable[[int, int], FieldSolution]:
     nodes a synthesize_at_points call, each written as it comes; so for
     windows that advance down the grid, each row is synthesized once."""
     if isinstance(source, FieldSolution):
-        return lambda lo, hi: source.restricted(None, slice(lo * row, hi * row))
+        return lambda lo, hi: source.restricted(slice(lo * row, hi * row))
     held = None  # the last window: (its first row, its last row + 1, its rows)
 
     def rows(lo: int, hi: int) -> FieldSolution:
@@ -232,7 +232,7 @@ def _reader(source, row: int) -> Callable[[int, int], FieldSolution]:
         if held is not None:
             first, last, window = held
             keep = max(last - lo, 0) * row
-            out.fill(0, window.restricted(None, slice((lo - first) * row, (last - first) * row)))
+            out.fill(0, window.restricted(slice((lo - first) * row, (last - first) * row)))
             held = window = None  # freed before the synthesis temporaries are made
         for start in range(keep, n, synthmod.SYNTH_BLOCK):
             stop = min(start + synthmod.SYNTH_BLOCK, n)
@@ -250,9 +250,8 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
     """(residual, excluded) grid arrays of each kernel over slabs of axis-0
     rows of `source`, a FieldSolution or a Synthesis (see _reader).
 
-    The rows are cut into min(workers, blocks of SYNTH_BLOCK nodes) bands of
-    equal height, one per thread (synth.run_blocks), and each band into slabs
-    of about SYNTH_BLOCK nodes and at least one row, which it walks in order.
+    The rows are cut into synth.walk's bands, one per thread, and each band
+    walks its slabs of about SYNTH_BLOCK nodes and at least one row in order.
     `kernel(part, nodes, shape)` returns the residual on a slab's rows and
     the nodes it leaves undefined (or None): `part` is the source on the flat
     nodes `nodes`, and `shape` their grid shape.  A slab runs every kernel
@@ -269,9 +268,6 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
     grid = _grid_of(source)
     shape = grid.shape()
     row = math.prod(shape[1:])
-    height = max(1, synthmod.SYNTH_BLOCK // row)
-    bands = min(workers, len(block_rows(grid.npoints())), shape[0])
-    cuts = [shape[0] * b // bands for b in range(bands + 1)]
     outs = [(np.empty(shape), np.empty(shape, dtype=bool)) for _ in kernels]
 
     def slab(rows: Callable, top: int, end: int) -> None:
@@ -286,16 +282,16 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
             residual[top:end] = values[own]
             excluded[top:end] = _excluded(part, sub, bad, extra, masked)[own]
         if visit is not None:
-            visit(top, end, part.restricted(None, slice((top - lo) * row, (end - lo) * row)))
+            visit(top, end, part.restricted(slice((top - lo) * row, (end - lo) * row)))
 
-    def band(b: int) -> None:
+    def band(slabs: list) -> None:
         # one reader a band; each slab's locals, its window among them, go
         # when it returns, so the reader holds the only window between slabs
         rows = _reader(source, row)
-        for top in range(cuts[b], cuts[b + 1], height):
-            slab(rows, top, min(top + height, cuts[b + 1]))
+        for top, end in slabs:
+            slab(rows, top, end)
 
-    run_blocks(band, range(bands), workers)
+    synthmod.walk(grid, workers, band)
     return outs
 
 

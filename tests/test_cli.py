@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfields import GridSpec, config as cfgmod, nested_index, synthesize
+from streamfields import GridSpec, config as cfgmod, synthesize
 from streamfields import cli
 from streamfields import verify as verifymod
 from streamfields.cli import _workers, _write_csv, main
@@ -652,19 +652,20 @@ def test_grid_at_the_node_budget_is_built():
 
 
 def test_worker_count_is_capped_by_cores_and_points(monkeypatch):
+    """The thread count is capped by the cores here; synth.walk caps it by a
+    grid's rows and blocks (test_synth's walk tests)."""
     # the cores this process may run on, not the host's, where the platform says
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert _workers(1, 1000) == 1
-    assert _workers(10 ** 6, 10 ** 9) == 3
-    assert _workers(10 ** 6, 2) == 2
-    assert _workers(3, 10 ** 9) == 3
+    assert _workers(1) == 1
+    assert _workers(10 ** 6) == 3
+    assert _workers(3) == 3
     # elsewhere, the host's count
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _workers(10 ** 6, 10 ** 9) == 64
-    assert _workers(3, 10 ** 9) == 3
+    assert _workers(10 ** 6) == 64
+    assert _workers(3) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _workers(10 ** 6, 10 ** 9) == 1
+    assert _workers(10 ** 6) == 1
 
 
 # |a|^2 of the ring drive on this box lies below the image (1, inf) of branch 2
@@ -1002,30 +1003,33 @@ def _same_bits(got, want) -> bool:
 
 
 @pytest.mark.parametrize("name", sorted(cfgmod.EXAMPLES))
-def test_restricted_levels_equal_a_synthesis_on_each_level_bit_for_bit(name):
-    """A three-level study reads its coarse levels off the finest synthesis;
-    each must be what a synthesis on that level writes, bit for bit."""
+def test_restricted_levels_equal_a_synthesis_on_each_level_bit_for_bit(name, monkeypatch):
+    """A three-level study copies its coarse levels out of the slabs of its
+    finest synthesis (cli._study's on(grid)); on one worker and two, with
+    slabs of 7 rows, each must be what a synthesis on that level writes,
+    bit for bit."""
+    from streamfields import synth as synthmod
+
     cfg = cfgmod.example_config(name)
-    *coarse, finest = [cli._refined(cfgmod.build_grid(cfg), 2 ** i) for i in range(3)]
-    idx = [nested_index(g, finest) for g in coarse]
-    assert all(i is not None for i in idx)
+    grids = [cli._refined(cfgmod.build_grid(cfg), 2 ** i) for i in range(3)]
+    *coarse, finest = grids
     spec = cli._build_form(cfg, finest.dim) if "forms" in cfgmod.EXAMPLES[name] else None
-    model, policy = cfgmod.build_model(cfg), cfgmod.build_policy(cfg, finest.dim)
-    d = cfgmod.build_drive(cfg) if spec is None else cli.formsmod.FormDrive(
-        spec.form, spec.params, spec.closed)
-    tol = cfgmod.build_tol(cfg)
-    direct = [synthesize(model, d, policy, g, tol=tol) for g in coarse]
-    fines = [synthesize(model, d, policy, finest, tol=tol, workers=w) for w in (1, 2)]
-    for workers, fine in enumerate(fines, 1):
-        for g, i, want in zip(coarse, idx, direct):
-            got = fine.restricted(g, i)
+    s = cli._synthesis(cfg, finest, form=spec)
+    direct = [synthesize(s.model, s.drive, s.policy, g, tol=s.tol) for g in coarse]
+    # two bands on any machine, so the seams show on one core too
+    monkeypatch.setattr(cli, "_workers", lambda threads: threads)
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 7 * (finest.npoints() // finest.shape()[0]))
+    for workers in (1, 2):
+        on, _ = cli._study(grids, lambda grid: s, workers, None, [])
+        for g, want in zip(coarse, direct):
+            got = on(g)
             assert got.grid == g and got.drive is want.drive
             for attr in ("points", "w", "Q", "xi", "regime", "branch_id", "flags"):
                 assert _same_bits(getattr(got, attr), getattr(want, attr)), (workers, g.cells, attr)
             if spec is not None:
                 # Gamma evaluates *df from the drive at the level's points
-                got_gw, want_gw = (cli.formsmod.gamma_witness(model, spec.form, s)
-                                   for s in (got, want))
+                got_gw, want_gw = (cli.formsmod.gamma_witness(s.model, spec.form, sol)
+                                   for sol in (got, want))
                 for attr in ("Gamma", "defect", "frobenius_defect", "defined"):
                     assert _same_bits(getattr(got_gw, attr), getattr(want_gw, attr)), g.cells
 
@@ -1195,7 +1199,7 @@ def test_a_streamed_study_writes_what_the_stored_finest_solution_writes(
     path.write_text(json.dumps(cfg))
     base = cfgmod.build_grid(cfgmod.load_config(str(path)))
     # two workers on any machine, so the bands show on one core too
-    monkeypatch.setattr(cli, "_workers", lambda threads, npoints: min(threads, npoints))
+    monkeypatch.setattr(cli, "_workers", lambda threads: threads)
     calls, points = _record_syntheses(monkeypatch)
 
     def run(levels: int, threads: int) -> tuple:
@@ -1342,7 +1346,7 @@ def test_a_study_streamed_on_more_workers_than_cores_loses_no_row(tmp_path, caps
     from streamfields import synth as synthmod
 
     cfg = _example("extremal-patching", 12)
-    monkeypatch.setattr(cli, "_workers", lambda threads, npoints: min(threads, npoints))
+    monkeypatch.setattr(cli, "_workers", lambda threads: threads)
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 12 * 4 + 1)
     reports = []
     interval = sys.getswitchinterval()

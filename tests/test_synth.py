@@ -17,7 +17,6 @@ from streamfields import (
     caustic,
     extremal,
     gradient_drive,
-    nested_index,
     prefer_type1,
     prefer_type2,
     region_map,
@@ -194,62 +193,6 @@ def test_undefined_drive_flag():
     assert np.isnan(sol.w[0]).all()
 
 
-def test_nested_index_finds_coarse_nodes_and_refuses_grids_that_do_not_nest():
-    fine = GridSpec((0.0, -1.0), (1.0, 2.0), (8, 6))
-    coarse = GridSpec((0.0, -1.0), (1.0, 2.0), (4, 3))
-    idx = nested_index(coarse, fine)
-    assert fine.points()[idx].tobytes() == coarse.points().tobytes()
-    assert np.array_equal(nested_index(fine, fine), np.arange(fine.npoints()))
-    assert nested_index(GridSpec((0.0, -1.0), (1.0, 2.0), (3, 3)), fine) is None  # 8 % 3
-    assert nested_index(GridSpec((0.0, -1.0), (2.0, 2.0), (4, 3)), fine) is None  # other box
-    assert nested_index(GridSpec((0.0,), (1.0,), (4,)), fine) is None  # other dimension
-    assert nested_index(fine, coarse) is None  # finer than the grid it is looked up in
-    # 3 divides 6, but a spacing a third as wide need not hit the coarse nodes bit for bit
-    assert nested_index(GridSpec((0.0, -1.0), (1.0, 2.0), (8, 2)), fine) is None
-    # a last node of -0.0 is not one of 0.0
-    assert nested_index(GridSpec((-1.0,), (-0.0,), (2,)), GridSpec((-1.0,), (0.0,), (4,))) is None
-
-
-def _nested_index_by_arange(coarse: GridSpec, fine: GridSpec) -> np.ndarray:
-    """The construction nested_index replaced, kept as its oracle: the flat
-    index of every fine node, strided down to the coarse nodes."""
-    steps = [f // c for c, f in zip(coarse.cells, fine.cells)]
-    node = np.arange(fine.npoints()).reshape(fine.shape())
-    return node[tuple(slice(None, None, s) for s in steps)].reshape(-1)
-
-
-@pytest.mark.parametrize("cells, factors", [
-    ((8, 6), (2, 4)), ((5, 3), (1, 1)),
-    ((3, 4, 2), (1, 2, 8)), ((2, 2, 3), (4, 4, 1)),
-    ((2, 3, 2, 3), (4, 1, 2, 2)), ((3, 2, 2, 2), (2, 2, 2, 2)),
-])
-def test_nested_index_from_strided_aranges_is_the_old_construction(cells, factors):
-    """The per-axis strided aranges give the old full-arange construction's
-    int64 indices bit for bit in 2, 3 and 4 dimensions, and grids that do not
-    nest still give None."""
-    dim = len(cells)
-    lo, hi = tuple(-0.5 - k for k in range(dim)), tuple(0.25 * (k + 1) for k in range(dim))
-    coarse = GridSpec(lo, hi, cells)
-    fine = GridSpec(lo, hi, tuple(c * f for c, f in zip(cells, factors)))
-    got, want = nested_index(coarse, fine), _nested_index_by_arange(coarse, fine)
-    assert got.dtype == want.dtype == np.int64
-    assert got.tobytes() == want.tobytes()
-    assert fine.points()[got].tobytes() == coarse.points().tobytes()
-    other = tuple(hi[:-1]) + (np.nextafter(hi[-1], np.inf),)
-    refused = [
-        GridSpec(lo, other, cells),  # another box on the last axis
-        GridSpec(lo[:-1], hi[:-1], cells[:-1]),  # another dimension
-        GridSpec(lo, hi, tuple(2 * c for c in fine.cells[:-1]) + (3 * fine.cells[-1],)),
-        GridSpec(lo, hi, (fine.cells[0] - 1,) + cells[1:]),  # divides no fine count
-    ]
-    for grid in refused:
-        assert nested_index(grid, fine) is None, grid
-    tripled = GridSpec(lo, hi, fine.cells[:-1] + (3 * cells[-1],))
-    assert nested_index(coarse, tripled) is None  # a factor that is not a power of two
-    if any(f > 1 for f in factors):
-        assert nested_index(fine, coarse) is None  # finer than the grid it is looked up in
-
-
 def _random_box(rng) -> tuple:
     """lo < hi drawn over the whole float range: magnitudes from 1e-300 to
     1e300, either sign, and extents from a few ulps of lo up to both ends'
@@ -289,8 +232,8 @@ def test_grid_axes_are_linspace_bit_for_bit_and_refined_levels_nest():
             assert ax.tobytes() == np.linspace(lo, hi, g.cells[0] + 1).tobytes()
         finest = levels[-1]
         for g in levels:
-            idx = nested_index(g, finest)
-            assert finest.points()[idx].tobytes() == g.points().tobytes(), (lo, hi, g.cells)
+            nested = finest.points()[::finest.cells[0] // g.cells[0]]
+            assert nested.tobytes() == g.points().tobytes(), (lo, hi, g.cells)
             checked += 1
     assert checked > 10000
 
@@ -352,12 +295,13 @@ def _same_bits(got, want) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("block, cells", [(7, 12), (1000, None)])
+@pytest.mark.parametrize("block, cells", [(7, 12), (2 * 13, 12), (7 * 13, 12), (1000, None)])
 def test_block_synthesis_equals_one_call_on_the_whole_grid_bit_for_bit(monkeypatch, block, cells):
     """Every built-in field example, on its shipped grid with blocks of 1000
-    nodes and on a 12-cell grid with blocks of 7, for one worker and two: each
-    block is written into its own rows and the values do not depend on the
-    partition."""
+    nodes and on a 12-cell grid with blocks of 7 (a row cut into blocks), 26
+    and 91 (slabs of 2 and 7 rows of 13 nodes in 2-D), for one worker and
+    two: each slab is written into its own rows and the values do not depend
+    on the partition."""
     from streamfields import config as cfgmod, synth as synthmod
 
     split = 0
@@ -383,13 +327,16 @@ def test_block_synthesis_equals_one_call_on_the_whole_grid_bit_for_bit(monkeypat
 
 
 def test_a_grid_of_one_block_is_one_call(monkeypatch):
-    """A larger grid is cut into the same blocks for any worker count."""
+    """A larger grid is cut into walk's bands, one per worker, and each band
+    into slabs of whole rows of at most a block: 10 rows of 10 nodes in
+    blocks of 40 are slabs of 4, 4 and 2 rows on one worker, and 4 and 1
+    rows in each band of 5 rows on two."""
     from streamfields import synth as synthmod
 
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[3]))
+        calls.append((args[3][0, 0], len(args[3])))
         return synthesize_at_points(*args, **kwargs)
 
     monkeypatch.setattr(synthmod, "synthesize_at_points", counted)
@@ -397,12 +344,12 @@ def test_a_grid_of_one_block_is_one_call(monkeypatch):
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 100)
     for workers in (1, 2):
         synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
-    assert calls == [100, 100]
+    assert [n for _, n in calls] == [100, 100]
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 40)
-    for workers in (1, 2):
+    for workers, want in ((1, [40, 40, 20]), (2, [40, 10, 40, 10])):
         calls.clear()
         synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
-        assert sorted(calls) == [20, 40, 40]
+        assert [n for _, n in sorted(calls)] == want  # in row order
 
 
 def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
@@ -419,6 +366,50 @@ def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
     for workers in (1, 2):
         with pytest.raises(SynthError, match="tail block"):
             synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
+
+
+def _walked(monkeypatch, grid: GridSpec, workers: int) -> tuple:
+    """(the slabs of each band walk hands out, in band order; the pools it
+    opens, as their max_workers)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from streamfields import synth as synthmod
+
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(synthmod, "ThreadPoolExecutor", pool)
+    bands = {}
+    synthmod.walk(grid, workers, lambda slabs: bands.__setitem__(slabs[0][0], slabs))
+    return [bands[top] for top in sorted(bands)], pools
+
+
+def test_walk_cuts_equal_bands_of_whole_rows(monkeypatch):
+    """A 257^2 grid, 66,049 nodes or just over one block of 65,536, is two
+    bands of 128 and 129 rows on two workers, not a block and 513 nodes;
+    a slab is at most 255 rows of 257 nodes, the rows that fit a block."""
+    grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (256, 256))
+    assert _walked(monkeypatch, grid, 2) == ([[(0, 128)], [(128, 257)]], [2])
+    assert _walked(monkeypatch, grid, 1) == ([[(0, 255), (255, 257)]], [])
+    # rows longer than a block are slabs of one row
+    wide = GridSpec((-1.0, -1.0), (1.0, 1.0), (2, 70000))
+    assert _walked(monkeypatch, wide, 1)[0] == [[(0, 1), (1, 2), (2, 3)]]
+
+
+def test_walk_runs_no_more_bands_than_rows_or_blocks(monkeypatch):
+    """However many workers are asked for, a grid of one block runs on the
+    calling thread, and a grid of more blocks than rows on one thread per
+    row: the thread count is bounded by the grid."""
+    from streamfields import synth as synthmod
+
+    tiny = GridSpec((-1.0, -1.0), (1.0, 1.0), (2, 2))
+    assert _walked(monkeypatch, tiny, 10 ** 6) == ([[(0, 3)]], [])
+    assert _walked(monkeypatch, tiny, 0) == ([[(0, 3)]], [])  # as for one worker
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 2)
+    assert _walked(monkeypatch, tiny, 10 ** 6) == ([[(0, 1)], [(1, 2)], [(2, 3)]], [3])
 
 
 # ---------------------------------------------------------------------------

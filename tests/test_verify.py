@@ -627,3 +627,40 @@ def test_residual_slabs_are_the_whole_grid_residual_bit_for_bit(monkeypatch, cas
                 assert exc.tobytes() == want_exc.tobytes(), label
                 assert {**got, "kind": "k"} == want, label
     assert want_exc.any() and not want_exc.all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("height", [1, 2, 7])
+def test_slabs_visit_the_walks_slabs_and_a_synthesis_gives_the_synthesized_rows(
+        monkeypatch, height, workers):
+    """_slabs visits every slab of synth.walk's bands once, each band's in
+    order, with slabs of 1, 2 and 7 rows on one worker and two; from a
+    Synthesis that has not run, the rows it visits are synthesize's, bit for
+    bit, as they are from the solution itself."""
+    from streamfields import synth as synthmod, verify as verifymod
+
+    grid = GridSpec((-1.1, -1.0), (1.2, 0.9), (12, 9))
+    row = 10
+    model, d, policy, tol = shallow_water(), shallow_vortex(1.0), prefer_type1(), Tolerances()
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
+    want = synthesize(model, d, policy, grid, tol=tol, workers=workers)
+    bands = []
+    synthmod.walk(grid, workers, bands.append)
+    walked = sorted(slab for band in bands for slab in band)
+    assert [top for top, _ in walked] == [0] + [end for _, end in walked[:-1]]
+    assert walked[-1][1] == grid.shape()[0]  # every row once
+    for source in (want, synthmod.Synthesis(grid, model, d, policy, tol)):
+        seen = []
+
+        def visit(top, end, part):
+            seen.append((top, end, {name: getattr(part, name).copy()
+                                    for name in synthmod.ROW_ARRAYS}))
+
+        verifymod._slabs(source, [], workers, visit=visit)
+        for slabs in bands:  # a band's slabs, in its order among the threads' visits
+            tops = range(slabs[0][0], slabs[-1][1])
+            assert [(top, end) for top, end, _ in seen if top in tops] == slabs
+        assert len(seen) == len(walked)
+        for top, end, part in seen:
+            for name, rows in part.items():
+                assert rows.tobytes() == getattr(want, name)[top * row:end * row].tobytes()
