@@ -10,10 +10,12 @@ which drive type is decided once, in `_fits`, for "auto" and for every check;
 no witness suits a form's drive (forms.FormDrive).
 
 A witness reads Q and the branch from the FieldSolution it is given and
-evaluates the drive once more on its points, for the jacobian.  Off the grid
-(the Gauss points of eta recovery and its loop check) one synthesis hands Q,
-the branch and its drive batch to the witness, so each point costs one drive
-evaluation; the points go through in blocks of synth.SYNTH_BLOCK.
+evaluates the drive once more on its points, for the jacobian, one synthesis
+block (synth.block_rows) at a time: each block's order-2 batch and witness
+terms are freed before the next.  Off the grid (the Gauss points of eta
+recovery and its loop check) one synthesis hands Q, the branch and its drive
+batch to the witness's evaluator, so each point costs one drive evaluation;
+it computes G alone (_core), at most synth.SYNTH_BLOCK points a call.
 
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
@@ -32,6 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import synth as synthmod
 from .drive import DriveBatch, GradientDrive, RawField, Scalar2D, drive_batch
 from .forms import FormDrive
 from .synth import FieldSolution, GridSpec, _solve, block_rows, log_rho_gradient
@@ -57,32 +60,29 @@ class FrobeniusWitness:
     curl_residual: Optional[np.ndarray] = None  # filled by curl_residual_grid
 
 
-# The witness terms of _core: glr is grad log rho(psi(xi)); M[i][j] = d_i a_j
-# - d_j a_i (minor kind) or div_a, the jacobian's trace (divergence kind), is set.
+# The witness terms of _core: glr is grad log rho(psi(xi)), g the drive-level
+# witness and G = g - glr; M[i][j] = d_i a_j - d_j a_i (minor kind) or div_a,
+# the jacobian's trace (divergence kind), is set.
 _Core = NamedTuple("_Core", [(name, Optional[np.ndarray]) for name in (
-    "a", "w", "rho_c", "glr", "G", "G1", "solvability", "defined", "M", "div_a")])
+    "a", "rho_c", "glr", "g", "G", "defined", "M", "div_a")])
 
 
 def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> _Core:
-    """Witness terms at the points of `sol`: Q and branch come from `sol`, the
-    drive and its jacobian from `batch`, evaluated at the same points."""
+    """Witness terms at the points of `sol`, G NaN where undefined: Q and
+    branch come from `sol`, the drive and its jacobian from `batch`."""
     tol = sol.tol
     a, jac, xi = batch.a, batch.jac, batch.xi
     rho_c = sol.model.rho(sol.Q)
     glr, usable = log_rho_gradient(sol.model, sol.Q, rho_c, batch.grad_xi, tol)
     M = div_a = None
     with np.errstate(all="ignore"):
-        w = a / rho_c[:, None]
         if kind == "minor":
             M = np.swapaxes(jac, 1, 2) - jac
             g = np.einsum("nij,nj->ni", M, a) / xi[:, None]
-            solvability = _max_minor(M - _wedge(g, a))
         else:
             div_a = sum((jac[:, i, i] for i in range(a.shape[1])), 0.0)  # np.trace, bit for bit
             g = (div_a / xi)[:, None] * a
-            solvability = np.zeros(xi.shape)
         G = g - glr
-        G1 = -g
     defined = (
         ~batch.bad
         & (sol.branch_id != 0)
@@ -90,11 +90,8 @@ def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> _Core:
         & (np.sqrt(np.maximum(xi, 0.0)) > tol.eps_grad)
         & np.isfinite(glr).all(axis=1)
     )
-    bad = ~defined
-    for arr in (G, G1, glr, w):
-        arr[bad] = np.nan
-    solvability = np.where(defined, solvability, np.nan)
-    return _Core(a, w, rho_c, glr, G, G1, solvability, defined, M, div_a)
+    G[~defined] = np.nan
+    return _Core(a, rho_c, glr, g, G, defined, M, div_a)
 
 
 def _max_minor(mat: np.ndarray) -> np.ndarray:
@@ -112,9 +109,10 @@ def _defect(kind: str, core: _Core, G) -> np.ndarray:
     """Analytic defining defect of a candidate witness G at the points of
     `core`: max |(curl w - G ^ w)_ij| for minor systems, |div w - G . w| for
     divergence systems; NaN where undefined."""
-    a, w, rho_c, glr = core.a, core.w, core.rho_c, core.glr
+    a, rho_c, glr = core.a, core.rho_c, core.glr
     G = np.asarray(G, dtype=float)
     with np.errstate(all="ignore"):
+        w = a / rho_c[:, None]
         if kind == "minor":
             curl_w = core.M / rho_c[:, None, None] - _wedge(glr, w)
             defect = _max_minor(curl_w - _wedge(G, w))
@@ -124,13 +122,30 @@ def _defect(kind: str, core: _Core, G) -> np.ndarray:
     return np.where(core.defined, defect, np.nan)
 
 
+def _blocks(sol: FieldSolution, kind: str):
+    """(rows, _core of those rows) for each synth.block_rows block of `sol`."""
+    for rows in block_rows(len(sol.Q)):
+        yield rows, _core(kind, sol.restricted(rows), drive_batch(sol.drive, sol.points[rows]))
+
+
 def minor_defect_with(sol: FieldSolution, G_values: np.ndarray) -> np.ndarray:
     """Analytic minor defect of an externally supplied candidate witness."""
-    return _defect("minor", _core("minor", sol, drive_batch(sol.drive, sol.points)), G_values)
+    G_values, out = np.asarray(G_values, dtype=float), np.empty(len(sol.Q))
+    for rows, core in _blocks(sol, "minor"):
+        out[rows] = _defect("minor", core, G_values[rows])
+    return out
 
 
 def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
-    core = _core(kind, sol, drive_batch(sol.drive, sol.points))
+    n, dim = sol.w.shape
+    G, G1 = np.empty((n, dim)), np.empty((n, dim))
+    defining, solvability, defined = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for rows, core in _blocks(sol, kind):
+        ok = core.defined
+        with np.errstate(all="ignore"):  # the drive-level wedge defect, 0 for divergence systems
+            wedge = _max_minor(core.M - _wedge(core.g, core.a)) if kind == "minor" else 0.0
+        G[rows], G1[rows], defined[rows] = core.G, np.where(ok[:, None], -core.g, np.nan), ok
+        defining[rows], solvability[rows] = _defect(kind, core, core.G), np.where(ok, wedge, np.nan)
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
         # G, one synthesis block of points at a time, from full-order batches (_core reads jac)
@@ -139,9 +154,8 @@ def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
                                for rows in block_rows(len(qpts))])
 
     return FrobeniusWitness(
-        kind=kind, G=core.G, G1=core.G1, defining_residual=_defect(kind, core, core.G),
-        solvability_residual=core.solvability, defined=core.defined, solution=sol,
-        evaluator=evaluator,
+        kind=kind, G=G, G1=G1, defining_residual=defining, solvability_residual=solvability,
+        defined=defined, solution=sol, evaluator=evaluator,
     )
 
 
@@ -212,16 +226,16 @@ def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
 
 def _edge_integrals(evaluator, points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Two-point Gauss-Legendre quadrature of G . dl along grid edges, batched:
-    `edges` holds (p, q) rows of flat node indices into `points` (N, n)."""
-    seg = points[edges]  # (E, 2, n)
-    starts, ends = seg[:, 0], seg[:, 1]
-    mid = 0.5 * (starts + ends)
-    half = 0.5 * (ends - starts)
-    off = half / np.sqrt(3.0)
-    gpts = np.concatenate([mid - off, mid + off], axis=0)
-    gv = evaluator(gpts)
-    m = starts.shape[0]
-    return np.einsum("ei,ei->e", gv[:m] + gv[m:], half)
+    `edges` holds (p, q) rows of flat node indices into `points` (N, n), taken
+    SYNTH_BLOCK // 2 a call, so a call has at most a synthesis block of points."""
+    step, out = max(synthmod.SYNTH_BLOCK // 2, 1), np.empty(len(edges))
+    for at in range(0, len(edges), step):
+        starts, ends = points[edges[at:at + step, 0]], points[edges[at:at + step, 1]]
+        mid, half, m = 0.5 * (starts + ends), 0.5 * (ends - starts), len(starts)
+        off = half / np.sqrt(3.0)
+        gv = evaluator(np.concatenate([mid - off, mid + off], axis=0))
+        out[at:at + m] = np.einsum("ei,ei->e", gv[:m] + gv[m:], half)
+    return out
 
 
 @dataclass(eq=False)

@@ -23,7 +23,8 @@ carrying the 2 HALO rows consecutive slabs share, so no solution of the grid
 is ever held and a node is synthesized once, or twice within HALO rows of a
 seam between bands.
 The slab kinds (`slab_residuals`) share one such pass.  The residuals read
-no grid points; the verify.mask predicate is evaluated on each slab's nodes.
+no grid points; the verify.mask predicate is evaluated once on each node of a
+band, its values on the HALO rows slabs share carried like the synthesis's.
 Reductions are numpy sums in fixed index order over the whole residual, so
 reports are deterministic.  The codifferential residual hands central
 differences to `forms.codifferential` as coefficient gradients, so it
@@ -244,6 +245,20 @@ def _reader(source, row: int) -> Callable[[int, int], FieldSolution]:
     return rows
 
 
+def _mask_reader(mask: Callable, grid: GridSpec, row: int) -> Callable[[int, int], np.ndarray]:
+    """rows(lo, hi): `mask` on axis-0 rows lo to hi - 1 of `grid`, carried as
+    _reader carries a Synthesis's rows, so the predicate sees each row once."""
+    held = (0, np.zeros(0, dtype=bool))  # the last window's end row and its values
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        nonlocal held
+        keep = max(held[0] - lo, 0) * row  # its last rows are this window's first
+        fresh = np.asarray(mask(grid.nodes(lo * row + keep, hi * row)), dtype=bool)
+        held = (hi, np.concatenate([held[1][held[1].size - keep:], fresh]))
+        return held[1]
+    return rows
+
+
 def _slabs(source, kernels: Sequence[Callable], workers: int,
            extra_bad: Optional[np.ndarray] = None, mask: Optional[Callable] = None,
            visit: Optional[Callable] = None) -> list:
@@ -258,25 +273,24 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
     with HALO more rows on each side inside the grid, enough for the central
     stencils and the mask's dilation, and keeps its own rows, so every
     node's residual and mask bit are the whole-grid ones for any slab height
-    or worker count.  A band reads a Synthesis window by window, carrying
-    the 2 HALO rows consecutive windows share, so a node is synthesized
-    once, or twice within HALO rows of a seam between bands.  extra_bad
-    (grid nodes) and the predicate `mask` (False where a node is excluded,
-    as verify.mask) add to each mask; `mask` is evaluated on the nodes each
-    slab reads, when there is a kernel.  visit(top, end, part), when given,
-    sees every slab's own rows, top to end - 1, as `part`."""
+    or worker count (with no kernel, no HALO rows).  A band reads a Synthesis
+    window by window, carrying the 2 HALO rows consecutive windows share, so
+    a node is synthesized once, or twice within HALO rows of a seam between
+    bands.  extra_bad (grid nodes) and the predicate `mask` (False where a
+    node is excluded, as verify.mask, carried the same way) add to each
+    mask.  visit(top, end, part) sees every slab's own rows as `part`."""
     grid = _grid_of(source)
     shape = grid.shape()
     row = math.prod(shape[1:])
     outs = [(np.empty(shape), np.empty(shape, dtype=bool)) for _ in kernels]
+    halo = HALO if kernels else 0
 
-    def slab(rows: Callable, top: int, end: int) -> None:
-        lo, hi = max(top - HALO, 0), min(end + HALO, shape[0])
+    def slab(rows: Callable, kept: Optional[Callable], top: int, end: int) -> None:
+        lo, hi = max(top - halo, 0), min(end + halo, shape[0])
         nodes, sub = slice(lo * row, hi * row), (hi - lo,) + shape[1:]
         part, own = rows(lo, hi), slice(top - lo, end - lo)
         extra = None if extra_bad is None else extra_bad[nodes]
-        masked = None if mask is None or not kernels else ~np.asarray(
-            mask(grid.nodes(lo * row, hi * row)), dtype=bool)
+        masked = None if kept is None else ~kept(lo, hi)
         for kernel, (residual, excluded) in zip(kernels, outs):
             values, bad = kernel(part, nodes, sub)
             residual[top:end] = values[own]
@@ -288,8 +302,9 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
         # one reader a band; each slab's locals, its window among them, go
         # when it returns, so the reader holds the only window between slabs
         rows = _reader(source, row)
+        kept = None if mask is None or not kernels else _mask_reader(mask, grid, row)
         for top, end in slabs:
-            slab(rows, top, end)
+            slab(rows, kept, top, end)
 
     synthmod.walk(grid, workers, band)
     return outs

@@ -209,24 +209,95 @@ def test_recover_eta_deterministic():
     assert r1.curl_gate == r2.curl_gate and r1.loop_max == r2.loop_max
 
 
+WITNESS_ARRAYS = ("G", "G1", "defining_residual", "solvability_residual", "curl_residual",
+                  "defined")
+
+
+def _assert_same_witness(got, want):
+    for name in WITNESS_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypatch):
-    """The field and the Gauss points of eta recovery are synthesized in blocks
-    of synth.SYNTH_BLOCK points; blocks of 7 change no bit of the witness or
-    of eta."""
+    """The field, the witness and the Gauss points of eta recovery go through
+    in blocks of synth.SYNTH_BLOCK points; blocks of 7 points, and of 1, 2
+    and 7 grid rows, change no bit of the witness, its curl residual or eta,
+    on the 64^2 annulus (minor kind) and a 10^3-cell grid (divergence kind)."""
     from streamfields import synth as synthmod
 
-    wit, g, mask = annulus_witness(cells=64)
-    want = recover_eta(wit, mask=mask)
-    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 7)
-    bwit, _, _ = annulus_witness(cells=64)
-    for got, ref in ((bwit.G, wit.G), (bwit.defined, wit.defined), (bwit.solution.w, wit.solution.w)):
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    got = recover_eta(bwit, mask=mask)
-    assert np.array_equal(got.eta.view(np.uint64), want.eta.view(np.uint64))
-    assert np.isfinite(got.eta).sum() > 1000
-    assert (got.anchor, got.unreached) == (want.anchor, want.unreached)
-    assert (got.curl_gate, got.loop_max, got.post_residual) == \
-        (want.curl_gate, want.loop_max, want.post_residual)
+    whole = synthmod.SYNTH_BLOCK
+    for build, tol in ((lambda: annulus_witness(cells=64), 1e-6), (_bi_witness_3d, 1e-3)):
+        monkeypatch.setattr(synthmod, "SYNTH_BLOCK", whole)
+        wit, g, mask = build()
+        want = recover_eta(wit, mask=mask, tol_conservative=tol)
+        row = g.npoints() // g.shape()[0]
+        for block in (7, row, 2 * row, 7 * row):
+            monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
+            bwit, _, _ = build()
+            assert bwit.solution.w.tobytes() == wit.solution.w.tobytes()
+            got = recover_eta(bwit, mask=mask, tol_conservative=tol)
+            _assert_same_witness(bwit, wit)
+            assert np.array_equal(got.eta.view(np.uint64), want.eta.view(np.uint64)), block
+            assert np.isfinite(got.eta).sum() > 1000
+            assert (got.anchor, got.unreached) == (want.anchor, want.unreached)
+            assert (got.curl_gate, got.loop_max, got.post_residual) == \
+                (want.curl_gate, want.loop_max, want.post_residual)
+        assert wit.defined.any() and not np.isnan(wit.G1[wit.defined]).any()
+
+
+def test_no_witness_drive_batch_takes_more_than_a_synthesis_block(monkeypatch):
+    """_build, minor_defect_with and the eta evaluator hand drive_batch at
+    most synth.SYNTH_BLOCK points a call."""
+    from streamfields import frobenius as frobmod, synth as synthmod
+
+    whole, _, mask = annulus_witness(cells=48)
+    sol = whole.solution
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 300)
+    sizes = []
+    for module in (synthmod, frobmod):
+        def counted(d, points, order=2, real=module.drive_batch):
+            sizes.append(len(points))
+            return real(d, points, order)
+        monkeypatch.setattr(module, "drive_batch", counted)
+    wit = witness_2d(sol)
+    assert len(sizes) == -(-len(sol.Q) // 300)
+    minor_defect_with(sol, wit.G)
+    recover_eta(wit, mask=mask, tol_conservative=1e-3)
+    assert len(sizes) > 2 * -(-len(sol.Q) // 300) + 2
+    assert max(sizes) <= 300
+
+
+def test_edge_integrals_in_blocks_are_one_whole_array_call_bit_for_bit(monkeypatch):
+    """_edge_integrals walks its edges in blocks of SYNTH_BLOCK // 2, so no
+    evaluator call takes more than a synthesis block of Gauss points (two
+    for a block of one), and the integrals are those of one evaluator call
+    on every Gauss point, bit for bit."""
+    from streamfields import synth as synthmod
+    from streamfields.frobenius import _edge_integrals, _spanning_tree
+
+    wit, g, mask = annulus_witness(cells=24)
+    mask &= wit.defined.reshape(mask.shape)
+    layers, _ = _spanning_tree(mask, tuple(int(i) for i in np.argwhere(mask)[0]))
+    edges, points = np.concatenate(layers), wit.solution.points
+    seg = points[edges]
+    starts, ends = seg[:, 0], seg[:, 1]
+    mid, half = 0.5 * (starts + ends), 0.5 * (ends - starts)
+    off = half / np.sqrt(3.0)
+    gv = wit.evaluator(np.concatenate([mid - off, mid + off], axis=0))
+    want = np.einsum("ei,ei->e", gv[:len(edges)] + gv[len(edges):], half)
+    assert len(edges) > 100 and np.isfinite(want).all()
+    for block in (1, 7, 64):
+        monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
+        calls = []
+
+        def evaluator(qpts):
+            calls.append(len(qpts))
+            return wit.evaluator(qpts)
+
+        got = _edge_integrals(evaluator, points, edges)
+        assert got.tobytes() == want.tobytes(), block
+        assert max(calls) <= max(block, 2) and sum(calls) == 2 * len(edges)
 
 
 def test_eta_recovery_evaluates_the_drive_once_per_quadrature_point(monkeypatch):

@@ -664,3 +664,65 @@ def test_slabs_visit_the_walks_slabs_and_a_synthesis_gives_the_synthesized_rows(
         for top, end, part in seen:
             for name, rows in part.items():
                 assert rows.tobytes() == getattr(want, name)[top * row:end * row].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_with_no_kernel_synthesizes_each_node_once(monkeypatch, workers):
+    """A pass that only visits its slabs (a study's level copy, a form
+    config's field pass) reads no HALO rows, so from a Synthesis every node
+    is synthesized once, on one band or two."""
+    from streamfields import synth as synthmod, verify as verifymod
+
+    grid = GridSpec((-1.1, -1.0), (1.2, 0.9), (12, 9))
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 2 * 10)
+    counted, visited = [], []
+    real = verifymod.synthesize_at_points
+
+    def spy(model, d, policy, points, **kw):
+        counted.append(len(points))
+        return real(model, d, policy, points, **kw)
+
+    monkeypatch.setattr(verifymod, "synthesize_at_points", spy)
+    source = synthmod.Synthesis(grid, shallow_water(), shallow_vortex(1.0), prefer_type1(),
+                                Tolerances())
+    verifymod._slabs(source, [], workers, visit=lambda top, end, part: visited.append(end - top))
+    assert sum(counted) == grid.npoints() and sum(visited) == grid.shape()[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("height", [1, 2, 7])
+def test_the_mask_predicate_sees_each_node_once_a_band(monkeypatch, height, workers):
+    """With slabs of 1, 2 and 7 rows, the verify.mask predicate sees each
+    node of a band once (the HALO rows either side of a seam between bands
+    once per band), and the mask is the whole grid's bit for bit."""
+    from streamfields import synth as synthmod, verify as verifymod
+
+    grid = GridSpec((-1.1, -1.0), (1.2, 0.9), (12, 9))
+    shape, row = grid.shape(), 10
+    sol = synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid)
+
+    def predicate(points):
+        return points[:, 0] ** 2 + 0.5 * points[:, 1] < 0.6
+
+    want = verifymod._excluded(sol, shape, None, None, ~predicate(grid.points()))
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
+    seen = []
+
+    def mask(points):
+        seen.append(points.copy())
+        return predicate(points)
+
+    kernel = verifymod.SLAB_KINDS["divergence"][1](grid.spacing(), None)
+    (_, excluded), = verifymod._slabs(sol, [kernel], workers, mask=mask)
+    assert excluded.tobytes() == want.tobytes()
+    pts = np.concatenate(seen)
+    flat = [np.searchsorted(ax, pts[:, i]) for i, ax in enumerate(grid.axes())]
+    counts = np.bincount(np.ravel_multi_index(flat, shape), minlength=grid.npoints())
+    bands = []
+    synthmod.walk(grid, workers, bands.append)
+    expected = np.ones(shape, dtype=np.intp)
+    for slabs in bands[1:]:
+        seam = slabs[0][0]
+        expected[seam - verifymod.HALO:seam + verifymod.HALO] += 1
+    assert np.array_equal(counts, expected.reshape(-1))
+    assert want.any() and not want.all()
