@@ -91,7 +91,7 @@ def main() -> None:
 
     if args.out:
         try:
-            _write_table(os.path.dirname(args.out), os.path.basename(args.out), sol.points,
+            _write_table(os.path.dirname(args.out), os.path.basename(args.out), grid,
                          [("w1", "float", sol.w[:, 0]), ("w2", "float", sol.w[:, 1]),
                           ("Q", "float", sol.Q), ("branch", "int", sol.branch_id)])
         except ConfigError as exc:

@@ -8,7 +8,8 @@ CSV files are written in blocks of CSV_BLOCK_ROWS rows (tracemalloc peak 9.4
 MB on 513^2 and 65^3 grids, 35.5 MB at 65,536 rows).  Each distinct value
 of a column is formatted once per block, with its trailing "," or newline, and
 a block is written with one join of its cells; the bytes are the same as
-formatting every cell on its own.
+formatting every cell on its own.  Coordinate columns, and the input of the
+frobenius.mask predicate, are built a block of grid nodes at a time.
 
 A float is written as Python's "%.17g" % v writes it.  A block column with at
 least ARRAY_FORMAT_MIN distinct floats formats them with array arithmetic
@@ -58,7 +59,7 @@ from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
 from .synth import (FLAG_DRIVE_UNDEFINED, ROW_ARRAYS, FieldSolution, GridSpec, REGIME_NAMES,
-                    SynthError, Synthesis, synthesize)
+                    SynthError, Synthesis, block_rows, synthesize)
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
 from .verify import VerifyError
@@ -300,12 +301,33 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_table(out: str, name: str, points: np.ndarray, triples: list) -> None:
-    """Write out/name: the coordinate columns of `points`, then one column per
-    (header, kind, column) triple."""
-    coords = [(c, "float", points[:, i]) for i, c in enumerate(coord_names(points.shape[1]))]
+@dataclasses.dataclass(frozen=True)
+class _Coordinate:
+    """Column `axis` of grid.points(), built a CSV block at a time (GridSpec.nodes)."""
+    grid: GridSpec
+    axis: int
+
+    def __len__(self) -> int:
+        return self.grid.npoints()
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.grid.nodes(rows.start, rows.stop)[:, self.axis]
+
+
+def _write_table(out: str, name: str, grid: GridSpec, triples: list) -> None:
+    """Write out/name: the coordinate columns of `grid`'s nodes, then one
+    column per (header, kind, column) triple."""
+    coords = [(c, "float", _Coordinate(grid, i)) for i, c in enumerate(coord_names(grid.dim))]
     cols = coords + triples
     _write_csv(os.path.join(out, name), [c[0] for c in cols], [c[1:] for c in cols])
+
+
+def _grid_mask(predicate: Optional[Callable], grid: GridSpec) -> Optional[np.ndarray]:
+    """The frobenius.mask predicate on `grid`, grid-shaped (None without one),
+    at most a synthesis block of nodes a call."""
+    return None if predicate is None else np.concatenate([
+        predicate(grid.nodes(rows.start, rows.stop)) for rows in block_rows(grid.npoints())
+    ]).reshape(grid.shape())
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +430,12 @@ def _tail_columns(sol: FieldSolution) -> list:
 def cmd_synth(args) -> int:
     cfg, out, grid = _setup(args)
     sol = _admitted(_synth_solution(cfg, grid, args.threads))
-    _write_table(out, "field.csv", sol.points,
+    _write_table(out, "field.csv", grid,
                  [(f"w{i+1}", "float", sol.w[:, i]) for i in range(grid.dim)] + _tail_columns(sol))
     if cfgmod.output_section(cfg)["json"]:
         counts = {REGIME_NAMES[k]: int((sol.regime == k).sum()) for k in range(4)}
         _write_json(os.path.join(out, "summary.json"), {
-            "points": int(sol.points.shape[0]),
+            "points": grid.npoints(),
             "defined": int(sol.defined.sum()),
             "regimes": counts,
         })
@@ -427,7 +449,7 @@ def cmd_singular(args) -> int:
     masks = (("outside", report.omega_f_complement), ("gamma0", report.gamma_0),
              ("gammas", report.gamma_s), ("gammainf", report.gamma_inf),
              ("gammag", report.gamma_g))
-    _write_table(out, "masks.csv", sol.points,
+    _write_table(out, "masks.csv", grid,
                  [(name, "int", mask.reshape(-1).astype(int)) for name, mask in masks])
     if grid.dim == 2:
         polys = report.sonic_contour
@@ -450,7 +472,7 @@ def cmd_frobenius(args) -> int:
     sol = _admitted(_synth_solution(cfg, grid, args.threads, witness=fs["witness"]))
     wit = _witness_for(fs["witness"], sol)
     curl = frobmod.curl_residual_grid(wit)
-    _write_table(out, "witness.csv", sol.points,
+    _write_table(out, "witness.csv", grid,
                  [(f"G{i+1}", "float", wit.G[:, i]) for i in range(grid.dim)]
                  + [("defect", "float", wit.defining_residual),
                     ("curl_defect", "float", curl.reshape(-1))])
@@ -462,14 +484,13 @@ def cmd_frobenius(args) -> int:
         "max_curl_residual": _nanmax(curl),
     }
     if fs["recover_eta"]:
-        mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
         try:
-            rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=mask,
+            rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=_grid_mask(fs["mask"], grid),
                                       tol_conservative=fs["tol_conservative"])
         except FrobeniusError as exc:
             _write_json(os.path.join(out, "frobenius.json"), summary)
             raise _Exit(EXIT_THRESHOLD, f"eta recovery failed: {exc}") from exc
-        _write_table(out, "eta.csv", sol.points, [("eta", "float", rec.eta.reshape(-1))])
+        _write_table(out, "eta.csv", grid, [("eta", "float", rec.eta.reshape(-1))])
         summary["eta"] = {
             "anchor": [float(v) for v in rec.anchor],
             "curl_gate": float(rec.curl_gate),
@@ -496,13 +517,13 @@ def cmd_forms(args) -> int:
     cfg, out, grid = _setup(args)
     spec = _build_form(cfg, grid.dim)
     fsol = _admitted(_synth_solution(cfg, grid, args.threads, form=spec))
-    _write_table(out, "forms.csv", fsol.points,
+    _write_table(out, "forms.csv", grid,
                  [(f"omega_{''.join(map(str, idx)) or '0'}", "float", fsol.w[:, c])
                   for c, idx in enumerate(multi_indices(grid.dim, fsol.drive.k))]
                  + _tail_columns(fsol))
     if spec.gamma:
         gw = formsmod.gamma_witness(fsol.model, spec.form, fsol)
-        _write_table(out, "gamma.csv", fsol.points,
+        _write_table(out, "gamma.csv", grid,
                      [(f"Gamma{i+1}", "float", gw.Gamma[:, i]) for i in range(grid.dim)]
                      + [("defect", "float", gw.defect),
                         ("frobenius_defect", "float", gw.frobenius_defect)])
@@ -625,8 +646,8 @@ def cmd_verify(args) -> int:
 
     def exactness(grid: GridSpec):
         sol, wit = sol_on(grid), witness_on(grid)
-        mask = fs["mask"](sol.points).reshape(grid.shape()) if fs["mask"] else None
-        rec = frobmod.recover_eta(wit, mask=mask, tol_conservative=fs["tol_conservative"])
+        rec = frobmod.recover_eta(wit, mask=_grid_mask(fs["mask"], grid),
+                                  tol_conservative=fs["tol_conservative"])
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common)
 
     # residual kind -> residual report on one grid; the config schema has

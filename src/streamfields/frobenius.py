@@ -10,21 +10,22 @@ which drive type is decided once, in `_fits`, for "auto" and for every check;
 no witness suits a form's drive (forms.FormDrive).
 
 A witness reads Q and the branch from the FieldSolution it is given and
-evaluates the drive once more on its points, for the jacobian, one synthesis
-block (synth.block_rows) at a time: each block's order-2 batch and witness
-terms are freed before the next.  Off the grid (the Gauss points of eta
-recovery and its loop check) one synthesis hands Q, the branch and its drive
-batch to the witness's evaluator, so each point costs one drive evaluation;
-it computes G alone (_core), at most synth.SYNTH_BLOCK points a call.
+evaluates the drive once more on its points (a grid's from GridSpec.nodes),
+for the jacobian, expr.BLOCK_ROWS points (the jets' pass) at a time: each
+block's order-2 batch and witness terms are freed before the next.  Off the grid
+(the Gauss points of eta recovery and its loop check) one synthesis hands Q,
+the branch and its drive batch to the witness's evaluator, so each point
+costs one drive evaluation; it computes G alone (_core), in the same blocks.
 
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
 breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
 The tree is swept one frontier at a time in array code; it is edge for edge,
 in the same order, the tree of a first-in-first-out queue search, so eta is
-set by one gather-add per layer.
+set by one gather-add per layer; edge ends come from the grid axes.
 The curl gate and that post-check take fourth-order central differences from
-the finite-difference core shared with the verify module.
+the finite-difference core shared with the verify module, on synth.walk's
+slabs of rows with a halo of 2 rows (_windows), bit for bit the whole grid's.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import expr as exprmod
 from . import synth as synthmod
 from .drive import DriveBatch, GradientDrive, RawField, Scalar2D, drive_batch
 from .forms import FormDrive
@@ -51,7 +53,6 @@ class FrobeniusError(ValueError):
 class FrobeniusWitness:
     kind: str  # "minor" or "divergence"
     G: np.ndarray
-    G1: np.ndarray
     defining_residual: np.ndarray  # analytic defect per point (NaN undefined)
     solvability_residual: np.ndarray  # drive-level wedge defect (0 where exact)
     defined: np.ndarray
@@ -123,9 +124,10 @@ def _defect(kind: str, core: _Core, G) -> np.ndarray:
 
 
 def _blocks(sol: FieldSolution, kind: str):
-    """(rows, _core of those rows) for each synth.block_rows block of `sol`."""
-    for rows in block_rows(len(sol.Q)):
-        yield rows, _core(kind, sol.restricted(rows), drive_batch(sol.drive, sol.points[rows]))
+    """(rows, _core of those rows) for each block of expr.BLOCK_ROWS rows of `sol`."""
+    for rows in block_rows(len(sol.Q), exprmod.BLOCK_ROWS):
+        pts = sol.points[rows] if sol.grid is None else sol.grid.nodes(rows.start, rows.stop)
+        yield rows, _core(kind, sol.restricted(rows), drive_batch(sol.drive, pts))
 
 
 def minor_defect_with(sol: FieldSolution, G_values: np.ndarray) -> np.ndarray:
@@ -138,23 +140,23 @@ def minor_defect_with(sol: FieldSolution, G_values: np.ndarray) -> np.ndarray:
 
 def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
     n, dim = sol.w.shape
-    G, G1 = np.empty((n, dim)), np.empty((n, dim))
+    G = np.empty((n, dim))
     defining, solvability, defined = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for rows, core in _blocks(sol, kind):
         ok = core.defined
         with np.errstate(all="ignore"):  # the drive-level wedge defect, 0 for divergence systems
             wedge = _max_minor(core.M - _wedge(core.g, core.a)) if kind == "minor" else 0.0
-        G[rows], G1[rows], defined[rows] = core.G, np.where(ok[:, None], -core.g, np.nan), ok
+        G[rows], defined[rows] = core.G, ok
         defining[rows], solvability[rows] = _defect(kind, core, core.G), np.where(ok, wedge, np.nan)
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
-        # G, one synthesis block of points at a time, from full-order batches (_core reads jac)
+        # G, expr.BLOCK_ROWS points at a time, from full-order batches (_core reads jac)
         return np.concatenate([_core(kind, *_solve(sol.model, sol.drive, sol.policy, qpts[rows],
                                                    sol.tol, order=2)).G
-                               for rows in block_rows(len(qpts))])
+                               for rows in block_rows(len(qpts), exprmod.BLOCK_ROWS)])
 
     return FrobeniusWitness(
-        kind=kind, G=G, G1=G1, defining_residual=defining, solvability_residual=solvability,
+        kind=kind, G=G, defining_residual=defining, solvability_residual=solvability,
         defined=defined, solution=sol, evaluator=evaluator,
     )
 
@@ -213,24 +215,46 @@ def witness_gradient(sol: FieldSolution) -> FrobeniusWitness:
 # conservativity and integrating factor
 
 
+def _windows(grid: GridSpec):
+    """(rows, nodes, own) for each of synth.walk's slabs of `grid` on one band:
+    the slab's axis-0 rows and the 2 rows past each end (in the grid) that a
+    fourth-order stencil reads, as rows and as flat nodes, and the slab's own
+    rows within them, whose stencils are the whole grid's."""
+    n, slabs = grid.shape()[0], []
+    row = grid.npoints() // n
+    synthmod.walk(grid, 1, slabs.extend)
+    for top, end in slabs:
+        lo, hi = max(top - 2, 0), min(end + 2, n)
+        yield slice(lo, hi), slice(lo * row, hi * row), slice(top - lo, end - lo)
+
+
 def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
     """Max |d_i G_j - d_j G_i| per node by 4th-order differences (grid witnesses)."""
     grid = witness.solution.grid
     if grid is None:
         raise FrobeniusError("curl residual needs a grid-backed witness")
-    comps = [witness.G[:, k].reshape(grid.shape()) for k in range(grid.dim)]
-    with np.errstate(all="ignore"):
-        witness.curl_residual = curl_max(comps, grid.spacing(), 4)
-    return witness.curl_residual
+    curl = np.empty(grid.shape())
+    for rows, nodes, own in _windows(grid):
+        comps = [witness.G[nodes, k].reshape(curl[rows].shape) for k in range(grid.dim)]
+        with np.errstate(all="ignore"):
+            curl[rows][own] = curl_max(comps, grid.spacing(), 4)[own]
+    witness.curl_residual = curl
+    return curl
 
 
-def _edge_integrals(evaluator, points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _coords(axes: list, shape: tuple, flat: np.ndarray) -> np.ndarray:
+    """Rows `flat` of GridSpec.points(), bit for bit, from the grid's axes."""
+    return np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))], axis=1)
+
+
+def _edge_integrals(evaluator, grid: GridSpec, edges: np.ndarray) -> np.ndarray:
     """Two-point Gauss-Legendre quadrature of G . dl along grid edges, batched:
-    `edges` holds (p, q) rows of flat node indices into `points` (N, n), taken
-    SYNTH_BLOCK // 2 a call, so a call has at most a synthesis block of points."""
-    step, out = max(synthmod.SYNTH_BLOCK // 2, 1), np.empty(len(edges))
+    `edges` holds (p, q) rows of flat node indices of `grid`, taken
+    expr.BLOCK_ROWS // 2 a call, so a call has at most expr.BLOCK_ROWS points."""
+    axes, shape = grid.axes(), grid.shape()
+    step, out = max(exprmod.BLOCK_ROWS // 2, 1), np.empty(len(edges))
     for at in range(0, len(edges), step):
-        starts, ends = points[edges[at:at + step, 0]], points[edges[at:at + step, 1]]
+        starts, ends = (_coords(axes, shape, edges[at:at + step, k]) for k in (0, 1))
         mid, half, m = 0.5 * (starts + ends), 0.5 * (ends - starts), len(starts)
         off = half / np.sqrt(3.0)
         gv = evaluator(np.concatenate([mid - off, mid + off], axis=0))
@@ -275,31 +299,33 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
             f"witness not conservative: max curl residual {gate:.3e} > {tol_conservative:.1e} "
             f"at grid node {loc} (x = {pos}); a gauge field H with H ^ w = 0 would be needed"
         )
+    del gate_vals
 
-    points = witness.solution.points
-
+    cand = np.flatnonzero(mask)
     if anchor is None:
-        start = tuple(int(i) for i in np.argwhere(mask)[0])
-    else:
-        cand = np.argwhere(mask)
-        target = np.asarray(anchor, dtype=float)
-        pts = points[mask.reshape(-1)]  # the rows of cand, in the same C order
-        start = tuple(int(i) for i in cand[np.argmin(((pts - target) ** 2).sum(axis=1))])
+        first = cand[0]
+    else:  # the masked node nearest the anchor, the first of equals in C order
+        target, axes = np.asarray(anchor, dtype=float), grid.axes()
+        first = cand[np.argmin(np.concatenate([
+            ((_coords(axes, shape, cand[rows]) - target) ** 2).sum(axis=1)
+            for rows in block_rows(cand.size)]))]
+    start = tuple(int(i) for i in np.unravel_index(first, shape))
+    del cand
 
     # a spanning tree over masked nodes, one batched quadrature, then one
     # gather-add per layer: every parent was set by an earlier layer
-    layers, seen = _spanning_tree(mask, start)
+    edges, sizes, seen = _spanning_tree(mask, start)
     eta = np.full(mask.size, np.nan)
-    eta[np.ravel_multi_index(start, shape)] = 0.0
-    if layers:
-        increments = _edge_integrals(witness.evaluator, points, np.concatenate(layers))
-        done = 0
-        for parent, child in (layer.T for layer in layers):
-            eta[child] = eta[parent] + increments[done:done + child.size]
-            done += child.size
+    eta[first] = 0.0
+    increments, done = _edge_integrals(witness.evaluator, grid, edges), 0
+    for size in sizes:
+        parent, child = edges[done:done + size].T
+        eta[child] = eta[parent] + increments[done:done + size]
+        done += size
     eta = eta.reshape(shape)
+    del edges, increments
 
-    loop_max = _loop_check(witness.evaluator, grid, mask, points)
+    loop_max = _loop_check(witness.evaluator, grid, mask)
     if loop_max > 10.0 * tol_conservative:
         raise FrobeniusError(
             f"path dependence detected: rectangle loop integral {loop_max:.3e} "
@@ -313,10 +339,11 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
 
 def _spanning_tree(mask: np.ndarray, start: tuple) -> tuple:
     """Breadth-first spanning tree of the masked nodes reachable from `start`,
-    swept one frontier at a time: (layers, seen), each layer an (E, 2) array of
-    (parent, child) flat node indices.  A layer visits its nodes in discovery
-    order and each node's neighbours in (axis, +1/-1) order, and the first claim
-    on a node wins, so the edges and their order are a first-in-first-out queue
+    swept one frontier at a time: (edges, sizes, seen), edges an (E, 2) array
+    of (parent, child) flat node indices, layer by layer, and sizes the edge
+    count of each layer.  A layer visits its nodes in discovery order and each
+    node's neighbours in (axis, +1/-1) order, and the first claim on a node
+    wins, so the edges and their order are a first-in-first-out queue
     search's.  A False border around the mask keeps every neighbour in range."""
     shape = mask.shape
     padded = tuple(s + 2 for s in shape)
@@ -341,16 +368,18 @@ def _spanning_tree(mask: np.ndarray, start: tuple) -> tuple:
         children.append(frontier)
     inner = tuple(slice(1, -1) for _ in shape)
     seen = mask & ~open_.reshape(padded)[inner]
-    layers = []
-    if parents:
-        edges = np.stack([np.concatenate(parents), np.concatenate(children)], axis=1)
-        unpadded = np.stack(np.unravel_index(edges, padded)) - 1
-        flat = np.ravel_multi_index(tuple(unpadded), shape)
-        layers = np.split(flat, np.cumsum([len(c) for c in children])[:-1])
-    return layers, seen
+    sizes = [len(c) for c in children]
+    edges = np.empty((sum(sizes), 2), dtype=np.intp)
+    for column, part in zip(edges.T, (parents, children)):
+        column[:] = np.concatenate(part) if part else 0
+        part.clear()
+    for rows in block_rows(len(edges)):  # off the padded grid, a block at a time
+        edges[rows] = np.ravel_multi_index(
+            tuple(i - 1 for i in np.unravel_index(edges[rows], padded)), shape)
+    return edges, sizes, seen
 
 
-def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, points: np.ndarray) -> float:
+def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray) -> float:
     """Largest |loop integral| over up to 20 random masked grid rectangles."""
     rng = np.random.default_rng(404)
     shape = grid.shape()
@@ -372,7 +401,7 @@ def _loop_check(evaluator, grid: GridSpec, mask: np.ndarray, points: np.ndarray)
         path = _rect_unit_edges(shape, i0, ax1, d1, ax2, d2)
         if not flat_mask[path[:, 0]].all():  # each boundary node starts one edge
             continue
-        vals = _edge_integrals(evaluator, points, path)
+        vals = _edge_integrals(evaluator, grid, path)
         if not np.isfinite(vals).all():
             continue
         worst = max(worst, abs(float(vals.sum())))
@@ -396,8 +425,12 @@ def _rect_unit_edges(shape, i0, ax1, d1, ax2, d2):
 
 def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,
                     eta: np.ndarray) -> float:
-    """Max curl (minor kind) or divergence (divergence kind) of e^(-eta) w."""
-    sol = witness.solution
-    ok = interior(mask & np.isfinite(eta), 2)
-    vals = closure_residual(sol.w, eta, witness.kind, grid.spacing(), 4)[ok]
-    return max(0.0, float(np.nanmax(vals))) if vals.size else 0.0
+    """Max curl (minor kind) or divergence (divergence kind) of e^(-eta) w
+    where its stencil lies in the mask and eta is set; 0 for no such node."""
+    worst = 0.0
+    for rows, nodes, own in _windows(grid):
+        ok = interior(mask[rows] & np.isfinite(eta[rows]), 2)[own]
+        vals = closure_residual(witness.solution.w[nodes], eta[rows], witness.kind,
+                                grid.spacing(), 4)[own]
+        worst = np.fmax.reduce(vals[ok], initial=worst)  # NaN is skipped
+    return float(worst)

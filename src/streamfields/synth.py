@@ -429,11 +429,12 @@ def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolic
     return _solve(model, d, policy, points, tol, grid)[0]
 
 
-def block_rows(npts: int) -> list:
-    """Row slices of SYNTH_BLOCK rows that cover `npts` rows of a point set
-    in order; one slice, the whole (possibly empty) range, when npts <=
-    SYNTH_BLOCK.  A grid is cut by walk."""
-    return [slice(start, start + SYNTH_BLOCK) for start in range(0, max(npts, 1), SYNTH_BLOCK)]
+def block_rows(npts: int, size: int = 0) -> list:
+    """Row slices of `size` rows (SYNTH_BLOCK for 0) that cover `npts` rows
+    of a point set in order, the last one ending at npts; one slice, the
+    whole (possibly empty) range, when npts <= size.  A grid is cut by walk."""
+    size = size or SYNTH_BLOCK
+    return [slice(start, min(start + size, npts)) for start in range(0, max(npts, 1), size)]
 
 
 def walk(grid: GridSpec, workers: int, band: Callable[[list], None]) -> None:

@@ -25,11 +25,11 @@ seam between bands.
 The slab kinds (`slab_residuals`) share one such pass.  The residuals read
 no grid points; the verify.mask predicate is evaluated once on each node of a
 band, its values on the HALO rows slabs share carried like the synthesis's.
-Reductions are numpy sums in fixed index order over the whole residual, so
-reports are deterministic.  The codifferential residual hands central
-differences to `forms.codifferential` as coefficient gradients, so it
-applies the forms module's one sign table (`forms._wedge_sum`) and has none
-of its own.
+A report moves the kept residuals forward within the residual array, in
+index order, and reduces over them with numpy sums, so reports are
+deterministic.  The codifferential residual hands central differences to
+`forms.codifferential` as coefficient gradients, so it applies the forms
+module's one sign table (`forms._wedge_sum`) and has none of its own.
 The energy density e(Q) is a closed form for the built-in laws and one
 vectorized Gauss-Kronrod rule over the gaps between the distinct Q for a custom law.
 """
@@ -194,11 +194,16 @@ def closure_residual(w: np.ndarray, eta: np.ndarray, system: str, h, order: int)
 
 
 def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarray) -> ResidualReport:
-    keep = ~excluded & np.isfinite(residual)
-    n_keep = int(keep.sum())
+    """Norms of the finite residuals at nodes not excluded, moved forward in
+    order, a block at a time, into the first entries of `residual` (overwritten)."""
+    flat, excluded, n_keep = residual.reshape(-1), excluded.reshape(-1), 0
+    for rows in block_rows(flat.size):
+        kept = flat[rows][~excluded[rows] & np.isfinite(flat[rows])]
+        flat[n_keep:n_keep + kept.size] = kept
+        n_keep += kept.size
     if n_keep < 3:
         raise VerifyError(f"{kind}: fewer than 3 unmasked interior points")
-    vals = residual[keep]
+    vals = flat[:n_keep]
     max_norm = float(np.abs(vals, out=vals).max())
     return ResidualReport(
         kind=kind,

@@ -1104,10 +1104,10 @@ def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeyp
     kinds and with the whole-grid frobenius and exactness kinds: no solution
     of its finest grid is synthesized whole (cli.synthesize), and on one
     thread the slabs synthesize the finest nodes once each, in order, a
-    block at a time.  No level's points are built unless the exactness
-    kind's frobenius.mask reads them: verify.mask is evaluated on the nodes
-    each slab reads, and the residuals read no points.  A form is streamed
-    as a field is."""
+    block at a time.  No level's points are built: verify.mask is evaluated
+    on the nodes each slab reads, the exactness kind's frobenius.mask a
+    block of nodes at a time, and the residuals and witnesses read no
+    points.  A form is streamed as a field is."""
     from streamfields import synth as synthmod
 
     calls, points = _record_syntheses(monkeypatch)
@@ -1139,6 +1139,7 @@ def test_verify_study_synthesizes_only_its_finest_grid(tmp_path, capsys, monkeyp
         "residuals": ["frobenius", "exactness"],
         "mask": cfgmod.EXAMPLES["shallow-annulus-eta"]["frobenius"]["mask"]})))
     study("whole-grid", cfgmod.load_config(str(path)), "--config", str(path))
+    assert built == []
     capsys.readouterr()
     assert unread == 11
     # the nodes of the coarse levels that refine-l3 (verify --levels 3 on
@@ -1288,9 +1289,10 @@ def test_a_form_study_evaluates_no_coefficient_on_more_than_a_synthesis_block(
 
 
 def test_each_command_builds_a_solutions_points_once(tmp_path, capsys, monkeypatch):
-    """synth, singular, frobenius (witness, eta recovery and every CSV) and
-    forms (Gamma and both CSVs) read one points array, built on first read
-    from the synthesized grid."""
+    """synth, singular and frobenius (witness, eta recovery, the
+    frobenius.mask predicate and every CSV) build no array of every grid
+    point: blocks and CSV coordinate columns take their nodes from the grid.
+    forms builds one, for the Gamma witness, on the synthesized grid."""
     built = _record_points(monkeypatch)
     for name, spec in sorted(cfgmod.EXAMPLES.items()):
         grid = cfgmod.build_grid(cfgmod.example_config(name))
@@ -1298,8 +1300,29 @@ def test_each_command_builds_a_solutions_points_once(tmp_path, capsys, monkeypat
             built.clear()
             out = tmp_path / f"{command}-{name}"
             assert main([command, "--example", name, "--out", str(out)]) == 0, (name, command)
-            assert built == [grid], (name, command)
+            assert built == ([grid] if command == "forms" else []), (name, command)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cells, block", [((40, 30), 100), ((40, 30), 7), ((5, 6, 7), 50)])
+def test_table_coordinates_are_the_grid_points_byte_for_byte(tmp_path, monkeypatch, cells,
+                                                              block):
+    """_write_table's coordinate columns, built a CSV block at a time from
+    GridSpec.nodes, are the bytes of GridSpec.points()'s columns, across
+    block boundaries inside and between axis-0 rows."""
+    grid = GridSpec(tuple(-0.1 * (i + 1) for i in range(len(cells))),
+                    tuple(1.0 / 3.0 + i for i in range(len(cells))), cells)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    assert grid.npoints() % block and (grid.npoints() // grid.shape()[0]) % block
+    extra = [("k", "int", np.arange(grid.npoints()))]
+    cli._write_table(str(tmp_path), "table.csv", grid, extra)
+    pts = grid.points()
+    names = ["x1", "x2", "x3"][:grid.dim]
+    _write_csv(str(tmp_path / "points.csv"), names + ["k"],
+               [("float", pts[:, i]) for i in range(grid.dim)] + [("int", extra[0][2])])
+    got = (tmp_path / "table.csv").read_bytes()
+    assert got == (tmp_path / "points.csv").read_bytes()
+    assert got.count(b"\n") == grid.npoints() + 1
 
 
 # |a|^2 = |grad f|^2 exceeds 1, the bottom of extremal branch 2's image, only

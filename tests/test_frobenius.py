@@ -94,6 +94,7 @@ def test_2d_scalar_reduction_is_exact(rng):
     """In two dimensions the least-squares witness collapses to the closed
     form g = laplacian(f) * grad(f) / xi; both paths agree to rounding."""
     from streamfields import drive_batch
+    from streamfields.frobenius import _core
 
     d = scalar_drive("sin(x1)*x2^2 + exp(x1/2)")
     m = extremal()
@@ -103,9 +104,11 @@ def test_2d_scalar_reduction_is_exact(rng):
     batch = drive_batch(d, pts)
     grad_f = np.stack([batch.a[:, 1], -batch.a[:, 0]], axis=1)
     g = batch.laplacian_f[:, None] * grad_f / batch.xi[:, None]
-    # G1 = -g is the drive-level piece before the density correction
+    # _core's g is the drive-level piece before the density correction
+    core = _core("minor", sol, batch)
     ok = wit.defined
-    np.testing.assert_allclose(wit.G1[ok], -g[ok], rtol=0, atol=1e-12)
+    assert ok.sum() > 150 and np.array_equal(core.defined, ok)
+    np.testing.assert_allclose(core.g[ok], g[ok], rtol=0, atol=1e-12)
 
 
 def test_born_infeld_fundamental_witness_closed_form(rng):
@@ -209,7 +212,7 @@ def test_recover_eta_deterministic():
     assert r1.curl_gate == r2.curl_gate and r1.loop_max == r2.loop_max
 
 
-WITNESS_ARRAYS = ("G", "G1", "defining_residual", "solvability_residual", "curl_residual",
+WITNESS_ARRAYS = ("G", "defining_residual", "solvability_residual", "curl_residual",
                   "defined")
 
 
@@ -220,20 +223,28 @@ def _assert_same_witness(got, want):
 
 
 def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypatch):
-    """The field, the witness and the Gauss points of eta recovery go through
-    in blocks of synth.SYNTH_BLOCK points; blocks of 7 points, and of 1, 2
-    and 7 grid rows, change no bit of the witness, its curl residual or eta,
-    on the 64^2 annulus (minor kind) and a 10^3-cell grid (divergence kind)."""
-    from streamfields import synth as synthmod
+    """The field goes through in blocks of synth.SYNTH_BLOCK points, and the
+    witness and the Gauss points of eta recovery in blocks of expr.BLOCK_ROWS
+    points; blocks of 7 points, and of 1, 2 and 7 grid rows, change no bit
+    of the witness, its curl residual or eta, on the 64^2 annulus (minor
+    kind) and a 10^3-cell grid (divergence kind).  The witness is _core's G
+    of one whole-grid drive batch."""
+    from streamfields import drive_batch, expr, synth as synthmod
+    from streamfields.frobenius import _core
 
-    whole = synthmod.SYNTH_BLOCK
+    whole, jets = synthmod.SYNTH_BLOCK, expr.BLOCK_ROWS
     for build, tol in ((lambda: annulus_witness(cells=64), 1e-6), (_bi_witness_3d, 1e-3)):
         monkeypatch.setattr(synthmod, "SYNTH_BLOCK", whole)
+        monkeypatch.setattr(expr, "BLOCK_ROWS", jets)
         wit, g, mask = build()
         want = recover_eta(wit, mask=mask, tol_conservative=tol)
+        core = _core(wit.kind, wit.solution, drive_batch(wit.solution.drive, g.points()))
+        assert core.G.tobytes() == wit.G.tobytes()
+        assert wit.defined.any() and np.isfinite(core.g[wit.defined]).all()
         row = g.npoints() // g.shape()[0]
         for block in (7, row, 2 * row, 7 * row):
             monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
+            monkeypatch.setattr(expr, "BLOCK_ROWS", block)
             bwit, _, _ = build()
             assert bwit.solution.w.tobytes() == wit.solution.w.tobytes()
             got = recover_eta(bwit, mask=mask, tol_conservative=tol)
@@ -243,17 +254,46 @@ def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypat
             assert (got.anchor, got.unreached) == (want.anchor, want.unreached)
             assert (got.curl_gate, got.loop_max, got.post_residual) == \
                 (want.curl_gate, want.loop_max, want.post_residual)
-        assert wit.defined.any() and not np.isnan(wit.G1[wit.defined]).any()
+
+
+def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
+    """curl_residual_grid and _post_exactness run on synth.walk's slabs of
+    1, 2 and 7 rows with 2 halo rows, and give whole-grid curl_max of G and
+    the maximum of whole-grid closure_residual of e^(-eta) w over the nodes
+    with a full stencil inside the mask, bit for bit, on the 64^2 annulus
+    (minor kind) and a 10^3-cell grid (divergence kind)."""
+    from streamfields import frobenius as frobmod, synth as synthmod
+    from streamfields.verify import closure_residual, curl_max, interior
+
+    for build, tol in ((lambda: annulus_witness(cells=64), 1e-6), (_bi_witness_3d, 1e-3)):
+        wit, g, mask = build()
+        rec = recover_eta(wit, mask=mask, tol_conservative=tol)
+        shape, h = g.shape(), g.spacing()
+        with np.errstate(all="ignore"):
+            curl = curl_max([wit.G[:, k].reshape(shape) for k in range(g.dim)], h, 4)
+            vals = closure_residual(wit.solution.w, rec.eta, wit.kind, h, 4)
+        vals = vals[interior(rec.mask & np.isfinite(rec.eta), 2)]
+        post = max(0.0, float(np.nanmax(vals))) if vals.size else 0.0
+        assert vals.size > 100 and post == rec.post_residual > 0.0
+        row = g.npoints() // shape[0]
+        for height in (1, 2, 7):
+            monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
+            windows = list(frobmod._windows(g))
+            assert len(windows) == -(-shape[0] // height)
+            assert curl_residual_grid(wit).tobytes() == curl.tobytes(), height
+            assert frobmod._post_exactness(wit, g, rec.mask, rec.eta) == post, height
 
 
 def test_no_witness_drive_batch_takes_more_than_a_synthesis_block(monkeypatch):
     """_build, minor_defect_with and the eta evaluator hand drive_batch at
-    most synth.SYNTH_BLOCK points a call."""
-    from streamfields import frobenius as frobmod, synth as synthmod
+    most expr.BLOCK_ROWS points a call, the jets' own pass size, which is
+    less than a synthesis block."""
+    from streamfields import expr, frobenius as frobmod, synth as synthmod
 
+    assert expr.BLOCK_ROWS < synthmod.SYNTH_BLOCK
     whole, _, mask = annulus_witness(cells=48)
     sol = whole.solution
-    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 300)
+    monkeypatch.setattr(expr, "BLOCK_ROWS", 300)
     sizes = []
     for module in (synthmod, frobmod):
         def counted(d, points, order=2, real=module.drive_batch):
@@ -269,18 +309,18 @@ def test_no_witness_drive_batch_takes_more_than_a_synthesis_block(monkeypatch):
 
 
 def test_edge_integrals_in_blocks_are_one_whole_array_call_bit_for_bit(monkeypatch):
-    """_edge_integrals walks its edges in blocks of SYNTH_BLOCK // 2, so no
-    evaluator call takes more than a synthesis block of Gauss points (two
-    for a block of one), and the integrals are those of one evaluator call
-    on every Gauss point, bit for bit."""
-    from streamfields import synth as synthmod
+    """_edge_integrals walks its edges in blocks of expr.BLOCK_ROWS // 2, so
+    no evaluator call takes more than expr.BLOCK_ROWS Gauss points (two for
+    a block of one), and the integrals, with end points from the grid axes,
+    are those of one evaluator call on every Gauss point of the edges' rows
+    of GridSpec.points(), bit for bit."""
+    from streamfields import expr
     from streamfields.frobenius import _edge_integrals, _spanning_tree
 
     wit, g, mask = annulus_witness(cells=24)
     mask &= wit.defined.reshape(mask.shape)
-    layers, _ = _spanning_tree(mask, tuple(int(i) for i in np.argwhere(mask)[0]))
-    edges, points = np.concatenate(layers), wit.solution.points
-    seg = points[edges]
+    edges, _, _ = _spanning_tree(mask, tuple(int(i) for i in np.argwhere(mask)[0]))
+    seg = g.points()[edges]
     starts, ends = seg[:, 0], seg[:, 1]
     mid, half = 0.5 * (starts + ends), 0.5 * (ends - starts)
     off = half / np.sqrt(3.0)
@@ -288,14 +328,14 @@ def test_edge_integrals_in_blocks_are_one_whole_array_call_bit_for_bit(monkeypat
     want = np.einsum("ei,ei->e", gv[:len(edges)] + gv[len(edges):], half)
     assert len(edges) > 100 and np.isfinite(want).all()
     for block in (1, 7, 64):
-        monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
+        monkeypatch.setattr(expr, "BLOCK_ROWS", block)
         calls = []
 
         def evaluator(qpts):
             calls.append(len(qpts))
             return wit.evaluator(qpts)
 
-        got = _edge_integrals(evaluator, points, edges)
+        got = _edge_integrals(evaluator, g, edges)
         assert got.tobytes() == want.tobytes(), block
         assert max(calls) <= max(block, 2) and sum(calls) == 2 * len(edges)
 
@@ -457,7 +497,7 @@ def _oracle_eta(witness, rec):
     eta[rec.anchor] = 0.0
     flat_eta = eta.reshape(-1)
     if len(edges):
-        increments = _edge_integrals(witness.evaluator, witness.solution.grid.points(), edges)
+        increments = _edge_integrals(witness.evaluator, witness.solution.grid, edges)
         for (p, q), inc in zip(edges, increments):
             flat_eta[q] = flat_eta[p] + inc
     return eta, int((rec.mask & ~seen).sum())
@@ -489,13 +529,13 @@ def test_spanning_tree_is_the_queue_search_tree_edge_for_edge(shape):
         for start in (cand[0], cand[len(cand) // 2], cand[-1]):
             start = tuple(int(i) for i in start)
             want, want_seen = _oracle_tree(mask, start)
-            layers, seen = _spanning_tree(mask, start)
-            got = np.concatenate(layers) if layers else np.zeros((0, 2), dtype=np.intp)
+            got, sizes, seen = _spanning_tree(mask, start)
+            assert got.shape == want.shape and sum(sizes) == len(got)
             assert np.array_equal(got, want)
             assert np.array_equal(seen, want_seen)
             # every parent of a layer was reached before that layer
             reached = {np.ravel_multi_index(start, shape)}
-            for layer in layers:
+            for layer in np.split(got, np.cumsum(sizes)[:-1]):
                 assert set(layer[:, 0].tolist()) <= reached
                 reached |= set(layer[:, 1].tolist())
 
