@@ -63,12 +63,12 @@ def main() -> None:
     # off the finest one
     finest = synthesize(model, d, policy, grids[-1])
     print("divergence residual outside r = 1.35:")
+    far = lambda p: np.sqrt((p ** 2).sum(axis=1)) > 1.35  # noqa: E731 (the far field)
     levels = []
     for g in grids:
         sol = level(finest, g)
-        r = np.sqrt((sol.points ** 2).sum(axis=1))
         try:
-            rep = divergence_residual(sol, extra_bad=r <= 1.35)  # keep the far field
+            rep = divergence_residual(sol, mask=far)
         except VerifyError as exc:
             ap.error(f"--base {args.base} is too coarse for the far-field residual: {exc}")
         levels.append((g.spacing()[0], rep.max_norm))

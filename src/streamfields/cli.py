@@ -672,12 +672,12 @@ def cmd_verify(args) -> int:
         # the finest Synthesis or its copy: the energy reads only the grid
         # and the synthesis settings
         sol = sol_on(grids[-1])
-        energy_value = verifymod.energy(sol.model, sol, mask=mask_pred)
+        energy_value = verifymod.energy(sol, mask=mask_pred)
 
     threshold = vs["threshold"]
     breached = [r for r in reports if not (np.isfinite(r.max_norm) and r.max_norm < threshold)]
     _write_json(os.path.join(out, "report.json"), {
-        "reports": [r.to_json_dict() for r in reports],
+        "reports": [dataclasses.asdict(r) for r in reports],
         "energy": energy_value,
         "threshold": threshold,
         "passed": not breached,

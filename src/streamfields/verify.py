@@ -9,8 +9,9 @@ A stencil writes its differences into its output slice and divides there,
 and divergence and curl accumulate in place, in the terms' order; rho w is
 built one contiguous component at a time.
 The mask is exactly the union of singular flags (nonphysical-branch markers
-are informational, not singular) and every residual's `extra_bad` nodes,
-dilated by one stencil width, plus the boundary.
+are informational, not singular), the nodes a kernel leaves undefined and the
+nodes the verify.mask predicate excludes, dilated by one stencil width, plus
+the boundary.
 Every residual kind runs its kernels on the slabs of axis-0 rows that
 synth.walk cuts a grid into, of about SYNTH_BLOCK nodes each, walked in
 order within one band of rows per thread (`_slabs`): a slab reads HALO rows
@@ -72,57 +73,27 @@ class ResidualReport:
     order: Optional[float] = None
     at_floor: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "h": self.h,
-            "max_norm": self.max_norm,
-            "l2_norm": self.l2_norm,
-            "masked_fraction": self.masked_fraction,
-            "order": self.order,
-            "convergence": [list(lv) for lv in self.convergence] if self.convergence else None,
-            "at_floor": self.at_floor,
-        }
-
-
-def _dilate(mask: np.ndarray, width: int) -> np.ndarray:
-    """Grow the excluded set by `width` nodes along each axis."""
-    out = mask.copy()
-    for axis in range(mask.ndim):
-        for step in range(1, width + 1):
-            for sgn in (1, -1):
-                rolled = np.roll(mask, sgn * step, axis=axis)
-                sl = [slice(None)] * mask.ndim
-                sl[axis] = slice(0, step) if sgn > 0 else slice(-step, None)
-                rolled[tuple(sl)] = False
-                out |= rolled
-    return out
-
-
-def _border(shape, width: int) -> np.ndarray:
-    out = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[axis] = slice(0, width)
-        out[tuple(sl)] = True
-        sl[axis] = slice(-width, None)
-        out[tuple(sl)] = True
-    return out
-
 
 def interior(ok: np.ndarray, width: int) -> np.ndarray:
     """Nodes of `ok` whose neighbors up to `width` steps along every axis are
-    on the grid and in `ok`: where a central stencil of that half-width is clean."""
-    return ~(_dilate(~ok, width) | _border(ok.shape, width))
+    on the grid and in `ok`: where a central stencil of that half-width is clean
+    (~ok, padded with True off the grid, shifted up to `width` steps per axis)."""
+    bad = np.pad(~ok, width, constant_values=True)
+    inner = [slice(width, width + n) for n in ok.shape]
+    out = ~ok
+    for axis, n in enumerate(ok.shape):
+        for step in range(2 * width + 1):
+            if step != width:
+                out |= bad[(*inner[:axis], slice(step, step + n), *inner[axis + 1:])]
+    return ~out
 
 
-def _excluded(solution, shape: tuple, *extra_bad: Optional[np.ndarray]) -> np.ndarray:
-    flagged = (solution.flags & MASK_BITS) != 0
-    bad = flagged | ~solution.defined
-    for extra in extra_bad:
+def _excluded(solution, shape: tuple, *bad: Optional[np.ndarray]) -> np.ndarray:
+    out = ((solution.flags & MASK_BITS) != 0) | ~solution.defined
+    for extra in bad:
         if extra is not None:
-            bad |= extra
-    return ~interior(~bad.reshape(shape), 1)
+            out |= extra
+    return ~interior(~out.reshape(shape), 1)
 
 
 def stencil(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
@@ -264,8 +235,7 @@ def _mask_reader(mask: Callable, grid: GridSpec, row: int) -> Callable[[int, int
     return rows
 
 
-def _slabs(source, kernels: Sequence[Callable], workers: int,
-           extra_bad: Optional[np.ndarray] = None, mask: Optional[Callable] = None,
+def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Callable] = None,
            visit: Optional[Callable] = None) -> list:
     """(residual, excluded) grid arrays of each kernel over slabs of axis-0
     rows of `source`, a FieldSolution or a Synthesis (see _reader).
@@ -281,9 +251,9 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
     or worker count (with no kernel, no HALO rows).  A band reads a Synthesis
     window by window, carrying the 2 HALO rows consecutive windows share, so
     a node is synthesized once, or twice within HALO rows of a seam between
-    bands.  extra_bad (grid nodes) and the predicate `mask` (False where a
-    node is excluded, as verify.mask, carried the same way) add to each
-    mask.  visit(top, end, part) sees every slab's own rows as `part`."""
+    bands.  The predicate `mask` (False where a node is excluded, as
+    verify.mask, carried the same way) adds to each mask.
+    visit(top, end, part) sees every slab's own rows as `part`."""
     grid = _grid_of(source)
     shape = grid.shape()
     row = math.prod(shape[1:])
@@ -294,12 +264,11 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
         lo, hi = max(top - halo, 0), min(end + halo, shape[0])
         nodes, sub = slice(lo * row, hi * row), (hi - lo,) + shape[1:]
         part, own = rows(lo, hi), slice(top - lo, end - lo)
-        extra = None if extra_bad is None else extra_bad[nodes]
         masked = None if kept is None else ~kept(lo, hi)
         for kernel, (residual, excluded) in zip(kernels, outs):
             values, bad = kernel(part, nodes, sub)
             residual[top:end] = values[own]
-            excluded[top:end] = _excluded(part, sub, bad, extra, masked)[own]
+            excluded[top:end] = _excluded(part, sub, bad, masked)[own]
         if visit is not None:
             visit(top, end, part.restricted(slice((top - lo) * row, (end - lo) * row)))
 
@@ -315,15 +284,14 @@ def _slabs(source, kernels: Sequence[Callable], workers: int,
     return outs
 
 
-def _rho_w(solution: FieldSolution, model: Optional[DensityModel], shape: tuple) -> list:
+def _rho_w(solution: FieldSolution, shape: tuple) -> list:
     """Grid components of rho(Q) w."""
-    model = model or solution.model
     with np.errstate(all="ignore"):
-        rho = model.rho(solution.Q)
+        rho = solution.model.rho(solution.Q)
         return [(rho * solution.w[:, i]).reshape(shape) for i in range(len(shape))]
 
 
-def _codifferential_kernel(h, model=None) -> Callable:
+def _codifferential_kernel(h) -> Callable:
     def kernel(part, nodes, shape):
         omega, rho_c = omega_values(part), part.model.rho(part.Q)
         with np.errstate(all="ignore"):
@@ -341,26 +309,24 @@ def _codifferential_kernel(h, model=None) -> Callable:
 
 
 # The residual kinds whose kernel reads only its own slab of the solution:
-# kind -> (report kind, kernel(h, model) for grid spacing h and an optional
-# density model that replaces the solution's).
+# kind -> (report kind, kernel(h) for grid spacing h).
 SLAB_KINDS = {
-    "divergence": ("DivergenceOfRhoW", lambda h, model: lambda part, nodes, shape: (
-        divergence(_rho_w(part, model, shape), h, ORDER), None)),
-    "minor": ("MinorSystemOfRhoW", lambda h, model: lambda part, nodes, shape: (
-        curl_max(_rho_w(part, model, shape), h, ORDER), None)),
+    "divergence": ("DivergenceOfRhoW", lambda h: lambda part, nodes, shape: (
+        divergence(_rho_w(part, shape), h, ORDER), None)),
+    "minor": ("MinorSystemOfRhoW", lambda h: lambda part, nodes, shape: (
+        curl_max(_rho_w(part, shape), h, ORDER), None)),
     "codifferential": ("CodifferentialDefect", _codifferential_kernel),
 }
 
 
 def _residual(kind: str, solution: FieldSolution, kernel: Callable, workers: int,
-              extra_bad: Optional[np.ndarray], mask: Optional[Callable]) -> ResidualReport:
-    (residual, excluded), = _slabs(solution, [kernel], workers, extra_bad, mask)
+              mask: Optional[Callable]) -> ResidualReport:
+    (residual, excluded), = _slabs(solution, [kernel], workers, mask)
     return _report(kind, _grid_of(solution), residual, excluded)
 
 
-def slab_residuals(source, kinds: Sequence[str], workers: int,
-                   extra_bad: Optional[np.ndarray] = None, model: Optional[DensityModel] = None,
-                   mask: Optional[Callable] = None, visit: Optional[Callable] = None) -> dict:
+def slab_residuals(source, kinds: Sequence[str], workers: int, mask: Optional[Callable] = None,
+                   visit: Optional[Callable] = None) -> dict:
     """kind -> a callable that returns its ResidualReport on source.grid, for
     every SLAB_KINDS kind of `kinds`, from one pass of _slabs over `source`, a
     FieldSolution or a Synthesis, which is then synthesized slab by slab and
@@ -368,37 +334,32 @@ def slab_residuals(source, kinds: Sequence[str], workers: int,
     when called."""
     grid = _grid_of(source)
     named = [SLAB_KINDS[kind] for kind in kinds]
-    outs = _slabs(source, [kernel(grid.spacing(), model) for _, kernel in named], workers,
-                  extra_bad, mask, visit)
+    outs = _slabs(source, [kernel(grid.spacing()) for _, kernel in named], workers, mask, visit)
     return {kind: functools.partial(_report, name, grid, *out)
             for kind, (name, _), out in zip(kinds, named, outs)}
 
 
-def divergence_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                        extra_bad: Optional[np.ndarray] = None, workers: int = 1,
+def divergence_residual(solution: FieldSolution, *, workers: int = 1,
                         mask: Optional[Callable] = None) -> ResidualReport:
-    """Central-difference divergence of rho(Q) w."""
-    return slab_residuals(solution, ["divergence"], workers, extra_bad, model, mask)["divergence"]()
+    """Central-difference divergence of rho(Q) w, rho the solution's model."""
+    return slab_residuals(solution, ["divergence"], workers, mask)["divergence"]()
 
 
-def minor_residual(solution: FieldSolution, model: Optional[DensityModel] = None,
-                   extra_bad: Optional[np.ndarray] = None, workers: int = 1,
+def minor_residual(solution: FieldSolution, *, workers: int = 1,
                    mask: Optional[Callable] = None) -> ResidualReport:
     """Max 2x2 minor |d_i(rho w_j) - d_j(rho w_i)| by central differences."""
-    return slab_residuals(solution, ["minor"], workers, extra_bad, model, mask)["minor"]()
+    return slab_residuals(solution, ["minor"], workers, mask)["minor"]()
 
 
-def codifferential_residual(fsol: FieldSolution, *, extra_bad: Optional[np.ndarray] = None,
-                            workers: int = 1, mask: Optional[Callable] = None) -> ResidualReport:
+def codifferential_residual(fsol: FieldSolution, *, workers: int = 1,
+                            mask: Optional[Callable] = None) -> ResidualReport:
     """Codifferential of rho(Q) omega, coefficientwise, for a form synthesis:
     forms.codifferential with central-difference coefficient gradients."""
-    return slab_residuals(fsol, ["codifferential"], workers, extra_bad,
-                          mask=mask)["codifferential"]()
+    return slab_residuals(fsol, ["codifferential"], workers, mask)["codifferential"]()
 
 
-def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
-                       extra_bad: Optional[np.ndarray] = None, workers: int = 1,
-                       mask: Optional[Callable] = None) -> ResidualReport:
+def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness, *,
+                       workers: int = 1, mask: Optional[Callable] = None) -> ResidualReport:
     """Frobenius defect with finite-difference derivatives of w and the
     witness's G: minor systems compare curls, divergence systems divergences."""
     h = _grid_of(solution).spacing()
@@ -419,12 +380,11 @@ def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness,
                                - np.einsum("ni,ni->n", G, w).reshape(shape))
         return worst, ~witness.defined[nodes]
 
-    return _residual("FrobeniusDefect", solution, kernel, workers, extra_bad, mask)
+    return _residual("FrobeniusDefect", solution, kernel, workers, mask)
 
 
-def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "minor",
-                       extra_bad: Optional[np.ndarray] = None, workers: int = 1,
-                       mask: Optional[Callable] = None) -> ResidualReport:
+def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "minor", *,
+                       workers: int = 1, mask: Optional[Callable] = None) -> ResidualReport:
     """Closure of the rescaled field: curl of e^(-eta) w for minor systems,
     divergence of e^(-eta) w for divergence systems."""
     grid = _grid_of(solution)
@@ -436,7 +396,7 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "
         return (closure_residual(part.w, eta_part.reshape(shape), system, h, ORDER),
                 ~np.isfinite(eta_part))
 
-    return _residual("ExactnessDefect", solution, kernel, workers, extra_bad, mask)
+    return _residual("ExactnessDefect", solution, kernel, workers, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +511,19 @@ def energy_density(model: DensityModel, Q: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy(model: DensityModel, solution,
-           mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
+def energy(solution, mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """Midpoint quadrature of e(Q) over cells; the field is re-synthesized at
     cell centers, at most SYNTH_BLOCK centers a call, and cells whose center
     is flagged or excluded contribute 0.  Only the grid and the synthesis
-    settings of `solution`, a FieldSolution or a Synthesis, are read.  A
-    non-finite e(Q) is refused, naming the gap of Q where rho is undefined."""
-    grid = _grid_of(solution)
+    settings of `solution` (its model among them), a FieldSolution or a
+    Synthesis, are read.  A non-finite e(Q) is refused, naming the gap of Q
+    where rho is undefined."""
+    grid, model = _grid_of(solution), solution.model
     mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()), indexing="ij")
     centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
     kept = []
     for rows in block_rows(len(centers)):
-        cs = synthesize_at_points(solution.model, solution.drive, solution.policy,
+        cs = synthesize_at_points(model, solution.drive, solution.policy,
                                   centers[rows], tol=solution.tol)
         keep = ((cs.flags & MASK_BITS) == 0) & (cs.branch_id != 0) & np.isfinite(cs.Q)
         if mask is not None:

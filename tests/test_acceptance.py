@@ -336,9 +336,8 @@ def test_criterion_08_residual_convergence_all_examples():
 
             def make(grid):
                 sol = synthesize(model, drive, policy, grid, tol=tol)
-                extra = None if pred is None else ~pred(grid.points())
                 fn = divergence_residual if kinds[0] == "divergence" else minor_residual
-                return fn(sol, extra_bad=extra)
+                return fn(sol, mask=pred)
 
             grids = [GridSpec(base.lo, base.hi, tuple(c * 2 ** i for c in cells))
                      for i in range(3)]

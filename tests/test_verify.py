@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -91,7 +93,7 @@ def test_unit_density_minor_is_exactly_zero_and_energy_half():
     rep = minor_residual(sol)
     assert rep.max_norm == 0.0
     # e(Q) = Q/2 at unit density and Q = 1 on the whole box
-    assert abs(energy(model, sol) - 0.5) < 1e-13
+    assert abs(energy(sol) - 0.5) < 1e-13
 
 
 def test_divergence_order_two_for_curved_drive():
@@ -106,6 +108,31 @@ def test_divergence_order_two_for_curved_drive():
     assert not rep.at_floor
     assert 1.7 < rep.order < 2.2
     assert rep.convergence[0][1] > rep.convergence[-1][1]
+
+
+def test_a_wrong_density_does_not_converge_on_the_caustic_example():
+    """Negative control: the caustic-tau1 field checked against caustic(1.01),
+    passed as replace(sol, model=...), keeps a residual above 1 that does not
+    fall under refinement, while the true density's falls at second order.
+    The example's 1e-8 threshold separates neither: both breach it."""
+    from streamfields import config as cfgmod
+
+    cfg = cfgmod.example_config("caustic-tau1")
+    base = cfgmod.build_grid(cfg)
+    model, d = cfgmod.build_model(cfg), cfgmod.build_drive(cfg)
+    policy, tol = cfgmod.build_policy(cfg, base.dim), cfgmod.build_tol(cfg)
+    true, wrong = [], []
+    for factor in (1, 2, 4):  # 64^2, 128^2 and 256^2 cells
+        grid = GridSpec(base.lo, base.hi, tuple(c * factor for c in base.cells))
+        sol = synthesize(model, d, policy, grid, tol=tol)
+        true.append((grid.spacing()[0], divergence_residual(sol).max_norm))
+        off = dataclasses.replace(sol, model=caustic(1.01))
+        wrong.append((grid.spacing()[0], divergence_residual(off).max_norm))
+    wrong_norms = [m for _, m in wrong]
+    assert min(wrong_norms) > 1.0 and wrong_norms == sorted(wrong_norms)
+    order, at_floor = fit_order(true)
+    assert not at_floor and 1.8 < order < 2.2
+    assert true[-1][1] > cfgmod.verify_section(cfg)["threshold"]
 
 
 def test_minor_order_two_on_born_infeld_shell():
@@ -239,7 +266,7 @@ def test_energy_rho_calls_do_not_grow_with_the_grid(monkeypatch):
             sol = synthesize(model, d, prefer_type1(), GridSpec((0, 0), (1, 1), (cells, cells)))
             calls.clear()
             points.clear()
-            energy(model, sol)
+            energy(sol)
             per_grid.append(len(calls))
             centres = cells * cells
             # the centre synthesis reads rho twice at each centre; GK15 reads
@@ -257,7 +284,7 @@ def test_energy_against_scipy_double_integral():
     d = shallow_vortex(1.0)
     grid = GridSpec((-0.5, -0.5), (0.5, 0.5), (64, 64))
     sol = synthesize(model, d, prefer_type1(), grid)
-    got = energy(model, sol)
+    got = energy(sol)
 
     b1 = model.branches()[0]
 
@@ -276,11 +303,11 @@ def test_energy_against_scipy_double_integral():
 
 def test_energy_mask_and_domain_guard():
     model, sol, grid = vortex_solution(cells=32, lim=0.7)
-    full = energy(model, sol)
-    half = energy(model, sol, mask=lambda pts: pts[:, 0] > 0.0)
+    full = energy(sol)
+    half = energy(sol, mask=lambda pts: pts[:, 0] > 0.0)
     assert 0.0 < half < full
     with pytest.raises(VerifyError):
-        energy(model, sol, mask=lambda pts: np.zeros(pts.shape[0], dtype=bool))
+        energy(sol, mask=lambda pts: np.zeros(pts.shape[0], dtype=bool))
 
 
 def test_energy_synthesizes_the_cell_centres_in_blocks(monkeypatch):
@@ -294,7 +321,7 @@ def test_energy_synthesizes_the_cell_centres_in_blocks(monkeypatch):
     cases.append((model, synthesize(model, gradient_drive(2, "0.1*(x1^2 + x2^2)"),
                                     prefer_type1(), GridSpec((0, 0), (1, 1), (24, 24)))))
     half = lambda pts: pts[:, 0] + pts[:, 1] > 0.3  # noqa: E731
-    whole = [energy(model, sol, mask=m) for model, sol in cases for m in (None, half)]
+    whole = [energy(sol, mask=m) for _, sol in cases for m in (None, half)]
     sizes = []
     synthesize_at_points = verifymod.synthesize_at_points
 
@@ -304,7 +331,7 @@ def test_energy_synthesizes_the_cell_centres_in_blocks(monkeypatch):
 
     monkeypatch.setattr(verifymod, "synthesize_at_points", recorded)
     monkeypatch.setattr(synth, "SYNTH_BLOCK", 100)
-    blocked = [energy(model, sol, mask=m) for model, sol in cases for m in (None, half)]
+    blocked = [energy(sol, mask=m) for _, sol in cases for m in (None, half)]
     assert np.array(blocked).view(np.int64).tolist() == np.array(whole).view(np.int64).tolist()
     assert max(sizes) == 100 and sum(sizes) == 4 * 24 * 24
 
@@ -321,7 +348,7 @@ def test_all_masked_raises():
 def test_report_json_round_trip():
     model, sol, grid = vortex_solution(cells=32)
     rep = divergence_residual(sol)
-    d = rep.to_json_dict()
+    d = dataclasses.asdict(rep)
     assert set(d) == {"kind", "h", "max_norm", "l2_norm", "masked_fraction", "order",
                       "convergence", "at_floor"}
     assert (d["convergence"], d["at_floor"]) == (None, False)  # one grid, no study
@@ -487,7 +514,7 @@ def test_rho_w_by_contiguous_components_is_the_old_product(cells):
     with np.errstate(all="ignore"):
         u = model.rho(sol.Q)[:, None] * sol.w
     want = [u[:, i].reshape(grid.shape()) for i in range(dim)]
-    got = _rho_w(sol, None, grid.shape())
+    got = _rho_w(sol, grid.shape())
     assert len(got) == dim
     for g, w in zip(got, want):
         assert g.flags.c_contiguous
@@ -498,7 +525,7 @@ def test_rho_w_by_contiguous_components_is_the_old_product(cells):
 # residuals in row slabs against the kernels run on the whole grid
 
 
-def _whole_grid_residual(kind, sol, extra_bad, witness=None, eta=None):
+def _whole_grid_residual(kind, sol, extra, witness=None, eta=None):
     """(residual, excluded) of one kind from the finite-difference kernels on
     the whole grid at once, as the residual bodies computed them before slabs."""
     from streamfields.verify import (_excluded, _rho_w, closure_residual, curl_max, curls,
@@ -509,9 +536,9 @@ def _whole_grid_residual(kind, sol, extra_bad, witness=None, eta=None):
     bad = None
     with np.errstate(all="ignore"):
         if kind == "divergence":
-            res = divergence(_rho_w(sol, None, shape), h, 2)
+            res = divergence(_rho_w(sol, shape), h, 2)
         elif kind == "minor":
-            res = curl_max(_rho_w(sol, None, shape), h, 2)
+            res = curl_max(_rho_w(sol, shape), h, 2)
         elif kind == "frobenius":
             G, w = witness.G, sol.w
             comps = [w[:, i].reshape(shape) for i in range(grid.dim)]
@@ -540,7 +567,7 @@ def _whole_grid_residual(kind, sol, extra_bad, witness=None, eta=None):
             res = np.zeros(shape)
             for vals in delta.coeffs.values():
                 res = np.maximum(res, np.abs(vals.reshape(shape)))
-    return res, _excluded(sol, shape, bad, extra_bad)
+    return res, _excluded(sol, shape, bad, extra)
 
 
 # (drive, density, policy, box, cells, stream form); the frobenius witness is
@@ -559,8 +586,8 @@ SLAB_CASES = {
 
 
 def _holed(sol, rng, edges, row):
-    """Plant NaN rows in w, singular flags and extra_bad nodes at random and
-    on the rows either side of every slab edge in `edges`."""
+    """Plant NaN rows in w, singular flags and excluded nodes (returned) at
+    random and on the rows either side of every slab edge in `edges`."""
     n = sol.w.shape[0]
     near = np.zeros(n, dtype=bool)
     for r in edges:
@@ -571,12 +598,23 @@ def _holed(sol, rng, edges, row):
     return (rng.random(n) < 0.02) | (near & (rng.random(n) < 0.5))
 
 
+def _node_mask(grid, excluded):
+    """The verify.mask predicate that is False on the grid nodes `excluded`:
+    each point's node is rint((p - lo) / h)."""
+    lo, h = np.asarray(grid.lo), grid.spacing()
+
+    def mask(points):
+        nodes = np.rint((points - lo) / h).astype(np.intp)
+        return ~excluded[np.ravel_multi_index(tuple(nodes.T), grid.shape())]
+    return mask
+
+
 @pytest.mark.parametrize("case", sorted(SLAB_CASES))
 def test_residual_slabs_are_the_whole_grid_residual_bit_for_bit(monkeypatch, case):
     """Every residual kind, with slabs of 1, 2 and 7 rows on one and two
     workers: the residual and the mask the driver hands _report are the
     whole-grid kernels' byte for byte, and so is the report, with NaN holes,
-    flagged points and extra_bad nodes on the slab edges."""
+    flagged points and nodes the mask predicate excludes on the slab edges."""
     from streamfields import frobenius as frobmod, synth as synthmod
     from streamfields import verify as verifymod
 
@@ -592,18 +630,18 @@ def test_residual_slabs_are_the_whole_grid_residual_bit_for_bit(monkeypatch, cas
     edges = [r for height in (2, 7) for r in range(height, shape[0], height)]
     extra = _holed(sol, rng, edges, row)
     form_extra = _holed(fsol, rng, edges, row)
+    keep, form_keep = _node_mask(grid, extra), _node_mask(grid, form_extra)
     eta = rng.normal(size=grid.npoints())
     eta[rng.random(eta.size) < 0.03] = np.nan
     runs = {
-        "divergence": (sol, extra, {}, lambda **kw: divergence_residual(sol, extra_bad=extra, **kw)),
-        "minor": (sol, extra, {}, lambda **kw: minor_residual(sol, extra_bad=extra, **kw)),
+        "divergence": (sol, extra, {}, lambda **kw: divergence_residual(sol, mask=keep, **kw)),
+        "minor": (sol, extra, {}, lambda **kw: minor_residual(sol, mask=keep, **kw)),
         "frobenius": (sol, extra, {"witness": wit},
-                      lambda **kw: frobenius_residual(sol, wit, extra_bad=extra, **kw)),
+                      lambda **kw: frobenius_residual(sol, wit, mask=keep, **kw)),
         "exactness": (sol, extra, {"witness": wit, "eta": eta},
-                      lambda **kw: exactness_residual(sol, eta, system=wit.kind, extra_bad=extra,
-                                                      **kw)),
+                      lambda **kw: exactness_residual(sol, eta, system=wit.kind, mask=keep, **kw)),
         "codifferential": (fsol, form_extra, {},
-                           lambda **kw: codifferential_residual(fsol, extra_bad=form_extra, **kw)),
+                           lambda **kw: codifferential_residual(fsol, mask=form_keep, **kw)),
     }
     seen = []
     report = verifymod._report
@@ -615,12 +653,12 @@ def test_residual_slabs_are_the_whole_grid_residual_bit_for_bit(monkeypatch, cas
     monkeypatch.setattr(verifymod, "_report", spy)
     for kind, (s, bad, extra_args, run) in runs.items():
         want_res, want_exc = _whole_grid_residual(kind, s, bad, **extra_args)
-        want = report("k", grid, want_res.copy(), want_exc).to_json_dict()
+        want = dataclasses.asdict(report("k", grid, want_res.copy(), want_exc))
         for height in (1, 2, 7):
             monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
             for workers in (1, 2):
                 seen.clear()
-                got = run(workers=workers).to_json_dict()
+                got = dataclasses.asdict(run(workers=workers))
                 (res, exc), = seen
                 label = (kind, height, workers)
                 assert res.tobytes() == want_res.tobytes(), label
@@ -704,7 +742,7 @@ def test_the_mask_predicate_sees_each_node_once_a_band(monkeypatch, height, work
     def predicate(points):
         return points[:, 0] ** 2 + 0.5 * points[:, 1] < 0.6
 
-    want = verifymod._excluded(sol, shape, None, None, ~predicate(grid.points()))
+    want = verifymod._excluded(sol, shape, None, ~predicate(grid.points()))
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
     seen = []
 
@@ -712,7 +750,7 @@ def test_the_mask_predicate_sees_each_node_once_a_band(monkeypatch, height, work
         seen.append(points.copy())
         return predicate(points)
 
-    kernel = verifymod.SLAB_KINDS["divergence"][1](grid.spacing(), None)
+    kernel = verifymod.SLAB_KINDS["divergence"][1](grid.spacing())
     (_, excluded), = verifymod._slabs(sol, [kernel], workers, mask=mask)
     assert excluded.tobytes() == want.tobytes()
     pts = np.concatenate(seen)
