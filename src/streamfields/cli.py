@@ -372,13 +372,13 @@ def _synthesis(cfg: RunConfig, grid: GridSpec, witness: Optional[str] = None,
     d = cfgmod.build_drive(cfg) if form is None else None
     if witness is not None:
         frobmod.resolve_witness(witness, d)
-    policy = cfgmod.build_policy(cfg, grid.dim)
     tol = cfgmod.build_tol(cfg)
     if form is not None:
         d = formsmod.FormDrive(form.form, form.params, form.closed)
         if form.closed:
             formsmod.check_closed(form.form, form.box or (grid.lo, grid.hi), form.params)
-    return Synthesis(grid, model, d, policy, tol)
+    # region predicates read the drive's coordinates; Synthesis checks the grid's
+    return Synthesis(grid, model, d, cfgmod.build_policy(cfg, d.dim), tol)
 
 
 def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
@@ -593,8 +593,8 @@ def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callab
 
     def report(kind: str, grid: GridSpec) -> verifymod.ResidualReport:
         sol = on(grid)
-        if grid == finest:  # a copy: convergence_study completes the report it is given
-            return dataclasses.replace(finest_report(kind))
+        if grid == finest:
+            return finest_report(kind)
         return getattr(verifymod, f"{kind}_residual")(
             sol, mask=mask, workers=_workers(threads))
     return on, report

@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as exprmod
 from .density import DensityModel
 from .drive import coord_names
-from .synth import (FLAG_DRIVE_UNDEFINED, BranchPolicy, FieldSolution, GridSpec, Tolerances,
+from .synth import (FLAG_DRIVE_UNDEFINED, BranchPolicy, FieldSolution, Tolerances,
                     log_rho_gradient, synthesize_at_points)
 
 
@@ -296,20 +296,18 @@ def check_closed(alpha: KForm, box, params: Optional[dict] = None) -> None:
 
 def synthesize_form(model: DensityModel, f: KForm, policy: BranchPolicy,
                     points: np.ndarray, tol: Optional[Tolerances] = None,
-                    params: Optional[dict] = None,
-                    grid: Optional[GridSpec] = None) -> FieldSolution:
+                    params: Optional[dict] = None) -> FieldSolution:
     """omega = *df / rho(psi(|df|^2)) for an (n-k-1)-stream form f."""
-    return synthesize_at_points(model, FormDrive(f, dict(params or {})), policy, points, tol, grid)
+    return synthesize_at_points(model, FormDrive(f, dict(params or {})), policy, points, tol)
 
 
 def synthesize_form_closed(model: DensityModel, alpha: KForm, policy: BranchPolicy,
                            points: np.ndarray, box, tol: Optional[Tolerances] = None,
-                           params: Optional[dict] = None,
-                           grid: Optional[GridSpec] = None) -> FieldSolution:
+                           params: Optional[dict] = None) -> FieldSolution:
     """Same synthesis from a raw (n-k)-form alpha, after checking d(alpha) = 0."""
     check_closed(alpha, box, params)
     return synthesize_at_points(model, FormDrive(alpha, dict(params or {}), True), policy,
-                                points, tol, grid)
+                                points, tol)
 
 
 # ---------------------------------------------------------------------------

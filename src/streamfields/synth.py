@@ -43,7 +43,7 @@ import numpy as np
 
 from . import expr as exprmod
 from .density import DensityModel, PhiBranch
-from .drive import DriveField, drive_batch
+from .drive import DriveField, coord_names, drive_batch
 
 
 class SynthError(ValueError):
@@ -163,7 +163,6 @@ class BranchPolicy:
     regions: tuple = ()  # ((predicate Expression, branch id), ...), first match wins
     default_id: Optional[int] = None
     allow_nonphysical: bool = False
-    params: dict = field(default_factory=dict)
 
 
 def prefer_type1(allow_nonphysical: bool = False) -> BranchPolicy:
@@ -179,17 +178,13 @@ def single_branch(branch_id: int, allow_nonphysical: bool = False) -> BranchPoli
 
 
 def region_map(regions, default_id: int, dim: int = 2,
-               params: Optional[dict] = None, allow_nonphysical: bool = False) -> BranchPolicy:
-    params = dict(params or {})
-    parsed = []
-    names = ("x1", "x2", "x3", "x4")[:dim]
-    for pred, bid in regions:
-        e = pred if isinstance(pred, exprmod.Expression) else exprmod.parse(pred, names, tuple(params))
-        parsed.append((e, int(bid)))
-    return BranchPolicy(
-        mode="region_map", regions=tuple(parsed), default_id=int(default_id),
-        allow_nonphysical=allow_nonphysical, params=params,
-    )
+               allow_nonphysical: bool = False) -> BranchPolicy:
+    """Each point takes the branch of the first of `regions`' (predicate, id)
+    positive there, else default_id; a predicate reads drive.coord_names(dim)."""
+    parsed = tuple((pred if isinstance(pred, exprmod.Expression)
+                    else exprmod.parse(pred, coord_names(dim)), int(bid)) for pred, bid in regions)
+    return BranchPolicy(mode="region_map", regions=parsed, default_id=int(default_id),
+                        allow_nonphysical=allow_nonphysical)
 
 
 # the per-node arrays of a FieldSolution, one row per node
@@ -286,45 +281,46 @@ def _resolve_branch(model: DensityModel, policy: BranchPolicy, bid: int) -> PhiB
     raise SynthError(f"no branch with id {bid} in {model.kind} model")
 
 
-def _select_branches(model: DensityModel, policy: BranchPolicy, pts: np.ndarray,
-                     xi: np.ndarray, usable: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Pick a branch index per point (0 = none admitted)."""
-    sel = np.zeros(xi.shape[0], dtype=np.int32)
-    all_branches = model.branches()
+def _candidates(model: DensityModel, policy: BranchPolicy, pts: np.ndarray, n: int) -> list:
+    """(branch, lanes) in the order the policy tries them on the n points `pts`,
+    lanes the mask of points the branch may take or None for all: prefer_type*
+    the admitted branches, the preferred type first; single_branch its one;
+    region_map each id its regions choose, on the points that chose it."""
     if policy.mode in ("prefer_type1", "prefer_type2"):
-        admitted = [b for b in all_branches if policy.allow_nonphysical or not b.nonphysical]
-        want_first = policy.mode == "prefer_type1"
-        ordered = [b for b in admitted if b.elliptic == want_first] + \
-                  [b for b in admitted if b.elliptic != want_first]
-        for b in ordered:
-            take = usable & (sel == 0) & b.admits(xi, _branch_snap(b, tol))
-            sel[take] = b.index
-        return sel
+        admitted = [b for b in model.branches() if policy.allow_nonphysical or not b.nonphysical]
+        want = policy.mode == "prefer_type1"
+        return [(b, None) for b in sorted(admitted, key=lambda b: b.elliptic != want)]
     if policy.mode == "single_branch":
         if policy.branch_id is None:
             raise SynthError("single_branch policy needs a branch_id")
-        b = _resolve_branch(model, policy, policy.branch_id)
-        take = usable & b.admits(xi, _branch_snap(b, tol))
-        sel[take] = b.index
-        return sel
+        return [(_resolve_branch(model, policy, policy.branch_id), None)]
     if policy.mode == "region_map":
         if policy.default_id is None:
             raise SynthError("region_map policy needs a default branch id")
         _resolve_branch(model, policy, policy.default_id)
-        choice = np.full(xi.shape[0], policy.default_id, dtype=np.int32)
-        assigned = np.zeros(xi.shape[0], dtype=bool)
+        choice = np.full(n, policy.default_id, dtype=np.int32)
+        assigned = np.zeros(n, dtype=bool)
         for pred, bid in policy.regions:
             _resolve_branch(model, policy, bid)
-            vals = exprmod.eval_values(pred, pts, policy.params)
-            m = ~assigned & (vals > 0.0)
+            m = ~assigned & (exprmod.eval_values(pred, pts) > 0.0)
             choice[m] = bid
             assigned |= m
-        for bid in np.unique(choice):
-            b = _resolve_branch(model, policy, int(bid))
-            lanes = usable & (choice == bid) & b.admits(xi, _branch_snap(b, tol))
-            sel[lanes] = bid
-        return sel
+        return [(_resolve_branch(model, policy, int(bid)), choice == bid)
+                for bid in np.unique(choice)]
     raise SynthError(f"unknown policy mode {policy.mode!r}")
+
+
+def _select_branches(model: DensityModel, policy: BranchPolicy, pts: np.ndarray,
+                     xi: np.ndarray, usable: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Pick a branch index per point (0 = none admitted): each usable point
+    takes the first of _candidates' branches that admits its xi on its lanes."""
+    sel = np.zeros(xi.shape[0], dtype=np.int32)
+    for b, lanes in _candidates(model, policy, pts, xi.shape[0]):
+        take = usable & (sel == 0) & b.admits(xi, _branch_snap(b, tol))
+        if lanes is not None:
+            take &= lanes
+        sel[take] = b.index
+    return sel
 
 
 def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
@@ -356,9 +352,8 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
     sel[failed] = 0
 
     on_branch = sel != 0
-    rho_q = model.rho(Q)
-    rho_c = np.where(on_branch, rho_q, np.nan)
-    phi_p = np.where(on_branch, model.phi_prime(Q, rho_q), np.nan)
+    rho_c = model.rho(Q)
+    phi_p = model.phi_prime(Q, rho_c)
 
     with np.errstate(all="ignore"):
         primary = on_branch & np.isfinite(rho_c) & (np.abs(rho_c) >= tol.rho_zero)
@@ -398,8 +393,7 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
 
 
 def _solve(model: DensityModel, d: DriveField, policy: BranchPolicy, points: np.ndarray,
-           tol: Optional[Tolerances] = None, grid: Optional[GridSpec] = None,
-           order: int = 1) -> tuple:
+           tol: Optional[Tolerances] = None, order: int = 1) -> tuple:
     """(the FieldSolution at `points`, the DriveBatch it was synthesized from).
     Order 2 builds the batch at full order, for a caller that reads its
     Jacobian.  Order 1 builds a first-order batch and re-evaluates at full
@@ -418,15 +412,15 @@ def _solve(model: DensityModel, d: DriveField, policy: BranchPolicy, points: np.
     w, Q, regime, sel, flags = _assemble(
         model, policy, tol, pts, batch.a, batch.xi, batch.bad, batch.laplacian_f)
     return FieldSolution(
-        grid=grid, model=model, drive=d, policy=policy, tol=tol, _points=pts,
+        grid=None, model=model, drive=d, policy=policy, tol=tol, _points=pts,
         w=w, Q=Q, xi=batch.xi, regime=regime, branch_id=sel, flags=flags,
     ), batch
 
 
 def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolicy,
-                         points: np.ndarray, tol: Optional[Tolerances] = None,
-                         grid: Optional[GridSpec] = None) -> FieldSolution:
-    return _solve(model, d, policy, points, tol, grid)[0]
+                         points: np.ndarray, tol: Optional[Tolerances] = None) -> FieldSolution:
+    """The solution at (N, n) `points`, on no grid (synthesize makes one on a grid)."""
+    return _solve(model, d, policy, points, tol)[0]
 
 
 def block_rows(npts: int, size: int = 0) -> list:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -425,15 +425,11 @@ def fit_order(levels: Sequence[tuple]) -> tuple:
 
 def convergence_study(make_report: Callable[[GridSpec], ResidualReport],
                       grids: Sequence[GridSpec]) -> ResidualReport:
-    """Run a residual over several grids (coarse to fine) and fit the order."""
+    """A new report: the finest grid's (grids coarse to fine), with the fitted order."""
     reports = [make_report(g) for g in grids]
     levels = [(r.h, r.max_norm) for r in reports]
     order, at_floor = fit_order(levels)
-    final = reports[-1]
-    final.convergence = levels
-    final.order = order
-    final.at_floor = at_floor
-    return final
+    return replace(reports[-1], convergence=levels, order=order, at_floor=at_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +509,21 @@ def energy_density(model: DensityModel, Q: np.ndarray) -> np.ndarray:
 
 def energy(solution, mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """Midpoint quadrature of e(Q) over cells; the field is re-synthesized at
-    cell centers, at most SYNTH_BLOCK centers a call, and cells whose center
-    is flagged or excluded contribute 0.  Only the grid and the synthesis
-    settings of `solution` (its model among them), a FieldSolution or a
-    Synthesis, are read.  A non-finite e(Q) is refused, naming the gap of Q
-    where rho is undefined."""
+    cell centers, gathered from the axes' midpoints SYNTH_BLOCK at a time, and
+    cells whose center is flagged or excluded contribute 0.  Only the grid
+    and the synthesis settings of `solution` (its model among them), a
+    FieldSolution or a Synthesis, are read.  A non-finite e(Q) is refused,
+    naming the gap of Q where rho is undefined."""
     grid, model = _grid_of(solution), solution.model
-    mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()), indexing="ij")
-    centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    mids = [0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()]
     kept = []
-    for rows in block_rows(len(centers)):
-        cs = synthesize_at_points(model, solution.drive, solution.policy,
-                                  centers[rows], tol=solution.tol)
+    for rows in block_rows(math.prod(grid.cells)):  # one block's centres at a time
+        cell = np.unravel_index(np.arange(rows.start, rows.stop), grid.cells)
+        centers = np.stack([mid[i] for mid, i in zip(mids, cell)], axis=1)
+        cs = synthesize_at_points(model, solution.drive, solution.policy, centers, tol=solution.tol)
         keep = ((cs.flags & MASK_BITS) == 0) & (cs.branch_id != 0) & np.isfinite(cs.Q)
         if mask is not None:
-            keep &= np.asarray(mask(centers[rows]), dtype=bool)
+            keep &= np.asarray(mask(centers), dtype=bool)
         kept.append(cs.Q[keep])
     qvals = np.concatenate(kept)
     if not qvals.size:

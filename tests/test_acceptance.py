@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from streamfields import (
+    FormDrive,
     GridSpec,
     MASK_BITS,
     Tolerances,
@@ -392,7 +393,7 @@ def test_criterion_09_forms_reductions():
                           (3,): "x4 + x1*x4^2/5 + x2^2/3"})
 
         def make(grid):
-            fs = synthesize_form(m4, f4, single_branch(1), grid.points(), grid=grid)
+            fs = synthesize(m4, FormDrive(f4), single_branch(1), grid)
             return codifferential_residual(fs)
 
         grids = [GridSpec((0.2,) * 4, (0.8,) * 4, (c,) * 4) for c in (8, 16, 32)]

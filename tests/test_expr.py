@@ -361,7 +361,7 @@ def shipped_expressions():
                 add(f"{name}:drive.{key}", e, d.params, lo, hi)
         policy = config.build_policy(cfg, dim)
         for i, (pred, _) in enumerate(policy.regions):
-            add(f"{name}:region{i}", pred, policy.params, lo, hi)
+            add(f"{name}:region{i}", pred, {}, lo, hi)
         for section in ("frobenius", "verify"):
             text = getattr(cfg, section).get("mask")
             if text:

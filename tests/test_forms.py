@@ -307,7 +307,7 @@ def test_form_synthesis_in_blocks_is_the_point_synthesis_bit_for_bit(monkeypatch
         d = (FormDrive(_random_stream_form(rng, n, n - k), closed=True) if closed
              else FormDrive(_random_stream_form(rng, n, n - k - 1)))
         assert (d.dim, d.k, d.columns) == (n, k, math.comb(n, k))
-        want = synthesize_at_points(model, d, policy, grid.points(), grid=grid)
+        want = synthesize_at_points(model, d, policy, grid.points())
         assert want.w.shape == (grid.npoints(), d.columns) and (want.branch_id != 0).any()
         monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 7)
         for workers in (1, 2):

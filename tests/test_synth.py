@@ -314,7 +314,7 @@ def test_block_synthesis_equals_one_call_on_the_whole_grid_bit_for_bit(monkeypat
             grid = GridSpec(grid.lo, grid.hi, (cells,) * grid.dim)
         model, d = cfgmod.build_model(cfg), cfgmod.build_drive(cfg)
         policy, tol = cfgmod.build_policy(cfg, grid.dim), cfgmod.build_tol(cfg)
-        want = synthesize_at_points(model, d, policy, grid.points(), tol=tol, grid=grid)
+        want = synthesize_at_points(model, d, policy, grid.points(), tol=tol)
         split += grid.npoints() > block
         monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
         for workers in (1, 2):
@@ -421,7 +421,7 @@ def _full_order_and_first_order(monkeypatch, model, d, policy, grid, tol=None):
     the (order, points) of each drive batch that path made."""
     from streamfields import synth
 
-    full = synth._solve(model, d, policy, grid.points(), tol, grid, order=2)[0]
+    full = synth._solve(model, d, policy, grid.points(), tol, order=2)[0]
     calls = []
 
     def spy(d, points, order=2, real=synth.drive_batch):
@@ -499,3 +499,122 @@ def test_first_order_synthesis_is_the_full_order_one_on_skew_and_raw_drives(monk
             monkeypatch, shallow_water(), d, prefer_type1(allow_nonphysical=True), grid)
         _assert_same_solution(got, full, type(d).__name__)
         assert calls[0] == (1, grid.npoints()) and 0 < calls[1][1] < grid.npoints() // 4
+
+
+# ---------------------------------------------------------------------------
+# branch selection: one loop over _candidates against the three-mode original
+
+
+def _oracle_select_branches(model, policy, pts, xi, usable, tol):
+    """Branch selection written once per policy mode, as it was before the
+    one loop over synth._candidates (region predicates read no parameters)."""
+    from streamfields import expr as exprmod
+    from streamfields.synth import _branch_snap, _resolve_branch
+
+    sel = np.zeros(xi.shape[0], dtype=np.int32)
+    all_branches = model.branches()
+    if policy.mode in ("prefer_type1", "prefer_type2"):
+        admitted = [b for b in all_branches if policy.allow_nonphysical or not b.nonphysical]
+        want_first = policy.mode == "prefer_type1"
+        ordered = [b for b in admitted if b.elliptic == want_first] + \
+                  [b for b in admitted if b.elliptic != want_first]
+        for b in ordered:
+            take = usable & (sel == 0) & b.admits(xi, _branch_snap(b, tol))
+            sel[take] = b.index
+        return sel
+    if policy.mode == "single_branch":
+        if policy.branch_id is None:
+            raise SynthError("single_branch policy needs a branch_id")
+        b = _resolve_branch(model, policy, policy.branch_id)
+        take = usable & b.admits(xi, _branch_snap(b, tol))
+        sel[take] = b.index
+        return sel
+    if policy.mode == "region_map":
+        if policy.default_id is None:
+            raise SynthError("region_map policy needs a default branch id")
+        _resolve_branch(model, policy, policy.default_id)
+        choice = np.full(xi.shape[0], policy.default_id, dtype=np.int32)
+        assigned = np.zeros(xi.shape[0], dtype=bool)
+        for pred, bid in policy.regions:
+            _resolve_branch(model, policy, bid)
+            vals = exprmod.eval_values(pred, pts)
+            m = ~assigned & (vals > 0.0)
+            choice[m] = bid
+            assigned |= m
+        for bid in np.unique(choice):
+            b = _resolve_branch(model, policy, int(bid))
+            lanes = usable & (choice == bid) & b.admits(xi, _branch_snap(b, tol))
+            sel[lanes] = bid
+        return sel
+    raise SynthError(f"unknown policy mode {policy.mode!r}")
+
+
+def _same_selection(select, model, policy, pts, xi, usable, tol) -> np.ndarray:
+    """select(...), synth._select_branches, asserted equal to the oracle bit
+    for bit, or to raise the oracle's SynthError (None then)."""
+    outcomes = []
+    for select in (select, _oracle_select_branches):
+        try:
+            outcomes.append(select(model, policy, pts, xi, usable, tol))
+        except SynthError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return None
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+@pytest.mark.parametrize("name", _example_names())
+def test_one_selection_loop_is_the_three_mode_one_on_every_example(monkeypatch, name, block):
+    """On the first synthesis block of every built-in example, the inputs
+    _assemble hands _select_branches select the oracle's branches."""
+    from streamfields import config, synth
+
+    cfg = config.example_config(name)
+    grid = config.build_grid(cfg)
+    real, seen = synth._select_branches, []
+
+    def spy(*args):
+        seen.append(_same_selection(real, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(synth, "_select_branches", spy)
+    synthesize_at_points(config.build_model(cfg), config.build_drive(cfg),
+                         config.build_policy(cfg, grid.dim),
+                         grid.nodes(0, min(block, grid.npoints())), config.build_tol(cfg))
+    assert len(seen) == 1 and seen[0] is not None
+
+
+@pytest.mark.parametrize("allow", [False, True])
+@pytest.mark.parametrize("policy", [
+    # overlapping regions: the first positive predicate wins, the rest default
+    lambda allow: region_map([("1 - (x1^2 + x2^2)", 1), ("2 - (x1^2 + x2^2)", 2), ("x1", 1)],
+                             2, allow_nonphysical=allow),
+    # a nonphysical default branch
+    lambda allow: region_map([("2/3 - (x1^2 + x2^2)", 1), ("2 - (x1^2 + x2^2)", 2)], 3,
+                             allow_nonphysical=allow),
+    # a nonphysical region behind a missing one, and a missing default
+    lambda allow: region_map([("x1", 3), ("x2", 9)], 1, allow_nonphysical=allow),
+    lambda allow: region_map([("x1", 3)], 9, allow_nonphysical=allow),
+    prefer_type1, prefer_type2,
+    lambda allow: single_branch(3, allow), lambda allow: single_branch(9, allow),
+])
+def test_one_selection_loop_is_the_three_mode_one_on_every_policy(rng, policy, allow):
+    """Shallow water (branch 3 nonphysical), with xi across and outside every
+    branch image, NaN and unusable points: the same branches, or the same
+    SynthError first."""
+    from streamfields import synth
+
+    model, tol = shallow_water(), Tolerances()
+    n = 4000
+    pts = rng.uniform(-1.6, 1.6, (n, 2))
+    xi = rng.uniform(-0.05, 0.6, n)
+    xi[::97] = 8.0 / 27.0  # the fold value every branch image shares
+    xi[::101] = np.nan
+    usable = rng.random(n) > 0.1
+    sel = _same_selection(synth._select_branches, model, policy(allow), pts, xi, usable, tol)
+    if sel is not None:
+        assert not sel[~usable].any() and len(np.unique(sel)) > 1

@@ -8,6 +8,7 @@ from streamfields import (
     DensityModel,
     FLAG_GAMMA_S,
     FLAG_NONPHYSICAL_RHO,
+    FormDrive,
     FormValues,
     GridSpec,
     MASK_BITS,
@@ -38,7 +39,6 @@ from streamfields import (
     shallow_water,
     single_branch,
     synthesize,
-    synthesize_form,
     witness_2d,
 )
 from streamfields.verify import GK_MIN_SPLITS, GK_PASSES
@@ -199,7 +199,7 @@ def test_codifferential_residual_order_two():
     policy = prefer_type1()
 
     def make(grid):
-        fsol = synthesize_form(model, f, policy, grid.points(), grid=grid)
+        fsol = synthesize(model, FormDrive(f), policy, grid)
         return codifferential_residual(fsol)
 
     grids = [GridSpec((0.2, 0.2), (0.8, 0.8), (c, c)) for c in (32, 64, 128)]
@@ -334,6 +334,48 @@ def test_energy_synthesizes_the_cell_centres_in_blocks(monkeypatch):
     blocked = [energy(sol, mask=m) for _, sol in cases for m in (None, half)]
     assert np.array(blocked).view(np.int64).tolist() == np.array(whole).view(np.int64).tolist()
     assert max(sizes) == 100 and sum(sizes) == 4 * 24 * 24
+
+
+@pytest.mark.parametrize("case", ["unit-density", "custom-13x9"])
+def test_energy_gathers_each_blocks_centres_as_the_whole_centre_array_held_them(monkeypatch, case):
+    """With SYNTH_BLOCK at 7, the centres each block synthesizes and masks are
+    the rows of the whole (N, n) array of every cell centre, stacked from a
+    meshgrid of the axes' midpoints, bit for bit; so is the energy."""
+    from streamfields import config as cfgmod, synth
+    from streamfields import verify as verifymod
+
+    if case == "unit-density":
+        cfg = cfgmod.example_config(case)
+        grid = cfgmod.build_grid(cfg)
+        sol = synthesize(cfgmod.build_model(cfg), cfgmod.build_drive(cfg),
+                         cfgmod.build_policy(cfg, grid.dim), grid)
+    else:
+        grid = GridSpec((0.0, 0.1), (1.0, 0.8), (13, 9))
+        sol = synthesize(custom("1/sqrt(1 + Q)", q_max=100.0),
+                         gradient_drive(2, "0.1*(x1^2 + x2^2)"), prefer_type1(), grid)
+    mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()), indexing="ij")
+    whole = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    half = lambda pts: pts[:, 0] > 0.45  # noqa: E731
+    want = [energy(sol), energy(sol, mask=half)]
+    synthesized, masked = [], []
+    synthesize_at_points = verifymod.synthesize_at_points
+
+    def recorded(model, d, policy, points, **kw):
+        synthesized.append(points)
+        return synthesize_at_points(model, d, policy, points, **kw)
+
+    def recorded_half(pts):
+        masked.append(pts)
+        return half(pts)
+
+    monkeypatch.setattr(verifymod, "synthesize_at_points", recorded)
+    monkeypatch.setattr(synth, "SYNTH_BLOCK", 7)
+    got = [energy(sol), energy(sol, mask=recorded_half)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert max(map(len, synthesized)) == 7
+    n = len(whole)
+    assert np.concatenate(synthesized).tobytes() == np.concatenate([whole, whole]).tobytes()
+    assert np.concatenate(masked).tobytes() == whole.tobytes() and len(masked) == -(-n // 7)
 
 
 def test_all_masked_raises():
@@ -625,8 +667,7 @@ def test_residual_slabs_are_the_whole_grid_residual_bit_for_bit(monkeypatch, cas
     d, model, policy = make_drive(), make_model(), make_policy()
     sol = synthesize(model, d, policy, grid)
     wit = getattr(frobmod, "witness_" + frobmod.resolve_witness("auto", d))(sol)
-    fsol = synthesize_form(model, kform(grid.dim, 0, {(): stream}), policy, grid.points(),
-                           grid=grid)
+    fsol = synthesize(model, FormDrive(kform(grid.dim, 0, {(): stream})), policy, grid)
     edges = [r for height in (2, 7) for r in range(height, shape[0], height)]
     extra = _holed(sol, rng, edges, row)
     form_extra = _holed(fsol, rng, edges, row)
