@@ -517,7 +517,7 @@ def energy(solution, mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) 
     grid, model = _grid_of(solution), solution.model
     mids = [0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()]
     kept = []
-    for rows in block_rows(math.prod(grid.cells)):  # one block's centres at a time
+    for rows in block_rows(math.prod(grid.cells)):
         cell = np.unravel_index(np.arange(rows.start, rows.stop), grid.cells)
         centers = np.stack([mid[i] for mid, i in zip(mids, cell)], axis=1)
         cs = synthesize_at_points(model, solution.drive, solution.policy, centers, tol=solution.tol)

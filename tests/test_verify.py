@@ -311,52 +311,23 @@ def test_energy_mask_and_domain_guard():
 
 
 def test_energy_synthesizes_the_cell_centres_in_blocks(monkeypatch):
-    """No centre synthesis takes more than SYNTH_BLOCK points, and the
-    blocked energy is bit-equal to the one-call value."""
-    from streamfields import synth
-    from streamfields import verify as verifymod
-
-    cases = [vortex_solution(cells=24, lim=0.7)[:2]]
-    model = custom("1/sqrt(1 + Q)", q_max=100.0)
-    cases.append((model, synthesize(model, gradient_drive(2, "0.1*(x1^2 + x2^2)"),
-                                    prefer_type1(), GridSpec((0, 0), (1, 1), (24, 24)))))
-    half = lambda pts: pts[:, 0] + pts[:, 1] > 0.3  # noqa: E731
-    whole = [energy(sol, mask=m) for _, sol in cases for m in (None, half)]
-    sizes = []
-    synthesize_at_points = verifymod.synthesize_at_points
-
-    def recorded(model, d, policy, points, **kw):
-        sizes.append(len(points))
-        return synthesize_at_points(model, d, policy, points, **kw)
-
-    monkeypatch.setattr(verifymod, "synthesize_at_points", recorded)
-    monkeypatch.setattr(synth, "SYNTH_BLOCK", 100)
-    blocked = [energy(sol, mask=m) for _, sol in cases for m in (None, half)]
-    assert np.array(blocked).view(np.int64).tolist() == np.array(whole).view(np.int64).tolist()
-    assert max(sizes) == 100 and sum(sizes) == 4 * 24 * 24
-
-
-@pytest.mark.parametrize("case", ["unit-density", "custom-13x9"])
-def test_energy_gathers_each_blocks_centres_as_the_whole_centre_array_held_them(monkeypatch, case):
-    """With SYNTH_BLOCK at 7, the centres each block synthesizes and masks are
-    the rows of the whole (N, n) array of every cell centre, stacked from a
-    meshgrid of the axes' midpoints, bit for bit; so is the energy."""
+    """No centre synthesis takes more than SYNTH_BLOCK points; the centres
+    each block synthesizes and masks are the rows of the whole (N, n) array
+    of every cell centre, stacked from a meshgrid of the axes' midpoints, bit
+    for bit; and the blocked energy is bit-equal to the one-call value.  On
+    shallow water, unit-density and a custom law on a 13 x 9 cell grid."""
     from streamfields import config as cfgmod, synth
     from streamfields import verify as verifymod
 
-    if case == "unit-density":
-        cfg = cfgmod.example_config(case)
-        grid = cfgmod.build_grid(cfg)
-        sol = synthesize(cfgmod.build_model(cfg), cfgmod.build_drive(cfg),
-                         cfgmod.build_policy(cfg, grid.dim), grid)
-    else:
-        grid = GridSpec((0.0, 0.1), (1.0, 0.8), (13, 9))
-        sol = synthesize(custom("1/sqrt(1 + Q)", q_max=100.0),
-                         gradient_drive(2, "0.1*(x1^2 + x2^2)"), prefer_type1(), grid)
-    mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes()), indexing="ij")
-    whole = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    half = lambda pts: pts[:, 0] > 0.45  # noqa: E731
-    want = [energy(sol), energy(sol, mask=half)]
+    cfg = cfgmod.example_config("unit-density")
+    unit = cfgmod.build_grid(cfg)
+    sols = [vortex_solution(cells=24, lim=0.7)[1],
+            synthesize(cfgmod.build_model(cfg), cfgmod.build_drive(cfg),
+                       cfgmod.build_policy(cfg, unit.dim), unit),
+            synthesize(custom("1/sqrt(1 + Q)", q_max=100.0), gradient_drive(2, "0.1*(x1^2 + x2^2)"),
+                       prefer_type1(), GridSpec((0, 0.1), (1, 0.8), (13, 9)))]
+    half = lambda pts: pts[:, 0] + pts[:, 1] > 0.3  # noqa: E731
+    whole = [energy(sol, mask=m) for sol in sols for m in (None, half)]
     synthesized, masked = [], []
     synthesize_at_points = verifymod.synthesize_at_points
 
@@ -370,12 +341,16 @@ def test_energy_gathers_each_blocks_centres_as_the_whole_centre_array_held_them(
 
     monkeypatch.setattr(verifymod, "synthesize_at_points", recorded)
     monkeypatch.setattr(synth, "SYNTH_BLOCK", 7)
-    got = [energy(sol), energy(sol, mask=recorded_half)]
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    blocked = [energy(sol, mask=m) for sol in sols for m in (None, recorded_half)]
+    assert np.array(blocked).view(np.int64).tolist() == np.array(whole).view(np.int64).tolist()
     assert max(map(len, synthesized)) == 7
-    n = len(whole)
-    assert np.concatenate(synthesized).tobytes() == np.concatenate([whole, whole]).tobytes()
-    assert np.concatenate(masked).tobytes() == whole.tobytes() and len(masked) == -(-n // 7)
+    centres = []
+    for sol in sols:
+        mesh = np.meshgrid(*(0.5 * (ax[1:] + ax[:-1]) for ax in sol.grid.axes()), indexing="ij")
+        centres.append(np.stack([m.reshape(-1) for m in mesh], axis=1))
+    assert np.concatenate(synthesized).tobytes() == np.concatenate(
+        [c for c in centres for _ in (None, half)]).tobytes()
+    assert np.concatenate(masked).tobytes() == np.concatenate(centres).tobytes()
 
 
 def test_all_masked_raises():
