@@ -305,6 +305,8 @@ def build_form(cfg: RunConfig, dim: int) -> FormSpec:
 def verify_section(cfg: RunConfig) -> dict:
     """The verify section with its defaults; the mask is an expression string or None."""
     sec = cfg.verify
+    if "codifferential" in sec.get("residuals", ()) and not cfg.forms:
+        raise ConfigError("verify.residuals lists codifferential, which needs a forms section")
     return {"residuals": sec.get("residuals", ("divergence",)),
             "threshold": sec.get("threshold", 1e-6), "energy": sec.get("energy", False),
             "mask": sec.get("mask")}

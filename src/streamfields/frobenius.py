@@ -25,7 +25,7 @@ in the same order, the tree of a first-in-first-out queue search, so eta is
 set by one gather-add per layer; edge ends come from the grid axes.
 The curl gate and that post-check take fourth-order central differences from
 the finite-difference core shared with the verify module, on synth.walk's
-slabs of rows with a halo of 2 rows (_windows), bit for bit the whole grid's.
+windows of one band with a halo of 2 rows, bit for bit the whole grid's.
 """
 
 from __future__ import annotations
@@ -215,29 +215,18 @@ def witness_gradient(sol: FieldSolution) -> FrobeniusWitness:
 # conservativity and integrating factor
 
 
-def _windows(grid: GridSpec):
-    """(rows, nodes, own) for each of synth.walk's slabs of `grid` on one band:
-    the slab's axis-0 rows and the 2 rows past each end (in the grid) that a
-    fourth-order stencil reads, as rows and as flat nodes, and the slab's own
-    rows within them, whose stencils are the whole grid's."""
-    n, slabs = grid.shape()[0], []
-    row = grid.npoints() // n
-    synthmod.walk(grid, 1, slabs.extend)
-    for top, end in slabs:
-        lo, hi = max(top - 2, 0), min(end + 2, n)
-        yield slice(lo, hi), slice(lo * row, hi * row), slice(top - lo, end - lo)
-
-
 def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
     """Max |d_i G_j - d_j G_i| per node by 4th-order differences (grid witnesses)."""
     grid = witness.solution.grid
     if grid is None:
         raise FrobeniusError("curl residual needs a grid-backed witness")
-    curl = np.empty(grid.shape())
-    for rows, nodes, own in _windows(grid):
-        comps = [witness.G[nodes, k].reshape(curl[rows].shape) for k in range(grid.dim)]
+    curl, row, windows = np.empty(grid.shape()), grid.npoints() // grid.shape()[0], []
+    synthmod.walk(grid, 1, windows.extend, 2)  # a fourth-order stencil reads 2 rows each way
+    for lo, top, end, hi in windows:
+        comps = [witness.G[lo * row:hi * row, k].reshape(curl[lo:hi].shape)
+                 for k in range(grid.dim)]
         with np.errstate(all="ignore"):
-            curl[rows][own] = curl_max(comps, grid.spacing(), 4)[own]
+            curl[top:end] = curl_max(comps, grid.spacing(), 4)[top - lo:end - lo]
     witness.curl_residual = curl
     return curl
 
@@ -427,10 +416,12 @@ def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,
                     eta: np.ndarray) -> float:
     """Max curl (minor kind) or divergence (divergence kind) of e^(-eta) w
     where its stencil lies in the mask and eta is set; 0 for no such node."""
-    worst = 0.0
-    for rows, nodes, own in _windows(grid):
-        ok = interior(mask[rows] & np.isfinite(eta[rows]), 2)[own]
-        vals = closure_residual(witness.solution.w[nodes], eta[rows], witness.kind,
+    worst, row, windows = 0.0, grid.npoints() // grid.shape()[0], []
+    synthmod.walk(grid, 1, windows.extend, 2)
+    for lo, top, end, hi in windows:
+        own = slice(top - lo, end - lo)
+        ok = interior(mask[lo:hi] & np.isfinite(eta[lo:hi]), 2)[own]
+        vals = closure_residual(witness.solution.w[lo * row:hi * row], eta[lo:hi], witness.kind,
                                 grid.spacing(), 4)[own]
         worst = np.fmax.reduce(vals[ok], initial=worst)  # NaN is skipped
     return float(worst)

@@ -12,14 +12,15 @@ C(n, k) columns.
 
 For the same reason a grid can be cut anywhere.  It is cut one way (walk):
 its axis-0 rows into equal bands, one per thread, and each band into slabs
-of about SYNTH_BLOCK nodes.  synthesize writes each slab into its rows of
-the full solution, and verify runs its residual kernels slab by slab: every
-temporary is slab-sized, and the bytes do not depend on the worker count.  A
-slab builds only its own nodes (GridSpec.nodes), so no (N, n) array of all
-the nodes is built; a solution read off a grid builds its `points` from its
-grid the first time they are read.  A Synthesis is what synthesize is given,
-not yet run: verify synthesizes a refinement study's finest grid from one, a
-slab of rows at a time.
+of about SYNTH_BLOCK nodes, handed out as windows with up to `halo` rows
+more at each end.  synthesize writes each slab into its rows of the full
+solution, and verify and frobenius run their stencils window by window:
+every temporary is slab-sized, and the bytes do not depend on the worker
+count.  A slab builds only its own nodes (GridSpec.nodes), so no (N, n)
+array of all the nodes is built; a solution read off a grid builds its
+`points` from its grid the first time they are read.  A Synthesis is what
+synthesize is given, not yet run: verify synthesizes a refinement study's
+finest grid from one, a slab of rows at a time.
 
 w needs only the drive a, the first derivatives of its potential, so
 synthesis builds first-order drive jets (drive_batch(..., order=1)) and
@@ -431,25 +432,29 @@ def block_rows(npts: int, size: int = 0) -> list:
     return [slice(start, min(start + size, npts)) for start in range(0, max(npts, 1), size)]
 
 
-def walk(grid: GridSpec, workers: int, band: Callable[[list], None]) -> None:
-    """band(slabs) for each band of `grid`'s axis-0 rows: the one partition
+def walk(grid: GridSpec, workers: int, band: Callable[[list], None], halo: int) -> None:
+    """band(windows) for each band of `grid`'s axis-0 rows: the one partition
     of a grid.  The rows are cut into min(workers, blocks of SYNTH_BLOCK
     nodes, rows) bands of equal height (one for workers < 1, as for 1), and
-    each band into its (top, end) slabs, rows top to end - 1, of about
-    SYNTH_BLOCK nodes and at least one row, in order.  More than one band
-    runs on a thread pool, one band a thread; reading every result
-    re-raises a band's error."""
+    each band into its slabs of about SYNTH_BLOCK nodes and at least one row,
+    in order.  A slab is handed out as its window (lo, top, end, hi): the
+    slab is rows top to end - 1, and the window rows lo to hi - 1, the slab
+    and up to `halo` rows past each end inside the grid.  More than one band
+    runs on a thread pool, one band a thread; reading every result re-raises
+    a band's error."""
     rows, npts = grid.shape()[0], grid.npoints()
     height = max(1, SYNTH_BLOCK // (npts // rows))
     bands = min(max(workers, 1), -(-npts // SYNTH_BLOCK), rows)
     cuts = [rows * b // bands for b in range(bands + 1)]
     slabs = [[(top, min(top + height, end)) for top in range(start, end, height)]
              for start, end in zip(cuts, cuts[1:])]
+    windows = [[(max(top - halo, 0), top, end, min(end + halo, rows)) for top, end in own]
+               for own in slabs]
     if bands == 1:
-        band(slabs[0])
+        band(windows[0])
     else:
         with ThreadPoolExecutor(max_workers=bands) as pool:
-            list(pool.map(band, slabs))
+            list(pool.map(band, windows))
 
 
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
@@ -465,14 +470,14 @@ def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
     out = Synthesis(grid, model, d, policy, tol).allocate(npts, grid)
     row = npts // grid.shape()[0]
 
-    def band(slabs: list) -> None:
-        for top, end in slabs:
+    def band(windows: list) -> None:
+        for _, top, end, _ in windows:
             for start in range(top * row, end * row, SYNTH_BLOCK):
                 stop = min(start + SYNTH_BLOCK, end * row)
                 out.fill(start, synthesize_at_points(model, d, policy, grid.nodes(start, stop),
                                                      tol=tol))
 
-    walk(grid, workers, band)
+    walk(grid, workers, band, 0)
     return out
 
 

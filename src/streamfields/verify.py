@@ -14,18 +14,18 @@ nodes the verify.mask predicate excludes, dilated by one stencil width, plus
 the boundary.
 Every residual kind runs its kernels on the slabs of axis-0 rows that
 synth.walk cuts a grid into, of about SYNTH_BLOCK nodes each, walked in
-order within one band of rows per thread (`_slabs`): a slab reads HALO rows
-past each end and writes only its own rows of one residual array and one
-mask per kind, so the temporaries are slab-sized and every value is the
-whole grid's, bit for bit, for any slab height or worker count.  The rows
-come from a solution, or from a synth.Synthesis that has not run (a study's
-finest level): then each band synthesizes its rows as it reaches them,
-carrying the 2 HALO rows consecutive slabs share, so no solution of the grid
-is ever held and a node is synthesized once, or twice within HALO rows of a
-seam between bands.
+order within one band of rows per thread (`_slabs`): a slab reads its
+window, HALO rows past each end, and writes only its own rows of one
+residual array and one mask per kind, so the temporaries are slab-sized and
+every value is the whole grid's, bit for bit, for any slab height or worker
+count.  The rows come from a solution, or from a synth.Synthesis that has
+not run (a study's finest level), which each band synthesizes as it reaches
+them.  One carry a band (`_reader`) keeps the last window's rows and
+verify.mask values for the 2 HALO rows the next window shares, so no
+solution of the grid is held whole, and the synthesis and the predicate see
+a node once, or twice within HALO rows of a seam between bands.
 The slab kinds (`slab_residuals`) share one such pass.  The residuals read
-no grid points; the verify.mask predicate is evaluated once on each node of a
-band, its values on the HALO rows slabs share carried like the synthesis's.
+no grid points.
 A report moves the kept residuals forward within the residual array, in
 index order, and reduces over them with numpy sums, so reports are
 deterministic.  The codifferential residual hands central differences to
@@ -191,47 +191,38 @@ def _grid_of(source) -> GridSpec:
     return source.grid
 
 
-def _reader(source, row: int) -> Callable[[int, int], FieldSolution]:
-    """rows(lo, hi): axis-0 rows lo to hi - 1 of `source`, as a solution
-    without a grid.  A FieldSolution gives views of its rows.  A Synthesis
-    writes them into a new window: the rows it shares with the previous
-    window are copied over, and the rest are synthesized, at most SYNTH_BLOCK
-    nodes a synthesize_at_points call, each written as it comes; so for
-    windows that advance down the grid, each row is synthesized once."""
-    if isinstance(source, FieldSolution):
-        return lambda lo, hi: source.restricted(slice(lo * row, hi * row))
-    held = None  # the last window: (its first row, its last row + 1, its rows)
+def _reader(source, row: int, mask: Optional[Callable]) -> Callable[[int, int], tuple]:
+    """rows(lo, hi) -> (part, kept) on axis-0 rows lo to hi - 1 of `source`:
+    `part` the source there, as a solution without a grid, and `kept` the
+    predicate `mask` (None for no mask) on those nodes.  A FieldSolution
+    gives views of its rows; a Synthesis writes them into a new window.  One
+    record of the last window is kept: its end row, its rows and its mask
+    values.  The rows a window shares with it are copied over, and only the
+    rest are synthesized, at most SYNTH_BLOCK nodes a synthesize_at_points
+    call, each written as it comes, and handed to the predicate; so for
+    windows that advance down the grid, each row is computed once."""
+    held = (0, None, np.zeros(0, dtype=bool))  # the last window's end row, rows and mask values
 
-    def rows(lo: int, hi: int) -> FieldSolution:
+    def rows(lo: int, hi: int) -> tuple:
         nonlocal held
-        n, keep = (hi - lo) * row, 0
-        out = source.allocate(n)
-        if held is not None:
-            first, last, window = held
-            keep = max(last - lo, 0) * row
-            out.fill(0, window.restricted(slice((lo - first) * row, (last - first) * row)))
-            held = window = None  # freed before the synthesis temporaries are made
-        for start in range(keep, n, synthmod.SYNTH_BLOCK):
-            stop = min(start + synthmod.SYNTH_BLOCK, n)
-            out.fill(start, synthesize_at_points(
-                source.model, source.drive, source.policy,
-                source.grid.nodes(lo * row + start, lo * row + stop), tol=source.tol))
-        held = (lo, hi, out)
-        return out
-    return rows
-
-
-def _mask_reader(mask: Callable, grid: GridSpec, row: int) -> Callable[[int, int], np.ndarray]:
-    """rows(lo, hi): `mask` on axis-0 rows lo to hi - 1 of `grid`, carried as
-    _reader carries a Synthesis's rows, so the predicate sees each row once."""
-    held = (0, np.zeros(0, dtype=bool))  # the last window's end row and its values
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        nonlocal held
-        keep = max(held[0] - lo, 0) * row  # its last rows are this window's first
-        fresh = np.asarray(mask(grid.nodes(lo * row + keep, hi * row)), dtype=bool)
-        held = (hi, np.concatenate([held[1][held[1].size - keep:], fresh]))
-        return held[1]
+        (last, window, values), held = held, None
+        n, keep = (hi - lo) * row, max(last - lo, 0) * row  # its last rows are this window's first
+        if isinstance(source, FieldSolution):
+            part = source.restricted(slice(lo * row, hi * row))
+        else:
+            part = source.allocate(n)
+            if keep:
+                part.fill(0, window.restricted(slice(len(window.Q) - keep, None)))
+            window = None  # freed before the synthesis temporaries are made
+            for start in range(keep, n, synthmod.SYNTH_BLOCK):
+                stop = min(start + synthmod.SYNTH_BLOCK, n)
+                part.fill(start, synthesize_at_points(
+                    source.model, source.drive, source.policy,
+                    source.grid.nodes(lo * row + start, lo * row + stop), tol=source.tol))
+        kept = None if mask is None else np.concatenate([values[values.size - keep:], np.asarray(
+            mask(source.grid.nodes(lo * row + keep, hi * row)), dtype=bool)])
+        held = (hi, part, kept)
+        return part, kept
     return rows
 
 
@@ -244,27 +235,26 @@ def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Cal
     walks its slabs of about SYNTH_BLOCK nodes and at least one row in order.
     `kernel(part, nodes, shape)` returns the residual on a slab's rows and
     the nodes it leaves undefined (or None): `part` is the source on the flat
-    nodes `nodes`, and `shape` their grid shape.  A slab runs every kernel
-    with HALO more rows on each side inside the grid, enough for the central
+    nodes `nodes`, and `shape` their grid shape.  A slab runs every kernel on
+    its window, walk's with a halo of HALO rows, enough for the central
     stencils and the mask's dilation, and keeps its own rows, so every
     node's residual and mask bit are the whole-grid ones for any slab height
-    or worker count (with no kernel, no HALO rows).  A band reads a Synthesis
-    window by window, carrying the 2 HALO rows consecutive windows share, so
-    a node is synthesized once, or twice within HALO rows of a seam between
-    bands.  The predicate `mask` (False where a node is excluded, as
-    verify.mask, carried the same way) adds to each mask.
+    or worker count (with no kernel, a halo of 0).  A band reads its windows
+    through one _reader, which carries the 2 HALO rows consecutive windows
+    share, so a node is synthesized once, or twice within HALO rows of a
+    seam between bands.  The predicate `mask` (False where a node is
+    excluded, as verify.mask), evaluated only when a kernel runs and carried
+    the same way, adds to each mask.
     visit(top, end, part) sees every slab's own rows as `part`."""
     grid = _grid_of(source)
     shape = grid.shape()
     row = math.prod(shape[1:])
     outs = [(np.empty(shape), np.empty(shape, dtype=bool)) for _ in kernels]
-    halo = HALO if kernels else 0
 
-    def slab(rows: Callable, kept: Optional[Callable], top: int, end: int) -> None:
-        lo, hi = max(top - halo, 0), min(end + halo, shape[0])
+    def slab(rows: Callable, lo: int, top: int, end: int, hi: int) -> None:
         nodes, sub = slice(lo * row, hi * row), (hi - lo,) + shape[1:]
-        part, own = rows(lo, hi), slice(top - lo, end - lo)
-        masked = None if kept is None else ~kept(lo, hi)
+        (part, kept), own = rows(lo, hi), slice(top - lo, end - lo)
+        masked = None if kept is None else ~kept
         for kernel, (residual, excluded) in zip(kernels, outs):
             values, bad = kernel(part, nodes, sub)
             residual[top:end] = values[own]
@@ -272,15 +262,14 @@ def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Cal
         if visit is not None:
             visit(top, end, part.restricted(slice((top - lo) * row, (end - lo) * row)))
 
-    def band(slabs: list) -> None:
+    def band(windows: list) -> None:
         # one reader a band; each slab's locals, its window among them, go
         # when it returns, so the reader holds the only window between slabs
-        rows = _reader(source, row)
-        kept = None if mask is None or not kernels else _mask_reader(mask, grid, row)
-        for top, end in slabs:
-            slab(rows, kept, top, end)
+        rows = _reader(source, row, mask if kernels else None)
+        for window in windows:
+            slab(rows, *window)
 
-    synthmod.walk(grid, workers, band)
+    synthmod.walk(grid, workers, band, HALO if kernels else 0)
     return outs
 
 

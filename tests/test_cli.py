@@ -213,6 +213,22 @@ def test_witness_that_does_not_fit_the_drive_exits_2_before_synthesis(
     assert "config error:" in capsys.readouterr().err
 
 
+def test_a_codifferential_residual_without_forms_exits_2_before_synthesis(
+        tmp_path, capsys, monkeypatch):
+    """A codifferential residual synthesizes the config's form: with no forms
+    section the study is refused, naming the section, before any node of the
+    other kinds' field is synthesized."""
+    calls = []
+    monkeypatch.setattr(cli, "synthesize", lambda *a, **kw: calls.append("synthesize"))
+    monkeypatch.setattr(verifymod, "synthesize_at_points", lambda *a, **kw: calls.append("slab"))
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["shallow-vortex"])
+    cfg["verify"] = {"residuals": ["divergence", "codifferential"]}
+    assert run_cfg(tmp_path, cfg, command="verify", extra=["--levels", "3"])[0] == 2
+    assert capsys.readouterr().err == (
+        "config error: verify.residuals lists codifferential, which needs a forms section\n")
+    assert calls == []
+
+
 # Tiny-grid base configs for the config probe: (subcommand, config, the keys it
 # reads).  Every key of config._SCHEMA is read by at least one base.
 _PROBE_GRID = {"lo": [0.2, 0.2], "hi": [0.8, 0.8], "cells": [4, 4]}

@@ -27,7 +27,7 @@ STALLS = "stalls"  # |order| < 0.5
 GROWS = "grows"  # order <= -0.5
 STRADDLES = "straddles the floor"  # order null, not at the floor
 NOT_CONSERVATIVE = "exit 4: witness not conservative"
-NO_FORMS = "exit 2: forms.n is required"
+NO_FORMS = "exit 2: verify.residuals lists codifferential, which needs a forms section"
 
 
 def classify(code: int, stderr: str, report: dict) -> str:

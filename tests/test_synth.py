@@ -368,9 +368,11 @@ def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
             synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
 
 
-def _walked(monkeypatch, grid: GridSpec, workers: int) -> tuple:
-    """(the slabs of each band walk hands out, in band order; the pools it
-    opens, as their max_workers)."""
+def _walked(monkeypatch, grid: GridSpec, workers: int, halo: int = 0) -> tuple:
+    """(the (top, end) slabs of each band walk hands out with `halo`, in band
+    order; the pools it opens, as their max_workers), having checked that
+    every window (lo, top, end, hi) is its slab and up to `halo` rows past
+    each end, inside the grid."""
     from concurrent.futures import ThreadPoolExecutor
 
     from streamfields import synth as synthmod
@@ -382,21 +384,27 @@ def _walked(monkeypatch, grid: GridSpec, workers: int) -> tuple:
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(synthmod, "ThreadPoolExecutor", pool)
-    bands = {}
-    synthmod.walk(grid, workers, lambda slabs: bands.__setitem__(slabs[0][0], slabs))
-    return [bands[top] for top in sorted(bands)], pools
+    bands, rows = {}, grid.shape()[0]
+    synthmod.walk(grid, workers, lambda windows: bands.__setitem__(windows[0][1], windows), halo)
+    for lo, top, end, hi in (window for band in bands.values() for window in band):
+        assert (lo, hi) == (max(top - halo, 0), min(end + halo, rows))
+    return [[(top, end) for _, top, end, _ in bands[top]] for top in sorted(bands)], pools
 
 
 def test_walk_cuts_equal_bands_of_whole_rows(monkeypatch):
     """A 257^2 grid, 66,049 nodes or just over one block of 65,536, is two
     bands of 128 and 129 rows on two workers, not a block and 513 nodes;
-    a slab is at most 255 rows of 257 nodes, the rows that fit a block."""
+    a slab is at most 255 rows of 257 nodes, the rows that fit a block.
+    The slabs are the same for a halo of 0, 1 and 2 rows, and each window
+    is its slab and the halo rows inside the grid."""
     grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (256, 256))
-    assert _walked(monkeypatch, grid, 2) == ([[(0, 128)], [(128, 257)]], [2])
-    assert _walked(monkeypatch, grid, 1) == ([[(0, 255), (255, 257)]], [])
     # rows longer than a block are slabs of one row
     wide = GridSpec((-1.0, -1.0), (1.0, 1.0), (2, 70000))
-    assert _walked(monkeypatch, wide, 1)[0] == [[(0, 1), (1, 2), (2, 3)]]
+    for halo in (0, 1, 2):
+        assert _walked(monkeypatch, grid, 2, halo) == ([[(0, 128)], [(128, 257)]], [2])
+        assert _walked(monkeypatch, grid, 1, halo) == ([[(0, 255), (255, 257)]], [])
+        assert _walked(monkeypatch, wide, 1, halo)[0] == [[(0, 1), (1, 2), (2, 3)]]
+        assert _walked(monkeypatch, wide, 2, halo) == ([[(0, 1)], [(1, 2), (2, 3)]], [2])
 
 
 def test_walk_runs_no_more_bands_than_rows_or_blocks(monkeypatch):

@@ -699,7 +699,7 @@ def test_slabs_visit_the_walks_slabs_and_a_synthesis_gives_the_synthesized_rows(
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
     want = synthesize(model, d, policy, grid, tol=tol, workers=workers)
     bands = []
-    synthmod.walk(grid, workers, bands.append)
+    synthmod.walk(grid, workers, lambda windows: bands.append([w[1:3] for w in windows]), 0)
     walked = sorted(slab for band in bands for slab in band)
     assert [top for top, _ in walked] == [0] + [end for _, end in walked[:-1]]
     assert walked[-1][1] == grid.shape()[0]  # every row once
@@ -743,40 +743,55 @@ def test_a_pass_with_no_kernel_synthesizes_each_node_once(monkeypatch, workers):
     assert sum(counted) == grid.npoints() and sum(visited) == grid.shape()[0]
 
 
+@pytest.mark.parametrize("synthesis", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("height", [1, 2, 7])
-def test_the_mask_predicate_sees_each_node_once_a_band(monkeypatch, height, workers):
+def test_the_mask_predicate_sees_each_node_once_a_band(monkeypatch, height, workers, synthesis):
     """With slabs of 1, 2 and 7 rows, the verify.mask predicate sees each
     node of a band once (the HALO rows either side of a seam between bands
-    once per band), and the mask is the whole grid's bit for bit."""
+    once per band), and the mask is the whole grid's bit for bit.  From a
+    Synthesis that has not run, each node is synthesized exactly as often."""
     from streamfields import synth as synthmod, verify as verifymod
 
     grid = GridSpec((-1.1, -1.0), (1.2, 0.9), (12, 9))
     shape, row = grid.shape(), 10
-    sol = synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid)
+    model, d, policy, tol = shallow_water(), shallow_vortex(1.0), prefer_type1(), Tolerances()
+    sol = synthesize(model, d, policy, grid, tol=tol)
 
     def predicate(points):
         return points[:, 0] ** 2 + 0.5 * points[:, 1] < 0.6
 
     want = verifymod._excluded(sol, shape, None, ~predicate(grid.points()))
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
-    seen = []
+    seen, synthesized, real = [], [], verifymod.synthesize_at_points
 
     def mask(points):
         seen.append(points.copy())
         return predicate(points)
 
+    def spy(model, d, policy, points, **kw):
+        synthesized.append(points.copy())
+        return real(model, d, policy, points, **kw)
+
+    def counts(points: list) -> np.ndarray:
+        pts = np.concatenate(points)
+        flat = [np.searchsorted(ax, pts[:, i]) for i, ax in enumerate(grid.axes())]
+        return np.bincount(np.ravel_multi_index(flat, shape), minlength=grid.npoints())
+
+    monkeypatch.setattr(verifymod, "synthesize_at_points", spy)
+    source = synthmod.Synthesis(grid, model, d, policy, tol) if synthesis else sol
     kernel = verifymod.SLAB_KINDS["divergence"][1](grid.spacing())
-    (_, excluded), = verifymod._slabs(sol, [kernel], workers, mask=mask)
+    (_, excluded), = verifymod._slabs(source, [kernel], workers, mask=mask)
     assert excluded.tobytes() == want.tobytes()
-    pts = np.concatenate(seen)
-    flat = [np.searchsorted(ax, pts[:, i]) for i, ax in enumerate(grid.axes())]
-    counts = np.bincount(np.ravel_multi_index(flat, shape), minlength=grid.npoints())
     bands = []
-    synthmod.walk(grid, workers, bands.append)
+    synthmod.walk(grid, workers, bands.append, verifymod.HALO)
     expected = np.ones(shape, dtype=np.intp)
-    for slabs in bands[1:]:
-        seam = slabs[0][0]
+    for windows in bands[1:]:
+        seam = windows[0][1]
         expected[seam - verifymod.HALO:seam + verifymod.HALO] += 1
-    assert np.array_equal(counts, expected.reshape(-1))
+    assert np.array_equal(counts(seen), expected.reshape(-1))
+    if synthesis:
+        assert np.array_equal(counts(synthesized), expected.reshape(-1))
+    else:
+        assert synthesized == []
     assert want.any() and not want.all()
