@@ -5,11 +5,12 @@ by a JSON config (--config PATH) or a built-in example (--example NAME) and
 writes plot-ready CSV / JSON artifacts into --out.  All numeric output uses 17
 significant digits and fixed row/column order, so reruns are byte-identical.
 CSV files are written in blocks of CSV_BLOCK_ROWS rows (tracemalloc peak 9.4
-MB on 513^2 and 65^3 grids, 35.5 MB at 65,536 rows).  Each distinct value
-of a column is formatted once per block, with its trailing "," or newline, and
-a block is written with one join of its cells; the bytes are the same as
-formatting every cell on its own.  Coordinate columns, and the input of the
-frobenius.mask predicate, are built a block of grid nodes at a time.
+MB on 513^2 and 65^3 grids, 35.5 MB at 65,536 rows), from arrays the command
+holds: floats, ints or bools, and codes written as names (the regime).  Each
+distinct value of a block column is formatted once, with its trailing "," or
+newline, and a block is written with one join of its cells; the bytes are
+the same as formatting every cell on its own.  Coordinate columns, and the
+input of the frobenius.mask predicate, are built a block of nodes at a time.
 
 A float is written as Python's "%.17g" % v writes it.  A block column with at
 least ARRAY_FORMAT_MIN distinct floats formats them with array arithmetic
@@ -26,11 +27,11 @@ subcommand, and so is a `verify --levels K` study whose finest grid would have
 more, or that has K = 2 levels, too few for its order fit; K < 1 is refused
 everywhere.
 
-Exit codes: 0 success, 2 config error, 3 synthesis found no admissible
-points, 4 a verification threshold or conservative gate was breached.  A
-subcommand returns EXIT_OK or raises: a config error, or an _Exit that carries
-its code and reason.  `main` is the only place that prints a reason (to
-stderr) and picks the exit code.
+Exit codes: 0 success, 2 config error or out of memory, 3 synthesis found no
+admissible points, 4 a verification threshold or conservative gate was
+breached.  A subcommand returns EXIT_OK or raises: a config error, or an
+_Exit that carries its code and reason.  `main` is the only place that
+prints a reason (to stderr) and picks the exit code.
 """
 
 from __future__ import annotations
@@ -242,15 +243,14 @@ def _ascii(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8)
 
 
-def _column_text(kind: str, col, sep: str) -> list:
+def _column_text(kind: str | tuple, col, sep: str) -> list:
     """One block of a column as strings, each followed by `sep`; each distinct
-    value is formatted, and given its separator, once.
+    value is formatted, and given its separator, once.  `kind` is "float",
+    "int", or a tuple of names that the column's integer codes index.
 
     Floats are told apart by their bit pattern, not by value: np.unique on
     values merges -0.0 with 0.0, which "%.17g" prints as "-0" and "0".
     """
-    if kind == "str":
-        return list(map({s: s + sep for s in set(col)}.__getitem__, col))
     if kind == "float":
         keys = np.asarray(col, dtype=np.float64).view(np.int64)
         uniq, inv = np.unique(keys, return_inverse=True)
@@ -260,28 +260,33 @@ def _column_text(kind: str, col, sep: str) -> list:
         text = _percent_17g(values, sep)
     else:
         uniq, inv = np.unique(np.asarray(col), return_inverse=True)
-        text = [str(int(v)) + sep for v in uniq.tolist()]
+        label = str if kind == "int" else kind.__getitem__
+        text = [label(int(v)) + sep for v in uniq.tolist()]
     return np.array(text, dtype=object)[inv].tolist()
 
 
 @contextlib.contextmanager
 def _written(path: str):
     """`path` opened for writing text; an OSError from opening or writing it
-    is a config error (exit 2), as an output directory that cannot be made is."""
+    is a config error (exit 2), as an output directory that cannot be made is.
+    A file whose writing raised is removed, so no exit leaves half an artifact."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+            try:
+                yield fh
+            except BaseException:
+                os.remove(path)
+                raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
-    """Columns are (kind, array) with kind in {float, int, str}.
-
-    Floats are written with "%.17g", ints with str(int(v)) and strings as
-    they are, one row per line, in blocks of CSV_BLOCK_ROWS rows.  A block's
-    cells, each with its trailing "," or newline, are interleaved row-major
-    into one list and written with one join.
+    """Columns are (kind, array): a "float" column is written with "%.17g",
+    an "int" column (bool or integer) with str(int(v)), and a column whose
+    kind is a tuple of names as names[int(v)], one row per line, in blocks of
+    CSV_BLOCK_ROWS rows.  A block's cells, each with its trailing "," or
+    newline, are interleaved row-major into one list and written with one join.
     """
     n, c = len(columns[0][1]), len(columns)
     seps = [","] * (c - 1) + ["\n"]
@@ -418,9 +423,8 @@ def _refuse_empty(sol, xi: np.ndarray) -> None:
 def _tail_columns(sol: FieldSolution) -> list:
     """The Q, regime, branch and flags columns that field.csv and forms.csv end
     with."""
-    regimes = np.array(REGIME_NAMES, dtype=object)[sol.regime].tolist()
-    return [("Q", "float", sol.Q), ("regime", "str", regimes), ("branch", "int", sol.branch_id),
-            ("flags", "int", sol.flags)]
+    return [("Q", "float", sol.Q), ("regime", REGIME_NAMES, sol.regime),
+            ("branch", "int", sol.branch_id), ("flags", "int", sol.flags)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +454,7 @@ def cmd_singular(args) -> int:
              ("gammas", report.gamma_s), ("gammainf", report.gamma_inf),
              ("gammag", report.gamma_g))
     _write_table(out, "masks.csv", grid,
-                 [(name, "int", mask.reshape(-1).astype(int)) for name, mask in masks])
+                 [(name, "int", mask.reshape(-1)) for name, mask in masks])
     if grid.dim == 2:
         polys = report.sonic_contour
         xy = np.concatenate([np.reshape(p, (-1, 2)) for p in polys] or [np.empty((0, 2))])
@@ -746,6 +750,9 @@ def main(argv: Optional[list] = None) -> int:
         outcome = _Exit(EXIT_THRESHOLD, f"integrability check failed: {exc}")
     except _Exit as exc:
         outcome = exc
+    except MemoryError:
+        outcome = _Exit(EXIT_CONFIG, f"{args.command} ran out of memory: lower grid.cells or "
+                        "--levels")
     print(outcome, file=sys.stderr)
     return outcome.code
 

@@ -574,6 +574,54 @@ def test_an_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, command, n
     assert "Traceback" not in err
 
 
+def test_a_csv_whose_formatting_raises_is_removed(tmp_path, monkeypatch, capsys):
+    """A column that cannot be formatted (a code past its name table) raises
+    after a first block is written, and the half-written file goes; so does
+    field.csv when formatting runs out of memory, and synth exits 2."""
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2)
+    path = tmp_path / "t.csv"
+    with pytest.raises(IndexError):
+        _write_csv(str(path), ["k"], [(("a", "b"), np.array([0, 1, 2]))])
+    assert not path.exists()
+
+    calls, column_text = [], cli._column_text
+
+    def short_of_memory(*args):
+        calls.append(1)
+        if len(calls) > 20:
+            raise MemoryError
+        return column_text(*args)
+    monkeypatch.setattr(cli, "_column_text", short_of_memory)
+    assert main(["synth", "--example", "unit-density", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "synth ran out of memory: lower grid.cells or --levels\n"
+    assert len(calls) == 21 and os.listdir(tmp_path) == []
+
+
+# RLIMIT_AS (address space) of the child: importing numpy and streamfields
+# takes a little over 100 MB of it with OPENBLAS_NUM_THREADS=1, and a
+# 2047^2-cell solution 172 MB more
+_ADDRESS_SPACE_LIMIT = 150 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn and RLIMIT_AS")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path, threads):
+    import resource
+
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["shallow-vortex"])
+    cfg["grid"]["cells"] = [2047, 2047]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamfields.cli", "synth", "--config", str(tmp_path / "cfg.json"),
+         "--out", str(tmp_path / "out"), "--threads", threads],
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (_ADDRESS_SPACE_LIMIT, _ADDRESS_SPACE_LIMIT)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "synth ran out of memory: lower grid.cells or --levels\n"
+    assert not os.listdir(tmp_path / "out")
+
+
 def test_portrait_script_refuses_an_out_path_it_cannot_write(tmp_path):
     path = tmp_path / "missing" / "field.csv"
     proc = _run_script("vortex_branch_portrait.py", "--cells", "2", "--out", str(path))
@@ -1320,6 +1368,35 @@ def test_each_command_builds_a_solutions_points_once(tmp_path, capsys, monkeypat
     capsys.readouterr()
 
 
+def test_each_csv_column_is_an_array_the_command_holds(tmp_path, capsys, monkeypatch):
+    """synth, singular and forms hand _write_csv the arrays they hold: no
+    list, no object array, the regime codes of the solution itself (not a
+    copy) and each singular-set mask as bool."""
+    writes, admitted, checked = [], [], []
+    write, admit = cli._write_csv, cli._admitted
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: (
+        writes.append((os.path.basename(path), header, columns)), write(path, header, columns)))
+    monkeypatch.setattr(cli, "_admitted", lambda sol: admitted.append(admit(sol)) or admitted[-1])
+    for command, name in (("synth", "shallow-vortex"), ("singular", "born-infeld-fund"),
+                          ("singular", "shallow-vortex"), ("forms", "form-21")):
+        writes.clear(), admitted.clear()
+        assert main([command, "--example", name, "--out", str(tmp_path / command)]) == 0
+        assert writes and len(admitted) == 1, (command, name)
+        for file, header, columns in writes:
+            for head, (kind, col) in zip(header, columns):
+                assert isinstance(col, (np.ndarray, cli._Coordinate)), (file, head)
+                assert not isinstance(col, np.ndarray) or col.dtype != object, (file, head)
+                if head == "regime":
+                    assert kind == cli.REGIME_NAMES
+                    assert np.shares_memory(col, admitted[0].regime), (file, head)
+                    checked.append(file)
+                if file == "masks.csv" and kind == "int":
+                    assert col.dtype == bool, (file, head)
+                    checked.append(file)
+    assert checked == ["field.csv"] + ["masks.csv"] * 10 + ["forms.csv"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("cells, block", [((40, 30), 100), ((40, 30), 7), ((5, 6, 7), 50)])
 def test_table_coordinates_are_the_grid_points_byte_for_byte(tmp_path, monkeypatch, cells,
                                                               block):
@@ -1448,7 +1525,7 @@ def _write_csv_per_cell(path, header, columns):
             elif kind == "int":
                 parts.append(str(int(v)))
             else:
-                parts.append(str(v))
+                parts.append(kind[int(v)])
         out.append(",".join(parts))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
@@ -1470,7 +1547,7 @@ def _mixed_columns(n, seed=7):
         ("int", rng.random(n) < 0.5),
         ("int", rng.integers(-2, 3, n).astype(np.int32)),
         ("int", ints),
-        ("str", [("elliptic", "sonic", "undefined")[i] for i in rng.integers(0, 3, n)]),
+        (("elliptic", "sonic", "undefined"), rng.integers(0, 3, n).astype(np.uint8)),
     ]
 
 

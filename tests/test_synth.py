@@ -184,6 +184,45 @@ def test_gamma0_marks_the_rho_zero_set():
     assert not (sol.flags[1] & FLAG_GAMMA0)
 
 
+def test_gamma0_needs_q_above_eps_rho():
+    """rho(Q) = Q vanishes only as Q does, where w -> 0 continuously: a point
+    with 0 < Q <= eps_rho and rho = Q (so |rho| < eps_rho) is not on Gamma0.
+    Shallow water's rho = 1 - Q/2 vanishes at Q = 2, and the points of branch
+    2 where |rho| < eps_rho are."""
+    from streamfields import custom
+
+    tol = Tolerances()
+    q = np.array([1e-10, 1e-9, 1e-8, 1e-7, 5e-7, tol.eps_rho])
+    # f = x1^2: xi = 4 x1^2 = phi(Q) = Q^3
+    pts = np.c_[np.sqrt(q ** 3) / 2, np.zeros_like(q)]
+    sol = synthesize_at_points(custom("Q", q_max=10.0), scalar_drive("x1^2"), prefer_type1(),
+                               pts, tol)
+    np.testing.assert_allclose(sol.Q, q, rtol=1e-9)
+    assert (sol.branch_id == 1).all() and (sol.Q > 0).all()
+    assert (np.abs(sol.Q) < tol.eps_rho).sum() == 5
+    assert not (sol.flags & FLAG_GAMMA0).any()
+
+    # f = x1^2 + x2^2: |a| = 2 r, and branch 2 sends xi -> 0 to Q -> 2
+    r = np.array([1e-8, 7e-8, 3e-7])
+    sol = synthesize_at_points(shallow_water(), scalar_drive("x1^2 + x2^2"), single_branch(2),
+                               np.c_[r, np.zeros_like(r)], tol)
+    rho = shallow_water().rho(sol.Q)
+    assert (sol.branch_id == 2).all() and (tol.rho_zero <= rho).all() and (rho < tol.eps_rho).all()
+    assert (sol.flags & FLAG_GAMMA0).all()
+
+
+def test_gamma_g_needs_a_nonzero_laplacian():
+    """A critical point of the drive is on Gamma_G only where the Laplacian of
+    f is not zero: x1^2 + x2^2 (Laplacian 4) flags its one grid node at the
+    origin, x1^2 - x2^2 (Laplacian 0) flags none."""
+    grid = GridSpec(lo=(-1.0, -1.0), hi=(1.0, 1.0), cells=(4, 4))
+    origin = int(np.flatnonzero((grid.points() == 0.0).all(axis=1))[0])
+    for f, flagged in (("x1^2 + x2^2", [origin]), ("x1^2 - x2^2", [])):
+        sol = synthesize(shallow_water(), scalar_drive(f), prefer_type1(), grid)
+        assert sol.xi[origin] == 0.0 and sol.flags[origin] & FLAG_DRIVE_UNDEFINED == 0
+        assert np.flatnonzero(sol.flags & FLAG_GAMMA_G).tolist() == flagged, f
+
+
 def test_undefined_drive_flag():
     m = extremal()
     d = scalar_drive("log(x1)")
