@@ -1,0 +1,134 @@
+"""Standing mutant record: single-text mutants that the tests must notice.
+
+Each mutant replaces one text of one source file. The script copies the
+tree (the files git tracks, and the untracked ones it does not ignore) to a
+temporary directory per mutant, applies the replacement there, and runs only
+the mutant's test files with `pytest -x`. It prints one line per mutant:
+killed (with the first failing test) or survived.
+
+Usage, from a source checkout whose tests pass unmutated (a test that fails
+without a mutant would count as a kill):
+
+    python3 scripts/mutants.py
+
+Exit 0 when every mutant ends as expected; 1 when a mutant expected to be
+killed survives, or one expected to survive is killed; 2 when a mutant's old
+text does not occur exactly once in its file, or pytest neither passed nor
+failed (a collection or usage error).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout root
+    old: str  # occurs exactly once in `path`
+    new: str
+    tests: tuple  # test files (or pytest node ids) that must notice it
+    expect: str = "killed"  # or "survived: <why no input can tell it apart>"
+
+
+MUTANTS = [
+    # the mutants of the roadmap's first record (K1)
+    Mutant("phi_prime_of: 2 Q rho' -> 1 Q rho'", "src/streamfields/density.py",
+           "r * (r + 2.0 * q * rp)", "r * (r + 1.0 * q * rp)",
+           ("tests/test_frobenius.py", "tests/test_acceptance.py")),
+    Mutant("verify.GK_TOL 1e-14 -> 1e-4", "src/streamfields/verify.py",
+           "GK_TOL = 1e-14", "GK_TOL = 1e-4", ("tests/test_verify.py",)),
+    Mutant("density.SAMPLES_PER_DECADE 4096 -> 256", "src/streamfields/density.py",
+           "SAMPLES_PER_DECADE = 4096", "SAMPLES_PER_DECADE = 256", ("tests/test_density.py",)),
+    Mutant("fit_order fits only the last two levels", "src/streamfields/verify.py",
+           "np.polyfit(np.log(hs), np.log(ms), 1)",
+           "np.polyfit(np.log(hs[-2:]), np.log(ms[-2:]), 1)", ("tests/test_verify.py",)),
+    Mutant("gamma0 flag: Q > eps_rho -> Q > 0", "src/streamfields/synth.py",
+           "(np.abs(rho_c) < tol.eps_rho) & (Q > tol.eps_rho)",
+           "(np.abs(rho_c) < tol.eps_rho) & (Q > 0.0)", ("tests/test_synth.py",)),
+    Mutant("gamma_g flag without the laplacian test", "src/streamfields/synth.py",
+           " & (np.abs(lap) > tol.eps_grad)", "", ("tests/test_synth.py",)),
+    # rho' and rho from one domain test, one residual dispatch, and walk's pool
+    Mutant("rho_and_prime: rho' without the domain mask", "src/streamfields/density.py",
+           "np.where(ok, self.rho_prime_fn(q), np.nan)", "self.rho_prime_fn(q)",
+           ("tests/test_density.py",)),
+    Mutant("cmd_verify: frobenius sent to the exactness branch", "src/streamfields/cli.py",
+           'if kind == "frobenius":', "if False:", ("tests/test_cli.py",)),
+    Mutant("walk: a thread that cannot start re-raises RuntimeError", "src/streamfields/synth.py",
+           "raise MemoryError(str(exc)) from exc", "raise", ("tests/test_cli.py",)),
+]
+
+def _tree() -> list:
+    """The checkout's files: tracked, and untracked but not ignored."""
+    out = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    return [f for f in out.split("\0") if f and (ROOT / f).is_file()]
+
+
+def _first_failure(output: str) -> str:
+    """The node id of the first FAILED or ERROR line of pytest's summary; a
+    parametrized id may hold " - ", so it ends at its closing bracket."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            rest = line.split(" ", 1)[1]
+            end = rest.find("] - ") + 1 if "[" in rest.split(" - ", 1)[0] else 0
+            return rest[:end] if end else rest.split(" - ", 1)[0]
+    return "?"
+
+
+def run(m: Mutant, files: list) -> tuple:
+    """(outcome, detail) of one mutant: "killed", "survived" or "error"."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for f in files:
+            (Path(tmp) / f).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / f, Path(tmp) / f)
+        target = Path(tmp) / m.path
+        text = target.read_text()
+        if text.count(m.old) != 1:
+            return "error", f"old text occurs {text.count(m.old)} times in {m.path}"
+        target.write_text(text.replace(m.old, m.new))
+        # wide COLUMNS: pytest cuts its summary lines to the terminal width
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   COLUMNS="10000")
+        where = subprocess.run([sys.executable, "-c",
+                                "import streamfields; print(streamfields.__file__)"],
+                               cwd=tmp, env=env, capture_output=True, text=True).stdout.strip()
+        if not where or not Path(where).resolve().is_relative_to(Path(tmp).resolve()):
+            return "error", f"streamfields imported from {where or '?'}, not the mutated copy"
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
+                               "-p", "no:cacheprovider", *m.tests],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return "survived", ""
+    if proc.returncode == 1:
+        return "killed", _first_failure(proc.stdout)
+    return "error", f"pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
+
+
+def main() -> int:
+    files = _tree()
+    code, start = 0, time.perf_counter()
+    for m in MUTANTS:
+        t0 = time.perf_counter()
+        outcome, detail = run(m, files)
+        expected = m.expect.split(":")[0]
+        if outcome == "error":
+            code = 2
+        elif outcome != expected:
+            code = max(code, 1)
+        mark = "" if outcome == expected else f"  UNEXPECTED (expected {expected})"
+        print(f"{outcome:8}  {m.name}  [{time.perf_counter() - t0:.0f} s]"
+              + (f"  {detail}" if detail else "") + mark, flush=True)
+    print(f"{time.perf_counter() - start:.0f} s in all", flush=True)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -465,9 +465,7 @@ def cmd_singular(args) -> int:
 
 
 def _witness_for(choice: str, sol: FieldSolution):
-    build = {"2d": frobmod.witness_2d, "nd": frobmod.witness_nd,
-             "gradient": frobmod.witness_gradient}
-    return build[frobmod.resolve_witness(choice, sol.drive)](sol)
+    return getattr(frobmod, "witness_" + frobmod.resolve_witness(choice, sol.drive))(sol)
 
 
 def cmd_frobenius(args) -> int:
@@ -631,7 +629,6 @@ def cmd_verify(args) -> int:
     kinds = list(dict.fromkeys(vs["residuals"]))
     witness = fs["witness"] if {"frobenius", "exactness"} & set(kinds) else None
 
-    reports = []
     energy_value = None
 
     sol_on, field_report = _study(grids, lambda grid: _synthesis(cfg, grid, witness),
@@ -648,29 +645,19 @@ def cmd_verify(args) -> int:
     # every residual kind's verify.mask predicate and slab threads
     common = {"mask": mask_pred, "workers": _workers(args.threads)}
 
-    def exactness(grid: GridSpec):
+    def residual(kind: str, grid: GridSpec) -> verifymod.ResidualReport:
+        # the config schema has already rejected every other kind
+        if kind not in ("frobenius", "exactness"):
+            return (form_report if kind == "codifferential" else field_report)(kind, grid)
         sol, wit = sol_on(grid), witness_on(grid)
+        if kind == "frobenius":
+            return verifymod.frobenius_residual(sol, wit, **common)
         rec = frobmod.recover_eta(wit, mask=_grid_mask(fs["mask"], grid),
                                   tol_conservative=fs["tol_conservative"])
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common)
 
-    # residual kind -> residual report on one grid; the config schema has
-    # already rejected every other kind
-    residual_on = {
-        "divergence": functools.partial(field_report, "divergence"),
-        "minor": functools.partial(field_report, "minor"),
-        "frobenius": lambda grid: verifymod.frobenius_residual(
-            sol_on(grid), witness_on(grid), **common),
-        "exactness": exactness,
-        "codifferential": functools.partial(form_report, "codifferential"),
-    }
-
-    for kind in vs["residuals"]:
-        make = residual_on[kind]
-        if levels > 1:
-            reports.append(verifymod.convergence_study(make, grids))
-        else:
-            reports.append(make(grids[0]))
+    reports = [verifymod.convergence_study(functools.partial(residual, kind), grids)
+               if levels > 1 else residual(kind, grids[0]) for kind in vs["residuals"]]
 
     if vs["energy"]:
         # the finest Synthesis or its copy: the energy reads only the grid

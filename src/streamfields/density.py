@@ -5,6 +5,7 @@ its Q-interval, its image, and an inverse psi.  Increasing pieces (type1) give
 the elliptic regime, decreasing pieces (type2) the hyperbolic one.  Built-in
 models ship exact analytic inverses; custom densities get branches detected by
 sign-sampling phi' and inverted numerically (bisection plus Newton polish).
+Models give rho and rho' from one domain test (rho_and_prime), phi' by phi_prime_of.
 
 Custom branch detection is one sweep over the sample signs of phi': runs of
 defined phi' come from the edges of the defined mask, and a branch ends where a
@@ -90,6 +91,12 @@ class PhiBranch:
         return out
 
 
+def phi_prime_of(q, r, rp) -> np.ndarray:
+    """phi'(Q) = rho (rho + 2 Q rho') from r = rho(q) and rp = rho'(q)."""
+    with np.errstate(all="ignore"):
+        return r * (r + 2.0 * q * rp)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityModel:
     kind: str  # extremal | born_infeld | shallow_water | caustic | custom
@@ -112,25 +119,20 @@ class DensityModel:
             r = self.rho_fn(q)
         return np.where(self.in_domain(q), r, np.nan)
 
-    def rho_prime(self, q) -> np.ndarray:
+    def rho_and_prime(self, q) -> tuple:
+        """(rho(q), rho'(q)) from one domain test, each NaN outside the domain."""
         q = np.asarray(q, dtype=float)
-        with np.errstate(all="ignore"):
-            rp = self.rho_prime_fn(q)
-        return np.where(self.in_domain(q), rp, np.nan)
+        ok = self.in_domain(q)
+        with np.errstate(all="ignore"):  # one unmasked array at a time
+            return np.where(ok, self.rho_fn(q), np.nan), np.where(ok, self.rho_prime_fn(q), np.nan)
 
     def phi(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         with np.errstate(all="ignore"):
             return q * self.rho(q) ** 2
 
-    def phi_prime(self, q, r=None) -> np.ndarray:
-        """phi'(Q) = rho (rho + 2 Q rho'); ``r``, if given, is the caller's
-        rho(q), so rho is not evaluated a second time."""
-        q = np.asarray(q, dtype=float)
-        r = self.rho(q) if r is None else r
-        rp = self.rho_prime(q)
-        with np.errstate(all="ignore"):
-            return r * (r + 2.0 * q * rp)
+    def phi_prime(self, q) -> np.ndarray:
+        return phi_prime_of(np.asarray(q, dtype=float), *self.rho_and_prime(q))
 
     def branches(self) -> list[PhiBranch]:
         return list(self.branch_list)
@@ -403,9 +405,7 @@ def custom(
 
     def dphi_arr(q):
         q = np.asarray(q, dtype=float)
-        r, rp = rho_and_prime(q)
-        with np.errstate(all="ignore"):
-            return r * (r + 2.0 * q * rp)
+        return phi_prime_of(q, *rho_and_prime(q))
 
     if q_min < 0.0:
         raise DensityError("q_min must be >= 0")
@@ -420,11 +420,11 @@ def custom(
 
     qs = _sample_grid(q_min, horizon, SAMPLES_PER_DECADE)
     rvals, rp = rho_and_prime(qs)
+    dphi = phi_prime_of(qs, rvals, rp)  # dphi_arr(qs)
     with np.errstate(all="ignore"):
-        slope = 2.0 * qs * rp
-        dphi = rvals * (rvals + slope)  # dphi_arr(qs), bit for bit
         # phi' within rounding of its two terms has no sign
-        noise = np.abs(dphi) <= PHI_PRIME_NOISE * np.abs(rvals) * (np.abs(rvals) + np.abs(slope))
+        noise = np.abs(dphi) <= (PHI_PRIME_NOISE * np.abs(rvals)
+                                 * (np.abs(rvals) + np.abs(2.0 * qs * rp)))
     sign = np.where(np.isfinite(dphi), np.sign(np.where(noise, 0.0, dphi)), np.nan)
     branch_list = _detect_branches(
         qs, sign, rvals, phi_arr, dphi_arr,

@@ -401,8 +401,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FieldSolution) -> GammaWit
     usable = ~star_df.bad & (sol.xi > tol.eps_grad ** 2)
     Gamma1, defect, rank_def = _least_squares(A, b, usable)
 
-    rho_c = model.rho(sol.Q)
-    glr, rho_usable = log_rho_gradient(model, sol.Q, rho_c, grad_xi, tol)
+    rho_c, glr, rho_usable = log_rho_gradient(model, sol.Q, grad_xi, tol)
     with np.errstate(all="ignore"):
         Gamma = Gamma1 - glr
         # d(omega) = [d*df - dlogrho ^ *df] / rho, then compare with Gamma ^ omega

@@ -73,8 +73,7 @@ def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> _Core:
     branch come from `sol`, the drive and its jacobian from `batch`."""
     tol = sol.tol
     a, jac, xi = batch.a, batch.jac, batch.xi
-    rho_c = sol.model.rho(sol.Q)
-    glr, usable = log_rho_gradient(sol.model, sol.Q, rho_c, batch.grad_xi, tol)
+    rho_c, glr, usable = log_rho_gradient(sol.model, sol.Q, batch.grad_xi, tol)
     M = div_a = None
     with np.errstate(all="ignore"):
         if kind == "minor":

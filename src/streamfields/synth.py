@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as exprmod
-from .density import DensityModel, PhiBranch
+from .density import DensityModel, PhiBranch, phi_prime_of
 from .drive import DriveField, coord_names, drive_batch
 
 
@@ -353,8 +353,9 @@ def _assemble(model: DensityModel, policy: BranchPolicy, tol: Tolerances,
     sel[failed] = 0
 
     on_branch = sel != 0
-    rho_c = model.rho(Q)
-    phi_p = model.phi_prime(Q, rho_c)
+    rho_c, rho_p = model.rho_and_prime(Q)
+    phi_p = phi_prime_of(Q, rho_c, rho_p)
+    del rho_p  # not read again: freed before the block's w is built
 
     with np.errstate(all="ignore"):
         primary = on_branch & np.isfinite(rho_c) & (np.abs(rho_c) >= tol.rho_zero)
@@ -441,7 +442,7 @@ def walk(grid: GridSpec, workers: int, band: Callable[[list], None], halo: int) 
     slab is rows top to end - 1, and the window rows lo to hi - 1, the slab
     and up to `halo` rows past each end inside the grid.  More than one band
     runs on a thread pool, one band a thread; reading every result re-raises
-    a band's error."""
+    a band's error, and a thread that cannot start raises MemoryError."""
     rows, npts = grid.shape()[0], grid.npoints()
     height = max(1, SYNTH_BLOCK // (npts // rows))
     bands = min(max(workers, 1), -(-npts // SYNTH_BLOCK), rows)
@@ -454,7 +455,11 @@ def walk(grid: GridSpec, workers: int, band: Callable[[list], None], halo: int) 
         band(windows[0])
     else:
         with ThreadPoolExecutor(max_workers=bands) as pool:
-            list(pool.map(band, windows))
+            try:  # map starts every band's thread before any result is read
+                results = pool.map(band, windows)
+            except RuntimeError as exc:  # a thread that could not start
+                raise MemoryError(str(exc)) from exc
+            list(results)
 
 
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
@@ -481,17 +486,16 @@ def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
     return out
 
 
-def log_rho_gradient(model: DensityModel, Q: np.ndarray, rho_c: np.ndarray,
-                     grad_xi: np.ndarray, tol: Tolerances) -> tuple:
-    """grad log rho(psi(xi)) = rho' / (rho phi') grad xi, by the chain rule
-    through the branch inverse, with the mask of points where the caller's
-    rho(Q) and phi'(Q) are finite and clear of their zero tolerances.  rho'
-    is evaluated once, and phi' is model.phi_prime(Q) wherever rho_c is
-    rho(Q) (elsewhere rho_c is NaN and the point unusable either way)."""
-    rho_p = model.rho_prime(Q)
+def log_rho_gradient(model: DensityModel, Q: np.ndarray, grad_xi: np.ndarray,
+                     tol: Tolerances) -> tuple:
+    """(rho(Q), grad log rho(psi(xi)), usable): the gradient is rho' / (rho
+    phi') grad xi, by the chain rule through the branch inverse, and usable
+    the mask of points where rho(Q) and phi'(Q) are finite and clear of their
+    zero tolerances.  rho and rho' come from one model.rho_and_prime call."""
+    rho_c, rho_p = model.rho_and_prime(Q)
+    phi_p = phi_prime_of(Q, rho_c, rho_p)
     with np.errstate(all="ignore"):
-        phi_p = rho_c * (rho_c + 2.0 * Q * rho_p)
         glr = (rho_p / (rho_c * phi_p))[:, None] * grad_xi
     usable = (np.isfinite(rho_c) & (np.abs(rho_c) >= tol.rho_zero)
               & np.isfinite(phi_p) & (np.abs(phi_p) >= tol.eps_phi_prime))
-    return glr, usable
+    return rho_c, glr, usable

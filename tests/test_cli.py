@@ -622,6 +622,34 @@ def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path, threads):
     assert not os.listdir(tmp_path / "out")
 
 
+def test_a_band_thread_that_cannot_start_exits_2_without_a_traceback(tmp_path, capsys,
+                                                                     monkeypatch):
+    """Executor.map starts every band's thread before any result is read; a
+    thread that cannot start is the process running out of memory."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from streamfields import synth
+
+    class Starved(ThreadPoolExecutor):
+        started = 0
+
+        def submit(self, *args, **kwargs):
+            if self.started:
+                raise RuntimeError("can't start new thread")
+            self.started += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "ThreadPoolExecutor", Starved)
+    monkeypatch.setattr(cli, "_workers", lambda threads: threads)
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["shallow-vortex"])
+    cfg["grid"]["cells"] = [300, 300]  # 90,601 nodes: two bands of synth.SYNTH_BLOCK
+    code, out = run_cfg(tmp_path, cfg, extra=("--threads", "2"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == "synth ran out of memory: lower grid.cells or --levels\n"
+    assert not os.listdir(out)
+
+
 def test_portrait_script_refuses_an_out_path_it_cannot_write(tmp_path):
     path = tmp_path / "missing" / "field.csv"
     proc = _run_script("vortex_branch_portrait.py", "--cells", "2", "--out", str(path))

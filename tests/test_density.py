@@ -108,7 +108,7 @@ def test_branch_inverse_agrees_with_bisection_oracle(model):
 def test_caustic_kink_has_undefined_slope():
     tau = 1.5
     m = caustic(tau)
-    assert np.isnan(m.rho_prime(tau**2))
+    assert np.isnan(m.rho_and_prime(tau**2)[1])
     # but rho itself is continuous (and zero) at the kink
     assert m.rho(tau**2) == pytest.approx(0.0, abs=1e-12)
 
@@ -472,5 +472,32 @@ def test_custom_rho_reads_values_only_and_rho_prime_first_order_jets(monkeypatch
     q = np.array([0.5, 1.0, 3.0])
     np.testing.assert_array_equal(model.rho(q), [2.5, 2.0, 4.0])
     assert orders == [0]
-    np.testing.assert_array_equal(model.rho_prime(q), [-1.0, np.nan, 1.0])
-    assert orders == [0, 1]
+    r, rp = model.rho_and_prime(q)
+    np.testing.assert_array_equal(r, [2.5, 2.0, 4.0])
+    np.testing.assert_array_equal(rp, [-1.0, np.nan, 1.0])
+    assert orders == [0, 0, 1]
+
+
+@pytest.mark.parametrize("model", [
+    extremal(), born_infeld(), shallow_water(), caustic(1.0), caustic(2.0),
+    custom("2 + abs(Q - 1)", q_max=4.0), custom("1"),
+], ids=["extremal", "born_infeld", "shallow_water", "caustic1", "caustic2", "kink", "one"])
+def test_rho_and_prime_and_phi_prime_match_their_oracle_bit_for_bit(model):
+    """rho_and_prime is (rho, rho_prime_fn masked by the domain), and phi'
+    the product rho (rho + 2 Q rho') of those arrays, NaN positions and the
+    sign of zero included: at NaN, +-inf, Q < 0, -0.0, the extremal pole
+    Q = 1, the caustic kinks Q = tau^2 = 1 and 4, and Q beyond q_max = 4."""
+    q = np.array([np.nan, -np.inf, np.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 2.0 / 3.0, 1.0,
+                  1.0 + 1e-15, 2.0, 3.5, 4.0, 4.5, 1e6, 1e300])
+    with np.errstate(all="ignore"):
+        rp_fn = model.rho_prime_fn(q)
+    r, rp = model.rho_and_prime(q)
+    want_rp = np.where(model.in_domain(q), rp_fn, np.nan)
+    assert _bits(r) == _bits(model.rho(q))
+    assert _bits(rp) == _bits(want_rp)
+    with np.errstate(all="ignore"):
+        want_phi = r * (r + 2.0 * q * rp)
+    assert _bits(model.phi_prime(q)) == _bits(want_phi)
+    # rho' is NaN outside the domain even where rho_prime_fn is finite there
+    # (the extremal and shallow-water laws at Q < 0, the kink law past q_max)
+    assert np.isnan(rp[~model.in_domain(q)]).all()

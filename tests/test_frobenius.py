@@ -567,3 +567,28 @@ def test_recover_eta_equals_the_queue_search_bit_for_bit(dim):
             assert np.isfinite(rec.eta).sum() > 20
             unreached_counts.append(unreached)
     assert max(unreached_counts) > 0  # some masks fall apart into several pieces
+
+
+def test_assembly_and_the_witness_core_test_the_q_domain_once_each(monkeypatch, rng):
+    """_assemble and _core each take rho and rho' from one rho_and_prime
+    call: a block of the witness evaluator is two domain tests, not four."""
+    from streamfields import frobenius, synth
+    from streamfields.density import DensityModel
+
+    sol = synthesize_at_points(shallow_water(), shallow_vortex(1.0), prefer_type1(),
+                               annulus_points(rng, 50, 0.35, 0.7), tol=WTOL)
+    wit = witness_2d(sol)
+    seen = []
+
+    def spy(name, real):
+        def call(*args):
+            seen.append(name)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(DensityModel, "in_domain", spy("in_domain", DensityModel.in_domain))
+    monkeypatch.setattr(synth, "_assemble", spy("_assemble", synth._assemble))
+    monkeypatch.setattr(frobenius, "_core", spy("_core", frobenius._core))
+    G = wit.evaluator(annulus_points(rng, 30, 0.35, 0.7))
+    assert seen == ["_assemble", "in_domain", "_core", "in_domain"]
+    assert np.isfinite(G).all()

@@ -211,6 +211,19 @@ def test_gamma0_needs_q_above_eps_rho():
     assert (sol.flags & FLAG_GAMMA0).all()
 
 
+def test_an_error_inside_a_band_reaches_the_caller_unchanged():
+    from streamfields import synth
+
+    grid = GridSpec(lo=(0.0, 0.0), hi=(1.0, 1.0), cells=(300, 300))  # two bands on two workers
+
+    def band(windows):
+        if windows[0][1] > 0:
+            raise RuntimeError("inside a band")
+
+    with pytest.raises(RuntimeError, match="inside a band"):
+        synth.walk(grid, 2, band, 0)
+
+
 def test_gamma_g_needs_a_nonzero_laplacian():
     """A critical point of the drive is on Gamma_G only where the Laplacian of
     f is not zero: x1^2 + x2^2 (Laplacian 4) flags its one grid node at the

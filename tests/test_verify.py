@@ -69,6 +69,16 @@ def test_fit_order_synthetic():
     order, at_floor = fit_order([(0.1, 2.2e-16), (0.05, 0.171), (0.025, 0.141)])
     assert (order, at_floor) == (None, False)
 
+
+def test_fit_order_is_the_least_squares_slope_over_every_level():
+    # off a power law, so the slope of any two levels differs from the fit
+    hs, ms = np.array([0.1, 0.05, 0.025]), np.array([1e-2, 4e-3, 5e-4])
+    x, y = np.log(hs), np.log(ms)
+    want = ((x - x.mean()) * (y - y.mean())).sum() / ((x - x.mean()) ** 2).sum()
+    order, at_floor = fit_order(list(zip(hs, ms)))
+    assert not at_floor
+    assert abs(order - want) < 1e-12 and abs(order - 3.0) > 0.5
+
     with pytest.raises(VerifyError):
         fit_order([(0.1, 1.0), (0.05, 0.25)])
 
