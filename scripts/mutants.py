@@ -63,6 +63,40 @@ MUTANTS = [
            'if kind == "frobenius":', "if False:", ("tests/test_cli.py",)),
     Mutant("walk: a thread that cannot start re-raises RuntimeError", "src/streamfields/synth.py",
            "raise MemoryError(str(exc)) from exc", "raise", ("tests/test_cli.py",)),
+    # the one defect routine: the G term and the wedge's orientation
+    Mutant("wedge_defect: a minor system drops the G term", "src/streamfields/verify.py",
+           "dij -= wedge(G, w, i, j).reshape(dij.shape)", "pass",
+           ("tests/test_verify.py", "tests/test_frobenius.py")),
+    Mutant("wedge_defect: a divergence system drops the G term", "src/streamfields/verify.py",
+           'out -= np.einsum("ni,ni->n", G, w).reshape(out.shape)', "pass",
+           ("tests/test_verify.py", "tests/test_frobenius.py")),
+    Mutant("wedge: i and j swapped", "src/streamfields/verify.py",
+           "return u[:, i] * v[:, j] - u[:, j] * v[:, i]",
+           "return u[:, j] * v[:, i] - u[:, i] * v[:, j]",
+           ("tests/test_verify.py", "tests/test_frobenius.py")),
+    # the slab walks and carries of earlier changes
+    Mutant("_reader: the synthesis carry dropped", "src/streamfields/verify.py",
+           "n, keep = (hi - lo) * row, max(last - lo, 0) * row", "n, keep = (hi - lo) * row, 0",
+           ("tests/test_cli.py::"
+            "test_a_streamed_study_writes_what_the_stored_finest_solution_writes",)),
+    Mutant("walk: each slab drops its last row", "src/streamfields/synth.py",
+           "(top, min(top + height, end)) for top", "(top, min(top + height, end) - 1) for top",
+           ("tests/test_synth.py",)),
+    Mutant("curl_residual_grid: fourth-order windows with a halo of 1",
+           "src/streamfields/frobenius.py", "windows.extend, 2)  # a fourth-order",
+           "windows.extend, 1)  # a fourth-order", ("tests/test_frobenius.py",)),
+    Mutant("_slabs: the mask predicate ignored", "src/streamfields/verify.py",
+           "_reader(source, row, mask if kernels else None)", "_reader(source, row, None)",
+           ("tests/test_verify.py",)),
+    # every exit code that cli.main picks
+    Mutant("cli.main: success exits 1", "src/streamfields/cli.py",
+           "EXIT_OK = 0", "EXIT_OK = 1", ("tests/test_cli.py",)),
+    Mutant("cli.main: a config error exits 1", "src/streamfields/cli.py",
+           "EXIT_CONFIG = 2", "EXIT_CONFIG = 1", ("tests/test_cli.py",)),
+    Mutant("cli.main: an empty admissible set exits 4", "src/streamfields/cli.py",
+           "EXIT_EMPTY = 3", "EXIT_EMPTY = 4", ("tests/test_cli.py",)),
+    Mutant("cli.main: a breached threshold exits 3", "src/streamfields/cli.py",
+           "EXIT_THRESHOLD = 4", "EXIT_THRESHOLD = 3", ("tests/test_cli.py",)),
 ]
 
 def _tree() -> list:

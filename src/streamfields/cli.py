@@ -652,7 +652,7 @@ def cmd_verify(args) -> int:
         sol, wit = sol_on(grid), witness_on(grid)
         if kind == "frobenius":
             return verifymod.frobenius_residual(sol, wit, **common)
-        rec = frobmod.recover_eta(wit, mask=_grid_mask(fs["mask"], grid),
+        rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=_grid_mask(fs["mask"], grid),
                                   tol_conservative=fs["tol_conservative"])
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common)
 

@@ -4,10 +4,11 @@ For minor-type systems the witness satisfies d_i w_j - d_j w_i = G_i w_j -
 G_j w_i; for divergence-type (gradient-drive) systems it satisfies div w =
 G . w.  Both are assembled from the drive-level least-squares witness
 g = M a / |a|^2 (M_ij = d_i a_j - d_j a_i) plus the chain-rule term
--grad log rho(psi(xi)).  The defining defects here are analytic (jet-based);
-the verify module redoes them with finite differences.  Which witness suits
-which drive type is decided once, in `_fits`, for "auto" and for every check;
-no witness suits a form's drive (forms.FormDrive).
+-grad log rho(psi(xi)).  The defining defect and the solvability defect of
+M = g ^ a are analytic (jet-based); both go through verify.wedge_defect, the
+one defect routine that verify's finite-difference residuals share.  Which
+witness suits which drive type is decided once, in `_fits`, for "auto" and
+for every check; no witness suits a form's drive (forms.FormDrive).
 
 A witness reads Q and the branch from the FieldSolution it is given and
 evaluates the drive once more on its points (a grid's from GridSpec.nodes),
@@ -23,9 +24,9 @@ breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
 The tree is swept one frontier at a time in array code; it is edge for edge,
 in the same order, the tree of a first-in-first-out queue search, so eta is
 set by one gather-add per layer; edge ends come from the grid axes.
-The curl gate and that post-check take fourth-order central differences from
-the finite-difference core shared with the verify module, on synth.walk's
-windows of one band with a halo of 2 rows, bit for bit the whole grid's.
+The curl gate and that post-check are verify.closure_defect of G and of
+e^(-eta) w at fourth order, on synth.walk's windows of one band with a halo
+of 2 rows, bit for bit the whole grid's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .forms import FormDrive
 from .synth import FieldSolution, GridSpec, _solve, block_rows, log_rho_gradient
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
-from .verify import closure_residual, curl_max, interior
+from .verify import closure_defect, interior, wedge, wedge_defect
 
 
 class FrobeniusError(ValueError):
@@ -94,32 +95,20 @@ def _core(kind: str, sol: FieldSolution, batch: DriveBatch) -> _Core:
     return _Core(a, rho_c, glr, g, G, defined, M, div_a)
 
 
-def _max_minor(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[1]
-    iu = np.triu_indices(n, k=1)
-    return np.abs(mat[:, iu[0], iu[1]]).max(axis=1)
-
-
-def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(u ^ v)[:, i, j] = u_i v_j - u_j v_i as an antisymmetric stack."""
-    return u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]
-
-
 def _defect(kind: str, core: _Core, G) -> np.ndarray:
     """Analytic defining defect of a candidate witness G at the points of
-    `core`: max |(curl w - G ^ w)_ij| for minor systems, |div w - G . w| for
-    divergence systems; NaN where undefined."""
+    `core` (verify.wedge_defect): max |(curl w - G ^ w)_ij| for minor
+    systems, |div w - G . w| for divergence systems; NaN where undefined."""
     a, rho_c, glr = core.a, core.rho_c, core.glr
-    G = np.asarray(G, dtype=float)
     with np.errstate(all="ignore"):
         w = a / rho_c[:, None]
-        if kind == "minor":
-            curl_w = core.M / rho_c[:, None, None] - _wedge(glr, w)
-            defect = _max_minor(curl_w - _wedge(G, w))
-        else:
-            div_w = (core.div_a - np.einsum("ni,ni->n", a, glr)) / rho_c
-            defect = np.abs(div_w - np.einsum("ni,ni->n", G, w))
-    return np.where(core.defined, defect, np.nan)
+
+    def d(*pair):  # curl w = M / rho - glr ^ w, or div w = (div a - a . glr) / rho
+        if not pair:
+            return (core.div_a - np.einsum("ni,ni->n", a, glr)) / rho_c
+        i, j = pair
+        return core.M[:, i, j] / rho_c - wedge(glr, w, i, j)
+    return np.where(core.defined, wedge_defect(kind, d, np.asarray(G, dtype=float), w), np.nan)
 
 
 def _blocks(sol: FieldSolution, kind: str):
@@ -143,10 +132,12 @@ def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
     defining, solvability, defined = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for rows, core in _blocks(sol, kind):
         ok = core.defined
-        with np.errstate(all="ignore"):  # the drive-level wedge defect, 0 for divergence systems
-            wedge = _max_minor(core.M - _wedge(core.g, core.a)) if kind == "minor" else 0.0
+        # the drive-level wedge defect of M = g ^ a, 0 for divergence systems
+        drive_wedge = wedge_defect(kind, lambda i, j: core.M[:, i, j].copy(), core.g,
+                                   core.a) if kind == "minor" else 0.0
         G[rows], defined[rows] = core.G, ok
-        defining[rows], solvability[rows] = _defect(kind, core, core.G), np.where(ok, wedge, np.nan)
+        defining[rows] = _defect(kind, core, core.G)
+        solvability[rows] = np.where(ok, drive_wedge, np.nan)
 
     def evaluator(qpts: np.ndarray) -> np.ndarray:
         # G, expr.BLOCK_ROWS points at a time, from full-order batches (_core reads jac)
@@ -222,10 +213,8 @@ def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
     curl, row, windows = np.empty(grid.shape()), grid.npoints() // grid.shape()[0], []
     synthmod.walk(grid, 1, windows.extend, 2)  # a fourth-order stencil reads 2 rows each way
     for lo, top, end, hi in windows:
-        comps = [witness.G[lo * row:hi * row, k].reshape(curl[lo:hi].shape)
-                 for k in range(grid.dim)]
-        with np.errstate(all="ignore"):
-            curl[top:end] = curl_max(comps, grid.spacing(), 4)[top - lo:end - lo]
+        curl[top:end] = closure_defect(witness.G[lo * row:hi * row], curl[lo:hi].shape, "minor",
+                                       grid.spacing(), 4)[top - lo:end - lo]
     witness.curl_residual = curl
     return curl
 
@@ -420,7 +409,9 @@ def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,
     for lo, top, end, hi in windows:
         own = slice(top - lo, end - lo)
         ok = interior(mask[lo:hi] & np.isfinite(eta[lo:hi]), 2)[own]
-        vals = closure_residual(witness.solution.w[lo * row:hi * row], eta[lo:hi], witness.kind,
-                                grid.spacing(), 4)[own]
+        with np.errstate(all="ignore"):
+            scale = np.exp(-eta[lo:hi]).reshape(-1)
+        vals = closure_defect(witness.solution.w[lo * row:hi * row], eta[lo:hi].shape,
+                              witness.kind, grid.spacing(), 4, scale)[own]
         worst = np.fmax.reduce(vals[ok], initial=worst)  # NaN is skipped
     return float(worst)

@@ -1,13 +1,15 @@
 """Finite-difference residuals, convergence fits, and energy quadrature.
 
-The package's one finite-difference core lives here (`stencil`, `curl_max`,
-`divergence`, `closure_residual`, `interior`) and is shared with frobenius.
-The residuals here use second-order central differences on the uniform grid;
-frobenius uses fourth order for its conservative curl gate and eta post-check.
-Nodes without a full stencil of clean neighbors are masked, never one-sided.
-A stencil writes its differences into its output slice and divides there,
-and divergence and curl accumulate in place, in the terms' order; rho w is
-built one contiguous component at a time.
+The package's one finite-difference core and its one defect routine,
+`wedge_defect`, live here and are shared with frobenius.  Every check is
+d c = G ^ c (minor systems: the max over i < j of |d_ij - (G_i c_j - G_j c_i)|)
+or div c = G . c (divergence systems: |d - G . c|), or closure without G;
+`closure_defect` hands it the central differences of c = rho(Q) w, of w with
+the witness's G, or of e^(-eta) w, here at second order and in frobenius's
+curl gate and eta post-check at fourth.  Nodes without a full stencil of
+clean neighbors are masked, never one-sided.  A stencil writes its
+differences into its output slice and divides there, and divergence and
+curl accumulate in place, in the terms' order.
 The mask is exactly the union of singular flags (nonphysical-branch markers
 are informational, not singular), the nodes a kernel leaves undefined and the
 nodes the verify.mask predicate excludes, dilated by one stencil width, plus
@@ -126,42 +128,53 @@ def stencil(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     return out
 
 
-def curls(comps: Sequence[np.ndarray], h, order: int):
-    """Yield (i, j, d_i c_j - d_j c_i) for every pair i < j of grid components."""
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            curl = stencil(comps[j], i, h[i], order)
-            curl -= stencil(comps[i], j, h[j], order)
-            yield i, j, curl
+def wedge(u: np.ndarray, v: np.ndarray, i: int, j: int) -> np.ndarray:
+    """(u ^ v)_ij = u_i v_j - u_j v_i, for u and v with one row per point."""
+    return u[:, i] * v[:, j] - u[:, j] * v[:, i]
 
 
-def curl_max(comps: Sequence[np.ndarray], h, order: int) -> np.ndarray:
-    """Max over i < j of |d_i c_j - d_j c_i| per node (NaN where a stencil is missing)."""
-    worst = np.zeros(comps[0].shape)
-    for _, _, curl in curls(comps, h, order):
-        np.maximum(worst, np.abs(curl, out=curl), out=worst)
-    return worst
-
-
-def divergence(comps: Sequence[np.ndarray], h, order: int) -> np.ndarray:
-    """Sum of d_i c_i over the grid components, one axis at a time."""
-    div = np.zeros(comps[0].shape)
-    for i, comp in enumerate(comps):
-        div += stencil(comp, i, h[i], order)
-    return div
-
-
-def closure_residual(w: np.ndarray, eta: np.ndarray, system: str, h, order: int) -> np.ndarray:
-    """|curl| (minor systems) or |div| (divergence systems) of e^(-eta) w per
-    node; `eta` is grid-shaped and `w` holds one row per node."""
+def wedge_defect(system: str, d: Callable, G: Optional[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """The defect of d = G ^ w per point: the max over i < j of
+    |d(i, j) - (G ^ w)_ij| for a minor system, |d() - G . w| for a
+    divergence system, |d| where G is None; NaN where a term is.  G and w
+    hold one row per point; d's arrays are fresh, and written in place."""
     with np.errstate(all="ignore"):
-        scale = np.exp(-eta)
-        comps = [w[:, i].reshape(eta.shape) * scale for i in range(w.shape[1])]
-        if system == "minor":
-            return curl_max(comps, h, order)
         if system == "divergence":
-            return np.abs(divergence(comps, h, order))
+            out = d()
+            if G is not None:
+                out -= np.einsum("ni,ni->n", G, w).reshape(out.shape)
+            return np.abs(out, out=out)
+        if system == "minor":
+            out = 0.0
+            for i, j in zip(*np.triu_indices(w.shape[1], 1)):
+                dij = d(i, j)
+                if G is not None:
+                    dij -= wedge(G, w, i, j).reshape(dij.shape)
+                out = np.maximum(out, np.abs(dij, out=dij), out=dij)
+            return out
     raise VerifyError(f"unknown system kind {system!r}")
+
+
+def closure_defect(w: np.ndarray, shape: tuple, system: str, h, order: int,
+                   scale: Optional[np.ndarray] = None, G: Optional[np.ndarray] = None) -> np.ndarray:
+    """wedge_defect of the central differences of c = scale w (w where scale
+    is None) on a grid of `shape`: d_i c_j - d_j c_i for a minor system, the
+    sum of d_i c_i for a divergence system.  w, scale and G hold one row per
+    node; the result is grid-shaped, NaN where a stencil is missing."""
+    with np.errstate(all="ignore"):
+        c = [(col if scale is None else scale * col).reshape(shape) for col in w.T]
+
+    def d(*pair):  # d_i c_j - d_j c_i, or the sum of d_i c_i
+        if not pair:
+            out = stencil(c[0], 0, h[0], order)
+            for i in range(1, len(c)):
+                out += stencil(c[i], i, h[i], order)
+            return out
+        i, j = pair
+        out = stencil(c[j], i, h[i], order)
+        out -= stencil(c[i], j, h[j], order)
+        return out
+    return wedge_defect(system, d, G, w)
 
 
 def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarray) -> ResidualReport:
@@ -175,7 +188,7 @@ def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarra
     if n_keep < 3:
         raise VerifyError(f"{kind}: fewer than 3 unmasked interior points")
     vals = flat[:n_keep]
-    max_norm = float(np.abs(vals, out=vals).max())
+    max_norm = float(vals.max())
     return ResidualReport(
         kind=kind,
         h=float(np.max(grid.spacing())),
@@ -273,13 +286,6 @@ def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Cal
     return outs
 
 
-def _rho_w(solution: FieldSolution, shape: tuple) -> list:
-    """Grid components of rho(Q) w."""
-    with np.errstate(all="ignore"):
-        rho = solution.model.rho(solution.Q)
-        return [(rho * solution.w[:, i]).reshape(shape) for i in range(len(shape))]
-
-
 def _codifferential_kernel(h) -> Callable:
     def kernel(part, nodes, shape):
         omega, rho_c = omega_values(part), part.model.rho(part.Q)
@@ -301,9 +307,9 @@ def _codifferential_kernel(h) -> Callable:
 # kind -> (report kind, kernel(h) for grid spacing h).
 SLAB_KINDS = {
     "divergence": ("DivergenceOfRhoW", lambda h: lambda part, nodes, shape: (
-        divergence(_rho_w(part, shape), h, ORDER), None)),
+        closure_defect(part.w, shape, "divergence", h, ORDER, part.model.rho(part.Q)), None)),
     "minor": ("MinorSystemOfRhoW", lambda h: lambda part, nodes, shape: (
-        curl_max(_rho_w(part, shape), h, ORDER), None)),
+        closure_defect(part.w, shape, "minor", h, ORDER, part.model.rho(part.Q)), None)),
     "codifferential": ("CodifferentialDefect", _codifferential_kernel),
 }
 
@@ -356,18 +362,8 @@ def frobenius_residual(solution: FieldSolution, witness: FrobeniusWitness, *,
         raise VerifyError("witness and solution are not aligned on the same points")
 
     def kernel(part, nodes, shape):
-        G, w = witness.G[nodes], part.w
-        comps = [w[:, i].reshape(shape) for i in range(len(shape))]
-        with np.errstate(all="ignore"):
-            if witness.kind == "minor":
-                worst = np.zeros(shape)
-                for i, j, curl in curls(comps, h, ORDER):
-                    wedge = (G[:, i] * w[:, j] - G[:, j] * w[:, i]).reshape(shape)
-                    worst = np.maximum(worst, np.abs(curl - wedge))
-            else:
-                worst = np.abs(divergence(comps, h, ORDER)
-                               - np.einsum("ni,ni->n", G, w).reshape(shape))
-        return worst, ~witness.defined[nodes]
+        return (closure_defect(part.w, shape, witness.kind, h, ORDER, G=witness.G[nodes]),
+                ~witness.defined[nodes])
 
     return _residual("FrobeniusDefect", solution, kernel, workers, mask)
 
@@ -382,8 +378,9 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "
 
     def kernel(part, nodes, shape):
         eta_part = eta[nodes]
-        return (closure_residual(part.w, eta_part.reshape(shape), system, h, ORDER),
-                ~np.isfinite(eta_part))
+        with np.errstate(all="ignore"):
+            scale = np.exp(-eta_part)
+        return closure_defect(part.w, shape, system, h, ORDER, scale), ~np.isfinite(eta_part)
 
     return _residual("ExactnessDefect", solution, kernel, workers, mask)
 

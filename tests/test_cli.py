@@ -876,6 +876,33 @@ def test_verify_mask_applies_to_every_residual_kind(tmp_path, capsys):
     assert "breached by ExactnessDefect" in capsys.readouterr().err
 
 
+def test_verify_exactness_recovers_eta_from_the_frobenius_anchor(tmp_path):
+    """The exactness kind recovers eta from frobenius.anchor, as the
+    frobenius command does.  The residual of e^(-eta) w scales with eta's
+    gauge, so the report with the anchor is exactness_residual of the eta
+    recovered from it, and differs from the one without."""
+    from streamfields import frobenius as frobmod
+
+    got = {}
+    for name, anchor in (("free", None), ("anchored", [0.0, -1.2])):
+        cfg = _example("shallow-annulus-eta", 64, verify={"residuals": ["exactness"]})
+        if anchor is not None:
+            cfg["frobenius"]["anchor"] = anchor
+        (tmp_path / name).mkdir()
+        code, out = run_cfg(tmp_path / name, cfg, command="verify")
+        report, = json.loads((out / "report.json").read_text())["reports"]
+        got[name] = (code, report["max_norm"])
+    rc = cfgmod.parse_config(cfg)
+    grid, fs = cfgmod.build_grid(rc), cfgmod.frobenius_section(rc, 2)
+    sol = synthesize(cfgmod.build_model(rc), cfgmod.build_drive(rc), cfgmod.build_policy(rc, 2),
+                     grid, tol=cfgmod.build_tol(rc))
+    wit = frobmod.witness_2d(sol)
+    rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=cli._grid_mask(fs["mask"], grid),
+                              tol_conservative=fs["tol_conservative"])
+    want = verifymod.exactness_residual(sol, rec.eta, system=wit.kind).max_norm
+    assert got["anchored"] == (4, want) and got["free"][1] != want
+
+
 def test_closed_form_k_is_the_degree_of_omega(tmp_path):
     # alpha = x1 x2 dx1 ^ dx2 is a closed 2-form, so omega = *alpha / rho is a 0-form
     cfg = _example("form-21", 8, forms={"n": 2, "k": 0, "closed": True,

@@ -30,6 +30,8 @@ from streamfields import (
 )
 from streamfields.frobenius import WitnessMismatch, resolve_witness
 
+from conftest import old_closure_residual, old_curl_max, old_max_minor, old_wedge
+
 WTOL = Tolerances(eps_phi_prime=1e-3)
 
 
@@ -258,20 +260,21 @@ def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypat
 
 def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
     """curl_residual_grid and _post_exactness run on synth.walk's slabs of
-    1, 2 and 7 rows with 2 halo rows, and give whole-grid curl_max of G and
-    the maximum of whole-grid closure_residual of e^(-eta) w over the nodes
-    with a full stencil inside the mask, bit for bit, on the 64^2 annulus
-    (minor kind) and a 10^3-cell grid (divergence kind)."""
+    1, 2 and 7 rows with 2 halo rows, and give the old whole-grid curl_max
+    of G and the maximum of the old whole-grid closure_residual of e^(-eta) w
+    (conftest's oracles) over the nodes with a full stencil inside the mask,
+    bit for bit, on the 64^2 annulus (minor kind) and a 10^3-cell grid
+    (divergence kind)."""
     from streamfields import frobenius as frobmod, synth as synthmod
-    from streamfields.verify import closure_residual, curl_max, interior
+    from streamfields.verify import interior
 
     for build, tol in ((lambda: annulus_witness(cells=64), 1e-6), (_bi_witness_3d, 1e-3)):
         wit, g, mask = build()
         rec = recover_eta(wit, mask=mask, tol_conservative=tol)
         shape, h = g.shape(), g.spacing()
         with np.errstate(all="ignore"):
-            curl = curl_max([wit.G[:, k].reshape(shape) for k in range(g.dim)], h, 4)
-            vals = closure_residual(wit.solution.w, rec.eta, wit.kind, h, 4)
+            curl = old_curl_max([wit.G[:, k].reshape(shape) for k in range(g.dim)], h, 4)
+            vals = old_closure_residual(wit.solution.w, rec.eta, wit.kind, h, 4)
         vals = vals[interior(rec.mask & np.isfinite(rec.eta), 2)]
         post = max(0.0, float(np.nanmax(vals))) if vals.size else 0.0
         assert vals.size > 100 and post == rec.post_residual > 0.0
@@ -283,6 +286,54 @@ def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
             assert len(windows) == -(-shape[0] // height)
             assert curl_residual_grid(wit).tobytes() == curl.tobytes(), height
             assert frobmod._post_exactness(wit, g, rec.mask, rec.eta) == post, height
+
+
+def _old_defect(kind, core, G):
+    """The analytic defining defect as frobenius._defect computed it: whole
+    antisymmetric stacks for minor systems (conftest's old_wedge and
+    old_max_minor)."""
+    a, rho_c, glr = core.a, core.rho_c, core.glr
+    with np.errstate(all="ignore"):
+        w = a / rho_c[:, None]
+        if kind == "minor":
+            curl_w = core.M / rho_c[:, None, None] - old_wedge(glr, w)
+            defect = old_max_minor(curl_w - old_wedge(G, w))
+        else:
+            div_w = (core.div_a - np.einsum("ni,ni->n", a, glr)) / rho_c
+            defect = np.abs(div_w - np.einsum("ni,ni->n", G, w))
+    return np.where(core.defined, defect, np.nan)
+
+
+def test_analytic_defects_are_the_old_whole_stack_formulas(rng):
+    """The defining defect, the solvability wedge and minor_defect_with, each
+    through verify.wedge_defect, equal frobenius's old whole-stack formulas
+    on the 2-D annulus and a 3-D ABC flow (minor kind, one pair and three)
+    and on a 3-D gradient drive (divergence kind)."""
+    from streamfields import drive_batch
+    from streamfields.frobenius import _core
+
+    box = ((0.0,) * 3, (2 * np.pi,) * 3)
+    abc = raw_drive(3, ("sin(x3) + cos(x2)", "sin(x1) + cos(x3)", "sin(x2) + cos(x1)"),
+                    "divergence_free", box)
+    abc_sol = synthesize_at_points(extremal(), abc, single_branch(1),
+                                   rng.uniform(0.5, 5.5, (300, 3)), tol=WTOL)
+    cases = [annulus_witness(cells=48)[0], witness_nd(abc_sol), _bi_witness_3d()[0]]
+    for wit in cases:
+        sol = wit.solution
+        core = _core(wit.kind, sol, drive_batch(sol.drive, sol.points))
+        want = _old_defect(wit.kind, core, core.G)
+        assert np.isfinite(want).sum() > 100
+        np.testing.assert_array_equal(wit.defining_residual, want)
+        if wit.kind == "minor":
+            with np.errstate(all="ignore"):
+                wedge = old_max_minor(core.M - old_wedge(core.g, core.a))
+            np.testing.assert_array_equal(wit.solvability_residual,
+                                          np.where(core.defined, wedge, np.nan))
+            G = wit.G + rng.normal(size=wit.G.shape)
+            np.testing.assert_array_equal(minor_defect_with(sol, G), _old_defect("minor", core, G))
+        else:
+            assert np.array_equal(wit.solvability_residual,
+                                  np.where(core.defined, 0.0, np.nan), equal_nan=True)
 
 
 def test_no_witness_drive_batch_takes_more_than_a_synthesis_block(monkeypatch):

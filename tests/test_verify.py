@@ -43,6 +43,9 @@ from streamfields import (
 )
 from streamfields.verify import GK_MIN_SPLITS, GK_PASSES
 
+from conftest import (old_closure_residual, old_curl_max, old_divergence, old_frobenius_fd,
+                      old_max_minor, old_rho_w, old_wedge)
+
 
 def vortex_solution(cells=64, lim=1.1):
     model = shallow_water()
@@ -501,10 +504,15 @@ def _holed_grids(rng, shape, count):
 
 @pytest.mark.parametrize("shape", [(17, 13), (9, 11, 7), (3, 5), (4, 6, 5)])
 def test_stencil_divergence_and_curl_in_place_are_the_old_expressions(shape):
-    from streamfields.verify import curl_max, divergence, stencil
+    """stencil, and closure_defect's divergence and curl of the components
+    (|div| and the max |curl| over pairs), are the out-of-place expressions
+    bit for bit, with holes, infinities and signed zeros; so are the
+    parent's in-place divergence and curl_max (the oracles in conftest)."""
+    from streamfields.verify import closure_defect, stencil
 
     rng = np.random.default_rng(sum(shape))
     comps = _holed_grids(rng, shape, len(shape))
+    w = np.stack([c.reshape(-1) for c in comps], axis=1)
     h = rng.uniform(0.01, 0.2, len(shape))
     for order in (2, 4):
         with np.errstate(all="ignore"):
@@ -520,15 +528,21 @@ def test_stencil_divergence_and_curl_in_place_are_the_old_expressions(shape):
                     curl = (_old_stencil(comps[j], i, h[i], order)
                             - _old_stencil(comps[i], j, h[j], order))
                     worst = np.maximum(worst, np.abs(curl))
-            np.testing.assert_array_equal(divergence(comps, h, order).view(np.int64),
+            np.testing.assert_array_equal(old_divergence(comps, h, order).view(np.int64),
                                           div.view(np.int64))
-            np.testing.assert_array_equal(curl_max(comps, h, order).view(np.int64),
+            np.testing.assert_array_equal(old_curl_max(comps, h, order).view(np.int64),
                                           worst.view(np.int64))
+            for system, want in (("divergence", np.abs(div)), ("minor", worst)):
+                got = closure_defect(w, shape, system, h, order)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("cells", [(12, 10), (6, 5, 4)])
 def test_rho_w_by_contiguous_components_is_the_old_product(cells):
-    from streamfields.verify import _rho_w
+    """closure_defect with scale rho(Q), the divergence and minor kinds'
+    kernel, differences the old rho(Q) w product: |div| and curl_max of the
+    old components, bit for bit, on a solution with NaN rows in w and Q."""
+    from streamfields.verify import closure_defect
 
     dim = len(cells)
     grid = GridSpec((-1.0,) * dim, (1.0,) * dim, cells)
@@ -541,11 +555,49 @@ def test_rho_w_by_contiguous_components_is_the_old_product(cells):
     with np.errstate(all="ignore"):
         u = model.rho(sol.Q)[:, None] * sol.w
     want = [u[:, i].reshape(grid.shape()) for i in range(dim)]
-    got = _rho_w(sol, grid.shape())
-    assert len(got) == dim
-    for g, w in zip(got, want):
-        assert g.flags.c_contiguous
+    old = old_rho_w(sol, grid.shape())
+    assert len(old) == dim
+    for g, w in zip(old, want):
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+    h, rho = grid.spacing(), model.rho(sol.Q)
+    with np.errstate(all="ignore"):
+        for system, want in (("divergence", np.abs(old_divergence(old, h, 2))),
+                             ("minor", old_curl_max(old, h, 2))):
+            got = closure_defect(sol.w, grid.shape(), system, h, 2, rho)
+            assert np.isnan(got).any() and np.isfinite(got).any()
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wedge_defect_is_the_minor_and_divergence_defect(n):
+    """wedge_defect on rows with NaN, +-inf and -0.0 in d, G and w: the max
+    over pairs of |d_ij - (G_i w_j - G_j w_i)| (minor), |d - G . w|
+    (divergence) and |d| without G, against frobenius's old whole-stack
+    formulas (conftest), NaN where any term is; an unknown system is a
+    VerifyError."""
+    from streamfields.verify import wedge_defect
+
+    rng = np.random.default_rng(n)
+    G, w = _holed_grids(rng, (400, n), 2)
+    d = _holed_grids(rng, (400, n, n), 1)[0]
+    div = _holed_grids(rng, (400,), 1)[0]
+    for v in (G, w, d, div):  # rows of signed zeros, whose defect is +0.0
+        v[:5] = -0.0
+    with np.errstate(all="ignore"):
+        minor = wedge_defect("minor", lambda i, j: d[:, i, j].copy(), G, w)
+        np.testing.assert_array_equal(minor, old_max_minor(d - old_wedge(G, w)))
+        assert np.isnan(minor).any() and np.isinf(minor).any() and (minor == 0).any()
+        assert not np.signbit(minor).any()
+        bare = wedge_defect("minor", lambda i, j: d[:, i, j].copy(), None, w)
+        np.testing.assert_array_equal(bare, old_max_minor(d))
+        got = wedge_defect("divergence", div.copy, G, w)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      np.abs(div - np.einsum("ni,ni->n", G, w)).view(np.int64))
+        assert not np.signbit(got[:5]).any()
+        np.testing.assert_array_equal(wedge_defect("divergence", div.copy, None, w).view(np.int64),
+                                      np.abs(div).view(np.int64))
+    with pytest.raises(VerifyError, match="unknown system"):
+        wedge_defect("curl", lambda *pair: div.copy(), G, w)
 
 
 # ---------------------------------------------------------------------------
@@ -555,30 +607,21 @@ def test_rho_w_by_contiguous_components_is_the_old_product(cells):
 def _whole_grid_residual(kind, sol, extra, witness=None, eta=None):
     """(residual, excluded) of one kind from the finite-difference kernels on
     the whole grid at once, as the residual bodies computed them before slabs."""
-    from streamfields.verify import (_excluded, _rho_w, closure_residual, curl_max, curls,
-                                     divergence, stencil)
+    from streamfields.verify import _excluded, stencil
 
     grid = sol.grid
     shape, h = grid.shape(), grid.spacing()
     bad = None
     with np.errstate(all="ignore"):
         if kind == "divergence":
-            res = divergence(_rho_w(sol, shape), h, 2)
+            res = np.abs(old_divergence(old_rho_w(sol, shape), h, 2))
         elif kind == "minor":
-            res = curl_max(_rho_w(sol, shape), h, 2)
+            res = old_curl_max(old_rho_w(sol, shape), h, 2)
         elif kind == "frobenius":
-            G, w = witness.G, sol.w
-            comps = [w[:, i].reshape(shape) for i in range(grid.dim)]
-            if witness.kind == "minor":
-                res = np.zeros(shape)
-                for i, j, curl in curls(comps, h, 2):
-                    wedge = (G[:, i] * w[:, j] - G[:, j] * w[:, i]).reshape(shape)
-                    res = np.maximum(res, np.abs(curl - wedge))
-            else:
-                res = np.abs(divergence(comps, h, 2) - np.einsum("ni,ni->n", G, w).reshape(shape))
+            res = old_frobenius_fd(witness.G, sol.w, shape, witness.kind, h, 2)
             bad = ~witness.defined
         elif kind == "exactness":
-            res = closure_residual(sol.w, eta.reshape(shape), witness.kind, h, 2)
+            res = old_closure_residual(sol.w, eta.reshape(shape), witness.kind, h, 2)
             bad = ~np.isfinite(eta)
         else:
             # rho(Q) where a branch was taken, NaN elsewhere; omega's
