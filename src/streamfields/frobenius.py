@@ -43,7 +43,7 @@ from .forms import FormDrive
 from .synth import FieldSolution, GridSpec, _solve, block_rows, log_rho_gradient
 # Not called here; perfbench/tracer.py wraps this module-level name.
 from .synth import synthesize_at_points  # noqa: F401
-from .verify import closure_defect, interior, wedge, wedge_defect
+from .verify import closure_defect, integrating_factor, interior, wedge, wedge_defect
 
 
 class FrobeniusError(ValueError):
@@ -409,9 +409,8 @@ def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,
     for lo, top, end, hi in windows:
         own = slice(top - lo, end - lo)
         ok = interior(mask[lo:hi] & np.isfinite(eta[lo:hi]), 2)[own]
-        with np.errstate(all="ignore"):
-            scale = np.exp(-eta[lo:hi]).reshape(-1)
         vals = closure_defect(witness.solution.w[lo * row:hi * row], eta[lo:hi].shape,
-                              witness.kind, grid.spacing(), 4, scale)[own]
+                              witness.kind, grid.spacing(), 4,
+                              integrating_factor(eta[lo:hi].reshape(-1)))[own]
         worst = np.fmax.reduce(vals[ok], initial=worst)  # NaN is skipped
     return float(worst)

@@ -155,6 +155,12 @@ def wedge_defect(system: str, d: Callable, G: Optional[np.ndarray], w: np.ndarra
     raise VerifyError(f"unknown system kind {system!r}")
 
 
+def integrating_factor(eta: np.ndarray) -> np.ndarray:
+    """e^(-eta), which scales w to a closed field once eta is recovered."""
+    with np.errstate(all="ignore"):
+        return np.exp(-eta)
+
+
 def closure_defect(w: np.ndarray, shape: tuple, system: str, h, order: int,
                    scale: Optional[np.ndarray] = None, G: Optional[np.ndarray] = None) -> np.ndarray:
     """wedge_defect of the central differences of c = scale w (w where scale
@@ -188,14 +194,10 @@ def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarra
     if n_keep < 3:
         raise VerifyError(f"{kind}: fewer than 3 unmasked interior points")
     vals = flat[:n_keep]
-    max_norm = float(vals.max())
-    return ResidualReport(
-        kind=kind,
-        h=float(np.max(grid.spacing())),
-        max_norm=max_norm,
-        l2_norm=float(np.sqrt(np.mean(np.square(vals, out=vals)))),
-        masked_fraction=float(1.0 - n_keep / residual.size),
-    )
+    max_norm = float(vals.max())  # read before vals is squared in place
+    return ResidualReport(kind=kind, h=float(np.max(grid.spacing())), max_norm=max_norm,
+                          l2_norm=float(np.sqrt(np.mean(np.square(vals, out=vals)))),
+                          masked_fraction=float(1.0 - n_keep / residual.size))
 
 
 def _grid_of(source) -> GridSpec:
@@ -378,9 +380,8 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "
 
     def kernel(part, nodes, shape):
         eta_part = eta[nodes]
-        with np.errstate(all="ignore"):
-            scale = np.exp(-eta_part)
-        return closure_defect(part.w, shape, system, h, ORDER, scale), ~np.isfinite(eta_part)
+        return (closure_defect(part.w, shape, system, h, ORDER, integrating_factor(eta_part)),
+                ~np.isfinite(eta_part))
 
     return _residual("ExactnessDefect", solution, kernel, workers, mask)
 
