@@ -156,8 +156,7 @@ def wedge_defect(system: str, d: Callable, G: Optional[np.ndarray], w: np.ndarra
 
 
 def integrating_factor(eta: np.ndarray) -> np.ndarray:
-    """e^(-eta), which scales w to a closed field once eta is recovered."""
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # e^(-eta) scales w to a closed field
         return np.exp(-eta)
 
 
@@ -194,10 +193,14 @@ def _report(kind: str, grid: GridSpec, residual: np.ndarray, excluded: np.ndarra
     if n_keep < 3:
         raise VerifyError(f"{kind}: fewer than 3 unmasked interior points")
     vals = flat[:n_keep]
-    max_norm = float(vals.max())  # read before vals is squared in place
-    return ResidualReport(kind=kind, h=float(np.max(grid.spacing())), max_norm=max_norm,
-                          l2_norm=float(np.sqrt(np.mean(np.square(vals, out=vals)))),
-                          masked_fraction=float(1.0 - n_keep / residual.size))
+    max_norm = float(vals.max())
+    return ResidualReport(
+        kind=kind,
+        h=float(np.max(grid.spacing())),
+        max_norm=max_norm,
+        l2_norm=float(np.sqrt(np.mean(np.square(vals, out=vals)))),
+        masked_fraction=float(1.0 - n_keep / residual.size),
+    )
 
 
 def _grid_of(source) -> GridSpec:
@@ -379,9 +382,8 @@ def exactness_residual(solution: FieldSolution, eta: np.ndarray, system: str = "
     h = grid.spacing()
 
     def kernel(part, nodes, shape):
-        eta_part = eta[nodes]
-        return (closure_defect(part.w, shape, system, h, ORDER, integrating_factor(eta_part)),
-                ~np.isfinite(eta_part))
+        return (closure_defect(part.w, shape, system, h, ORDER, integrating_factor(eta[nodes])),
+                ~np.isfinite(eta[nodes]))
 
     return _residual("ExactnessDefect", solution, kernel, workers, mask)
 

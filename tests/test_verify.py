@@ -538,10 +538,12 @@ def test_stencil_divergence_and_curl_in_place_are_the_old_expressions(shape):
 
 
 @pytest.mark.parametrize("cells", [(12, 10), (6, 5, 4)])
-def test_rho_w_by_contiguous_components_is_the_old_product(cells):
+def test_rho_w_by_contiguous_components_is_the_old_product(cells, monkeypatch):
     """closure_defect with scale rho(Q), the divergence and minor kinds'
-    kernel, differences the old rho(Q) w product: |div| and curl_max of the
-    old components, bit for bit, on a solution with NaN rows in w and Q."""
+    kernel, hands stencil C-contiguous components that are the old rho(Q) w
+    product bit for bit, and gives |div| and curl_max of that product, on a
+    solution with NaN rows in w and Q."""
+    from streamfields import verify
     from streamfields.verify import closure_defect
 
     dim = len(cells)
@@ -554,18 +556,26 @@ def test_rho_w_by_contiguous_components_is_the_old_product(cells):
     sol.Q[rng.random(sol.Q.shape[0]) < 0.05] = np.nan
     with np.errstate(all="ignore"):
         u = model.rho(sol.Q)[:, None] * sol.w
-    want = [u[:, i].reshape(grid.shape()) for i in range(dim)]
     old = old_rho_w(sol, grid.shape())
     assert len(old) == dim
-    for g, w in zip(old, want):
+    for g, w in zip(old, [u[:, i].reshape(grid.shape()) for i in range(dim)]):
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
     h, rho = grid.spacing(), model.rho(sol.Q)
+    seen, stencil = [], verify.stencil
+    monkeypatch.setattr(verify, "stencil", lambda values, axis, *rest: (
+        seen.append((values, axis)) or stencil(values, axis, *rest)))
     with np.errstate(all="ignore"):
         for system, want in (("divergence", np.abs(old_divergence(old, h, 2))),
                              ("minor", old_curl_max(old, h, 2))):
+            seen.clear()
             got = closure_defect(sol.w, grid.shape(), system, h, 2, rho)
             assert np.isnan(got).any() and np.isfinite(got).any()
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert seen and all(values.flags.c_contiguous for values, _ in seen)
+            if system == "divergence":  # d_i of component i, in axis order
+                assert [axis for _, axis in seen] == list(range(dim))
+                for (values, _), g in zip(seen, old):
+                    np.testing.assert_array_equal(values.view(np.int64), g.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
