@@ -38,6 +38,10 @@ class Mutant(NamedTuple):
     expect: str = "killed"  # or "survived: <why no input can tell it apart>"
 
 
+# the flag taxonomy's own tests, and the field.csv and masks.csv hashes of
+# every shipped example
+_FLAG_TESTS = ("tests/test_synth.py", "tests/test_singular.py", "tests/test_reference.py")
+
 MUTANTS = [
     # the mutants of the roadmap's first record (K1)
     Mutant("phi_prime_of: 2 Q rho' -> 1 Q rho'", "src/streamfields/density.py",
@@ -61,8 +65,9 @@ MUTANTS = [
            ("tests/test_density.py",)),
     Mutant("cmd_verify: frobenius sent to the exactness branch", "src/streamfields/cli.py",
            'if kind == "frobenius":', "if False:", ("tests/test_cli.py",)),
-    Mutant("walk: a thread that cannot start re-raises RuntimeError", "src/streamfields/synth.py",
-           "raise MemoryError(str(exc)) from exc", "raise", ("tests/test_cli.py",)),
+    Mutant("ordered: a thread that cannot start re-raises RuntimeError",
+           "src/streamfields/synth.py", "raise MemoryError(str(exc)) from exc", "raise",
+           ("tests/test_cli.py",)),
     # the one defect routine: the G term and the wedge's orientation
     Mutant("wedge_defect: a minor system drops the G term", "src/streamfields/verify.py",
            "dij -= wedge(G, w, i, j).reshape(dij.shape)", "pass",
@@ -88,6 +93,51 @@ MUTANTS = [
     Mutant("_slabs: the mask predicate ignored", "src/streamfields/verify.py",
            "_reader(source, row, mask if kernels else None)", "_reader(source, row, None)",
            ("tests/test_verify.py",)),
+    # the streamed tables of synth, singular, forms and frobenius
+    Mutant("_write_tables: each chunk's last row dropped", "src/streamfields/cli.py",
+           "grid.nodes(top * row, end * row).T]", "grid.nodes(top * row, end * row - 1).T]",
+           ("tests/test_streamed_tables.py",)),
+    Mutant("ordered: two threads hand slabs on in the order they finish",
+           "src/streamfields/synth.py",
+           "            if len(ahead) == workers:\n                yield ahead.popleft().result()",
+           "            if len(ahead) == workers:\n"
+           "                first = next(iter(__import__('concurrent.futures').futures.wait(\n"
+           "                    ahead, return_when='FIRST_COMPLETED').done))\n"
+           "                ahead.remove(first)\n"
+           "                yield first.result()",
+           ("tests/test_streamed_tables.py",)),
+    Mutant("cmd_singular: the whole-grid sonic values one row off within each slab",
+           "src/streamfields/cli.py",
+           "sonic[top * row:end * row] = report.sonic_values[:sonic.size]",
+           "sonic[top * row:end * row] = np.roll(report.sonic_values[:sonic.size], row)",
+           ("tests/test_streamed_tables.py",)),
+    Mutant("cmd_frobenius: the curl carry keeps 1 row past each seam", "src/streamfields/cli.py",
+           "carry[(max(ready - 2, 0) - lo) * row:], max(ready - 2, 0), ready",
+           "carry[(max(ready - 1, 0) - lo) * row:], max(ready - 1, 0), ready",
+           ("tests/test_streamed_tables.py",)),
+    # one per flag-bit condition of synth._assemble (the gamma0 guard and
+    # the gamma_g laplacian test are above)
+    Mutant("flags: drive_undefined never set", "src/streamfields/synth.py",
+           "flags[bad] |= FLAG_DRIVE_UNDEFINED", "pass", _FLAG_TESTS),
+    Mutant("flags: outside_omega_f never set where no branch admits xi",
+           "src/streamfields/synth.py", "flags[usable & (sel == 0)] |= FLAG_OUTSIDE_OMEGA",
+           "pass", _FLAG_TESTS),
+    Mutant("flags: nonphysical_rho never set", "src/streamfields/synth.py",
+           "flags[lanes] |= FLAG_NONPHYSICAL_RHO", "pass", _FLAG_TESTS),
+    Mutant("flags: a failed numeric psi not demoted to outside_omega_f",
+           "src/streamfields/synth.py", "flags[failed] |= FLAG_OUTSIDE_OMEGA", "pass", _FLAG_TESTS),
+    Mutant("flags: gamma_inf never set", "src/streamfields/synth.py",
+           "flags[gamma_inf] |= FLAG_GAMMA_INF", "pass", _FLAG_TESTS),
+    Mutant("flags: gamma_0 without its hard zero-rho points", "src/streamfields/synth.py",
+           "flags[gamma0_flag | gamma0_hard] |= FLAG_GAMMA0", "flags[gamma0_flag] |= FLAG_GAMMA0",
+           _FLAG_TESTS),
+    Mutant("flags: gamma_s without the zero set of rho", "src/streamfields/synth.py",
+           "flags[sonic | gamma0_flag | gamma0_hard] |= FLAG_GAMMA_S",
+           "flags[sonic] |= FLAG_GAMMA_S", _FLAG_TESTS),
+    Mutant("flags: gamma_s without the points where phi' is not finite",
+           "src/streamfields/synth.py",
+           "(~np.isfinite(phi_p) | (np.abs(phi_p) < tol.eps_phi_prime))",
+           "(np.abs(phi_p) < tol.eps_phi_prime)", _FLAG_TESTS),
     # every exit code that cli.main picks
     Mutant("cli.main: success exits 1", "src/streamfields/cli.py",
            "EXIT_OK = 0", "EXIT_OK = 1", ("tests/test_cli.py",)),

@@ -52,9 +52,11 @@ from .synth import (
 from .singular import SingularError, SingularReport, classify, classify_solution, sonic_contour
 from .frobenius import (
     EtaRecovery,
+    EtaSource,
     FrobeniusError,
     FrobeniusWitness,
     curl_residual_grid,
+    eta_source,
     minor_defect_with,
     recover_eta,
     witness_2d,

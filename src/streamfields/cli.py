@@ -4,13 +4,29 @@ Subcommands: synth, singular, frobenius, forms, verify.  Every run is driven
 by a JSON config (--config PATH) or a built-in example (--example NAME) and
 writes plot-ready CSV / JSON artifacts into --out.  All numeric output uses 17
 significant digits and fixed row/column order, so reruns are byte-identical.
-CSV files are written in blocks of CSV_BLOCK_ROWS rows (tracemalloc peak 9.4
-MB on 513^2 and 65^3 grids, 35.5 MB at 65,536 rows), from arrays the command
-holds: floats, ints or bools, and codes written as names (the regime).  Each
-distinct value of a block column is formatted once, with its trailing "," or
-newline, and a block is written with one join of its cells; the bytes are
-the same as formatting every cell on its own.  Coordinate columns, and the
-input of the frobenius.mask predicate, are built a block of nodes at a time.
+
+synth, singular, forms and frobenius write their tables a slab at a time
+(_slabs, _write_tables): each of synth.walk's slabs of about SYNTH_BLOCK
+nodes is synthesized, its masks, Gamma or witness G are computed on its
+points, and its rows are written into every table, in grid order; with
+--threads N the next N slabs run on a pool, at most N alive, and the bytes
+are the same for every N.  An op holds arrays of every node only where a
+later step reads them: singular the sonic values phi'(psi(xi)) of a 2-D
+grid, for the contour (8 bytes a node), and frobenius with eta recovery w,
+where G is defined, G's curl residual and the frobenius.mask values.  At the
+node budget (one process a command, one thread, MALLOC_MMAP_THRESHOLD_=131072)
+ru_maxrss peaks at 44 MB for synth (2047^2 cells), 40 MB for singular
+(160^3), 143 MB for singular (2047^2), 48 MB for forms (2047^2 form-21) and
+231 MB for frobenius (2047^2 shallow-annulus-eta, with eta), next to 76 MB
+for verify.
+
+CSV rows are written in blocks of CSV_BLOCK_ROWS rows from arrays the
+command holds: floats, ints or bools, and codes written as names (the
+regime).  Each distinct value of a block column is formatted once, with its
+trailing "," or newline, and a block is written with one join of its cells;
+the bytes are the same as formatting every cell on its own, wherever a
+block starts.  Coordinate columns, and the input of the frobenius.mask
+predicate, are built a slab or a block of nodes at a time.
 
 A float is written as Python's "%.17g" % v writes it.  A block column with at
 least ARRAY_FORMAT_MIN distinct floats formats them with array arithmetic
@@ -44,7 +60,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -60,10 +76,10 @@ from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
 from .synth import (FLAG_DRIVE_UNDEFINED, ROW_ARRAYS, FieldSolution, GridSpec, REGIME_NAMES,
-                    SynthError, Synthesis, block_rows, synthesize)
+                    SynthError, Synthesis, block_rows, ordered, synthesize_at_points, walk)
 # Not called here; perfbench/tracer.py wraps this module-level name.
-from .synth import synthesize_at_points  # noqa: F401
-from .verify import VerifyError
+from .synth import synthesize  # noqa: F401
+from .verify import VerifyError, closure_defect
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -281,23 +297,36 @@ def _written(path: str):
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _write_csv(path: str, header: list, columns: list) -> None:
-    """Columns are (kind, array): a "float" column is written with "%.17g",
-    an "int" column (bool or integer) with str(int(v)), and a column whose
-    kind is a tuple of names as names[int(v)], one row per line, in blocks of
-    CSV_BLOCK_ROWS rows.  A block's cells, each with its trailing "," or
-    newline, are interleaved row-major into one list and written with one join.
-    """
-    n, c = len(columns[0][1]), len(columns)
-    seps = [","] * (c - 1) + ["\n"]
+@contextlib.contextmanager
+def _csv(path: str, header: list):
+    """`path` opened (_written) with its header line written: yields
+    put(columns), which writes the columns' rows.  Columns are (kind, array):
+    a "float" column is written with "%.17g", an "int" column (bool or
+    integer) with str(int(v)), and a column whose kind is a tuple of names as
+    names[int(v)], one row per line, in blocks of CSV_BLOCK_ROWS rows.  A
+    block's cells, each with its trailing "," or newline, are interleaved
+    row-major into one list and written with one join; a block's bytes do
+    not depend on where it starts, so a table put in pieces is the bytes of
+    one put."""
     with _written(path) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n)
-            cells = [None] * ((stop - start) * c)
-            for j, ((kind, col), sep) in enumerate(zip(columns, seps)):
-                cells[j::c] = _column_text(kind, col[start:stop], sep)
-            fh.write("".join(cells))
+
+        def put(columns: list) -> None:
+            n, c = len(columns[0][1]), len(columns)
+            seps = [","] * (c - 1) + ["\n"]
+            for start in range(0, n, CSV_BLOCK_ROWS):
+                stop = min(start + CSV_BLOCK_ROWS, n)
+                cells = [None] * ((stop - start) * c)
+                for j, ((kind, col), sep) in enumerate(zip(columns, seps)):
+                    cells[j::c] = _column_text(kind, col[start:stop], sep)
+                fh.write("".join(cells))
+        yield put
+
+
+def _write_csv(path: str, header: list, columns: list) -> None:
+    """A table of whole columns, put at once (_csv)."""
+    with _csv(path, header) as put:
+        put(columns)
 
 
 def _write_json(path: str, obj) -> None:
@@ -306,25 +335,36 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-@dataclasses.dataclass(frozen=True)
-class _Coordinate:
-    """Column `axis` of grid.points(), built a CSV block at a time (GridSpec.nodes)."""
-    grid: GridSpec
-    axis: int
+def _slab_rows(grid: GridSpec) -> list:
+    """(top, end) of each of synth.walk's slabs of `grid` on one band."""
+    windows = []
+    walk(grid, 1, windows.extend, 0)
+    return [window[1:3] for window in windows]
 
-    def __len__(self) -> int:
-        return self.grid.npoints()
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.grid.nodes(rows.start, rows.stop)[:, self.axis]
+def _write_tables(out: str, grid: GridSpec, chunks: Iterator[tuple], tables: list) -> None:
+    """Write each (name, [(header, kind), ...]) table of `tables` into out
+    from one pass over `chunks`, (top, end, arrays) on axis-0 rows top to
+    end - 1 in row order: the coordinates of those rows' nodes, then the
+    arrays of the headers, a chunk at a time into every file."""
+    row, names = grid.npoints() // grid.shape()[0], coord_names(grid.dim)
+    with contextlib.ExitStack() as files:
+        puts = [files.enter_context(_csv(os.path.join(out, name), [*names, *dict(cols)]))
+                for name, cols in tables]
+        for top, end, arrays in chunks:
+            coords = [("float", col) for col in grid.nodes(top * row, end * row).T]
+            for put, (_, cols) in zip(puts, tables):
+                put(coords + [(kind, arrays[head]) for head, kind in cols])
+            del coords, arrays  # freed before the next chunk is made
 
 
 def _write_table(out: str, name: str, grid: GridSpec, triples: list) -> None:
-    """Write out/name: the coordinate columns of `grid`'s nodes, then one
-    column per (header, kind, column) triple."""
-    coords = [(c, "float", _Coordinate(grid, i)) for i, c in enumerate(coord_names(grid.dim))]
-    cols = coords + triples
-    _write_csv(os.path.join(out, name), [c[0] for c in cols], [c[1:] for c in cols])
+    """Write out/name: the coordinates of `grid`'s nodes, then one column per
+    (header, kind, array of every node) triple, a slab of rows at a time."""
+    row = grid.npoints() // grid.shape()[0]
+    chunks = ((top, end, {head: col[top * row:end * row] for head, _, col in triples})
+              for top, end in _slab_rows(grid))
+    _write_tables(out, grid, chunks, [(name, [t[:2] for t in triples])])
 
 
 def _grid_mask(predicate: Optional[Callable], grid: GridSpec) -> Optional[np.ndarray]:
@@ -359,10 +399,11 @@ def _setup(args) -> tuple:
 
 def _workers(threads: int) -> int:
     """Threads for --threads N: at most one per core this process may run on
-    (its CPU affinity where the platform reports one).  synth.walk runs one
-    band of a grid's rows per thread, and no more bands than the grid has
-    rows or blocks of synth.SYNTH_BLOCK nodes, so a grid of one block runs on
-    the calling thread; the bytes are the same for every N."""
+    (its CPU affinity where the platform reports one).  verify's synth.walk
+    runs one band of rows per thread, no more bands than the grid has rows or
+    blocks of synth.SYNTH_BLOCK nodes, and the CSV commands one slab per
+    thread (_slabs), so a grid of one block runs on the calling thread; the
+    bytes are the same for every N."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(threads, cores or 1)
 
@@ -386,14 +427,41 @@ def _synthesis(cfg: RunConfig, grid: GridSpec, witness: Optional[str] = None,
     return Synthesis(grid, model, d, cfgmod.build_policy(cfg, d.dim), tol)
 
 
-def _synth_solution(cfg: RunConfig, grid: GridSpec, threads: int,
-                    witness: Optional[str] = None,
-                    form: Optional[cfgmod.FormSpec] = None) -> FieldSolution:
-    """_synthesis(cfg, grid, witness, form), synthesized on the --threads
-    pool; not yet checked by _admitted."""
-    s = _synthesis(cfg, grid, witness, form)
-    return synthesize(s.model, s.drive, s.policy, grid, tol=s.tol,
-                      workers=_workers(threads))
+def _slabs(s: Synthesis, threads: int, work: Callable) -> Iterator[tuple]:
+    """(top, end, work(top, end, part)) for each of synth.walk's slabs of
+    s.grid, in grid order, on the --threads pool (synth.ordered): part is the
+    solution on axis-0 rows top to end - 1, at its nodes, synthesized at most
+    SYNTH_BLOCK nodes a synthesize_at_points call.  Exit 3 (_refuse_empty,
+    from each slab's admission and range of xi) before the last slab is
+    handed on, when no slab admitted a point."""
+    grid, admitted, spans = s.grid, [], []
+    row = grid.npoints() // grid.shape()[0]
+
+    def slab(bounds: tuple) -> tuple:
+        top, end = bounds
+        nodes = grid.nodes(top * row, end * row)
+        cuts = block_rows(len(nodes))
+        blocks = [synthesize_at_points(s.model, s.drive, s.policy, nodes[rows], tol=s.tol)
+                  for rows in cuts]
+        part = blocks[0]
+        if len(blocks) > 1:  # a row longer than a block
+            part = s.allocate(len(nodes), points=nodes)
+            for rows, block in zip(cuts, blocks):
+                part.fill(rows.start, block)
+        xi = part.xi[(part.flags & FLAG_DRIVE_UNDEFINED) == 0]
+        return (top, end, work(top, end, part), (part.branch_id != 0).any(),
+                [xi.min(), xi.max()] if xi.size else [])
+
+    def checked(item: tuple) -> tuple:
+        top, end, done, any_admitted, span = item
+        admitted.append(any_admitted)
+        spans.extend(span)
+        if end == grid.shape()[0] and not any(admitted):
+            _refuse_empty(s, np.array(spans))
+        return top, end, done
+
+    # map and ordered keep no slab once it is handed on
+    return map(checked, ordered(slab, _slab_rows(grid), _workers(threads)))
 
 
 def _admitted(sol: FieldSolution) -> FieldSolution:
@@ -420,11 +488,12 @@ def _refuse_empty(sol, xi: np.ndarray) -> None:
                 f"misses every admitted branch image Im(phi): {images}")
 
 
-def _tail_columns(sol: FieldSolution) -> list:
-    """The Q, regime, branch and flags columns that field.csv and forms.csv end
-    with."""
-    return [("Q", "float", sol.Q), ("regime", REGIME_NAMES, sol.regime),
-            ("branch", "int", sol.branch_id), ("flags", "int", sol.flags)]
+# the Q, regime, branch and flags columns that field.csv and forms.csv end with
+_TAIL = [("Q", "float"), ("regime", REGIME_NAMES), ("branch", "int"), ("flags", "int")]
+
+
+def _tail(sol: FieldSolution) -> dict:
+    return {"Q": sol.Q, "regime": sol.regime, "branch": sol.branch_id, "flags": sol.flags}
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +502,43 @@ def _tail_columns(sol: FieldSolution) -> list:
 
 def cmd_synth(args) -> int:
     cfg, out, grid = _setup(args)
-    sol = _admitted(_synth_solution(cfg, grid, args.threads))
-    _write_table(out, "field.csv", grid,
-                 [(f"w{i+1}", "float", sol.w[:, i]) for i in range(grid.dim)] + _tail_columns(sol))
+    heads, tallies = [f"w{i+1}" for i in range(grid.dim)], []
+
+    def rows(top: int, end: int, part: FieldSolution) -> dict:
+        # the defined nodes, then the nodes of each regime
+        tallies.append([part.defined.sum(), *np.bincount(part.regime, minlength=4)])
+        return dict(zip(heads, part.w.T)) | _tail(part)
+
+    _write_tables(out, grid, _slabs(_synthesis(cfg, grid), args.threads, rows),
+                  [("field.csv", [(head, "float") for head in heads] + _TAIL)])
     if cfgmod.output_section(cfg)["json"]:
-        counts = {REGIME_NAMES[k]: int((sol.regime == k).sum()) for k in range(4)}
+        tally = np.sum(tallies, axis=0, dtype=np.int64)
         _write_json(os.path.join(out, "summary.json"), {
             "points": grid.npoints(),
-            "defined": int(sol.defined.sum()),
-            "regimes": counts,
+            "defined": int(tally[0]),
+            "regimes": {name: int(count) for name, count in zip(REGIME_NAMES, tally[1:])},
         })
     return EXIT_OK
 
 
+_MASKS = ("outside", "gamma0", "gammas", "gammainf", "gammag")
+
+
 def cmd_singular(args) -> int:
     cfg, out, grid = _setup(args)
-    sol = _admitted(_synth_solution(cfg, grid, args.threads))
-    report = singmod.classify_solution(sol)
-    masks = (("outside", report.omega_f_complement), ("gamma0", report.gamma_0),
-             ("gammas", report.gamma_s), ("gammainf", report.gamma_inf),
-             ("gammag", report.gamma_g))
-    _write_table(out, "masks.csv", grid,
-                 [(name, "int", mask.reshape(-1)) for name, mask in masks])
+    row = grid.npoints() // grid.shape()[0]
+    sonic = np.empty(grid.npoints() if grid.dim == 2 else 0)  # phi'(psi(xi)), for the contour
+
+    def rows(top: int, end: int, part: FieldSolution) -> dict:
+        report = singmod.classify_solution(part)
+        sonic[top * row:end * row] = report.sonic_values[:sonic.size]  # none in 3-D
+        return dict(zip(_MASKS, (report.omega_f_complement, report.gamma_0, report.gamma_s,
+                                 report.gamma_inf, report.gamma_g)))
+
+    _write_tables(out, grid, _slabs(_synthesis(cfg, grid), args.threads, rows),
+                  [("masks.csv", [(name, "int") for name in _MASKS])])
     if grid.dim == 2:
-        polys = report.sonic_contour
+        polys = singmod.sonic_contour(grid, sonic.reshape(grid.shape()))
         xy = np.concatenate([np.reshape(p, (-1, 2)) for p in polys] or [np.empty((0, 2))])
         seg = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
         _write_csv(os.path.join(out, "sonic.csv"), ["segment", "x", "y"],
@@ -469,25 +551,55 @@ def _witness_for(choice: str, sol: FieldSolution):
 
 
 def cmd_frobenius(args) -> int:
+    """witness.csv a slab at a time: G, its defect and G's fourth-order curl
+    residual, from rows of G carried 2 past each seam, the whole grid's bit
+    for bit; each residual's maximum per slab.  Only eta recovery holds
+    arrays of every node: w, where G is defined, the curl, the mask."""
     cfg, out, grid = _setup(args)
     fs = cfgmod.frobenius_section(cfg, grid.dim)
-    sol = _admitted(_synth_solution(cfg, grid, args.threads, witness=fs["witness"]))
-    wit = _witness_for(fs["witness"], sol)
-    curl = frobmod.curl_residual_grid(wit)
-    _write_table(out, "witness.csv", grid,
-                 [(f"G{i+1}", "float", wit.G[:, i]) for i in range(grid.dim)]
-                 + [("defect", "float", wit.defining_residual),
-                    ("curl_defect", "float", curl.reshape(-1))])
+    shape, n, eta = grid.shape(), grid.npoints(), fs["recover_eta"]
+    row, heads = n // shape[0], [f"G{i+1}" for i in range(grid.dim)]
+    if eta:
+        w, defined, curl = np.empty((n, grid.dim)), np.empty(n, dtype=bool), np.empty(shape)
+    peaks = dict.fromkeys(("max_defining_residual", "max_solvability_residual",
+                           "max_curl_residual"))
+    last = []  # the witness kind and its evaluator of G, which holds no slab
 
-    summary = {
-        "kind": wit.kind,
-        "max_defining_residual": _nanmax(wit.defining_residual),
-        "max_solvability_residual": _nanmax(wit.solvability_residual),
-        "max_curl_residual": _nanmax(curl),
-    }
-    if fs["recover_eta"]:
+    def peak(key: str, vals: np.ndarray) -> None:
+        peaks[key] = _nanmax([peaks[key], _nanmax(vals)])
+
+    def chunks() -> Iterator[tuple]:
+        # G and the defect of rows lo on are carried; the curl is known up to row done
+        lo = done = 0
+        carry = np.empty((0, grid.dim + 1))
+        for top, end, wit in _slabs(_synthesis(cfg, grid, witness=fs["witness"]), args.threads,
+                                    lambda top, end, part: _witness_for(fs["witness"], part)):
+            if eta:
+                w[top * row:end * row], defined[top * row:end * row] = wit.solution.w, wit.defined
+            last[:] = [wit.kind, wit.evaluator]
+            peak("max_defining_residual", wit.defining_residual)
+            peak("max_solvability_residual", wit.solvability_residual)
+            carry = np.concatenate([carry, np.column_stack([wit.G, wit.defining_residual])])
+            del wit  # and its slab, before the chunk is written
+            ready = end if end == shape[0] else end - 2  # a fourth-order stencil reads 2 rows on
+            if ready > done:
+                vals = closure_defect(carry[:, :-1], (end - lo,) + shape[1:], "minor",
+                                      grid.spacing(), 4)[done - lo:ready - lo]
+                if eta:
+                    curl[done:ready] = vals
+                peak("max_curl_residual", vals)
+                yield done, ready, dict(zip(heads + ["defect"], carry[
+                    (done - lo) * row:(ready - lo) * row].T)) | {"curl_defect": vals.reshape(-1)}
+                carry, lo, done = carry[(max(ready - 2, 0) - lo) * row:], max(ready - 2, 0), ready
+
+    _write_tables(out, grid, chunks(), [("witness.csv", [(head, "float") for head in
+                                                         heads + ["defect", "curl_defect"]])])
+    summary = {"kind": last[0], **peaks}
+    if eta:
+        source = frobmod.EtaSource(last[0], grid, w, defined, curl, last[1])
         try:
-            rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=_grid_mask(fs["mask"], grid),
+            rec = frobmod.recover_eta(source, anchor=fs["anchor"],
+                                      mask=_grid_mask(fs["mask"], grid),
                                       tol_conservative=fs["tol_conservative"])
         except FrobeniusError as exc:
             _write_json(os.path.join(out, "frobenius.json"), summary)
@@ -518,17 +630,21 @@ _build_form = cfgmod.build_form
 def cmd_forms(args) -> int:
     cfg, out, grid = _setup(args)
     spec = _build_form(cfg, grid.dim)
-    fsol = _admitted(_synth_solution(cfg, grid, args.threads, form=spec))
-    _write_table(out, "forms.csv", grid,
-                 [(f"omega_{''.join(map(str, idx)) or '0'}", "float", fsol.w[:, c])
-                  for c, idx in enumerate(multi_indices(grid.dim, fsol.drive.k))]
-                 + _tail_columns(fsol))
-    if spec.gamma:
-        gw = formsmod.gamma_witness(fsol.model, spec.form, fsol)
-        _write_table(out, "gamma.csv", grid,
-                     [(f"Gamma{i+1}", "float", gw.Gamma[:, i]) for i in range(grid.dim)]
-                     + [("defect", "float", gw.defect),
-                        ("frobenius_defect", "float", gw.frobenius_defect)])
+    s = _synthesis(cfg, grid, form=spec)
+    omegas = [f"omega_{''.join(map(str, idx)) or '0'}"
+              for idx in multi_indices(grid.dim, s.drive.k)]
+    gammas = [f"Gamma{i+1}" for i in range(grid.dim)] + ["defect", "frobenius_defect"]
+
+    def rows(top: int, end: int, part: FieldSolution) -> dict:
+        cols = dict(zip(omegas, part.w.T)) | _tail(part)
+        if spec.gamma:
+            gw = formsmod.gamma_witness(part.model, spec.form, part)
+            cols |= dict(zip(gammas, (*gw.Gamma.T, gw.defect, gw.frobenius_defect)))
+        return cols
+
+    _write_tables(out, grid, _slabs(s, args.threads, rows),
+                  [("forms.csv", [(head, "float") for head in omegas] + _TAIL)]
+                  + ([("gamma.csv", [(head, "float") for head in gammas])] if spec.gamma else []))
     return EXIT_OK
 
 
@@ -629,10 +745,8 @@ def cmd_verify(args) -> int:
     kinds = list(dict.fromkeys(vs["residuals"]))
     witness = fs["witness"] if {"frobenius", "exactness"} & set(kinds) else None
 
-    energy_value = None
-
-    sol_on, field_report = _study(grids, lambda grid: _synthesis(cfg, grid, witness),
-                                  args.threads, mask_pred,
+    field = functools.cache(lambda grid: _synthesis(cfg, grid, witness))
+    sol_on, field_report = _study(grids, field, args.threads, mask_pred,
                                   [k for k in kinds if k != "codifferential"])
     _, form_report = _study(grids, lambda grid: _synthesis(cfg, grid,
                                                            form=_build_form(cfg, grid.dim)),
@@ -652,18 +766,17 @@ def cmd_verify(args) -> int:
         sol, wit = sol_on(grid), witness_on(grid)
         if kind == "frobenius":
             return verifymod.frobenius_residual(sol, wit, **common)
-        rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=_grid_mask(fs["mask"], grid),
+        rec = frobmod.recover_eta(frobmod.eta_source(wit), anchor=fs["anchor"],
+                                  mask=_grid_mask(fs["mask"], grid),
                                   tol_conservative=fs["tol_conservative"])
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common)
 
     reports = [verifymod.convergence_study(functools.partial(residual, kind), grids)
                if levels > 1 else residual(kind, grids[0]) for kind in vs["residuals"]]
 
-    if vs["energy"]:
-        # the finest Synthesis or its copy: the energy reads only the grid
-        # and the synthesis settings
-        sol = sol_on(grids[-1])
-        energy_value = verifymod.energy(sol, mask=mask_pred)
+    # the energy reads only the finest grid and the synthesis settings, and
+    # refuses a grid with no usable cell centre itself (exit 3)
+    energy_value = verifymod.energy(field(grids[-1]), mask=mask_pred) if vs["energy"] else None
 
     threshold = vs["threshold"]
     breached = [r for r in reports if not (np.isfinite(r.max_norm) and r.max_norm < threshold)]
@@ -731,6 +844,8 @@ def main(argv: Optional[list] = None) -> int:
         return args.handler(args)
     except _CONFIG_ERRORS as exc:
         outcome = _Exit(EXIT_CONFIG, f"config error: {exc}")
+    except verifymod.NoUsableCells as exc:
+        outcome = _Exit(EXIT_EMPTY, f"energy quadrature: {exc}")
     except VerifyError as exc:
         outcome = _Exit(EXIT_CONFIG, f"verification could not run: {exc}")
     except FrobeniusError as exc:

@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as exprmod
 from .density import DensityModel
 from .drive import coord_names
-from .synth import (FLAG_DRIVE_UNDEFINED, BranchPolicy, FieldSolution, Tolerances,
+from .synth import (FLAG_DRIVE_UNDEFINED, BranchPolicy, FieldSolution, Tolerances, block_rows,
                     log_rho_gradient, synthesize_at_points)
 
 
@@ -373,7 +373,9 @@ class GammaWitness:
 def gamma_witness(model: DensityModel, f: KForm, sol: FieldSolution) -> GammaWitness:
     """Gamma = Gamma1 - d log rho with Gamma1 least-squares in d*df = Gamma1 ^ *df,
     *df evaluated at order 2 from sol.drive, so a point where only a
-    coefficient's Hessian is not finite has no Gamma.
+    coefficient's Hessian is not finite has no Gamma.  The points go through
+    in blocks of expr.BLOCK_ROWS (a grid's from GridSpec.nodes), each block's
+    jets and wedge system freed before the next.
 
     The wedge system is solvable exactly for k in {1, n-1}; for intermediate k
     the residual norm is reported as the obstruction measure.  All usable
@@ -384,8 +386,19 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FieldSolution) -> GammaWit
     otherwise false wherever |df| > eps_grad, except for a decomposable
     2-form omega in n = 4.
     """
+    npts, n = len(sol.Q), sol.drive.dim
+    out = GammaWitness(np.empty((npts, n)), np.empty((npts, n)), np.empty(npts), np.empty(npts),
+                       np.empty(npts, dtype=bool), np.empty(npts, dtype=bool))
+    for rows in block_rows(npts, exprmod.BLOCK_ROWS):
+        pts = sol.points[rows] if sol.grid is None else sol.grid.nodes(rows.start, rows.stop)
+        for name, vals in vars(_gamma_block(model, sol.restricted(rows), pts)).items():
+            getattr(out, name)[rows] = vals
+    return out
+
+
+def _gamma_block(model: DensityModel, sol: FieldSolution, points: np.ndarray) -> GammaWitness:
     n = sol.drive.dim
-    star_df = sol.drive.star(sol.points, 2)
+    star_df = sol.drive.star(points, 2)
     d_star = _d_values(star_df)
     npts = sol.xi.shape[0]
     with np.errstate(all="ignore"):

@@ -21,6 +21,8 @@ costs one drive evaluation; it computes G alone (_core), in the same blocks.
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
 breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
+Recovery reads only an EtaSource (w, where G is defined, G's curl and its
+evaluator), which the frobenius command fills a slab at a time.
 The tree is swept one frontier at a time in array code; it is edge for edge,
 in the same order, the tree of a first-in-first-out queue search, so eta is
 set by one gather-add per layer; edge ends come from the grid axes.
@@ -59,7 +61,6 @@ class FrobeniusWitness:
     defined: np.ndarray
     solution: FieldSolution
     evaluator: Callable[[np.ndarray], np.ndarray]  # points -> G rows
-    curl_residual: Optional[np.ndarray] = None  # filled by curl_residual_grid
 
 
 # The witness terms of _core: glr is grad log rho(psi(xi)), g the drive-level
@@ -139,10 +140,12 @@ def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
         defining[rows] = _defect(kind, core, core.G)
         solvability[rows] = np.where(ok, drive_wedge, np.nan)
 
+    model, drive, policy, tol = sol.model, sol.drive, sol.policy, sol.tol  # not sol's arrays
+
     def evaluator(qpts: np.ndarray) -> np.ndarray:
         # G, expr.BLOCK_ROWS points at a time, from full-order batches (_core reads jac)
-        return np.concatenate([_core(kind, *_solve(sol.model, sol.drive, sol.policy, qpts[rows],
-                                                   sol.tol, order=2)).G
+        return np.concatenate([_core(kind, *_solve(model, drive, policy, qpts[rows], tol,
+                                                   order=2)).G
                                for rows in block_rows(len(qpts), exprmod.BLOCK_ROWS)])
 
     return FrobeniusWitness(
@@ -215,8 +218,22 @@ def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
     for lo, top, end, hi in windows:
         curl[top:end] = closure_defect(witness.G[lo * row:hi * row], curl[lo:hi].shape, "minor",
                                        grid.spacing(), 4)[top - lo:end - lo]
-    witness.curl_residual = curl
     return curl
+
+
+# What eta recovery reads of a witness on `grid`, each held whole: its kind,
+# the field w and where G is defined (one row per node), G's grid-shaped curl
+# residual, and the evaluator of G off the grid.
+EtaSource = NamedTuple("EtaSource", [("kind", str), ("grid", GridSpec), ("w", np.ndarray),
+                                     ("defined", np.ndarray), ("curl", np.ndarray),
+                                     ("evaluator", Callable)])
+
+
+def eta_source(witness: FrobeniusWitness) -> EtaSource:
+    """The EtaSource of a grid witness, its curl from curl_residual_grid."""
+    sol = witness.solution
+    return EtaSource(witness.kind, sol.grid, sol.w, witness.defined, curl_residual_grid(witness),
+                     witness.evaluator)
 
 
 def _coords(axes: list, shape: tuple, flat: np.ndarray) -> np.ndarray:
@@ -250,22 +267,18 @@ class EtaRecovery:
     unreached: int  # masked nodes outside the anchor's component; eta is NaN there
 
 
-def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
+def recover_eta(source: EtaSource, anchor: Optional[tuple] = None,
                 mask: Optional[np.ndarray] = None, tol_conservative: float = 1e-6) -> EtaRecovery:
-    grid = witness.solution.grid
-    if grid is None:
-        raise FrobeniusError("recover_eta needs a grid")
+    grid = source.grid
     shape = grid.shape()
     if mask is None:
-        mask = witness.defined.reshape(shape)
+        mask = source.defined.reshape(shape)
     else:
-        mask = np.asarray(mask, dtype=bool) & witness.defined.reshape(shape)
+        mask = np.asarray(mask, dtype=bool) & source.defined.reshape(shape)
     if not mask.any():
         raise FrobeniusError("no usable nodes for eta recovery")
 
-    if witness.curl_residual is None:
-        curl_residual_grid(witness)
-    gate_vals = np.where(interior(mask, 2), witness.curl_residual, np.nan)
+    gate_vals = np.where(interior(mask, 2), source.curl, np.nan)
     if not np.isfinite(gate_vals).any():
         raise FrobeniusError("no interior nodes with a full curl stencil inside the mask")
     gate = float(np.nanmax(gate_vals))
@@ -294,7 +307,7 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
     edges, sizes, seen = _spanning_tree(mask, start)
     eta = np.full(mask.size, np.nan)
     eta[first] = 0.0
-    increments, done = _edge_integrals(witness.evaluator, grid, edges), 0
+    increments, done = _edge_integrals(source.evaluator, grid, edges), 0
     for size in sizes:
         parent, child = edges[done:done + size].T
         eta[child] = eta[parent] + increments[done:done + size]
@@ -302,14 +315,14 @@ def recover_eta(witness: FrobeniusWitness, anchor: Optional[tuple] = None,
     eta = eta.reshape(shape)
     del edges, increments
 
-    loop_max = _loop_check(witness.evaluator, grid, mask)
+    loop_max = _loop_check(source.evaluator, grid, mask)
     if loop_max > 10.0 * tol_conservative:
         raise FrobeniusError(
             f"path dependence detected: rectangle loop integral {loop_max:.3e} "
             f"exceeds 10 x {tol_conservative:.1e}"
         )
 
-    post = _post_exactness(witness, grid, mask, eta)
+    post = _post_exactness(source, mask, eta)
     return EtaRecovery(eta=eta, anchor=start, curl_gate=gate, loop_max=loop_max,
                        post_residual=post, mask=mask, unreached=int((mask & ~seen).sum()))
 
@@ -400,17 +413,17 @@ def _rect_unit_edges(shape, i0, ax1, d1, ax2, d2):
                                 shape)
 
 
-def _post_exactness(witness: FrobeniusWitness, grid: GridSpec, mask: np.ndarray,
-                    eta: np.ndarray) -> float:
+def _post_exactness(source: EtaSource, mask: np.ndarray, eta: np.ndarray) -> float:
     """Max curl (minor kind) or divergence (divergence kind) of e^(-eta) w
     where its stencil lies in the mask and eta is set; 0 for no such node."""
+    grid = source.grid
     worst, row, windows = 0.0, grid.npoints() // grid.shape()[0], []
     synthmod.walk(grid, 1, windows.extend, 2)
     for lo, top, end, hi in windows:
         own = slice(top - lo, end - lo)
         ok = interior(mask[lo:hi] & np.isfinite(eta[lo:hi]), 2)[own]
-        vals = closure_defect(witness.solution.w[lo * row:hi * row], eta[lo:hi].shape,
-                              witness.kind, grid.spacing(), 4,
+        vals = closure_defect(source.w[lo * row:hi * row], eta[lo:hi].shape,
+                              source.kind, grid.spacing(), 4,
                               integrating_factor(eta[lo:hi].reshape(-1)))[own]
         worst = np.fmax.reduce(vals[ok], initial=worst)  # NaN is skipped
     return float(worst)

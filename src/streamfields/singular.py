@@ -37,9 +37,9 @@ class SingularError(ValueError):
 
 @dataclass(eq=False)
 class SingularReport:
-    grid: GridSpec
+    grid: Optional[GridSpec]
     solution: FieldSolution
-    omega_f_complement: np.ndarray  # bool masks shaped like the grid
+    omega_f_complement: np.ndarray  # bool masks shaped like the grid, or one per point
     gamma_0: np.ndarray
     gamma_s: np.ndarray
     gamma_inf: np.ndarray
@@ -49,9 +49,9 @@ class SingularReport:
 
 
 def classify_solution(sol: FieldSolution) -> SingularReport:
-    if sol.grid is None:
-        raise SingularError("classification needs a grid-backed solution")
-    shape = sol.grid.shape()
+    """The singular sets of `sol`, shaped like its grid, or one entry per
+    point for a solution on no grid (a slab of rows), which has no contour."""
+    shape = (len(sol.Q),) if sol.grid is None else sol.grid.shape()
     flags = sol.flags.reshape(shape)
 
     def mask(bit: int) -> np.ndarray:
@@ -69,8 +69,8 @@ def classify_solution(sol: FieldSolution) -> SingularReport:
         sonic_values=svals,
         sonic_contour=[],
     )
-    if sol.grid.dim == 2:
-        report.sonic_contour = sonic_contour(report)
+    if sol.grid is not None and sol.grid.dim == 2:
+        report.sonic_contour = sonic_contour(sol.grid, svals)
     return report
 
 
@@ -79,12 +79,13 @@ def classify(model: DensityModel, d: DriveField, policy: BranchPolicy,
     return classify_solution(synthesize(model, d, policy, grid, tol=tol))
 
 
-def sonic_contour(report: SingularReport) -> list:
-    """Zero-level polylines of phi'(psi(xi)); cells touching NaN are skipped."""
-    if report.grid.dim != 2:
+def sonic_contour(grid: GridSpec, sonic_values: np.ndarray) -> list:
+    """Zero-level polylines of phi'(psi(xi)), grid-shaped `sonic_values` on
+    the 2-D `grid`; cells touching NaN are skipped."""
+    if grid.dim != 2:
         raise SingularError("sonic contour extraction is 2D only")
-    xs, ys = report.grid.axes()
-    return _marching_squares(report.sonic_values, xs, ys)
+    xs, ys = grid.axes()
+    return _marching_squares(sonic_values, xs, ys)
 
 
 # ---------------------------------------------------------------------------

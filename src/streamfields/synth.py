@@ -36,6 +36,7 @@ Hessian, leave it undefined.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -245,14 +246,16 @@ class Synthesis:
         if self.grid.dim != self.drive.dim:
             raise SynthError(f"grid dimension {self.grid.dim} != drive dimension {self.drive.dim}")
 
-    def allocate(self, n: int, grid: Optional[GridSpec] = None) -> FieldSolution:
-        """An unwritten solution of n nodes (on `grid`), whose rows the caller fills."""
+    def allocate(self, n: int, grid: Optional[GridSpec] = None,
+                 points: Optional[np.ndarray] = None) -> FieldSolution:
+        """An unwritten solution of n nodes (on `grid`, or at `points`), whose
+        rows the caller fills."""
         columns = getattr(self.drive, "columns", self.drive.dim)  # C(n, k) for a forms.FormDrive
         return FieldSolution(grid=grid, model=self.model, drive=self.drive, policy=self.policy,
                              tol=self.tol, w=np.empty((n, columns)), Q=np.empty(n),
                              xi=np.empty(n), regime=np.empty(n, dtype=np.uint8),
                              branch_id=np.empty(n, dtype=np.int32),
-                             flags=np.empty(n, dtype=np.int32))
+                             flags=np.empty(n, dtype=np.int32), _points=points)
 
 
 def finite_rows(v: np.ndarray) -> np.ndarray:
@@ -441,8 +444,8 @@ def walk(grid: GridSpec, workers: int, band: Callable[[list], None], halo: int) 
     in order.  A slab is handed out as its window (lo, top, end, hi): the
     slab is rows top to end - 1, and the window rows lo to hi - 1, the slab
     and up to `halo` rows past each end inside the grid.  More than one band
-    runs on a thread pool, one band a thread; reading every result re-raises
-    a band's error, and a thread that cannot start raises MemoryError."""
+    runs on a thread pool, one band a thread (ordered): a band's error is
+    re-raised, and a thread that cannot start raises MemoryError."""
     rows, npts = grid.shape()[0], grid.npoints()
     height = max(1, SYNTH_BLOCK // (npts // rows))
     bands = min(max(workers, 1), -(-npts // SYNTH_BLOCK), rows)
@@ -451,15 +454,27 @@ def walk(grid: GridSpec, workers: int, band: Callable[[list], None], halo: int) 
              for start, end in zip(cuts, cuts[1:])]
     windows = [[(max(top - halo, 0), top, end, min(end + halo, rows)) for top, end in own]
                for own in slabs]
-    if bands == 1:
-        band(windows[0])
-    else:
-        with ThreadPoolExecutor(max_workers=bands) as pool:
-            try:  # map starts every band's thread before any result is read
-                results = pool.map(band, windows)
+    deque(ordered(band, windows, bands), maxlen=0)  # every band's thread starts first
+
+
+def ordered(work: Callable, items: list, workers: int):
+    """work(item) for each of `items`, yielded in order; with more than one
+    worker on a thread pool, at most `workers` items alive, the one being
+    read among them.  A thread that cannot start raises MemoryError."""
+    if workers <= 1 or len(items) <= 1:
+        yield from map(work, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque()
+        for item in items:
+            if len(ahead) == workers:
+                yield ahead.popleft().result()
+            try:
+                ahead.append(pool.submit(work, item))
             except RuntimeError as exc:  # a thread that could not start
                 raise MemoryError(str(exc)) from exc
-            list(results)
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,

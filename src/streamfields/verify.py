@@ -59,6 +59,11 @@ class VerifyError(ValueError):
     pass
 
 
+class NoUsableCells(VerifyError):
+    """No cell centre of the energy quadrature is admitted, unflagged and kept
+    by verify.mask: the outcome of a synthesis that admits no point (exit 3)."""
+
+
 MASK_BITS = ~FLAG_NONPHYSICAL_RHO  # every flag except the physicality marker
 ORDER = 2  # the residuals' central differences
 HALO = ORDER // 2  # rows a slab reads past each of its ends: the stencil and mask width
@@ -516,7 +521,8 @@ def energy(solution, mask: Optional[Callable[[np.ndarray], np.ndarray]] = None) 
         kept.append(cs.Q[keep])
     qvals = np.concatenate(kept)
     if not qvals.size:
-        raise VerifyError("no usable cells for the energy quadrature")
+        raise NoUsableCells("no usable cells: no cell centre is admitted, unflagged and kept by "
+                            "verify.mask")
     if not model.in_domain(qvals).all():
         raise VerifyError("quadrature hit Q outside the density domain")
     e = energy_density(model, qvals)

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import copy
 import csv
 import functools
@@ -598,8 +599,9 @@ def test_a_csv_whose_formatting_raises_is_removed(tmp_path, monkeypatch, capsys)
 
 
 # RLIMIT_AS (address space) of the child: importing numpy and streamfields
-# takes a little over 100 MB of it with OPENBLAS_NUM_THREADS=1, and a
-# 2047^2-cell solution 172 MB more
+# takes a little over 100 MB of it with OPENBLAS_NUM_THREADS=1, and the
+# arrays of every node that 2047^2-cell eta recovery holds (w, where G is
+# defined, the curl residual) 105 MB more
 _ADDRESS_SPACE_LIMIT = 150 << 20
 
 
@@ -608,17 +610,18 @@ _ADDRESS_SPACE_LIMIT = 150 << 20
 def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path, threads):
     import resource
 
-    cfg = copy.deepcopy(cfgmod.EXAMPLES["shallow-vortex"])
+    cfg = copy.deepcopy(cfgmod.EXAMPLES["shallow-annulus-eta"])
     cfg["grid"]["cells"] = [2047, 2047]
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     proc = subprocess.run(
-        [sys.executable, "-m", "streamfields.cli", "synth", "--config", str(tmp_path / "cfg.json"),
+        [sys.executable, "-m", "streamfields.cli", "frobenius", "--config",
+         str(tmp_path / "cfg.json"),
          "--out", str(tmp_path / "out"), "--threads", threads],
         capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         preexec_fn=lambda: resource.setrlimit(
             resource.RLIMIT_AS, (_ADDRESS_SPACE_LIMIT, _ADDRESS_SPACE_LIMIT)))
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "synth ran out of memory: lower grid.cells or --levels\n"
+    assert proc.stderr == "frobenius ran out of memory: lower grid.cells or --levels\n"
     assert not os.listdir(tmp_path / "out")
 
 
@@ -676,7 +679,7 @@ def test_levels_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, mo
     def no_synthesis(*args):
         raise AssertionError("a grid was synthesized")
 
-    monkeypatch.setattr(cli, "_synth_solution", no_synthesis)
+    monkeypatch.setattr(cli, "_slabs", no_synthesis)
     monkeypatch.setattr(GridSpec, "points", no_synthesis)
     monkeypatch.setattr(GridSpec, "axes", no_synthesis)  # a synthesis block's nodes
     tracemalloc.start()
@@ -696,7 +699,7 @@ def test_grid_over_the_node_budget_exit_2_before_any_grid(tmp_path, capsys, monk
     def no_synthesis(*args):
         raise AssertionError("a grid was synthesized")
 
-    monkeypatch.setattr(cli, "_synth_solution", no_synthesis)
+    monkeypatch.setattr(cli, "_slabs", no_synthesis)
     monkeypatch.setattr(GridSpec, "points", no_synthesis)
     monkeypatch.setattr(GridSpec, "axes", no_synthesis)  # a synthesis block's nodes
     cfg = copy.deepcopy(cfgmod.EXAMPLES["form-21" if command == "forms" else "unit-density"])
@@ -897,7 +900,8 @@ def test_verify_exactness_recovers_eta_from_the_frobenius_anchor(tmp_path):
     sol = synthesize(cfgmod.build_model(rc), cfgmod.build_drive(rc), cfgmod.build_policy(rc, 2),
                      grid, tol=cfgmod.build_tol(rc))
     wit = frobmod.witness_2d(sol)
-    rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=cli._grid_mask(fs["mask"], grid),
+    rec = frobmod.recover_eta(frobmod.eta_source(wit), anchor=fs["anchor"],
+                              mask=cli._grid_mask(fs["mask"], grid),
                               tol_conservative=fs["tol_conservative"])
     want = verifymod.exactness_residual(sol, rec.eta, system=wit.kind).max_norm
     assert got["anchored"] == (4, want) and got["free"][1] != want
@@ -1064,6 +1068,27 @@ def test_verify_energy_where_rho_is_undefined_exits_2_in_bounded_time(tmp_path):
     lo, hi = (float(v) for v in re.search(r"Q in \[(\S+), (\S+)\]", proc.stderr).groups())
     assert lo <= 1.0 and hi >= 2.0  # the named range holds the gap where rho is NaN
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("levels", ["1", "3"])
+def test_an_energy_with_no_usable_cell_exits_3_without_a_field_pass(tmp_path, capsys,
+                                                                     monkeypatch, levels):
+    """No usable cell centre is a synthesis that admits no point, exit 3 as
+    _refuse_empty's: here the form admits its nodes, but the field drive's
+    |a|^2 = 10^4 misses every branch image of shallow water.  A form config
+    runs no pass of the field for the energy: the finest form nodes, then
+    the energy's cell centres, are all that is synthesized."""
+    calls, points = _record_syntheses(monkeypatch)
+    cfg = _example("form-21", 8, drive={"kind": "scalar", "f": "100 * x1"},
+                   verify={"residuals": ["codifferential"], "threshold": 1.0, "energy": True})
+    code, out = run_cfg(tmp_path, cfg, command="verify", extra=("--levels", levels))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("energy quadrature: no usable cells")
+    assert not (out / "report.json").exists()
+    finest = 8 * 2 ** (int(levels) - 1)
+    assert calls == [] and [len(p) for p in _before_energy(points)] == [(finest + 1) ** 2]
+    assert sum(map(len, points[len(_before_energy(points)) + 1:])) == finest ** 2
 
 
 def test_verify_report_pass_and_threshold_fail(tmp_path):
@@ -1354,7 +1379,7 @@ def test_a_streamed_study_writes_what_the_stored_finest_solution_writes(
     pytest.param("unit-density", ["frobenius"], [9 ** 2, 17 ** 2, 33 ** 2, 32 ** 2],
                  id="whole-grid-kind"),
     # the form's codifferential pass, then the energy's cell centres: the
-    # field pass that the energy's admission check runs has no kernel
+    # field of a form config has no pass
     pytest.param("form-21", ["codifferential"], [33 ** 2, 32 ** 2], id="form-energy"),
 ])
 def test_a_study_pass_without_a_kernel_evaluates_no_mask(name, residuals, sizes, tmp_path,
@@ -1408,47 +1433,85 @@ def test_a_form_study_evaluates_no_coefficient_on_more_than_a_synthesis_block(
 
 
 def test_each_command_builds_a_solutions_points_once(tmp_path, capsys, monkeypatch):
-    """synth, singular and frobenius (witness, eta recovery, the
-    frobenius.mask predicate and every CSV) build no array of every grid
-    point: blocks and CSV coordinate columns take their nodes from the grid.
-    forms builds one, for the Gamma witness, on the synthesized grid."""
+    """synth, singular, frobenius (witness, eta recovery, the frobenius.mask
+    predicate and every CSV) and forms (the Gamma witness among them) build
+    no array of every grid point: slabs, blocks and CSV coordinate columns
+    take their nodes from the grid."""
     built = _record_points(monkeypatch)
     for name, spec in sorted(cfgmod.EXAMPLES.items()):
-        grid = cfgmod.build_grid(cfgmod.example_config(name))
         for command in ("forms",) if "forms" in spec else ("synth", "singular", "frobenius"):
             built.clear()
             out = tmp_path / f"{command}-{name}"
             assert main([command, "--example", name, "--out", str(out)]) == 0, (name, command)
-            assert built == ([grid] if command == "forms" else []), (name, command)
+            assert built == [], (name, command)
+    capsys.readouterr()
+
+
+def test_no_csv_command_holds_a_solution_of_its_whole_grid(tmp_path, capsys, monkeypatch):
+    """synth, singular, forms and frobenius (eta recovery among them) never
+    call synth.synthesize and make no FieldSolution on a grid: with slabs of
+    7 rows, and the witness and Gauss-point blocks of 7 rows' nodes, every
+    solution they make is of at most one such block (B1's gate)."""
+    from streamfields import expr, singular as singmod, synth as synthmod
+
+    def no_synthesize(*args, **kwargs):
+        raise AssertionError("synth.synthesize was called")
+
+    for module in (cli, singmod, synthmod):
+        monkeypatch.setattr(module, "synthesize", no_synthesize)
+    sizes, init = [], synthmod.FieldSolution.__init__
+
+    def recorded(self, grid, *args, **kwargs):
+        assert grid is None, "a solution on a grid"
+        init(self, grid, *args, **kwargs)
+        sizes.append(len(self.Q))
+
+    monkeypatch.setattr(synthmod.FieldSolution, "__init__", recorded)
+    for name, spec in sorted(cfgmod.EXAMPLES.items()):
+        grid = cfgmod.build_grid(cfgmod.example_config(name))
+        block = 7 * (grid.npoints() // grid.shape()[0])
+        monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
+        monkeypatch.setattr(expr, "BLOCK_ROWS", block)
+        for command in ("forms",) if "forms" in spec else ("synth", "singular", "frobenius"):
+            sizes.clear()
+            out = tmp_path / f"{command}-{name}"
+            assert main([command, "--example", name, "--out", str(out)]) == 0, (name, command)
+            assert sizes and max(sizes) <= block < grid.npoints(), (name, command)
     capsys.readouterr()
 
 
 def test_each_csv_column_is_an_array_the_command_holds(tmp_path, capsys, monkeypatch):
-    """synth, singular and forms hand _write_csv the arrays they hold: no
-    list, no object array, the regime codes of the solution itself (not a
-    copy) and each singular-set mask as bool."""
-    writes, admitted, checked = [], [], []
-    write, admit = cli._write_csv, cli._admitted
-    monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: (
-        writes.append((os.path.basename(path), header, columns)), write(path, header, columns)))
-    monkeypatch.setattr(cli, "_admitted", lambda sol: admitted.append(admit(sol)) or admitted[-1])
+    """synth, singular and forms write each slab's arrays as they hold them:
+    no list, no object array, the regime codes of the slab's solution itself
+    (not a copy) and each singular-set mask as bool."""
+    writes, parts, checked = [], [], []
+    open_csv, at_points = cli._csv, cli.synthesize_at_points
+
+    @contextlib.contextmanager
+    def recorded(path, header):
+        with open_csv(path, header) as put:
+            yield lambda columns: (writes.append((os.path.basename(path), header, columns)),
+                                   put(columns))
+
+    monkeypatch.setattr(cli, "_csv", recorded)
+    monkeypatch.setattr(cli, "synthesize_at_points", lambda *args, **kwargs: (
+        parts.append(at_points(*args, **kwargs)) or parts[-1]))
     for command, name in (("synth", "shallow-vortex"), ("singular", "born-infeld-fund"),
                           ("singular", "shallow-vortex"), ("forms", "form-21")):
-        writes.clear(), admitted.clear()
+        writes.clear(), parts.clear()
         assert main([command, "--example", name, "--out", str(tmp_path / command)]) == 0
-        assert writes and len(admitted) == 1, (command, name)
+        assert writes and parts, (command, name)
         for file, header, columns in writes:
             for head, (kind, col) in zip(header, columns):
-                assert isinstance(col, (np.ndarray, cli._Coordinate)), (file, head)
-                assert not isinstance(col, np.ndarray) or col.dtype != object, (file, head)
+                assert isinstance(col, np.ndarray) and col.dtype != object, (file, head)
                 if head == "regime":
                     assert kind == cli.REGIME_NAMES
-                    assert np.shares_memory(col, admitted[0].regime), (file, head)
+                    assert any(np.shares_memory(col, part.regime) for part in parts), (file, head)
                     checked.append(file)
                 if file == "masks.csv" and kind == "int":
                     assert col.dtype == bool, (file, head)
                     checked.append(file)
-    assert checked == ["field.csv"] + ["masks.csv"] * 10 + ["forms.csv"]
+    assert sorted(set(checked)) == ["field.csv", "forms.csv", "masks.csv"]
     capsys.readouterr()
 
 

@@ -12,7 +12,7 @@ from streamfields import (
     shallow_vortex,
     shallow_water,
 )
-from streamfields.singular import classify_solution
+from streamfields.singular import classify_solution, sonic_contour
 from streamfields.synth import synthesize_at_points
 
 
@@ -85,12 +85,20 @@ def test_marching_squares_on_a_line():
     assert rep.sonic_contour == []
 
 
-def test_classify_requires_grid():
-    m = shallow_water()
-    d = shallow_vortex(1.0)
-    sol = synthesize_at_points(m, d, prefer_type1(), np.array([[0.1, 0.1]]))
+def test_classify_off_a_grid_gives_one_entry_per_point_and_no_contour():
+    """A solution on no grid (a slab of rows, as the singular command
+    classifies) gets one mask entry per point, its grid solution's entries."""
+    whole = vortex_report(cells=20)
+    sol = whole.solution
+    rep = classify_solution(synthesize_at_points(sol.model, sol.drive, sol.policy, sol.points))
+    g = whole.grid
+    assert rep.grid is None and rep.sonic_contour == [] and whole.sonic_contour
+    for name in ("omega_f_complement", "gamma_0", "gamma_s", "gamma_inf", "gamma_g",
+                 "sonic_values"):
+        got, want = getattr(rep, name), getattr(whole, name)
+        assert got.shape == (g.npoints(),) and got.tobytes() == want.tobytes(), name
     with pytest.raises(SingularError):
-        classify_solution(sol)
+        sonic_contour(GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2)), np.zeros((3, 3, 3)))
 
 
 def test_gamma_inf_on_caustic_small_q():

@@ -245,6 +245,48 @@ def test_undefined_drive_flag():
     assert np.isnan(sol.w[0]).all()
 
 
+def test_each_zero_and_pole_of_rho_carries_its_flags():
+    """Three points where only one condition of _assemble sets a flag:
+    extremal rho = |1 - Q|^(-1/2) at Q = 1 (xi = 1.024e17 rounds psi to 1),
+    a pole with a finite Q, is on gamma_inf and, phi' not being finite
+    there, on gamma_s; rho = sqrt(1 - Q) within 1e-12 of Q = 1 has
+    |rho| < eps_rho but phi' = -1, so it is on gamma_s only as the zero set
+    of rho is; rho = Q^2 at Q < eps_rho has |rho| < rho_zero, a hard zero
+    of rho with Q > q_zero, which alone puts it on gamma_0."""
+    from streamfields import custom
+
+    tol, at = Tolerances(), np.array([[0.1, 0.2]])
+    sol = synthesize_at_points(extremal(), gradient_drive(2, "3.2e8 * x1"), single_branch(1), at)
+    assert sol.Q[0] == 1.0 and sol.branch_id[0] == 1
+    assert sol.flags[0] == FLAG_GAMMA_INF | FLAG_GAMMA_S
+
+    root = custom("sqrt(1 - Q)", q_max=1.0, name="root")
+    sol = synthesize_at_points(root, gradient_drive(2, "3e-7 * x1"), single_branch(2), at)
+    assert root.rho(sol.Q)[0] < tol.eps_rho and abs(root.phi_prime(sol.Q)[0] + 1.0) < 1e-6
+    assert sol.flags[0] == FLAG_GAMMA0 | FLAG_GAMMA_S
+
+    square = custom("Q^2", q_max=1.0, name="square")
+    sol = synthesize_at_points(square, gradient_drive(2, "1e-17 * x1"), single_branch(1), at)
+    assert tol.q_zero < sol.Q[0] < tol.eps_rho and square.rho(sol.Q)[0] < tol.rho_zero
+    assert sol.flags[0] & FLAG_GAMMA0
+
+
+def test_a_failed_numeric_psi_is_outside_omega(monkeypatch):
+    """A point whose branch admits its xi but whose inverse comes out NaN is
+    demoted: no branch, outside_omega_f, an undefined regime and w."""
+    from streamfields.density import PhiBranch
+
+    psi = PhiBranch.psi
+    monkeypatch.setattr(PhiBranch, "psi", lambda self, xi, snap=0.0: np.where(
+        np.arange(np.size(xi)) % 2 == 1, np.nan, psi(self, xi, snap)))
+    pts = np.c_[np.linspace(0.5, 0.9, 6), np.linspace(0.6, 0.2, 6)]
+    sol = synthesize_at_points(shallow_water(), shallow_vortex(1.0), prefer_type1(), pts)
+    assert (sol.branch_id[::2] != 0).all() and (sol.regime[::2] != 0).all()
+    assert (sol.branch_id[1::2] == 0).all() and (sol.regime[1::2] == 0).all()
+    assert (sol.flags[1::2] == FLAG_OUTSIDE_OMEGA).all()
+    assert np.isnan(sol.w[1::2]).all()
+
+
 def _random_box(rng) -> tuple:
     """lo < hi drawn over the whole float range: magnitudes from 1e-300 to
     1e300, either sign, and extents from a few ulps of lo up to both ends'
