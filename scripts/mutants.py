@@ -80,22 +80,24 @@ MUTANTS = [
            "return u[:, j] * v[:, i] - u[:, i] * v[:, j]",
            ("tests/test_verify.py", "tests/test_frobenius.py")),
     # the slab walks and carries of earlier changes
-    Mutant("_reader: the synthesis carry dropped", "src/streamfields/verify.py",
+    Mutant("slab_reader: the synthesis carry dropped", "src/streamfields/verify.py",
            "n, keep = (hi - lo) * row, max(last - lo, 0) * row", "n, keep = (hi - lo) * row, 0",
            ("tests/test_cli.py::"
             "test_a_streamed_study_writes_what_the_stored_finest_solution_writes",)),
     Mutant("walk: each slab drops its last row", "src/streamfields/synth.py",
            "(top, min(top + height, end)) for top", "(top, min(top + height, end) - 1) for top",
            ("tests/test_synth.py",)),
-    Mutant("curl_residual_grid: fourth-order windows with a halo of 1",
-           "src/streamfields/frobenius.py", "windows.extend, 2)  # a fourth-order",
-           "windows.extend, 1)  # a fourth-order", ("tests/test_frobenius.py",)),
+    Mutant("curl_rows: a row's curl taken with 1 row past it", "src/streamfields/frobenius.py",
+           "else end - 2  # a fourth-order", "else end - 1  # a fourth-order",
+           ("tests/test_frobenius.py",)),
     Mutant("_slabs: the mask predicate ignored", "src/streamfields/verify.py",
-           "_reader(source, row, mask if kernels else None)", "_reader(source, row, None)",
+           "slab_reader(source, row, mask if kernels else None)",
+           "slab_reader(source, row, None)",
            ("tests/test_verify.py",)),
     # the streamed tables of synth, singular, forms and frobenius
-    Mutant("_write_tables: each chunk's last row dropped", "src/streamfields/cli.py",
-           "grid.nodes(top * row, end * row).T]", "grid.nodes(top * row, end * row - 1).T]",
+    Mutant("_write_streamed: each chunk's last row dropped", "src/streamfields/cli.py",
+           "pieces.append((top * row, end * row, arrays))",
+           "pieces.append((top * row, end * row, {k: v[:-1] for k, v in arrays.items()}))",
            ("tests/test_streamed_tables.py",)),
     Mutant("ordered: two threads hand slabs on in the order they finish",
            "src/streamfields/synth.py",
@@ -111,9 +113,8 @@ MUTANTS = [
            "sonic[top * row:end * row] = report.sonic_values[:sonic.size]",
            "sonic[top * row:end * row] = np.roll(report.sonic_values[:sonic.size], row)",
            ("tests/test_streamed_tables.py",)),
-    Mutant("cmd_frobenius: the curl carry keeps 1 row past each seam", "src/streamfields/cli.py",
-           "carry[(max(ready - 2, 0) - lo) * row:], max(ready - 2, 0), ready",
-           "carry[(max(ready - 1, 0) - lo) * row:], max(ready - 1, 0), ready",
+    Mutant("curl_rows: the carry keeps 1 row past each seam", "src/streamfields/frobenius.py",
+           "keep = max(ready - 2, 0)", "keep = max(ready - 1, 0)",
            ("tests/test_streamed_tables.py",)),
     # one per flag-bit condition of synth._assemble (the gamma0 guard and
     # the gamma_g laplacian test are above)

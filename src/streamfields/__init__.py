@@ -56,7 +56,6 @@ from .frobenius import (
     FrobeniusError,
     FrobeniusWitness,
     curl_residual_grid,
-    eta_source,
     minor_defect_with,
     recover_eta,
     witness_2d,

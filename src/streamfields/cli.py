@@ -4,29 +4,20 @@ Subcommands: synth, singular, frobenius, forms, verify.  Every run is driven
 by a JSON config (--config PATH) or a built-in example (--example NAME) and
 writes plot-ready CSV / JSON artifacts into --out.  All numeric output uses 17
 significant digits and fixed row/column order, so reruns are byte-identical.
-
-synth, singular, forms and frobenius write their tables a slab at a time
-(_slabs, _write_tables): each of synth.walk's slabs of about SYNTH_BLOCK
-nodes is synthesized, its masks, Gamma or witness G are computed on its
-points, and its rows are written into every table, in grid order; with
---threads N the next N slabs run on a pool, at most N alive, and the bytes
-are the same for every N.  An op holds arrays of every node only where a
-later step reads them: singular the sonic values phi'(psi(xi)) of a 2-D
-grid, for the contour (8 bytes a node), and frobenius with eta recovery w,
-where G is defined, G's curl residual and the frobenius.mask values.  At the
-node budget (one process a command, one thread, MALLOC_MMAP_THRESHOLD_=131072)
-ru_maxrss peaks at 44 MB for synth (2047^2 cells), 40 MB for singular
-(160^3), 143 MB for singular (2047^2), 48 MB for forms (2047^2 form-21) and
-231 MB for frobenius (2047^2 shallow-annulus-eta, with eta), next to 76 MB
-for verify.
-
-CSV rows are written in blocks of CSV_BLOCK_ROWS rows from arrays the
-command holds: floats, ints or bools, and codes written as names (the
-regime).  Each distinct value of a block column is formatted once, with its
-trailing "," or newline, and a block is written with one join of its cells;
-the bytes are the same as formatting every cell on its own, wherever a
-block starts.  Coordinate columns, and the input of the frobenius.mask
-predicate, are built a slab or a block of nodes at a time.
+CSV files are written in blocks of CSV_BLOCK_ROWS rows (tracemalloc peak 9.4
+MB on 513^2 and 65^3 grids, 35.5 MB at 65,536 rows), from arrays the command
+holds: floats, ints or bools, and codes written as names (the regime).  Each
+distinct value of a block column is formatted once, with its trailing "," or
+newline, and a block is written with one join of its cells; the bytes are
+the same as formatting every cell on its own.  Coordinate columns, and the
+input of the frobenius.mask predicate, are built a block of nodes at a time.
+synth, singular, forms and frobenius hold one slab of synth.walk's (or N, at
+--threads N) and its masks, Gamma or G (_slabs): the writer pulls a slab as
+its blocks reach it (_write_streamed).  Held whole: singular's 2-D sonic
+values, and for eta recovery w, where G is defined, its curl and the mask.
+Node-budget peaks (ru_maxrss, one thread, MALLOC_MMAP_THRESHOLD_=131072):
+synth 2047^2 46 MB, singular 160^3 41 and 2047^2 143, forms 2047^2 50,
+frobenius 2047^2 with eta 232; verify 77 MB.
 
 A float is written as Python's "%.17g" % v writes it.  A block column with at
 least ARRAY_FORMAT_MIN distinct floats formats them with array arithmetic
@@ -76,10 +67,10 @@ from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
 from .synth import (FLAG_DRIVE_UNDEFINED, ROW_ARRAYS, FieldSolution, GridSpec, REGIME_NAMES,
-                    SynthError, Synthesis, block_rows, ordered, synthesize_at_points, walk)
-# Not called here; perfbench/tracer.py wraps this module-level name.
-from .synth import synthesize  # noqa: F401
-from .verify import VerifyError, closure_defect
+                    SynthError, Synthesis, block_rows, ordered, walk)
+# Not called here; perfbench/tracer.py wraps these module-level names.
+from .synth import synthesize, synthesize_at_points  # noqa: F401
+from .verify import VerifyError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -300,14 +291,12 @@ def _written(path: str):
 @contextlib.contextmanager
 def _csv(path: str, header: list):
     """`path` opened (_written) with its header line written: yields
-    put(columns), which writes the columns' rows.  Columns are (kind, array):
-    a "float" column is written with "%.17g", an "int" column (bool or
-    integer) with str(int(v)), and a column whose kind is a tuple of names as
+    put(columns), which writes their rows.  Columns are (kind, array): a
+    "float" column is written with "%.17g", an "int" column (bool or integer)
+    with str(int(v)), and a column whose kind is a tuple of names as
     names[int(v)], one row per line, in blocks of CSV_BLOCK_ROWS rows.  A
     block's cells, each with its trailing "," or newline, are interleaved
-    row-major into one list and written with one join; a block's bytes do
-    not depend on where it starts, so a table put in pieces is the bytes of
-    one put."""
+    row-major into one list and written with one join."""
     with _written(path) as fh:
         fh.write(",".join(header) + "\n")
 
@@ -335,36 +324,51 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _slab_rows(grid: GridSpec) -> list:
-    """(top, end) of each of synth.walk's slabs of `grid` on one band."""
-    windows = []
-    walk(grid, 1, windows.extend, 0)
-    return [window[1:3] for window in windows]
+class _Column:
+    """Column `key` of a streamed table's n rows, sliced by rows(slice, key)."""
+
+    def __init__(self, rows: Callable, key, n: int):
+        self.rows, self.key, self.n = rows, key, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, at: slice) -> np.ndarray:
+        return self.rows(at, self.key)
 
 
-def _write_tables(out: str, grid: GridSpec, chunks: Iterator[tuple], tables: list) -> None:
-    """Write each (name, [(header, kind), ...]) table of `tables` into out
-    from one pass over `chunks`, (top, end, arrays) on axis-0 rows top to
-    end - 1 in row order: the coordinates of those rows' nodes, then the
-    arrays of the headers, a chunk at a time into every file."""
-    row, names = grid.npoints() // grid.shape()[0], coord_names(grid.dim)
-    with contextlib.ExitStack() as files:
-        puts = [files.enter_context(_csv(os.path.join(out, name), [*names, *dict(cols)]))
-                for name, cols in tables]
-        for top, end, arrays in chunks:
-            coords = [("float", col) for col in grid.nodes(top * row, end * row).T]
-            for put, (_, cols) in zip(puts, tables):
-                put(coords + [(kind, arrays[head]) for head, kind in cols])
-            del coords, arrays  # freed before the next chunk is made
+def _write_streamed(path: str, grid: GridSpec, chunks: Iterator[tuple], cols: list) -> None:
+    """_write_csv of `path`: `grid`'s node coordinates, then a column per
+    (header, kind) of `cols`, whose arrays `chunks` yields (top, end,
+    {header: array}) on axis-0 rows top to end - 1 in row order.  Each block
+    of rows is cut from the chunks it spans, pulled as it reaches them."""
+    n, row, pieces = grid.npoints(), grid.npoints() // grid.shape()[0], []
+
+    def rows(at: slice, key) -> np.ndarray:
+        pieces[:] = [piece for piece in pieces if piece[1] > at.start]  # (first, end, arrays)
+        while not pieces or pieces[-1][1] < at.stop:
+            # the rows still to write are copied, so no slab is held while the next is made
+            pieces[:] = [(max(first, at.start), end, {k: v[max(at.start - first, 0):].copy()
+                                                      for k, v in arrays.items()})
+                         for first, end, arrays in pieces]
+            top, end, arrays = next(chunks)
+            pieces.append((top * row, end * row, arrays))
+        if isinstance(key, int):  # a coordinate axis, once the block's chunks are in
+            return grid.nodes(at.start, at.stop)[:, key]
+        cut = [arrays[key][max(at.start - first, 0):at.stop - first] for first, _, arrays in pieces]
+        return cut[0] if len(cut) == 1 else np.concatenate(cut)
+
+    _write_csv(path, [*coord_names(grid.dim), *dict(cols)],
+               [("float", _Column(rows, axis, n)) for axis in range(grid.dim)]
+               + [(kind, _Column(rows, head, n)) for head, kind in cols])
+    next(chunks, None)  # the end of the stream: its pool, if any, shuts down
 
 
 def _write_table(out: str, name: str, grid: GridSpec, triples: list) -> None:
     """Write out/name: the coordinates of `grid`'s nodes, then one column per
-    (header, kind, array of every node) triple, a slab of rows at a time."""
-    row = grid.npoints() // grid.shape()[0]
-    chunks = ((top, end, {head: col[top * row:end * row] for head, _, col in triples})
-              for top, end in _slab_rows(grid))
-    _write_tables(out, grid, chunks, [(name, [t[:2] for t in triples])])
+    (header, kind, array of every node) triple."""
+    _write_streamed(os.path.join(out, name), grid, iter([(0, grid.shape()[0], {
+        head: col for head, _, col in triples})]), [triple[:2] for triple in triples])
 
 
 def _grid_mask(predicate: Optional[Callable], grid: GridSpec) -> Optional[np.ndarray]:
@@ -399,11 +403,10 @@ def _setup(args) -> tuple:
 
 def _workers(threads: int) -> int:
     """Threads for --threads N: at most one per core this process may run on
-    (its CPU affinity where the platform reports one).  verify's synth.walk
-    runs one band of rows per thread, no more bands than the grid has rows or
-    blocks of synth.SYNTH_BLOCK nodes, and the CSV commands one slab per
-    thread (_slabs), so a grid of one block runs on the calling thread; the
-    bytes are the same for every N."""
+    (its CPU affinity where the platform reports one).  synth.walk runs one
+    band of a grid's rows, and _slabs one slab, per thread, and no more than
+    the grid has rows or blocks of synth.SYNTH_BLOCK nodes, so a grid of one
+    block runs on the calling thread; the bytes are the same for every N."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(threads, cores or 1)
 
@@ -429,54 +432,46 @@ def _synthesis(cfg: RunConfig, grid: GridSpec, witness: Optional[str] = None,
 
 def _slabs(s: Synthesis, threads: int, work: Callable) -> Iterator[tuple]:
     """(top, end, work(top, end, part)) for each of synth.walk's slabs of
-    s.grid, in grid order, on the --threads pool (synth.ordered): part is the
-    solution on axis-0 rows top to end - 1, at its nodes, synthesized at most
-    SYNTH_BLOCK nodes a synthesize_at_points call.  Exit 3 (_refuse_empty,
-    from each slab's admission and range of xi) before the last slab is
-    handed on, when no slab admitted a point."""
-    grid, admitted, spans = s.grid, [], []
+    s.grid in grid order, the next N on the --threads pool (synth.ordered):
+    part is the solution at the slab's nodes (verify.slab_reader).  Exit 3
+    (_admitted) before the last is handed on, if no slab admitted a point."""
+    grid, windows, seen = s.grid, [], []
     row = grid.npoints() // grid.shape()[0]
+    walk(grid, 1, windows.extend, 0)
 
-    def slab(bounds: tuple) -> tuple:
-        top, end = bounds
-        nodes = grid.nodes(top * row, end * row)
-        cuts = block_rows(len(nodes))
-        blocks = [synthesize_at_points(s.model, s.drive, s.policy, nodes[rows], tol=s.tol)
-                  for rows in cuts]
-        part = blocks[0]
-        if len(blocks) > 1:  # a row longer than a block
-            part = s.allocate(len(nodes), points=nodes)
-            for rows, block in zip(cuts, blocks):
-                part.fill(rows.start, block)
-        xi = part.xi[(part.flags & FLAG_DRIVE_UNDEFINED) == 0]
-        return (top, end, work(top, end, part), (part.branch_id != 0).any(),
-                [xi.min(), xi.max()] if xi.size else [])
+    def slab(window: tuple) -> tuple:
+        top, end = window[1:3]
+        part = dataclasses.replace(verifymod.slab_reader(s, row, None)(top, end)[0],
+                                   _points=grid.nodes(top * row, end * row))
+        return top, end, work(top, end, part), _note(part)
 
     def checked(item: tuple) -> tuple:
-        top, end, done, any_admitted, span = item
-        admitted.append(any_admitted)
-        spans.extend(span)
-        if end == grid.shape()[0] and not any(admitted):
-            _refuse_empty(s, np.array(spans))
-        return top, end, done
+        seen.append(item[3])
+        if item[1] == grid.shape()[0]:
+            _admitted(s, seen)
+        return item[:3]
 
     # map and ordered keep no slab once it is handed on
-    return map(checked, ordered(slab, _slab_rows(grid), _workers(threads)))
+    return map(checked, ordered(slab, windows, _workers(threads)))
 
 
-def _admitted(sol: FieldSolution) -> FieldSolution:
-    """`sol`; exit 3 when no point is admitted (see _refuse_empty)."""
-    if (sol.branch_id != 0).any():
+def _note(part: FieldSolution) -> tuple:
+    """What exit 3 reads of `part`: whether it admitted a point, and the range
+    of its xi where the drive is defined ([] where it is nowhere defined)."""
+    xi = part.xi[(part.flags & FLAG_DRIVE_UNDEFINED) == 0]
+    return (part.branch_id != 0).any(), [xi.min(), xi.max()] if xi.size else []
+
+
+def _admitted(sol, notes: Optional[list] = None):
+    """`sol` (a FieldSolution or a Synthesis), unless no note of its parts
+    (_note; `sol` itself for None) admitted a point: exit 3, with the range
+    of xi over the notes and every branch image.  xi is |a|^2 for a field,
+    and for a form |alpha|^2 when its drive is a closed form alpha (of
+    degree n - k), |df|^2 otherwise."""
+    notes = [_note(sol)] if notes is None else notes
+    if any(admitted for admitted, _ in notes):
         return sol
-    _refuse_empty(sol, sol.xi[(sol.flags & FLAG_DRIVE_UNDEFINED) == 0])
-
-
-def _refuse_empty(sol, xi: np.ndarray) -> None:
-    """Exit 3 for the synthesis `sol` (a FieldSolution or a Synthesis), which
-    admitted no point, with the range of xi over `xi`, its values where the
-    drive is defined, and every branch image.  xi is |a|^2 for a field, and
-    for a form |alpha|^2 when its drive is a closed form alpha (of degree
-    n - k), |df|^2 otherwise."""
+    xi = np.array([v for _, span in notes for v in span])
     if isinstance(sol.drive, formsmod.FormDrive):
         what = "form synthesis"
         sampled = "|alpha|^2" if sol.drive.closed else "|df|^2"
@@ -488,12 +483,10 @@ def _refuse_empty(sol, xi: np.ndarray) -> None:
                 f"misses every admitted branch image Im(phi): {images}")
 
 
-# the Q, regime, branch and flags columns that field.csv and forms.csv end with
-_TAIL = [("Q", "float"), ("regime", REGIME_NAMES), ("branch", "int"), ("flags", "int")]
-
-
-def _tail(sol: FieldSolution) -> dict:
-    return {"Q": sol.Q, "regime": sol.regime, "branch": sol.branch_id, "flags": sol.flags}
+# the Q, regime, branch and flags columns that field.csv and forms.csv end
+# with: (header, kind, the FieldSolution array)
+_TAIL = [("Q", "float", "Q"), ("regime", REGIME_NAMES, "regime"), ("branch", "int", "branch_id"),
+         ("flags", "int", "flags")]
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +500,11 @@ def cmd_synth(args) -> int:
     def rows(top: int, end: int, part: FieldSolution) -> dict:
         # the defined nodes, then the nodes of each regime
         tallies.append([part.defined.sum(), *np.bincount(part.regime, minlength=4)])
-        return dict(zip(heads, part.w.T)) | _tail(part)
+        return dict(zip(heads, part.w.T)) | {head: getattr(part, name) for head, _, name in _TAIL}
 
-    _write_tables(out, grid, _slabs(_synthesis(cfg, grid), args.threads, rows),
-                  [("field.csv", [(head, "float") for head in heads] + _TAIL)])
+    _write_streamed(os.path.join(out, "field.csv"), grid,
+                    _slabs(_synthesis(cfg, grid), args.threads, rows),
+                    [(head, "float") for head in heads] + [tail[:2] for tail in _TAIL])
     if cfgmod.output_section(cfg)["json"]:
         tally = np.sum(tallies, axis=0, dtype=np.int64)
         _write_json(os.path.join(out, "summary.json"), {
@@ -521,22 +515,21 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_MASKS = ("outside", "gamma0", "gammas", "gammainf", "gammag")
-
-
 def cmd_singular(args) -> int:
     cfg, out, grid = _setup(args)
+    masks = ("outside", "gamma0", "gammas", "gammainf", "gammag")
     row = grid.npoints() // grid.shape()[0]
     sonic = np.empty(grid.npoints() if grid.dim == 2 else 0)  # phi'(psi(xi)), for the contour
 
     def rows(top: int, end: int, part: FieldSolution) -> dict:
         report = singmod.classify_solution(part)
         sonic[top * row:end * row] = report.sonic_values[:sonic.size]  # none in 3-D
-        return dict(zip(_MASKS, (report.omega_f_complement, report.gamma_0, report.gamma_s,
+        return dict(zip(masks, (report.omega_f_complement, report.gamma_0, report.gamma_s,
                                  report.gamma_inf, report.gamma_g)))
 
-    _write_tables(out, grid, _slabs(_synthesis(cfg, grid), args.threads, rows),
-                  [("masks.csv", [(name, "int") for name in _MASKS])])
+    _write_streamed(os.path.join(out, "masks.csv"), grid,
+                    _slabs(_synthesis(cfg, grid), args.threads, rows),
+                    [(name, "int") for name in masks])
     if grid.dim == 2:
         polys = singmod.sonic_contour(grid, sonic.reshape(grid.shape()))
         xy = np.concatenate([np.reshape(p, (-1, 2)) for p in polys] or [np.empty((0, 2))])
@@ -551,50 +544,35 @@ def _witness_for(choice: str, sol: FieldSolution):
 
 
 def cmd_frobenius(args) -> int:
-    """witness.csv a slab at a time: G, its defect and G's fourth-order curl
-    residual, from rows of G carried 2 past each seam, the whole grid's bit
-    for bit; each residual's maximum per slab.  Only eta recovery holds
-    arrays of every node: w, where G is defined, the curl, the mask."""
     cfg, out, grid = _setup(args)
     fs = cfgmod.frobenius_section(cfg, grid.dim)
-    shape, n, eta = grid.shape(), grid.npoints(), fs["recover_eta"]
-    row, heads = n // shape[0], [f"G{i+1}" for i in range(grid.dim)]
+    n, row, eta = grid.npoints(), grid.npoints() // grid.shape()[0], fs["recover_eta"]
+    heads = [f"G{i+1}" for i in range(grid.dim)] + ["defect"]
     if eta:
-        w, defined, curl = np.empty((n, grid.dim)), np.empty(n, dtype=bool), np.empty(shape)
-    peaks = dict.fromkeys(("max_defining_residual", "max_solvability_residual",
-                           "max_curl_residual"))
-    last = []  # the witness kind and its evaluator of G, which holds no slab
+        w, defined, curl = np.empty((n, grid.dim)), np.empty(n, dtype=bool), np.empty(grid.shape())
+    peaks, solvability = ("max_defining_residual", "max_curl_residual"), []  # a maximum a slab
+    summary, last = dict.fromkeys(peaks), []  # the kind, and G's evaluator: it holds no slab
 
-    def peak(key: str, vals: np.ndarray) -> None:
-        peaks[key] = _nanmax([peaks[key], _nanmax(vals)])
+    def witness(top: int, end: int, part: FieldSolution) -> np.ndarray:
+        wit = _witness_for(fs["witness"], part)
+        if eta:
+            w[top * row:end * row], defined[top * row:end * row] = part.w, wit.defined
+        last[:] = [wit.kind, wit.evaluator]  # the same for every slab
+        solvability.append(_nanmax(wit.solvability_residual))
+        return np.column_stack([wit.G, wit.defining_residual])
 
     def chunks() -> Iterator[tuple]:
-        # G and the defect of rows lo on are carried; the curl is known up to row done
-        lo = done = 0
-        carry = np.empty((0, grid.dim + 1))
-        for top, end, wit in _slabs(_synthesis(cfg, grid, witness=fs["witness"]), args.threads,
-                                    lambda top, end, part: _witness_for(fs["witness"], part)):
+        for top, end, rows, vals in frobmod.curl_rows(grid, _slabs(
+                _synthesis(cfg, grid, witness=fs["witness"]), args.threads, witness)):
             if eta:
-                w[top * row:end * row], defined[top * row:end * row] = wit.solution.w, wit.defined
-            last[:] = [wit.kind, wit.evaluator]
-            peak("max_defining_residual", wit.defining_residual)
-            peak("max_solvability_residual", wit.solvability_residual)
-            carry = np.concatenate([carry, np.column_stack([wit.G, wit.defining_residual])])
-            del wit  # and its slab, before the chunk is written
-            ready = end if end == shape[0] else end - 2  # a fourth-order stencil reads 2 rows on
-            if ready > done:
-                vals = closure_defect(carry[:, :-1], (end - lo,) + shape[1:], "minor",
-                                      grid.spacing(), 4)[done - lo:ready - lo]
-                if eta:
-                    curl[done:ready] = vals
-                peak("max_curl_residual", vals)
-                yield done, ready, dict(zip(heads + ["defect"], carry[
-                    (done - lo) * row:(ready - lo) * row].T)) | {"curl_defect": vals.reshape(-1)}
-                carry, lo, done = carry[(max(ready - 2, 0) - lo) * row:], max(ready - 2, 0), ready
+                curl[top:end] = vals
+            for key, col in zip(peaks, (rows[:, grid.dim], vals)):
+                summary[key] = _nanmax([summary[key], _nanmax(col)])
+            yield top, end, dict(zip(heads, rows.T)) | {"curl_defect": vals.reshape(-1)}
 
-    _write_tables(out, grid, chunks(), [("witness.csv", [(head, "float") for head in
-                                                         heads + ["defect", "curl_defect"]])])
-    summary = {"kind": last[0], **peaks}
+    _write_streamed(os.path.join(out, "witness.csv"), grid, chunks(),
+                    [(head, "float") for head in heads + ["curl_defect"]])
+    summary |= {"kind": last[0], "max_solvability_residual": _nanmax(solvability)}
     if eta:
         source = frobmod.EtaSource(last[0], grid, w, defined, curl, last[1])
         try:
@@ -630,21 +608,28 @@ _build_form = cfgmod.build_form
 def cmd_forms(args) -> int:
     cfg, out, grid = _setup(args)
     spec = _build_form(cfg, grid.dim)
-    s = _synthesis(cfg, grid, form=spec)
+    s, row = _synthesis(cfg, grid, form=spec), grid.npoints() // grid.shape()[0]
     omegas = [f"omega_{''.join(map(str, idx)) or '0'}"
               for idx in multi_indices(grid.dim, s.drive.k)]
     gammas = [f"Gamma{i+1}" for i in range(grid.dim)] + ["defect", "frobenius_defect"]
 
     def rows(top: int, end: int, part: FieldSolution) -> dict:
-        cols = dict(zip(omegas, part.w.T)) | _tail(part)
+        cols = dict(zip(omegas, part.w.T)) | {head: getattr(part, name) for head, _, name in _TAIL}
         if spec.gamma:
             gw = formsmod.gamma_witness(part.model, spec.form, part)
             cols |= dict(zip(gammas, (*gw.Gamma.T, gw.defect, gw.frobenius_defect)))
         return cols
 
-    _write_tables(out, grid, _slabs(s, args.threads, rows),
-                  [("forms.csv", [(head, "float") for head in omegas] + _TAIL)]
-                  + ([("gamma.csv", [(head, "float") for head in gammas])] if spec.gamma else []))
+    with contextlib.ExitStack() as files:  # gamma.csv is written in forms.csv's pass
+        chunks = _slabs(s, args.threads, rows)
+        if spec.gamma:
+            put = files.enter_context(_csv(os.path.join(out, "gamma.csv"),
+                                           [*coord_names(grid.dim), *gammas]))
+            chunks = (put([("float", col) for col in grid.nodes(top * row, end * row).T]
+                          + [("float", cols.pop(head)) for head in gammas]) or (top, end, cols)
+                      for top, end, cols in chunks)
+        _write_streamed(os.path.join(out, "forms.csv"), grid, chunks,
+                        [(head, "float") for head in omegas] + [tail[:2] for tail in _TAIL])
     return EXIT_OK
 
 
@@ -664,9 +649,8 @@ def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callab
     verify.slab_residuals that makes each slab kind's finest report.  Each
     slab copies its nodes of every coarser level (its every 2^j-th node per
     axis: strided slices), and of the finest level too when a kind
-    outside verify.SLAB_KINDS reads it whole, and notes whether a node is
-    admitted and the range of xi where the drive is defined, all that
-    _admitted reads.  on(grids[-1]) is that copy, or else the Synthesis."""
+    outside verify.SLAB_KINDS reads it whole, and notes what _admitted reads
+    (_note).  on(grids[-1]) is that copy, or else the Synthesis."""
     finest = grids[-1]
     slab_kinds = [k for k in kinds if k in verifymod.SLAB_KINDS]
     copied = grids if len(slab_kinds) < len(kinds) else grids[:-1]
@@ -687,22 +671,18 @@ def _study(grids: list, synthesis: Callable, threads: int, mask: Optional[Callab
                     tail = rows.shape[1:]
                     out.reshape(grid.shape() + tail)[first // step:-(-end // step)] = rows.reshape(
                         (end - top,) + shape[1:] + tail)[at]
-            xi = part.xi[(part.flags & FLAG_DRIVE_UNDEFINED) == 0]
-            seen.append(((part.branch_id != 0).any(), [xi.min(), xi.max()] if xi.size else []))
+            seen.append(_note(part))
 
         reports = verifymod.slab_residuals(src, slab_kinds, _workers(threads),
                                            mask=mask, visit=visit)
-        admitted = any(a for a, _ in seen)
-        return src, levels, reports, admitted, np.array([v for _, span in seen for v in span])
+        return src, levels, reports, seen
 
     @functools.cache
     def on(grid: GridSpec):
-        src, levels, _, admitted, xi = streamed()
+        src, levels, _, seen = streamed()
         if grid != finest:
             return _admitted(levels[grid])
-        if not admitted:
-            _refuse_empty(src, xi)
-        return levels.get(finest, src)
+        return _admitted(levels.get(finest, src), seen)
 
     @functools.cache
     def finest_report(kind: str) -> verifymod.ResidualReport:
@@ -766,8 +746,7 @@ def cmd_verify(args) -> int:
         sol, wit = sol_on(grid), witness_on(grid)
         if kind == "frobenius":
             return verifymod.frobenius_residual(sol, wit, **common)
-        rec = frobmod.recover_eta(frobmod.eta_source(wit), anchor=fs["anchor"],
-                                  mask=_grid_mask(fs["mask"], grid),
+        rec = frobmod.recover_eta(wit, anchor=fs["anchor"], mask=_grid_mask(fs["mask"], grid),
                                   tol_conservative=fs["tol_conservative"])
         return verifymod.exactness_residual(sol, rec.eta, system=wit.kind, **common)
 

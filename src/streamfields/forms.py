@@ -374,8 +374,8 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FieldSolution) -> GammaWit
     """Gamma = Gamma1 - d log rho with Gamma1 least-squares in d*df = Gamma1 ^ *df,
     *df evaluated at order 2 from sol.drive, so a point where only a
     coefficient's Hessian is not finite has no Gamma.  The points go through
-    in blocks of expr.BLOCK_ROWS (a grid's from GridSpec.nodes), each block's
-    jets and wedge system freed before the next.
+    in blocks of expr.BLOCK_ROWS, each block's jets and wedge system freed
+    before the next.
 
     The wedge system is solvable exactly for k in {1, n-1}; for intermediate k
     the residual norm is reported as the obstruction measure.  All usable
@@ -390,8 +390,7 @@ def gamma_witness(model: DensityModel, f: KForm, sol: FieldSolution) -> GammaWit
     out = GammaWitness(np.empty((npts, n)), np.empty((npts, n)), np.empty(npts), np.empty(npts),
                        np.empty(npts, dtype=bool), np.empty(npts, dtype=bool))
     for rows in block_rows(npts, exprmod.BLOCK_ROWS):
-        pts = sol.points[rows] if sol.grid is None else sol.grid.nodes(rows.start, rows.stop)
-        for name, vals in vars(_gamma_block(model, sol.restricted(rows), pts)).items():
+        for name, vals in vars(_gamma_block(model, sol.restricted(rows), sol.points[rows])).items():
             getattr(out, name)[rows] = vals
     return out
 

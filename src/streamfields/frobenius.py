@@ -21,20 +21,20 @@ costs one drive evaluation; it computes G alone (_core), in the same blocks.
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
 breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
-Recovery reads only an EtaSource (w, where G is defined, G's curl and its
-evaluator), which the frobenius command fills a slab at a time.
+Recovery reads an EtaSource, which the frobenius command fills by slabs.
 The tree is swept one frontier at a time in array code; it is edge for edge,
 in the same order, the tree of a first-in-first-out queue search, so eta is
 set by one gather-add per layer; edge ends come from the grid axes.
 The curl gate and that post-check are verify.closure_defect of G and of
-e^(-eta) w at fourth order, on synth.walk's windows of one band with a halo
-of 2 rows, bit for bit the whole grid's.
+e^(-eta) w at fourth order, on slabs that carry 2 rows into the next
+(curl_rows) and on synth.walk's windows with a halo of 2 rows, bit for bit
+the whole grid's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -208,32 +208,43 @@ def witness_gradient(sol: FieldSolution) -> FrobeniusWitness:
 # conservativity and integrating factor
 
 
+def curl_rows(grid: GridSpec, slabs: Iterable[tuple]) -> Iterator[tuple]:
+    """(top, end, rows, curl) from `slabs` of (top, end, rows) on axis-0 rows
+    top to end - 1 in order, G the first n columns: max |d_i G_j - d_j G_i|
+    by 4th-order differences once 2 rows past them are in, from rows carried
+    since 2 before the last finished one, so bit for bit the whole grid's."""
+    shape, row, lo, done = grid.shape(), grid.npoints() // grid.shape()[0], 0, 0
+    carry = np.empty((0, 0))
+    for _, end, rows in slabs:
+        carry = np.concatenate([carry, rows]) if len(carry) else rows
+        del rows  # carry holds them
+        ready = end if end == shape[0] else end - 2  # a fourth-order stencil reads 2 rows on
+        if ready > done:
+            yield done, ready, carry[(done - lo) * row:(ready - lo) * row], closure_defect(
+                carry[:, :grid.dim], (end - lo,) + shape[1:], "minor", grid.spacing(), 4)[
+                done - lo:ready - lo]
+            keep = max(ready - 2, 0)  # copied, so the slab goes before the next is made
+            carry, lo, done = carry[(keep - lo) * row:].copy(), keep, ready
+
+
 def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
-    """Max |d_i G_j - d_j G_i| per node by 4th-order differences (grid witnesses)."""
+    """curl_rows of a grid witness's G on synth.walk's slabs, grid-shaped."""
     grid = witness.solution.grid
     if grid is None:
         raise FrobeniusError("curl residual needs a grid-backed witness")
     curl, row, windows = np.empty(grid.shape()), grid.npoints() // grid.shape()[0], []
-    synthmod.walk(grid, 1, windows.extend, 2)  # a fourth-order stencil reads 2 rows each way
-    for lo, top, end, hi in windows:
-        curl[top:end] = closure_defect(witness.G[lo * row:hi * row], curl[lo:hi].shape, "minor",
-                                       grid.spacing(), 4)[top - lo:end - lo]
+    synthmod.walk(grid, 1, windows.extend, 0)
+    for top, end, _, vals in curl_rows(grid, ((top, end, witness.G[top * row:end * row])
+                                              for _, top, end, _ in windows)):
+        curl[top:end] = vals
     return curl
 
 
-# What eta recovery reads of a witness on `grid`, each held whole: its kind,
-# the field w and where G is defined (one row per node), G's grid-shaped curl
-# residual, and the evaluator of G off the grid.
+# What eta recovery reads, each held whole: the witness kind, w and where G
+# is defined (a row per node), G's grid-shaped curl, and G off the grid.
 EtaSource = NamedTuple("EtaSource", [("kind", str), ("grid", GridSpec), ("w", np.ndarray),
                                      ("defined", np.ndarray), ("curl", np.ndarray),
                                      ("evaluator", Callable)])
-
-
-def eta_source(witness: FrobeniusWitness) -> EtaSource:
-    """The EtaSource of a grid witness, its curl from curl_residual_grid."""
-    sol = witness.solution
-    return EtaSource(witness.kind, sol.grid, sol.w, witness.defined, curl_residual_grid(witness),
-                     witness.evaluator)
 
 
 def _coords(axes: list, shape: tuple, flat: np.ndarray) -> np.ndarray:
@@ -267,8 +278,11 @@ class EtaRecovery:
     unreached: int  # masked nodes outside the anchor's component; eta is NaN there
 
 
-def recover_eta(source: EtaSource, anchor: Optional[tuple] = None,
+def recover_eta(source, anchor: Optional[tuple] = None,
                 mask: Optional[np.ndarray] = None, tol_conservative: float = 1e-6) -> EtaRecovery:
+    if isinstance(source, FrobeniusWitness):  # a grid witness: what recovery reads of it
+        source = EtaSource(source.kind, source.solution.grid, source.solution.w, source.defined,
+                           curl_residual_grid(source), source.evaluator)
     grid = source.grid
     shape = grid.shape()
     if mask is None:

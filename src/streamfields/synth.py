@@ -246,16 +246,14 @@ class Synthesis:
         if self.grid.dim != self.drive.dim:
             raise SynthError(f"grid dimension {self.grid.dim} != drive dimension {self.drive.dim}")
 
-    def allocate(self, n: int, grid: Optional[GridSpec] = None,
-                 points: Optional[np.ndarray] = None) -> FieldSolution:
-        """An unwritten solution of n nodes (on `grid`, or at `points`), whose
-        rows the caller fills."""
+    def allocate(self, n: int, grid: Optional[GridSpec] = None) -> FieldSolution:
+        """An unwritten solution of n nodes (on `grid`), whose rows the caller fills."""
         columns = getattr(self.drive, "columns", self.drive.dim)  # C(n, k) for a forms.FormDrive
         return FieldSolution(grid=grid, model=self.model, drive=self.drive, policy=self.policy,
                              tol=self.tol, w=np.empty((n, columns)), Q=np.empty(n),
                              xi=np.empty(n), regime=np.empty(n, dtype=np.uint8),
                              branch_id=np.empty(n, dtype=np.int32),
-                             flags=np.empty(n, dtype=np.int32), _points=points)
+                             flags=np.empty(n, dtype=np.int32))
 
 
 def finite_rows(v: np.ndarray) -> np.ndarray:

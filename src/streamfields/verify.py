@@ -22,7 +22,7 @@ residual array and one mask per kind, so the temporaries are slab-sized and
 every value is the whole grid's, bit for bit, for any slab height or worker
 count.  The rows come from a solution, or from a synth.Synthesis that has
 not run (a study's finest level), which each band synthesizes as it reaches
-them.  One carry a band (`_reader`) keeps the last window's rows and
+them.  One carry a band (`slab_reader`) keeps the last window's rows and
 verify.mask values for the 2 HALO rows the next window shares, so no
 solution of the grid is held whole, and the synthesis and the predicate see
 a node once, or twice within HALO rows of a seam between bands.
@@ -214,7 +214,7 @@ def _grid_of(source) -> GridSpec:
     return source.grid
 
 
-def _reader(source, row: int, mask: Optional[Callable]) -> Callable[[int, int], tuple]:
+def slab_reader(source, row: int, mask: Optional[Callable]) -> Callable[[int, int], tuple]:
     """rows(lo, hi) -> (part, kept) on axis-0 rows lo to hi - 1 of `source`:
     `part` the source there, as a solution without a grid, and `kept` the
     predicate `mask` (None for no mask) on those nodes.  A FieldSolution
@@ -233,15 +233,20 @@ def _reader(source, row: int, mask: Optional[Callable]) -> Callable[[int, int], 
         if isinstance(source, FieldSolution):
             part = source.restricted(slice(lo * row, hi * row))
         else:
-            part = source.allocate(n)
+            # a window of one block with no row kept is that block's solution
+            part = source.allocate(n) if keep or n > synthmod.SYNTH_BLOCK else None
             if keep:
                 part.fill(0, window.restricted(slice(len(window.Q) - keep, None)))
             window = None  # freed before the synthesis temporaries are made
             for start in range(keep, n, synthmod.SYNTH_BLOCK):
                 stop = min(start + synthmod.SYNTH_BLOCK, n)
-                part.fill(start, synthesize_at_points(
-                    source.model, source.drive, source.policy,
-                    source.grid.nodes(lo * row + start, lo * row + stop), tol=source.tol))
+                block = synthesize_at_points(source.model, source.drive, source.policy,
+                                             source.grid.nodes(lo * row + start, lo * row + stop),
+                                             tol=source.tol)
+                if part is None:
+                    part = replace(block, _points=None)
+                else:
+                    part.fill(start, block)
         kept = None if mask is None else np.concatenate([values[values.size - keep:], np.asarray(
             mask(source.grid.nodes(lo * row + keep, hi * row)), dtype=bool)])
         held = (hi, part, kept)
@@ -252,7 +257,7 @@ def _reader(source, row: int, mask: Optional[Callable]) -> Callable[[int, int], 
 def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Callable] = None,
            visit: Optional[Callable] = None) -> list:
     """(residual, excluded) grid arrays of each kernel over slabs of axis-0
-    rows of `source`, a FieldSolution or a Synthesis (see _reader).
+    rows of `source`, a FieldSolution or a Synthesis (see slab_reader).
 
     The rows are cut into synth.walk's bands, one per thread, and each band
     walks its slabs of about SYNTH_BLOCK nodes and at least one row in order.
@@ -263,7 +268,7 @@ def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Cal
     stencils and the mask's dilation, and keeps its own rows, so every
     node's residual and mask bit are the whole-grid ones for any slab height
     or worker count (with no kernel, a halo of 0).  A band reads its windows
-    through one _reader, which carries the 2 HALO rows consecutive windows
+    through one slab_reader, which carries the 2 HALO rows consecutive windows
     share, so a node is synthesized once, or twice within HALO rows of a
     seam between bands.  The predicate `mask` (False where a node is
     excluded, as verify.mask), evaluated only when a kernel runs and carried
@@ -288,7 +293,7 @@ def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Cal
     def band(windows: list) -> None:
         # one reader a band; each slab's locals, its window among them, go
         # when it returns, so the reader holds the only window between slabs
-        rows = _reader(source, row, mask if kernels else None)
+        rows = slab_reader(source, row, mask if kernels else None)
         for window in windows:
             slab(rows, *window)
 

@@ -35,7 +35,6 @@ from streamfields import (
     prefer_type2,
     radial_log,
     recover_eta,
-    eta_source,
     region_map,
     scalar_drive,
     shallow_vortex,
@@ -412,7 +411,7 @@ def test_criterion_10_integrating_factor_on_annulus():
         wit = witness_2d(sol)
         t = (sol.points ** 2).sum(axis=1).reshape(grid.shape())
         mask = (t >= 1.0) & (t <= 1.8)
-        rec = recover_eta(eta_source(wit), mask=mask)
+        rec = recover_eta(wit, mask=mask)
         assert rec.curl_gate < 1e-6
         assert rec.post_residual < 1e-5
 

@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import copy
 import csv
 import functools
@@ -900,7 +899,7 @@ def test_verify_exactness_recovers_eta_from_the_frobenius_anchor(tmp_path):
     sol = synthesize(cfgmod.build_model(rc), cfgmod.build_drive(rc), cfgmod.build_policy(rc, 2),
                      grid, tol=cfgmod.build_tol(rc))
     wit = frobmod.witness_2d(sol)
-    rec = frobmod.recover_eta(frobmod.eta_source(wit), anchor=fs["anchor"],
+    rec = frobmod.recover_eta(wit, anchor=fs["anchor"],
                               mask=cli._grid_mask(fs["mask"], grid),
                               tol_conservative=fs["tol_conservative"])
     want = verifymod.exactness_residual(sol, rec.eta, system=wit.kind).max_norm
@@ -1074,7 +1073,7 @@ def test_verify_energy_where_rho_is_undefined_exits_2_in_bounded_time(tmp_path):
 def test_an_energy_with_no_usable_cell_exits_3_without_a_field_pass(tmp_path, capsys,
                                                                      monkeypatch, levels):
     """No usable cell centre is a synthesis that admits no point, exit 3 as
-    _refuse_empty's: here the form admits its nodes, but the field drive's
+    _admitted's: here the form admits its nodes, but the field drive's
     |a|^2 = 10^4 misses every branch image of shallow water.  A form config
     runs no pass of the field for the energy: the finest form nodes, then
     the energy's cell centres, are all that is synthesized."""
@@ -1481,37 +1480,57 @@ def test_no_csv_command_holds_a_solution_of_its_whole_grid(tmp_path, capsys, mon
 
 
 def test_each_csv_column_is_an_array_the_command_holds(tmp_path, capsys, monkeypatch):
-    """synth, singular and forms write each slab's arrays as they hold them:
-    no list, no object array, the regime codes of the slab's solution itself
-    (not a copy) and each singular-set mask as bool."""
-    writes, parts, checked = [], [], []
-    open_csv, at_points = cli._csv, cli.synthesize_at_points
+    """synth, singular and forms hand _write_csv columns whose every block is
+    an array they hold: no list, no object array, the regime codes of the
+    slab's solution itself (not a copy; each shipped grid is one slab) and
+    each singular-set mask as bool, in both singular examples."""
+    parts, checked = [], set()
+    write, reader = cli._write_csv, verifymod.slab_reader
 
-    @contextlib.contextmanager
-    def recorded(path, header):
-        with open_csv(path, header) as put:
-            yield lambda columns: (writes.append((os.path.basename(path), header, columns)),
-                                   put(columns))
+    def recorded_reader(*args):
+        rows = reader(*args)
 
-    monkeypatch.setattr(cli, "_csv", recorded)
-    monkeypatch.setattr(cli, "synthesize_at_points", lambda *args, **kwargs: (
-        parts.append(at_points(*args, **kwargs)) or parts[-1]))
+        def read(lo, hi):
+            got = rows(lo, hi)
+            parts.append(got[0])
+            return got
+        return read
+
+    class Checked:
+        """A column whose every block the writer reads is checked."""
+
+        def __init__(self, file, head, kind, col):
+            self.file, self.head, self.kind, self.col = file, head, kind, col
+
+        def __len__(self):
+            return len(self.col)
+
+        def __getitem__(self, rows):
+            block, key = self.col[rows], (command, name, self.file, self.head)
+            assert isinstance(block, np.ndarray) and block.dtype != object, key
+            if self.head == "regime":
+                assert self.kind == cli.REGIME_NAMES
+                assert any(np.shares_memory(block, part.regime) for part in parts), key
+                checked.add(key)
+            if self.file == "masks.csv" and self.kind == "int":
+                assert block.dtype == bool, key
+                checked.add(key)
+            return block
+
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: write(
+        path, header, [(kind, Checked(os.path.basename(path), head, kind, col))
+                       for head, (kind, col) in zip(header, columns)]))
+    monkeypatch.setattr(verifymod, "slab_reader", recorded_reader)
     for command, name in (("synth", "shallow-vortex"), ("singular", "born-infeld-fund"),
                           ("singular", "shallow-vortex"), ("forms", "form-21")):
-        writes.clear(), parts.clear()
+        parts.clear()
         assert main([command, "--example", name, "--out", str(tmp_path / command)]) == 0
-        assert writes and parts, (command, name)
-        for file, header, columns in writes:
-            for head, (kind, col) in zip(header, columns):
-                assert isinstance(col, np.ndarray) and col.dtype != object, (file, head)
-                if head == "regime":
-                    assert kind == cli.REGIME_NAMES
-                    assert any(np.shares_memory(col, part.regime) for part in parts), (file, head)
-                    checked.append(file)
-                if file == "masks.csv" and kind == "int":
-                    assert col.dtype == bool, (file, head)
-                    checked.append(file)
-    assert sorted(set(checked)) == ["field.csv", "forms.csv", "masks.csv"]
+        assert len(parts) == 1, (command, name)
+    masks = ("outside", "gamma0", "gammas", "gammainf", "gammag")
+    assert checked == ({("synth", "shallow-vortex", "field.csv", "regime"),
+                        ("forms", "form-21", "forms.csv", "regime")}
+                       | {("singular", name, "masks.csv", head) for head in masks
+                          for name in ("born-infeld-fund", "shallow-vortex")})
     capsys.readouterr()
 
 

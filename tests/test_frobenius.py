@@ -9,7 +9,6 @@ from streamfields import (
     born_infeld,
     coulomb,
     curl_residual_grid,
-    eta_source,
     extremal,
     gradient_drive,
     kform,
@@ -179,7 +178,7 @@ def annulus_witness(cells=312, lim=1.35, tol=WTOL):
 
 def test_recover_eta_on_the_shooting_annulus():
     wit, g, mask = annulus_witness()
-    rec = recover_eta(eta_source(wit), mask=mask)
+    rec = recover_eta(wit, mask=mask)
     assert rec.curl_gate < 1e-6
     assert rec.loop_max < 1e-5
     assert rec.post_residual < 1e-5
@@ -200,7 +199,7 @@ def test_recover_eta_counts_the_nodes_it_cannot_reach():
     inner = (t >= 1.0) & (t <= 1.3)
     outer = (t >= 1.5) & (t <= 1.8)
     for anchor in (None, (1.05, 0.0), (1.3, 0.0)):
-        rec = recover_eta(eta_source(wit), mask=inner | outer, anchor=anchor)
+        rec = recover_eta(wit, mask=inner | outer, anchor=anchor)
         other = outer if inner[rec.anchor] else inner
         assert rec.unreached == (rec.mask & other).sum() > 0
         assert np.isnan(rec.eta[other]).all()
@@ -209,8 +208,8 @@ def test_recover_eta_counts_the_nodes_it_cannot_reach():
 
 def test_recover_eta_deterministic():
     wit, g, mask = annulus_witness(cells=128)
-    r1 = recover_eta(eta_source(wit), mask=mask)
-    r2 = recover_eta(eta_source(wit), mask=mask)
+    r1 = recover_eta(wit, mask=mask)
+    r2 = recover_eta(wit, mask=mask)
     np.testing.assert_array_equal(r1.eta, r2.eta)
     assert r1.curl_gate == r2.curl_gate and r1.loop_max == r2.loop_max
 
@@ -239,7 +238,7 @@ def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypat
         monkeypatch.setattr(synthmod, "SYNTH_BLOCK", whole)
         monkeypatch.setattr(expr, "BLOCK_ROWS", jets)
         wit, g, mask = build()
-        want = recover_eta(eta_source(wit), mask=mask, tol_conservative=tol)
+        want = recover_eta(wit, mask=mask, tol_conservative=tol)
         core = _core(wit.kind, wit.solution, drive_batch(wit.solution.drive, g.points()))
         assert core.G.tobytes() == wit.G.tobytes()
         assert wit.defined.any() and np.isfinite(core.g[wit.defined]).all()
@@ -249,7 +248,7 @@ def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypat
             monkeypatch.setattr(expr, "BLOCK_ROWS", block)
             bwit, _, _ = build()
             assert bwit.solution.w.tobytes() == wit.solution.w.tobytes()
-            got = recover_eta(eta_source(bwit), mask=mask, tol_conservative=tol)
+            got = recover_eta(bwit, mask=mask, tol_conservative=tol)
             _assert_same_witness(bwit, wit)
             assert curl_residual_grid(bwit).tobytes() == curl_residual_grid(wit).tobytes()
             assert np.array_equal(got.eta.view(np.uint64), want.eta.view(np.uint64)), block
@@ -260,8 +259,8 @@ def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypat
 
 
 def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
-    """curl_residual_grid and _post_exactness run on synth.walk's slabs of
-    1, 2 and 7 rows with 2 halo rows, and give the old whole-grid curl_max
+    """curl_residual_grid (2 rows carried past each slab) and _post_exactness
+    (2 halo rows) run on synth.walk's slabs of 1, 2 and 7 rows, and give the old whole-grid curl_max
     of G and the maximum of the old whole-grid closure_residual of e^(-eta) w
     (conftest's oracles) over the nodes with a full stencil inside the mask,
     bit for bit, on the 64^2 annulus (minor kind) and a 10^3-cell grid
@@ -271,7 +270,7 @@ def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
 
     for build, tol in ((lambda: annulus_witness(cells=64), 1e-6), (_bi_witness_3d, 1e-3)):
         wit, g, mask = build()
-        rec = recover_eta(eta_source(wit), mask=mask, tol_conservative=tol)
+        rec = recover_eta(wit, mask=mask, tol_conservative=tol)
         shape, h = g.shape(), g.spacing()
         with np.errstate(all="ignore"):
             curl = old_curl_max([wit.G[:, k].reshape(shape) for k in range(g.dim)], h, 4)
@@ -286,7 +285,8 @@ def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
             synthmod.walk(g, 1, windows.extend, 2)
             assert len(windows) == -(-shape[0] // height)
             assert curl_residual_grid(wit).tobytes() == curl.tobytes(), height
-            assert frobmod._post_exactness(eta_source(wit), rec.mask, rec.eta) == post, height
+            source = frobmod.EtaSource(wit.kind, g, wit.solution.w, None, None, None)
+            assert frobmod._post_exactness(source, rec.mask, rec.eta) == post, height
 
 
 def _old_defect(kind, core, G):
@@ -356,7 +356,7 @@ def test_no_witness_drive_batch_takes_more_than_a_synthesis_block(monkeypatch):
     wit = witness_2d(sol)
     assert len(sizes) == -(-len(sol.Q) // 300)
     minor_defect_with(sol, wit.G)
-    recover_eta(eta_source(wit), mask=mask, tol_conservative=1e-3)
+    recover_eta(wit, mask=mask, tol_conservative=1e-3)
     assert len(sizes) > 2 * -(-len(sol.Q) // 300) + 2
     assert max(sizes) <= 300
 
@@ -412,7 +412,7 @@ def test_eta_recovery_evaluates_the_drive_once_per_quadrature_point(monkeypatch)
         return evaluator(points)
 
     wit.evaluator = counting
-    recover_eta(eta_source(wit), mask=mask)
+    recover_eta(wit, mask=mask)
     assert sum(requested) == sum(received) > 0
 
 
@@ -424,7 +424,7 @@ def test_non_conservative_witness_is_rejected():
     swirl = 0.5 * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
     wit.G = wit.G + swirl  # curl(swirl) = 1 everywhere
     with pytest.raises(FrobeniusError, match="conservative"):
-        recover_eta(eta_source(wit), mask=mask)
+        recover_eta(wit, mask=mask)
 
 
 def test_multivalued_witness_shows_up_in_post_residual():
@@ -440,7 +440,7 @@ def test_multivalued_witness_shows_up_in_post_residual():
     base = wit.evaluator
     wit.G = wit.G + swirl_at(wit.solution.points)
     wit.evaluator = lambda pts: base(pts) + swirl_at(pts)
-    rec = recover_eta(eta_source(wit), mask=mask)
+    rec = recover_eta(wit, mask=mask)
     assert rec.curl_gate < 1e-6  # locally conservative: gate is blind
     assert rec.loop_max < 1e-5  # no rectangle in the annulus wraps the hole
     assert rec.post_residual > 1e-3  # but eta cannot be single valued
@@ -462,7 +462,7 @@ def test_zero_witness_recovers_constant_eta():
     g = GridSpec((0.0, 0.0), (1.0, 1.0), (24, 24))
     sol = synthesize(m, d, prefer_type1(), g)
     wit = witness_gradient(sol)
-    rec = recover_eta(eta_source(wit))
+    rec = recover_eta(wit)
     assert np.nanmax(np.abs(wit.G)) == 0.0
     assert np.nanmax(np.abs(rec.eta)) == 0.0
     assert rec.post_residual < 1e-12
@@ -610,7 +610,7 @@ def test_recover_eta_equals_the_queue_search_bit_for_bit(dim):
         mask &= region
         for anchor in (None, tuple(lo + (hi - lo) * rng.random(dim))):
             # a coarse grid: the gate sees the stencil's own error, not the witness's
-            rec = recover_eta(eta_source(wit), mask=mask, anchor=anchor, tol_conservative=1e-3)
+            rec = recover_eta(wit, mask=mask, anchor=anchor, tol_conservative=1e-3)
             want, unreached = _oracle_eta(wit, rec)
             assert np.array_equal(rec.eta.view(np.uint64), want.view(np.uint64))
             assert rec.unreached == unreached

@@ -2,7 +2,7 @@
 
 synth, singular, forms and frobenius synthesize each of synth.walk's slabs,
 compute the masks, Gamma or G on its points, and write its rows
-(cli._slabs, cli._write_tables).  These tests hold every file they write,
+(cli._slabs, cli._write_streamed).  These tests hold every file they write,
 bit for bit, to the whole-grid path the commands took before: one
 synthesis of the whole grid, checked by cli._admitted, and one write of
 whole columns, which `_whole_grid` keeps as the oracle.  Slabs of 1, 2 and 7
@@ -11,6 +11,7 @@ frobenius.mask, and an exit 3 and an exit 4 are compared.
 """
 
 import copy
+import itertools
 import json
 import os
 import shutil
@@ -57,8 +58,9 @@ def _whole_grid(command: str, path: str, out: str) -> tuple:
                 "regimes": {REGIME_NAMES[k]: int((sol.regime == k).sum()) for k in range(4)}})
     elif command == "singular":
         rep = singmod.classify_solution(sol)
-        table("masks.csv", [(name, "int", mask.reshape(-1)) for name, mask in zip(cli._MASKS, (
-            rep.omega_f_complement, rep.gamma_0, rep.gamma_s, rep.gamma_inf, rep.gamma_g))])
+        masks = {"outside": rep.omega_f_complement, "gamma0": rep.gamma_0, "gammas": rep.gamma_s,
+                 "gammainf": rep.gamma_inf, "gammag": rep.gamma_g}
+        table("masks.csv", [(name, "int", mask.reshape(-1)) for name, mask in masks.items()])
         if grid.dim == 2:
             polys = rep.sonic_contour
             xy = np.concatenate([np.reshape(p, (-1, 2)) for p in polys] or [np.empty((0, 2))])
@@ -86,7 +88,7 @@ def _whole_grid(command: str, path: str, out: str) -> tuple:
                    "max_curl_residual": cli._nanmax(curl)}
         if fs["recover_eta"]:
             try:
-                rec = frobmod.recover_eta(frobmod.eta_source(wit), anchor=fs["anchor"],
+                rec = frobmod.recover_eta(wit, anchor=fs["anchor"],
                                           mask=cli._grid_mask(fs["mask"], grid),
                                           tol_conservative=fs["tol_conservative"])
             except frobmod.FrobeniusError as exc:
@@ -153,10 +155,10 @@ def _files(out) -> dict:
 def test_streamed_tables_are_the_whole_grid_tables_bit_for_bit(command, cfg, code, tmp_path,
                                                                capsys, monkeypatch):
     """The same exit code, stderr line and files, byte for byte, for slabs of
-    1, 2 and 7 rows and one slab for the grid, on one thread and on two (a
-    form's Gamma also in blocks of 7 points); an exit 3 leaves no file
-    behind, however many slabs were written before it, and an exit 4 the
-    witness.csv and frobenius.json of the oracle."""
+    1, 2 and 7 rows and one slab for the grid, on one thread and on two, and
+    in CSV blocks of 5 rows too, so a block spans slabs and a slab blocks;
+    an exit 3 leaves no file behind, however many slabs were written before
+    it, and an exit 4 the witness.csv and frobenius.json of the oracle."""
     from streamfields import expr, synth as synthmod
 
     path = tmp_path / "cfg.json"
@@ -168,21 +170,22 @@ def test_streamed_tables_are_the_whole_grid_tables_bit_for_bit(command, cfg, cod
     rows = grid.shape()[0]
     # two workers on any machine, so the pool shows on one core too
     monkeypatch.setattr(cli, "_workers", lambda threads: threads)
-    if command == "forms":
+    if command == "forms":  # Gamma in blocks of 7 points too
         monkeypatch.setattr(expr, "BLOCK_ROWS", 7)
-    for height in (1, 2, 7, rows):
+    for height, threads, block in itertools.product((1, 2, 7, rows), (1, 2),
+                                                    (cli.CSV_BLOCK_ROWS, 5)):
         monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * (grid.npoints() // rows))
-        for threads in (1, 2):
-            out = tmp_path / "got"
-            shutil.rmtree(out, ignore_errors=True)
-            capsys.readouterr()
-            got_code = main([command, "--config", str(path), "--out", str(out),
-                             "--threads", str(threads)])
-            assert (got_code, capsys.readouterr().err) == (want_code, want_err), (height, threads)
-            got = _files(out)
-            assert got.keys() == want.keys(), (height, threads)
-            for name in want:
-                assert got[name] == want[name], (name, height, threads)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        key, out = (height, threads, block), tmp_path / "got"
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        got_code = main([command, "--config", str(path), "--out", str(out),
+                         "--threads", str(threads)])
+        assert (got_code, capsys.readouterr().err) == (want_code, want_err), key
+        got = _files(out)
+        assert got.keys() == want.keys(), key
+        for name in want:
+            assert got[name] == want[name], (name, *key)
 
 
 def test_two_threads_hold_at_most_two_slabs(tmp_path, capsys, monkeypatch):
@@ -221,10 +224,11 @@ def test_two_threads_hold_at_most_two_slabs(tmp_path, capsys, monkeypatch):
         assert events.index(("made", top)) > events.index(("written", tops[i - 2])), top
 
 
-@pytest.mark.parametrize("command", ["synth", "singular"])
+@pytest.mark.parametrize("command", ["synth", "singular", "frobenius"])
 def test_more_workers_than_cores_write_the_same_files(command, tmp_path, capsys, monkeypatch):
-    """Slab workers share the summary's tallies (synth) and the whole-grid
-    sonic values (singular); with four workers on one-row slabs and a thread
+    """Slab workers share the summary's tallies (synth), the whole-grid
+    sonic values (singular) and the per-slab solvability maxima, kind and
+    evaluator (frobenius); with four workers on one-row slabs and a thread
     switch every microsecond, the files are still the oracle's."""
     import sys
 
