@@ -79,25 +79,32 @@ MUTANTS = [
            "return u[:, i] * v[:, j] - u[:, j] * v[:, i]",
            "return u[:, j] * v[:, i] - u[:, i] * v[:, j]",
            ("tests/test_verify.py", "tests/test_frobenius.py")),
-    # the slab walks and carries of earlier changes
-    Mutant("slab_reader: the synthesis carry dropped", "src/streamfields/verify.py",
-           "n, keep = (hi - lo) * row, max(last - lo, 0) * row", "n, keep = (hi - lo) * row, 0",
+    # the slab walks and the one carry, synth.stitched, of every slab stream
+    Mutant("stitched: the carried rows dropped", "src/streamfields/synth.py",
+           "held = list(arrays) if lo == top else", "held = list(arrays) if True else",
            ("tests/test_cli.py::"
             "test_a_streamed_study_writes_what_the_stored_finest_solution_writes",)),
-    Mutant("walk: each slab drops its last row", "src/streamfields/synth.py",
+    Mutant("stitched: a row handed out with one halo row too few", "src/streamfields/synth.py",
+           "keep = max(last - halo, lo)", "keep = max(last - halo + 1, lo)",
+           ("tests/test_synth.py",)),
+    Mutant("slabs: each slab drops its last row", "src/streamfields/synth.py",
            "(top, min(top + height, end)) for top", "(top, min(top + height, end) - 1) for top",
            ("tests/test_synth.py",)),
-    Mutant("curl_rows: a row's curl taken with 1 row past it", "src/streamfields/frobenius.py",
-           "else end - 2  # a fourth-order", "else end - 1  # a fourth-order",
+    Mutant("curl_rows: a row's curl taken with 1 halo row", "src/streamfields/frobenius.py",
+           "synthmod.stitched(chunks, shape[0], row, 2)",
+           "synthmod.stitched(chunks, shape[0], row, 1)",
            ("tests/test_frobenius.py",)),
+    Mutant("curl_rows: G and the defect handed on from the window's first row",
+           "src/streamfields/frobenius.py",
+           "own = slice((top - lo) * row, (end - lo) * row)", "own = slice(0, (end - top) * row)",
+           ("tests/test_streamed_tables.py",)),
     Mutant("_slabs: the mask predicate ignored", "src/streamfields/verify.py",
-           "slab_reader(source, row, mask if kernels else None)",
-           "slab_reader(source, row, None)",
+           "mask, outs = mask if kernels else None,", "mask, outs = None,",
            ("tests/test_verify.py",)),
     # the streamed tables of synth, singular, forms and frobenius
     Mutant("_write_streamed: each chunk's last row dropped", "src/streamfields/cli.py",
-           "pieces.append((top * row, end * row, arrays))",
-           "pieces.append((top * row, end * row, {k: v[:-1] for k, v in arrays.items()}))",
+           "return arrays[key][at.start - first:stop - first]",
+           "return arrays[key][:-1][at.start - first:stop - first]",
            ("tests/test_streamed_tables.py",)),
     Mutant("ordered: two threads hand slabs on in the order they finish",
            "src/streamfields/synth.py",
@@ -112,9 +119,6 @@ MUTANTS = [
            "src/streamfields/cli.py",
            "sonic[top * row:end * row] = report.sonic_values[:sonic.size]",
            "sonic[top * row:end * row] = np.roll(report.sonic_values[:sonic.size], row)",
-           ("tests/test_streamed_tables.py",)),
-    Mutant("curl_rows: the carry keeps 1 row past each seam", "src/streamfields/frobenius.py",
-           "keep = max(ready - 2, 0)", "keep = max(ready - 1, 0)",
            ("tests/test_streamed_tables.py",)),
     # one per flag-bit condition of synth._assemble (the gamma0 guard and
     # the gamma_g laplacian test are above)

@@ -4,19 +4,20 @@ Subcommands: synth, singular, frobenius, forms, verify.  Every run is driven
 by a JSON config (--config PATH) or a built-in example (--example NAME) and
 writes plot-ready CSV / JSON artifacts into --out.  All numeric output uses 17
 significant digits and fixed row/column order, so reruns are byte-identical.
-CSV files are written in blocks of CSV_BLOCK_ROWS rows (tracemalloc peak 9.4
-MB on 513^2 and 65^3 grids, 35.5 MB at 65,536 rows), from arrays the command
-holds: floats, ints or bools, and codes written as names (the regime).  Each
-distinct value of a block column is formatted once, with its trailing "," or
-newline, and a block is written with one join of its cells; the bytes are
-the same as formatting every cell on its own.  Coordinate columns, and the
-input of the frobenius.mask predicate, are built a block of nodes at a time.
-synth, singular, forms and frobenius hold one slab of synth.walk's (or N, at
---threads N) and its masks, Gamma or G (_slabs): the writer pulls a slab as
-its blocks reach it (_write_streamed).  Held whole: singular's 2-D sonic
-values, and for eta recovery w, where G is defined, its curl and the mask.
+CSV files are written in blocks of at most CSV_BLOCK_ROWS rows (tracemalloc
+peak 9.4 MB on 513^2 and 65^3 grids, 35.5 MB at 65,536), from arrays the
+command holds: floats, ints or bools, and codes written as names (the
+regime).  Each distinct value of a block column is formatted once, with its
+trailing "," or newline, and a block is written with one join of its cells;
+the bytes are the same as formatting every cell on its own.  Coordinate
+columns, and the input of the frobenius.mask predicate, are built a block of
+nodes at a time.  synth, singular, forms and frobenius hold one slab of
+synth.slabs (or N, at --threads N) and its masks, Gamma or G (_slabs): the
+writer cuts each block inside the slab it writes, and pulls the next slab
+after it (_write_streamed).  Held whole: singular's 2-D sonic values, and
+for eta recovery w, where G is defined, its curl and the mask.
 Node-budget peaks (ru_maxrss, one thread, MALLOC_MMAP_THRESHOLD_=131072):
-synth 2047^2 46 MB, singular 160^3 41 and 2047^2 143, forms 2047^2 50,
+synth 2047^2 46 MB, singular 160^3 41 and 2047^2 91, forms 2047^2 50,
 frobenius 2047^2 with eta 232; verify 77 MB.
 
 A float is written as Python's "%.17g" % v writes it.  A block column with at
@@ -67,7 +68,7 @@ from .expr import ExpressionError
 from .forms import FormError, multi_indices
 from .frobenius import FrobeniusError
 from .synth import (FLAG_DRIVE_UNDEFINED, ROW_ARRAYS, FieldSolution, GridSpec, REGIME_NAMES,
-                    SynthError, Synthesis, block_rows, ordered, walk)
+                    SynthError, Synthesis, block_rows, ordered, slabs)
 # Not called here; perfbench/tracer.py wraps these module-level names.
 from .synth import synthesize, synthesize_at_points  # noqa: F401
 from .verify import VerifyError
@@ -294,21 +295,24 @@ def _csv(path: str, header: list):
     put(columns), which writes their rows.  Columns are (kind, array): a
     "float" column is written with "%.17g", an "int" column (bool or integer)
     with str(int(v)), and a column whose kind is a tuple of names as
-    names[int(v)], one row per line, in blocks of CSV_BLOCK_ROWS rows.  A
-    block's cells, each with its trailing "," or newline, are interleaved
-    row-major into one list and written with one join."""
+    names[int(v)], one row per line, in blocks of at most CSV_BLOCK_ROWS
+    rows.  A block's cells, each with its trailing "," or newline, are
+    interleaved row-major into one list and written with one join."""
     with _written(path) as fh:
         fh.write(",".join(header) + "\n")
 
         def put(columns: list) -> None:
-            n, c = len(columns[0][1]), len(columns)
+            c, start = len(columns), 0
             seps = [","] * (c - 1) + ["\n"]
-            for start in range(0, n, CSV_BLOCK_ROWS):
-                stop = min(start + CSV_BLOCK_ROWS, n)
-                cells = [None] * ((stop - start) * c)
+            # the first column's block sets the rows; a streamed one ends with
+            # its chunk (_write_streamed), and is empty past the last row
+            while len(first := columns[0][1][start:start + CSV_BLOCK_ROWS]):
+                stop = start + len(first)
+                cells = [None] * (len(first) * c)
                 for j, ((kind, col), sep) in enumerate(zip(columns, seps)):
-                    cells[j::c] = _column_text(kind, col[start:stop], sep)
+                    cells[j::c] = _column_text(kind, col[start:stop] if j else first, sep)
                 fh.write("".join(cells))
+                start, cells = stop, None  # freed before the next block's chunk is made
         yield put
 
 
@@ -340,28 +344,26 @@ class _Column:
 def _write_streamed(path: str, grid: GridSpec, chunks: Iterator[tuple], cols: list) -> None:
     """_write_csv of `path`: `grid`'s node coordinates, then a column per
     (header, kind) of `cols`, whose arrays `chunks` yields (top, end,
-    {header: array}) on axis-0 rows top to end - 1 in row order.  Each block
-    of rows is cut from the chunks it spans, pulled as it reaches them."""
-    n, row, pieces = grid.npoints(), grid.npoints() // grid.shape()[0], []
+    {header: array}) on axis-0 rows top to end - 1 in row order.  A block is
+    cut inside the chunk it starts in (_csv); one that starts at a chunk's
+    end lets it go and pulls the next, and past the last one is empty: the
+    stream has ended, and its pool, if any, shut down."""
+    row, first, end, arrays = grid.npoints() // grid.shape()[0], 0, 0, None
 
     def rows(at: slice, key) -> np.ndarray:
-        pieces[:] = [piece for piece in pieces if piece[1] > at.start]  # (first, end, arrays)
-        while not pieces or pieces[-1][1] < at.stop:
-            # the rows still to write are copied, so no slab is held while the next is made
-            pieces[:] = [(max(first, at.start), end, {k: v[max(at.start - first, 0):].copy()
-                                                      for k, v in arrays.items()})
-                         for first, end, arrays in pieces]
-            top, end, arrays = next(chunks)
-            pieces.append((top * row, end * row, arrays))
-        if isinstance(key, int):  # a coordinate axis, once the block's chunks are in
-            return grid.nodes(at.start, at.stop)[:, key]
-        cut = [arrays[key][max(at.start - first, 0):at.stop - first] for first, _, arrays in pieces]
-        return cut[0] if len(cut) == 1 else np.concatenate(cut)
+        nonlocal first, end, arrays
+        if at.start == end:
+            arrays = None  # written: let go before the next chunk is made
+            top, stop, arrays = next(chunks, (end // row, end // row, {}))
+            first, end = top * row, stop * row
+        stop = min(at.stop, end)
+        if isinstance(key, int):  # a coordinate axis
+            return grid.nodes(at.start, stop)[:, key]
+        return arrays[key][at.start - first:stop - first]
 
     _write_csv(path, [*coord_names(grid.dim), *dict(cols)],
-               [("float", _Column(rows, axis, n)) for axis in range(grid.dim)]
-               + [(kind, _Column(rows, head, n)) for head, kind in cols])
-    next(chunks, None)  # the end of the stream: its pool, if any, shuts down
+               [("float", _Column(rows, axis, grid.npoints())) for axis in range(grid.dim)]
+               + [(kind, _Column(rows, head, grid.npoints())) for head, kind in cols])
 
 
 def _write_table(out: str, name: str, grid: GridSpec, triples: list) -> None:
@@ -431,17 +433,16 @@ def _synthesis(cfg: RunConfig, grid: GridSpec, witness: Optional[str] = None,
 
 
 def _slabs(s: Synthesis, threads: int, work: Callable) -> Iterator[tuple]:
-    """(top, end, work(top, end, part)) for each of synth.walk's slabs of
-    s.grid in grid order, the next N on the --threads pool (synth.ordered):
-    part is the solution at the slab's nodes (verify.slab_reader).  Exit 3
-    (_admitted) before the last is handed on, if no slab admitted a point."""
-    grid, windows, seen = s.grid, [], []
+    """(top, end, work(top, end, part)) for each of synth.slabs(s.grid) in
+    grid order, the next N on the --threads pool (synth.ordered): part is
+    the solution at the slab's nodes (verify.rows_of).  Exit 3 (_admitted)
+    before the last is handed on, if no slab admitted a point."""
+    grid, seen = s.grid, []
     row = grid.npoints() // grid.shape()[0]
-    walk(grid, 1, windows.extend, 0)
 
-    def slab(window: tuple) -> tuple:
-        top, end = window[1:3]
-        part = dataclasses.replace(verifymod.slab_reader(s, row, None)(top, end)[0],
+    def slab(rows: tuple) -> tuple:
+        top, end = rows
+        part = dataclasses.replace(verifymod.rows_of(s, row, top, end),
                                    _points=grid.nodes(top * row, end * row))
         return top, end, work(top, end, part), _note(part)
 
@@ -452,7 +453,7 @@ def _slabs(s: Synthesis, threads: int, work: Callable) -> Iterator[tuple]:
         return item[:3]
 
     # map and ordered keep no slab once it is handed on
-    return map(checked, ordered(slab, windows, _workers(threads)))
+    return map(checked, ordered(slab, slabs(grid), _workers(threads)))
 
 
 def _note(part: FieldSolution) -> tuple:
@@ -547,34 +548,35 @@ def cmd_frobenius(args) -> int:
     cfg, out, grid = _setup(args)
     fs = cfgmod.frobenius_section(cfg, grid.dim)
     n, row, eta = grid.npoints(), grid.npoints() // grid.shape()[0], fs["recover_eta"]
+    s = _synthesis(cfg, grid, witness=fs["witness"])
+    kind = frobmod.KINDS[frobmod.resolve_witness(fs["witness"], s.drive)]
     heads = [f"G{i+1}" for i in range(grid.dim)] + ["defect"]
     if eta:
         w, defined, curl = np.empty((n, grid.dim)), np.empty(n, dtype=bool), np.empty(grid.shape())
     peaks, solvability = ("max_defining_residual", "max_curl_residual"), []  # a maximum a slab
-    summary, last = dict.fromkeys(peaks), []  # the kind, and G's evaluator: it holds no slab
+    summary = dict.fromkeys(peaks)
 
-    def witness(top: int, end: int, part: FieldSolution) -> np.ndarray:
+    def witness(top: int, end: int, part: FieldSolution) -> list:
         wit = _witness_for(fs["witness"], part)
         if eta:
             w[top * row:end * row], defined[top * row:end * row] = part.w, wit.defined
-        last[:] = [wit.kind, wit.evaluator]  # the same for every slab
         solvability.append(_nanmax(wit.solvability_residual))
-        return np.column_stack([wit.G, wit.defining_residual])
+        return [wit.G, wit.defining_residual]
 
     def chunks() -> Iterator[tuple]:
-        for top, end, rows, vals in frobmod.curl_rows(grid, _slabs(
-                _synthesis(cfg, grid, witness=fs["witness"]), args.threads, witness)):
+        for top, end, (G, defect), vals in frobmod.curl_rows(grid, _slabs(s, args.threads,
+                                                                          witness)):
             if eta:
                 curl[top:end] = vals
-            for key, col in zip(peaks, (rows[:, grid.dim], vals)):
+            for key, col in zip(peaks, (defect, vals)):
                 summary[key] = _nanmax([summary[key], _nanmax(col)])
-            yield top, end, dict(zip(heads, rows.T)) | {"curl_defect": vals.reshape(-1)}
+            yield top, end, dict(zip(heads, [*G.T, defect])) | {"curl_defect": vals.reshape(-1)}
 
     _write_streamed(os.path.join(out, "witness.csv"), grid, chunks(),
                     [(head, "float") for head in heads + ["curl_defect"]])
-    summary |= {"kind": last[0], "max_solvability_residual": _nanmax(solvability)}
+    summary |= {"kind": kind, "max_solvability_residual": _nanmax(solvability)}
     if eta:
-        source = frobmod.EtaSource(last[0], grid, w, defined, curl, last[1])
+        source = frobmod.EtaSource(kind, grid, w, defined, curl, frobmod.g_evaluator(kind, s))
         try:
             rec = frobmod.recover_eta(source, anchor=fs["anchor"],
                                       mask=_grid_mask(fs["mask"], grid),

@@ -21,14 +21,15 @@ costs one drive evaluation; it computes G alone (_core), in the same blocks.
 When G is conservative (small curl residual), eta with G = grad eta is
 recovered by integrating G along grid edges (two-point Gauss per edge) over a
 breadth-first spanning tree, after which e^(-eta) w is checked to be exact.
-Recovery reads an EtaSource, which the frobenius command fills by slabs.
+Recovery reads an EtaSource, which the frobenius command fills by slabs,
+with G's evaluator built from the synthesis settings (g_evaluator).
 The tree is swept one frontier at a time in array code; it is edge for edge,
 in the same order, the tree of a first-in-first-out queue search, so eta is
 set by one gather-add per layer; edge ends come from the grid axes.
 The curl gate and that post-check are verify.closure_defect of G and of
-e^(-eta) w at fourth order, on slabs that carry 2 rows into the next
-(curl_rows) and on synth.walk's windows with a halo of 2 rows, bit for bit
-the whole grid's.
+e^(-eta) w at fourth order on synth.slabs with 2 rows more on each side:
+G streamed through synth.stitched (curl_rows), e^(-eta) w cut from its whole
+arrays; bit for bit the whole grid's.
 """
 
 from __future__ import annotations
@@ -140,22 +141,29 @@ def _build(sol: FieldSolution, kind: str) -> FrobeniusWitness:
         defining[rows] = _defect(kind, core, core.G)
         solvability[rows] = np.where(ok, drive_wedge, np.nan)
 
-    model, drive, policy, tol = sol.model, sol.drive, sol.policy, sol.tol  # not sol's arrays
-
-    def evaluator(qpts: np.ndarray) -> np.ndarray:
-        # G, expr.BLOCK_ROWS points at a time, from full-order batches (_core reads jac)
-        return np.concatenate([_core(kind, *_solve(model, drive, policy, qpts[rows], tol,
-                                                   order=2)).G
-                               for rows in block_rows(len(qpts), exprmod.BLOCK_ROWS)])
-
     return FrobeniusWitness(
         kind=kind, G=G, defining_residual=defining, solvability_residual=solvability,
-        defined=defined, solution=sol, evaluator=evaluator,
+        defined=defined, solution=sol, evaluator=g_evaluator(kind, sol),
     )
 
 
-# The witnesses besides "auto", which takes the first one that suits the drive.
-WITNESSES = ("2d", "gradient", "nd")
+def g_evaluator(kind: str, s) -> Callable[[np.ndarray], np.ndarray]:
+    """points -> the rows of G there of the `kind` witness of `s`, a
+    FieldSolution or a synth.Synthesis, of which it keeps the synthesis
+    settings, not the arrays: a synthesis at the points, expr.BLOCK_ROWS
+    points at a time, from full-order batches (_core reads jac)."""
+    model, drive, policy, tol = s.model, s.drive, s.policy, s.tol
+
+    def evaluator(qpts: np.ndarray) -> np.ndarray:
+        return np.concatenate([_core(kind, *_solve(model, drive, policy, qpts[rows], tol,
+                                                   order=2)).G
+                               for rows in block_rows(len(qpts), exprmod.BLOCK_ROWS)])
+    return evaluator
+
+
+# The witnesses besides "auto", which takes the first one that suits the
+# drive, and the kind of system each solves.
+KINDS = {"2d": "minor", "gradient": "divergence", "nd": "minor"}
 
 
 class WitnessMismatch(FrobeniusError):
@@ -176,7 +184,7 @@ def _fits(witness: str, d) -> bool:
 def resolve_witness(choice: str, d) -> str:
     """The witness `choice` for drive `d`, with "auto" resolved; WitnessMismatch
     when the drive's type does not admit it."""
-    fits = [w for w in WITNESSES if _fits(w, d)]
+    fits = [w for w in KINDS if _fits(w, d)]
     if choice == "auto" and fits:
         return fits[0]
     if choice not in fits:
@@ -208,34 +216,28 @@ def witness_gradient(sol: FieldSolution) -> FrobeniusWitness:
 # conservativity and integrating factor
 
 
-def curl_rows(grid: GridSpec, slabs: Iterable[tuple]) -> Iterator[tuple]:
-    """(top, end, rows, curl) from `slabs` of (top, end, rows) on axis-0 rows
-    top to end - 1 in order, G the first n columns: max |d_i G_j - d_j G_i|
-    by 4th-order differences once 2 rows past them are in, from rows carried
-    since 2 before the last finished one, so bit for bit the whole grid's."""
-    shape, row, lo, done = grid.shape(), grid.npoints() // grid.shape()[0], 0, 0
-    carry = np.empty((0, 0))
-    for _, end, rows in slabs:
-        carry = np.concatenate([carry, rows]) if len(carry) else rows
-        del rows  # carry holds them
-        ready = end if end == shape[0] else end - 2  # a fourth-order stencil reads 2 rows on
-        if ready > done:
-            yield done, ready, carry[(done - lo) * row:(ready - lo) * row], closure_defect(
-                carry[:, :grid.dim], (end - lo,) + shape[1:], "minor", grid.spacing(), 4)[
-                done - lo:ready - lo]
-            keep = max(ready - 2, 0)  # copied, so the slab goes before the next is made
-            carry, lo, done = carry[(keep - lo) * row:].copy(), keep, ready
+def curl_rows(grid: GridSpec, chunks: Iterable[tuple]) -> Iterator[tuple]:
+    """(top, end, arrays, curl) from `chunks` of (top, end, arrays) on
+    axis-0 rows top to end - 1 in order, G the first array: each of
+    synth.stitched's windows with a halo of 2 rows, `arrays` its own rows
+    and `curl` max |d_i G_j - d_j G_i| there by 4th-order differences, so
+    bit for bit the whole grid's."""
+    shape, row = grid.shape(), grid.npoints() // grid.shape()[0]
+    for lo, top, end, arrays in synthmod.stitched(chunks, shape[0], row, 2):
+        own = slice((top - lo) * row, (end - lo) * row)
+        yield top, end, [a[own] for a in arrays], closure_defect(
+            arrays[0], (len(arrays[0]) // row,) + shape[1:], "minor", grid.spacing(), 4)[
+            top - lo:end - lo]
 
 
 def curl_residual_grid(witness: FrobeniusWitness) -> np.ndarray:
-    """curl_rows of a grid witness's G on synth.walk's slabs, grid-shaped."""
+    """curl_rows of a grid witness's G on synth.slabs, grid-shaped."""
     grid = witness.solution.grid
     if grid is None:
         raise FrobeniusError("curl residual needs a grid-backed witness")
-    curl, row, windows = np.empty(grid.shape()), grid.npoints() // grid.shape()[0], []
-    synthmod.walk(grid, 1, windows.extend, 0)
-    for top, end, _, vals in curl_rows(grid, ((top, end, witness.G[top * row:end * row])
-                                              for _, top, end, _ in windows)):
+    curl, row = np.empty(grid.shape()), grid.npoints() // grid.shape()[0]
+    for top, end, _, vals in curl_rows(grid, ((top, end, [witness.G[top * row:end * row]])
+                                              for top, end in synthmod.slabs(grid))):
         curl[top:end] = vals
     return curl
 
@@ -431,9 +433,9 @@ def _post_exactness(source: EtaSource, mask: np.ndarray, eta: np.ndarray) -> flo
     """Max curl (minor kind) or divergence (divergence kind) of e^(-eta) w
     where its stencil lies in the mask and eta is set; 0 for no such node."""
     grid = source.grid
-    worst, row, windows = 0.0, grid.npoints() // grid.shape()[0], []
-    synthmod.walk(grid, 1, windows.extend, 2)
-    for lo, top, end, hi in windows:
+    worst, rows, row = 0.0, grid.shape()[0], grid.npoints() // grid.shape()[0]
+    for top, end in synthmod.slabs(grid):
+        lo, hi = max(top - 2, 0), min(end + 2, rows)
         own = slice(top - lo, end - lo)
         ok = interior(mask[lo:hi] & np.isfinite(eta[lo:hi]), 2)[own]
         vals = closure_defect(source.w[lo * row:hi * row], eta[lo:hi].shape,

@@ -112,15 +112,10 @@ _CASES = {
 def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list:
     v = np.asarray(values, dtype=float)
     ok = np.isfinite(v)
-    pos = np.where(ok, v >= 0.0, False)
     # candidate cells: all four corners finite and not all one sign
     c_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
-    code = (
-        pos[:-1, :-1].astype(np.int8)
-        + 2 * pos[1:, :-1]
-        + 4 * pos[1:, 1:]
-        + 8 * pos[:-1, 1:]
-    )
+    p = np.where(ok, v >= 0.0, False).view(np.uint8)  # corner bits, no wider temporary
+    code = p[:-1, :-1] | (p[1:, :-1] << 1) | (p[1:, 1:] << 2) | (p[:-1, 1:] << 3)
     cand = c_ok & (code != 0) & (code != 15)
     segments = []
     for i, j in zip(*np.nonzero(cand)):

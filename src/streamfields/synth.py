@@ -10,17 +10,16 @@ refining a grid by a power of two keeps every node bit for bit.  A k-form is
 synthesized the same way: its drive is a forms.FormDrive, whose a (and w) has
 C(n, k) columns.
 
-For the same reason a grid can be cut anywhere.  It is cut one way (walk):
-its axis-0 rows into equal bands, one per thread, and each band into slabs
-of about SYNTH_BLOCK nodes, handed out as windows with up to `halo` rows
-more at each end.  synthesize writes each slab into its rows of the full
-solution, and verify and frobenius run their stencils window by window:
-every temporary is slab-sized, and the bytes do not depend on the worker
-count.  A slab builds only its own nodes (GridSpec.nodes), so no (N, n)
-array of all the nodes is built; a solution read off a grid builds its
-`points` from its grid the first time they are read.  A Synthesis is what
-synthesize is given, not yet run: verify synthesizes a refinement study's
-finest grid from one, a slab of rows at a time.
+For the same reason a grid can be cut anywhere.  It is cut one way: its
+axis-0 rows into slabs of about SYNTH_BLOCK nodes (slabs), and for threads
+into equal bands of slabs (walk).  A stencil over a stream of slabs reads
+`halo` rows past each seam, and one routine carries them (stitched), copying
+only the rows that two windows share: every temporary is slab-sized, and
+the bytes do not depend on the worker count.  A block builds only its own
+nodes (GridSpec.nodes), so no (N, n) array of all the nodes is built; a
+solution read off a grid builds its `points` from its grid the first time
+they are read.  A Synthesis is what synthesize is given, not yet run: verify
+and the CSV commands synthesize one a slab of rows at a time.
 
 w needs only the drive a, the first derivatives of its potential, so
 synthesis builds first-order drive jets (drive_batch(..., order=1)) and
@@ -39,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -429,30 +428,55 @@ def synthesize_at_points(model: DensityModel, d: DriveField, policy: BranchPolic
 def block_rows(npts: int, size: int = 0) -> list:
     """Row slices of `size` rows (SYNTH_BLOCK for 0) that cover `npts` rows
     of a point set in order, the last one ending at npts; one slice, the
-    whole (possibly empty) range, when npts <= size.  A grid is cut by walk."""
+    whole (possibly empty) range, when npts <= size.  A grid is cut by slabs."""
     size = size or SYNTH_BLOCK
     return [slice(start, min(start + size, npts)) for start in range(0, max(npts, 1), size)]
 
 
-def walk(grid: GridSpec, workers: int, band: Callable[[list], None], halo: int) -> None:
-    """band(windows) for each band of `grid`'s axis-0 rows: the one partition
+def slabs(grid: GridSpec, start: int = 0, end: Optional[int] = None) -> list:
+    """(top, end) of each slab of about SYNTH_BLOCK nodes, and at least one
+    row, of `grid`'s axis-0 rows start to end - 1 (all for None), in order."""
+    rows = grid.shape()[0]
+    height = max(1, SYNTH_BLOCK // (grid.npoints() // rows))
+    end = rows if end is None else end
+    return [(top, min(top + height, end)) for top in range(start, end, height)]
+
+
+def walk(grid: GridSpec, workers: int, band: Callable[[list], None]) -> None:
+    """band(slabs) for each band of `grid`'s axis-0 rows: the one partition
     of a grid.  The rows are cut into min(workers, blocks of SYNTH_BLOCK
     nodes, rows) bands of equal height (one for workers < 1, as for 1), and
-    each band into its slabs of about SYNTH_BLOCK nodes and at least one row,
-    in order.  A slab is handed out as its window (lo, top, end, hi): the
-    slab is rows top to end - 1, and the window rows lo to hi - 1, the slab
-    and up to `halo` rows past each end inside the grid.  More than one band
-    runs on a thread pool, one band a thread (ordered): a band's error is
-    re-raised, and a thread that cannot start raises MemoryError."""
+    each band is handed its slabs, in order.  More than one band runs on a
+    thread pool, one band a thread (ordered): a band's error is re-raised,
+    and a thread that cannot start raises MemoryError."""
     rows, npts = grid.shape()[0], grid.npoints()
-    height = max(1, SYNTH_BLOCK // (npts // rows))
     bands = min(max(workers, 1), -(-npts // SYNTH_BLOCK), rows)
     cuts = [rows * b // bands for b in range(bands + 1)]
-    slabs = [[(top, min(top + height, end)) for top in range(start, end, height)]
-             for start, end in zip(cuts, cuts[1:])]
-    windows = [[(max(top - halo, 0), top, end, min(end + halo, rows)) for top, end in own]
-               for own in slabs]
-    deque(ordered(band, windows, bands), maxlen=0)  # every band's thread starts first
+    own = [slabs(grid, start, end) for start, end in zip(cuts, cuts[1:])]
+    deque(ordered(band, own, bands), maxlen=0)  # every band's thread starts first
+
+
+def stitched(chunks: Iterable[tuple], rows: int, row: int, halo: int) -> Iterator[tuple]:
+    """(lo, first, last, arrays) windows from `chunks` of (top, end, arrays)
+    on consecutive axis-0 rows of a grid of `rows` rows, `row` array entries
+    a row: rows first to last - 1 are handed out, each once and in order, in
+    `arrays` of rows lo = max(first - halo, 0) to min(last + halo, rows) - 1.
+    The stream's own first and last `halo` rows are only read, unless they
+    are the grid's edge.  A window is handed out once its chunks are in, and
+    only the rows that the next one shares are copied (none for a halo of
+    0: a chunk is its window), so no chunk is held past the next."""
+    lo = first = None
+    for top, end, arrays in chunks:
+        if lo is None:
+            lo, first = top, top if top == 0 else top + halo
+        held = list(arrays) if lo == top else [np.concatenate(pair) for pair in zip(held, arrays)]
+        del arrays  # held has them
+        last = end if end == rows else end - halo
+        if last > first:
+            yield lo, first, last, held
+            keep = max(last - halo, lo)
+            held = [h[(keep - lo) * row:].copy() for h in held]
+            lo, first = keep, last
 
 
 def ordered(work: Callable, items: list, workers: int):
@@ -476,26 +500,17 @@ def ordered(work: Callable, items: list, workers: int):
 
 
 def synthesize(model: DensityModel, d: DriveField, policy: BranchPolicy,
-               grid: GridSpec, tol: Optional[Tolerances] = None,
-               workers: int = 1) -> FieldSolution:
-    """Synthesize on every grid node, slab by slab of walk's bands, at most
-    SYNTH_BLOCK nodes a synthesize_at_points call (so a row longer than a
-    block is cut), each written into its rows of one preallocated solution.
-    A slab builds only its own nodes (GridSpec.nodes); grid.points() is not
-    built here, and the solution builds its points on first read."""
+               grid: GridSpec, tol: Optional[Tolerances] = None) -> FieldSolution:
+    """Synthesize on every grid node, in order on the calling thread, a block
+    of SYNTH_BLOCK nodes a synthesize_at_points call, each written into its
+    rows of one preallocated solution.  A block builds only its own nodes
+    (GridSpec.nodes); grid.points() is not built here, and the solution
+    builds its points on first read."""
     tol = tol or Tolerances()
-    npts = grid.npoints()
-    out = Synthesis(grid, model, d, policy, tol).allocate(npts, grid)
-    row = npts // grid.shape()[0]
-
-    def band(windows: list) -> None:
-        for _, top, end, _ in windows:
-            for start in range(top * row, end * row, SYNTH_BLOCK):
-                stop = min(start + SYNTH_BLOCK, end * row)
-                out.fill(start, synthesize_at_points(model, d, policy, grid.nodes(start, stop),
-                                                     tol=tol))
-
-    walk(grid, workers, band, 0)
+    out = Synthesis(grid, model, d, policy, tol).allocate(grid.npoints(), grid)
+    for rows in block_rows(grid.npoints()):
+        out.fill(rows.start, synthesize_at_points(model, d, policy,
+                                                  grid.nodes(rows.start, rows.stop), tol=tol))
     return out
 
 

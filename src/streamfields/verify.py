@@ -16,16 +16,15 @@ nodes the verify.mask predicate excludes, dilated by one stencil width, plus
 the boundary.
 Every residual kind runs its kernels on the slabs of axis-0 rows that
 synth.walk cuts a grid into, of about SYNTH_BLOCK nodes each, walked in
-order within one band of rows per thread (`_slabs`): a slab reads its
-window, HALO rows past each end, and writes only its own rows of one
-residual array and one mask per kind, so the temporaries are slab-sized and
-every value is the whole grid's, bit for bit, for any slab height or worker
-count.  The rows come from a solution, or from a synth.Synthesis that has
-not run (a study's finest level), which each band synthesizes as it reaches
-them.  One carry a band (`slab_reader`) keeps the last window's rows and
-verify.mask values for the 2 HALO rows the next window shares, so no
-solution of the grid is held whole, and the synthesis and the predicate see
-a node once, or twice within HALO rows of a seam between bands.
+order within one band of rows per thread (`_slabs`).  A band reads its rows
+once, and HALO rows past each end (`rows_of`), from a solution or from a
+synth.Synthesis that has not run (a study's finest level), with their
+verify.mask values; synth.stitched hands them out as windows with HALO rows
+past each end.  A window writes only its own rows of one residual array and
+one mask per kind, so the temporaries are slab-sized, every value is the
+whole grid's, bit for bit, for any slab height or worker count, no solution
+of the grid is held whole, and the synthesis and the predicate see a node
+once, or twice within HALO rows of a seam between bands.
 The slab kinds (`slab_residuals`) share one such pass.  The residuals read
 no grid points.
 A report moves the kept residuals forward within the residual array, in
@@ -40,7 +39,9 @@ vectorized Gauss-Kronrod rule over the gaps between the distinct Q for a custom 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -214,90 +215,74 @@ def _grid_of(source) -> GridSpec:
     return source.grid
 
 
-def slab_reader(source, row: int, mask: Optional[Callable]) -> Callable[[int, int], tuple]:
-    """rows(lo, hi) -> (part, kept) on axis-0 rows lo to hi - 1 of `source`:
-    `part` the source there, as a solution without a grid, and `kept` the
-    predicate `mask` (None for no mask) on those nodes.  A FieldSolution
-    gives views of its rows; a Synthesis writes them into a new window.  One
-    record of the last window is kept: its end row, its rows and its mask
-    values.  The rows a window shares with it are copied over, and only the
-    rest are synthesized, at most SYNTH_BLOCK nodes a synthesize_at_points
-    call, each written as it comes, and handed to the predicate; so for
-    windows that advance down the grid, each row is computed once."""
-    held = (0, None, np.zeros(0, dtype=bool))  # the last window's end row, rows and mask values
-
-    def rows(lo: int, hi: int) -> tuple:
-        nonlocal held
-        (last, window, values), held = held, None
-        n, keep = (hi - lo) * row, max(last - lo, 0) * row  # its last rows are this window's first
-        if isinstance(source, FieldSolution):
-            part = source.restricted(slice(lo * row, hi * row))
-        else:
-            # a window of one block with no row kept is that block's solution
-            part = source.allocate(n) if keep or n > synthmod.SYNTH_BLOCK else None
-            if keep:
-                part.fill(0, window.restricted(slice(len(window.Q) - keep, None)))
-            window = None  # freed before the synthesis temporaries are made
-            for start in range(keep, n, synthmod.SYNTH_BLOCK):
-                stop = min(start + synthmod.SYNTH_BLOCK, n)
-                block = synthesize_at_points(source.model, source.drive, source.policy,
-                                             source.grid.nodes(lo * row + start, lo * row + stop),
-                                             tol=source.tol)
-                if part is None:
-                    part = replace(block, _points=None)
-                else:
-                    part.fill(start, block)
-        kept = None if mask is None else np.concatenate([values[values.size - keep:], np.asarray(
-            mask(source.grid.nodes(lo * row + keep, hi * row)), dtype=bool)])
-        held = (hi, part, kept)
-        return part, kept
-    return rows
+def rows_of(source, row: int, lo: int, hi: int) -> FieldSolution:
+    """`source` on axis-0 rows lo to hi - 1, as a solution without a grid:
+    views of a FieldSolution's rows, or a Synthesis's rows synthesized at
+    most SYNTH_BLOCK nodes a synthesize_at_points call, each written into
+    one new solution as it comes (the rows of one block are its solution)."""
+    if isinstance(source, FieldSolution):
+        return source.restricted(slice(lo * row, hi * row))
+    blocks = block_rows((hi - lo) * row)
+    part = source.allocate((hi - lo) * row) if len(blocks) > 1 else None
+    for rows in blocks:
+        block = synthesize_at_points(source.model, source.drive, source.policy, source.grid.nodes(
+            lo * row + rows.start, lo * row + rows.stop), tol=source.tol)
+        if part is None:
+            return block
+        part.fill(rows.start, block)
+    return part
 
 
 def _slabs(source, kernels: Sequence[Callable], workers: int, mask: Optional[Callable] = None,
            visit: Optional[Callable] = None) -> list:
     """(residual, excluded) grid arrays of each kernel over slabs of axis-0
-    rows of `source`, a FieldSolution or a Synthesis (see slab_reader).
+    rows of `source`, a FieldSolution or a Synthesis (see rows_of).
 
-    The rows are cut into synth.walk's bands, one per thread, and each band
-    walks its slabs of about SYNTH_BLOCK nodes and at least one row in order.
-    `kernel(part, nodes, shape)` returns the residual on a slab's rows and
-    the nodes it leaves undefined (or None): `part` is the source on the flat
-    nodes `nodes`, and `shape` their grid shape.  A slab runs every kernel on
-    its window, walk's with a halo of HALO rows, enough for the central
-    stencils and the mask's dilation, and keeps its own rows, so every
-    node's residual and mask bit are the whole-grid ones for any slab height
-    or worker count (with no kernel, a halo of 0).  A band reads its windows
-    through one slab_reader, which carries the 2 HALO rows consecutive windows
-    share, so a node is synthesized once, or twice within HALO rows of a
-    seam between bands.  The predicate `mask` (False where a node is
-    excluded, as verify.mask), evaluated only when a kernel runs and carried
-    the same way, adds to each mask.
-    visit(top, end, part) sees every slab's own rows as `part`."""
+    The rows are cut into synth.walk's bands, one per thread.  A band reads
+    each row of its slabs once, in order, and HALO rows past each end
+    (rows_of), with the predicate `mask` (False where a node is excluded,
+    as verify.mask) on them as one more array; synth.stitched hands them
+    out as windows with HALO rows on each side.  With no kernel the halo is
+    0 and no mask is evaluated.  `kernel(part, nodes, shape)` returns the
+    residual on a window's rows and the nodes it leaves undefined (or
+    None): `part` is the source on the flat nodes `nodes`, of grid shape
+    `shape`.  A window keeps its own rows of each, so every residual and
+    mask bit is the whole grid's for any slab height or worker count.
+    visit(top, end, part) sees every window's own rows as `part`."""
     grid = _grid_of(source)
     shape = grid.shape()
-    row = math.prod(shape[1:])
-    outs = [(np.empty(shape), np.empty(shape, dtype=bool)) for _ in kernels]
+    row, halo = math.prod(shape[1:]), HALO if kernels else 0
+    mask, outs = mask if kernels else None, [(np.empty(shape), np.empty(shape, dtype=bool))
+                                             for _ in kernels]
 
-    def slab(rows: Callable, lo: int, top: int, end: int, hi: int) -> None:
-        nodes, sub = slice(lo * row, hi * row), (hi - lo,) + shape[1:]
-        (part, kept), own = rows(lo, hi), slice(top - lo, end - lo)
-        masked = None if kept is None else ~kept
+    def chunk(lo: int, hi: int) -> tuple:
+        part = rows_of(source, row, lo, hi)
+        kept = [] if mask is None else [np.asarray(mask(grid.nodes(lo * row, hi * row)), bool)]
+        return lo, hi, [getattr(part, name) for name in synthmod.ROW_ARRAYS] + kept
+
+    def window(top: int, end: int, lo: int, first: int, last: int, arrays: list) -> None:
+        # stitched counts the grid's edge rows as any band's own: keep the band's
+        first, last, hi = max(first, top), min(last, end), lo + len(arrays[0]) // row
+        nodes, sub, own = slice(lo * row, hi * row), (hi - lo,) + shape[1:], slice(
+            first - lo, last - lo)
+        part = FieldSolution(None, source.model, source.drive, source.policy, source.tol,
+                             *arrays[:len(synthmod.ROW_ARRAYS)])
+        masked = None if mask is None else ~arrays[-1]
         for kernel, (residual, excluded) in zip(kernels, outs):
             values, bad = kernel(part, nodes, sub)
-            residual[top:end] = values[own]
-            excluded[top:end] = _excluded(part, sub, bad, masked)[own]
-        if visit is not None:
-            visit(top, end, part.restricted(slice((top - lo) * row, (end - lo) * row)))
+            residual[first:last] = values[own]
+            excluded[first:last] = _excluded(part, sub, bad, masked)[own]
+        if visit is not None and first < last:
+            visit(first, last, part.restricted(slice((first - lo) * row, (last - lo) * row)))
 
-    def band(windows: list) -> None:
-        # one reader a band; each slab's locals, its window among them, go
-        # when it returns, so the reader holds the only window between slabs
-        rows = slab_reader(source, row, mask if kernels else None)
-        for window in windows:
-            slab(rows, *window)
+    def band(slabs: list) -> None:
+        (top, _), (_, end) = slabs[0], slabs[-1]
+        cuts = [max(top - halo, 0)] + [stop for _, stop in slabs[:-1]] + [min(end + halo, shape[0])]
+        # starmap keeps no window while the next is read, so a band holds one
+        deque(itertools.starmap(functools.partial(window, top, end), synthmod.stitched(
+            (chunk(a, b) for a, b in zip(cuts, cuts[1:])), shape[0], row, halo)), maxlen=0)
 
-    synthmod.walk(grid, workers, band, HALO if kernels else 0)
+    synthmod.walk(grid, workers, band)
     return outs
 
 

@@ -1485,16 +1485,11 @@ def test_each_csv_column_is_an_array_the_command_holds(tmp_path, capsys, monkeyp
     slab's solution itself (not a copy; each shipped grid is one slab) and
     each singular-set mask as bool, in both singular examples."""
     parts, checked = [], set()
-    write, reader = cli._write_csv, verifymod.slab_reader
+    write, rows_of = cli._write_csv, verifymod.rows_of
 
-    def recorded_reader(*args):
-        rows = reader(*args)
-
-        def read(lo, hi):
-            got = rows(lo, hi)
-            parts.append(got[0])
-            return got
-        return read
+    def recorded_rows(*args):
+        parts.append(rows_of(*args))
+        return parts[-1]
 
     class Checked:
         """A column whose every block the writer reads is checked."""
@@ -1520,7 +1515,7 @@ def test_each_csv_column_is_an_array_the_command_holds(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: write(
         path, header, [(kind, Checked(os.path.basename(path), head, kind, col))
                        for head, (kind, col) in zip(header, columns)]))
-    monkeypatch.setattr(verifymod, "slab_reader", recorded_reader)
+    monkeypatch.setattr(verifymod, "rows_of", recorded_rows)
     for command, name in (("synth", "shallow-vortex"), ("singular", "born-infeld-fund"),
                           ("singular", "shallow-vortex"), ("forms", "form-21")):
         parts.clear()

@@ -268,8 +268,7 @@ def test_synthesis_reads_neither_the_jacobian_nor_grad_xi(monkeypatch, case):
     synthesize_at_points(shallow_water(), d, policy, pts)
     if d.dim == 2:
         monkeypatch.setattr(synth, "SYNTH_BLOCK", 100)
-        synth.synthesize(shallow_water(), d, policy, GridSpec((0.2, 0.3), (1.7, 1.9), (20, 20)),
-                         workers=2)
+        synth.synthesize(shallow_water(), d, policy, GridSpec((0.2, 0.3), (1.7, 1.9), (20, 20)))
     assert reads == []
     drive_batch(d, pts[:3]).jac  # the spy sees a read
     assert reads == ["jac"]

@@ -295,9 +295,9 @@ def test_a_node_whose_coefficient_hessian_alone_is_not_finite_is_synthesized_wit
 @pytest.mark.parametrize("closed", [False, True], ids=["stream", "closed"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_form_synthesis_in_blocks_is_the_point_synthesis_bit_for_bit(monkeypatch, rng, n, closed):
-    """synth.synthesize runs a form's drive in blocks of SYNTH_BLOCK nodes, on
-    one worker or two; every array is the whole-grid point synthesis's, for
-    every degree k of omega."""
+    """synth.synthesize runs a form's drive in blocks of SYNTH_BLOCK nodes;
+    every array is the whole-grid point synthesis's, for every degree k of
+    omega."""
     from streamfields import synth as synthmod
 
     model, policy = extremal(), single_branch(1)
@@ -310,11 +310,10 @@ def test_form_synthesis_in_blocks_is_the_point_synthesis_bit_for_bit(monkeypatch
         want = synthesize_at_points(model, d, policy, grid.points())
         assert want.w.shape == (grid.npoints(), d.columns) and (want.branch_id != 0).any()
         monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 7)
-        for workers in (1, 2):
-            got = synthmod.synthesize(model, d, policy, grid, workers=workers)
-            for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (k, workers, name)
+        got = synthmod.synthesize(model, d, policy, grid)
+        for name in ("w", "Q", "xi", "regime", "branch_id", "flags"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (k, name)
         monkeypatch.undo()
 
 

@@ -259,8 +259,8 @@ def test_recover_eta_in_blocks_of_seven_points_is_bit_for_bit_the_same(monkeypat
 
 
 def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
-    """curl_residual_grid (2 rows carried past each slab) and _post_exactness
-    (2 halo rows) run on synth.walk's slabs of 1, 2 and 7 rows, and give the old whole-grid curl_max
+    """curl_residual_grid (synth.stitched, 2 halo rows) and _post_exactness
+    (2 halo rows) run on synth.slabs of 1, 2 and 7 rows, and give the old whole-grid curl_max
     of G and the maximum of the old whole-grid closure_residual of e^(-eta) w
     (conftest's oracles) over the nodes with a full stencil inside the mask,
     bit for bit, on the 64^2 annulus (minor kind) and a 10^3-cell grid
@@ -281,9 +281,7 @@ def test_fourth_order_slabs_are_the_whole_grid_bit_for_bit(monkeypatch):
         row = g.npoints() // shape[0]
         for height in (1, 2, 7):
             monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
-            windows = []
-            synthmod.walk(g, 1, windows.extend, 2)
-            assert len(windows) == -(-shape[0] // height)
+            assert len(synthmod.slabs(g)) == -(-shape[0] // height)
             assert curl_residual_grid(wit).tobytes() == curl.tobytes(), height
             source = frobmod.EtaSource(wit.kind, g, wit.solution.w, None, None, None)
             assert frobmod._post_exactness(source, rec.mask, rec.eta) == post, height

@@ -1,6 +1,6 @@
 """The CSV commands write their tables a slab at a time.
 
-synth, singular, forms and frobenius synthesize each of synth.walk's slabs,
+synth, singular, forms and frobenius synthesize each slab of synth.slabs,
 compute the masks, Gamma or G on its points, and write its rows
 (cli._slabs, cli._write_streamed).  These tests hold every file they write,
 bit for bit, to the whole-grid path the commands took before: one

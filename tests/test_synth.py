@@ -216,12 +216,12 @@ def test_an_error_inside_a_band_reaches_the_caller_unchanged():
 
     grid = GridSpec(lo=(0.0, 0.0), hi=(1.0, 1.0), cells=(300, 300))  # two bands on two workers
 
-    def band(windows):
-        if windows[0][1] > 0:
+    def band(slabs):
+        if slabs[0][0] > 0:
             raise RuntimeError("inside a band")
 
     with pytest.raises(RuntimeError, match="inside a band"):
-        synth.walk(grid, 2, band, 0)
+        synth.walk(grid, 2, band)
 
 
 def test_gamma_g_needs_a_nonzero_laplacian():
@@ -393,9 +393,8 @@ def _same_bits(got, want) -> bool:
 def test_block_synthesis_equals_one_call_on_the_whole_grid_bit_for_bit(monkeypatch, block, cells):
     """Every built-in field example, on its shipped grid with blocks of 1000
     nodes and on a 12-cell grid with blocks of 7 (a row cut into blocks), 26
-    and 91 (slabs of 2 and 7 rows of 13 nodes in 2-D), for one worker and
-    two: each slab is written into its own rows and the values do not depend
-    on the partition."""
+    and 91 (slabs of 2 and 7 rows of 13 nodes in 2-D): each slab is written
+    into its own rows and the values do not depend on the partition."""
     from streamfields import config as cfgmod, synth as synthmod
 
     split = 0
@@ -411,20 +410,18 @@ def test_block_synthesis_equals_one_call_on_the_whole_grid_bit_for_bit(monkeypat
         want = synthesize_at_points(model, d, policy, grid.points(), tol=tol)
         split += grid.npoints() > block
         monkeypatch.setattr(synthmod, "SYNTH_BLOCK", block)
-        for workers in (1, 2):
-            got = synthesize(model, d, policy, grid, tol=tol, workers=workers)
-            assert got.grid == grid and got.tol == tol
-            for attr in PER_POINT:
-                assert _same_bits(getattr(got, attr), getattr(want, attr)), (name, workers, attr)
+        got = synthesize(model, d, policy, grid, tol=tol)
+        assert got.grid == grid and got.tol == tol
+        for attr in PER_POINT:
+            assert _same_bits(getattr(got, attr), getattr(want, attr)), (name, attr)
         monkeypatch.undo()
     assert split >= 9  # all but unit-density's 289 nodes at blocks of 1000
 
 
 def test_a_grid_of_one_block_is_one_call(monkeypatch):
-    """A larger grid is cut into walk's bands, one per worker, and each band
-    into slabs of whole rows of at most a block: 10 rows of 10 nodes in
-    blocks of 40 are slabs of 4, 4 and 2 rows on one worker, and 4 and 1
-    rows in each band of 5 rows on two."""
+    """A larger grid is synthesized in blocks of at most SYNTH_BLOCK nodes,
+    in order: 10 rows of 10 nodes in blocks of 40 are calls of 40, 40 and 20
+    nodes."""
     from streamfields import synth as synthmod
 
     calls = []
@@ -436,14 +433,12 @@ def test_a_grid_of_one_block_is_one_call(monkeypatch):
     monkeypatch.setattr(synthmod, "synthesize_at_points", counted)
     grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (9, 9))
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 100)
-    for workers in (1, 2):
-        synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
-    assert [n for _, n in calls] == [100, 100]
+    synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid)
+    assert [n for _, n in calls] == [100]
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 40)
-    for workers, want in ((1, [40, 40, 20]), (2, [40, 10, 40, 10])):
-        calls.clear()
-        synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
-        assert [n for _, n in sorted(calls)] == want  # in row order
+    calls.clear()
+    synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid)
+    assert calls == sorted(calls) and [n for _, n in calls] == [40, 40, 20]  # in row order
 
 
 def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
@@ -457,16 +452,14 @@ def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 40)
     monkeypatch.setattr(synthmod, "synthesize_at_points", fails_on_the_tail)
     grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (9, 9))
-    for workers in (1, 2):
-        with pytest.raises(SynthError, match="tail block"):
-            synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid, workers=workers)
+    with pytest.raises(SynthError, match="tail block"):
+        synthesize(shallow_water(), shallow_vortex(1.0), prefer_type1(), grid)
 
 
-def _walked(monkeypatch, grid: GridSpec, workers: int, halo: int = 0) -> tuple:
-    """(the (top, end) slabs of each band walk hands out with `halo`, in band
-    order; the pools it opens, as their max_workers), having checked that
-    every window (lo, top, end, hi) is its slab and up to `halo` rows past
-    each end, inside the grid."""
+def _walked(monkeypatch, grid: GridSpec, workers: int) -> tuple:
+    """(the (top, end) slabs walk hands each band, in band order; the pools it
+    opens, as their max_workers), having checked that each band's slabs are
+    synth.slabs of its rows and that one band's are synth.slabs(grid)."""
     from concurrent.futures import ThreadPoolExecutor
 
     from streamfields import synth as synthmod
@@ -478,27 +471,26 @@ def _walked(monkeypatch, grid: GridSpec, workers: int, halo: int = 0) -> tuple:
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(synthmod, "ThreadPoolExecutor", pool)
-    bands, rows = {}, grid.shape()[0]
-    synthmod.walk(grid, workers, lambda windows: bands.__setitem__(windows[0][1], windows), halo)
-    for lo, top, end, hi in (window for band in bands.values() for window in band):
-        assert (lo, hi) == (max(top - halo, 0), min(end + halo, rows))
-    return [[(top, end) for _, top, end, _ in bands[top]] for top in sorted(bands)], pools
+    bands = {}
+    synthmod.walk(grid, workers, lambda slabs: bands.__setitem__(slabs[0][0], slabs))
+    for top, slabs in bands.items():
+        assert slabs == synthmod.slabs(grid, top, slabs[-1][1])
+    if len(bands) == 1:
+        assert bands[0] == synthmod.slabs(grid)
+    return [bands[top] for top in sorted(bands)], pools
 
 
 def test_walk_cuts_equal_bands_of_whole_rows(monkeypatch):
     """A 257^2 grid, 66,049 nodes or just over one block of 65,536, is two
     bands of 128 and 129 rows on two workers, not a block and 513 nodes;
-    a slab is at most 255 rows of 257 nodes, the rows that fit a block.
-    The slabs are the same for a halo of 0, 1 and 2 rows, and each window
-    is its slab and the halo rows inside the grid."""
+    a slab is at most 255 rows of 257 nodes, the rows that fit a block."""
     grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (256, 256))
     # rows longer than a block are slabs of one row
     wide = GridSpec((-1.0, -1.0), (1.0, 1.0), (2, 70000))
-    for halo in (0, 1, 2):
-        assert _walked(monkeypatch, grid, 2, halo) == ([[(0, 128)], [(128, 257)]], [2])
-        assert _walked(monkeypatch, grid, 1, halo) == ([[(0, 255), (255, 257)]], [])
-        assert _walked(monkeypatch, wide, 1, halo)[0] == [[(0, 1), (1, 2), (2, 3)]]
-        assert _walked(monkeypatch, wide, 2, halo) == ([[(0, 1)], [(1, 2), (2, 3)]], [2])
+    assert _walked(monkeypatch, grid, 2) == ([[(0, 128)], [(128, 257)]], [2])
+    assert _walked(monkeypatch, grid, 1) == ([[(0, 255), (255, 257)]], [])
+    assert _walked(monkeypatch, wide, 1)[0] == [[(0, 1), (1, 2), (2, 3)]]
+    assert _walked(monkeypatch, wide, 2) == ([[(0, 1)], [(1, 2), (2, 3)]], [2])
 
 
 def test_walk_runs_no_more_bands_than_rows_or_blocks(monkeypatch):
@@ -512,6 +504,41 @@ def test_walk_runs_no_more_bands_than_rows_or_blocks(monkeypatch):
     assert _walked(monkeypatch, tiny, 0) == ([[(0, 3)]], [])  # as for one worker
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 2)
     assert _walked(monkeypatch, tiny, 10 ** 6) == ([[(0, 1)], [(1, 2)], [(2, 3)]], [3])
+
+
+@pytest.mark.parametrize("halo", [0, 1, 2])
+@pytest.mark.parametrize("height", [1, 2, 7])
+@pytest.mark.parametrize("start, stop", [(0, 13), (0, 9), (4, 13), (4, 9), (1, 12)])
+def test_stitched_hands_out_every_row_once_with_its_halo(halo, height, start, stop):
+    """synth.stitched on chunks of `height` rows of a stream of rows start to
+    stop - 1 of a 13-row grid hands out every row of the stream once, in
+    order, but the stream's first and last `halo` rows where they are not
+    the grid's edge; each window holds its rows and `halo` rows on each side
+    (or the grid's edge), equal to the whole arrays' rows bit for bit and
+    still so once the stream has ended; with a halo of 0 each chunk is its
+    window, its arrays not copied."""
+    from streamfields import synth as synthmod
+
+    rows, row = 13, 3
+    rng = np.random.default_rng(height + 10 * halo)
+    whole = [rng.normal(size=(rows * row, 2)), rng.random(rows * row) < 0.5,
+             np.arange(rows * row, dtype=np.int32)]
+    cuts = list(range(start, stop, height)) + [stop]
+    chunks = [(top, end, [a[top * row:end * row].copy() for a in whole])
+              for top, end in zip(cuts, cuts[1:])]
+    windows = list(synthmod.stitched(iter(chunks), rows, row, halo))
+    first = start if start == 0 else start + halo
+    last = stop if stop == rows else stop - halo
+    assert [w[1] for w in windows] == [first] + [w[2] for w in windows[:-1]]
+    assert windows[-1][2] == last and all(w[1] < w[2] for w in windows)
+    for lo, top, end, arrays in windows:
+        hi = lo + len(arrays[0]) // row
+        assert (lo, hi) == (max(top - halo, 0), min(end + halo, rows)), (lo, top, end, hi)
+        for got, want in zip(arrays, whole):
+            assert got.dtype == want.dtype and got.tobytes() == want[lo * row:hi * row].tobytes()
+    if halo == 0:
+        assert [w[:3] for w in windows] == [(top, top, end) for top, end, _ in chunks]
+        assert all(w[3][k] is c[2][k] for w, c in zip(windows, chunks) for k in range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -750,19 +750,19 @@ def test_residual_slabs_are_the_whole_grid_residual_bit_for_bit(monkeypatch, cas
 @pytest.mark.parametrize("height", [1, 2, 7])
 def test_slabs_visit_the_walks_slabs_and_a_synthesis_gives_the_synthesized_rows(
         monkeypatch, height, workers):
-    """_slabs visits every slab of synth.walk's bands once, each band's in
-    order, with slabs of 1, 2 and 7 rows on one worker and two; from a
-    Synthesis that has not run, the rows it visits are synthesize's, bit for
-    bit, as they are from the solution itself."""
+    """With no kernel, _slabs visits every slab of synth.walk's bands once,
+    each band's in order, with slabs of 1, 2 and 7 rows on one worker and
+    two; from a Synthesis that has not run, the rows it visits are
+    synthesize's, bit for bit, as they are from the solution itself."""
     from streamfields import synth as synthmod, verify as verifymod
 
     grid = GridSpec((-1.1, -1.0), (1.2, 0.9), (12, 9))
     row = 10
     model, d, policy, tol = shallow_water(), shallow_vortex(1.0), prefer_type1(), Tolerances()
     monkeypatch.setattr(synthmod, "SYNTH_BLOCK", height * row)
-    want = synthesize(model, d, policy, grid, tol=tol, workers=workers)
+    want = synthesize(model, d, policy, grid, tol=tol)
     bands = []
-    synthmod.walk(grid, workers, lambda windows: bands.append([w[1:3] for w in windows]), 0)
+    synthmod.walk(grid, workers, bands.append)
     walked = sorted(slab for band in bands for slab in band)
     assert [top for top, _ in walked] == [0] + [end for _, end in walked[:-1]]
     assert walked[-1][1] == grid.shape()[0]  # every row once
@@ -806,6 +806,30 @@ def test_a_pass_with_no_kernel_synthesizes_each_node_once(monkeypatch, workers):
     assert sum(counted) == grid.npoints() and sum(visited) == grid.shape()[0]
 
 
+def test_bands_of_one_row_hand_out_each_row_once(monkeypatch):
+    """Four bands of one row each, every one within HALO rows of the grid's
+    edge: each band hands out only its own row, so every row is visited
+    once, and the residual and mask arrays are the one band's bit for bit."""
+    from streamfields import synth as synthmod, verify as verifymod
+
+    grid = GridSpec((-1.1, -1.0), (1.2, 0.9), (3, 40))
+    monkeypatch.setattr(synthmod, "SYNTH_BLOCK", 41)
+    source = synthmod.Synthesis(grid, shallow_water(), shallow_vortex(1.0), prefer_type1(),
+                                Tolerances())
+    kernel = verifymod.SLAB_KINDS["divergence"][1](grid.spacing())
+    runs = []
+    for workers in (1, 4):
+        bands, visited = [], []
+        synthmod.walk(grid, workers, bands.append)
+        outs = verifymod._slabs(source, [kernel], workers,
+                                mask=lambda points: points[:, 1] < 0.5,
+                                visit=lambda top, end, part: visited.append((top, end)))
+        assert len(bands) == workers
+        assert sorted(r for top, end in visited for r in range(top, end)) == [0, 1, 2, 3]
+        runs.append([array.tobytes() for pair in outs for array in pair])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("synthesis", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("height", [1, 2, 7])
@@ -847,10 +871,10 @@ def test_the_mask_predicate_sees_each_node_once_a_band(monkeypatch, height, work
     (_, excluded), = verifymod._slabs(source, [kernel], workers, mask=mask)
     assert excluded.tobytes() == want.tobytes()
     bands = []
-    synthmod.walk(grid, workers, bands.append, verifymod.HALO)
+    synthmod.walk(grid, workers, bands.append)
     expected = np.ones(shape, dtype=np.intp)
-    for windows in bands[1:]:
-        seam = windows[0][1]
+    for slabs in bands[1:]:
+        seam = slabs[0][0]
         expected[seam - verifymod.HALO:seam + verifymod.HALO] += 1
     assert np.array_equal(counts(seen), expected.reshape(-1))
     if synthesis:
